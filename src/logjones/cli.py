@@ -55,6 +55,14 @@ def _resolve_knot(args) -> jones.BraidWord:
     raise ConfigError("one of --knot or --braid is required")
 
 
+def _require_N(args) -> int:
+    if args.N is None:
+        raise ConfigError(f"--N is required for {args.command}")
+    if args.N < 2:
+        raise ConfigError(f"--N must be at least 2, got {args.N}")
+    return args.N
+
+
 def _emit(text: str, out_path):
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
@@ -74,8 +82,12 @@ def _poly_json(p: LaurentPoly):
 
 
 def cmd_jones(args) -> int:
+    if args.m is not None and args.m < 1:
+        raise ConfigError(f"--m must be at least 1, got {args.m}")
+    if args.max_m < 1:
+        raise ConfigError(f"--max-m must be at least 1, got {args.max_m}")
     braid = _resolve_knot(args)
-    colors = [args.m] if args.m else list(range(1, args.max_m + 1))
+    colors = [args.m] if args.m is not None else list(range(1, args.max_m + 1))
     payload = {"knot": braid.name or args.braid, "strands": braid.strands,
                "writhe": braid.writhe, "framing": 0, "values": {}}
     for m in colors:
@@ -86,6 +98,8 @@ def cmd_jones(args) -> int:
 
 
 def cmd_habiro(args) -> int:
+    if args.imax is not None and args.imax < 0:
+        raise ConfigError(f"--imax must be at least 0, got {args.imax}")
     if args.knot and args.knot in ("unknot", "3_1", "4_1"):
         h = habiro.catalog_coeffs(args.knot)
         unbounded = h.all_ones or h.tail_zero
@@ -108,20 +122,27 @@ def cmd_habiro(args) -> int:
 
 
 def cmd_loginv(args) -> int:
-    if args.N is None:
-        raise ConfigError("--N is required for loginv")
-    ctx = RootContext(args.N, precision_digits=args.precision)
+    N = _require_N(args)
+    if args.s is not None and not 1 <= args.s <= N - 1:
+        raise ConfigError(f"--s must be in 1..{N - 1} for N={N}, got {args.s}")
+    ctx = RootContext(N, precision_digits=args.precision)
     braid = _resolve_knot(args)
     label = braid.name or args.braid
-    knot = label if label in ("unknot", "3_1", "4_1") else braid
-    rec = loginv.center_coeffs(knot, args.N, ctx, framing=args.framing, knot_label=label)
+    # one coefficient table serves every route and s; V_m is read up to
+    # m = 3N-1 (V_{2N+s} on the minus radical route), so a_{3N-2} is needed
+    h = habiro.coeffs_for(label if label in jones.KNOT_CATALOG else braid, 3 * N)
+    if not h.has_coeff(3 * N - 2):
+        raise jones.FeasibilityError(
+            f"{label}: loginv at N={N} needs a_0..a_{3 * N - 2}, but the stored "
+            f"coefficient table stops at a_{h.i_max}")
+    rec = loginv.center_coeffs(h, N, ctx, framing=args.framing, knot_label=label)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}
     worst = mp.mpf(0)
-    svals = [args.s] if args.s else list(range(1, args.N))
+    svals = [args.s] if args.s is not None else list(range(1, N))
     with ctx.workprec():
         for s in svals:
-            routes = loginv.gamma_all_routes(knot, s, args.N, ctx, framing=args.framing)
+            routes = loginv.gamma_all_routes(h, s, N, ctx, framing=args.framing)
             vals = list(routes.values())
             delta = max(abs(a - b) for a in vals for b in vals)
             worst = max(worst, delta)
@@ -140,18 +161,15 @@ def cmd_loginv(args) -> int:
 
 
 def cmd_qgroup_verify(args) -> int:
-    if args.N is None:
-        raise ConfigError("--N is required for qgroup-verify")
-    ctx = RootContext(args.N, precision_digits=args.precision)
-    rows = qgroup.verification_report(args.N, ctx, include_rmatrix=not args.skip_rmatrix)
+    N = _require_N(args)
+    ctx = RootContext(N, precision_digits=args.precision)
+    rows = qgroup.verification_report(N, ctx, include_rmatrix=not args.skip_rmatrix)
     _emit(qgroup.report_to_json(rows) + "\n", args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_DISAGREEMENT
 
 
 def cmd_volume_scan(args) -> int:
-    if args.N is None:
-        raise ConfigError("--N is required for volume-scan")
-    res = volume.asymptotic_scan(args.N)
+    res = volume.asymptotic_scan(_require_N(args))
     text = res.to_csv() if args.format == "csv" else res.to_json() + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -167,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=None,
                        help="working precision in decimal digits (default 60, "
                             "or LOGJONES_PRECISION)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format; csv only for volume-scan")
         p.add_argument("--out", default="-", help="output path (default stdout)")
         if knotty:
             p.add_argument("--knot", help="catalog name: unknot, 3_1, 4_1")
@@ -213,11 +232,13 @@ def main(argv=None) -> int:
             args.precision = _default_precision()
         if args.precision < 30:
             raise ConfigError("--precision must be at least 30")
+        if args.format == "csv" and args.command != "volume-scan":
+            raise ConfigError(f"--format csv is only supported by volume-scan, not {args.command}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (jones.FeasibilityError, qgroup.FeasibilityError) as exc:
+    except jones.FeasibilityError as exc:
         print(f"feasibility refusal: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
     except loginv.RouteDisagreement as exc:

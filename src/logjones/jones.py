@@ -10,24 +10,26 @@ crossing uses the inverse braiding.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 
 import mpmath as mp
 
-from .qcalc import InexactDivisionError, LaurentPoly, brace, qint
+from .qcalc import InexactDivisionError, LaurentPoly, brace, horner, qint
 
 
 class FeasibilityError(RuntimeError):
-    """Requested exact computation exceeds the documented size bounds."""
+    """Requested exact computation exceeds the documented size bounds: a
+    tensor dimension above EXACT_DIM_CAP or a color beyond a stored
+    coefficient table."""
 
 
 class LinkNotKnotError(ValueError):
     """Braid closure has more than one component."""
 
 
-# Tensor dimension cap for exact LaurentPoly braid operators.  400-dim
-# 2-strand and 216-dim 3-strand words are routine; beyond ~1500 the exact
-# path gets slow enough that the numeric-q route should be used instead.
+# Tensor dimension cap for exact LaurentPoly braid operators, on W_m and on
+# the modified representations alike.  400-dim 2-strand and 216-dim
+# 3-strand words are routine; beyond ~1500 the exact path gets slow enough
+# that the numeric-q route should be used instead.
 EXACT_DIM_CAP = 1800
 
 
@@ -502,9 +504,6 @@ def colored_jones_numeric(b: BraidWord, m: int, q_half):
     d = V.dim
     n = b.strands
 
-    def ev(p):
-        return _eval_poly(p, q_half)
-
     local_cache = {}
     total = d ** n
     mat = {(i, i): mp.mpc(1) for i in range(total)}
@@ -512,12 +511,12 @@ def colored_jones_numeric(b: BraidWord, m: int, q_half):
         sign = 1 if g > 0 else -1
         if sign not in local_cache:
             loc, den = braiding(V, sign)
-            den_val = ev(den)
+            den_val = horner(den, q_half)
             if abs(den_val) < mp.mpf(10) ** -20:
                 raise ValueError("sample point too close to a vanishing denominator")
             by_col = {}
             for (r, c), v in loc.entries.items():
-                by_col.setdefault(c, []).append((r, ev(v) / den_val))
+                by_col.setdefault(c, []).append((r, horner(v, q_half) / den_val))
             local_cache[sign] = by_col
         pos = abs(g) - 1
         hi = d ** (n - pos - 2)
@@ -541,18 +540,3 @@ def colored_jones_numeric(b: BraidWord, m: int, q_half):
         tot += v * q ** shift
     return tot
 
-
-def _eval_poly(p: LaurentPoly, x):
-    if not p.terms:
-        return mp.mpc(0)
-    exps = sorted(p.terms, reverse=True)
-    head = p.terms[exps[0]]
-    if isinstance(head, Fraction):
-        head = mp.mpf(head.numerator) / head.denominator
-    acc = mp.mpc(head)
-    for prev, e in zip(exps, exps[1:]):
-        c = p.terms[e]
-        if isinstance(c, Fraction):
-            c = mp.mpf(c.numerator) / c.denominator
-        acc = acc * x ** (prev - e) + c
-    return acc * x ** exps[-1]

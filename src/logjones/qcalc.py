@@ -12,6 +12,7 @@ xi = exp(pi*i/N).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import mpmath as mp
@@ -416,64 +417,86 @@ class RootContext:
     def tol(self):
         return mp.mpf(10) ** (-self.precision_digits // 2)
 
+    @functools.cached_property
+    def half_powers(self):
+        """xi^{k/2} = exp(pi*i*k/2N) for k = 0..4N-1, built once at ``dps``.
+
+        q^{1/2} = xi^{1/2} is a 4N-th root of unity, so every evaluation at
+        xi reads this table.  Entries up to k = 2N come from mpmath; the
+        rest are their exact conjugates.
+        """
+        with self.workprec():
+            top = [mp.expjpi(mp.mpf(k) / (2 * self.N)) for k in range(2 * self.N + 1)]
+            return tuple(top + [z.conjugate() for z in reversed(top[1:-1])])
+
+    @functools.cached_property
+    def _qfact_prefix(self):
+        """[n]! at xi for n = 0..N-1; [N] = 0 makes every later one 0."""
+        with self.workprec():
+            out = [mp.mpf(1)]
+            for k in range(1, self.N):
+                out.append(out[-1] * self.qint_at(k))
+            return tuple(out)
+
     @property
     def xi(self):
-        with self.workprec():
-            return mp.expjpi(mp.mpf(1) / self.N)
+        return self.half_powers[2]
 
     @property
     def xi_half(self):
         """xi^{1/2} = exp(pi*i/2N), the point where q^{1/2} is evaluated."""
-        with self.workprec():
-            return mp.expjpi(mp.mpf(1) / (2 * self.N))
+        return self.half_powers[1]
 
     def xi_pow(self, num: int, den: int = 1):
         """xi^(num/den) for den in {1, 2}."""
         if den not in (1, 2):
             raise ValueError("den must be 1 or 2")
-        with self.workprec():
-            return mp.expjpi(mp.mpf(num) / (den * self.N))
+        return self.half_powers[num * (2 // den) % (4 * self.N)]
 
     def eval(self, p: LaurentPoly):
-        """Horner evaluation of p at q = xi."""
+        """Evaluate p at q = xi."""
         return self.eval_at(p, None)
 
     def eval_at(self, p: LaurentPoly, q_half):
         """Evaluate p at an arbitrary point given by q^{1/2} = q_half.
 
-        q_half=None means the context's own root xi^{1/2}.
+        q_half=None means the context's own root xi^{1/2}: the coefficients
+        are summed exactly into the 4N residues of their doubled exponents
+        and dotted once with ``half_powers``.  Any other point goes through
+        Horner's rule.
         """
         with self.workprec():
-            if not p.terms:
-                return mp.mpc(0)
-            x = self.xi_half if q_half is None else mp.mpc(q_half)
-            exps = sorted(p.terms, reverse=True)
-            acc = mp.mpc(int_or_frac_to_mp(p.terms[exps[0]]))
-            for prev, e in zip(exps, exps[1:]):
-                acc = acc * x ** (prev - e) + int_or_frac_to_mp(p.terms[e])
-            return acc * x ** exps[-1]
+            if q_half is not None:
+                return horner(p, mp.mpc(q_half))
+            period = 4 * self.N
+            bins = {}
+            for e, c in p.terms.items():
+                k = e % period
+                bins[k] = bins.get(k, 0) + c
+            table = self.half_powers
+            pairs = [(int_or_frac_to_mp(c), table[k]) for k, c in bins.items() if c]
+            return mp.fdot(pairs) if pairs else mp.mpc(0)
 
     def brace_plus(self, n: int):
         """{n}_+ = xi^n + xi^{-n} = 2 cos(n*pi/N)."""
         with self.workprec():
-            return 2 * mp.cospi(mp.mpf(n) / self.N)
+            return 2 * self.xi_pow(n).real
 
     def brace_at(self, n: int):
         """{n} at xi, i.e. 2i sin(n*pi/N)."""
         with self.workprec():
-            return mp.mpc(0, 2 * mp.sinpi(mp.mpf(n) / self.N))
+            return mp.mpc(0, 2 * self.xi_pow(n).imag)
 
     def qint_at(self, n: int):
         """[n] at xi = sin(n*pi/N)/sin(pi/N)."""
         with self.workprec():
-            return mp.sinpi(mp.mpf(n) / self.N) / mp.sinpi(mp.mpf(1) / self.N)
+            return self.xi_pow(n).imag / self.xi.imag
 
     def qfact_at(self, n: int):
-        with self.workprec():
-            out = mp.mpf(1)
-            for k in range(1, n + 1):
-                out *= self.qint_at(k)
-            return out
+        """[n]! at xi."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return self._qfact_prefix[n] if n < self.N else mp.mpf(0)
 
     def lhopital_ratio(self, num: LaurentPoly, den: LaurentPoly):
         """lim_{q->xi} num/den, differentiating while both sides vanish.
@@ -496,6 +519,17 @@ class RootContext:
                 if not den:
                     raise LHopitalError("denominator derivatives vanish identically")
             raise LHopitalError(f"denominator vanishes to order > {2 * self.N} at xi")
+
+
+def horner(p: LaurentPoly, q_half):
+    """p at q^{1/2} = q_half by Horner's rule, at the ambient precision."""
+    if not p.terms:
+        return mp.mpc(0)
+    exps = sorted(p.terms, reverse=True)
+    acc = mp.mpc(int_or_frac_to_mp(p.terms[exps[0]]))
+    for prev, e in zip(exps, exps[1:]):
+        acc = acc * q_half ** (prev - e) + int_or_frac_to_mp(p.terms[e])
+    return acc * q_half ** exps[-1]
 
 
 def int_or_frac_to_mp(c):

@@ -21,10 +21,7 @@ import mpmath as mp
 
 from .qcalc import LaurentPoly, RootContext, qbinom, qint
 from . import jones
-
-
-class FeasibilityError(RuntimeError):
-    """Requested eta computation exceeds the documented size bounds."""
+from .jones import FeasibilityError  # noqa: F401  raised through jones.braid_operator
 
 
 @dataclasses.dataclass
@@ -515,25 +512,18 @@ def rmatrix_specialization_check(rep1, rep2, N: int, ctx: RootContext = None):
 # -- partial traces on the modified representations ------------------------
 
 
-# Hard feasibility bounds for eta computations (tensor dimension of the
-# modified representation power).
-ETA_DIM_CAP = 1800
-
-
 def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootContext = None):
     """Partial trace of the braid representation on (Y_m^sign)^{(x) strands},
     evaluated at xi; returns (matrix, rep, labels).
 
     The result is the generic-q (1,1)-tangle operator of the braid closure
-    carrying framing = writhe, specialized entrywise at xi.
+    carrying framing = writhe, specialized entrywise at xi.  Tensor powers
+    above jones.EXACT_DIM_CAP raise FeasibilityError.
     """
     ctx = ctx or RootContext(N)
     if not b.is_knot():
         raise jones.LinkNotKnotError(f"closure of {b} is not a knot")
     rep, labels = build_modified(sign, m, N)
-    if rep.dim ** b.strands > ETA_DIM_CAP:
-        raise FeasibilityError(
-            f"Y^{b.strands} has dimension {rep.dim ** b.strands} > {ETA_DIM_CAP}")
     op, den = jones.braid_operator(b, rep)
     traced = jones.partial_trace(op, rep)
     with ctx.workprec():

@@ -101,30 +101,31 @@ def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
     sum_{i<su} {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
       + 2 sum_{i=su..sb-1} ~{s+i,2i+1}
 
-    with running sine/cotangent products; all quantities are real in this
-    form and every tilde term carries exactly one sign factor.
+    with running sine/cotangent products read from the context's root
+    table; all quantities are real in this form and every tilde term
+    carries exactly one sign factor.
     """
     ctx = ctx or RootContext(N, precision_digits=33)
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     su, sb = min(s, N - s), max(s, N - s)
+    # xi^k = half_powers[2k]: its imaginary part is sin(pi k/N), and
+    # real over imaginary is cot(pi k/N)
+    roots = ctx.half_powers
+    period = 4 * N
     with ctx.workprec():
-        def sn(k):
-            return 2 * mp.sinpi(mp.mpf(k) / N)
-
-        def ct(k):
-            return mp.cospi(mp.mpf(k) / N) / mp.sinpi(mp.mpf(k) / N)
-
         total = mp.mpf(0)
         prod = mp.mpf(1)
         cots = mp.mpf(0)
         for i in range(su):
+            a = roots[2 * (s + i) % period]
             if i == 0:
-                prod = sn(s)
-                cots = ct(s)
+                prod = 2 * a.imag
+                cots = a.real / a.imag
             else:
-                prod *= sn(s + i) * sn(s - i)
-                cots += ct(s + i) + ct(s - i)
+                b = roots[2 * (s - i) % period]
+                prod *= 2 * a.imag * (2 * b.imag)
+                cots += a.real / a.imag + b.real / b.imag
             total += (-1) ** i * prod * cots
         # tilde terms: window [s-i, s+i] holds exactly one multiple of N
         tp = mp.mpf(1)
@@ -134,7 +135,7 @@ def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
             if k % N == 0:
                 sign = -sign if (k // N) % 2 else sign
             else:
-                tp *= sn(k)
+                tp *= 2 * roots[2 * k % period].imag
                 nfac += 1
         for i in range(su, sb):
             if i > su:
@@ -142,7 +143,7 @@ def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
                     if k % N == 0:
                         sign = -sign if (k // N) % 2 else sign
                     else:
-                        tp *= sn(k)
+                        tp *= 2 * roots[2 * k % period].imag
                         nfac += 1
             assert (2 * i + 1 - nfac) == 1, "tilde window must hold exactly one multiple of N"
             # (2i)^{2i} from the braces of the 2i ordinary factors: i^{2i} = (-1)^i

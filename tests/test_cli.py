@@ -1,8 +1,11 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import mpmath as mp
+import pytest
 
 from logjones import cli
 
@@ -156,3 +159,38 @@ class TestErrors:
         rc, _ = run_cli(["loginv", "--knot", "4_1", "--N", "3"],
                         env={"LOGJONES_PRECISION": "soon"}, monkeypatch=monkeypatch)
         assert rc == cli.EXIT_CONFIG
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["loginv", "--N", "1"], cli.EXIT_CONFIG),
+    (["qgroup-verify", "--N", "1"], cli.EXIT_CONFIG),
+    (["volume-scan", "--N", "1"], cli.EXIT_CONFIG),
+    (["loginv", "--knot", "4_1", "--N", "3", "--s", "7"], cli.EXIT_CONFIG),
+    (["loginv", "--knot", "4_1", "--N", "3", "--s", "0"], cli.EXIT_CONFIG),
+    (["loginv", "--knot", "3_1", "--N", "6"], cli.EXIT_FEASIBILITY),
+    (["jones", "--knot", "3_1", "--m", "0"], cli.EXIT_CONFIG),
+    (["jones", "--knot", "3_1", "--max-m", "0"], cli.EXIT_CONFIG),
+    (["habiro", "--braid", "2: 1 1 1", "--imax", "-1"], cli.EXIT_CONFIG),
+    (["jones", "--knot", "3_1", "--format", "csv"], cli.EXIT_CONFIG),
+    (["habiro", "--knot", "4_1", "--format", "csv"], cli.EXIT_CONFIG),
+    (["loginv", "--knot", "4_1", "--N", "3", "--format", "csv"], cli.EXIT_CONFIG),
+    (["qgroup-verify", "--N", "2", "--format", "csv"], cli.EXIT_CONFIG),
+])
+def test_bad_input_exit_code_without_traceback(argv, code):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("LOGJONES_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-m", "logjones.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stdout == ""
+
+
+def test_trefoil_refusal_names_the_table_limit(capsys):
+    rc, _ = run_cli(["loginv", "--knot", "3_1", "--N", "6"])
+    assert rc == cli.EXIT_FEASIBILITY
+    assert "stops at a_15" in capsys.readouterr().err

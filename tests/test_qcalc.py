@@ -163,6 +163,61 @@ class TestDdq:
                 assert abs(fd - ctx3.eval_at(ddq(p), mp.sqrt(q))) < tol
 
 
+def rand_wide_poly(rng, N, n_terms):
+    """Int and Fraction coefficients on doubled exponents of both signs and
+    parities, spread over several periods of the 4N-th root xi^{1/2}."""
+    terms = {}
+    for _ in range(n_terms):
+        e = rng.randint(-9 * N, 9 * N)
+        if rng.random() < 0.5:
+            terms[e] = rng.randint(-60, 60)
+        else:
+            terms[e] = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+    return LaurentPoly(terms)
+
+
+class TestRootTable:
+    """Evaluation at xi through the root-of-unity table against the Horner
+    evaluator at the same point and against direct mpmath expressions."""
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 8, 13])
+    def test_eval_matches_horner(self, N):
+        ctx = RootContext(N)
+        rng = random.Random(100 + N)
+        polys = [LaurentPoly(), LaurentPoly.const(Fraction(-7, 3)), brace(N), qint(2 * N),
+                 ddq(brace(1) * qint(2 * N - 1)), ddq(brace_falling(N + 2, 5))]
+        for n_terms in (1, 2, 5, 20, 80, 300):
+            for _ in range(4):
+                p = rand_wide_poly(rng, N, n_terms)
+                polys += [p, ddq(p), ddq(ddq(p))]
+        for p in polys:
+            assert_close(ctx.eval(p), ctx.eval_at(p, ctx.xi_half), ctx.tol)
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 8, 13])
+    def test_helpers_match_mpmath(self, N):
+        ctx = RootContext(N)
+        with ctx.workprec():
+            one = mp.sinpi(mp.mpf(1) / N)
+            assert_close(ctx.xi, mp.expjpi(mp.mpf(1) / N), ctx.tol)
+            assert_close(ctx.xi_half, mp.expjpi(mp.mpf(1) / (2 * N)), ctx.tol)
+            for n in range(-5 * N, 5 * N + 1):
+                x = mp.mpf(n) / N
+                assert_close(ctx.brace_at(n), mp.mpc(0, 2 * mp.sinpi(x)), ctx.tol)
+                assert_close(ctx.brace_plus(n), 2 * mp.cospi(x), ctx.tol)
+                assert_close(ctx.qint_at(n), mp.sinpi(x) / one, ctx.tol)
+                assert_close(ctx.xi_pow(n), mp.expjpi(x), ctx.tol)
+                assert_close(ctx.xi_pow(n, 2), mp.expjpi(x / 2), ctx.tol)
+            for n in range(3 * N):
+                direct = mp.fprod(mp.sinpi(mp.mpf(k) / N) / one for k in range(1, n + 1))
+                assert_close(ctx.qfact_at(n), direct, ctx.tol)
+
+    def test_bad_arguments(self, ctx3):
+        with pytest.raises(ValueError):
+            ctx3.xi_pow(1, 3)
+        with pytest.raises(ValueError):
+            ctx3.qfact_at(-1)
+
+
 class TestEval:
     def test_const(self, ctx3):
         assert_close(ctx3.eval(LaurentPoly.const(1)), 1, ctx3.tol)

@@ -136,6 +136,60 @@ class TestFastKernel:
             assert abs(g.imag) < ctx.tol
 
 
+def naive_gamma_fig8(N, s, ctx):
+    """The O(N) fig-8 kernel with every sine and cotangent taken from
+    mp.sinpi/mp.cospi, the reference for the table-driven kernel."""
+    su, sb = min(s, N - s), max(s, N - s)
+    with ctx.workprec():
+        def sn(k):
+            return 2 * mp.sinpi(mp.mpf(k) / N)
+
+        def ct(k):
+            return mp.cospi(mp.mpf(k) / N) / mp.sinpi(mp.mpf(k) / N)
+
+        total = mp.mpf(0)
+        prod = mp.mpf(1)
+        cots = mp.mpf(0)
+        for i in range(su):
+            if i == 0:
+                prod = sn(s)
+                cots = ct(s)
+            else:
+                prod *= sn(s + i) * sn(s - i)
+                cots += ct(s + i) + ct(s - i)
+            total += (-1) ** i * prod * cots
+        tp = mp.mpf(1)
+        sign = 1
+        for k in range(s - su, s + su + 1):
+            if k % N == 0:
+                sign = -sign if (k // N) % 2 else sign
+            else:
+                tp *= sn(k)
+        for i in range(su, sb):
+            if i > su:
+                for k in (s + i, s - i):
+                    if k % N == 0:
+                        sign = -sign if (k // N) % 2 else sign
+                    else:
+                        tp *= sn(k)
+            total += 2 * (-1) ** i * sign * tp
+        return mp.mpc(total)
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("N", [7, 12, 50])
+    def test_matches_naive_kernel(self, N):
+        ctx = RootContext(N, precision_digits=scan_precision(N))
+        for s in range(1, N):
+            assert_close(gamma_fig8_fast(N, s, ctx), naive_gamma_fig8(N, s, ctx), ctx.tol)
+
+    @pytest.mark.parametrize("N", [7, 12, 50])
+    def test_scan_rows_match_naive_kernel(self, N, monkeypatch):
+        fast = asymptotic_scan(N).to_json()
+        monkeypatch.setattr(volume, "gamma_fig8_fast", naive_gamma_fig8)
+        assert asymptotic_scan(N).to_json() == fast
+
+
 class TestScan:
     def test_s_N_alpha(self):
         assert s_N_alpha(200, 0) == 0
