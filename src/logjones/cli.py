@@ -105,7 +105,9 @@ def cmd_habiro(args) -> int:
         unbounded = h.all_ones or h.tail_zero
         i_top = args.imax if args.imax is not None else (9 if unbounded else h.i_max)
         if not unbounded and i_top > h.i_max:
-            i_top = h.i_max
+            raise jones.FeasibilityError(
+                f"{args.knot}: --imax {i_top} needs a_0..a_{i_top}, but the stored "
+                f"coefficient table stops at a_{h.i_max}")
         coeffs = [h.coeff(i) for i in range(i_top + 1)]
         payload = {"knot": args.knot, "all_ones": h.all_ones,
                    "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}

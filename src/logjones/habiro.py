@@ -36,6 +36,9 @@ class HabiroCoeffs:
     coeffs: list
     all_ones: bool = False
     tail_zero: bool = False  # a_i = 0 beyond the stored table (unknot)
+    # reconstructed V_m and V_m/[m], keyed by (formula, m); the polynomials
+    # are shared between callers, which never mutate .terms in place
+    _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.all_ones:
@@ -106,33 +109,45 @@ def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
     return HabiroCoeffs(knot, coeffs)
 
 
-def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m = sum_{i=0}^{m-1} a_i {m+i, 2i+1}/{1}; exact for m <= i_max+1
-    or for catalog knots with a full coefficient sequence."""
+def _check_color(h: HabiroCoeffs, m: int):
     if m < 1:
         raise ValueError("m must be >= 1")
     if not h.has_coeff(m - 1):
         raise ValueError(f"{h.knot}: V_{m} needs a_{m-1}, only a_0..a_{h.i_max} available")
-    one = brace(1)
-    out = LaurentPoly()
-    for i in range(m):
-        out = out + h.coeff(i) * (brace_falling(m + i, 2 * i + 1) / one)
-    return out
+
+
+def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
+    """V_m = sum_{i=0}^{m-1} a_i {m+i, 2i+1}/{1}; exact for m <= i_max+1
+    or for catalog knots with a full coefficient sequence.
+
+    {m+i, 2i+1} = {m+i}...{m-i} is the previous factor times {m+i}{m-i},
+    and the sum is divided by {1} once.  Memoized on h."""
+    key = ("Vm", m)
+    if key not in h._memo:
+        _check_color(h, m)
+        out = LaurentPoly()
+        window = brace(m)
+        for i in range(m):
+            if i:
+                window = window * (brace(m + i) * brace(m - i))
+            out = out + h.coeff(i) * window
+        h._memo[key] = out / brace(1)
+    return h._memo[key]
 
 
 def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m/[m] = sum_i a_i prod_{j=1}^{i} {m+j}{m-j}, exact."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not h.has_coeff(m - 1):
-        raise ValueError(f"{h.knot}: V_{m} needs a_{m-1}, only a_0..a_{h.i_max} available")
-    out = LaurentPoly()
-    ladder = LaurentPoly.const(1)
-    for i in range(m):
-        if i:
-            ladder = ladder * (brace(m + i) * brace(m - i))
-        out = out + h.coeff(i) * ladder
-    return out
+    """V_m/[m] = sum_i a_i prod_{j=1}^{i} {m+j}{m-j}, exact.  Memoized on h."""
+    key = ("normalized", m)
+    if key not in h._memo:
+        _check_color(h, m)
+        out = LaurentPoly()
+        ladder = LaurentPoly.const(1)
+        for i in range(m):
+            if i:
+                ladder = ladder * (brace(m + i) * brace(m - i))
+            out = out + h.coeff(i) * ladder
+        h._memo[key] = out
+    return h._memo[key]
 
 
 def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):

@@ -10,6 +10,7 @@ crossing uses the inverse braiding.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import mpmath as mp
 
@@ -383,33 +384,51 @@ def braiding(V: WeightRep, sign: int):
     return TensorOperator((d, d), entries), den
 
 
+def _check_dim(total: int):
+    if total > EXACT_DIM_CAP:
+        raise FeasibilityError(f"tensor dimension {total} exceeds the exact-path bound {EXACT_DIM_CAP}")
+
+
+def _by_col(entries: dict) -> dict:
+    """Local gate entries {(r, c): v} grouped as {c: [(r, v), ...]}."""
+    by_col = {}
+    for (r, c), v in entries.items():
+        by_col.setdefault(c, []).append((r, v))
+    return by_col
+
+
+def _word_product(b: BraidWord, d: int, local_by_sign: dict, one) -> TensorOperator:
+    """The gate loop shared by every braid trace: the product of the local
+    gates local_by_sign[sign] (grouped by column) over the braid word,
+    applied to the identity whose diagonal entries are ``one``.
+
+    Entries only meet ``*``, ``+`` and truthiness, so LaurentPoly, packed
+    int and mpc entries all run through the same loop."""
+    n = b.strands
+    dims = (d,) * n
+    op = TensorOperator(dims, {(i, i): one for i in range(d ** n)})
+    for g in b.word:
+        op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n, dims)
+    return op
+
+
+def _word_braidings(b: BraidWord, V: WeightRep) -> dict:
+    """{sign: (braiding, denominator)} for the signs the word uses."""
+    return {sign: braiding(V, sign) for sign in sorted({1 if g > 0 else -1 for g in b.word})}
+
+
 def braid_operator(b: BraidWord, V: WeightRep):
     """Representation of the braid word on V^{(x) strands}, returned as
     (operator, scalar denominator).  The denominator is 1 on irreducible
     colors; it only picks up {n}! factors on modified-representation pairs
     whose R-matrix entries are not individually polynomial."""
-    n = b.strands
-    d = V.dim
-    total = d ** n
-    if total > EXACT_DIM_CAP:
-        raise FeasibilityError(f"tensor dimension {total} exceeds the exact-path bound {EXACT_DIM_CAP}")
-    dims = (d,) * n
-    cross = {}
-    dens = {}
+    _check_dim(V.dim ** b.strands)
+    local = _word_braidings(b, V)
     den_total = LaurentPoly.const(1)
-    op = TensorOperator(dims, {(i, i): LaurentPoly.const(1) for i in range(total)})
     for g in b.word:
-        sign = 1 if g > 0 else -1
-        if sign not in cross:
-            local, den = braiding(V, sign)
-            by_col = {}
-            for (r, c), v in local.entries.items():
-                by_col.setdefault(c, []).append((r, v))
-            cross[sign] = by_col
-            dens[sign] = den
-        den_total = den_total * dens[sign]
-        op = _apply_local(op, cross[sign], abs(g) - 1, d, n, dims)
-    return op, den_total
+        den_total = den_total * local[1 if g > 0 else -1][1]
+    by_sign = {sign: _by_col(op.entries) for sign, (op, _) in local.items()}
+    return _word_product(b, V.dim, by_sign, LaurentPoly.const(1)), den_total
 
 
 def _apply_local(op: TensorOperator, local_by_col, pos, d, n, dims) -> TensorOperator:
@@ -427,20 +446,23 @@ def _apply_local(op: TensorOperator, local_by_col, pos, d, n, dims) -> TensorOpe
     return TensorOperator(op.factor_dims, {k: v for k, v in out.items() if v})
 
 
+def _weight_sum(idx: int, k: int, V: WeightRep) -> int:
+    """Sum of the weights of the k lowest base-dim digits of a flat index:
+    basis vector idx of V^{(x) k} has K-eigenvalue q^{_weight_sum}."""
+    shift = 0
+    for _ in range(k):
+        idx, rem = divmod(idx, V.dim)
+        shift += V.weights[rem]
+    return shift
+
+
 def quantum_trace(op: TensorOperator, V: WeightRep) -> LaurentPoly:
     """tr(K^{(x)n} . op)."""
-    d = V.dim
     n = len(op.factor_dims)
     out = LaurentPoly()
     for (r, c), v in op.entries.items():
-        if r != c:
-            continue
-        shift = 0
-        idx = r
-        for _ in range(n):
-            idx, rem = divmod(idx, d)
-            shift += V.weights[rem]
-        out = out + v.shift(2 * shift)
+        if r == c:
+            out = out + v.shift(2 * _weight_sum(r, n, V))
     return out
 
 
@@ -454,28 +476,139 @@ def partial_trace(op: TensorOperator, V: WeightRep):
     for (r, c), v in op.entries.items():
         a, tr = divmod(r, rest)
         b_, tc = divmod(c, rest)
-        if tr != tc:
-            continue
-        shift = 0
-        idx = tr
-        for _ in range(n - 1):
-            idx, rem = divmod(idx, d)
-            shift += V.weights[rem]
-        out[a][b_] = out[a][b_] + v.shift(2 * shift)
+        if tr == tc:
+            out[a][b_] = out[a][b_] + v.shift(2 * _weight_sum(tr, n - 1, V))
     return out
+
+
+# -- colored Jones by Kronecker-packed integers -------------------------
+#
+# An integer Laurent polynomial sum_e c_e q^{e/2} whose doubled exponents
+# satisfy e = lo + step*k (k >= 0) is stored as the int sum_k c_e 2^{W k}.
+# Products and sums of such ints are products and sums of the polynomials
+# evaluated at 2^W, with exponent offsets that add along the word, so the
+# whole braid trace runs on plain ints.  The result decodes exactly when
+# every coefficient lies strictly between -2^{W-1} and 2^{W-1}.
+
+
+def _basis_rescaled(op: TensorOperator, d: int) -> dict:
+    """Entries of a braiding after the change of basis f_i -> q^{psi_p(i)/2} f_i
+    in tensor factor p, with psi_p(i) = (i mod 2) + 2p*i when d is even
+    and psi_p(i) = (i mod 2) when d is odd.
+
+    The rescaling is diagonal, so it commutes with K and leaves every
+    trace alone.  A gate at factors p, p+1 keeps k + l = i + j, so it
+    shifts entry ((k, l), (i, j)) by the same amount for every p.
+    Afterwards all exponents of the braiding lie in one class mod 4
+    instead of mod 2, which halves the packed width; the step itself is
+    read off the data."""
+    even = 2 if d % 2 == 0 else 0
+    out = {}
+    for (r, c), v in op.entries.items():
+        k, l = divmod(r, d)
+        i, j = divmod(c, d)
+        out[(r, c)] = v.shift((k & 1) + (l & 1) - (i & 1) - (j & 1) + even * (l - j))
+    return out
+
+
+def _integral_braidings(b: BraidWord, V: WeightRep) -> dict:
+    """{sign: rescaled braiding entries}; raises ArithmeticError unless
+    every entry has int coefficients over denominator 1, as on W_m."""
+    out = {}
+    for sign, (op, den) in _word_braidings(b, V).items():
+        if den != LaurentPoly.const(1) or any(
+                type(c) is not int for v in op.entries.values() for c in v.terms.values()):
+            raise ArithmeticError(f"the braiding of sign {sign} on W_{V.dim} is not an "
+                                  f"integer polynomial operator; it cannot be packed")
+        out[sign] = _basis_rescaled(op, V.dim)
+    return out
+
+
+def _packing_layout(local: dict):
+    """(lo, step): the lowest doubled exponent of each sign's entries and
+    the common exponent step.  The step divides 4 because the trace
+    weights 2*(weight sum) + 2n(m-1) are multiples of 4."""
+    lo = {sign: min(e for v in ents.values() for e in v.terms) for sign, ents in local.items()}
+    step = 4
+    for sign, ents in local.items():
+        for v in ents.values():
+            for e in v.terms:
+                step = math.gcd(step, e - lo[sign])
+    return lo, step
+
+
+def _digit_width(b: BraidWord, d: int, local: dict) -> int:
+    """Digit width W from a proved coefficient bound.
+
+    The L1 norm is subadditive and submultiplicative, so running the word
+    on the L1 norms of the local entries bounds the L1 norm of every entry
+    of the braid operator, and their sum over the diagonal bounds the
+    trace.  The norms never fall along the word (each gate is invertible,
+    so every column of it has an entry of norm >= 1), so the final entries
+    also bound every intermediate one: with W one bit above the largest
+    bound, each intermediate int decodes to its polynomial too, and an
+    entry cancels to 0 exactly when its polynomial does."""
+    norms = {sign: _by_col({k: sum(abs(c) for c in v.terms.values()) for k, v in ents.items()})
+             for sign, ents in local.items()}
+    op = _word_product(b, d, norms, 1)
+    diag = sum(v for (r, c), v in op.entries.items() if r == c)
+    return max(diag, max(op.entries.values())).bit_length() + 1
+
+
+def _pack(p: LaurentPoly, lo: int, step: int, width: int) -> int:
+    return sum(c << (width * ((e - lo) // step)) for e, c in p.terms.items())
+
+
+def _unpack(total: int, lo: int, step: int, width: int) -> LaurentPoly:
+    """Signed digits of total in base 2^W, with borrow, as a polynomial
+    whose k-th digit sits at doubled exponent lo + step*k.  A negative
+    total is fine: each digit is taken in (-2^{W-1}, 2^{W-1}] and
+    subtracted before the shift, so total reaches 0."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    terms = {}
+    e = lo
+    while total:
+        digit = total & mask
+        if digit > half:
+            digit -= mask + 1
+        if digit:
+            terms[e] = digit
+        total = (total - digit) >> width
+        e += step
+    return LaurentPoly(terms)
+
+
+def _packed_trace(b: BraidWord, V: WeightRep) -> LaurentPoly:
+    """tr(K^{(x)n} . braid operator) on packed ints: one int per entry."""
+    d, n = V.dim, b.strands
+    local = _integral_braidings(b, V)
+    lo, step = _packing_layout(local)
+    width = _digit_width(b, d, local)
+    packed = {sign: _by_col({k: _pack(v, lo[sign], step, width) for k, v in ents.items()})
+              for sign, ents in local.items()}
+    op = _word_product(b, d, packed, 1)
+    base = 2 * n * (d - 1)  # -2 * (lowest weight sum): every trace exponent >= 0
+    total = 0
+    for (r, c), v in op.entries.items():
+        if r == c:
+            total += v << (width * ((2 * _weight_sum(r, n, V) + base) // step))
+    return _unpack(total, sum(lo[1 if g > 0 else -1] for g in b.word) - base, step, width)
 
 
 def colored_jones(b: BraidWord, m: int) -> LaurentPoly:
     """V_m of the braid closure, carrying framing = writhe.
 
     Use framing_adjust to pass to the 0-framed invariant.  Raises
-    LinkNotKnotError when the closure has more than one component.
+    LinkNotKnotError when the closure has more than one component.  The
+    trace runs on Kronecker-packed ints (see ``_packed_trace``); it equals
+    quantum_trace(*braid_operator(b, build_Wm(m))) term for term.
     """
     if not b.is_knot():
         raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
     V = build_Wm(m)
-    op, den = braid_operator(b, V)
-    return quantum_trace(op, V) / den
+    _check_dim(V.dim ** b.strands)
+    return _packed_trace(b, V)
 
 
 def framing_adjust(p: LaurentPoly, w: int, m: int) -> LaurentPoly:
@@ -493,50 +626,23 @@ def colored_jones_zero_framed(b: BraidWord, m: int) -> LaurentPoly:
 def colored_jones_numeric(b: BraidWord, m: int, q_half):
     """Quantum trace evaluated at a numeric q given by its square root.
 
-    Same algorithm as the exact path with mpmath entries; used to
-    cross-check reconstructions at colors where exact polynomials are
-    unnecessary.
+    The exact gate loop with mpmath entries; used to cross-check
+    reconstructions at colors where exact polynomials are unnecessary.
     """
     if not b.is_knot():
         raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
     V = build_Wm(m)
+    by_sign = {}
+    for sign, (loc, den) in _word_braidings(b, V).items():
+        den_val = horner(den, q_half)
+        if abs(den_val) < mp.mpf(10) ** -20:
+            raise ValueError("sample point too close to a vanishing denominator")
+        by_sign[sign] = _by_col({k: horner(v, q_half) / den_val for k, v in loc.entries.items()})
+    op = _word_product(b, V.dim, by_sign, mp.mpc(1))
     q = q_half * q_half
-    d = V.dim
     n = b.strands
-
-    local_cache = {}
-    total = d ** n
-    mat = {(i, i): mp.mpc(1) for i in range(total)}
-    for g in b.word:
-        sign = 1 if g > 0 else -1
-        if sign not in local_cache:
-            loc, den = braiding(V, sign)
-            den_val = horner(den, q_half)
-            if abs(den_val) < mp.mpf(10) ** -20:
-                raise ValueError("sample point too close to a vanishing denominator")
-            by_col = {}
-            for (r, c), v in loc.entries.items():
-                by_col.setdefault(c, []).append((r, horner(v, q_half) / den_val))
-            local_cache[sign] = by_col
-        pos = abs(g) - 1
-        hi = d ** (n - pos - 2)
-        out = {}
-        for (r, c), v in mat.items():
-            rest, lowblock = divmod(r, hi * d * d)
-            pair, low = divmod(lowblock, hi)
-            for (r2, lv) in local_cache[sign].get(pair, ()):
-                key = ((rest * d * d + r2) * hi + low, c)
-                out[key] = out.get(key, mp.mpc(0)) + lv * v
-        mat = out
     tot = mp.mpc(0)
-    for (r, c), v in mat.items():
-        if r != c:
-            continue
-        shift = 0
-        idx = r
-        for _ in range(n):
-            idx, rem = divmod(idx, d)
-            shift += V.weights[rem]
-        tot += v * q ** shift
+    for (r, c), v in op.entries.items():
+        if r == c:
+            tot += v * q ** _weight_sum(r, n, V)
     return tot
-

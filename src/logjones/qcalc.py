@@ -27,7 +27,8 @@ class LHopitalError(ArithmeticError):
 
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # type() is not isinstance(): the ABC instance check is a hot cost here
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
