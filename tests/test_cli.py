@@ -174,11 +174,11 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["jones", "--knot", "3_1", "--m", "0"], cli.EXIT_CONFIG),
     (["jones", "--knot", "3_1", "--max-m", "0"], cli.EXIT_CONFIG),
     (["habiro", "--braid", "2: 1 1 1", "--imax", "-1"], cli.EXIT_CONFIG),
-    (["habiro", "--knot", "3_1", "--imax", "40"], cli.EXIT_FEASIBILITY),
     (["jones", "--knot", "3_1", "--format", "csv"], cli.EXIT_CONFIG),
     (["habiro", "--knot", "4_1", "--format", "csv"], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--format", "csv"], cli.EXIT_CONFIG),
     (["qgroup-verify", "--N", "2", "--format", "csv"], cli.EXIT_CONFIG),
+    (["habiro", "--knot", "3_1", "--imax", "40"], cli.EXIT_FEASIBILITY),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
