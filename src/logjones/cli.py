@@ -71,12 +71,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _cstr(z, digits):
-    re_part = z.real if hasattr(z, "real") else z
-    im_part = z.imag if hasattr(z, "imag") else mp.mpf(0)
-    return {"re": mp.nstr(re_part, digits), "im": mp.nstr(im_part, digits)}
-
-
 def _poly_json(p: LaurentPoly):
     return sorted((str(e), str(c)) for e, c in p.terms.items())
 
@@ -88,6 +82,7 @@ def cmd_jones(args) -> int:
         raise ConfigError(f"--max-m must be at least 1, got {args.max_m}")
     braid = _resolve_knot(args)
     colors = [args.m] if args.m is not None else list(range(1, args.max_m + 1))
+    jones.check_trace(braid, colors[-1])
     payload = {"knot": braid.name or args.braid, "strands": braid.strands,
                "writhe": braid.writhe, "framing": 0, "values": {}}
     for m in colors:
@@ -100,25 +95,14 @@ def cmd_jones(args) -> int:
 def cmd_habiro(args) -> int:
     if args.imax is not None and args.imax < 0:
         raise ConfigError(f"--imax must be at least 0, got {args.imax}")
-    if args.knot and args.knot in ("unknot", "3_1", "4_1"):
-        h = habiro.catalog_coeffs(args.knot)
-        unbounded = h.all_ones or h.tail_zero
-        i_top = args.imax if args.imax is not None else (9 if unbounded else h.i_max)
-        if not unbounded and i_top > h.i_max:
-            raise jones.FeasibilityError(
-                f"{args.knot}: --imax {i_top} needs a_0..a_{i_top}, but the stored "
-                f"coefficient table stops at a_{h.i_max}")
-        coeffs = [h.coeff(i) for i in range(i_top + 1)]
-        payload = {"knot": args.knot, "all_ones": h.all_ones,
-                   "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}
-                              for i, c in enumerate(coeffs)}}
-    else:
-        braid = _resolve_knot(args)
-        top = (args.imax if args.imax is not None else 5) + 1
-        h = habiro.coeffs_for(braid, top)
-        payload = {"knot": braid.name or args.braid, "all_ones": False,
-                   "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}
-                              for i, c in enumerate(h.coeffs)}}
+    braid = _resolve_knot(args)
+    i_top = args.imax if args.imax is not None else (9 if args.knot else 5)
+    h = habiro.coeffs_for(args.knot or braid, i_top + 1)
+    coeffs = [h.coeff(i) for i in range(i_top + 1)]
+    payload = {"knot": braid.name or args.braid,
+               "all_ones": h is habiro.catalog_coeffs("4_1"),
+               "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}
+                          for i, c in enumerate(coeffs)}}
     _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK
 
@@ -130,13 +114,9 @@ def cmd_loginv(args) -> int:
     ctx = RootContext(N, precision_digits=args.precision)
     braid = _resolve_knot(args)
     label = braid.name or args.braid
-    # one coefficient table serves every route and s; V_m is read up to
-    # m = 3N-1 (V_{2N+s} on the minus radical route), so a_{3N-2} is needed
+    # one coefficient object serves every route and s; V_m is read up to
+    # m = 3N-1 (V_{2N+s} on the minus radical route)
     h = habiro.coeffs_for(label if label in jones.KNOT_CATALOG else braid, 3 * N)
-    if not h.has_coeff(3 * N - 2):
-        raise jones.FeasibilityError(
-            f"{label}: loginv at N={N} needs a_0..a_{3 * N - 2}, but the stored "
-            f"coefficient table stops at a_{h.i_max}")
     rec = loginv.center_coeffs(h, N, ctx, framing=args.framing, knot_label=label)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}

@@ -1,17 +1,18 @@
 """Cyclotomic expansion of the colored Jones invariant.
 
 V_m(L) = sum_i a_i(L) {m+i, 2i+1}_q / {1}_q with knot coefficients a_i
-that do not depend on the color m.  This module extracts the a_i from a
-run of exact 0-framed invariants, reconstructs V_m from them, and
-differentiates the expansion in the color m at q = xi.
+that do not depend on the color m (Habiro, Invent. Math. 171 (2008)).
+This module owns the whole Habiro layer: how a knot's a_i are stored (a
+rule i -> a_i, closed-form for the catalog, a table when extracted from
+exact 0-framed invariants), the one resolver from a knot to them, the
+reconstruction of V_m, the cotangent/tilde-bracket sum over a_i(xi) and
+the color derivative of the expansion at q = xi.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from fractions import Fraction
-from importlib import resources
+from collections.abc import Callable
 
 import mpmath as mp
 
@@ -25,70 +26,52 @@ class TruncationError(AssertionError):
 
 @dataclasses.dataclass
 class HabiroCoeffs:
-    """Cyclotomic coefficients a_0, a_1, ... of one knot.
+    """Cyclotomic coefficients a_0, a_1, ... of one knot, as a rule i -> a_i.
 
-    all_ones marks knots whose full coefficient sequence is constantly 1
-    (the figure-eight), making every color reachable; otherwise colors are
-    limited by the number of stored coefficients.
+    i_max is the highest known index, or None when every a_i is known (a
+    catalog closed form).  An extracted table is bounded by its length.
     """
 
     knot: str
-    coeffs: list
-    all_ones: bool = False
-    tail_zero: bool = False  # a_i = 0 beyond the stored table (unknot)
-    # reconstructed V_m and V_m/[m], keyed by (formula, m); the polynomials
-    # are shared between callers, which never mutate .terms in place
+    rule: Callable[[int], LaurentPoly]
+    i_max: int | None = None
+    # reconstructed V_m and V_m/[m], keyed by (formula, m), and the list of
+    # a_i at xi, keyed by ("xi", N, dps) and only ever appended to; shared
+    # between callers, which never mutate them
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.all_ones:
-            if not self.coeffs or self.coeffs[0] != LaurentPoly.const(1):
-                raise ValueError("a_0 must be 1 (forced by V_1 = 1)")
+        if not self.has_coeff(0) or self.rule(0) != LaurentPoly.const(1):
+            raise ValueError("a_0 must be 1 (forced by V_1 = 1)")
 
-    @property
-    def i_max(self) -> int:
-        return -1 if self.all_ones else len(self.coeffs) - 1
-
-    def coeff(self, i: int) -> LaurentPoly:
-        if self.all_ones:
-            return LaurentPoly.const(1)
-        if i >= len(self.coeffs):
-            if self.tail_zero:
-                return LaurentPoly()
-            raise ValueError(f"{self.knot}: coefficient a_{i} is not available (have {len(self.coeffs)})")
-        return self.coeffs[i]
+    @classmethod
+    def from_table(cls, knot: str, table) -> "HabiroCoeffs":
+        """Coefficients known only as the stored a_0..a_{len(table)-1}."""
+        table = tuple(table)
+        return cls(knot, table.__getitem__, len(table) - 1)
 
     def has_coeff(self, i: int) -> bool:
-        return self.all_ones or self.tail_zero or i < len(self.coeffs)
+        return self.i_max is None or i <= self.i_max
+
+    def coeff(self, i: int) -> LaurentPoly:
+        if not self.has_coeff(i):
+            raise ValueError(f"{self.knot}: coefficient a_{i} is not available "
+                             f"(have a_0..a_{self.i_max})")
+        return self.rule(i)
 
     def coeff_at_xi(self, i: int, ctx: RootContext):
         return ctx.eval(self.coeff(i))
 
-    def to_json(self) -> str:
-        if self.all_ones:
-            return json.dumps({"knot": self.knot, "all_ones": True}, sort_keys=True)
-        payload = {
-            "knot": self.knot,
-            "coeffs": [sorted((str(e), str(c)) for e, c in p.terms.items()) for p in self.coeffs],
-        }
-        return json.dumps(payload, sort_keys=True)
+    def at_xi(self, count: int, ctx: RootContext) -> list:
+        """a_0(xi), ..., a_{count-1}(xi), each evaluated once per (N, dps).
 
-    @staticmethod
-    def from_json(text: str) -> "HabiroCoeffs":
-        data = json.loads(text)
-        if data.get("all_ones"):
-            return HabiroCoeffs(data["knot"], [], all_ones=True)
-        coeffs = [
-            LaurentPoly({int(e): _parse_rational(c) for e, c in pairs})
-            for pairs in data["coeffs"]
-        ]
-        return HabiroCoeffs(data["knot"], coeffs)
-
-
-def _parse_rational(text: str):
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+        The returned list is the memoized one and may be longer than count."""
+        values = self._memo.setdefault(("xi", ctx.N, ctx.dps), [])
+        while len(values) < count:
+            v = self.coeff_at_xi(len(values), ctx)
+            # a real value stays an mpf, so that fdot multiplies it as one
+            values.append(v.real if not v.imag else v)
+        return values
 
 
 def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
@@ -106,7 +89,7 @@ def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
         for i in range(m - 1):
             acc = acc - coeffs[i] * (brace_falling(m + i, 2 * i + 1) / one)
         coeffs.append(acc / (brace_falling(2 * m - 1, 2 * m - 1) / one))
-    return HabiroCoeffs(knot, coeffs)
+    return HabiroCoeffs.from_table(knot, coeffs)
 
 
 def _check_color(h: HabiroCoeffs, m: int):
@@ -117,8 +100,8 @@ def _check_color(h: HabiroCoeffs, m: int):
 
 
 def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m = sum_{i=0}^{m-1} a_i {m+i, 2i+1}/{1}; exact for m <= i_max+1
-    or for catalog knots with a full coefficient sequence.
+    """V_m = sum_{i=0}^{m-1} a_i {m+i, 2i+1}/{1}; exact whenever a_{m-1}
+    is known.
 
     {m+i, 2i+1} = {m+i}...{m-i} is the previous factor times {m+i}{m-i},
     and the sum is divided by {1} once.  Memoized on h."""
@@ -148,6 +131,72 @@ def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
             out = out + h.coeff(i) * ladder
         h._memo[key] = out
     return h._memo[key]
+
+
+def tilde_sum(a, s: int, ctx: RootContext):
+    """The cotangent/tilde-bracket sum over a_i(xi), O(N) per s.
+
+    a is the sequence a_0(xi), a_1(xi), ... (at least max(s, N-s) long).
+    With su = min(s, N-s) and sb = max(s, N-s), returns (G, S):
+
+      G = sum_{i<su} a_i {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
+          + 2 sum_{i=su..sb-1} a_i ~{s+i,2i+1},
+      S = sum_{i<su} a_i (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N),
+
+    where ~{n,j} replaces each factor {tN} by (-1)^t.  At xi,
+    {k} = 2i sin(pi k/N) and {k}_+/{k} = -i cot(pi k/N), so every term
+    but a_i is real; the terms run as sine/cotangent products read from
+    the context's root table, and one fdot combines them with the a_i.
+    {s+i,2i+1} = i (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N), so
+    S = -i sum_{i<su} a_i {s+i,2i+1}.
+    """
+    N = ctx.N
+    if not 1 <= s <= N - 1:
+        raise ValueError("s must be in 1..N-1")
+    su, sb = min(s, N - s), max(s, N - s)
+    if len(a) < sb:
+        raise ValueError(f"the sum at s={s} needs a_0..a_{sb - 1}, got {len(a)} values")
+    # xi^k = half_powers[2k]: its imaginary part is sin(pi k/N), and
+    # real over imaginary is cot(pi k/N)
+    roots = ctx.half_powers
+    period = 4 * N
+    with ctx.workprec():
+        prods = []
+        terms = []
+        for i in range(su):
+            x = roots[2 * (s + i) % period]
+            if i == 0:
+                prod = 2 * x.imag
+                cots = x.real / x.imag
+            else:
+                y = roots[2 * (s - i) % period]
+                prod *= 2 * x.imag * (2 * y.imag)
+                cots += x.real / x.imag + y.real / y.imag
+            signed = -prod if i & 1 else prod
+            prods.append(signed)
+            terms.append(signed * cots)
+        # tilde terms: window [s-i, s+i] holds exactly one multiple of N
+        tp = mp.mpf(1)
+        sign = 1
+        nfac = 0
+        for k in range(s - su, s + su + 1):
+            if k % N == 0:
+                sign = -sign if (k // N) % 2 else sign
+            else:
+                tp *= 2 * roots[2 * k % period].imag
+                nfac += 1
+        for i in range(su, sb):
+            if i > su:
+                for k in (s + i, s - i):
+                    if k % N == 0:
+                        sign = -sign if (k // N) % 2 else sign
+                    else:
+                        tp *= 2 * roots[2 * k % period].imag
+                        nfac += 1
+            assert (2 * i + 1 - nfac) == 1, "tilde window must hold exactly one multiple of N"
+            # (2i)^{2i} from the braces of the 2i ordinary factors: i^{2i} = (-1)^i
+            terms.append(2 * (-1) ** i * sign * tp)
+        return mp.fdot(zip(a, terms)), mp.fdot(zip(a, prods))
 
 
 def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
@@ -193,40 +242,51 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
         return ln_xi * total / ctx.brace_at(1)
 
 
-# -- catalog ------------------------------------------------------------
+# -- catalog and resolver -------------------------------------------------
 
 
-def _load_trefoil() -> HabiroCoeffs:
-    text = resources.files("logjones").joinpath("_data/trefoil_coeffs.json").read_text()
-    return HabiroCoeffs.from_json(text)
+def _unknot(i: int) -> LaurentPoly:
+    return LaurentPoly.const(1 if i == 0 else 0)
 
 
+def _trefoil(i: int) -> LaurentPoly:
+    # (-1)^i q^{-i(i+3)}, at doubled exponent -2i(i+3)
+    return LaurentPoly({-2 * i * (i + 3): (-1) ** i})
+
+
+def _figure_eight(i: int) -> LaurentPoly:
+    return LaurentPoly.const(1)
+
+
+# closed forms of the catalog knots, keyed by the names of jones.KNOT_CATALOG
+_CLOSED_FORMS = {"unknot": _unknot, "3_1": _trefoil, "4_1": _figure_eight}
 _CATALOG_CACHE = {}
 
 
 def catalog_coeffs(knot: str) -> HabiroCoeffs:
-    """Cyclotomic coefficients of the built-in knots.
-
-    4_1 has a_i = 1 for all i; 3_1 carries a frozen table derived from
-    exact braid traces (scripts/derive_trefoil_coeffs.py regenerates it).
-    """
+    """Cyclotomic coefficients of the built-in knots, every a_i known:
+    the unknot has 1, 0, 0, ..., the trefoil (-1)^i q^{-i(i+3)} and the
+    figure-eight a_i = 1."""
     if knot not in _CATALOG_CACHE:
-        if knot == "unknot":
-            _CATALOG_CACHE[knot] = HabiroCoeffs("unknot", [LaurentPoly.const(1)], tail_zero=True)
-        elif knot == "4_1":
-            _CATALOG_CACHE[knot] = HabiroCoeffs("4_1", [], all_ones=True)
-        elif knot == "3_1":
-            _CATALOG_CACHE[knot] = _load_trefoil()
-        else:
+        if knot not in _CLOSED_FORMS:
             raise KeyError(f"no catalog coefficients for {knot!r}")
+        _CATALOG_CACHE[knot] = HabiroCoeffs(knot, _CLOSED_FORMS[knot])
     return _CATALOG_CACHE[knot]
 
 
 def coeffs_for(knot, max_color: int) -> HabiroCoeffs:
-    """Coefficients for a catalog name or BraidWord, extracting from exact
-    braid traces when the knot is not in the catalog."""
-    if isinstance(knot, str) and knot in ("unknot", "3_1", "4_1"):
+    """The one resolver from a knot to its coefficients.
+
+    A HabiroCoeffs is returned as it is and a catalog name gets its closed
+    form.  A BraidWord or braid string is traced at colors 1..max_color
+    and solved for a_0..a_{max_color-1}; the top color's tensor dimension
+    is checked before the first trace.
+    """
+    if isinstance(knot, HabiroCoeffs):
+        return knot
+    if knot in _CLOSED_FORMS:
         return catalog_coeffs(knot)
     braid = knot if isinstance(knot, jones.BraidWord) else jones.parse_braid(knot)
+    jones.check_trace(braid, max_color)
     values = [jones.colored_jones_zero_framed(braid, m) for m in range(1, max_color + 1)]
     return extract_coeffs(values, knot=braid.name or str(knot))

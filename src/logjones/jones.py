@@ -18,9 +18,8 @@ from .qcalc import InexactDivisionError, LaurentPoly, brace, horner, qint
 
 
 class FeasibilityError(RuntimeError):
-    """Requested exact computation exceeds the documented size bounds: a
-    tensor dimension above EXACT_DIM_CAP or a color beyond a stored
-    coefficient table."""
+    """Requested exact computation exceeds the documented size bound: a
+    tensor dimension above EXACT_DIM_CAP."""
 
 
 class LinkNotKnotError(ValueError):
@@ -232,14 +231,6 @@ def _mat_mul(a, b, dim):
                 if y:
                     new[i][j] = new[i][j] + x * y
     return new
-
-
-def _mat_power(rep_mat, dim, n):
-    """Dense n-th power of a single-factor matrix."""
-    out = [[LaurentPoly.const(1) if i == j else LaurentPoly() for j in range(dim)] for i in range(dim)]
-    for _ in range(n):
-        out = _mat_mul(out, rep_mat, dim)
-    return out
 
 
 def nilpotency_order(mat, dim) -> int:
@@ -596,6 +587,15 @@ def _packed_trace(b: BraidWord, V: WeightRep) -> LaurentPoly:
     return _unpack(total, sum(lo[1 if g > 0 else -1] for g in b.word) - base, step, width)
 
 
+def check_trace(b: BraidWord, m: int):
+    """Refuse V_m of b before any work: LinkNotKnotError for a link
+    closure, FeasibilityError when W_m^{(x) strands} is above
+    EXACT_DIM_CAP.  Checking the top color refuses a whole run of colors."""
+    if not b.is_knot():
+        raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
+    _check_dim(m ** b.strands)
+
+
 def colored_jones(b: BraidWord, m: int) -> LaurentPoly:
     """V_m of the braid closure, carrying framing = writhe.
 
@@ -604,11 +604,8 @@ def colored_jones(b: BraidWord, m: int) -> LaurentPoly:
     trace runs on Kronecker-packed ints (see ``_packed_trace``); it equals
     quantum_trace(*braid_operator(b, build_Wm(m))) term for term.
     """
-    if not b.is_knot():
-        raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
-    V = build_Wm(m)
-    _check_dim(V.dim ** b.strands)
-    return _packed_trace(b, V)
+    check_trace(b, m)
+    return _packed_trace(b, build_Wm(m))
 
 
 def framing_adjust(p: LaurentPoly, w: int, m: int) -> LaurentPoly:

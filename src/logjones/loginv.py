@@ -22,7 +22,7 @@ import json
 import mpmath as mp
 
 from .qcalc import LaurentPoly, RootContext, brace, ddq, qint
-from . import habiro, jones
+from . import habiro
 
 
 class RouteDisagreement(RuntimeError):
@@ -44,34 +44,16 @@ def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
 
 
 def exact_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
-    """Exact V_m with the given framing, from catalog coefficients or a
-    braid trace."""
-    if isinstance(knot, habiro.HabiroCoeffs):
-        v = habiro.reconstruct_Vm(knot, m)
-    elif isinstance(knot, str) and knot in ("unknot", "3_1", "4_1"):
-        v = habiro.reconstruct_Vm(habiro.catalog_coeffs(knot), m)
-    else:
-        braid = knot if isinstance(knot, jones.BraidWord) else jones.parse_braid(knot)
-        v = jones.colored_jones_zero_framed(braid, m)
-    if framing:
-        v = v.shift((m * m - 1) * framing)
-    return v
+    """Exact V_m with the given framing, from the knot's cyclotomic
+    coefficients (a braid word is traced through colors 1..m)."""
+    v = habiro.reconstruct_Vm(habiro.coeffs_for(knot, m), m)
+    return v.shift((m * m - 1) * framing) if framing else v
 
 
 def exact_normalized_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
     """Exact V_m/[m]_q (a Laurent polynomial for knots), framed."""
-    if isinstance(knot, habiro.HabiroCoeffs):
-        v = habiro.reconstruct_normalized_Vm(knot, m)
-    elif isinstance(knot, str) and knot in ("unknot", "3_1", "4_1"):
-        v = habiro.reconstruct_normalized_Vm(habiro.catalog_coeffs(knot), m)
-    else:
-        v = exact_Vm(knot, m) / qint(m)
-        if framing:
-            v = v.shift((m * m - 1) * framing)
-        return v
-    if framing:
-        v = v.shift((m * m - 1) * framing)
-    return v
+    v = habiro.reconstruct_normalized_Vm(habiro.coeffs_for(knot, m), m)
+    return v.shift((m * m - 1) * framing) if framing else v
 
 
 # -- tilde brackets ------------------------------------------------------
@@ -118,7 +100,7 @@ def b_pm_via_derivative(knot, s: int, N: int, sign: int, ctx: RootContext = None
     ctx = ctx or RootContext(N)
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
-    h = _coeffs_for(knot, N) if not isinstance(knot, habiro.HabiroCoeffs) else knot
+    h = _coeffs_for(knot, N)
 
     if normalized_route:
         def vt(m):
@@ -149,29 +131,20 @@ def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
     source proposition carries [s] in place of the inner {s}; the proof's
     final display (used here) is the one consistent with the q-derivative
     route, and the discrepancy is exercised in the tests.
+
+    With ~{s+i,2i+1} = ~{s+i,i} {s} ~{s-1,i} and {s} != 0 the bracket is
+    (G - ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1})/{s} in the G and S of
+    habiro.tilde_sum, and ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1}
+    = cot(pi s/N) S.
     """
     ctx = ctx or RootContext(N)
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
-    su, sb = min(s, N - s), max(s, N - s)
+    h = _coeffs_for(knot, N)
     with ctx.workprec():
-        brs = ctx.brace_at(s)
-        total = mp.mpc(0)
-        for i in range(su):
-            ai = h.coeff_at_xi(i, ctx)
-            if not ai:
-                continue
-            pref = falling_brace_at(s + i, 2 * i + 1, ctx) / brs
-            cot = mp.fsum(ctx.brace_plus(k) / ctx.brace_at(k)
-                          for k in range(s - i, s + i + 1) if k != s)
-            total += ai * pref * cot
-        for i in range(su, sb):
-            ai = h.coeff_at_xi(i, ctx)
-            if not ai:
-                continue
-            total += 2 * ai * tilde_brace(s + i, i, ctx) * tilde_brace(s - 1, i, ctx)
-        return ctx.brace_at(1) ** 2 / brs * total
+        g, sv = habiro.tilde_sum(h.at_xi(N - 1, ctx), s, ctx)
+        xs = ctx.xi_pow(s)
+        return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - xs.real / xs.imag * sv)
 
 
 # -- gamma ---------------------------------------------------------------
@@ -186,37 +159,19 @@ def gamma_s(knot, s: int, N: int, route: Route = Route.QDERIV,
     route = Route(route)
     with ctx.workprec():
         phase = ctx.xi_pow((s * s - 1) * framing, 2) if framing else mp.mpf(1)
+        h = _coeffs_for(knot, N)
         if route is Route.QDERIV:
-            h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
             poly = brace(1) * (exact_Vm(h, s) + exact_Vm(h, 2 * N - s))
             return phase * ctx.xi / (2 * N) * ctx.eval(ddq(poly))
         if route is Route.HABIRO:
-            h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
-            su, sb = min(s, N - s), max(s, N - s)
-            total = mp.mpc(0)
-            for i in range(su):
-                ai = h.coeff_at_xi(i, ctx)
-                if not ai:
-                    continue
-                pref = falling_brace_at(s + i, 2 * i + 1, ctx)
-                cot = mp.fsum(ctx.brace_plus(k) / ctx.brace_at(k)
-                              for k in range(s - i, s + i + 1))
-                total += ai * pref * cot
-            for i in range(su, sb):
-                ai = h.coeff_at_xi(i, ctx)
-                if not ai:
-                    continue
-                total += 2 * ai * tilde_brace(s + i, 2 * i + 1, ctx)
-            return phase * total
-        # MDERIV
-        h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
-        dm = habiro.ddm_Vm(h, s, ctx)
+            return phase * habiro.tilde_sum(h.at_xi(N - 1, ctx), s, ctx)[0]
+        dm = habiro.ddm_Vm(h, s, ctx)  # MDERIV
         return phase * N * ctx.brace_at(1) / (mp.pi * mp.mpc(0, 1)) * dm
 
 
 def gamma_all_routes(knot, s: int, N: int, ctx: RootContext = None, framing: int = 0):
     ctx = ctx or RootContext(N)
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
+    h = _coeffs_for(knot, N)
     return {route: gamma_s(h, s, N, route, ctx, framing) for route in Route}
 
 
@@ -227,7 +182,7 @@ def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: i
     ctx = ctx or RootContext(N)
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
+    h = _coeffs_for(knot, N)
     with ctx.workprec():
         if which == 0:
             vm = exact_Vm(h, 2 * N)
@@ -253,13 +208,13 @@ def kashaev_invariant(knot, N: int, ctx: RootContext = None):
     normalization conventions are deliberately kept separate.
     """
     ctx = ctx or RootContext(N)
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
+    h = _coeffs_for(knot, N)
     return ctx.lhopital_ratio(exact_Vm(h, N), qint(N))
 
 
 def unnormalized_VN_at_xi(knot, N: int, ctx: RootContext = None):
     ctx = ctx or RootContext(N)
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
+    h = _coeffs_for(knot, N)
     return ctx.eval(exact_Vm(h, N))
 
 
@@ -270,7 +225,7 @@ def alpha_beta(knot, N: int, ctx: RootContext = None, framing: int = 0):
     """alpha_s = (-1)^{N+s} N {1} V_s(L^f) at xi;
     beta_s = -N f {1} V_s(L^f) at xi (so beta = 0 at framing 0)."""
     ctx = ctx or RootContext(N)
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
+    h = _coeffs_for(knot, N)
     alpha = [None] * (N - 1)
     beta = [None] * (N - 1)
     with ctx.workprec():
@@ -380,8 +335,8 @@ def center_coeffs(knot, N: int, ctx: RootContext = None, framing: int = 0,
                   knot_label: str = "") -> CenterCoeffs:
     """Assemble the full CenterCoeffs of a knot from the derivative routes."""
     ctx = ctx or RootContext(N)
-    h = knot if isinstance(knot, habiro.HabiroCoeffs) else _coeffs_for(knot, N)
-    label = knot_label or (knot if isinstance(knot, str) else h.knot)
+    h = _coeffs_for(knot, N)
+    label = knot_label or h.knot
     with ctx.workprec():
         idem = [gamma_boundary(h, 0, N, ctx, framing)]
         for s in range(1, N):

@@ -320,19 +320,21 @@ def weight_multiset(mod: RestrictedModule, ctx: RootContext):
 # -- intertwiners --------------------------------------------------------
 
 
-def _intertwiner_residual(mat, src: RestrictedModule, tgt_E, tgt_F, tgt_K, dim_t, ctx):
-    """max over X in {E, F, K} of |mat rho_src(X) - rho_tgt(X) mat|_max."""
+def _intertwiner_residual(mat, src: RestrictedModule, tgt_E, tgt_F, tgt_K, dim_t, ctx,
+                          skip_rows=frozenset()):
+    """max over X in {E, F, K} of |mat rho_src(X) - rho_tgt(X) mat|_max,
+    over the target rows not in skip_rows."""
     with ctx.workprec():
         worst = mp.mpf(0)
         for src_m, tgt_m in ((src.matE, tgt_E), (src.matF, tgt_F), (src.matK, tgt_K)):
-            lhs = [[mp.fsum(mat[i][k] * src_m[k][j] for k in range(src.dim))
-                    for j in range(src.dim)] for i in range(dim_t)]
-            rhs = [[mp.fsum(tgt_m[i][k] * mat[k][j] for k in range(dim_t))
-                    for j in range(src.dim)] for i in range(dim_t)]
-            worst = max(worst,
-                        max(abs(lhs[i][j] - rhs[i][j]) for i in range(dim_t) for j in range(src.dim)))
+            for i in range(dim_t):
+                if i in skip_rows:
+                    continue
+                for j in range(src.dim):
+                    lhs = mp.fsum(mat[i][k] * src_m[k][j] for k in range(src.dim))
+                    rhs = mp.fsum(tgt_m[i][k] * mat[k][j] for k in range(dim_t))
+                    worst = max(worst, abs(lhs - rhs))
         return worst
-
 
 
 def iso_f_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False):
@@ -413,44 +415,29 @@ def y1_basis_indices(m: int, N: int):
     return list(range(N + m)) + [na + i for i in range(N - m)]
 
 
+def _iso_residual(iso, ctx: RootContext, skip_rows=frozenset()):
+    """Intertwining residual of one (mat, P, Y) from the iso_*_matrix
+    builders, with Y's matrices evaluated at xi once."""
+    mat, p, y = iso
+    ye, yf, yk = (_eval_mat(x, ctx) for x in (y.matE, y.matF, y.matK))
+    return _intertwiner_residual(mat, p, ye, yf, yk, y.dim, ctx, skip_rows)
+
+
 def verify_iso_f(m: int, N: int, ctx: RootContext = None):
     ctx = ctx or RootContext(N)
-    mat, p, y = iso_f_matrix(m, N, ctx)
-    ye = _eval_mat(y.matE, ctx)
-    yf = _eval_mat(y.matF, ctx)
-    yk = _eval_mat(y.matK, ctx)
-    return _intertwiner_residual(mat, p, ye, yf, yk, y.dim, ctx)
+    return _iso_residual(iso_f_matrix(m, N, ctx), ctx)
 
 
 def verify_iso_g(m: int, N: int, ctx: RootContext = None):
     ctx = ctx or RootContext(N)
-    mat, p, y = iso_g_matrix(m, N, ctx)
-    ye = _eval_mat(y.matE, ctx)
-    yf = _eval_mat(y.matF, ctx)
-    yk = _eval_mat(y.matK, ctx)
-    return _intertwiner_residual(mat, p, ye, yf, yk, y.dim, ctx)
+    return _iso_residual(iso_g_matrix(m, N, ctx), ctx)
 
 
 def verify_iso_h(m: int, N: int, ctx: RootContext = None):
     """h intertwines into the quotient Y_m^-/Y_1: compare after projecting
     the Y_1 coordinates away."""
     ctx = ctx or RootContext(N)
-    mat, p, y = iso_h_matrix(m, N, ctx)
-    ye = _eval_mat(y.matE, ctx)
-    yf = _eval_mat(y.matF, ctx)
-    yk = _eval_mat(y.matK, ctx)
-    kill = set(y1_basis_indices(m, N))
-    with ctx.workprec():
-        worst = mp.mpf(0)
-        for src_m, tgt_m in ((p.matE, ye), (p.matF, yf), (p.matK, yk)):
-            for i in range(y.dim):
-                if i in kill:
-                    continue
-                for j in range(p.dim):
-                    lhs = mp.fsum(mat[i][k] * src_m[k][j] for k in range(p.dim))
-                    rhs = mp.fsum(tgt_m[i][k] * mat[k][j] for k in range(y.dim))
-                    worst = max(worst, abs(lhs - rhs))
-        return worst
+    return _iso_residual(iso_h_matrix(m, N, ctx), ctx, frozenset(y1_basis_indices(m, N)))
 
 
 def verify_y1_invariance(m: int, N: int, ctx: RootContext = None):

@@ -17,7 +17,7 @@ import math
 import mpmath as mp
 
 from .qcalc import RootContext
-
+from . import habiro
 
 
 def lobachevsky(x, dps: int = 30):
@@ -99,56 +99,13 @@ def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
     """gamma_s^{(N)} of the figure-eight knot by the O(N) kernel:
 
     sum_{i<su} {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
-      + 2 sum_{i=su..sb-1} ~{s+i,2i+1}
+      + 2 sum_{i=su..sb-1} ~{s+i,2i+1},
 
-    with running sine/cotangent products read from the context's root
-    table; all quantities are real in this form and every tilde term
-    carries exactly one sign factor.
+    habiro.tilde_sum on the all-ones coefficients of 4_1.
     """
     ctx = ctx or RootContext(N, precision_digits=33)
-    if not 1 <= s <= N - 1:
-        raise ValueError("s must be in 1..N-1")
-    su, sb = min(s, N - s), max(s, N - s)
-    # xi^k = half_powers[2k]: its imaginary part is sin(pi k/N), and
-    # real over imaginary is cot(pi k/N)
-    roots = ctx.half_powers
-    period = 4 * N
-    with ctx.workprec():
-        total = mp.mpf(0)
-        prod = mp.mpf(1)
-        cots = mp.mpf(0)
-        for i in range(su):
-            a = roots[2 * (s + i) % period]
-            if i == 0:
-                prod = 2 * a.imag
-                cots = a.real / a.imag
-            else:
-                b = roots[2 * (s - i) % period]
-                prod *= 2 * a.imag * (2 * b.imag)
-                cots += a.real / a.imag + b.real / b.imag
-            total += (-1) ** i * prod * cots
-        # tilde terms: window [s-i, s+i] holds exactly one multiple of N
-        tp = mp.mpf(1)
-        sign = 1
-        nfac = 0
-        for k in range(s - su, s + su + 1):
-            if k % N == 0:
-                sign = -sign if (k // N) % 2 else sign
-            else:
-                tp *= 2 * roots[2 * k % period].imag
-                nfac += 1
-        for i in range(su, sb):
-            if i > su:
-                for k in (s + i, s - i):
-                    if k % N == 0:
-                        sign = -sign if (k // N) % 2 else sign
-                    else:
-                        tp *= 2 * roots[2 * k % period].imag
-                        nfac += 1
-            assert (2 * i + 1 - nfac) == 1, "tilde window must hold exactly one multiple of N"
-            # (2i)^{2i} from the braces of the 2i ordinary factors: i^{2i} = (-1)^i
-            total += 2 * (-1) ** i * sign * tp
-        return mp.mpc(total)
+    a = habiro.catalog_coeffs("4_1").at_xi(N - 1, ctx)
+    return habiro.tilde_sum(a, s, ctx)[0]
 
 
 @dataclasses.dataclass
@@ -160,6 +117,12 @@ class ScanRow:
     region: str
     zero_flag: bool
 
+    def strings(self):
+        """(alpha, log_gamma_scaled, vol_reference) at 17 digits, as CSV and
+        JSON print them."""
+        lg = "-inf" if self.zero_flag else mp.nstr(mp.mpf(self.log_gamma_scaled), 17)
+        return mp.nstr(mp.mpf(self.alpha), 17), lg, mp.nstr(mp.mpf(self.vol_reference), 17)
+
 
 @dataclasses.dataclass
 class ScanResult:
@@ -169,23 +132,17 @@ class ScanResult:
     def to_csv(self) -> str:
         lines = ["N,s,alpha,log_gamma_scaled,vol_reference,region_label"]
         for r in self.rows:
-            lg = "-inf" if r.zero_flag else mp.nstr(mp.mpf(r.log_gamma_scaled), 17)
-            lines.append(f"{self.N},{r.s},{mp.nstr(mp.mpf(r.alpha), 17)},{lg},"
-                         f"{mp.nstr(mp.mpf(r.vol_reference), 17)},{r.region}")
+            alpha, lg, ref = r.strings()
+            lines.append(f"{self.N},{r.s},{alpha},{lg},{ref},{r.region}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "N": self.N,
-            "rows": [
-                {"s": r.s, "alpha": mp.nstr(mp.mpf(r.alpha), 17),
-                 "log_gamma_scaled": "-inf" if r.zero_flag else mp.nstr(mp.mpf(r.log_gamma_scaled), 17),
-                 "vol_reference": mp.nstr(mp.mpf(r.vol_reference), 17),
-                 "region_label": r.region}
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
+        rows = []
+        for r in self.rows:
+            alpha, lg, ref = r.strings()
+            rows.append({"s": r.s, "alpha": alpha, "log_gamma_scaled": lg,
+                         "vol_reference": ref, "region_label": r.region})
+        return json.dumps({"N": self.N, "rows": rows}, sort_keys=True)
 
 
 def vol_reference(alpha, dps: int = 30):

@@ -86,7 +86,7 @@ def test_criterion_04_habiro_extraction():
     values = [jones.colored_jones_zero_framed(jones.KNOT_CATALOG["4_1"], m)
               for m in range(1, 7)]
     h = habiro.extract_coeffs(values, knot="4_1")
-    all_ones = all(h.coeffs[i] == 1 for i in range(6))
+    all_ones = all(h.coeff(i) == 1 for i in range(6))
     roundtrip = all(habiro.reconstruct_Vm(h, m) == values[m - 1] for m in range(1, 7))
     elapsed = time.time() - t0
     ok = all_ones and roundtrip and elapsed < 120

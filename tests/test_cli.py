@@ -170,7 +170,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["volume-scan", "--N", "1"], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--s", "7"], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--s", "0"], cli.EXIT_CONFIG),
-    (["loginv", "--knot", "3_1", "--N", "6"], cli.EXIT_FEASIBILITY),
+    (["loginv", "--braid", "3: 1 -2 1 -2", "--N", "5"], cli.EXIT_FEASIBILITY),
     (["jones", "--knot", "3_1", "--m", "0"], cli.EXIT_CONFIG),
     (["jones", "--knot", "3_1", "--max-m", "0"], cli.EXIT_CONFIG),
     (["habiro", "--braid", "2: 1 1 1", "--imax", "-1"], cli.EXIT_CONFIG),
@@ -178,7 +178,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["habiro", "--knot", "4_1", "--format", "csv"], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--format", "csv"], cli.EXIT_CONFIG),
     (["qgroup-verify", "--N", "2", "--format", "csv"], cli.EXIT_CONFIG),
-    (["habiro", "--knot", "3_1", "--imax", "40"], cli.EXIT_FEASIBILITY),
+    (["habiro", "--braid", "3: 1 -2 1 -2", "--imax", "12"], cli.EXIT_FEASIBILITY),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -191,7 +191,26 @@ def test_bad_input_exit_code_without_traceback(argv, code):
     assert proc.stdout == ""
 
 
-def test_trefoil_refusal_names_the_table_limit(capsys):
-    rc, _ = run_cli(["loginv", "--knot", "3_1", "--N", "6"])
+def test_trefoil_past_the_old_table_limit():
+    # V_17 needs a_16, one past the a_0..a_15 the trefoil once stored
+    rc, out = run_cli(["loginv", "--knot", "3_1", "--N", "6"])
+    assert rc == cli.EXIT_OK
+    assert json.loads(out)["routes_agree"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["habiro", "--braid", "3: 1 -2 1 -2", "--imax", "12"],
+    ["loginv", "--braid", "3: 1 -2 1 -2", "--N", "5"],
+    ["jones", "--braid", "3: 1 -2 1 -2", "--max-m", "13"],
+])
+def test_dimension_refused_before_tracing(argv, monkeypatch, capsys):
+    # the top color's tensor dimension (13^3 = 2197 > EXACT_DIM_CAP) is
+    # checked before the first braid trace
+    def no_trace(b, m):
+        raise AssertionError(f"colored_jones traced color {m} before the refusal")
+
+    monkeypatch.setattr(cli.jones, "colored_jones", no_trace)
+    rc, out = run_cli(argv)
     assert rc == cli.EXIT_FEASIBILITY
-    assert "stops at a_15" in capsys.readouterr().err
+    assert out == ""
+    assert "exceeds the exact-path bound" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import json
-
 import mpmath as mp
 import pytest
 
@@ -24,24 +22,25 @@ class TestExtraction:
         for name in ("unknot", "3_1", "4_1"):
             vals = [colored_jones_zero_framed(KNOT_CATALOG[name], m) for m in (1, 2, 3)]
             h = extract_coeffs(vals, knot=name)
-            assert h.coeffs[0] == LaurentPoly.const(1)
+            assert h.coeff(0) == LaurentPoly.const(1)
 
     def test_figure_eight_all_ones(self):
         vals = [colored_jones_zero_framed(KNOT_CATALOG["4_1"], m) for m in range(1, 7)]
         h = extract_coeffs(vals, knot="4_1")
-        assert all(c == LaurentPoly.const(1) for c in h.coeffs)
+        assert all(h.coeff(i) == LaurentPoly.const(1) for i in range(6))
 
     def test_trefoil_monomials(self):
-        # nontrivial single-term coefficients; checked against the frozen
-        # catalog table and against an independent braid trace one color up
+        # nontrivial single-term coefficients; checked against the catalog
+        # closed form and against an independent braid trace one color up
         vals = [colored_jones_zero_framed(KNOT_CATALOG["3_1"], m) for m in range(1, 8)]
         h = extract_coeffs(vals, knot="3_1")
-        for i, c in enumerate(h.coeffs):
-            assert len(c.terms) == 1, f"a_{i} is not a monomial"
-        assert h.coeffs == catalog_coeffs("3_1").coeffs[:7]
+        assert h.i_max == 6
+        for i in range(7):
+            assert len(h.coeff(i).terms) == 1, f"a_{i} is not a monomial"
+            assert h.coeff(i) == catalog_coeffs("3_1").coeff(i)
         v8 = colored_jones_zero_framed(KNOT_CATALOG["3_1"], 8)
         extended = extract_coeffs(vals + [v8], knot="3_1")
-        assert extended.coeffs[:7] == h.coeffs
+        assert [extended.coeff(i) for i in range(7)] == [h.coeff(i) for i in range(7)]
 
     def test_wrong_inputs_rejected(self):
         # framed (unadjusted) invariants are not a valid cyclotomic run
@@ -55,11 +54,11 @@ class TestExtraction:
             vals = [reconstruct_Vm(h, m) for m in range(1, 9)]
             again = extract_coeffs(vals, knot=name)
             for i in range(8):
-                assert again.coeffs[i] == h.coeff(i)
+                assert again.coeff(i) == h.coeff(i)
 
     def test_a0_guard(self):
         with pytest.raises(ValueError):
-            HabiroCoeffs("junk", [qint(2)])
+            HabiroCoeffs.from_table("junk", [qint(2)])
 
 
 class TestReconstruction:
@@ -98,13 +97,17 @@ class TestReconstruction:
                 assert reconstruct_normalized_Vm(h, m) * qint(m) == reconstruct_Vm(h, m)
 
     def test_beyond_table_refused(self):
-        h = catalog_coeffs("3_1")
+        # an extracted table knows a_0..a_{i_max} and nothing past it
+        vals = [colored_jones_zero_framed(KNOT_CATALOG["3_1"], m) for m in range(1, 5)]
+        h = extract_coeffs(vals, knot="3_1")
+        assert h.i_max == 3
         with pytest.raises(ValueError):
             reconstruct_Vm(h, h.i_max + 2)
 
     def test_braid_knot_extraction_helper(self):
         h = coeffs_for(jones.parse_braid("2: 1 1 1"), 5)
-        assert h.coeffs == catalog_coeffs("3_1").coeffs[:5]
+        assert h.i_max == 4
+        assert [h.coeff(i) for i in range(5)] == [catalog_coeffs("3_1").coeff(i) for i in range(5)]
 
 
 class TestColorDerivative:
@@ -151,7 +154,7 @@ class TestColorDerivative:
                     assert vanish >= 2
 
     def test_needs_enough_coefficients(self):
-        short = HabiroCoeffs("stub", [LaurentPoly.const(1), LaurentPoly.const(1)])
+        short = HabiroCoeffs.from_table("stub", [LaurentPoly.const(1), LaurentPoly.const(1)])
         with pytest.raises(ValueError):
             ddm_Vm(short, 1, RootContext(3))
 
@@ -164,22 +167,11 @@ class TestColorDerivative:
 
 
 class TestSerialization:
-    def test_json_roundtrip_trefoil(self):
-        h = catalog_coeffs("3_1")
-        again = HabiroCoeffs.from_json(h.to_json())
-        assert again.knot == "3_1"
-        assert again.coeffs == h.coeffs
-
-    def test_json_all_ones(self):
-        h = catalog_coeffs("4_1")
-        data = json.loads(h.to_json())
-        assert data == {"knot": "4_1", "all_ones": True}
-        assert HabiroCoeffs.from_json(h.to_json()).all_ones
-
     def test_trefoil_table_matches_derivation_script_contract(self):
-        # the frozen table must reproduce exact braid traces (the script's
-        # own invariant, re-checked here on a prefix)
+        # the trefoil's closed form knows every a_i and reproduces exact
+        # braid traces, at m = 17 one color past the a_0..a_15 of the frozen
+        # table it replaces
         h = catalog_coeffs("3_1")
-        assert h.i_max >= 15
-        for m in (5, 6):
+        assert h.i_max is None
+        for m in (5, 6, 17):
             assert reconstruct_Vm(h, m) == colored_jones_zero_framed(KNOT_CATALOG["3_1"], m)

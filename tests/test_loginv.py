@@ -4,7 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
-from logjones import habiro, loginv
+from logjones import habiro, jones, loginv
 from logjones.loginv import (
     CenterCoeffs,
     Route,
@@ -380,7 +380,7 @@ class TestCenterCoeffs:
     def test_braid_input(self):
         # a non-catalog presentation of the trefoil gives the same record
         ctx = RootContext(2)
-        rec_braid = center_coeffs(loginv.jones.parse_braid("2: 1 1 1"), 2, ctx)
+        rec_braid = center_coeffs(jones.parse_braid("2: 1 1 1"), 2, ctx)
         rec_cat = center_coeffs("3_1", 2, ctx)
         for a, b in zip(rec_braid.gamma, rec_cat.gamma):
             assert_close(a, b, ctx.tol)

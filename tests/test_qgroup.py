@@ -189,8 +189,7 @@ class TestRMatrixSpecialization:
         # E^2 = 0 on W_2, so the sum stops after n = 0, 1
         assert rep["n_terms"] == 2
         W2 = jones.build_Wm(2)
-        sq = jones._mat_power(W2.matE, 2, 2)
-        assert all(not sq[i][j] for i in range(2) for j in range(2))
+        assert jones.nilpotency_order(W2.matE, 2) == 2
 
     def test_Y1_pairs_at_N3(self, ctx3):
         y1p = build_modified(1, 1, 3)[0]
