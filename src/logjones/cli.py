@@ -27,18 +27,28 @@ EXIT_FEASIBILITY = 3
 EXIT_DISAGREEMENT = 4
 
 
+DEFAULT_PRECISION = 60
+# Python refuses to convert an int of more than 4300 digits to a string,
+# and printing a value near 10^-dps makes mpmath convert one of about dps
+# digits; 4000 keeps dps = precision + 10 clear of that limit.
+MAX_PRECISION = 4000
+
+
 class ConfigError(ValueError):
     pass
 
 
-def _default_precision() -> int:
+def _asked_precision(args):
+    """--precision, else LOGJONES_PRECISION, else None."""
+    if args.precision is not None:
+        return args.precision
     env = os.environ.get("LOGJONES_PRECISION")
     if env:
         try:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"LOGJONES_PRECISION={env!r} is not an integer") from exc
-    return 60
+    return None
 
 
 def _resolve_knot(args) -> jones.BraidWord:
@@ -116,7 +126,7 @@ def cmd_loginv(args) -> int:
     label = braid.name or args.braid
     # one coefficient object serves every route and s; V_m is read up to
     # m = 3N-1 (V_{2N+s} on the minus radical route)
-    h = habiro.coeffs_for(label if label in jones.KNOT_CATALOG else braid, 3 * N)
+    h = habiro.coeffs_for(label if label in jones.KNOT_CATALOG else braid, 3 * N - 1)
     rec = loginv.center_coeffs(h, N, ctx, framing=args.framing, knot_label=label)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}
@@ -151,7 +161,12 @@ def cmd_qgroup_verify(args) -> int:
 
 
 def cmd_volume_scan(args) -> int:
-    res = volume.asymptotic_scan(_require_N(args))
+    N = _require_N(args)
+    # the scan sets its precision from N; an asked-for precision is a floor
+    digits = volume.scan_precision(N)
+    if args.precision_asked:
+        digits = max(digits, args.precision)
+    res = volume.asymptotic_scan(N, RootContext(N, precision_digits=digits))
     text = res.to_csv() if args.format == "csv" else res.to_json() + "\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -165,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, knotty=True):
         p.add_argument("--precision", type=int, default=None,
-                       help="working precision in decimal digits (default 60, "
-                            "or LOGJONES_PRECISION)")
+                       help=f"working precision in decimal digits, 30 to {MAX_PRECISION} "
+                            f"(default {DEFAULT_PRECISION}, or LOGJONES_PRECISION); "
+                            "volume-scan takes it as a floor on its own 0.15 N + 35")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format; csv only for volume-scan")
         p.add_argument("--out", default="-", help="output path (default stdout)")
@@ -210,10 +226,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision is None:
-            args.precision = _default_precision()
-        if args.precision < 30:
-            raise ConfigError("--precision must be at least 30")
+        asked = _asked_precision(args)
+        args.precision_asked = asked is not None
+        args.precision = DEFAULT_PRECISION if asked is None else asked
+        if not 30 <= args.precision <= MAX_PRECISION:
+            raise ConfigError(f"--precision must be in 30..{MAX_PRECISION}, got {args.precision}")
         if args.format == "csv" and args.command != "volume-scan":
             raise ConfigError(f"--format csv is only supported by volume-scan, not {args.command}")
         return args.func(args)

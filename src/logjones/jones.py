@@ -14,7 +14,7 @@ import math
 
 import mpmath as mp
 
-from .qcalc import InexactDivisionError, LaurentPoly, brace, horner, qint
+from .qcalc import InexactDivisionError, LaurentPoly, brace, brace_fact, horner, qfact, qint
 
 
 class FeasibilityError(RuntimeError):
@@ -115,6 +115,9 @@ class WeightRep:
     matF: tuple
     matK: tuple
     weights: tuple
+    # the powers of E and F that rmatrix_terms reads, built once by
+    # _rep_powers; shared between callers, which never mutate them
+    _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
 def _zeros(d):
@@ -197,23 +200,17 @@ class TensorOperator:
                 out.pop(k, None)
         return TensorOperator(self.factor_dims, out)
 
-def tensor_of(mats_a, mats_b, dims) -> TensorOperator:
-    """Kronecker product of two dense single-factor matrices as a sparse
-    two-factor operator."""
-    d1, d2 = dims
-    entries = {}
-    for i1 in range(d1):
-        for j1 in range(d1):
-            a = mats_a[i1][j1]
-            if not a:
-                continue
-            for i2 in range(d2):
-                for j2 in range(d2):
-                    b = mats_b[i2][j2]
-                    if not b:
-                        continue
-                    entries[(i1 * d2 + i2, j1 * d2 + j2)] = a * b
-    return TensorOperator((d1, d2), entries)
+def tensor_of(a, b, dims) -> TensorOperator:
+    """Kronecker product of two single-factor matrices, each given by its
+    nonzero (row, col, entry) triples, as a sparse two-factor operator."""
+    d2 = dims[1]
+    return TensorOperator(dims, {(i1 * d2 + i2, j1 * d2 + j2): x * y
+                                 for i1, j1, x in a for i2, j2, y in b})
+
+
+def _nonzero(mat) -> tuple:
+    """The nonzero entries of a dense matrix as (row, col, entry) triples."""
+    return tuple((i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
 
 
 def _mat_mul(a, b, dim):
@@ -233,67 +230,97 @@ def _mat_mul(a, b, dim):
     return new
 
 
+def _mat_powers(mat, dim) -> list:
+    """mat^0, mat^1, ... up to the last nonzero power, as dense matrices;
+    dim+1 of them when mat is not nilpotent."""
+    powers = [[[LaurentPoly.const(1) if i == j else LaurentPoly() for j in range(dim)]
+               for i in range(dim)]]
+    power = [list(row) for row in mat]
+    while len(powers) <= dim and any(v for row in power for v in row):
+        powers.append(power)
+        power = _mat_mul(power, mat, dim)
+    return powers
+
+
 def nilpotency_order(mat, dim) -> int:
     """Smallest n with mat^n = 0; dim+1 if mat is not nilpotent."""
-    power = [list(row) for row in mat]
-    n = 1
-    while n <= dim:
-        if all(not power[i][j] for i in range(dim) for j in range(dim)):
-            return n
-        nxt = _zeros(dim)
-        for i in range(dim):
-            for k in range(dim):
-                a = power[i][k]
-                if not a:
-                    continue
-                for j in range(dim):
-                    b = mat[k][j]
-                    if b:
-                        nxt[i][j] = nxt[i][j] + a * b
-        power = nxt
-        n += 1
-    return dim + 1
+    return len(_mat_powers(mat, dim))
 
 
-def rmatrix_terms(V1: WeightRep, V2: WeightRep, cartan: bool = True):
-    """Summands of R = q^{H(x)H/2} sum_n ({1}^{2n}/{n}!) q^{n(n-1)/2} E^n(x)F^n,
-    truncated at the joint nilpotency order.
+def _rep_powers(V: WeightRep):
+    """(E^n, E^(n), {1}^n F^n) of V, built on first use and kept in V._memo.
 
-    Yields (n, term, den).  When every entry of the n-th summand divides
-    exactly by {n}! the term is the divided polynomial operator and den is
-    1; otherwise (some modified-representation pairs) the term is the raw
-    numerator and den = {n}!, whose q -> xi limits exist by the
-    specialization property.
-    """
-    n_max = min(nilpotency_order(V1.matE, V1.dim), nilpotency_order(V2.matF, V2.dim))
-    one = LaurentPoly.const(1)
-    brace1 = brace(1)
-    fact = LaurentPoly.const(1)
-    En = Fn = None
-    for n in range(n_max):
-        den = one
-        if n == 0:
-            body = TensorOperator((V1.dim, V2.dim),
-                                  {(i, i): LaurentPoly.const(1) for i in range(V1.dim * V2.dim)})
-        else:
-            En = _mat_mul(En, V1.matE, V1.dim) if En is not None else [list(r) for r in V1.matE]
-            Fn = _mat_mul(Fn, V2.matF, V2.dim) if Fn is not None else [list(r) for r in V2.matF]
-            fact = fact * brace(n)
-            scalar = (brace1 ** (2 * n)) * LaurentPoly.q_power(n * (n - 1), 2)
-            raw = tensor_of(En, Fn, (V1.dim, V2.dim))
+    Each is a tuple over n below the nilpotency order of E (of F for the
+    last) of matrices given by their nonzero (row, col, entry) triples.
+    The divided power E^(n) = E^n/[n]! is None where some entry of E^n
+    does not divide exactly by [n]!, as at some n on Y_m^+-."""
+    powers = V._memo.get("rmatrix")
+    if powers is None:
+        e_pow = tuple(_nonzero(p) for p in _mat_powers(V.matE, V.dim))
+        e_div = []
+        fact = LaurentPoly.const(1)
+        for n, en in enumerate(e_pow):
+            fact = fact * qint(n) if n else fact
             try:
-                body = TensorOperator(raw.factor_dims,
-                                      {k: (v * scalar) / fact for k, v in raw.entries.items()})
+                e_div.append(tuple((i, j, v / fact) for i, j, v in en))
             except InexactDivisionError:
-                body = raw.scale(scalar)
-                den = fact
-        if cartan:
-            entries = {}
-            for (r, c), v in body.entries.items():
-                i1, i2 = divmod(r, V2.dim)
-                entries[(r, c)] = v.shift(V1.weights[i1] * V2.weights[i2])
-            body = TensorOperator((V1.dim, V2.dim), entries)
-        yield n, body, den
+                e_div.append(None)
+        brace1 = brace(1)
+        scale = LaurentPoly.const(1)
+        f_scaled = []
+        for n, fn in enumerate(_mat_powers(V.matF, V.dim)):
+            scale = scale * brace1 if n else scale
+            f_scaled.append(tuple((i, j, v * scale) for i, j, v in _nonzero(fn)))
+        powers = V._memo["rmatrix"] = (e_pow, tuple(e_div), tuple(f_scaled))
+    return powers
+
+
+def rmatrix_terms(V1: WeightRep, V2: WeightRep, cartan: bool = True, inverse: bool = False):
+    """Summands of R = q^{H(x)H/2} Theta, truncated at the joint nilpotency
+    order, where
+
+        Theta      = sum_n q^{n(n-1)/2} ({1}^{2n}/{n}!) E^n (x) F^n,
+        Theta^{-1} = sum_n (-1)^n q^{-n(n-1)/2} ({1}^{2n}/{n}!) E^n (x) F^n
+
+    (Kirby-Melvin, Invent. Math. 105 (1991); Kassel, Quantum Groups,
+    GTM 155).  inverse=True yields the summands of Theta^{-1}, and
+    cartan=False leaves the factor q^{H(x)H/2} out.
+
+    Yields (n, term, den).  As {n}! = {1}^n [n]!, summand n is the
+    tensor product of the divided power E^(n) on V1 and {1}^n F^n on V2,
+    both built once per representation, times q^{+-n(n-1)/2}; den is 1.
+    Where E^(n) is not exact on V1 the entries of E^n (x) {1}^n F^n are
+    divided by [n]!, and when one of them does not divide (some
+    modified-representation pairs) the term is the raw numerator
+    {1}^{2n} E^n (x) F^n times the monomial and den = {n}!, whose q -> xi
+    limits exist by the specialization property.
+    """
+    e_pow, e_div, _ = _rep_powers(V1)
+    f_scaled = _rep_powers(V2)[2]
+    dims = (V1.dim, V2.dim)
+    d2 = V2.dim
+    w1, w2 = V1.weights, V2.weights
+    one = LaurentPoly.const(1)
+    for n in range(min(len(e_pow), len(f_scaled))):
+        den = one
+        if e_div[n] is not None:
+            body = tensor_of(e_div[n], f_scaled[n], dims).entries
+        else:
+            body = tensor_of(e_pow[n], f_scaled[n], dims).entries
+            fact = qfact(n)
+            try:
+                body = {k: v / fact for k, v in body.items()}
+            except InexactDivisionError:
+                scale = brace(1) ** n
+                body = {k: v * scale for k, v in body.items()}
+                den = brace_fact(n)
+        shift = -n * (n - 1) if inverse else n * (n - 1)
+        negate = inverse and n % 2
+        entries = {}
+        for (r, c), v in body.items():
+            entries[(r, c)] = (-v if negate else v).shift(
+                shift + w1[r // d2] * w2[r % d2] if cartan else shift)
+        yield n, TensorOperator(dims, entries), den
 
 
 def _sum_terms_common_den(terms, dims):
@@ -318,42 +345,17 @@ def rmatrix(V1: WeightRep, V2: WeightRep):
 
 
 def rmatrix_inverse(V1: WeightRep, V2: WeightRep):
-    """R^{-1} = Theta^{-1} D^{-1} as (operator, scalar denominator).
-
-    Theta_num = den*I + X with X nilpotent, so den^{L-1} Theta^{-1} is the
-    polynomial sum of (-1)^k den^{L-1-k} X^k over k < L."""
+    """R^{-1} = Theta^{-1} q^{-H(x)H/2} as (operator, scalar denominator),
+    with Theta^{-1} in the closed form of rmatrix_terms."""
     d2 = V2.dim
-    dim = V1.dim * d2
-    theta, den = _sum_terms_common_den(list(rmatrix_terms(V1, V2, cartan=False)),
-                                       (V1.dim, d2))
-    x = TensorOperator((V1.dim, d2), dict(theta.entries))
-    for i in range(dim):
-        v = x.entries.get((i, i), LaurentPoly()) - den
-        if v:
-            x.entries[(i, i)] = v
-        else:
-            x.entries.pop((i, i), None)
-    powers = [TensorOperator((V1.dim, d2), {(i, i): LaurentPoly.const(1) for i in range(dim)})]
-    power = powers[0]
-    while x.entries:
-        power = power.compose(x)
-        if not power.entries:
-            break
-        powers.append(power)
-    L = len(powers)
-    inv = TensorOperator((V1.dim, d2), {})
-    den_pow = [LaurentPoly.const(1)]
-    for _ in range(L - 1):
-        den_pow.append(den_pow[-1] * den)
-    for k, pk in enumerate(powers):
-        coeff = den_pow[L - 1 - k] * (1 if k % 2 == 0 else -1)
-        inv = inv.add(pk.scale(coeff))
+    theta_inv, den = _sum_terms_common_den(
+        list(rmatrix_terms(V1, V2, cartan=False, inverse=True)), (V1.dim, d2))
     # right-multiply by D^{-1}: scale columns by q^{-w1*w2/2}
     entries = {}
-    for (r, c), v in inv.entries.items():
+    for (r, c), v in theta_inv.entries.items():
         j1, j2 = divmod(c, d2)
         entries[(r, c)] = v.shift(-V1.weights[j1] * V2.weights[j2])
-    return TensorOperator((V1.dim, d2), entries), den_pow[-1]
+    return TensorOperator((V1.dim, d2), entries), den
 
 
 def braiding(V: WeightRep, sign: int):

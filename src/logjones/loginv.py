@@ -39,8 +39,8 @@ class Route(enum.Enum):
 
 
 def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
-    # 3N colors cover V_{2N+s} for the minus-sign radical route
-    return habiro.coeffs_for(knot, 3 * N)
+    # colors 1..3N-1 cover V_{2N+s}, s <= N-1, of the minus-sign radical route
+    return habiro.coeffs_for(knot, 3 * N - 1)
 
 
 def exact_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:

@@ -179,6 +179,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["loginv", "--knot", "4_1", "--N", "3", "--format", "csv"], cli.EXIT_CONFIG),
     (["qgroup-verify", "--N", "2", "--format", "csv"], cli.EXIT_CONFIG),
     (["habiro", "--braid", "3: 1 -2 1 -2", "--imax", "12"], cli.EXIT_FEASIBILITY),
+    (["loginv", "--knot", "4_1", "--N", "3", "--precision", "5000"], cli.EXIT_CONFIG),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -214,3 +215,39 @@ def test_dimension_refused_before_tracing(argv, monkeypatch, capsys):
     assert rc == cli.EXIT_FEASIBILITY
     assert out == ""
     assert "exceeds the exact-path bound" in capsys.readouterr().err
+
+
+def test_loginv_traces_only_the_colors_it_reads(monkeypatch):
+    # loginv reads V_m up to m = 3N-1 (V_{2N+s} at s = N-1)
+    traced = []
+    real = cli.jones.colored_jones
+
+    def recording(b, m):
+        traced.append(m)
+        return real(b, m)
+
+    monkeypatch.setattr(cli.jones, "colored_jones", recording)
+    rc, _ = run_cli(["loginv", "--braid", "2: 1 1 1", "--N", "3"])
+    assert rc == cli.EXIT_OK
+    assert traced == list(range(1, 9))
+
+
+@pytest.mark.parametrize("argv, digits", [
+    ([], 42),                      # the scan's own 0.15 N + 35 at N = 50
+    (["--precision", "30"], 42),   # a lower floor changes nothing
+    (["--precision", "200"], 200),
+])
+def test_volume_scan_precision_is_a_floor(argv, digits, monkeypatch):
+    monkeypatch.delenv("LOGJONES_PRECISION", raising=False)
+    seen = []
+    real = cli.volume.asymptotic_scan
+
+    def recording(N, ctx=None):
+        seen.append(ctx.precision_digits)
+        return real(N, ctx)
+
+    monkeypatch.setattr(cli.volume, "asymptotic_scan", recording)
+    rc, out = run_cli(["volume-scan", "--N", "50", *argv])
+    assert rc == cli.EXIT_OK
+    assert seen == [digits]
+    assert len(json.loads(out)["rows"]) == 49

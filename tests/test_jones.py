@@ -1,13 +1,15 @@
 import mpmath as mp
 import pytest
 
-from logjones import habiro
+from logjones import habiro, jones
 from logjones.jones import (
     BraidWord,
     FeasibilityError,
     KNOT_CATALOG,
     LinkNotKnotError,
+    TensorOperator,
     braid_operator,
+    braiding,
     build_Wm,
     colored_jones,
     colored_jones_numeric,
@@ -20,6 +22,7 @@ from logjones.jones import (
     rmatrix_inverse,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, qint
+from logjones.qgroup import build_modified
 
 
 def poly_mat_mul(a, b, d):
@@ -31,6 +34,51 @@ def poly_mat_mul(a, b, d):
                     if b[k][j]:
                         out[i][j] = out[i][j] + a[i][k] * b[k][j]
     return out
+
+
+def series_rmatrix_inverse(V1, V2):
+    """R^{-1} = Theta^{-1} D^{-1} by a nilpotent power series, the
+    reference for the closed-form inverse.
+
+    Theta_num = den*I + X with X nilpotent, so den^{L-1} Theta^{-1} is the
+    polynomial sum of (-1)^k den^{L-1-k} X^k over k < L."""
+    d2 = V2.dim
+    dim = V1.dim * d2
+    theta, den = jones._sum_terms_common_den(list(jones.rmatrix_terms(V1, V2, cartan=False)),
+                                             (V1.dim, d2))
+    x = TensorOperator((V1.dim, d2), dict(theta.entries))
+    for i in range(dim):
+        v = x.entries.get((i, i), LaurentPoly()) - den
+        if v:
+            x.entries[(i, i)] = v
+        else:
+            x.entries.pop((i, i), None)
+    powers = [TensorOperator((V1.dim, d2), {(i, i): LaurentPoly.const(1) for i in range(dim)})]
+    power = powers[0]
+    while x.entries:
+        power = power.compose(x)
+        if not power.entries:
+            break
+        powers.append(power)
+    L = len(powers)
+    inv = TensorOperator((V1.dim, d2), {})
+    den_pow = [LaurentPoly.const(1)]
+    for _ in range(L - 1):
+        den_pow.append(den_pow[-1] * den)
+    for k, pk in enumerate(powers):
+        coeff = den_pow[L - 1 - k] * (1 if k % 2 == 0 else -1)
+        inv = inv.add(pk.scale(coeff))
+    # right-multiply by D^{-1}: scale columns by q^{-w1*w2/2}
+    entries = {}
+    for (r, c), v in inv.entries.items():
+        j1, j2 = divmod(c, d2)
+        entries[(r, c)] = v.shift(-V1.weights[j1] * V2.weights[j2])
+    return TensorOperator((V1.dim, d2), entries), den_pow[-1]
+
+
+def modified_reps(max_N):
+    return [pytest.param(build_modified(sign, m, N)[0], id=f"Y{m}{'+' if sign > 0 else '-'}_N{N}")
+            for N in range(2, max_N + 1) for m in range(1, N) for sign in (1, -1)]
 
 
 class TestBraidWord:
@@ -126,6 +174,46 @@ class TestRMatrix:
         scale = dr * dri
         prod = r.compose(ri)
         assert prod.entries == {(i, i): scale for i in range(m * m)}
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_closed_form_inverse_matches_series(self, m):
+        w = build_Wm(m)
+        op, den = rmatrix_inverse(w, w)
+        ref, ref_den = series_rmatrix_inverse(w, w)
+        assert den == ref_den == LaurentPoly.const(1)
+        assert op == ref
+
+    @pytest.mark.parametrize("rep", modified_reps(3))
+    def test_closed_form_inverse_matches_series_modified(self, rep):
+        # the two inverses may carry different denominators, so compare
+        # op/den against ref/ref_den crosswise
+        op, den = rmatrix_inverse(rep, rep)
+        ref, ref_den = series_rmatrix_inverse(rep, rep)
+        assert op.scale(ref_den) == ref.scale(den)
+
+    @pytest.mark.parametrize("rep", modified_reps(4))
+    def test_braiding_inverse_pair_modified(self, rep):
+        plus, den_plus = braiding(rep, 1)
+        minus, den_minus = braiding(rep, -1)
+        scale = den_plus * den_minus
+        assert plus.compose(minus).entries == {(i, i): scale for i in range(rep.dim ** 2)}
+
+    def test_powers_built_once_per_representation(self, monkeypatch):
+        # E^n and F^n of each representation are built once, not per pair
+        calls = []
+        real = jones._mat_powers
+
+        def counted(mat, dim):
+            calls.append(dim)
+            return real(mat, dim)
+
+        monkeypatch.setattr(jones, "_mat_powers", counted)
+        reps = [build_Wm(2), build_Wm(3), build_modified(-1, 1, 2)[0]]
+        for v1 in reps:
+            for v2 in reps:
+                list(jones.rmatrix_terms(v1, v2))
+                rmatrix_inverse(v1, v2)
+        assert sorted(calls) == [2, 2, 3, 3, 8, 8]
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_yang_baxter(self, m):
