@@ -126,7 +126,7 @@ def cmd_loginv(args) -> int:
     label = braid.name or args.braid
     # one coefficient object serves every route and s; V_m is read up to
     # m = 3N-1 (V_{2N+s} on the minus radical route)
-    h = habiro.coeffs_for(label if label in jones.KNOT_CATALOG else braid, 3 * N - 1)
+    h = habiro.coeffs_for(args.knot or braid, 3 * N - 1)
     rec = loginv.center_coeffs(h, N, ctx, framing=args.framing, knot_label=label)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}

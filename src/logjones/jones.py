@@ -120,19 +120,13 @@ class WeightRep:
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
-def _zeros(d):
-    return [[LaurentPoly() for _ in range(d)] for _ in range(d)]
-
-
-def _freeze(m):
-    return tuple(tuple(row) for row in m)
-
-
-def make_weight_rep(dim, matE, matF, weights) -> WeightRep:
-    matK = _zeros(dim)
-    for i, w in enumerate(weights):
-        matK[i][i] = LaurentPoly.q_power(w)
-    return WeightRep(dim, _freeze(matE), _freeze(matF), _freeze(matK), tuple(weights))
+def make_weight_rep(dim, matE: dict, matF: dict, weights) -> WeightRep:
+    """A WeightRep from E and F given as sparse maps {(row, col): entry}."""
+    def dense(entries):
+        return tuple(tuple(entries.get((i, j), LaurentPoly()) for j in range(dim))
+                     for i in range(dim))
+    matK = {(i, i): LaurentPoly.q_power(w) for i, w in enumerate(weights)}
+    return WeightRep(dim, dense(matE), dense(matF), dense(matK), tuple(weights))
 
 
 def build_Wm(m: int) -> WeightRep:
@@ -140,16 +134,29 @@ def build_Wm(m: int) -> WeightRep:
     K f_i = q^{m-1-2i} f_i."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    E = _zeros(m)
-    F = _zeros(m)
-    for i in range(1, m):
-        E[i - 1][i] = qint(i)
-    for i in range(m - 1):
-        F[i + 1][i] = qint(m - 1 - i)
+    E = {(i - 1, i): qint(i) for i in range(1, m)}
+    F = {(i + 1, i): qint(m - 1 - i) for i in range(m - 1)}
     return make_weight_rep(m, E, F, [m - 1 - 2 * i for i in range(m)])
 
 
 # -- sparse operators on tensor powers ---------------------------------
+
+
+def mat_mul(a: dict, b: dict) -> dict:
+    """The product of two matrices given as sparse maps {(row, col): entry}.
+
+    Entries only meet ``*``, ``+`` and truthiness, so LaurentPoly and mpc
+    entries both work.  Each entry is summed over increasing inner index,
+    and entries that come out zero are dropped."""
+    b_rows = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out = {}
+    for (i, k), x in sorted(a.items()):
+        for j, y in b_rows.get(k, ()):
+            s = out.get((i, j))
+            out[(i, j)] = x * y if s is None else s + x * y
+    return {key: v for key, v in out.items() if v}
 
 
 @dataclasses.dataclass
@@ -174,17 +181,7 @@ class TensorOperator:
 
     def compose(self, other: "TensorOperator") -> "TensorOperator":
         """self . other (matrix product), sparse in both factors."""
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, c), v in self.entries.items():
-            for c2, v2 in by_row.get(c, ()):
-                key = (r, c2)
-                s = out.get(key)
-                prod = v * v2
-                out[key] = prod if s is None else s + prod
-        return TensorOperator(self.factor_dims, {k: v for k, v in out.items() if v})
+        return TensorOperator(self.factor_dims, mat_mul(self.entries, other.entries))
 
     def scale(self, p: LaurentPoly) -> "TensorOperator":
         return TensorOperator(self.factor_dims, {k: v * p for k, v in self.entries.items() if v * p})
@@ -200,45 +197,27 @@ class TensorOperator:
                 out.pop(k, None)
         return TensorOperator(self.factor_dims, out)
 
-def tensor_of(a, b, dims) -> TensorOperator:
-    """Kronecker product of two single-factor matrices, each given by its
-    nonzero (row, col, entry) triples, as a sparse two-factor operator."""
+def tensor_of(a: dict, b: dict, dims) -> TensorOperator:
+    """Kronecker product of two single-factor matrices given as sparse
+    maps, as a sparse two-factor operator."""
     d2 = dims[1]
     return TensorOperator(dims, {(i1 * d2 + i2, j1 * d2 + j2): x * y
-                                 for i1, j1, x in a for i2, j2, y in b})
+                                 for (i1, j1), x in a.items() for (i2, j2), y in b.items()})
 
 
-def _nonzero(mat) -> tuple:
-    """The nonzero entries of a dense matrix as (row, col, entry) triples."""
-    return tuple((i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v)
-
-
-def _mat_mul(a, b, dim):
-    """Dense product of two single-factor matrices."""
-    new = _zeros(dim)
-    for i in range(dim):
-        row = a[i]
-        for k in range(dim):
-            x = row[k]
-            if not x:
-                continue
-            brow = b[k]
-            for j in range(dim):
-                y = brow[j]
-                if y:
-                    new[i][j] = new[i][j] + x * y
-    return new
+def sparse(mat) -> dict:
+    """The nonzero entries of a dense matrix as a sparse map {(row, col): entry}."""
+    return {(i, j): v for i, row in enumerate(mat) for j, v in enumerate(row) if v}
 
 
 def _mat_powers(mat, dim) -> list:
-    """mat^0, mat^1, ... up to the last nonzero power, as dense matrices;
-    dim+1 of them when mat is not nilpotent."""
-    powers = [[[LaurentPoly.const(1) if i == j else LaurentPoly() for j in range(dim)]
-               for i in range(dim)]]
-    power = [list(row) for row in mat]
-    while len(powers) <= dim and any(v for row in power for v in row):
+    """mat^0, mat^1, ... up to the last nonzero power of a dense matrix, as
+    sparse maps; dim+1 of them when mat is not nilpotent."""
+    power = mat = sparse(mat)
+    powers = [{(i, i): LaurentPoly.const(1) for i in range(dim)}]
+    while len(powers) <= dim and power:
         powers.append(power)
-        power = _mat_mul(power, mat, dim)
+        power = mat_mul(power, mat)
     return powers
 
 
@@ -251,18 +230,18 @@ def _rep_powers(V: WeightRep):
     """(E^n, E^(n), {1}^n F^n) of V, built on first use and kept in V._memo.
 
     Each is a tuple over n below the nilpotency order of E (of F for the
-    last) of matrices given by their nonzero (row, col, entry) triples.
+    last) of sparse maps.
     The divided power E^(n) = E^n/[n]! is None where some entry of E^n
     does not divide exactly by [n]!, as at some n on Y_m^+-."""
     powers = V._memo.get("rmatrix")
     if powers is None:
-        e_pow = tuple(_nonzero(p) for p in _mat_powers(V.matE, V.dim))
+        e_pow = tuple(_mat_powers(V.matE, V.dim))
         e_div = []
         fact = LaurentPoly.const(1)
         for n, en in enumerate(e_pow):
             fact = fact * qint(n) if n else fact
             try:
-                e_div.append(tuple((i, j, v / fact) for i, j, v in en))
+                e_div.append({k: v / fact for k, v in en.items()})
             except InexactDivisionError:
                 e_div.append(None)
         brace1 = brace(1)
@@ -270,7 +249,7 @@ def _rep_powers(V: WeightRep):
         f_scaled = []
         for n, fn in enumerate(_mat_powers(V.matF, V.dim)):
             scale = scale * brace1 if n else scale
-            f_scaled.append(tuple((i, j, v * scale) for i, j, v in _nonzero(fn)))
+            f_scaled.append({k: v * scale for k, v in fn.items()})
         powers = V._memo["rmatrix"] = (e_pow, tuple(e_div), tuple(f_scaled))
     return powers
 
@@ -465,7 +444,7 @@ def partial_trace(op: TensorOperator, V: WeightRep):
     d = V.dim
     n = len(op.factor_dims)
     rest = d ** (n - 1)
-    out = _zeros(d)
+    out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
     for (r, c), v in op.entries.items():
         a, tr = divmod(r, rest)
         b_, tc = divmod(c, rest)
@@ -589,12 +568,17 @@ def _packed_trace(b: BraidWord, V: WeightRep) -> LaurentPoly:
     return _unpack(total, sum(lo[1 if g > 0 else -1] for g in b.word) - base, step, width)
 
 
+def check_knot(b: BraidWord):
+    """LinkNotKnotError unless the closure of b is a knot."""
+    if not b.is_knot():
+        raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
+
+
 def check_trace(b: BraidWord, m: int):
     """Refuse V_m of b before any work: LinkNotKnotError for a link
     closure, FeasibilityError when W_m^{(x) strands} is above
     EXACT_DIM_CAP.  Checking the top color refuses a whole run of colors."""
-    if not b.is_knot():
-        raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
+    check_knot(b)
     _check_dim(m ** b.strands)
 
 
@@ -628,8 +612,7 @@ def colored_jones_numeric(b: BraidWord, m: int, q_half):
     The exact gate loop with mpmath entries; used to cross-check
     reconstructions at colors where exact polynomials are unnecessary.
     """
-    if not b.is_knot():
-        raise LinkNotKnotError(f"closure of {b} has {b.closure_components()} components")
+    check_knot(b)
     V = build_Wm(m)
     by_sign = {}
     for sign, (loc, den) in _word_braidings(b, V).items():

@@ -56,35 +56,6 @@ def exact_normalized_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
     return v.shift((m * m - 1) * framing) if framing else v
 
 
-# -- tilde brackets ------------------------------------------------------
-
-
-def tilde_brace(n: int, j: int, ctx: RootContext):
-    """prod over k=0..j-1 of {n-k} at xi, with factors at multiples of N
-    replaced by the sign (-1)^t where n-k = N t."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    with ctx.workprec():
-        out = mp.mpc(1)
-        for k in range(j):
-            v = n - k
-            if v % ctx.N == 0:
-                if (v // ctx.N) % 2:
-                    out = -out
-            else:
-                out *= ctx.brace_at(v)
-        return out
-
-
-def falling_brace_at(n: int, j: int, ctx: RootContext):
-    """{n, j} at xi."""
-    with ctx.workprec():
-        out = mp.mpc(1)
-        for k in range(j):
-            out *= ctx.brace_at(n - k)
-        return out
-
-
 # -- radical coefficients ------------------------------------------------
 
 

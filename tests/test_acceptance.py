@@ -2,8 +2,8 @@
 
 Criterion 9's first quantitative bound is implemented exactly as stated
 and is expected to fail: the measured finite-size gap of the scaled log
-invariant at N=400 is 0.1475 and shrinks like 2 pi log(N)/N (0.086 at
-N=800, 0.047 at N=1600), so the stated 0.1 cannot be met at N=400.  The
+invariant at N=400 is 0.1475 and shrinks like 2 pi log(N)/N (0.0819 at
+N=800, 0.0450 at N=1600), so the stated 0.1 cannot be met at N=400.  The
 README and the build's decision ledger carry the full analysis; the
 remaining sub-checks of that criterion live in their own passing test.
 """
@@ -233,8 +233,8 @@ def test_criterion_09_alpha_005_within_01():
     """Implemented exactly as stated; fails by measurement.
 
     The scaled log invariant at s = 0.05 N, N = 400 sits 0.1475 above
-    Vol(M_alpha) and the gap decays like 2 pi log(N)/N (0.086 at N=800,
-    0.047 at N=1600), so the stated 0.1 bound is unattainable at N=400.
+    Vol(M_alpha) and the gap decays like 2 pi log(N)/N (0.0819 at N=800,
+    0.0450 at N=1600), so the stated 0.1 bound is unattainable at N=400.
     The value itself is pinned by the three-route agreement at small N and
     the kernel cross-checks up to N=50; the bound is kept as stated
     rather than loosened.

@@ -232,6 +232,26 @@ def test_loginv_traces_only_the_colors_it_reads(monkeypatch):
     assert traced == list(range(1, 9))
 
 
+def test_loginv_braid_flag_traces_a_catalog_name(monkeypatch):
+    # --braid means "trace" in loginv as in habiro, also for a catalog name;
+    # the traced coefficients give the closed form's vectors
+    traced = []
+    real = cli.jones.colored_jones
+
+    def recording(b, m):
+        traced.append(m)
+        return real(b, m)
+
+    monkeypatch.setattr(cli.jones, "colored_jones", recording)
+    rc, braid_out = run_cli(["loginv", "--braid", "3_1", "--N", "2"])
+    assert rc == cli.EXIT_OK
+    assert traced == list(range(1, 6))
+    rc, knot_out = run_cli(["loginv", "--knot", "3_1", "--N", "2"])
+    assert rc == cli.EXIT_OK
+    assert traced == list(range(1, 6))
+    assert json.loads(braid_out) == json.loads(knot_out)
+
+
 @pytest.mark.parametrize("argv, digits", [
     ([], 42),                      # the scan's own 0.15 N + 35 at N = 50
     (["--precision", "30"], 42),   # a lower floor changes nothing

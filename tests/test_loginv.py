@@ -15,17 +15,44 @@ from logjones.loginv import (
     basis_change_inverse,
     center_coeffs,
     exact_Vm,
-    falling_brace_at,
     framed_corrections,
     gamma_all_routes,
     gamma_boundary,
     gamma_s,
     kashaev_invariant,
-    tilde_brace,
     unnormalized_VN_at_xi,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, qint
 from conftest import assert_close
+
+
+# -- oracles: the tilde brackets and falling braces at xi, one factor at a time
+
+
+def tilde_brace(n: int, j: int, ctx: RootContext):
+    """prod over k=0..j-1 of {n-k} at xi, with factors at multiples of N
+    replaced by the sign (-1)^t where n-k = N t."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    with ctx.workprec():
+        out = mp.mpc(1)
+        for k in range(j):
+            v = n - k
+            if v % ctx.N == 0:
+                if (v // ctx.N) % 2:
+                    out = -out
+            else:
+                out *= ctx.brace_at(v)
+        return out
+
+
+def falling_brace_at(n: int, j: int, ctx: RootContext):
+    """{n, j} at xi."""
+    with ctx.workprec():
+        out = mp.mpc(1)
+        for k in range(j):
+            out *= ctx.brace_at(n - k)
+        return out
 
 
 class TestTildeBrace:

@@ -12,6 +12,7 @@ from logjones.qgroup import (
     center_action_matrices,
     eta_block_data,
     iso_f_matrix,
+    iso_g_matrix,
     iso_h_matrix,
     relations_residual,
     rmatrix_specialization_check,
@@ -27,12 +28,95 @@ from logjones.qgroup import (
 from conftest import assert_close
 
 
+# -- dense oracles: the residuals as computed on dense matrices, which the
+# sparse jones.mat_mul / qgroup._max_diff path must reproduce bit for bit
+
+
+def dense(mat, rows, cols):
+    return [[mat.get((i, j), mp.mpc(0)) for j in range(cols)] for i in range(rows)]
+
+
+def dense_mul(a, b, d):
+    out = [[mp.mpc(0)] * d for _ in range(d)]
+    for i in range(d):
+        for k in range(d):
+            x = a[i][k]
+            if x:
+                for j in range(d):
+                    y = b[k][j]
+                    if y:
+                        out[i][j] += x * y
+    return out
+
+
+def dense_max_abs(a):
+    return max((abs(x) for row in a for x in row), default=mp.mpf(0))
+
+
+def dense_sub(a, b, d):
+    return [[a[i][j] - b[i][j] for j in range(d)] for i in range(d)]
+
+
+def dense_relations_residual(mod, ctx):
+    with ctx.workprec():
+        d, N = mod.dim, mod.N
+        E, F, K = (dense(m, d, d) for m in (mod.matE, mod.matF, mod.matK))
+        worst = mp.mpf(0)
+        for X in (E, F):
+            power = X
+            for _ in range(N - 1):
+                power = dense_mul(power, X, d)
+            worst = max(worst, dense_max_abs(power))
+        kk = [[K[i][j] ** (2 * N) if i == j else mp.mpc(0) for j in range(d)] for i in range(d)]
+        ident = [[mp.mpc(1) if i == j else mp.mpc(0) for j in range(d)] for i in range(d)]
+        worst = max(worst, dense_max_abs(dense_sub(kk, ident, d)))
+        xi2 = ctx.xi_pow(2)
+        kek = [[K[i][i] * E[i][j] / K[j][j] - xi2 * E[i][j] for j in range(d)] for i in range(d)]
+        worst = max(worst, dense_max_abs(kek))
+        kfk = [[K[i][i] * F[i][j] / K[j][j] - F[i][j] / xi2 for j in range(d)] for i in range(d)]
+        worst = max(worst, dense_max_abs(kfk))
+        comm = dense_sub(dense_mul(E, F, d), dense_mul(F, E, d), d)
+        one = ctx.brace_at(1)
+        cart = [[(K[i][j] - 1 / K[i][j]) / one if i == j else mp.mpc(0) for j in range(d)]
+                for i in range(d)]
+        return max(worst, dense_max_abs(dense_sub(comm, cart, d)))
+
+
+def dense_intertwiner_residual(mat, src, tgt, ctx, skip_rows=frozenset()):
+    """max over X of |mat rho_src(X) - rho_tgt(X) mat|, each entry an fsum."""
+    ds, dt = src.dim, tgt.dim
+    mat = dense(mat, dt, ds)
+    with ctx.workprec():
+        worst = mp.mpf(0)
+        for x in ("matE", "matF", "matK"):
+            src_m, tgt_m = dense(getattr(src, x), ds, ds), dense(getattr(tgt, x), dt, dt)
+            for i in range(dt):
+                if i in skip_rows:
+                    continue
+                for j in range(ds):
+                    lhs = mp.fsum(mat[i][k] * src_m[k][j] for k in range(ds))
+                    rhs = mp.fsum(tgt_m[i][k] * mat[k][j] for k in range(dt))
+                    worst = max(worst, abs(lhs - rhs))
+        return worst
+
+
+def dense_endo_residual(mat, mod, ctx):
+    d = mod.dim
+    mat = dense(mat, d, d)
+    with ctx.workprec():
+        worst = mp.mpf(0)
+        for x in (mod.matE, mod.matF, mod.matK):
+            x = dense(x, d, d)
+            worst = max(worst, dense_max_abs(dense_sub(dense_mul(mat, x, d), dense_mul(x, mat, d), d)))
+        return worst
+
+
 class TestModuleZoo:
     def test_trivial_module(self, ctx3):
         u1 = build_restricted("U+", 1, 3, ctx3)
         assert u1.dim == 1
-        assert abs(u1.matK[0][0] - 1) < ctx3.tol
-        assert abs(u1.matE[0][0]) < ctx3.tol and abs(u1.matF[0][0]) < ctx3.tol
+        assert abs(u1.matK[(0, 0)] - 1) < ctx3.tol
+        assert abs(u1.matE.get((0, 0), 0)) < ctx3.tol and abs(u1.matF.get((0, 0), 0)) < ctx3.tol
         assert u1.h_weights == [0]
 
     def test_dimensions(self, ctx4):
@@ -93,8 +177,8 @@ class TestModuleZoo:
         assert all(-3 < h <= 3 for h in p.h_weights)
         with ctx3.workprec():
             for i, h in enumerate(p.h_weights):
-                assert_close(p.matK[i][i], ctx3.xi_pow(h), ctx3.tol)
-                if abs(p.matK[i][i] - 1) < ctx3.tol:
+                assert_close(p.matK[(i, i)], ctx3.xi_pow(h), ctx3.tol)
+                if abs(p.matK[(i, i)] - 1) < ctx3.tol:
                     assert h == 0
 
     def test_modified_generic_relations_exact(self):
@@ -131,21 +215,18 @@ class TestIntertwiners:
         # the displayed (-1)^k on the y-family of f is incompatible with
         # the ladder signs at xi; the residual metric sees it
         mat, p, y = iso_f_matrix(1, 3, ctx3, as_printed=True)
-        ye = qgroup._eval_mat(y.matE, ctx3)
-        yf = qgroup._eval_mat(y.matF, ctx3)
-        yk = qgroup._eval_mat(y.matK, ctx3)
-        res = qgroup._intertwiner_residual(mat, p, ye, yf, yk, y.dim, ctx3)
+        res = qgroup._intertwiner_residual(mat, p, y, ctx3)
         assert res > mp.mpf("0.5")
 
     def test_printed_h_sign_fails(self, ctx3):
         mat, p, y = iso_h_matrix(2, 3, ctx3, as_printed=True)
-        ye = qgroup._eval_mat(y.matE, ctx3)
-        yf = qgroup._eval_mat(y.matF, ctx3)
-        yk = qgroup._eval_mat(y.matK, ctx3)
+        mat = dense(mat, y.dim, p.dim)
         kill = set(y1_basis_indices(2, 3))
         with ctx3.workprec():
             worst = mp.mpf(0)
-            for src_m, tgt_m in ((p.matE, ye), (p.matF, yf), (p.matK, yk)):
+            for x in ("matE", "matF", "matK"):
+                src_m = dense(getattr(p, x), p.dim, p.dim)
+                tgt_m = dense(getattr(y, x), y.dim, y.dim)
                 for i in range(y.dim):
                     if i in kill:
                         continue
@@ -159,14 +240,11 @@ class TestIntertwiners:
         # sanity of the metric: a perturbed map is no longer an intertwiner,
         # and the residual scales linearly under scaling the map
         mat, p, y = iso_f_matrix(1, 3, ctx3)
-        mat[2][0] += mp.mpf("0.001")
-        ye = qgroup._eval_mat(y.matE, ctx3)
-        yf = qgroup._eval_mat(y.matF, ctx3)
-        yk = qgroup._eval_mat(y.matK, ctx3)
-        res = qgroup._intertwiner_residual(mat, p, ye, yf, yk, y.dim, ctx3)
+        mat[(2, 0)] = mat.get((2, 0), 0) + mp.mpf("0.001")
+        res = qgroup._intertwiner_residual(mat, p, y, ctx3)
         assert res > mp.mpf("1e-4")
-        doubled = [[2 * v for v in row] for row in mat]
-        res2 = qgroup._intertwiner_residual(doubled, p, ye, yf, yk, y.dim, ctx3)
+        doubled = {k: 2 * v for k, v in mat.items()}
+        res2 = qgroup._intertwiner_residual(doubled, p, y, ctx3)
         assert_close(res2, 2 * res, ctx3.tol)
 
     def test_y1_not_invariant_generically(self):
@@ -314,21 +392,18 @@ class TestCenterActions:
         N = 3
         p1 = build_restricted("P+", 1, N, ctx3)
         acts = center_action_matrices(p1, N)
-        d = p1.dim
         # w_1^+ squares to zero on P_1^+
-        sq = qgroup._num_mat_mul(acts["w1+"], acts["w1+"], d)
-        assert qgroup._num_max_abs(sq) < ctx3.tol
+        sq = jones.mat_mul(acts["w1+"], acts["w1+"])
+        assert qgroup._max_diff(sq, {}) < ctx3.tol
         # w_1^+ e_1 = w_1^+
-        prod = qgroup._num_mat_mul(acts["w1+"], acts["e1"], d)
-        assert qgroup._num_max_abs(qgroup._num_sub(prod, acts["w1+"], d)) < ctx3.tol
+        prod = jones.mat_mul(acts["w1+"], acts["e1"])
+        assert qgroup._max_diff(prod, acts["w1+"]) < ctx3.tol
         # e_s acts by zero on U_N^+ unless s = N
         un = build_restricted("U+", N, N, ctx3)
         acts_un = center_action_matrices(un, N)
-        assert qgroup._num_max_abs(acts_un["e1"]) == 0
-        assert qgroup._num_max_abs(qgroup._num_sub(
-            acts_un[f"e{N}"],
-            [[mp.mpc(1) if i == j else mp.mpc(0) for j in range(N)] for i in range(N)],
-            N)) < ctx3.tol
+        assert qgroup._max_diff(acts_un["e1"], {}) == 0
+        assert qgroup._max_diff(acts_un[f"e{N}"],
+                                {(i, i): mp.mpc(1) for i in range(N)}) < ctx3.tol
 
     def test_report_shape(self, ctx3):
         rows = qgroup.verification_report(2, RootContext(2), include_rmatrix=False)
@@ -337,3 +412,36 @@ class TestCenterActions:
         text = qgroup.report_to_json(rows)
         import json as _json
         assert _json.loads(text) == rows
+
+
+class TestDenseOracles:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_sparse_residuals_equal_dense(self, N):
+        # the sparse product and residual reproduce the dense residuals bit
+        # for bit: every iso map is monomial, so each fsum has one nonzero
+        # term, and both products skip zeros and sum over ascending k
+        ctx = RootContext(N)
+        for s in range(1, N + 1):
+            for kind in ("U+", "U-", "V+", "V-"):
+                mod = build_restricted(kind, s, N, ctx)
+                assert relations_residual(mod, ctx) == dense_relations_residual(mod, ctx)
+        for s in range(1, N):
+            for kind in ("P+", "P-", "Y+", "Y-"):
+                mod = build_restricted(kind, s, N, ctx)
+                assert relations_residual(mod, ctx) == dense_relations_residual(mod, ctx)
+            kill = frozenset(y1_basis_indices(s, N))
+            for build, verify, skip in ((iso_f_matrix, verify_iso_f, frozenset()),
+                                        (iso_g_matrix, verify_iso_g, frozenset()),
+                                        (iso_h_matrix, verify_iso_h, kill)):
+                mat, p, y = build(s, N, ctx)
+                assert verify(s, N, ctx) == dense_intertwiner_residual(mat, p, y, ctx, skip)
+        endo = {(row["module"], row["center"]): row["residual"]
+                for row in center_action_check(N, ctx) if row["check"] == "endomorphism"}
+        mods = [build_restricted(kind, s, N, ctx) for s in range(1, N + 1) for kind in ("U+", "U-")]
+        mods += [build_restricted(kind, s, N, ctx) for s in range(1, N) for kind in ("P+", "P-")]
+        seen = 0
+        for mod in mods:
+            for name, mat in center_action_matrices(mod, N).items():
+                assert endo[(f"{mod.kind}{mod.index}", name)] == dense_endo_residual(mat, mod, ctx)
+                seen += 1
+        assert seen == len(endo)
