@@ -75,8 +75,11 @@ def _require_N(args) -> int:
 
 def _emit(text: str, out_path):
     if out_path and out_path != "-":
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -16,7 +16,7 @@ from collections.abc import Callable
 
 import mpmath as mp
 
-from .qcalc import LaurentPoly, RootContext, brace, brace_falling
+from .qcalc import LaurentPoly, RootContext, brace, qint
 from . import jones
 
 
@@ -77,18 +77,18 @@ class HabiroCoeffs:
 def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
     """Solve for a_0..a_{M-1} from exact 0-framed V_1..V_M.
 
-    The system is lower triangular because {m+i, 2i+1} contains the factor
-    {0} once i >= m; forward substitution with exact division recovers the
-    coefficients, and a nonzero remainder means the inputs were not the
-    0-framed invariants of a knot.
+    V_m/[m] = sum_{i<m} a_i L_i(m) (see _ladder) is lower triangular in
+    the a_i: forward substitution divides V_m exactly by [m], subtracts the
+    known terms and divides once by L_{m-1}(m).  A nonzero remainder means
+    the inputs were not the 0-framed invariants of a knot.
     """
-    one = brace(1)
     coeffs = []
     for m, vm in enumerate(jones_values, start=1):
-        acc = LaurentPoly(vm.terms)
-        for i in range(m - 1):
-            acc = acc - coeffs[i] * (brace_falling(m + i, 2 * i + 1) / one)
-        coeffs.append(acc / (brace_falling(2 * m - 1, 2 * m - 1) / one))
+        acc = vm / qint(m)
+        *lower, top = _ladder(m)
+        for a, rung in zip(coeffs, lower):
+            acc = acc - a * rung
+        coeffs.append(acc / top)
     return HabiroCoeffs.from_table(knot, coeffs)
 
 
@@ -99,36 +99,34 @@ def _check_color(h: HabiroCoeffs, m: int):
         raise ValueError(f"{h.knot}: V_{m} needs a_{m-1}, only a_0..a_{h.i_max} available")
 
 
-def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m = sum_{i=0}^{m-1} a_i {m+i, 2i+1}/{1}; exact whenever a_{m-1}
-    is known.
+def _ladder(m: int):
+    """L_0(m), ..., L_{m-1}(m) with L_i(m) = prod_{j=1}^{i} {m+j}{m-j}.
 
-    {m+i, 2i+1} = {m+i}...{m-i} is the previous factor times {m+i}{m-i},
-    and the sum is divided by {1} once.  Memoized on h."""
+    {m+i, 2i+1}/{1} = [m] L_i(m), so this one ladder serves V_m, V_m/[m]
+    and the extraction of the a_i."""
+    rung = LaurentPoly.const(1)
+    for i in range(m):
+        if i:
+            rung = rung * (brace(m + i) * brace(m - i))
+        yield rung
+
+
+def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
+    """V_m = [m] (V_m/[m]); exact whenever a_{m-1} is known.  Memoized on h."""
     key = ("Vm", m)
     if key not in h._memo:
-        _check_color(h, m)
-        out = LaurentPoly()
-        window = brace(m)
-        for i in range(m):
-            if i:
-                window = window * (brace(m + i) * brace(m - i))
-            out = out + h.coeff(i) * window
-        h._memo[key] = out / brace(1)
+        h._memo[key] = qint(m) * reconstruct_normalized_Vm(h, m)
     return h._memo[key]
 
 
 def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m/[m] = sum_i a_i prod_{j=1}^{i} {m+j}{m-j}, exact.  Memoized on h."""
+    """V_m/[m] = sum_{i=0}^{m-1} a_i L_i(m), exact.  Memoized on h."""
     key = ("normalized", m)
     if key not in h._memo:
         _check_color(h, m)
         out = LaurentPoly()
-        ladder = LaurentPoly.const(1)
-        for i in range(m):
-            if i:
-                ladder = ladder * (brace(m + i) * brace(m - i))
-            out = out + h.coeff(i) * ladder
+        for i, rung in enumerate(_ladder(m)):
+            out = out + h.coeff(i) * rung
         h._memo[key] = out
     return h._memo[key]
 

@@ -21,7 +21,7 @@ import json
 
 import mpmath as mp
 
-from .qcalc import LaurentPoly, RootContext, brace, ddq, qint
+from .qcalc import LaurentPoly, RootContext, brace, ddq
 from . import habiro
 
 
@@ -60,25 +60,19 @@ def exact_normalized_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
 
 
 def b_pm_via_derivative(knot, s: int, N: int, sign: int, ctx: RootContext = None,
-                        framing: int = 0, normalized_route: bool = False):
+                        framing: int = 0):
     """b_s^+ = xi/(2N[s]) d/dq {1}_q (V_s/[s]_q - V_{2N-s}/[2N-s]_q) at xi,
-    b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q).
+    b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q),
 
-    normalized_route=True builds the normalized invariants directly from
-    the cyclotomic ladder instead of dividing V_m by [m]_q; both codings
-    must agree.
+    each V_m/[m]_q read exactly off the cyclotomic ladder.
     """
     ctx = ctx or RootContext(N)
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     h = _coeffs_for(knot, N)
 
-    if normalized_route:
-        def vt(m):
-            return exact_normalized_Vm(h, m, framing=framing)
-    else:
-        def vt(m):
-            return exact_Vm(h, m, framing=framing) / qint(m)
+    def vt(m):
+        return exact_normalized_Vm(h, m, framing=framing)
 
     one = brace(1)
     if sign > 0:
@@ -147,32 +141,33 @@ def gamma_all_routes(knot, s: int, N: int, ctx: RootContext = None, framing: int
 
 
 def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: int = 0):
-    """gamma_0 = V_{2N}/[2N] at xi and gamma_N = -V_N/[N] at xi, both 0/0
-    limits evaluated by l'Hopital and cross-checked against the
-    q-derivative expressions."""
+    """gamma_0 = V_{2N}/[2N] at xi and gamma_N = -V_N/[N] at xi.
+
+    Both are 0/0 limits of V_m over [m]_q, whose quotient is an exact
+    polynomial, so each is read off exact_normalized_Vm at xi and
+    cross-checked against the q-derivative expression in V_m."""
     ctx = ctx or RootContext(N)
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
     h = _coeffs_for(knot, N)
     with ctx.workprec():
         if which == 0:
-            vm = exact_Vm(h, 2 * N)
-            val = ctx.lhopital_ratio(vm, qint(2 * N))
-            alt = ctx.xi / (4 * N) * ctx.eval(ddq(brace(1) * vm))
+            val = ctx.eval(exact_normalized_Vm(h, 2 * N))
+            alt = ctx.xi / (4 * N) * ctx.eval(ddq(brace(1) * exact_Vm(h, 2 * N)))
             phase = ctx.xi_pow(-framing, 2) if framing else mp.mpf(1)
         else:
-            vm = exact_Vm(h, N)
-            val = -ctx.lhopital_ratio(vm, qint(N))
-            alt = ctx.xi / (2 * N) * ctx.eval(ddq(brace(1) * vm))
+            val = -ctx.eval(exact_normalized_Vm(h, N))
+            alt = ctx.xi / (2 * N) * ctx.eval(ddq(brace(1) * exact_Vm(h, N)))
             phase = ctx.xi_pow((N * N - 1) * framing, 2) if framing else mp.mpf(1)
         if abs(val - alt) > ctx.tol:
             raise RouteDisagreement(
-                f"gamma_{which} l'Hopital {val} vs d/dq form {alt} differ beyond tolerance")
+                f"gamma_{which} = {val} from V_m/[m] vs d/dq form {alt} differ beyond tolerance")
         return phase * val
 
 
 def kashaev_invariant(knot, N: int, ctx: RootContext = None):
-    """<L>_N as the normalized limit lim_{q->xi} V_N/[N] (= -gamma_N).
+    """<L>_N as the normalized limit lim_{q->xi} V_N/[N] (= -gamma_N), the
+    exact polynomial V_N/[N] evaluated at xi.
 
     The plain evaluation V_N(L) at xi is identically 0 because [N]
     vanishes at xi; use unnormalized_VN_at_xi to see that value.  The two
@@ -180,7 +175,7 @@ def kashaev_invariant(knot, N: int, ctx: RootContext = None):
     """
     ctx = ctx or RootContext(N)
     h = _coeffs_for(knot, N)
-    return ctx.lhopital_ratio(exact_Vm(h, N), qint(N))
+    return ctx.eval(exact_normalized_Vm(h, N))
 
 
 def unnormalized_VN_at_xi(knot, N: int, ctx: RootContext = None):

@@ -145,16 +145,18 @@ class ScanResult:
         return json.dumps({"N": self.N, "rows": rows}, sort_keys=True)
 
 
-def vol_reference(alpha, dps: int = 30):
-    """Reference curve: Vol(M_a) below 2pi/3, 0 on the conjectural middle
-    third, the mirror volume above 4pi/3."""
+def vol_reference(s: int, N: int, dps: int = 30):
+    """Reference curve at alpha = 2 pi s/N: Vol(M_alpha) below 2pi/3, 0 on
+    the conjectural middle third, the mirror volume above 4pi/3.
+
+    The region is chosen by the exact rational s/N, so boundary rows like
+    s/N = 2/3 do not flip with the working precision."""
     with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        if a < 2 * mp.pi / 3:
-            return cone_volume(a, dps), "volume"
-        if a <= 4 * mp.pi / 3:
+        if 3 * s < N:
+            return cone_volume(2 * mp.pi * s / N, dps), "volume"
+        if 3 * s <= 2 * N:
             return mp.mpf(0), "conjectural-flat"
-        return cone_volume(2 * mp.pi - a, dps), "volume-mirror"
+        return cone_volume(2 * mp.pi * (N - s) / N, dps), "volume-mirror"
 
 
 def scan_precision(N: int) -> int:
@@ -176,14 +178,7 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
         for s in range(1, N):
             g = gamma_fig8_fast(N, s, ctx)
             alpha = two_pi * s / N
-            # classify by the exact rational s/N so boundary rows like
-            # s/N = 2/3 do not flip with the working precision
-            if 3 * s < N:
-                ref, region = cone_volume(alpha, ctx.dps), "volume"
-            elif 3 * s <= 2 * N:
-                ref, region = mp.mpf(0), "conjectural-flat"
-            else:
-                ref, region = cone_volume(two_pi * (N - s) / N, ctx.dps), "volume-mirror"
+            ref, region = vol_reference(s, N, ctx.dps)
             mag = abs(g)
             if mag < ctx.tol:
                 rows.append(ScanRow(s, float(alpha), float("-inf"), float(ref), region, True))

@@ -180,6 +180,9 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["qgroup-verify", "--N", "2", "--format", "csv"], cli.EXIT_CONFIG),
     (["habiro", "--braid", "3: 1 -2 1 -2", "--imax", "12"], cli.EXIT_FEASIBILITY),
     (["loginv", "--knot", "4_1", "--N", "3", "--precision", "5000"], cli.EXIT_CONFIG),
+    (["jones", "--knot", "4_1", "--max-m", "2",
+      "--out", os.path.join(SRC_DIR, "no-such-dir", "x.json")], cli.EXIT_CONFIG),
+    (["loginv", "--knot", "4_1", "--N", "3", "--out", SRC_DIR], cli.EXIT_CONFIG),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)

@@ -13,8 +13,31 @@ from logjones.habiro import (
     reconstruct_Vm,
 )
 from logjones.jones import KNOT_CATALOG, colored_jones_numeric, colored_jones_zero_framed
-from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, qint
+from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, brace_falling, qint
 from conftest import assert_close
+
+
+# -- oracles: the expansion one falling brace per term, as first coded
+
+
+def direct_Vm(h, m):
+    """sum_{i<m} a_i {m+i, 2i+1}/{1}, each term built from its own brace."""
+    out = LaurentPoly()
+    for i in range(m):
+        out = out + h.coeff(i) * (brace_falling(m + i, 2 * i + 1) / brace(1))
+    return out
+
+
+def direct_extract(values):
+    """a_0..a_{M-1} by forward substitution on the falling braces."""
+    one = brace(1)
+    coeffs = []
+    for m, vm in enumerate(values, start=1):
+        acc = vm
+        for i in range(m - 1):
+            acc = acc - coeffs[i] * (brace_falling(m + i, 2 * i + 1) / one)
+        coeffs.append(acc / (brace_falling(2 * m - 1, 2 * m - 1) / one))
+    return coeffs
 
 
 class TestExtraction:
@@ -91,10 +114,27 @@ class TestReconstruction:
             assert abs(lhs - rhs) < mp.mpf(10) ** -50
 
     def test_normalized_ladder(self):
-        for name in ("3_1", "4_1"):
+        # the one ladder against the expansion and the extraction built one
+        # falling brace per term
+        for name in ("unknot", "3_1", "4_1"):
             h = catalog_coeffs(name)
-            for m in (2, 3, 5):
-                assert reconstruct_normalized_Vm(h, m) * qint(m) == reconstruct_Vm(h, m)
+            values = [direct_Vm(h, m) for m in range(1, 13)]
+            for m, want in enumerate(values, start=1):
+                assert reconstruct_Vm(h, m) == want
+                assert reconstruct_normalized_Vm(h, m) * qint(m) == want
+            again = extract_coeffs(values, knot=name)
+            assert [again.coeff(i) for i in range(12)] == direct_extract(values)
+
+    def test_ladder_on_a_braid_word(self):
+        # T(2,5) is outside the catalog: extraction and reconstruction from
+        # its traces against the falling-brace oracles and the traces
+        braid = jones.parse_braid("2: 1 1 1 1 1")
+        values = [colored_jones_zero_framed(braid, m) for m in range(1, 7)]
+        h = extract_coeffs(values, knot="T(2,5)")
+        assert [h.coeff(i) for i in range(6)] == direct_extract(values)
+        for m, vm in enumerate(values, start=1):
+            assert reconstruct_Vm(h, m) == direct_Vm(h, m) == vm
+            assert reconstruct_normalized_Vm(h, m) * qint(m) == vm
 
     def test_beyond_table_refused(self):
         # an extracted table knows a_0..a_{i_max} and nothing past it

@@ -22,7 +22,7 @@ from logjones.loginv import (
     kashaev_invariant,
     unnormalized_VN_at_xi,
 )
-from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, qint
+from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
 from conftest import assert_close
 
 
@@ -110,13 +110,27 @@ class TestRadicalCoefficients:
         assert abs(bd) < ctx.tol
 
     def test_two_codings_of_centervalue(self, ctx3):
-        # V_s/[s]_q divided exactly vs the normalized cyclotomic ladder
+        # the normalized cyclotomic ladder vs V_m/[m]_q divided exactly, with
+        # V_m traced from the braid word
+        N = 3
         for name in ("3_1", "4_1"):
+            braid = jones.KNOT_CATALOG[name]
+            traced = {}
+
+            def vt(m):
+                if m not in traced:
+                    traced[m] = jones.colored_jones_zero_framed(braid, m) / qint(m)
+                return traced[m]
+
             for s in (1, 2):
                 for sign in (1, -1):
-                    a = b_pm_via_derivative(name, s, 3, sign, ctx3)
-                    b = b_pm_via_derivative(name, s, 3, sign, ctx3, normalized_route=True)
-                    assert_close(a, b, ctx3.tol)
+                    if sign > 0:
+                        poly, pref_den = brace(1) * (vt(s) - vt(2 * N - s)), 2 * N
+                    else:
+                        poly, pref_den = brace(1) * (vt(2 * N + s) - vt(2 * N - s)), 4 * N
+                    with ctx3.workprec():
+                        want = ctx3.xi / (pref_den * ctx3.qint_at(s)) * ctx3.eval(ddq(poly))
+                    assert_close(b_pm_via_derivative(name, s, N, sign, ctx3), want, ctx3.tol)
 
     def test_s_range_checked(self, ctx3):
         with pytest.raises(ValueError):
@@ -199,6 +213,18 @@ class TestBoundaryGamma:
     def test_which_guard(self, ctx3):
         with pytest.raises(ValueError):
             gamma_boundary("4_1", 2, 3, ctx3)
+
+    @pytest.mark.parametrize("name", ["3_1", "4_1"])
+    def test_matches_lhopital_of_Vm(self, name):
+        # the value of V_m/[m] at xi is the 0/0 limit of V_m over [m]
+        h = habiro.catalog_coeffs(name)
+        for N in range(2, 6):
+            ctx = RootContext(N)
+            g0 = ctx.lhopital_ratio(habiro.reconstruct_Vm(h, 2 * N), qint(2 * N))
+            gN = -ctx.lhopital_ratio(habiro.reconstruct_Vm(h, N), qint(N))
+            assert_close(gamma_boundary(h, 0, N, ctx), g0, ctx.tol)
+            assert_close(gamma_boundary(h, N, N, ctx), gN, ctx.tol)
+            assert_close(kashaev_invariant(h, N, ctx), -gN, ctx.tol)
 
 
 class TestAlphaBeta:

@@ -219,12 +219,15 @@ class TestScan:
         assert labels == {"volume", "conjectural-flat", "volume-mirror"}
 
     def test_vol_reference_helper(self):
-        v, lab = vol_reference(mp.mpf("0.5"))
-        assert lab == "volume" and abs(v - cone_volume(mp.mpf("0.5"))) < 1e-20
-        v, lab = vol_reference(mp.pi)
+        # alpha = 2 pi s/N; the regions split at the exact s/N = 1/3 and 2/3
+        v, lab = vol_reference(1, 12)
+        assert lab == "volume" and abs(v - cone_volume(mp.pi / 6)) < 1e-20
+        v, lab = vol_reference(6, 12)
         assert lab == "conjectural-flat" and v == 0
-        v, lab = vol_reference(2 * mp.pi - mp.mpf("0.5"))
-        assert lab == "volume-mirror" and abs(v - cone_volume(mp.mpf("0.5"))) < 1e-20
+        v, lab = vol_reference(11, 12)
+        assert lab == "volume-mirror" and abs(v - cone_volume(mp.pi / 6)) < 1e-20
+        assert [vol_reference(s, 12)[1] for s in (3, 4, 8, 9)] == [
+            "volume", "conjectural-flat", "conjectural-flat", "volume-mirror"]
 
     def test_zero_rows_flagged(self):
         res = asymptotic_scan(4)
