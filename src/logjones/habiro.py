@@ -144,8 +144,8 @@ def tilde_sum(a, s: int, ctx: RootContext):
     where ~{n,j} replaces each factor {tN} by (-1)^t.  At xi,
     {k} = 2i sin(pi k/N) and {k}_+/{k} = -i cot(pi k/N), so every term
     but a_i is real; the terms run as sine/cotangent products read from
-    the context's root table, and one fdot combines them with the a_i.
-    {s+i,2i+1} = i (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N), so
+    the context's table ``sin_cot``, and one fdot combines them with the
+    a_i.  {s+i,2i+1} = i (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N), so
     S = -i sum_{i<su} a_i {s+i,2i+1}.
     """
     N = ctx.N
@@ -154,22 +154,20 @@ def tilde_sum(a, s: int, ctx: RootContext):
     su, sb = min(s, N - s), max(s, N - s)
     if len(a) < sb:
         raise ValueError(f"the sum at s={s} needs a_0..a_{sb - 1}, got {len(a)} values")
-    # xi^k = half_powers[2k]: its imaginary part is sin(pi k/N), and
-    # real over imaginary is cot(pi k/N)
-    roots = ctx.half_powers
-    period = 4 * N
+    # sines and cotangents of pi k/N, periodic in k with period 2N; the
+    # cotangent window [s-i, s+i] stays inside 1..N-1
+    sines, cots_of = ctx.sin_cot
+    period = 2 * N
     with ctx.workprec():
         prods = []
         terms = []
         for i in range(su):
-            x = roots[2 * (s + i) % period]
             if i == 0:
-                prod = 2 * x.imag
-                cots = x.real / x.imag
+                prod = sines[s]
+                cots = cots_of[s]
             else:
-                y = roots[2 * (s - i) % period]
-                prod *= 2 * x.imag * (2 * y.imag)
-                cots += x.real / x.imag + y.real / y.imag
+                prod *= sines[s + i] * sines[s - i]
+                cots += cots_of[s + i] + cots_of[s - i]
             signed = -prod if i & 1 else prod
             prods.append(signed)
             terms.append(signed * cots)
@@ -181,7 +179,7 @@ def tilde_sum(a, s: int, ctx: RootContext):
             if k % N == 0:
                 sign = -sign if (k // N) % 2 else sign
             else:
-                tp *= 2 * roots[2 * k % period].imag
+                tp *= sines[k % period]
                 nfac += 1
         for i in range(su, sb):
             if i > su:
@@ -189,7 +187,7 @@ def tilde_sum(a, s: int, ctx: RootContext):
                     if k % N == 0:
                         sign = -sign if (k // N) % 2 else sign
                     else:
-                        tp *= 2 * roots[2 * k % period].imag
+                        tp *= sines[k % period]
                         nfac += 1
             assert (2 * i + 1 - nfac) == 1, "tilde window must hold exactly one multiple of N"
             # (2i)^{2i} from the braces of the 2i ordinary factors: i^{2i} = (-1)^i

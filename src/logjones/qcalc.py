@@ -431,6 +431,19 @@ class RootContext:
             return tuple(top + [z.conjugate() for z in reversed(top[1:-1])])
 
     @functools.cached_property
+    def sin_cot(self):
+        """(2 sin(pi k/N), cot(pi k/N)) for k = 0..2N-1, read from
+        ``half_powers``; cot is None where the sine vanishes (k = 0, N).
+
+        xi^k = half_powers[2k], so the sine is twice its imaginary part and
+        the cotangent is real over imaginary part, the same operations on
+        the same table entries as reading them one at a time."""
+        with self.workprec():
+            roots = self.half_powers[0::2]
+            return (tuple(2 * z.imag for z in roots),
+                    tuple(z.real / z.imag if z.imag else None for z in roots))
+
+    @functools.cached_property
     def _qfact_prefix(self):
         """[n]! at xi for n = 0..N-1; [N] = 0 makes every later one 0."""
         with self.workprec():

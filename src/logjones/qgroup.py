@@ -93,6 +93,16 @@ def build_restricted(kind: str, idx: int, N: int, ctx: RootContext = None) -> Re
     raise ValueError(f"unknown module kind {kind!r}")
 
 
+def _module(kind: str, idx: int, N: int, ctx: RootContext, modules: dict | None) -> RestrictedModule:
+    """build_restricted, kept in modules under (kind, idx) when a dict is
+    given, so that one verification report builds each module once."""
+    if modules is None:
+        return build_restricted(kind, idx, N, ctx)
+    if (kind, idx) not in modules:
+        modules[(kind, idx)] = build_restricted(kind, idx, N, ctx)
+    return modules[(kind, idx)]
+
+
 def _build_p(kind: str, s: int, N: int, ctx: RootContext) -> RestrictedModule:
     """P_s^+ (kind 'P+') or P_{N-s}^- (kind 'P-') on basis x_0..x_{N-s-1},
     y_0..y_{N-s-1}, a_0..a_{s-1}, b_0..b_{s-1}.
@@ -238,7 +248,7 @@ def _iso(p: RestrictedModule, y: RestrictedModule, images):
     return {(row[ylab], col[plab]): v for plab, ylab, v in images}, p, y
 
 
-def iso_f_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False):
+def iso_f_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False, modules=None):
     """The map f: P_m^+ -> Y_m^+|_{q=xi} by its displayed basis images.
 
     The source display carries a factor (-1)^k on f(y_k); that sign breaks
@@ -246,8 +256,8 @@ def iso_f_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False):
     alpha-ladder beyond index N, and the relation checker rejects it (see
     tests).  The default drops it; as_printed=True keeps the display.
     """
-    p = build_restricted("P+", m, N, ctx)
-    y = build_restricted("Y+", m, N, ctx)
+    p = _module("P+", m, N, ctx, modules)
+    y = _module("Y+", m, N, ctx, modules)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -262,10 +272,10 @@ def iso_f_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False):
     return _iso(p, y, images)
 
 
-def iso_g_matrix(m: int, N: int, ctx: RootContext):
+def iso_g_matrix(m: int, N: int, ctx: RootContext, modules=None):
     """The map g: P_{N-m}^- -> Y_1 inside Y_m^-|_{q=xi}."""
-    p = build_restricted("P-", N - m, N, ctx)
-    y = build_restricted("Y-", m, N, ctx)
+    p = _module("P-", N - m, N, ctx, modules)
+    y = _module("Y-", m, N, ctx, modules)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -279,14 +289,14 @@ def iso_g_matrix(m: int, N: int, ctx: RootContext):
     return _iso(p, y, images)
 
 
-def iso_h_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False):
+def iso_h_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False, modules=None):
     """The map h: P_{N-m}^- -> Y_2, an intertwiner onto Y_m^-/Y_1.
 
     As with f, the displayed (-1)^k on h(b_k) contradicts the ladder signs
     [2N+k] = [k] at xi together with E b_k = [k][m-k] b_{k-1}; the default
     drops it and as_printed=True reproduces the display for the tests."""
-    p = build_restricted("P-", N - m, N, ctx)
-    y = build_restricted("Y-", m, N, ctx)
+    p = _module("P-", N - m, N, ctx, modules)
+    y = _module("Y-", m, N, ctx, modules)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -307,28 +317,29 @@ def y1_basis_indices(m: int, N: int):
     return list(range(N + m)) + [na + i for i in range(N - m)]
 
 
-def verify_iso_f(m: int, N: int, ctx: RootContext = None):
+def verify_iso_f(m: int, N: int, ctx: RootContext = None, modules=None):
     ctx = ctx or RootContext(N)
-    return _intertwiner_residual(*iso_f_matrix(m, N, ctx), ctx)
+    return _intertwiner_residual(*iso_f_matrix(m, N, ctx, modules=modules), ctx)
 
 
-def verify_iso_g(m: int, N: int, ctx: RootContext = None):
+def verify_iso_g(m: int, N: int, ctx: RootContext = None, modules=None):
     ctx = ctx or RootContext(N)
-    return _intertwiner_residual(*iso_g_matrix(m, N, ctx), ctx)
+    return _intertwiner_residual(*iso_g_matrix(m, N, ctx, modules=modules), ctx)
 
 
-def verify_iso_h(m: int, N: int, ctx: RootContext = None):
+def verify_iso_h(m: int, N: int, ctx: RootContext = None, modules=None):
     """h intertwines into the quotient Y_m^-/Y_1: compare after projecting
     the Y_1 coordinates away."""
     ctx = ctx or RootContext(N)
-    return _intertwiner_residual(*iso_h_matrix(m, N, ctx), ctx, frozenset(y1_basis_indices(m, N)))
+    return _intertwiner_residual(*iso_h_matrix(m, N, ctx, modules=modules), ctx,
+                                 frozenset(y1_basis_indices(m, N)))
 
 
-def verify_y1_invariance(m: int, N: int, ctx: RootContext = None):
+def verify_y1_invariance(m: int, N: int, ctx: RootContext = None, modules=None):
     """Y_1 = span(alpha_0..alpha_{N+m-1}, beta_0..beta_{N-m-1}) is
     invariant at xi: entries from Y_1 columns into Y_2 rows vanish."""
     ctx = ctx or RootContext(N)
-    y = build_restricted("Y-", m, N, ctx)
+    y = _module("Y-", m, N, ctx, modules)
     inside = set(y1_basis_indices(m, N))
     with ctx.workprec():
         return max((abs(v) for mat in (y.matE, y.matF, y.matK) for (i, j), v in mat.items()
@@ -488,7 +499,7 @@ def center_action_matrices(mod: RestrictedModule, N: int):
     return out
 
 
-def center_action_check(N: int, ctx: RootContext = None):
+def center_action_check(N: int, ctx: RootContext = None, modules=None):
     """Verify on every built module that the stated center actions are
     endomorphisms and satisfy the commutation relations
     e_s e_t = delta e_s, e_s w_t^+- = delta w_t^+-, w w = 0."""
@@ -496,11 +507,11 @@ def center_action_check(N: int, ctx: RootContext = None):
     checks = []
     mods = []
     for s in range(1, N + 1):
-        mods.append(build_restricted("U+", s, N, ctx))
-        mods.append(build_restricted("U-", s, N, ctx))
+        mods.append(_module("U+", s, N, ctx, modules))
+        mods.append(_module("U-", s, N, ctx, modules))
     for s in range(1, N):
-        mods.append(build_restricted("P+", s, N, ctx))
-        mods.append(build_restricted("P-", s, N, ctx))
+        mods.append(_module("P+", s, N, ctx, modules))
+        mods.append(_module("P-", s, N, ctx, modules))
     for mod in mods:
         acts = center_action_matrices(mod, N)
         for name, mat in acts.items():
@@ -527,27 +538,34 @@ def center_action_check(N: int, ctx: RootContext = None):
 
 
 def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool = True):
-    """The full qgroup verification suite as a JSON-ready list of checks."""
+    """The full qgroup verification suite as a JSON-ready list of checks.
+
+    Each (kind, idx) module is built once and shared by the relation,
+    intertwiner, invariance and center checks."""
     ctx = ctx or RootContext(N)
     rows = []
+    modules = {}
 
     def add(check, params, residual):
         rows.append({"check": check, "parameters": params,
                      "residual": mp.nstr(mp.mpf(residual), 8),
                      "pass": bool(residual < ctx.tol)})
 
+    def relations(kind, s, label):
+        add("relations", f"{kind} {label}={s}", relations_residual(_module(kind, s, N, ctx, modules), ctx))
+
     for s in range(1, N + 1):
         for kind in ("U+", "U-", "V+", "V-"):
-            add("relations", f"{kind} s={s}", relations_residual(build_restricted(kind, s, N, ctx), ctx))
+            relations(kind, s, "s")
     for s in range(1, N):
         for kind in ("P+", "P-"):
-            add("relations", f"{kind} s={s}", relations_residual(build_restricted(kind, s, N, ctx), ctx))
+            relations(kind, s, "s")
         for kind in ("Y+", "Y-"):
-            add("relations", f"{kind} m={s}", relations_residual(build_restricted(kind, s, N, ctx), ctx))
-        add("iso_f", f"m={s}", verify_iso_f(s, N, ctx))
-        add("iso_g", f"m={s}", verify_iso_g(s, N, ctx))
-        add("iso_h", f"m={s}", verify_iso_h(s, N, ctx))
-        add("y1_invariance", f"m={s}", verify_y1_invariance(s, N, ctx))
+            relations(kind, s, "m")
+        add("iso_f", f"m={s}", verify_iso_f(s, N, ctx, modules))
+        add("iso_g", f"m={s}", verify_iso_g(s, N, ctx, modules))
+        add("iso_h", f"m={s}", verify_iso_h(s, N, ctx, modules))
+        add("y1_invariance", f"m={s}", verify_y1_invariance(s, N, ctx, modules))
     if include_rmatrix:
         reps = {f"W{m}": jones.build_Wm(m) for m in range(1, 2 * N + 1)}
         for m in range(1, N):
@@ -558,7 +576,7 @@ def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool =
             for n2 in names:
                 rep = rmatrix_specialization_check(reps[n1], reps[n2], N, ctx)
                 add("rmatrix_specialization", f"{n1} (x) {n2}", rep["residual"])
-    for row in center_action_check(N, ctx):
+    for row in center_action_check(N, ctx, modules):
         add(f"center:{row['check']}", f"{row['module']} {row['center']}", row["residual"])
     return rows
 

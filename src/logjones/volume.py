@@ -5,12 +5,15 @@ The scan computes (2 pi / N) log |gamma_s| for s = 1..N-1 with the O(N)
 cotangent/tilde-product kernel (the all-ones coefficient specialization)
 and pairs each row with the hyperbolic volume reference curve: Vol(M_a)
 for cone angles a < 2pi/3, the conjectural flat 0 on [2pi/3, 4pi/3], and
-the mirror Vol(M_{2pi-a}) beyond.
+the mirror Vol(M_{2pi-a}) beyond, which reuses the value of row N - s.
+The volumes come from the Lobachevsky function, evaluated by the real
+Clausen series.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -21,18 +24,50 @@ from . import habiro
 
 
 def lobachevsky(x, dps: int = 30):
-    """Lobachevsky function L(x) = (1/2) sum_{n>=1} sin(2nx)/n^2.
+    """Lobachevsky function L(x) = (1/2) sum_{n>=1} sin(2nx)/n^2 = Cl_2(2x)/2.
 
-    Evaluated through the closed Clausen form Im Li_2(e^{2ix})/2 of the
-    defining series; odd and pi-periodic.  The quadrature form
-    -int_0^x log|2 sin t| dt is kept as the independent test oracle.
+    Odd and pi-periodic.  t = 2x is reduced to |t| <= pi with guard bits,
+    so that a t near a multiple of 2 pi keeps its digits, and the real
+    Clausen series
+
+      Cl_2(t) = t - t log|t| + t sum_{k>=1} c_k t^{2k},
+      c_k = zeta(2k) / (k (2k+1) (2 pi)^{2k}),
+
+    is summed by Horner's rule in t^2 over the terms of _clausen_coeffs.
+    c_k pi^{2k} = zeta(2k) / (k (2k+1) 4^k) falls by more than 4 per term,
+    so with |t| <= pi the dropped tail is below (4/3) pi 2^{-prec-10}
+    < 2^{-prec-7}.  The quadrature form -int_0^x log|2 sin t| dt is kept as
+    the independent test oracle.
     """
     with mp.workdps(dps):
         x = mp.mpf(x)
-        # reduce to [0, pi): the series is pi-periodic
-        red = x - mp.pi * mp.floor(x / mp.pi)
-        val = mp.polylog(2, mp.expj(2 * red)).imag / 2
-        return val
+        with mp.extraprec(64 + max(0, mp.mag(x))):
+            t = 2 * x
+            t -= 2 * mp.pi * mp.nint(t / (2 * mp.pi))
+        t = +t  # rounded to the working precision
+        if not t:
+            return mp.mpf(0)
+        return (t - t * mp.log(abs(t)) + t * mp.polyval(_clausen_coeffs(mp.mp.prec), t * t)) / 2
+
+
+@functools.lru_cache(maxsize=8)
+def _clausen_coeffs(prec: int) -> tuple:
+    """c_K, ..., c_1, 0 for the Clausen series at prec bits, highest first.
+
+    The list stops before the first c_k with c_k pi^{2k} < 2^{-prec-10}.
+    Each c_k is needed only to the absolute accuracy 2^{-prec-20} in
+    c_k pi^{2k} < 4^{-k}, so zeta(2k) is taken at prec + 20 - 2k bits."""
+    bound = mp.ldexp(1, -prec - 10)
+    coeffs = [mp.mpf(0)]
+    k = 1
+    while True:
+        with mp.workprec(prec + 20 - 2 * k):
+            c = mp.zeta(2 * k) / (k * (2 * k + 1) * (2 * mp.pi) ** (2 * k))
+            if c * mp.pi ** (2 * k) < bound:
+                break
+        coeffs.append(c)
+        k += 1
+    return tuple(reversed(coeffs))
 
 
 def lobachevsky_quadrature(x, dps: int = 30):
@@ -150,13 +185,21 @@ def vol_reference(s: int, N: int, dps: int = 30):
     the conjectural middle third, the mirror volume above 4pi/3.
 
     The region is chosen by the exact rational s/N, so boundary rows like
-    s/N = 2/3 do not flip with the working precision."""
+    s/N = 2/3 do not flip with the working precision.  A mirror row reads
+    the volume of row N - s, which is computed once per (N, dps); only the
+    value is shared, the label stays the row's own."""
+    if 3 * s < N:
+        return _row_volume(s, N, dps), "volume"
+    if 3 * s <= 2 * N:
+        return mp.mpf(0), "conjectural-flat"
+    return _row_volume(N - s, N, dps), "volume-mirror"
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_volume(s: int, N: int, dps: int):
+    """Vol(M_alpha) at alpha = 2 pi s/N, 3s < N."""
     with mp.workdps(dps):
-        if 3 * s < N:
-            return cone_volume(2 * mp.pi * s / N, dps), "volume"
-        if 3 * s <= 2 * N:
-            return mp.mpf(0), "conjectural-flat"
-        return cone_volume(2 * mp.pi * (N - s) / N, dps), "volume-mirror"
+        return cone_volume(2 * mp.pi * s / N, dps)
 
 
 def scan_precision(N: int) -> int:

@@ -14,6 +14,7 @@ from logjones.habiro import (
 )
 from logjones.jones import KNOT_CATALOG, colored_jones_numeric, colored_jones_zero_framed
 from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, brace_falling, qint
+from logjones.volume import scan_precision
 from conftest import assert_close
 
 
@@ -38,6 +39,91 @@ def direct_extract(values):
             acc = acc - coeffs[i] * (brace_falling(m + i, 2 * i + 1) / one)
         coeffs.append(acc / (brace_falling(2 * m - 1, 2 * m - 1) / one))
     return coeffs
+
+
+def half_powers_tilde_terms(s, ctx):
+    """The terms of G and S in habiro.tilde_sum before the a_i, with each
+    sine and cotangent read from one root of half_powers at a time, as the
+    kernel first did: xi^k = half_powers[2k], 2 sin(pi k/N) is twice its
+    imaginary part and cot(pi k/N) its real over its imaginary part."""
+    N = ctx.N
+    su, sb = min(s, N - s), max(s, N - s)
+    roots = ctx.half_powers
+    period = 4 * N
+    with ctx.workprec():
+        prods = []
+        terms = []
+        for i in range(su):
+            x = roots[2 * (s + i) % period]
+            if i == 0:
+                prod = 2 * x.imag
+                cots = x.real / x.imag
+            else:
+                y = roots[2 * (s - i) % period]
+                prod *= 2 * x.imag * (2 * y.imag)
+                cots += x.real / x.imag + y.real / y.imag
+            signed = -prod if i & 1 else prod
+            prods.append(signed)
+            terms.append(signed * cots)
+        tp = mp.mpf(1)
+        sign = 1
+        for k in range(s - su, s + su + 1):
+            if k % N == 0:
+                sign = -sign if (k // N) % 2 else sign
+            else:
+                tp *= 2 * roots[2 * k % period].imag
+        for i in range(su, sb):
+            if i > su:
+                for k in (s + i, s - i):
+                    if k % N == 0:
+                        sign = -sign if (k // N) % 2 else sign
+                    else:
+                        tp *= 2 * roots[2 * k % period].imag
+            terms.append(2 * (-1) ** i * sign * tp)
+    return terms, prods
+
+
+def half_powers_tilde_sum(a, s, ctx):
+    """(G, S) of habiro.tilde_sum from the half_powers terms (oracle)."""
+    terms, prods = half_powers_tilde_terms(s, ctx)
+    with ctx.workprec():
+        return mp.fdot(zip(a, terms)), mp.fdot(zip(a, prods))
+
+
+class TestTildeSum:
+    @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
+    def test_bit_for_bit_small_N(self, knot):
+        h = catalog_coeffs(knot)
+        for N in range(2, 25):
+            ctx = RootContext(N)
+            a = h.at_xi(N - 1, ctx)
+            for s in range(1, N):
+                assert habiro.tilde_sum(a, s, ctx) == half_powers_tilde_sum(a, s, ctx), (N, s)
+
+    @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
+    def test_bit_for_bit_scan_precision(self, knot):
+        N = 150
+        ctx = RootContext(N, precision_digits=scan_precision(N))
+        a = catalog_coeffs(knot).at_xi(N - 1, ctx)
+        for s in range(1, N):
+            assert habiro.tilde_sum(a, s, ctx) == half_powers_tilde_sum(a, s, ctx), s
+
+    @pytest.mark.parametrize("N", [100, 150])
+    def test_scan_precision_margin(self, N):
+        # the digits the figure-eight G sum loses to cancellation,
+        # log10(max |a_i term_i| / |G|), leave the guard digits intact on
+        # every row the scan does not flag as zero (worst rows: s = 47 loses
+        # 13.3 of 60 digits at N = 100, s = 79 loses 20.8 of 67 at N = 150)
+        ctx = RootContext(N, precision_digits=scan_precision(N))
+        a = catalog_coeffs("4_1").at_xi(N - 1, ctx)
+        with ctx.workprec():
+            for s in range(1, N):
+                terms, _ = half_powers_tilde_terms(s, ctx)
+                g = mp.fdot(zip(a, terms))
+                if abs(g) < ctx.tol:
+                    continue
+                loss = mp.log10(max(abs(ai * t) for ai, t in zip(a, terms)) / abs(g))
+                assert loss + RootContext._GUARD < ctx.dps, (s, loss)
 
 
 class TestExtraction:

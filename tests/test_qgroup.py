@@ -414,6 +414,30 @@ class TestCenterActions:
         assert _json.loads(text) == rows
 
 
+class TestReportModules:
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_each_module_built_once(self, N, monkeypatch):
+        # the report builds each (kind, idx) module once, and its JSON is the
+        # one of a report that rebuilds every module it checks
+        def report():
+            return qgroup.report_to_json(
+                qgroup.verification_report(N, RootContext(N), include_rmatrix=False))
+
+        built = []
+        original = qgroup.build_restricted
+
+        def counting(kind, idx, N_, ctx=None):
+            built.append((kind, idx))
+            return original(kind, idx, N_, ctx)
+
+        monkeypatch.setattr(qgroup, "build_restricted", counting)
+        shared = report()
+        assert len(built) == len(set(built)) == 8 * N - 4
+        monkeypatch.setattr(qgroup, "_module",
+                            lambda kind, idx, N_, ctx, modules: original(kind, idx, N_, ctx))
+        assert report() == shared
+
+
 class TestDenseOracles:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_sparse_residuals_equal_dense(self, N):

@@ -23,7 +23,41 @@ from conftest import assert_close
 VOL_4_1 = mp.mpf("2.029883212819307250042405108549")
 
 
+def polylog_lobachevsky(x, dps):
+    """Im Li_2(e^{2ix})/2 after reducing x into [0, pi), the closed Clausen
+    form the Lobachevsky function was first evaluated by (oracle)."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        red = x - mp.pi * mp.floor(x / mp.pi)
+        return mp.polylog(2, mp.expj(2 * red)).imag / 2
+
+
 class TestLobachevsky:
+    @pytest.mark.parametrize("dps", [30, 57, 110, 300])
+    def test_series_matches_polylog_oracle(self, dps):
+        with mp.workdps(dps):
+            p = cone_params(2 * mp.pi / 150, dps)
+            xs = [mp.mpf(0), +mp.pi / 2, -mp.pi / 2, mp.pi - mp.mpf(10) ** -20,
+                  mp.mpf("-0.4"), mp.mpf(-2), mp.mpf("-7.1"), mp.mpf(4), mp.mpf("10.5"),
+                  (p.alpha + p.theta) / 2, (p.alpha - p.theta) / 2]
+        for x in xs:
+            assert abs(lobachevsky(x, dps) - polylog_lobachevsky(x, dps)) < mp.mpf(10) ** -dps, x
+
+    def test_series_length_per_precision(self):
+        # the Clausen coefficients stop at c_k pi^{2k} < 2^{-prec-10} and
+        # each falls by more than 4 from the one before
+        with mp.workdps(57):
+            prec = mp.mp.prec
+            coeffs = volume._clausen_coeffs(prec)
+            assert coeffs[-1] == 0
+            cs = coeffs[-2::-1]  # c_1, c_2, ...
+            assert all(cs[k - 1] * mp.pi ** (2 * k) >= mp.ldexp(1, -prec - 10)
+                       for k in range(1, len(cs) + 1))
+            assert all(b * mp.pi ** 2 < a / 4 for a, b in zip(cs, cs[1:]))
+            k = len(cs) + 1
+            assert mp.zeta(2 * k) / (k * (2 * k + 1) * 4 ** k) < mp.ldexp(1, -prec - 10)
+
+
     def test_zeros(self):
         assert abs(lobachevsky(0)) < 1e-25
         assert abs(lobachevsky(mp.pi / 2)) < 1e-25
@@ -228,6 +262,32 @@ class TestScan:
         assert lab == "volume-mirror" and abs(v - cone_volume(mp.pi / 6)) < 1e-20
         assert [vol_reference(s, 12)[1] for s in (3, 4, 8, 9)] == [
             "volume", "conjectural-flat", "conjectural-flat", "volume-mirror"]
+
+    @pytest.mark.parametrize("N", [12, 97])
+    def test_mirror_rows_reuse_the_value_not_the_label(self, N):
+        for s in range(1, N):
+            if 3 * s >= N:
+                continue
+            v, lab = vol_reference(s, N)
+            mv, mlab = vol_reference(N - s, N)
+            assert (lab, mlab) == ("volume", "volume-mirror")
+            assert mv == v
+            with mp.workdps(30):
+                assert v == cone_volume(2 * mp.pi * s / N, 30)
+
+    def test_scan_computes_each_volume_once(self, monkeypatch):
+        N = 40
+        calls = []
+
+        def counting(alpha, dps=30):
+            calls.append(alpha)
+            return cone_volume(alpha, dps)
+
+        volume._row_volume.cache_clear()
+        monkeypatch.setattr(volume, "cone_volume", counting)
+        res = asymptotic_scan(N)
+        volume._row_volume.cache_clear()
+        assert len(calls) == sum(1 for r in res.rows if r.region == "volume") == 13
 
     def test_zero_rows_flagged(self):
         res = asymptotic_scan(4)
