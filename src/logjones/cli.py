@@ -52,6 +52,8 @@ def _asked_precision(args):
 
 
 def _resolve_knot(args) -> jones.BraidWord:
+    if getattr(args, "knot", None) and getattr(args, "braid", None):
+        raise ConfigError("--knot and --braid exclude each other; give one")
     if getattr(args, "knot", None):
         if args.knot in jones.KNOT_CATALOG:
             return jones.KNOT_CATALOG[args.knot]
@@ -127,9 +129,7 @@ def cmd_loginv(args) -> int:
     ctx = RootContext(N, precision_digits=args.precision)
     braid = _resolve_knot(args)
     label = braid.name or args.braid
-    # one coefficient object serves every route and s; V_m is read up to
-    # m = 3N-1 (V_{2N+s} on the minus radical route)
-    h = habiro.coeffs_for(args.knot or braid, 3 * N - 1)
+    h = loginv._coeffs_for(args.knot or braid, N)
     rec = loginv.center_coeffs(h, N, ctx, framing=args.framing, knot_label=label)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}

@@ -59,16 +59,13 @@ class HabiroCoeffs:
                              f"(have a_0..a_{self.i_max})")
         return self.rule(i)
 
-    def coeff_at_xi(self, i: int, ctx: RootContext):
-        return ctx.eval(self.coeff(i))
-
     def at_xi(self, count: int, ctx: RootContext) -> list:
         """a_0(xi), ..., a_{count-1}(xi), each evaluated once per (N, dps).
 
         The returned list is the memoized one and may be longer than count."""
         values = self._memo.setdefault(("xi", ctx.N, ctx.dps), [])
         while len(values) < count:
-            v = self.coeff_at_xi(len(values), ctx)
+            v = ctx.eval(self.coeff(len(values)))
             # a real value stays an mpf, so that fdot multiplies it as one
             values.append(v.real if not v.imag else v)
         return values
@@ -213,6 +210,7 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
         vanish = sum(1 for k in range(s - i, s + i + 1) if k % N == 0)
         if vanish < 2:
             raise TruncationError(f"truncated term i={i} has only {vanish} vanishing factor(s)")
+    a = h.at_xi(2 * N, ctx)
     with ctx.workprec():
         ln_xi = mp.mpc(0, mp.pi) / N
         total = mp.mpc(0)
@@ -221,7 +219,7 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
             vanishing = [k for k in ks if k % N == 0]
             if len(vanishing) >= 2:
                 continue
-            ai = h.coeff_at_xi(i, ctx)
+            ai = a[i]
             if len(vanishing) == 1:
                 k0 = vanishing[0]
                 prod = mp.mpc(1)

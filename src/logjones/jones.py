@@ -14,7 +14,8 @@ import math
 
 import mpmath as mp
 
-from .qcalc import InexactDivisionError, LaurentPoly, brace, brace_fact, horner, qfact, qint
+from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, horner, kron_pack,
+                    kron_unpack, qfact, qint)
 
 
 class FeasibilityError(RuntimeError):
@@ -174,11 +175,6 @@ class TensorOperator:
             d *= f
         return d
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorOperator):
-            return NotImplemented
-        return self.factor_dims == other.factor_dims and self.entries == other.entries
-
     def compose(self, other: "TensorOperator") -> "TensorOperator":
         """self . other (matrix product), sparse in both factors."""
         return TensorOperator(self.factor_dims, mat_mul(self.entries, other.entries))
@@ -254,16 +250,17 @@ def _rep_powers(V: WeightRep):
     return powers
 
 
-def rmatrix_terms(V1: WeightRep, V2: WeightRep, cartan: bool = True, inverse: bool = False):
-    """Summands of R = q^{H(x)H/2} Theta, truncated at the joint nilpotency
-    order, where
+def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
+    """Summands of R = q^{H(x)H/2} Theta, or of R^{-1} = Theta^{-1} q^{-H(x)H/2}
+    when inverse=True, truncated at the joint nilpotency order, where
 
         Theta      = sum_n q^{n(n-1)/2} ({1}^{2n}/{n}!) E^n (x) F^n,
         Theta^{-1} = sum_n (-1)^n q^{-n(n-1)/2} ({1}^{2n}/{n}!) E^n (x) F^n
 
     (Kirby-Melvin, Invent. Math. 105 (1991); Kassel, Quantum Groups,
-    GTM 155).  inverse=True yields the summands of Theta^{-1}, and
-    cartan=False leaves the factor q^{H(x)H/2} out.
+    GTM 155).  The diagonal Cartan factor scales rows of R (each summand is
+    shifted by w1*w2 of its row) and columns of R^{-1} (by -w1*w2 of its
+    column).
 
     Yields (n, term, den).  As {n}! = {1}^n [n]!, summand n is the
     tensor product of the divided power E^(n) on V1 and {1}^n F^n on V2,
@@ -293,12 +290,13 @@ def rmatrix_terms(V1: WeightRep, V2: WeightRep, cartan: bool = True, inverse: bo
                 scale = brace(1) ** n
                 body = {k: v * scale for k, v in body.items()}
                 den = brace_fact(n)
-        shift = -n * (n - 1) if inverse else n * (n - 1)
         negate = inverse and n % 2
+        sign = -1 if inverse else 1
         entries = {}
         for (r, c), v in body.items():
+            k = c if inverse else r  # the Cartan factor's row or column
             entries[(r, c)] = (-v if negate else v).shift(
-                shift + w1[r // d2] * w2[r % d2] if cartan else shift)
+                sign * (n * (n - 1) + w1[k // d2] * w2[k % d2]))
         yield n, TensorOperator(dims, entries), den
 
 
@@ -326,15 +324,7 @@ def rmatrix(V1: WeightRep, V2: WeightRep):
 def rmatrix_inverse(V1: WeightRep, V2: WeightRep):
     """R^{-1} = Theta^{-1} q^{-H(x)H/2} as (operator, scalar denominator),
     with Theta^{-1} in the closed form of rmatrix_terms."""
-    d2 = V2.dim
-    theta_inv, den = _sum_terms_common_den(
-        list(rmatrix_terms(V1, V2, cartan=False, inverse=True)), (V1.dim, d2))
-    # right-multiply by D^{-1}: scale columns by q^{-w1*w2/2}
-    entries = {}
-    for (r, c), v in theta_inv.entries.items():
-        j1, j2 = divmod(c, d2)
-        entries[(r, c)] = v.shift(-V1.weights[j1] * V2.weights[j2])
-    return TensorOperator((V1.dim, d2), entries), den
+    return _sum_terms_common_den(list(rmatrix_terms(V1, V2, inverse=True)), (V1.dim, V2.dim))
 
 
 def braiding(V: WeightRep, sign: int):
@@ -455,12 +445,9 @@ def partial_trace(op: TensorOperator, V: WeightRep):
 
 # -- colored Jones by Kronecker-packed integers -------------------------
 #
-# An integer Laurent polynomial sum_e c_e q^{e/2} whose doubled exponents
-# satisfy e = lo + step*k (k >= 0) is stored as the int sum_k c_e 2^{W k}.
-# Products and sums of such ints are products and sums of the polynomials
-# evaluated at 2^W, with exponent offsets that add along the word, so the
-# whole braid trace runs on plain ints.  The result decodes exactly when
-# every coefficient lies strictly between -2^{W-1} and 2^{W-1}.
+# Every entry of the integer braidings is packed once by qcalc.kron_pack,
+# and the exponent offsets add along the word, so the whole braid trace
+# runs on plain ints and one kron_unpack decodes it.
 
 
 def _basis_rescaled(op: TensorOperator, d: int) -> dict:
@@ -527,37 +514,13 @@ def _digit_width(b: BraidWord, d: int, local: dict) -> int:
     return max(diag, max(op.entries.values())).bit_length() + 1
 
 
-def _pack(p: LaurentPoly, lo: int, step: int, width: int) -> int:
-    return sum(c << (width * ((e - lo) // step)) for e, c in p.terms.items())
-
-
-def _unpack(total: int, lo: int, step: int, width: int) -> LaurentPoly:
-    """Signed digits of total in base 2^W, with borrow, as a polynomial
-    whose k-th digit sits at doubled exponent lo + step*k.  A negative
-    total is fine: each digit is taken in (-2^{W-1}, 2^{W-1}] and
-    subtracted before the shift, so total reaches 0."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    terms = {}
-    e = lo
-    while total:
-        digit = total & mask
-        if digit > half:
-            digit -= mask + 1
-        if digit:
-            terms[e] = digit
-        total = (total - digit) >> width
-        e += step
-    return LaurentPoly(terms)
-
-
 def _packed_trace(b: BraidWord, V: WeightRep) -> LaurentPoly:
     """tr(K^{(x)n} . braid operator) on packed ints: one int per entry."""
     d, n = V.dim, b.strands
     local = _integral_braidings(b, V)
     lo, step = _packing_layout(local)
     width = _digit_width(b, d, local)
-    packed = {sign: _by_col({k: _pack(v, lo[sign], step, width) for k, v in ents.items()})
+    packed = {sign: _by_col({k: kron_pack(v.terms, lo[sign], step, width) for k, v in ents.items()})
               for sign, ents in local.items()}
     op = _word_product(b, d, packed, 1)
     base = 2 * n * (d - 1)  # -2 * (lowest weight sum): every trace exponent >= 0
@@ -565,7 +528,8 @@ def _packed_trace(b: BraidWord, V: WeightRep) -> LaurentPoly:
     for (r, c), v in op.entries.items():
         if r == c:
             total += v << (width * ((2 * _weight_sum(r, n, V) + base) // step))
-    return _unpack(total, sum(lo[1 if g > 0 else -1] for g in b.word) - base, step, width)
+    return LaurentPoly(kron_unpack(total, sum(lo[1 if g > 0 else -1] for g in b.word) - base,
+                                   step, width))
 
 
 def check_knot(b: BraidWord):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -243,78 +244,60 @@ class LaurentPoly:
         return text
 
 
+# -- Kronecker substitution --------------------------------------------
+#
+# An integer term map {e: c_e} whose doubled exponents are e = lo + step*k
+# (k >= 0) is stored as the int sum_k c_e 2^{W k} (Harvey, J. Symbolic
+# Comput. 44 (2009)).  Products and sums of such ints are products and sums
+# of the polynomials evaluated at 2^W, with offsets lo that add, so they
+# decode exactly when every coefficient lies strictly between -2^{W-1} and
+# 2^{W-1}.
+
+
+def kron_pack(terms: dict, lo: int, step: int, width: int) -> int:
+    """The int sum_k c_e 2^{W k} of a term map with e = lo + step*k."""
+    return sum(c << (width * ((e - lo) // step)) for e, c in terms.items())
+
+
+def kron_unpack(total: int, lo: int, step: int, width: int) -> dict:
+    """Signed digits of total in base 2^W, with borrow, as a term map
+    whose k-th digit sits at doubled exponent lo + step*k.  A negative
+    total is fine: each digit is taken in (-2^{W-1}, 2^{W-1}] and
+    subtracted before the shift, so total reaches 0."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    terms = {}
+    e = lo
+    while total:
+        digit = total & mask
+        if digit > half:
+            digit -= mask + 1
+        if digit:
+            terms[e] = digit
+        total = (total - digit) >> width
+        e += step
+    return terms
+
+
 def _try_kronecker_mul(a, b):
-    """Dense product of two int-coefficient term maps via packed big-int
-    multiplication (Kronecker substitution); None when not applicable.
+    """Product of two int-coefficient term maps as one big-int product
+    (Kronecker substitution); None when a coefficient is
+    not an int or either map is too sparse for dense packing to pay off.
 
-    Digits are W bits with |convolution coefficient| < 2^{W-1}, so the
-    signed digits of the integer product are exactly the product
-    coefficients.
-    """
-    amin, amax = min(a), max(a)
-    bmin, bmax = min(b), max(b)
-    la = amax - amin + 1
-    lb = bmax - bmin + 1
-    if la > 70 * len(a) or lb > 70 * len(b):
-        return None  # too sparse for dense packing to pay off
-    maxa = maxb = 0
-    for c in a.values():
-        if type(c) is not int:
-            return None
-        if c < 0:
-            c = -c
-        if c > maxa:
-            maxa = c
-    for c in b.values():
-        if type(c) is not int:
-            return None
-        if c < 0:
-            c = -c
-        if c > maxb:
-            maxb = c
-    bound = maxa * maxb * min(len(a), len(b))
-    w_bits = (max(bound.bit_length() + 2, 16) + 7) & ~7
-    wb = w_bits // 8
-    prod = _pack_terms(a, amin, la, wb) * _pack_terms(b, bmin, lb, wb)
-    lout = la + lb - 1
-    return _unpack_terms(prod, amin + bmin, lout, w_bits, wb)
-
-
-def _pack_terms(t, emin, length, wb):
-    pos = bytearray(length * wb)
-    neg = bytearray(length * wb)
-    for e, c in t.items():
-        off = (e - emin) * wb
-        if c > 0:
-            pos[off:off + (c.bit_length() + 7) // 8] = c.to_bytes((c.bit_length() + 7) // 8, "little")
-        else:
-            c = -c
-            neg[off:off + (c.bit_length() + 7) // 8] = c.to_bytes((c.bit_length() + 7) // 8, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _unpack_terms(prod, emin, lout, w_bits, wb):
-    if prod < 0:
-        prod += 1 << (w_bits * (lout + 1))
-    raw = prod.to_bytes(wb * (lout + 2), "little")
-    half = 1 << (w_bits - 1)
-    full = 1 << w_bits
-    out = {}
-    carry = 0
-    for i in range(lout):
-        d = int.from_bytes(raw[i * wb:(i + 1) * wb], "little") + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        if d:
-            out[emin + i] = d
-    return out
-
-
-ZERO = LaurentPoly()
-ONE = LaurentPoly.const(1)
+    Both maps share the gcd step of their exponents.  No product
+    coefficient exceeds max|a| max|b| min(len a, len b), so a width one
+    bit above that bound decodes every digit of the product."""
+    amin, bmin = min(a), min(b)
+    if max(a) - amin + 1 > 70 * len(a) or max(b) - bmin + 1 > 70 * len(b):
+        return None
+    if any(type(c) is not int for c in a.values()) or any(type(c) is not int for c in b.values()):
+        return None
+    # the gcd is 0 when both maps are single terms
+    step = math.gcd(*(e - amin for e in a), *(e - bmin for e in b)) or 1
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    width = bound.bit_length() + 1
+    prod = kron_pack(a, amin, step, width) * kron_pack(b, bmin, step, width)
+    return kron_unpack(prod, amin + bmin, step, width)
 
 
 # -- the q-symbol zoo --------------------------------------------------

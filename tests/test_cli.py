@@ -183,6 +183,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["jones", "--knot", "4_1", "--max-m", "2",
       "--out", os.path.join(SRC_DIR, "no-such-dir", "x.json")], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--out", SRC_DIR], cli.EXIT_CONFIG),
+    (["loginv", "--knot", "3_1", "--braid", "2: 1 1 1", "--N", "2"], cli.EXIT_CONFIG),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)

@@ -40,13 +40,15 @@ def series_rmatrix_inverse(V1, V2):
     """R^{-1} = Theta^{-1} D^{-1} by a nilpotent power series, the
     reference for the closed-form inverse.
 
-    Theta_num = den*I + X with X nilpotent, so den^{L-1} Theta^{-1} is the
-    polynomial sum of (-1)^k den^{L-1-k} X^k over k < L."""
+    Theta = D^{-1} R takes the row factor q^{w1*w2/2} off R.  Theta_num =
+    den*I + X with X nilpotent, so den^{L-1} Theta^{-1} is the polynomial
+    sum of (-1)^k den^{L-1-k} X^k over k < L."""
     d2 = V2.dim
     dim = V1.dim * d2
-    theta, den = jones._sum_terms_common_den(list(jones.rmatrix_terms(V1, V2, cartan=False)),
-                                             (V1.dim, d2))
-    x = TensorOperator((V1.dim, d2), dict(theta.entries))
+    r, den = rmatrix(V1, V2)
+    x = TensorOperator((V1.dim, d2), {
+        (row, c): v.shift(-V1.weights[row // d2] * V2.weights[row % d2])
+        for (row, c), v in r.entries.items()})
     for i in range(dim):
         v = x.entries.get((i, i), LaurentPoly()) - den
         if v:

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from logjones import jones
 from logjones.jones import BraidWord, braid_operator, build_Wm, colored_jones, parse_braid, quantum_trace
-from logjones.qcalc import LaurentPoly, qint
+from logjones.qcalc import LaurentPoly, kron_pack, kron_unpack, qint
 
 
 def dict_trace(b, m):
@@ -70,7 +70,7 @@ def test_pack_unpack_round_trip(coeffs, lo):
     # digits sit at doubled exponents lo + 4k; W leaves one bit of sign room
     p = LaurentPoly({lo + 4 * (e + 40): c for e, c in coeffs.items()})
     width = 21
-    assert jones._unpack(jones._pack(p, lo, 4, width), lo, 4, width) == p
+    assert kron_unpack(kron_pack(p.terms, lo, 4, width), lo, 4, width) == p.terms
 
 
 def test_digit_width_bounds_every_intermediate_entry():

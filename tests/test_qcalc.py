@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logjones import qcalc
 from logjones.qcalc import (
     InexactDivisionError,
     LaurentPoly,
@@ -64,6 +66,81 @@ class TestRingAxioms:
     def test_exact_division_error(self):
         with pytest.raises(InexactDivisionError):
             (qint(2) + 1) / qint(2)
+
+
+def dict_convolution(a, b):
+    """The product of two term maps by the plain double loop."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def kron_operands(draw):
+    """Two int term maps on one exponent step 1, 2 or 4.  Half the draws
+    are dense maps of +-M on equal lengths, whose middle product
+    coefficient is exactly the width bound max|a| max|b| min(len)."""
+    step = draw(st.sampled_from((1, 2, 4)))
+
+    def term_map():
+        lo = draw(st.integers(-60, 60))
+        ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))
+        coeff = st.integers(-2**70, 2**70).filter(bool)
+        return {lo + step * k: draw(coeff) for k in ks}
+
+    if draw(st.booleans()):
+        return term_map(), term_map()
+    n = draw(st.integers(1, 12))
+    big = draw(st.integers(1, 2**70))
+    sa, sb = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    lo_a, lo_b = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    return ({lo_a + step * k: sa * big for k in range(n)},
+            {lo_b + step * k: sb * big for k in range(n)})
+
+
+class TestKronecker:
+    @settings(max_examples=300, deadline=None)
+    @given(kron_operands())
+    def test_matches_dict_convolution(self, ab):
+        a, b = ab
+        assert qcalc._try_kronecker_mul(a, b) == dict_convolution(a, b)
+        # a non-int coefficient or a map too sparse to pack is refused
+        e, c = next(iter(a.items()))
+        assert qcalc._try_kronecker_mul({**a, e: Fraction(c, 3)}, b) is None
+        far = max(a) + 70 * (len(a) + 1)
+        assert qcalc._try_kronecker_mul({**a, far: 1}, b) is None
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_at_the_width_bound(self, sign):
+        # the middle coefficient is exactly the bound and the total is
+        # negative for sign = -1, so the unpack borrows through every digit
+        big = 2**64 - 1
+        a = {4 * k - 6: big for k in range(9)}
+        b = {4 * k + 2: sign * big for k in range(9)}
+        out = qcalc._try_kronecker_mul(a, b)
+        assert out == dict_convolution(a, b)
+        assert out[max(a) + min(b)] == sign * big * big * 9
+
+    def test_dense_product_takes_the_packed_branch(self, monkeypatch):
+        rng = random.Random(5)
+        a = LaurentPoly({2 * e + 1: rng.randint(-10**9, 10**9) for e in range(-30, 30)})
+        b = LaurentPoly({2 * e: rng.randint(-10**9, 10**9) for e in range(60)})
+        assert len(a.terms) * len(b.terms) > 3000
+        hits = []
+        real = qcalc._try_kronecker_mul
+
+        def counted(x, y):
+            out = real(x, y)
+            hits.append(out is not None)
+            return out
+
+        monkeypatch.setattr(qcalc, "_try_kronecker_mul", counted)
+        prod = a * b
+        assert hits == [True]
+        assert prod.terms == dict_convolution(a.terms, b.terms)
+        assert all(type(c) is int for c in prod.terms.values())
 
 
 class TestQSymbols:
