@@ -12,10 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import mpmath as mp
-
-from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, horner, kron_pack,
-                    kron_unpack, qfact, qint)
+from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, kron_pack, kron_unpack,
+                    qfact, qint)
 
 
 class FeasibilityError(RuntimeError):
@@ -104,30 +102,20 @@ def parse_braid(text: str, name: str = "") -> BraidWord:
 
 @dataclasses.dataclass(frozen=True)
 class WeightRep:
-    """A weight representation by explicit E, F, K matrices over LaurentPoly.
+    """A weight representation by its E and F actions over LaurentPoly.
 
-    Matrices act on column vectors; mat[i][j] is the coefficient of basis
-    vector i in the image of basis vector j.  K is diagonal with entries
-    q^{weights[j]}.
+    E and F are sparse maps {(row, col): entry} holding only nonzero
+    entries; entry (i, j) is the coefficient of basis vector i in the image
+    of basis vector j.  K is diagonal with entries q^{weights[j]}.
     """
 
     dim: int
-    matE: tuple
-    matF: tuple
-    matK: tuple
+    E: dict
+    F: dict
     weights: tuple
     # the powers of E and F that rmatrix_terms reads, built once by
     # _rep_powers; shared between callers, which never mutate them
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
-
-
-def make_weight_rep(dim, matE: dict, matF: dict, weights) -> WeightRep:
-    """A WeightRep from E and F given as sparse maps {(row, col): entry}."""
-    def dense(entries):
-        return tuple(tuple(entries.get((i, j), LaurentPoly()) for j in range(dim))
-                     for i in range(dim))
-    matK = {(i, i): LaurentPoly.q_power(w) for i, w in enumerate(weights)}
-    return WeightRep(dim, dense(matE), dense(matF), dense(matK), tuple(weights))
 
 
 def build_Wm(m: int) -> WeightRep:
@@ -137,7 +125,7 @@ def build_Wm(m: int) -> WeightRep:
         raise ValueError("m must be >= 1")
     E = {(i - 1, i): qint(i) for i in range(1, m)}
     F = {(i + 1, i): qint(m - 1 - i) for i in range(m - 1)}
-    return make_weight_rep(m, E, F, [m - 1 - 2 * i for i in range(m)])
+    return WeightRep(m, E, F, tuple(m - 1 - 2 * i for i in range(m)))
 
 
 # -- sparse operators on tensor powers ---------------------------------
@@ -162,64 +150,28 @@ def mat_mul(a: dict, b: dict) -> dict:
 
 @dataclasses.dataclass
 class TensorOperator:
-    """Sparse operator on a tensor product, entries keyed by (row, col)
-    flat indices in mixed radix over factor_dims."""
+    """The operator of a braid word on V^{(x) n}: a sparse map keyed by
+    (row, col) flat indices in mixed radix over factor_dims."""
 
     factor_dims: tuple
     entries: dict
 
-    @property
-    def dim(self):
-        d = 1
-        for f in self.factor_dims:
-            d *= f
-        return d
 
-    def compose(self, other: "TensorOperator") -> "TensorOperator":
-        """self . other (matrix product), sparse in both factors."""
-        return TensorOperator(self.factor_dims, mat_mul(self.entries, other.entries))
-
-    def scale(self, p: LaurentPoly) -> "TensorOperator":
-        return TensorOperator(self.factor_dims, {k: v * p for k, v in self.entries.items() if v * p})
-
-    def add(self, other: "TensorOperator") -> "TensorOperator":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            t = v if s is None else s + v
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
-        return TensorOperator(self.factor_dims, out)
-
-def tensor_of(a: dict, b: dict, dims) -> TensorOperator:
-    """Kronecker product of two single-factor matrices given as sparse
-    maps, as a sparse two-factor operator."""
-    d2 = dims[1]
-    return TensorOperator(dims, {(i1 * d2 + i2, j1 * d2 + j2): x * y
-                                 for (i1, j1), x in a.items() for (i2, j2), y in b.items()})
+def tensor_of(a: dict, b: dict, d2: int) -> dict:
+    """Kronecker product of two sparse maps, the second of dimension d2."""
+    return {(i1 * d2 + i2, j1 * d2 + j2): x * y
+            for (i1, j1), x in a.items() for (i2, j2), y in b.items()}
 
 
-def sparse(mat) -> dict:
-    """The nonzero entries of a dense matrix as a sparse map {(row, col): entry}."""
-    return {(i, j): v for i, row in enumerate(mat) for j, v in enumerate(row) if v}
-
-
-def _mat_powers(mat, dim) -> list:
-    """mat^0, mat^1, ... up to the last nonzero power of a dense matrix, as
-    sparse maps; dim+1 of them when mat is not nilpotent."""
-    power = mat = sparse(mat)
+def _mat_powers(mat: dict, dim) -> list:
+    """mat^0, mat^1, ... up to the last nonzero power of a sparse map;
+    dim+1 of them when mat is not nilpotent."""
+    power = mat
     powers = [{(i, i): LaurentPoly.const(1) for i in range(dim)}]
     while len(powers) <= dim and power:
         powers.append(power)
         power = mat_mul(power, mat)
     return powers
-
-
-def nilpotency_order(mat, dim) -> int:
-    """Smallest n with mat^n = 0; dim+1 if mat is not nilpotent."""
-    return len(_mat_powers(mat, dim))
 
 
 def _rep_powers(V: WeightRep):
@@ -231,7 +183,7 @@ def _rep_powers(V: WeightRep):
     does not divide exactly by [n]!, as at some n on Y_m^+-."""
     powers = V._memo.get("rmatrix")
     if powers is None:
-        e_pow = tuple(_mat_powers(V.matE, V.dim))
+        e_pow = tuple(_mat_powers(V.E, V.dim))
         e_div = []
         fact = LaurentPoly.const(1)
         for n, en in enumerate(e_pow):
@@ -243,7 +195,7 @@ def _rep_powers(V: WeightRep):
         brace1 = brace(1)
         scale = LaurentPoly.const(1)
         f_scaled = []
-        for n, fn in enumerate(_mat_powers(V.matF, V.dim)):
+        for n, fn in enumerate(_mat_powers(V.F, V.dim)):
             scale = scale * brace1 if n else scale
             f_scaled.append({k: v * scale for k, v in fn.items()})
         powers = V._memo["rmatrix"] = (e_pow, tuple(e_div), tuple(f_scaled))
@@ -262,9 +214,10 @@ def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
     shifted by w1*w2 of its row) and columns of R^{-1} (by -w1*w2 of its
     column).
 
-    Yields (n, term, den).  As {n}! = {1}^n [n]!, summand n is the
-    tensor product of the divided power E^(n) on V1 and {1}^n F^n on V2,
-    both built once per representation, times q^{+-n(n-1)/2}; den is 1.
+    Yields (n, term, den), term a sparse map on V1 (x) V2.  As
+    {n}! = {1}^n [n]!, summand n is the tensor product of the divided
+    power E^(n) on V1 and {1}^n F^n on V2, both built once per
+    representation, times q^{+-n(n-1)/2}; den is 1.
     Where E^(n) is not exact on V1 the entries of E^n (x) {1}^n F^n are
     divided by [n]!, and when one of them does not divide (some
     modified-representation pairs) the term is the raw numerator
@@ -273,16 +226,15 @@ def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
     """
     e_pow, e_div, _ = _rep_powers(V1)
     f_scaled = _rep_powers(V2)[2]
-    dims = (V1.dim, V2.dim)
     d2 = V2.dim
     w1, w2 = V1.weights, V2.weights
     one = LaurentPoly.const(1)
     for n in range(min(len(e_pow), len(f_scaled))):
         den = one
         if e_div[n] is not None:
-            body = tensor_of(e_div[n], f_scaled[n], dims).entries
+            body = tensor_of(e_div[n], f_scaled[n], d2)
         else:
-            body = tensor_of(e_pow[n], f_scaled[n], dims).entries
+            body = tensor_of(e_pow[n], f_scaled[n], d2)
             fact = qfact(n)
             try:
                 body = {k: v / fact for k, v in body.items()}
@@ -297,53 +249,47 @@ def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
             k = c if inverse else r  # the Cartan factor's row or column
             entries[(r, c)] = (-v if negate else v).shift(
                 sign * (n * (n - 1) + w1[k // d2] * w2[k % d2]))
-        yield n, TensorOperator(dims, entries), den
+        yield n, entries, den
 
 
-def _sum_terms_common_den(terms, dims):
-    """Combine (n, term, den) summands over the least common {K}! denominator."""
-    out = TensorOperator(dims, {})
-    dens = [den for _, _, den in terms]
-    if all(den == LaurentPoly.const(1) for den in dens):
-        for _, term, _ in terms:
-            out = out.add(term)
-        return out, LaurentPoly.const(1)
-    common = max(dens, key=lambda p: len(p.terms) + (p.degree2() or 0))
+def _sum_terms_common_den(terms):
+    """Sum (n, term, den) summands over the least common {K}! denominator,
+    as (entries, denominator)."""
+    one = LaurentPoly.const(1)
+    common = max((den for _, _, den in terms), key=lambda p: len(p.terms) + (p.degree2() or 0))
+    out = {}
     for _, term, den in terms:
         factor = common / den  # {K}!/{n}! is a polynomial
-        out = out.add(term if factor == LaurentPoly.const(1) else term.scale(factor))
-    return out, common
+        scaled = factor != one
+        for k, v in term.items():
+            v = v * factor if scaled else v
+            s = out.get(k)
+            out[k] = v if s is None else s + v
+    return {k: v for k, v in out.items() if v}, common
 
 
 def rmatrix(V1: WeightRep, V2: WeightRep):
-    """The R-matrix action as (operator, scalar denominator)."""
-    terms = list(rmatrix_terms(V1, V2))
-    return _sum_terms_common_den(terms, (V1.dim, V2.dim))
+    """The R-matrix action as (sparse map, scalar denominator)."""
+    return _sum_terms_common_den(list(rmatrix_terms(V1, V2)))
 
 
 def rmatrix_inverse(V1: WeightRep, V2: WeightRep):
-    """R^{-1} = Theta^{-1} q^{-H(x)H/2} as (operator, scalar denominator),
+    """R^{-1} = Theta^{-1} q^{-H(x)H/2} as (sparse map, scalar denominator),
     with Theta^{-1} in the closed form of rmatrix_terms."""
-    return _sum_terms_common_den(list(rmatrix_terms(V1, V2, inverse=True)), (V1.dim, V2.dim))
+    return _sum_terms_common_den(list(rmatrix_terms(V1, V2, inverse=True)))
 
 
 def braiding(V: WeightRep, sign: int):
-    """P o R (sign=+1) or its inverse (sign=-1) on V (x) V, with denominator."""
+    """P o R (sign=+1) or its inverse (sign=-1) on V (x) V as (sparse map,
+    denominator)."""
     d = V.dim
     if sign > 0:
         r, den = rmatrix(V, V)
-        entries = {}
-        for (row, c), v in r.entries.items():
-            i, j = divmod(row, d)
-            entries[(j * d + i, c)] = v
-        return TensorOperator((d, d), entries), den
+        # P o R: swap the factors of each row
+        return {((row % d) * d + row // d, c): v for (row, c), v in r.items()}, den
     rinv, den = rmatrix_inverse(V, V)
-    # (P o R)^{-1} = R^{-1} o P: permute columns
-    entries = {}
-    for (row, c), v in rinv.entries.items():
-        i, j = divmod(c, d)
-        entries[(row, j * d + i)] = v
-    return TensorOperator((d, d), entries), den
+    # (P o R)^{-1} = R^{-1} o P: swap the factors of each column
+    return {(row, (c % d) * d + c // d): v for (row, c), v in rinv.items()}, den
 
 
 def _check_dim(total: int):
@@ -367,10 +313,9 @@ def _word_product(b: BraidWord, d: int, local_by_sign: dict, one) -> TensorOpera
     Entries only meet ``*``, ``+`` and truthiness, so LaurentPoly, packed
     int and mpc entries all run through the same loop."""
     n = b.strands
-    dims = (d,) * n
-    op = TensorOperator(dims, {(i, i): one for i in range(d ** n)})
+    op = TensorOperator((d,) * n, {(i, i): one for i in range(d ** n)})
     for g in b.word:
-        op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n, dims)
+        op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n)
     return op
 
 
@@ -389,11 +334,11 @@ def braid_operator(b: BraidWord, V: WeightRep):
     den_total = LaurentPoly.const(1)
     for g in b.word:
         den_total = den_total * local[1 if g > 0 else -1][1]
-    by_sign = {sign: _by_col(op.entries) for sign, (op, _) in local.items()}
+    by_sign = {sign: _by_col(op) for sign, (op, _) in local.items()}
     return _word_product(b, V.dim, by_sign, LaurentPoly.const(1)), den_total
 
 
-def _apply_local(op: TensorOperator, local_by_col, pos, d, n, dims) -> TensorOperator:
+def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
     """Left-multiply op by (1 x ... x B x ... x 1) with B at factors pos, pos+1."""
     hi = d ** (n - pos - 2)  # stride of factor pos+1
     out = {}
@@ -450,8 +395,8 @@ def partial_trace(op: TensorOperator, V: WeightRep):
 # runs on plain ints and one kron_unpack decodes it.
 
 
-def _basis_rescaled(op: TensorOperator, d: int) -> dict:
-    """Entries of a braiding after the change of basis f_i -> q^{psi_p(i)/2} f_i
+def _basis_rescaled(op: dict, d: int) -> dict:
+    """A braiding after the change of basis f_i -> q^{psi_p(i)/2} f_i
     in tensor factor p, with psi_p(i) = (i mod 2) + 2p*i when d is even
     and psi_p(i) = (i mod 2) when d is odd.
 
@@ -463,7 +408,7 @@ def _basis_rescaled(op: TensorOperator, d: int) -> dict:
     read off the data."""
     even = 2 if d % 2 == 0 else 0
     out = {}
-    for (r, c), v in op.entries.items():
+    for (r, c), v in op.items():
         k, l = divmod(r, d)
         i, j = divmod(c, d)
         out[(r, c)] = v.shift((k & 1) + (l & 1) - (i & 1) - (j & 1) + even * (l - j))
@@ -476,7 +421,7 @@ def _integral_braidings(b: BraidWord, V: WeightRep) -> dict:
     out = {}
     for sign, (op, den) in _word_braidings(b, V).items():
         if den != LaurentPoly.const(1) or any(
-                type(c) is not int for v in op.entries.values() for c in v.terms.values()):
+                type(c) is not int for v in op.values() for c in v.terms.values()):
             raise ArithmeticError(f"the braiding of sign {sign} on W_{V.dim} is not an "
                                   f"integer polynomial operator; it cannot be packed")
         out[sign] = _basis_rescaled(op, V.dim)
@@ -565,30 +510,3 @@ def framing_adjust(p: LaurentPoly, w: int, m: int) -> LaurentPoly:
 
 def colored_jones_zero_framed(b: BraidWord, m: int) -> LaurentPoly:
     return framing_adjust(colored_jones(b, m), b.writhe, m)
-
-
-# -- numeric-q sampling path (for sizes beyond the exact cap) -----------
-
-
-def colored_jones_numeric(b: BraidWord, m: int, q_half):
-    """Quantum trace evaluated at a numeric q given by its square root.
-
-    The exact gate loop with mpmath entries; used to cross-check
-    reconstructions at colors where exact polynomials are unnecessary.
-    """
-    check_knot(b)
-    V = build_Wm(m)
-    by_sign = {}
-    for sign, (loc, den) in _word_braidings(b, V).items():
-        den_val = horner(den, q_half)
-        if abs(den_val) < mp.mpf(10) ** -20:
-            raise ValueError("sample point too close to a vanishing denominator")
-        by_sign[sign] = _by_col({k: horner(v, q_half) / den_val for k, v in loc.entries.items()})
-    op = _word_product(b, V.dim, by_sign, mp.mpc(1))
-    q = q_half * q_half
-    n = b.strands
-    tot = mp.mpc(0)
-    for (r, c), v in op.entries.items():
-        if r == c:
-            tot += v * q ** _weight_sum(r, n, V)
-    return tot

@@ -450,21 +450,11 @@ class RootContext:
             raise ValueError("den must be 1 or 2")
         return self.half_powers[num * (2 // den) % (4 * self.N)]
 
-    def eval(self, p: LaurentPoly):
-        """Evaluate p at q = xi."""
-        return self.eval_at(p, None)
-
-    def eval_at(self, p: LaurentPoly, q_half):
-        """Evaluate p at an arbitrary point given by q^{1/2} = q_half.
-
-        q_half=None means the context's own root xi^{1/2}: the coefficients
-        are summed exactly into the 4N residues of their doubled exponents
-        and dotted once with ``half_powers``.  Any other point goes through
-        Horner's rule.
-        """
+    def eval_at(self, p: LaurentPoly):
+        """p at q = xi: the coefficients are summed exactly into the 4N
+        residues of their doubled exponents and dotted once with
+        ``half_powers``."""
         with self.workprec():
-            if q_half is not None:
-                return horner(p, mp.mpc(q_half))
             period = 4 * self.N
             bins = {}
             for e, c in p.terms.items():
@@ -473,6 +463,8 @@ class RootContext:
             table = self.half_powers
             pairs = [(int_or_frac_to_mp(c), table[k]) for k, c in bins.items() if c]
             return mp.fdot(pairs) if pairs else mp.mpc(0)
+
+    eval = eval_at
 
     def brace_plus(self, n: int):
         """{n}_+ = xi^n + xi^{-n} = 2 cos(n*pi/N)."""
@@ -516,17 +508,6 @@ class RootContext:
                 if not den:
                     raise LHopitalError("denominator derivatives vanish identically")
             raise LHopitalError(f"denominator vanishes to order > {2 * self.N} at xi")
-
-
-def horner(p: LaurentPoly, q_half):
-    """p at q^{1/2} = q_half by Horner's rule, at the ambient precision."""
-    if not p.terms:
-        return mp.mpc(0)
-    exps = sorted(p.terms, reverse=True)
-    acc = mp.mpc(int_or_frac_to_mp(p.terms[exps[0]]))
-    for prev, e in zip(exps, exps[1:]):
-        acc = acc * q_half ** (prev - e) + int_or_frac_to_mp(p.terms[e])
-    return acc * q_half ** exps[-1]
 
 
 def int_or_frac_to_mp(c):

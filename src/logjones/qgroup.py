@@ -29,8 +29,8 @@ class RestrictedModule:
     """One module of the restricted quantum group.
 
     matE, matF and matK are sparse maps {(row, col): mpc} of the actions
-    at xi; the Y kinds are the generic-q representations of
-    build_modified evaluated entrywise.  h_weights lists the Cartan
+    at xi; the Y kinds evaluate E and F of build_modified entrywise and
+    take K = xi^{weight}.  h_weights lists the Cartan
     exponents: the representative of the K-eigenvalue exponent in
     (-N, N], with h = 0 whenever K fixes the vector.
     """
@@ -64,8 +64,8 @@ def build_restricted(kind: str, idx: int, N: int, ctx: RootContext = None) -> Re
     with ctx.workprec():
         if kind in ("Y+", "Y-"):
             rep, labels = build_modified(1 if kind[1] == "+" else -1, idx, N)
-            E, F, K = ({key: ctx.eval(p) for key, p in jones.sparse(mat).items()}
-                       for mat in (rep.matE, rep.matF, rep.matK))
+            E, F = ({key: ctx.eval(p) for key, p in mat.items()} for mat in (rep.E, rep.F))
+            K = {(i, i): ctx.xi_pow(w) for i, w in enumerate(rep.weights)}
             return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels,
                                     [_reduce_h(w, N) for w in rep.weights])
         if kind in ("U+", "U-", "V+", "V-"):
@@ -178,8 +178,7 @@ def build_modified(sign: int, m: int, N: int):
             E[(na + i - 1, na + i)] = qint(i)
         if i + 1 < nb:
             F[(na + i + 1, na + i)] = qint((m if sign > 0 else 2 * N - m) - i - 1)
-    rep = jones.make_weight_rep(d, E, F, alpha_w + beta_w)
-    return rep, labels
+    return jones.WeightRep(d, E, F, tuple(alpha_w + beta_w)), labels
 
 
 # -- relation checks -----------------------------------------------------
@@ -369,7 +368,7 @@ def rmatrix_specialization_check(rep1, rep2, N: int, ctx: RootContext = None):
             plain = den == one
             if plain and n < N:
                 continue
-            for (r, c), v in term.entries.items():
+            for (r, c), v in term.items():
                 try:
                     mag = abs(ctx.eval(v)) if plain else abs(ctx.lhopital_ratio(v, den))
                 except ZeroDivisionError:

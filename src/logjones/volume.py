@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -123,11 +124,18 @@ def cone_volume_derivative_reference(alpha, dps: int = 30):
         return -mp.acosh(p.t) if p.t >= 1 else mp.nan
 
 
-def s_N_alpha(N: int, alpha) -> int:
-    """floor(N a / 2 pi) clamped into [0, N]."""
+def alpha_turns(alpha) -> Fraction:
+    """alpha / 2 pi as a Fraction, read at the 15 significant digits that a
+    double carries.  An alpha meant as a rational multiple of 2 pi (pi/5,
+    2 pi 0.05) arrives rounded, often just below that multiple; read this
+    way it is the multiple itself."""
     with mp.workdps(30):
-        s = int(mp.floor(N * mp.mpf(alpha) / (2 * mp.pi)))
-    return min(max(s, 0), N)
+        return Fraction(mp.nstr(mp.mpf(alpha) / (2 * mp.pi), 15))
+
+
+def s_N_alpha(N: int, alpha) -> int:
+    """floor(N a / 2 pi) clamped into [0, N], with a / 2 pi from alpha_turns."""
+    return min(max(math.floor(N * alpha_turns(alpha)), 0), N)
 
 
 def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
@@ -232,8 +240,9 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
 
 
 def convergence_gaps(alpha, Ns=(100, 200, 400)):
-    """|(2 pi/N) log|gamma_{s_N^a}| - Vol(M_a)| for each N; the volume
-    conjecture predicts these shrink."""
+    """|(2 pi/N) log|gamma_{s_N^a}| - Vol(M_a)| for each N, with a / 2 pi
+    read by alpha_turns; the volume conjecture predicts these shrink."""
+    turns = alpha_turns(alpha)
     gaps = []
     for N in Ns:
         ctx = RootContext(N, precision_digits=scan_precision(N))
@@ -241,5 +250,6 @@ def convergence_gaps(alpha, Ns=(100, 200, 400)):
         with ctx.workprec():
             g = gamma_fig8_fast(N, s, ctx)
             val = 2 * mp.pi / N * mp.log(abs(g))
-            gaps.append(float(abs(val - cone_volume(alpha, ctx.dps))))
+            vol = cone_volume(2 * mp.pi * turns.numerator / turns.denominator, ctx.dps)
+            gaps.append(float(abs(val - vol)))
     return gaps

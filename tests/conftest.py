@@ -1,7 +1,8 @@
 import mpmath as mp
 import pytest
 
-from logjones.qcalc import RootContext
+from logjones import jones
+from logjones.qcalc import RootContext, int_or_frac_to_mp
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -22,3 +23,36 @@ def assert_close(a, b, tol):
     with mp.workdps(120):
         d = abs(mp.mpc(a) - mp.mpc(b))
     assert d < tol, f"|{a} - {b}| = {mp.nstr(d, 5)} >= {mp.nstr(mp.mpf(tol), 5)}"
+
+
+def horner(p, q_half):
+    """p at q^{1/2} = q_half by Horner's rule, at the ambient precision: the
+    oracle for RootContext.eval_at and for evaluation away from xi."""
+    q_half = mp.mpc(q_half)
+    if not p.terms:
+        return mp.mpc(0)
+    exps = sorted(p.terms, reverse=True)
+    acc = mp.mpc(int_or_frac_to_mp(p.terms[exps[0]]))
+    for prev, e in zip(exps, exps[1:]):
+        acc = acc * q_half ** (prev - e) + int_or_frac_to_mp(p.terms[e])
+    return acc * q_half ** exps[-1]
+
+
+def colored_jones_numeric(b, m, q_half):
+    """The quantum trace of b on W_m at a numeric q given by its square root:
+    the gate loop of the braid trace run on mpc entries, an oracle for the
+    exact colored Jones polynomial evaluated by horner."""
+    jones.check_knot(b)
+    V = jones.build_Wm(m)
+    by_sign = {}
+    for sign, (loc, den) in jones._word_braidings(b, V).items():
+        den_val = horner(den, q_half)
+        by_sign[sign] = jones._by_col({k: horner(v, q_half) / den_val for k, v in loc.items()})
+    op = jones._word_product(b, V.dim, by_sign, mp.mpc(1))
+    q = q_half * q_half
+    n = b.strands
+    tot = mp.mpc(0)
+    for (r, c), v in op.entries.items():
+        if r == c:
+            tot += v * q ** jones._weight_sum(r, n, V)
+    return tot

@@ -12,10 +12,10 @@ from logjones.habiro import (
     reconstruct_normalized_Vm,
     reconstruct_Vm,
 )
-from logjones.jones import KNOT_CATALOG, colored_jones_numeric, colored_jones_zero_framed
+from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
 from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, brace_falling, qint
 from logjones.volume import scan_precision
-from conftest import assert_close
+from conftest import assert_close, colored_jones_numeric, horner
 
 
 # -- oracles: the expansion one falling brace per term, as first coded
@@ -195,7 +195,7 @@ class TestReconstruction:
         h = catalog_coeffs("4_1")
         with ctx.workprec():
             q_half = mp.mpf("0.91") * mp.expj(mp.mpf("0.23"))
-            lhs = ctx.eval_at(reconstruct_Vm(h, 4), q_half)
+            lhs = horner(reconstruct_Vm(h, 4), q_half)
             rhs = colored_jones_numeric(KNOT_CATALOG["4_1"], 4, q_half)
             assert abs(lhs - rhs) < mp.mpf(10) ** -50
 
@@ -293,7 +293,7 @@ class TestColorDerivative:
 
 
 class TestSerialization:
-    def test_trefoil_table_matches_derivation_script_contract(self):
+    def test_trefoil_closed_form_matches_braid_traces(self):
         # the trefoil's closed form knows every a_i and reproduces exact
         # braid traces, at m = 17 one color past the a_0..a_15 of the frozen
         # table it replaces

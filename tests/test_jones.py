@@ -7,14 +7,13 @@ from logjones.jones import (
     FeasibilityError,
     KNOT_CATALOG,
     LinkNotKnotError,
-    TensorOperator,
     braid_operator,
     braiding,
     build_Wm,
     colored_jones,
-    colored_jones_numeric,
     colored_jones_zero_framed,
     framing_adjust,
+    mat_mul,
     parse_braid,
     partial_trace,
     quantum_trace,
@@ -23,6 +22,31 @@ from logjones.jones import (
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, qint
 from logjones.qgroup import build_modified
+from conftest import colored_jones_numeric, horner
+
+
+def dense_of(entries, d):
+    return [[entries.get((i, j), LaurentPoly()) for j in range(d)] for i in range(d)]
+
+
+def dense_K(w):
+    return [[LaurentPoly.q_power(w.weights[i]) if i == j else LaurentPoly() for j in range(w.dim)]
+            for i in range(w.dim)]
+
+
+def add_maps(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        t = out.get(k, LaurentPoly()) + v
+        if t:
+            out[k] = t
+        else:
+            out.pop(k, None)
+    return out
+
+
+def scale_map(a, p):
+    return {k: v * p for k, v in a.items()}
 
 
 def poly_mat_mul(a, b, d):
@@ -46,36 +70,30 @@ def series_rmatrix_inverse(V1, V2):
     d2 = V2.dim
     dim = V1.dim * d2
     r, den = rmatrix(V1, V2)
-    x = TensorOperator((V1.dim, d2), {
-        (row, c): v.shift(-V1.weights[row // d2] * V2.weights[row % d2])
-        for (row, c), v in r.entries.items()})
-    for i in range(dim):
-        v = x.entries.get((i, i), LaurentPoly()) - den
-        if v:
-            x.entries[(i, i)] = v
-        else:
-            x.entries.pop((i, i), None)
-    powers = [TensorOperator((V1.dim, d2), {(i, i): LaurentPoly.const(1) for i in range(dim)})]
+    x = {(row, c): v.shift(-V1.weights[row // d2] * V2.weights[row % d2])
+         for (row, c), v in r.items()}
+    x = add_maps(x, {(i, i): -den for i in range(dim)})
+    powers = [{(i, i): LaurentPoly.const(1) for i in range(dim)}]
     power = powers[0]
-    while x.entries:
-        power = power.compose(x)
-        if not power.entries:
+    while x:
+        power = mat_mul(power, x)
+        if not power:
             break
         powers.append(power)
     L = len(powers)
-    inv = TensorOperator((V1.dim, d2), {})
+    inv = {}
     den_pow = [LaurentPoly.const(1)]
     for _ in range(L - 1):
         den_pow.append(den_pow[-1] * den)
     for k, pk in enumerate(powers):
         coeff = den_pow[L - 1 - k] * (1 if k % 2 == 0 else -1)
-        inv = inv.add(pk.scale(coeff))
+        inv = add_maps(inv, scale_map(pk, coeff))
     # right-multiply by D^{-1}: scale columns by q^{-w1*w2/2}
     entries = {}
-    for (r, c), v in inv.entries.items():
+    for (r, c), v in inv.items():
         j1, j2 = divmod(c, d2)
         entries[(r, c)] = v.shift(-V1.weights[j1] * V2.weights[j2])
-    return TensorOperator((V1.dim, d2), entries), den_pow[-1]
+    return entries, den_pow[-1]
 
 
 def modified_reps(max_N):
@@ -105,23 +123,22 @@ class TestWeightRep:
     def test_W1_trivial(self):
         w = build_Wm(1)
         assert w.dim == 1
-        assert not w.matE[0][0] and not w.matF[0][0]
-        assert w.matK[0][0] == LaurentPoly.const(1)
+        assert w.E == {} and w.F == {}
+        assert w.weights == (0,)
 
     def test_W2_literal(self):
         w = build_Wm(2)
-        assert w.matE[0][1] == qint(1)
-        assert w.matF[1][0] == qint(1)
-        assert w.matK[0][0] == LaurentPoly.q_power(1)
-        assert w.matK[1][1] == LaurentPoly.q_power(-1)
+        assert w.E == {(0, 1): qint(1)}
+        assert w.F == {(1, 0): qint(1)}
         assert w.weights == (1, -1)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_commutator_is_cartan(self, m):
         # (EF - FE) f_i = [m-1-2i] f_i as an exact matrix identity
         w = build_Wm(m)
-        ef = poly_mat_mul(w.matE, w.matF, m)
-        fe = poly_mat_mul(w.matF, w.matE, m)
+        E, F = dense_of(w.E, m), dense_of(w.F, m)
+        ef = poly_mat_mul(E, F, m)
+        fe = poly_mat_mul(F, E, m)
         for i in range(m):
             for j in range(m):
                 want = qint(m - 1 - 2 * i) if i == j else LaurentPoly()
@@ -131,19 +148,25 @@ class TestWeightRep:
     def test_KEK_relations_exact(self, m):
         # K E K^{-1} = q^2 E since E raises the weight by 2, exactly
         w = build_Wm(m)
-        q2 = LaurentPoly.q_power(2)
-        for i in range(m):
-            for j in range(m):
-                if w.matE[i][j]:
-                    assert w.weights[i] - w.weights[j] == 2
-                    lhs = w.matE[i][j].shift(2 * (w.weights[i] - w.weights[j]))
-                    assert lhs == w.matE[i][j] * LaurentPoly.q_power(2)
-                if w.matF[i][j]:
-                    assert w.weights[i] - w.weights[j] == -2
+        for (i, j), v in w.E.items():
+            assert w.weights[i] - w.weights[j] == 2
+            lhs = v.shift(2 * (w.weights[i] - w.weights[j]))
+            assert lhs == v * LaurentPoly.q_power(2)
+        for (i, j), v in w.F.items():
+            assert w.weights[i] - w.weights[j] == -2
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
             build_Wm(0)
+
+    @pytest.mark.parametrize("rep", [pytest.param(build_Wm(m), id=f"W{m}") for m in range(1, 9)]
+                             + modified_reps(5))
+    def test_sparse_maps_hold_no_zero(self, rep):
+        # _mat_powers stops at the first empty power, so a stored zero entry
+        # would keep a nilpotent E or F from ending
+        for mat in (rep.E, rep.F):
+            assert all(mat.values())
+            assert all(0 <= i < rep.dim and 0 <= j < rep.dim for i, j in mat)
 
 
 class TestRMatrix:
@@ -151,7 +174,7 @@ class TestRMatrix:
         w1 = build_Wm(1)
         r, den = rmatrix(w1, w1)
         assert den == LaurentPoly.const(1)
-        assert r.entries == {(0, 0): LaurentPoly.const(1)}
+        assert r == {(0, 0): LaurentPoly.const(1)}
 
     def test_W2_literal(self):
         # q^{1/2}, q^{-1/2} diagonal blocks and one off-diagonal q^{-1/2}{1}
@@ -160,7 +183,7 @@ class TestRMatrix:
         assert den == LaurentPoly.const(1)
         half = LaurentPoly.q_power(1, 2)
         mhalf = LaurentPoly.q_power(-1, 2)
-        assert r.entries == {
+        assert r == {
             (0, 0): half,
             (1, 1): mhalf,
             (2, 2): mhalf,
@@ -174,8 +197,7 @@ class TestRMatrix:
         r, dr = rmatrix(w, w)
         ri, dri = rmatrix_inverse(w, w)
         scale = dr * dri
-        prod = r.compose(ri)
-        assert prod.entries == {(i, i): scale for i in range(m * m)}
+        assert mat_mul(r, ri) == {(i, i): scale for i in range(m * m)}
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_closed_form_inverse_matches_series(self, m):
@@ -191,14 +213,14 @@ class TestRMatrix:
         # op/den against ref/ref_den crosswise
         op, den = rmatrix_inverse(rep, rep)
         ref, ref_den = series_rmatrix_inverse(rep, rep)
-        assert op.scale(ref_den) == ref.scale(den)
+        assert scale_map(op, ref_den) == scale_map(ref, den)
 
     @pytest.mark.parametrize("rep", modified_reps(4))
     def test_braiding_inverse_pair_modified(self, rep):
         plus, den_plus = braiding(rep, 1)
         minus, den_minus = braiding(rep, -1)
         scale = den_plus * den_minus
-        assert plus.compose(minus).entries == {(i, i): scale for i in range(rep.dim ** 2)}
+        assert mat_mul(plus, minus) == {(i, i): scale for i in range(rep.dim ** 2)}
 
     def test_powers_built_once_per_representation(self, monkeypatch):
         # E^n and F^n of each representation are built once, not per pair
@@ -295,7 +317,7 @@ class TestColoredJones:
             q_half = mp.expj(mp.mpf("0.37")) * mp.mpf("0.93")
             for name in ("3_1", "4_1"):
                 b = KNOT_CATALOG[name]
-                exact = ctx.eval_at(colored_jones(b, 3), q_half)
+                exact = horner(colored_jones(b, 3), q_half)
                 numeric = colored_jones_numeric(b, 3, q_half)
                 assert abs(exact - numeric) < mp.mpf(10) ** -50
 
@@ -333,9 +355,9 @@ class TestPartialTrace:
         b = BraidWord(n, word)
         w = build_Wm(m)
         traced = partial_trace(braid_operator(b, w)[0], w)
-        for mat in (w.matE, w.matF, w.matK):
-            lhs = poly_mat_mul(traced, [list(r) for r in mat], m)
-            rhs = poly_mat_mul([list(r) for r in mat], traced, m)
+        for mat in (dense_of(w.E, m), dense_of(w.F, m), dense_K(w)):
+            lhs = poly_mat_mul(traced, mat, m)
+            rhs = poly_mat_mul(mat, traced, m)
             for i in range(m):
                 for j in range(m):
                     assert lhs[i][j] == rhs[i][j]

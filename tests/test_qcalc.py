@@ -19,7 +19,7 @@ from logjones.qcalc import (
     qfact,
     qint,
 )
-from conftest import assert_close
+from conftest import assert_close, horner
 
 
 def rand_poly(rng, max_terms=6, max_exp=8, max_coeff=9):
@@ -218,7 +218,7 @@ class TestDdq:
 
     def test_brace_derivative_at_one(self, ctx3):
         for n in range(1, 6):
-            val = ctx3.eval_at(ddq(brace(n)), mp.mpf(1))
+            val = horner(ddq(brace(n)), mp.mpf(1))
             assert_close(val, 2 * n, ctx3.tol)
 
     def test_leibniz_fuzz(self):
@@ -236,8 +236,8 @@ class TestDdq:
             tol = mp.mpf(10) ** -(ctx3.precision_digits // 3)
             for _ in range(20):
                 p = rand_poly(rng)
-                fd = (ctx3.eval_at(p, mp.sqrt(q + h)) - ctx3.eval_at(p, mp.sqrt(q - h))) / (2 * h)
-                assert abs(fd - ctx3.eval_at(ddq(p), mp.sqrt(q))) < tol
+                fd = (horner(p, mp.sqrt(q + h)) - horner(p, mp.sqrt(q - h))) / (2 * h)
+                assert abs(fd - horner(ddq(p), mp.sqrt(q))) < tol
 
 
 def rand_wide_poly(rng, N, n_terms):
@@ -268,7 +268,7 @@ class TestRootTable:
                 p = rand_wide_poly(rng, N, n_terms)
                 polys += [p, ddq(p), ddq(ddq(p))]
         for p in polys:
-            assert_close(ctx.eval(p), ctx.eval_at(p, ctx.xi_half), ctx.tol)
+            assert_close(ctx.eval(p), horner(p, ctx.xi_half), ctx.tol)
 
     @pytest.mark.parametrize("N", [2, 3, 5, 8, 13])
     def test_helpers_match_mpmath(self, N):
@@ -334,7 +334,7 @@ class TestLHopital:
             assert_close(val, -2, ctx.tol)
             with ctx.workprec():
                 q_half = mp.expjpi(mp.mpf(1) / (2 * N) + mp.mpf(10) ** -22)
-                near = ctx.eval_at(brace(2 * N), q_half) / ctx.eval_at(brace(N), q_half)
+                near = horner(brace(2 * N), q_half) / horner(brace(N), q_half)
                 assert abs(near - val) < mp.mpf(10) ** -20
 
     def test_trivial_denominator(self, ctx3):

@@ -232,6 +232,12 @@ class TestScan:
         assert s_N_alpha(10, 2 * mp.pi) == 10  # clamped
         vals = [s_N_alpha(200, 2 * mp.pi * k / 40) for k in range(41)]
         assert vals == sorted(vals)
+        # exact multiples of 2 pi / N, with alpha rounded to a double
+        with mp.workdps(15):
+            assert s_N_alpha(100, mp.pi / 5) == 10
+            assert s_N_alpha(400, 2 * mp.pi * 0.05) == 20
+            assert [s_N_alpha(200, 2 * mp.pi * k / 40) for k in range(5, 41, 5)] == \
+                list(range(25, 201, 25))
 
     def test_rows_and_regions(self):
         res = asymptotic_scan(30)
