@@ -12,9 +12,12 @@ the color derivative of the expansion at q = xi.
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 from collections.abc import Callable
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from .qcalc import LaurentPoly, RootContext, brace, qint
 from . import jones
@@ -35,8 +38,9 @@ class HabiroCoeffs:
     knot: str
     rule: Callable[[int], LaurentPoly]
     i_max: int | None = None
-    # reconstructed V_m and V_m/[m], keyed by (formula, m), and the list of
-    # a_i at xi, keyed by ("xi", N, dps) and only ever appended to; shared
+    # reconstructed V_m and V_m/[m], keyed by (formula, m), the list of
+    # a_i at xi, keyed by ("xi", N, dps), and its fixed-point parts, keyed
+    # by ("fixed", N, P); the lists are only ever appended to and shared
     # between callers, which never mutate them
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
@@ -66,9 +70,30 @@ class HabiroCoeffs:
         values = self._memo.setdefault(("xi", ctx.N, ctx.dps), [])
         while len(values) < count:
             v = ctx.eval(self.coeff(len(values)))
-            # a real value stays an mpf, so that fdot multiplies it as one
+            # a real value stays an mpf, so that sums over real a_i stay real
             values.append(v.real if not v.imag else v)
         return values
+
+    def fixed_at_xi(self, count: int, ctx: RootContext) -> tuple:
+        """(re, im, scale): the parts of a_0(xi), ..., a_{count-1}(xi) as
+        ints at the scale 2^scale, converted once per (N, P) from the raw
+        values of ``at_xi``.  The scale is 0 while every a_i(xi) is a
+        Gaussian integer, as the unknot's and the figure-eight's are, so
+        that their products with the terms stay cheap, and otherwise the
+        P of ``ctx.sin_cot``.
+
+        The returned lists are the memoized ones and may be longer."""
+        P = ctx.sin_cot[-1]
+        memo = self._memo.setdefault(("fixed", ctx.N, P), [[], [], 0])
+        re, im, scale = memo
+        for v in self.at_xi(count, ctx)[len(re):count]:
+            if not scale and not (mp.isint(v.real) and mp.isint(v.imag)):
+                memo[2] = scale = P
+                re[:] = [x << P for x in re]
+                im[:] = [x << P for x in im]
+            re.append(to_fixed(v.real._mpf_, scale))
+            im.append(to_fixed(v.imag._mpf_, scale))
+        return re, im, scale
 
 
 def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
@@ -128,10 +153,9 @@ def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
     return h._memo[key]
 
 
-def tilde_sum(a, s: int, ctx: RootContext):
+def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     """The cotangent/tilde-bracket sum over a_i(xi), O(N) per s.
 
-    a is the sequence a_0(xi), a_1(xi), ... (at least max(s, N-s) long).
     With su = min(s, N-s) and sb = max(s, N-s), returns (G, S):
 
       G = sum_{i<su} a_i {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
@@ -140,56 +164,90 @@ def tilde_sum(a, s: int, ctx: RootContext):
 
     where ~{n,j} replaces each factor {tN} by (-1)^t.  At xi,
     {k} = 2i sin(pi k/N) and {k}_+/{k} = -i cot(pi k/N), so every term
-    but a_i is real; the terms run as sine/cotangent products read from
-    the context's table ``sin_cot``, and one fdot combines them with the
-    a_i.  {s+i,2i+1} = i (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N), so
-    S = -i sum_{i<su} a_i {s+i,2i+1}.
+    but a_i is real, and {s+i,2i+1} = i (-1)^i prod_{k=s-i..s+i}
+    2 sin(pi k/N), so S = -i sum_{i<su} a_i {s+i,2i+1}.
+
+    The terms run in fixed point: ints at the scale 2^P of the context's
+    table ``sin_cot``, one truncation (x * y) >> P per product, and the
+    a_i(xi) converted once per (N, P) by ``HabiroCoeffs.fixed_at_xi``.
+    The sums are exact and are rounded once, to the working precision.
+
+    Each product adds at most one unit 2^-P; a unit added where a window
+    product has dipped to 2^-dip grows by 2^dip as the window widens, and
+    P reserves N/2 bits for that.  So every term keeps
+    min(prec, P - _FIXED_GUARD - dip) bits, and G loses to cancellation
+    the bits of the largest a_i term above |G|.  Both are read off int bit
+    lengths.  A row left with _GUARD good digits or fewer, and |G| above
+    ``ctx.tol`` (a zero row has no digits to keep), is computed again with
+    the lost digits added to the precision.
     """
     N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     su, sb = min(s, N - s), max(s, N - s)
-    if len(a) < sb:
-        raise ValueError(f"the sum at s={s} needs a_0..a_{sb - 1}, got {len(a)} values")
-    # sines and cotangents of pi k/N, periodic in k with period 2N; the
-    # cotangent window [s-i, s+i] stays inside 1..N-1
-    sines, cots_of = ctx.sin_cot
-    period = 2 * N
+    a_re, a_im, scale = h.fixed_at_xi(sb, ctx)
+    sines, cots_of, cos2, P = ctx.sin_cot
+    # prods[i] = (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N); each i adds the
+    # factors 2 sin(pi (s+i)/N) 2 sin(pi (s-i)/N) = cos2[i] - cos2[s], and
+    # the cotangent window [s-i, s+i] stays inside 1..N-1
+    c_s = cos2[s]
+    prod = sines[s]
+    cots = cots_of[s]
+    prods = [prod]
+    terms = [prod * cots >> P]
+    for i in range(1, su):
+        prod = -(prod * (cos2[i] - c_s)) >> P
+        cots += cots_of[s + i] + cots_of[s - i]
+        prods.append(prod)
+        terms.append(prod * cots >> P)
+    # tilde terms 2 (-1)^i ~{s+i,2i+1}: the window [s-i, s+i] holds one
+    # multiple of N, 0 when 2s < N and N (~{N} = -1) when 2s > N.  At
+    # i = su it is the last cotangent window and its other end; each later
+    # i adds two factors, the same pair as above.
+    if su < sb:
+        if 2 * s < N:
+            term = -(prod * sines[2 * s]) >> (P - 1)
+        else:
+            term = prod * sines[2 * s - N] >> (P - 1)
+        terms.append(term)
+        for i in range(su + 1, sb):
+            term = -(term * (cos2[i] - c_s)) >> P
+            terms.append(term)
+    # G and S are exact int sums at the scale 2^(P + scale), complex only
+    # where some a_i they read is
+    g_parts = [a_re, a_im] if any(a_im[:sb]) else [a_re]
+    s_parts = [a_re, a_im] if any(a_im[:su]) else [a_re]
+    g_terms = [list(map(operator.mul, a, terms)) for a in g_parts]
+    g_sums = [sum(t) for t in g_terms]
+    s_sums = [sum(map(operator.mul, a, prods)) for a in s_parts]
+    # digits left: every term keeps min(prec, P - _FIXED_GUARD - dip) bits,
+    # the dip read off the shallowest window product, and G loses the bits
+    # of its largest a_i term above |G|
+    low = min(min(map(int.bit_length, prods)),
+              min(map(int.bit_length, terms[su:]), default=P + 1) - 1)
+    kept = min(dps_to_prec(ctx.dps), P - RootContext._FIXED_GUARD - max(0, P - low))
+    cancel = max(max(map(int.bit_length, t)) for t in g_terms) - max(map(int.bit_length, g_sums))
+    loss = ctx.dps - (kept - cancel) * _LOG10_2
     with ctx.workprec():
-        prods = []
-        terms = []
-        for i in range(su):
-            if i == 0:
-                prod = sines[s]
-                cots = cots_of[s]
-            else:
-                prod *= sines[s + i] * sines[s - i]
-                cots += cots_of[s + i] + cots_of[s - i]
-            signed = -prod if i & 1 else prod
-            prods.append(signed)
-            terms.append(signed * cots)
-        # tilde terms: window [s-i, s+i] holds exactly one multiple of N
-        tp = mp.mpf(1)
-        sign = 1
-        nfac = 0
-        for k in range(s - su, s + su + 1):
-            if k % N == 0:
-                sign = -sign if (k // N) % 2 else sign
-            else:
-                tp *= sines[k % period]
-                nfac += 1
-        for i in range(su, sb):
-            if i > su:
-                for k in (s + i, s - i):
-                    if k % N == 0:
-                        sign = -sign if (k // N) % 2 else sign
-                    else:
-                        tp *= sines[k % period]
-                        nfac += 1
-            assert (2 * i + 1 - nfac) == 1, "tilde window must hold exactly one multiple of N"
-            # (2i)^{2i} from the braces of the 2i ordinary factors: i^{2i} = (-1)^i
-            terms.append(2 * (-1) ** i * sign * tp)
-        return mp.fdot(zip(a, terms)), mp.fdot(zip(a, prods))
+        G, S = _from_fixed(g_sums, P + scale), _from_fixed(s_sums, P + scale)
+        if loss + RootContext._GUARD < ctx.dps or abs(G) < ctx.tol:
+            return G, S
+        # the lost digits back, in steps of _GUARD so that rows share the
+        # memoized a_i of one finer precision
+        extra = math.ceil(loss / RootContext._GUARD) * RootContext._GUARD
+        G, S = tilde_sum(h, s, RootContext(N, precision_digits=ctx.precision_digits + extra))
+        return +G, +S
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _from_fixed(sums, exp):
+    """mpf (one sum) or mpc (real and imaginary sums) of ints times 2^exp,
+    rounded once to the working precision."""
+    if len(sums) == 1:
+        return mp.mpf((sums[0], -exp))
+    return mp.mpc((sums[0], -exp), (sums[1], -exp))
 
 
 def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):

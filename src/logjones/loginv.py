@@ -107,7 +107,7 @@ def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
         raise ValueError("s must be in 1..N-1")
     h = _coeffs_for(knot, N)
     with ctx.workprec():
-        g, sv = habiro.tilde_sum(h.at_xi(N - 1, ctx), s, ctx)
+        g, sv = habiro.tilde_sum(h, s, ctx)
         xs = ctx.xi_pow(s)
         return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - xs.real / xs.imag * sv)
 
@@ -129,7 +129,7 @@ def gamma_s(knot, s: int, N: int, route: Route = Route.QDERIV,
             poly = brace(1) * (exact_Vm(h, s) + exact_Vm(h, 2 * N - s))
             return phase * ctx.xi / (2 * N) * ctx.eval(ddq(poly))
         if route is Route.HABIRO:
-            return phase * habiro.tilde_sum(h.at_xi(N - 1, ctx), s, ctx)[0]
+            return phase * habiro.tilde_sum(h, s, ctx)[0]
         dm = habiro.ddm_Vm(h, s, ctx)  # MDERIV
         return phase * N * ctx.brace_at(1) / (mp.pi * mp.mpc(0, 1)) * dm
 
@@ -163,25 +163,6 @@ def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: i
             raise RouteDisagreement(
                 f"gamma_{which} = {val} from V_m/[m] vs d/dq form {alt} differ beyond tolerance")
         return phase * val
-
-
-def kashaev_invariant(knot, N: int, ctx: RootContext = None):
-    """<L>_N as the normalized limit lim_{q->xi} V_N/[N] (= -gamma_N), the
-    exact polynomial V_N/[N] evaluated at xi.
-
-    The plain evaluation V_N(L) at xi is identically 0 because [N]
-    vanishes at xi; use unnormalized_VN_at_xi to see that value.  The two
-    normalization conventions are deliberately kept separate.
-    """
-    ctx = ctx or RootContext(N)
-    h = _coeffs_for(knot, N)
-    return ctx.eval(exact_normalized_Vm(h, N))
-
-
-def unnormalized_VN_at_xi(knot, N: int, ctx: RootContext = None):
-    ctx = ctx or RootContext(N)
-    h = _coeffs_for(knot, N)
-    return ctx.eval(exact_Vm(h, N))
 
 
 # -- alpha, beta ----------------------------------------------------------

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, to_fixed
 
 
 class InexactDivisionError(ArithmeticError):
@@ -383,6 +384,9 @@ class RootContext:
     precision_digits: int = 60
 
     _GUARD = 10
+    # bits of the fixed-point table sin_cot beyond the working precision
+    # and the dip, for the rounding errors of the products it enters
+    _FIXED_GUARD = 30
 
     def __post_init__(self):
         if self.N < 2:
@@ -415,16 +419,32 @@ class RootContext:
 
     @functools.cached_property
     def sin_cot(self):
-        """(2 sin(pi k/N), cot(pi k/N)) for k = 0..2N-1, read from
-        ``half_powers``; cot is None where the sine vanishes (k = 0, N).
+        """(sines, cots, cos2, P): 2 sin(pi k/N), cot(pi k/N) and
+        2 cos(2 pi k/N) for k = 0..N-1 as ints at the scale 2^P, the
+        fixed-point table of ``habiro.tilde_sum``; cot is 0 at k = 0.
 
-        xi^k = half_powers[2k], so the sine is twice its imaginary part and
-        the cotangent is real over imaginary part, the same operations on
-        the same table entries as reading them one at a time."""
-        with self.workprec():
-            roots = self.half_powers[0::2]
-            return (tuple(2 * z.imag for z in roots),
-                    tuple(z.real / z.imag if z.imag else None for z in roots))
+        xi^k is taken at P bits for k <= N/2, where a small sine keeps its
+        relative accuracy, and continued by sin(pi (N-k)/N) = sin(pi k/N);
+        the values are rounded down to ints by ``to_fixed``.  P is the
+        working precision plus N/2 bits for the dip and _FIXED_GUARD bits
+        for the rest.  A window product of sines falls to about
+        e^{-0.33 N} = 2^{-0.47 N} before it grows again, and a truncation
+        made at its bottom is amplified by as much.  The rest is the
+        truncation of up to 3N products and the rounding of the factors
+        2 sin(pi (s+i)/N) 2 sin(pi (s-i)/N) = cos2[i] - cos2[s], whose
+        relative errors add up to at most N^2/10 units 2^-P: 23 bits at
+        N = 10^4."""
+        N = self.N
+        P = dps_to_prec(self.dps) + self._FIXED_GUARD + N // 2
+        with mp.workprec(P):
+            roots = [mp.expjpi(mp.mpf(k) / N) for k in range(N // 2 + 1)]
+            sin_q = [to_fixed(z.imag._mpf_, P + 1) for z in roots]
+            cot_q = [to_fixed((z.real / z.imag)._mpf_, P) if z.imag else 0 for z in roots]
+            cos_q = [to_fixed((z * z).real._mpf_, P + 1) for z in roots]
+        ks = range(N)
+        return (tuple(sin_q[min(k, N - k)] for k in ks),
+                tuple(cot_q[k] if 2 * k <= N else -cot_q[N - k] for k in ks),
+                tuple(cos_q[min(k, N - k)] for k in ks), P)
 
     @functools.cached_property
     def _qfact_prefix(self):

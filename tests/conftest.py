@@ -1,7 +1,7 @@
 import mpmath as mp
 import pytest
 
-from logjones import jones
+from logjones import jones, loginv
 from logjones.qcalc import RootContext, int_or_frac_to_mp
 
 # library code manages its own working precision; test-side arithmetic on
@@ -56,3 +56,21 @@ def colored_jones_numeric(b, m, q_half):
         if r == c:
             tot += v * q ** jones._weight_sum(r, n, V)
     return tot
+
+
+def kashaev_invariant(knot, N, ctx=None):
+    """<L>_N as the normalized limit lim_{q->xi} V_N/[N] (= -gamma_N), the
+    exact polynomial V_N/[N] evaluated at xi: the oracle for
+    loginv.gamma_boundary at s = N.
+
+    The plain evaluation V_N(L) at xi is identically 0 because [N]
+    vanishes at xi; unnormalized_VN_at_xi shows that value.  The two
+    normalization conventions are deliberately kept separate.
+    """
+    ctx = ctx or RootContext(N)
+    return ctx.eval(loginv.exact_normalized_Vm(knot, N))
+
+
+def unnormalized_VN_at_xi(knot, N, ctx=None):
+    ctx = ctx or RootContext(N)
+    return ctx.eval(loginv.exact_Vm(knot, N))

@@ -90,23 +90,62 @@ def half_powers_tilde_sum(a, s, ctx):
         return mp.fdot(zip(a, terms)), mp.fdot(zip(a, prods))
 
 
+def envelope_ratio(knot, N, precision_digits):
+    """The worst |fixed - ref| / max(|mpf - ref|, 10^-dps max_i |a_i t_i|)
+    over G and S of every s: fixed is habiro.tilde_sum, mpf the former
+    kernel (half_powers_tilde_sum at the same precision) and ref the same
+    oracle 40 digits finer, a_i included."""
+    ctx = RootContext(N, precision_digits=precision_digits)
+    fine = RootContext(N, precision_digits=precision_digits + 40)
+    h = catalog_coeffs(knot)
+    a, a_fine = h.at_xi(N - 1, ctx), h.at_xi(N - 1, fine)
+    worst = mp.mpf(0)
+    for s in range(1, N):
+        got = habiro.tilde_sum(h, s, ctx)
+        old = None
+        with fine.workprec():
+            for part, ts in enumerate(half_powers_tilde_terms(s, fine)):
+                ref = mp.fdot(zip(a_fine, ts))
+                err = abs(got[part] - ref)
+                floor = mp.mpf(10) ** -ctx.dps * max(abs(ai * t) for ai, t in zip(a_fine, ts))
+                if err <= floor:
+                    continue
+                # the former kernel only where the floor alone does not cover
+                old = old or half_powers_tilde_sum(a, s, ctx)
+                worst = max(worst, err / max(abs(old[part] - ref), floor))
+    return worst
+
+
 class TestTildeSum:
-    @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
-    def test_bit_for_bit_small_N(self, knot):
-        h = catalog_coeffs(knot)
-        for N in range(2, 25):
-            ctx = RootContext(N)
-            a = h.at_xi(N - 1, ctx)
-            for s in range(1, N):
-                assert habiro.tilde_sum(a, s, ctx) == half_powers_tilde_sum(a, s, ctx), (N, s)
+    # the fixed-point kernel rounds where the former mpf kernel did not, so
+    # it is held to an envelope instead of equality: at most one digit worse
+    # than that kernel on any row, or than 10^-dps of the largest a_i term
 
     @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
-    def test_bit_for_bit_scan_precision(self, knot):
-        N = 150
-        ctx = RootContext(N, precision_digits=scan_precision(N))
-        a = catalog_coeffs(knot).at_xi(N - 1, ctx)
-        for s in range(1, N):
-            assert habiro.tilde_sum(a, s, ctx) == half_powers_tilde_sum(a, s, ctx), s
+    def test_envelope_small_N(self, knot):
+        for N in range(2, 25):
+            assert envelope_ratio(knot, N, 60) <= 10, N
+
+    @pytest.mark.parametrize("knot, N",
+                             [("unknot", 150), ("3_1", 150), ("4_1", 150), ("4_1", 400)])
+    def test_envelope_scan_precision(self, knot, N):
+        assert envelope_ratio(knot, N, scan_precision(N)) <= 10
+
+    def test_fixed_coefficients(self):
+        # Gaussian-integer a_i(xi) stay at the scale 1; the first other one
+        # moves the whole memoized list to the scale 2^P of the table
+        ctx = RootContext(7)
+        P = ctx.sin_cot[-1]
+        h = HabiroCoeffs("4_1", catalog_coeffs("4_1").rule)
+        assert h.fixed_at_xi(6, ctx) == ([1] * 6, [0] * 6, 0)
+        h = HabiroCoeffs("3_1", catalog_coeffs("3_1").rule)
+        assert h.fixed_at_xi(1, ctx) == ([1], [0], 0)
+        re, im, scale = h.fixed_at_xi(6, ctx)
+        assert scale == P and re[0] == 1 << P and im[0] == 0
+        assert h.fixed_at_xi(3, ctx)[0] is re and len(re) == 6
+        with ctx.workprec():
+            for v, x, y in zip(h.at_xi(6, ctx), re, im):
+                assert abs(mp.mpc(v) - mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P))) <= mp.ldexp(2, -P)
 
     @pytest.mark.parametrize("N", [100, 150])
     def test_scan_precision_margin(self, N):

@@ -19,11 +19,9 @@ from logjones.loginv import (
     gamma_all_routes,
     gamma_boundary,
     gamma_s,
-    kashaev_invariant,
-    unnormalized_VN_at_xi,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
-from conftest import assert_close
+from conftest import assert_close, kashaev_invariant, unnormalized_VN_at_xi
 
 
 # -- oracles: the tilde brackets and falling braces at xi, one factor at a time

@@ -3,7 +3,7 @@ import json
 import mpmath as mp
 import pytest
 
-from logjones import loginv, volume
+from logjones import habiro, loginv, volume
 from logjones.qcalc import RootContext
 from logjones.volume import (
     asymptotic_scan,
@@ -44,18 +44,29 @@ class TestLobachevsky:
             assert abs(lobachevsky(x, dps) - polylog_lobachevsky(x, dps)) < mp.mpf(10) ** -dps, x
 
     def test_series_length_per_precision(self):
-        # the Clausen coefficients stop at c_k pi^{2k} < 2^{-prec-10} and
-        # each falls by more than 4 from the one before
+        # the Clausen coefficients d_k = c_k pi^{2k} stop at
+        # d_k < 2^{-prec-10} and each falls by more than 4 from the one before
         with mp.workdps(57):
             prec = mp.mp.prec
-            coeffs = volume._clausen_coeffs(prec)
-            assert coeffs[-1] == 0
-            cs = coeffs[-2::-1]  # c_1, c_2, ...
-            assert all(cs[k - 1] * mp.pi ** (2 * k) >= mp.ldexp(1, -prec - 10)
-                       for k in range(1, len(cs) + 1))
-            assert all(b * mp.pi ** 2 < a / 4 for a, b in zip(cs, cs[1:]))
-            k = len(cs) + 1
+        q, coeffs = volume._clausen_coeffs(prec)
+        ds = coeffs[::-1]  # d_1, d_2, ...
+        assert all(d >= 1 << (q - prec - 10) for d in ds)
+        assert all(4 * b < a for a, b in zip(ds, ds[1:]))
+        k = len(ds) + 1
+        with mp.workdps(57):
             assert mp.zeta(2 * k) / (k * (2 * k + 1) * 4 ** k) < mp.ldexp(1, -prec - 10)
+
+    @pytest.mark.parametrize("dps", [30, 110, 300])
+    def test_coefficients_match_mpmath_zeta(self, dps):
+        # the recurrence below the crossover and mp.zeta above it both give
+        # each d_k within the stated 2 units 2^-q of zeta(2k)/(k (2k+1) 4^k)
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+        q, coeffs = volume._clausen_coeffs(prec)
+        with mp.workprec(q + 30):
+            for k, d in enumerate(reversed(coeffs), start=1):
+                exact = mp.zeta(2 * k) / (k * (2 * k + 1) * mp.mpf(4) ** k)
+                assert abs(mp.ldexp(d, -q) - exact) <= mp.ldexp(2, -q), k
 
 
     def test_zeros(self):
@@ -218,7 +229,7 @@ class TestTableKernel:
         for s in range(1, N):
             assert_close(gamma_fig8_fast(N, s, ctx), naive_gamma_fig8(N, s, ctx), ctx.tol)
 
-    @pytest.mark.parametrize("N", [7, 12, 50])
+    @pytest.mark.parametrize("N", [7, 12, 50, 150])
     def test_scan_rows_match_naive_kernel(self, N, monkeypatch):
         fast = asymptotic_scan(N).to_json()
         monkeypatch.setattr(volume, "gamma_fig8_fast", naive_gamma_fig8)
@@ -331,3 +342,70 @@ class TestScan:
                 assert abs(r.log_gamma_scaled) < 0.5
             else:
                 assert abs(r.log_gamma_scaled - r.vol_reference) < 0.5
+
+
+class TestRowMargin:
+    def test_scan_recomputes_short_rows(self, monkeypatch):
+        # at 30 digits some N = 300 rows keep too few digits by the kernel's
+        # own count; tilde_sum computes those again, finer, and every row
+        # prints as at the scan's own precision
+        N = 300
+        oracle = asymptotic_scan(N).to_json()
+        kernel = habiro.tilde_sum
+        finer = []
+
+        def spy(h, s, ctx):
+            if ctx.precision_digits > 30:
+                finer.append(s)
+            return kernel(h, s, ctx)
+
+        monkeypatch.setattr(volume, "scan_precision", lambda N: 30)
+        monkeypatch.setattr(habiro, "tilde_sum", spy)
+        assert asymptotic_scan(N).to_json() == oracle
+        assert finer
+
+    def test_recomputed_rows_keep_the_guard_digits(self):
+        # the trefoil's a_i(xi) carry the working digits only, so at 30
+        # digits and N = 300 a row would keep none; recomputed, every
+        # nonzero G keeps more than the 10 guard digits
+        N = 300
+        h = habiro.catalog_coeffs("3_1")
+        ctx = RootContext(N, precision_digits=30)
+        ref = RootContext(N, precision_digits=scan_precision(N) + 20)
+        for s in range(1, N):
+            g, want = habiro.tilde_sum(h, s, ctx)[0], habiro.tilde_sum(h, s, ref)[0]
+            if abs(want) >= ctx.tol:
+                with ref.workprec():
+                    assert abs(g - want) < mp.mpf(10) ** -RootContext._GUARD * abs(want), s
+
+
+class TestAmbientPrecision:
+    # library results must not depend on mp.mp.dps, which the suite pins at
+    # 90: each case runs first at 15 ambient digits, with fresh memos, and
+    # must equal the run at 90
+
+    def test_tilde_sum(self):
+        rule = habiro.catalog_coeffs("3_1").rule
+        runs = []
+        for dps in (15, 90):
+            with mp.workdps(dps):
+                h, ctx = habiro.HabiroCoeffs("3_1", rule), RootContext(40)
+                runs.append([habiro.tilde_sum(h, s, ctx) for s in range(1, 40)])
+        assert runs[0] == runs[1]
+
+    def test_lobachevsky(self):
+        xs = [mp.mpf(k) / 7 for k in range(-10, 11)]
+        runs = []
+        for dps in (15, 90):
+            volume._clausen_coeffs.cache_clear()
+            with mp.workdps(dps):
+                runs.append([lobachevsky(x, 57) for x in xs])
+        assert runs[0] == runs[1]
+
+    def test_scan(self):
+        runs = []
+        for dps in (15, 90):
+            volume._row_volume.cache_clear()
+            with mp.workdps(dps):
+                runs.append(asymptotic_scan(50).to_json())
+        assert runs[0] == runs[1]
