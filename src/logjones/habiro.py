@@ -19,7 +19,7 @@ from collections.abc import Callable
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, to_fixed
 
-from .qcalc import LaurentPoly, RootContext, brace, qint
+from .qcalc import Jet, LaurentPoly, RootContext, brace, qint
 from . import jones
 
 
@@ -38,10 +38,11 @@ class HabiroCoeffs:
     knot: str
     rule: Callable[[int], LaurentPoly]
     i_max: int | None = None
-    # reconstructed V_m and V_m/[m], keyed by (formula, m), the list of
-    # a_i at xi, keyed by ("xi", N, dps), and its fixed-point parts, keyed
-    # by ("fixed", N, P); the lists are only ever appended to and shared
-    # between callers, which never mutate them
+    # reconstructed V_m and V_m/[m], keyed by (formula, m), the jets of
+    # V_m/[m], keyed by ("jet", N, m), and of the a_i, keyed by
+    # ("jets", N), the list of a_i at xi, keyed by ("xi", N, dps), and its
+    # fixed-point parts, keyed by ("fixed", N, P); the lists are only ever
+    # appended to and shared between callers, which never mutate them
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -153,6 +154,27 @@ def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
     return h._memo[key]
 
 
+def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
+    """The jet of V_m/[m] mod x^{4N} - 1 (see qcalc.Jet), equal to
+    Jet.of(reconstruct_normalized_Vm(h, m), N) without building V_m/[m].
+
+    Horner's rule on the ladder: J = a_{m-1}, then
+    J = a_{j-1} + {m+j}{m-j} J for j = m-1, ..., 1, four rotations of a
+    4N vector per step; the a_i are reduced once per N.  Memoized on h,
+    keyed by (N, m)."""
+    key = ("jet", N, m)
+    if key not in h._memo:
+        _check_color(h, m)
+        a = h._memo.setdefault(("jets", N), [])
+        while len(a) < m:
+            a.append(Jet.of(h.coeff(len(a)), N))
+        J = a[m - 1]
+        for j in range(m - 1, 0, -1):
+            J = a[j - 1] + J.times(brace(m + j) * brace(m - j))
+        h._memo[key] = J
+    return h._memo[key]
+
+
 def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     """The cotangent/tilde-bracket sum over a_i(xi), O(N) per s.
 
@@ -232,10 +254,10 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
         G, S = _from_fixed(g_sums, P + scale), _from_fixed(s_sums, P + scale)
         if loss + RootContext._GUARD < ctx.dps or abs(G) < ctx.tol:
             return G, S
-        # the lost digits back, in steps of _GUARD so that rows share the
-        # memoized a_i of one finer precision
+        # the lost digits back, in steps of _GUARD so that rows share one
+        # finer context (its sin_cot table) and its memoized a_i
         extra = math.ceil(loss / RootContext._GUARD) * RootContext._GUARD
-        G, S = tilde_sum(h, s, RootContext(N, precision_digits=ctx.precision_digits + extra))
+        G, S = tilde_sum(h, s, ctx.finer(extra))
         return +G, +S
 
 

@@ -21,7 +21,7 @@ import json
 
 import mpmath as mp
 
-from .qcalc import LaurentPoly, RootContext, brace, ddq
+from .qcalc import Jet, LaurentPoly, RootContext, brace, ddq, qint
 from . import habiro
 
 
@@ -56,6 +56,13 @@ def exact_normalized_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
     return v.shift((m * m - 1) * framing) if framing else v
 
 
+def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet:
+    """The jet of exact_normalized_Vm(h, m, framing) mod x^{4N} - 1: all
+    that an evaluation at xi, or of d/dq there, reads of it."""
+    jet = habiro.normalized_Vm_jet(h, m, N)
+    return jet.shift((m * m - 1) * framing) if framing else jet
+
+
 # -- radical coefficients ------------------------------------------------
 
 
@@ -64,7 +71,7 @@ def b_pm_via_derivative(knot, s: int, N: int, sign: int, ctx: RootContext = None
     """b_s^+ = xi/(2N[s]) d/dq {1}_q (V_s/[s]_q - V_{2N-s}/[2N-s]_q) at xi,
     b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q),
 
-    each V_m/[m]_q read exactly off the cyclotomic ladder.
+    each V_m/[m]_q read exactly off the jet of the cyclotomic ladder.
     """
     ctx = ctx or RootContext(N)
     if not 1 <= s <= N - 1:
@@ -72,17 +79,16 @@ def b_pm_via_derivative(knot, s: int, N: int, sign: int, ctx: RootContext = None
     h = _coeffs_for(knot, N)
 
     def vt(m):
-        return exact_normalized_Vm(h, m, framing=framing)
+        return _normalized_jet(h, m, N, framing)
 
-    one = brace(1)
     if sign > 0:
-        poly = one * (vt(s) - vt(2 * N - s))
+        jet = vt(s) - vt(2 * N - s)
         pref_den = 2 * N
     else:
-        poly = one * (vt(2 * N + s) - vt(2 * N - s))
+        jet = vt(2 * N + s) - vt(2 * N - s)
         pref_den = 4 * N
     with ctx.workprec():
-        return ctx.xi / (pref_den * ctx.qint_at(s)) * ctx.eval(ddq(poly))
+        return ctx.xi / (pref_den * ctx.qint_at(s)) * jet.times(brace(1)).ddq_value(ctx)
 
 
 def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
@@ -126,8 +132,10 @@ def gamma_s(knot, s: int, N: int, route: Route = Route.QDERIV,
         phase = ctx.xi_pow((s * s - 1) * framing, 2) if framing else mp.mpf(1)
         h = _coeffs_for(knot, N)
         if route is Route.QDERIV:
-            poly = brace(1) * (exact_Vm(h, s) + exact_Vm(h, 2 * N - s))
-            return phase * ctx.xi / (2 * N) * ctx.eval(ddq(poly))
+            # {1} V_m = {m} (V_m/[m])
+            jet = (habiro.normalized_Vm_jet(h, s, N).times(brace(s))
+                   + habiro.normalized_Vm_jet(h, 2 * N - s, N).times(brace(2 * N - s)))
+            return phase * ctx.xi / (2 * N) * jet.ddq_value(ctx)
         if route is Route.HABIRO:
             return phase * habiro.tilde_sum(h, s, ctx)[0]
         dm = habiro.ddm_Vm(h, s, ctx)  # MDERIV
@@ -144,19 +152,21 @@ def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: i
     """gamma_0 = V_{2N}/[2N] at xi and gamma_N = -V_N/[N] at xi.
 
     Both are 0/0 limits of V_m over [m]_q, whose quotient is an exact
-    polynomial, so each is read off exact_normalized_Vm at xi and
-    cross-checked against the q-derivative expression in V_m."""
+    polynomial, so each is read off the jet of V_m/[m] at xi and
+    cross-checked against the q-derivative expression in the exact
+    polynomial V_m, which checks the jets against exact polynomial
+    arithmetic on every call."""
     ctx = ctx or RootContext(N)
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
     h = _coeffs_for(knot, N)
     with ctx.workprec():
         if which == 0:
-            val = ctx.eval(exact_normalized_Vm(h, 2 * N))
+            val = habiro.normalized_Vm_jet(h, 2 * N, N).value(ctx)
             alt = ctx.xi / (4 * N) * ctx.eval(ddq(brace(1) * exact_Vm(h, 2 * N)))
             phase = ctx.xi_pow(-framing, 2) if framing else mp.mpf(1)
         else:
-            val = -ctx.eval(exact_normalized_Vm(h, N))
+            val = -habiro.normalized_Vm_jet(h, N, N).value(ctx)
             alt = ctx.xi / (2 * N) * ctx.eval(ddq(brace(1) * exact_Vm(h, N)))
             phase = ctx.xi_pow((N * N - 1) * framing, 2) if framing else mp.mpf(1)
         if abs(val - alt) > ctx.tol:
@@ -178,7 +188,7 @@ def alpha_beta(knot, N: int, ctx: RootContext = None, framing: int = 0):
     with ctx.workprec():
         one = ctx.brace_at(1)
         for s in range(1, N):
-            vs = ctx.eval(exact_Vm(h, s, framing=framing))
+            vs = _normalized_jet(h, s, N, framing).times(qint(s)).value(ctx)
             alpha[s - 1] = (-1) ** (N + s) * N * one * vs
             beta[s - 1] = -N * framing * one * vs
     return alpha, beta
@@ -287,7 +297,7 @@ def center_coeffs(knot, N: int, ctx: RootContext = None, framing: int = 0,
     with ctx.workprec():
         idem = [gamma_boundary(h, 0, N, ctx, framing)]
         for s in range(1, N):
-            vts = ctx.eval(exact_normalized_Vm(h, s, framing=framing))
+            vts = _normalized_jet(h, s, N, framing).value(ctx)
             idem.append(vts)
         idem.append(-gamma_boundary(h, N, N, ctx, framing))
         rad_plus = [b_pm_via_derivative(h, s, N, +1, ctx, framing) for s in range(1, N)]

@@ -6,7 +6,8 @@ rational coefficients, so q^{3/2} lives at key 3 and q^{-2} at key -4.
 Coefficients stay plain ints whenever they are integral and only fall back
 to Fraction after divisions or d/dq on odd keys.  All ring operations are
 exact; nothing numeric happens until a RootContext evaluates at
-xi = exp(pi*i/N).
+xi = exp(pi*i/N).  A Jet keeps only the exact residues that evaluation,
+and d/dq, at xi read of a polynomial.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -370,6 +372,91 @@ def ddq(p: LaurentPoly) -> LaurentPoly:
 # -- evaluation at roots of unity --------------------------------------
 
 
+def residue_bins(terms: dict, period: int) -> dict:
+    """The coefficients of a term map summed exactly by doubled exponent
+    mod ``period``; at period 4N these are the values that q = xi, a
+    2N-th root of unity, cannot tell apart."""
+    bins = {}
+    for e, c in terms.items():
+        k = e % period
+        bins[k] = bins.get(k, 0) + c
+    return bins
+
+
+class Jet:
+    """A polynomial p and D p, D = x d/dx with x = q^{1/2}, both reduced
+    mod x^{4N} - 1: ``v[k]`` is the sum of the coefficients c_e with
+    doubled exponent e = k mod 4N and ``w[k]`` the sum of e c_e.
+
+    D is a derivation, so p -> (v, w) is a ring homomorphism into pairs
+    with the product (v, w)(v', w') = (v v', w v' + v w'), cyclic
+    convolutions of length 4N.  It keeps what evaluation at xi reads:
+    p(xi) is v dotted with ``half_powers`` and, since d/dq = D/(2q),
+    (dp/dq)(xi) is w/2 one step q^{-1} down, both exact up to that dot
+    product.  So a polynomial that is only ever evaluated at xi, or
+    differentiated there once, never has to be built.
+    """
+
+    __slots__ = ("v", "w")
+
+    def __init__(self, v: list, w: list):
+        self.v = v
+        self.w = w
+
+    @classmethod
+    def of(cls, p: LaurentPoly, N: int) -> "Jet":
+        n = 4 * N
+        v, w = [0] * n, [0] * n
+        for k, c in residue_bins(p.terms, n).items():
+            v[k] = c
+        for k, c in residue_bins({e: e * c for e, c in p.terms.items()}, n).items():
+            w[k] = c
+        return cls(v, w)
+
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.v == other.v and self.w == other.w
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(list(map(operator.add, self.v, other.v)),
+                   list(map(operator.add, self.w, other.w)))
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return Jet(list(map(operator.sub, self.v, other.v)),
+                   list(map(operator.sub, self.w, other.w)))
+
+    def times(self, p: LaurentPoly) -> "Jet":
+        """The jet of (this polynomial) * p, for a sparse p: each term
+        c x^a rotates both vectors by a and adds a c v to w, with a the
+        unreduced exponent (D x^a = a x^a)."""
+        n = len(self.v)
+        v_out, w_out = [0] * n, [0] * n
+        for a, c in p.terms.items():
+            r = a % n
+            v = self.v[-r:] + self.v[:-r]
+            w = self.w[-r:] + self.w[:-r]
+            v_out = [x + c * y for x, y in zip(v_out, v)]
+            w_out = [x + c * (y + a * z) for x, y, z in zip(w_out, w, v)]
+        return Jet(v_out, w_out)
+
+    def shift(self, half_steps: int) -> "Jet":
+        """The jet of (this polynomial) * q^(half_steps/2)."""
+        return self.times(LaurentPoly({half_steps: 1}))
+
+    def value(self, ctx: "RootContext"):
+        """p at q = xi."""
+        return ctx.eval_bins(enumerate(self.v))
+
+    def ddq_value(self, ctx: "RootContext"):
+        """dp/dq at q = xi: the bins of ddq(p) are w[k]/2 at k - 2.  The
+        halving comes after the dot product, where it is exact in binary,
+        so the value is that of ctx.eval(ddq(p)) to the last bit."""
+        n = len(self.w)
+        with ctx.workprec():
+            return ctx.eval_bins(((k - 2) % n, c) for k, c in enumerate(self.w)) / 2
+
+
 @dataclasses.dataclass(frozen=True)
 class RootContext:
     """Holds N, the 2N-th root of unity xi = exp(pi*i/N), and the working
@@ -447,6 +534,19 @@ class RootContext:
                 tuple(cos_q[min(k, N - k)] for k in ks), P)
 
     @functools.cached_property
+    def _finer(self):
+        return {}
+
+    def finer(self, extra_digits: int) -> "RootContext":
+        """The context of the same N with ``extra_digits`` more digits,
+        made once per context and extra_digits, so that callers that step
+        up to it again share its tables."""
+        if extra_digits not in self._finer:
+            self._finer[extra_digits] = RootContext(
+                self.N, precision_digits=self.precision_digits + extra_digits)
+        return self._finer[extra_digits]
+
+    @functools.cached_property
     def _qfact_prefix(self):
         """[n]! at xi for n = 0..N-1; [N] = 0 makes every later one 0."""
         with self.workprec():
@@ -474,17 +574,18 @@ class RootContext:
         """p at q = xi: the coefficients are summed exactly into the 4N
         residues of their doubled exponents and dotted once with
         ``half_powers``."""
-        with self.workprec():
-            period = 4 * self.N
-            bins = {}
-            for e, c in p.terms.items():
-                k = e % period
-                bins[k] = bins.get(k, 0) + c
-            table = self.half_powers
-            pairs = [(int_or_frac_to_mp(c), table[k]) for k, c in bins.items() if c]
-            return mp.fdot(pairs) if pairs else mp.mpc(0)
+        return self.eval_bins(residue_bins(p.terms, 4 * self.N).items())
 
     eval = eval_at
+
+    def eval_bins(self, bins):
+        """sum_k c_k xi^{k/2} over the pairs (k, c_k), 0 <= k < 4N, with
+        exact c_k: one dot product with ``half_powers``, rounded once.
+        Every evaluation of a polynomial at xi ends here."""
+        with self.workprec():
+            table = self.half_powers
+            pairs = [(int_or_frac_to_mp(c), table[k]) for k, c in bins if c]
+            return mp.fdot(pairs) if pairs else mp.mpc(0)
 
     def brace_plus(self, n: int):
         """{n}_+ = xi^n + xi^{-n} = 2 cos(n*pi/N)."""

@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logjones import cli
 
@@ -275,3 +278,71 @@ def test_volume_scan_precision_is_a_floor(argv, digits, monkeypatch):
     assert rc == cli.EXIT_OK
     assert seen == [digits]
     assert len(json.loads(out)["rows"]) == 49
+
+
+# argv fuzzing: each subcommand's own flags, with good and bad values, plus
+# a flag of another subcommand now and then; sizes stay small (N <= 4,
+# colors <= 4; qgroup-verify N <= 3, whose R-matrix sweep at N = 4 alone
+# takes 2 s) and braid words have two strands, so every run is quick
+SMALL = st.sampled_from(["1", "2", "3", "4", "0", "-1"])
+NINE_IN_TEN = st.sampled_from([True] * 9 + [False])
+FLAG_VALUES = {
+    "--precision": st.sampled_from(["60", "45", "30", "5", "5000", "x"]),
+    "--format": st.sampled_from(["json", "json", "csv", "xml"]),
+    "--out": st.just("-"),
+    "--knot": st.sampled_from(["unknot", "3_1", "4_1", "5_2", ""]),
+    "--braid": st.sampled_from(["2: 1 1 1", "2: -1 -1 -1", "2: 1 1", "1:", "3_1", "zzz", ""]),
+    "--m": SMALL,
+    "--max-m": SMALL,
+    "--imax": SMALL,
+    "--N": st.sampled_from(["2", "3", "4", "1", "0", "-1", "x"]),
+    "--s": SMALL,
+    "--framing": st.integers(-2, 2).map(str),
+    "--skip-rmatrix": st.none(),
+}
+COMMON = ("--precision", "--format", "--out")
+KNOTTY = COMMON + ("--knot", "--braid")
+COMMAND_FLAGS = {
+    "jones": KNOTTY + ("--m", "--max-m"),
+    "habiro": KNOTTY + ("--imax",),
+    "loginv": KNOTTY + ("--N", "--s", "--framing"),
+    "qgroup-verify": COMMON + ("--N", "--skip-rmatrix"),
+    "volume-scan": COMMON + ("--N",),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    names = COMMAND_FLAGS[command]
+    # the knot and --N are there nine times in ten, and a flag of another
+    # subcommand one time in ten, so that most draws get past argparse
+    flags = [f for f in ("--knot", "--N") if f in names and draw(NINE_IN_TEN)]
+    flags += draw(st.lists(st.sampled_from([f for f in names if f not in flags]),
+                           max_size=4, unique=True))
+    if not draw(NINE_IN_TEN):
+        flags.append(draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(flags)))))
+    argv = [command]
+    for flag in flags:
+        value = draw(FLAG_VALUES[flag])
+        if flag == "--N" and command == "qgroup-verify" and value == "4":
+            value = "3"
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
+    # a bad argv is either refused by argparse (SystemExit(2)) or ends in
+    # one of the documented exit codes; no other exception escapes main
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("LOGJONES_PRECISION", None)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, err.getvalue())
+            return
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_FEASIBILITY, cli.EXIT_DISAGREEMENT), argv

@@ -9,11 +9,13 @@ from logjones.habiro import (
     coeffs_for,
     ddm_Vm,
     extract_coeffs,
+    normalized_Vm_jet,
     reconstruct_normalized_Vm,
     reconstruct_Vm,
 )
 from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
-from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, brace_falling, qint
+from logjones.qcalc import (InexactDivisionError, Jet, LaurentPoly, RootContext, brace,
+                            brace_falling, qint)
 from logjones.volume import scan_precision
 from conftest import assert_close, colored_jones_numeric, horner
 
@@ -275,6 +277,35 @@ class TestReconstruction:
         assert [h.coeff(i) for i in range(5)] == [catalog_coeffs("3_1").coeff(i) for i in range(5)]
 
 
+class TestHornerJet:
+    # colors 1..8 of T(2,5), a knot outside the catalog whose a_i are
+    # extracted from braid traces
+    T25 = jones.parse_braid("2: 1 1 1 1 1")
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
+    def test_matches_the_exact_ladder(self, name):
+        # the Horner jet of V_m/[m] is the jet of the exact polynomial, at
+        # every color loginv reads (m <= 3N-1) and at framings that shift
+        # it by unreduced exponents of both signs
+        if name == "T(2,5)":
+            h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 9)], name)
+        else:
+            h = HabiroCoeffs(name, catalog_coeffs(name).rule)
+        for N in range(2, 7):
+            for m in range(1, 3 * N):
+                if not h.has_coeff(m - 1):
+                    break
+                assert normalized_Vm_jet(h, m, N) == Jet.of(reconstruct_normalized_Vm(h, m), N)
+                for f in (-2, 3):
+                    want = Jet.of(loginv.exact_normalized_Vm(h, m, framing=f), N)
+                    assert loginv._normalized_jet(h, m, N, f) == want, (N, m, f)
+
+    def test_beyond_table_refused(self):
+        h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)])
+        with pytest.raises(ValueError):
+            normalized_Vm_jet(h, 5, 3)
+
+
 class TestColorDerivative:
     def test_unknot_closed_form(self):
         # d/dm [m] at q=xi: ln(xi) (xi^s + xi^{-s}) / (xi - xi^{-1})
@@ -340,3 +371,9 @@ class TestSerialization:
         assert h.i_max is None
         for m in (5, 6, 17):
             assert reconstruct_Vm(h, m) == colored_jones_zero_framed(KNOT_CATALOG["3_1"], m)
+
+
+def test_catalog_names_match_closed_forms():
+    # a catalog knot without a closed form would be traced as a braid word,
+    # and a closed form without a catalog entry is unreachable from the CLI
+    assert set(KNOT_CATALOG) == set(habiro._CLOSED_FORMS)

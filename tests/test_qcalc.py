@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from logjones import qcalc
 from logjones.qcalc import (
     InexactDivisionError,
+    Jet,
     LaurentPoly,
     LHopitalError,
     RootContext,
@@ -141,6 +142,43 @@ class TestKronecker:
         assert hits == [True]
         assert prod.terms == dict_convolution(a.terms, b.terms)
         assert all(type(c) is int for c in prod.terms.values())
+
+
+@st.composite
+def jet_polys(draw):
+    """A LaurentPoly with int and Fraction coefficients on doubled
+    exponents of both parities."""
+    coeff = st.one_of(st.integers(-60, 60),
+                      st.fractions(-60, 60, max_denominator=12))
+    return LaurentPoly(draw(st.dictionaries(st.integers(-90, 90), coeff, max_size=9)))
+
+
+JET_CONTEXTS = {N: RootContext(N) for N in range(2, 10)}
+
+
+class TestJet:
+    """p -> (p, x dp/dx) mod x^{4N} - 1 is a ring homomorphism, and its
+    values at xi are the ones eval_at gives, to the last bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), jet_polys(), st.integers(2, 9))
+    def test_products_and_sums(self, p, r, N):
+        assert Jet.of(p * r, N) == Jet.of(p, N).times(r)
+        assert Jet.of(p + r, N) == Jet.of(p, N) + Jet.of(r, N)
+        assert Jet.of(p - r, N) == Jet.of(p, N) - Jet.of(r, N)
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), st.integers(-200, 200), st.integers(2, 9))
+    def test_shift_by_unreduced_exponent(self, p, a, N):
+        assert Jet.of(p.shift(a), N) == Jet.of(p, N).shift(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), st.integers(2, 9))
+    def test_values_bit_for_bit(self, p, N):
+        ctx = JET_CONTEXTS[N]
+        jet = Jet.of(p, N)
+        assert jet.value(ctx) == ctx.eval(p)
+        assert jet.ddq_value(ctx) == ctx.eval(ddq(p))
 
 
 class TestQSymbols:

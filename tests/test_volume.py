@@ -356,13 +356,16 @@ class TestRowMargin:
 
         def spy(h, s, ctx):
             if ctx.precision_digits > 30:
-                finer.append(s)
+                finer.append(ctx)
             return kernel(h, s, ctx)
 
         monkeypatch.setattr(volume, "scan_precision", lambda N: 30)
         monkeypatch.setattr(habiro, "tilde_sum", spy)
         assert asymptotic_scan(N).to_json() == oracle
         assert finer
+        # the recomputed rows share one context (one sin_cot table) per
+        # precision they step up to
+        assert len({id(c) for c in finer}) == len({c.precision_digits for c in finer})
 
     def test_recomputed_rows_keep_the_guard_digits(self):
         # the trefoil's a_i(xi) carry the working digits only, so at 30
