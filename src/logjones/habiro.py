@@ -23,10 +23,6 @@ from .qcalc import Jet, LaurentPoly, RootContext, brace, qint
 from . import jones
 
 
-class TruncationError(AssertionError):
-    """A term dropped by the d/dm truncation did not provably vanish."""
-
-
 @dataclasses.dataclass
 class HabiroCoeffs:
     """Cyclotomic coefficients a_0, a_1, ... of one knot, as a rule i -> a_i.
@@ -178,16 +174,16 @@ def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
 def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     """The cotangent/tilde-bracket sum over a_i(xi), O(N) per s.
 
-    With su = min(s, N-s) and sb = max(s, N-s), returns (G, S):
+    With su = min(s, N-s) and sb = max(s, N-s), returns
 
       G = sum_{i<su} a_i {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
           + 2 sum_{i=su..sb-1} a_i ~{s+i,2i+1},
-      S = sum_{i<su} a_i (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N),
 
     where ~{n,j} replaces each factor {tN} by (-1)^t.  At xi,
     {k} = 2i sin(pi k/N) and {k}_+/{k} = -i cot(pi k/N), so every term
-    but a_i is real, and {s+i,2i+1} = i (-1)^i prod_{k=s-i..s+i}
-    2 sin(pi k/N), so S = -i sum_{i<su} a_i {s+i,2i+1}.
+    but a_i is real.  The window products alone, sum_{i<su} a_i
+    {s+i,2i+1}, are {1} V_s(xi), since every later window holds {N}; a
+    caller that needs them reads V_s instead.
 
     The terms run in fixed point: ints at the scale 2^P of the context's
     table ``sin_cot``, one truncation (x * y) >> P per product, and the
@@ -209,18 +205,19 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     su, sb = min(s, N - s), max(s, N - s)
     a_re, a_im, scale = h.fixed_at_xi(sb, ctx)
     sines, cots_of, cos2, P = ctx.sin_cot
-    # prods[i] = (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N); each i adds the
+    # prod = (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N); each i adds the
     # factors 2 sin(pi (s+i)/N) 2 sin(pi (s-i)/N) = cos2[i] - cos2[s], and
-    # the cotangent window [s-i, s+i] stays inside 1..N-1
+    # the cotangent window [s-i, s+i] stays inside 1..N-1; low is the bit
+    # length of the shallowest window product
     c_s = cos2[s]
     prod = sines[s]
     cots = cots_of[s]
-    prods = [prod]
+    low = prod.bit_length()
     terms = [prod * cots >> P]
     for i in range(1, su):
         prod = -(prod * (cos2[i] - c_s)) >> P
         cots += cots_of[s + i] + cots_of[s - i]
-        prods.append(prod)
+        low = min(low, prod.bit_length())
         terms.append(prod * cots >> P)
     # tilde terms 2 (-1)^i ~{s+i,2i+1}: the window [s-i, s+i] holds one
     # multiple of N, 0 when 2s < N and N (~{N} = -1) when 2s > N.  At
@@ -235,30 +232,26 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
         for i in range(su + 1, sb):
             term = -(term * (cos2[i] - c_s)) >> P
             terms.append(term)
-    # G and S are exact int sums at the scale 2^(P + scale), complex only
-    # where some a_i they read is
+    # G is an exact int sum at the scale 2^(P + scale), complex only where
+    # some a_i it reads is
     g_parts = [a_re, a_im] if any(a_im[:sb]) else [a_re]
-    s_parts = [a_re, a_im] if any(a_im[:su]) else [a_re]
     g_terms = [list(map(operator.mul, a, terms)) for a in g_parts]
     g_sums = [sum(t) for t in g_terms]
-    s_sums = [sum(map(operator.mul, a, prods)) for a in s_parts]
     # digits left: every term keeps min(prec, P - _FIXED_GUARD - dip) bits,
     # the dip read off the shallowest window product, and G loses the bits
     # of its largest a_i term above |G|
-    low = min(min(map(int.bit_length, prods)),
-              min(map(int.bit_length, terms[su:]), default=P + 1) - 1)
+    low = min(low, min(map(int.bit_length, terms[su:]), default=P + 1) - 1)
     kept = min(dps_to_prec(ctx.dps), P - RootContext._FIXED_GUARD - max(0, P - low))
     cancel = max(max(map(int.bit_length, t)) for t in g_terms) - max(map(int.bit_length, g_sums))
     loss = ctx.dps - (kept - cancel) * _LOG10_2
     with ctx.workprec():
-        G, S = _from_fixed(g_sums, P + scale), _from_fixed(s_sums, P + scale)
+        G = _from_fixed(g_sums, P + scale)
         if loss + RootContext._GUARD < ctx.dps or abs(G) < ctx.tol:
-            return G, S
+            return G
         # the lost digits back, in steps of _GUARD so that rows share one
         # finer context (its sin_cot table) and its memoized a_i
         extra = math.ceil(loss / RootContext._GUARD) * RootContext._GUARD
-        G, S = tilde_sum(h, s, ctx.finer(extra))
-        return +G, +S
+        return +tilde_sum(h, s, ctx.finer(extra))
 
 
 _LOG10_2 = math.log10(2)
@@ -273,47 +266,37 @@ def _from_fixed(sums, exp):
 
 
 def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
-    """d/dm V_m at m = s, q = xi, from the cyclotomic expansion.
+    """d/dm V_m at m = s, q = xi, from the cyclotomic expansion, O(N).
 
-    The color derivative acts on q^{m+c} by ln(xi) = pi*i/N.  A Leibniz
-    term survives only when every undifferentiated factor is nonzero at
-    xi, so terms whose factor window [s-i, s+i] meets two multiples of N
-    vanish; the sum is truncated at i = 2N-1 and every truncated index up
-    to 3N is checked to have at least two vanishing factors.
+    The color derivative acts on q^{m+c} by ln(xi) = pi*i/N, so by the
+    Leibniz rule d/dm {m+i, 2i+1} = ln(xi) D_i with
+    D_i = sum_{k=s-i..s+i} {k}_+ prod_{j != k} {j}.  One running pair
+    (P_i, D_i), P_i = prod_{k=s-i..s+i} {k}, starts at ({s}, {s}_+), and
+    each i multiplies in f = {s+i} and g = {s-i}:
+    (P, D) -> (P f g, D f g + P (f_+ g + f g_+)).
+
+    {kN} is exactly 0 at xi, so once the window [s-i, s+i] holds two
+    multiples of N the pair is exactly (0, 0) and stays there.  Every
+    window of width 2i+1 > 2N does, so the sum stops at i = N-1.  The
+    guard asks for a_0..a_{2N-1}, every coefficient of V_{2N}, the top
+    color accepted, though only a_0..a_{N-1} enter.
     """
     N = ctx.N
     if not 1 <= s <= 2 * N:
         raise ValueError("s must be in 1..2N")
     if not h.has_coeff(2 * N - 1):
         raise ValueError(f"{h.knot}: d/dm needs coefficients through i = {2 * N - 1}")
-    for i in range(2 * N, 3 * N + 1):
-        vanish = sum(1 for k in range(s - i, s + i + 1) if k % N == 0)
-        if vanish < 2:
-            raise TruncationError(f"truncated term i={i} has only {vanish} vanishing factor(s)")
-    a = h.at_xi(2 * N, ctx)
+    a = h.at_xi(N, ctx)
     with ctx.workprec():
-        ln_xi = mp.mpc(0, mp.pi) / N
-        total = mp.mpc(0)
-        for i in range(2 * N):
-            ks = range(s - i, s + i + 1)
-            vanishing = [k for k in ks if k % N == 0]
-            if len(vanishing) >= 2:
-                continue
-            ai = a[i]
-            if len(vanishing) == 1:
-                k0 = vanishing[0]
-                prod = mp.mpc(1)
-                for k in ks:
-                    if k != k0:
-                        prod *= ctx.brace_at(k)
-                total += ai * ctx.brace_plus(k0) * prod
-            else:
-                prod = mp.mpc(1)
-                for k in ks:
-                    prod *= ctx.brace_at(k)
-                cot_sum = mp.fsum(ctx.brace_plus(k) / ctx.brace_at(k) for k in ks)
-                total += ai * prod * cot_sum
-        return ln_xi * total / ctx.brace_at(1)
+        P, D = ctx.brace_at(s), ctx.brace_plus(s)
+        total = a[0] * D
+        for i in range(1, N):
+            f, g = ctx.brace_at(s + i), ctx.brace_at(s - i)
+            f_plus, g_plus = ctx.brace_plus(s + i), ctx.brace_plus(s - i)
+            fg = f * g
+            P, D = P * fg, D * fg + P * (f_plus * g + f * g_plus)
+            total += a[i] * D
+        return mp.mpc(0, mp.pi) / N * total / ctx.brace_at(1)
 
 
 # -- catalog and resolver -------------------------------------------------

@@ -27,8 +27,8 @@ class LinkNotKnotError(ValueError):
 
 # Tensor dimension cap for exact LaurentPoly braid operators, on W_m and on
 # the modified representations alike.  400-dim 2-strand and 216-dim
-# 3-strand words are routine; beyond ~1500 the exact path gets slow enough
-# that the numeric-q route should be used instead.
+# 3-strand words are routine; beyond ~1500 the exact path gets slow, and
+# a word above the cap is refused with FeasibilityError before any trace.
 EXACT_DIM_CAP = 1800
 
 

@@ -104,18 +104,18 @@ def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
     route, and the discrepancy is exercised in the tests.
 
     With ~{s+i,2i+1} = ~{s+i,i} {s} ~{s-1,i} and {s} != 0 the bracket is
-    (G - ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1})/{s} in the G and S of
-    habiro.tilde_sum, and ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1}
-    = cot(pi s/N) S.
+    (G - ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1})/{s} in the G of
+    habiro.tilde_sum.  That sum is {1} V_s = {s} V_s/[s] at xi (see
+    habiro.tilde_sum), so b_s^+- = ({1}/{s})^2 (G - {s}_+ V_s/[s]).
     """
     ctx = ctx or RootContext(N)
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     h = _coeffs_for(knot, N)
     with ctx.workprec():
-        g, sv = habiro.tilde_sum(h, s, ctx)
-        xs = ctx.xi_pow(s)
-        return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - xs.real / xs.imag * sv)
+        a_s = habiro.normalized_Vm_jet(h, s, N).value(ctx)
+        g = habiro.tilde_sum(h, s, ctx)
+        return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - ctx.brace_plus(s) * a_s)
 
 
 # -- gamma ---------------------------------------------------------------
@@ -137,7 +137,7 @@ def gamma_s(knot, s: int, N: int, route: Route = Route.QDERIV,
                    + habiro.normalized_Vm_jet(h, 2 * N - s, N).times(brace(2 * N - s)))
             return phase * ctx.xi / (2 * N) * jet.ddq_value(ctx)
         if route is Route.HABIRO:
-            return phase * habiro.tilde_sum(h, s, ctx)[0]
+            return phase * habiro.tilde_sum(h, s, ctx)
         dm = habiro.ddm_Vm(h, s, ctx)  # MDERIV
         return phase * N * ctx.brace_at(1) / (mp.pi * mp.mpc(0, 1)) * dm
 

@@ -488,9 +488,11 @@ class RootContext:
     def workprec(self):
         return mp.workdps(self.dps)
 
-    @property
+    @functools.cached_property
     def tol(self):
-        return mp.mpf(10) ** (-self.precision_digits // 2)
+        """10^-(precision_digits // 2), rounded once at ``dps``."""
+        with self.workprec():
+            return mp.mpf(10) ** (-self.precision_digits // 2)
 
     @functools.cached_property
     def half_powers(self):

@@ -178,7 +178,7 @@ def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
     habiro.tilde_sum on the all-ones coefficients of 4_1.
     """
     ctx = ctx or RootContext(N, precision_digits=33)
-    return habiro.tilde_sum(habiro.catalog_coeffs("4_1"), s, ctx)[0]
+    return habiro.tilde_sum(habiro.catalog_coeffs("4_1"), s, ctx)
 
 
 @dataclasses.dataclass

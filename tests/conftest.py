@@ -74,3 +74,37 @@ def kashaev_invariant(knot, N, ctx=None):
 def unnormalized_VN_at_xi(knot, N, ctx=None):
     ctx = ctx or RootContext(N)
     return ctx.eval(loginv.exact_Vm(knot, N))
+
+
+def window_ddm_Vm(h, s, ctx):
+    """d/dm V_m at m = s, q = xi, each Leibniz window rebuilt from its own
+    factors: the oracle for habiro.ddm_Vm.
+
+    A term survives only when every undifferentiated factor is nonzero at
+    xi, so windows [s-i, s+i] that meet two multiples of N are skipped,
+    one with a single multiple keeps only the derivative of that factor,
+    and the rest sum {k}_+/{k} over the window.
+    """
+    N = ctx.N
+    a = h.at_xi(2 * N, ctx)
+    with ctx.workprec():
+        total = mp.mpc(0)
+        for i in range(2 * N):
+            ks = range(s - i, s + i + 1)
+            vanishing = [k for k in ks if k % N == 0]
+            if len(vanishing) >= 2:
+                continue
+            if len(vanishing) == 1:
+                k0 = vanishing[0]
+                prod = mp.mpc(1)
+                for k in ks:
+                    if k != k0:
+                        prod *= ctx.brace_at(k)
+                total += a[i] * ctx.brace_plus(k0) * prod
+            else:
+                prod = mp.mpc(1)
+                for k in ks:
+                    prod *= ctx.brace_at(k)
+                cot_sum = mp.fsum(ctx.brace_plus(k) / ctx.brace_at(k) for k in ks)
+                total += a[i] * prod * cot_sum
+        return mp.mpc(0, mp.pi) / N * total / ctx.brace_at(1)

@@ -4,7 +4,6 @@ import pytest
 from logjones import habiro, jones, loginv
 from logjones.habiro import (
     HabiroCoeffs,
-    TruncationError,
     catalog_coeffs,
     coeffs_for,
     ddm_Vm,
@@ -17,7 +16,7 @@ from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
 from logjones.qcalc import (InexactDivisionError, Jet, LaurentPoly, RootContext, brace,
                             brace_falling, qint)
 from logjones.volume import scan_precision
-from conftest import assert_close, colored_jones_numeric, horner
+from conftest import assert_close, colored_jones_numeric, horner, window_ddm_Vm
 
 
 # -- oracles: the expansion one falling brace per term, as first coded
@@ -94,9 +93,9 @@ def half_powers_tilde_sum(a, s, ctx):
 
 def envelope_ratio(knot, N, precision_digits):
     """The worst |fixed - ref| / max(|mpf - ref|, 10^-dps max_i |a_i t_i|)
-    over G and S of every s: fixed is habiro.tilde_sum, mpf the former
-    kernel (half_powers_tilde_sum at the same precision) and ref the same
-    oracle 40 digits finer, a_i included."""
+    over G of every s: fixed is habiro.tilde_sum, mpf the former kernel
+    (half_powers_tilde_sum at the same precision) and ref the same oracle
+    40 digits finer, a_i included."""
     ctx = RootContext(N, precision_digits=precision_digits)
     fine = RootContext(N, precision_digits=precision_digits + 40)
     h = catalog_coeffs(knot)
@@ -104,17 +103,16 @@ def envelope_ratio(knot, N, precision_digits):
     worst = mp.mpf(0)
     for s in range(1, N):
         got = habiro.tilde_sum(h, s, ctx)
-        old = None
         with fine.workprec():
-            for part, ts in enumerate(half_powers_tilde_terms(s, fine)):
-                ref = mp.fdot(zip(a_fine, ts))
-                err = abs(got[part] - ref)
-                floor = mp.mpf(10) ** -ctx.dps * max(abs(ai * t) for ai, t in zip(a_fine, ts))
-                if err <= floor:
-                    continue
-                # the former kernel only where the floor alone does not cover
-                old = old or half_powers_tilde_sum(a, s, ctx)
-                worst = max(worst, err / max(abs(old[part] - ref), floor))
+            ts, _ = half_powers_tilde_terms(s, fine)
+            ref = mp.fdot(zip(a_fine, ts))
+            err = abs(got - ref)
+            floor = mp.mpf(10) ** -ctx.dps * max(abs(ai * t) for ai, t in zip(a_fine, ts))
+            if err <= floor:
+                continue
+            # the former kernel only where the floor alone does not cover
+            old, _ = half_powers_tilde_sum(a, s, ctx)
+            worst = max(worst, err / max(abs(old - ref), floor))
     return worst
 
 
@@ -148,6 +146,21 @@ class TestTildeSum:
         with ctx.workprec():
             for v, x, y in zip(h.at_xi(6, ctx), re, im):
                 assert abs(mp.mpc(v) - mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P))) <= mp.ldexp(2, -P)
+
+    @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
+    def test_window_products_are_V_s(self, knot):
+        # the window products without cotangents, sum_{i<su} a_i
+        # {s+i,2i+1}, are {1} V_s(xi): every later window holds {N}.  So
+        # tilde_sum leaves them out and b_pm_via_habiro reads V_s instead
+        h = catalog_coeffs(knot)
+        for N in range(2, 25):
+            ctx = RootContext(N)
+            a = h.at_xi(N - 1, ctx)
+            for s in range(1, N):
+                _, windows = half_powers_tilde_sum(a, s, ctx)
+                with ctx.workprec():
+                    want = -1j * ctx.brace_at(1) * ctx.eval(reconstruct_Vm(h, s))
+                assert_close(windows, want, ctx.tol)
 
     @pytest.mark.parametrize("N", [100, 150])
     def test_scan_precision_margin(self, N):
@@ -341,11 +354,44 @@ class TestColorDerivative:
                 assert_close(pref * ddm_Vm(h, 2 * N, ctx),
                              loginv.gamma_boundary(h, 0, N, ctx), ctx.tol)
 
+    @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
+    def test_matches_window_oracle(self, name):
+        # the running Leibniz pair against every window rebuilt from its
+        # own factors, at every color the pair accepts
+        if name == "T(2,5)":
+            braid = jones.parse_braid("2: 1 1 1 1 1")
+            h = extract_coeffs([colored_jones_zero_framed(braid, m) for m in range(1, 7)], name)
+            Ns = (2, 3)
+        else:
+            h = catalog_coeffs(name)
+            Ns = range(2, 13)
+        for N in Ns:
+            ctx = RootContext(N)
+            for s in range(1, 2 * N + 1):
+                assert_close(ddm_Vm(h, s, ctx), window_ddm_Vm(h, s, ctx), ctx.tol)
+
+    def test_linear_in_N(self, monkeypatch):
+        # one running pair: four brace values per window step, not a
+        # window's worth, and N - 1 steps
+        calls = []
+        for name in ("brace_at", "brace_plus"):
+            method = getattr(RootContext, name)
+            monkeypatch.setattr(RootContext, name,
+                                lambda ctx, n, method=method: calls.append(n) or method(ctx, n))
+        h = catalog_coeffs("4_1")
+        for N in (6, 12, 24):
+            ctx = RootContext(N)
+            for s in (1, N, 2 * N):
+                calls.clear()
+                ddm_Vm(h, s, ctx)
+                assert len(calls) <= 4 * N, (N, s, len(calls))
+
     def test_truncation_soundness(self):
-        # every dropped term i in [2N, 3N] has >= 2 vanishing factors
+        # every dropped term i in [N, 3N] has >= 2 vanishing factors, at
+        # every color ddm_Vm accepts
         for N in (3, 4, 5):
-            for s in range(1, N + 1):
-                for i in range(2 * N, 3 * N + 1):
+            for s in range(1, 2 * N + 1):
+                for i in range(N, 3 * N + 1):
                     vanish = sum(1 for k in range(s - i, s + i + 1) if k % N == 0)
                     assert vanish >= 2
 

@@ -82,12 +82,14 @@ def dict_convolution(a, b):
 def kron_operands(draw):
     """Two int term maps on one exponent step 1, 2 or 4.  Half the draws
     are dense maps of +-M on equal lengths, whose middle product
-    coefficient is exactly the width bound max|a| max|b| min(len)."""
+    coefficient is exactly the width bound max|a| max|b| min(len).  The
+    others span at most 4 * 34 + 1 exponents, inside the branch's
+    sparsity cut (span <= 70 len) for every length."""
     step = draw(st.sampled_from((1, 2, 4)))
 
     def term_map():
         lo = draw(st.integers(-60, 60))
-        ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))
+        ks = draw(st.lists(st.integers(0, 34), min_size=1, max_size=25, unique=True))
         coeff = st.integers(-2**70, 2**70).filter(bool)
         return {lo + step * k: draw(coeff) for k in ks}
 
@@ -343,6 +345,24 @@ class TestEval:
 
     def test_qint_2N_vanishes(self, ctx3):
         assert abs(ctx3.eval(qint(6))) < ctx3.tol
+
+    def test_brace_at_multiples_of_N_is_exact_zero(self):
+        # habiro.ddm_Vm relies on it: a Leibniz window with two multiples
+        # of N must leave its running pair exactly (0, 0)
+        for N in range(2, 98):
+            ctx = RootContext(N)
+            for k in (-2, -1, 0, 1, 2, 3):
+                assert ctx.brace_at(k * N) == 0, (N, k)
+
+    def test_tol_at_the_context_precision(self):
+        # tol is rounded once, at dps, whatever the ambient precision
+        tols = []
+        for dps in (15, 90):
+            with mp.workdps(dps):
+                tols.append(RootContext(3, precision_digits=41).tol)
+        assert tols[0] == tols[1]
+        with mp.workdps(120):
+            assert abs(tols[0] / mp.mpf(10) ** -21 - 1) < mp.mpf(10) ** -50
 
     def test_context_invariants(self):
         for N in (2, 3, 7):

@@ -157,8 +157,9 @@ class TestFastKernel:
 
     @pytest.mark.parametrize("N", [20, 50])
     def test_matches_generic_machinery_numeric(self, N):
-        # the color-derivative route (ddm_Vm) is the independent slow oracle;
-        # the HABIRO route runs the same kernel as gamma_fig8_fast
+        # the color-derivative route (ddm_Vm, a running Leibniz pair over
+        # the window products) shares no code with gamma_fig8_fast, whose
+        # kernel the HABIRO route runs
         ctx = RootContext(N, precision_digits=60)
         h = loginv.habiro.catalog_coeffs("4_1")
         for s in (1, N // 3, N // 2, N - 1):
@@ -376,7 +377,7 @@ class TestRowMargin:
         ctx = RootContext(N, precision_digits=30)
         ref = RootContext(N, precision_digits=scan_precision(N) + 20)
         for s in range(1, N):
-            g, want = habiro.tilde_sum(h, s, ctx)[0], habiro.tilde_sum(h, s, ref)[0]
+            g, want = habiro.tilde_sum(h, s, ctx), habiro.tilde_sum(h, s, ref)
             if abs(want) >= ctx.tol:
                 with ref.workprec():
                     assert abs(g - want) < mp.mpf(10) ** -RootContext._GUARD * abs(want), s
