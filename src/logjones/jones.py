@@ -1,10 +1,10 @@
 """Colored Jones invariants of braid-closure knots.
 
-Builds the m-dimensional highest weight representation, the universal
-R-matrix action on tensor powers, the braid group representation and the
-quantum/partial traces, all over exact Laurent polynomials.  The braiding
-at a positive crossing is P (factor swap) composed after R; a negative
-crossing uses the inverse braiding.
+Builds the m-dimensional highest weight representation and the universal
+R-matrix action over exact Laurent polynomials, and the braid group
+representation on tensor powers with its quantum and partial traces on
+Kronecker-packed ints.  The braiding at a positive crossing is P (factor
+swap) composed after R; a negative crossing uses the inverse braiding.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ class LinkNotKnotError(ValueError):
     """Braid closure has more than one component."""
 
 
-# Tensor dimension cap for exact LaurentPoly braid operators, on W_m and on
-# the modified representations alike.  400-dim 2-strand and 216-dim
-# 3-strand words are routine; beyond ~1500 the exact path gets slow, and
-# a word above the cap is refused with FeasibilityError before any trace.
+# Tensor dimension cap for the packed braid operators, on W_m and on the
+# modified representations alike.  The 1728-dim cube of Y_1^- at N = 3
+# (4_1) takes 1.2 s on a fast core and 2.1-2.9 s on a shared 2-vCPU Xeon,
+# a tenth of the former dict-polynomial loop; a word above the cap is
+# refused with FeasibilityError before any trace.
 EXACT_DIM_CAP = 1800
 
 
@@ -150,11 +151,17 @@ def mat_mul(a: dict, b: dict) -> dict:
 
 @dataclasses.dataclass
 class TensorOperator:
-    """The operator of a braid word on V^{(x) n}: a sparse map keyed by
-    (row, col) flat indices in mixed radix over factor_dims."""
+    """The operator of a braid word on rep^{(x) strands}: a sparse map
+    {(row, col): int} keyed by flat indices, factor 0 the most significant
+    base-dim digit.  Each entry is its integer Laurent polynomial in the
+    basis of _basis_rescaled, packed under layout = (lo, step, width):
+    digit k in base 2^width is the coefficient at doubled exponent
+    lo + step*k.  The L1-norm run of _digit_width has width 0."""
 
-    factor_dims: tuple
+    rep: WeightRep
+    strands: int
     entries: dict
+    layout: tuple
 
 
 def tensor_of(a: dict, b: dict, d2: int) -> dict:
@@ -305,37 +312,53 @@ def _by_col(entries: dict) -> dict:
     return by_col
 
 
-def _word_product(b: BraidWord, d: int, local_by_sign: dict, one) -> TensorOperator:
-    """The gate loop shared by every braid trace: the product of the local
-    gates local_by_sign[sign] (grouped by column) over the braid word,
-    applied to the identity whose diagonal entries are ``one``.
+# -- braid operators on Kronecker-packed integers ---------------------------
+# Each braiding entry is packed once (qcalc.kron_pack); the exponent offsets
+# add along the word, and one kron_unpack decodes each trace entry.
 
-    Entries only meet ``*``, ``+`` and truthiness, so LaurentPoly, packed
-    int and mpc entries all run through the same loop."""
-    n = b.strands
-    op = TensorOperator((d,) * n, {(i, i): one for i in range(d ** n)})
+
+def _basis_rescaled(op: dict, V: WeightRep) -> dict:
+    """A braiding after the change of basis f_i -> q^{psi_p(t_i)/2} f_i
+    in tensor factor p, where t_i = (max weight - weight of f_i)/2 is the
+    weight index (i itself on W_m), psi_p(t) = (t mod 2) + 2p*t when the
+    weights are odd and psi_p(t) = (t mod 2) when they are even.
+
+    The rescaling is diagonal, so it commutes with K and leaves every
+    trace alone, the partial trace too (see partial_trace).  A gate at
+    factors p, p+1 keeps the weight, so t_k + t_l = t_i + t_j, and it
+    shifts entry ((k, l), (i, j)) by the same amount for every p (the
+    basis index sum k + l is not kept on Y_m^+-).  On W_m all exponents
+    of the braiding then lie in one class mod 4 instead of mod 2, which
+    halves the packed width; the step itself is read off the data."""
+    d = V.dim
+    t = [(max(V.weights) - w) // 2 for w in V.weights]
+    odd = 2 if max(V.weights) % 2 else 0
+    out = {}
+    for (r, c), v in op.items():
+        k, l = divmod(r, d)
+        i, j = divmod(c, d)
+        out[(r, c)] = v.shift((t[k] & 1) + (t[l] & 1) - (t[i] & 1) - (t[j] & 1) + odd * (t[l] - t[j]))
+    return out
+
+
+def _packing_layout(local: dict):
+    """(lo, step): the lowest doubled exponent of each sign's entries and
+    the common exponent step.  The step divides 4 because the trace
+    weights 2*(weight sum - lowest weight sum) are multiples of 4."""
+    lo = {sign: min(e for v in ents.values() for e in v.terms) for sign, ents in local.items()}
+    return lo, math.gcd(4, *(e - lo[sign] for sign, ents in local.items()
+                             for v in ents.values() for e in v.terms))
+
+
+def _word_product(b: BraidWord, V: WeightRep, local_by_sign: dict, layout) -> TensorOperator:
+    """The one gate loop: the product of the local gates local_by_sign[sign]
+    (grouped by column) over the braid word, applied to the identity.  Its
+    entries are packed ints, or the L1 norms of _digit_width."""
+    d, n = V.dim, b.strands
+    op = TensorOperator(V, n, {(i, i): 1 for i in range(d ** n)}, layout)
     for g in b.word:
         op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n)
     return op
-
-
-def _word_braidings(b: BraidWord, V: WeightRep) -> dict:
-    """{sign: (braiding, denominator)} for the signs the word uses."""
-    return {sign: braiding(V, sign) for sign in sorted({1 if g > 0 else -1 for g in b.word})}
-
-
-def braid_operator(b: BraidWord, V: WeightRep):
-    """Representation of the braid word on V^{(x) strands}, returned as
-    (operator, scalar denominator).  The denominator is 1 on irreducible
-    colors; it only picks up {n}! factors on modified-representation pairs
-    whose R-matrix entries are not individually polynomial."""
-    _check_dim(V.dim ** b.strands)
-    local = _word_braidings(b, V)
-    den_total = LaurentPoly.const(1)
-    for g in b.word:
-        den_total = den_total * local[1 if g > 0 else -1][1]
-    by_sign = {sign: _by_col(op) for sign, (op, _) in local.items()}
-    return _word_product(b, V.dim, by_sign, LaurentPoly.const(1)), den_total
 
 
 def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
@@ -350,131 +373,110 @@ def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
             prod = lv * v
             s = out.get(key)
             out[key] = prod if s is None else s + prod
-    return TensorOperator(op.factor_dims, {k: v for k, v in out.items() if v})
+    return TensorOperator(op.rep, n, {k: v for k, v in out.items() if v}, op.layout)
 
 
-def _weight_sum(idx: int, k: int, V: WeightRep) -> int:
-    """Sum of the weights of the k lowest base-dim digits of a flat index:
-    basis vector idx of V^{(x) k} has K-eigenvalue q^{_weight_sum}."""
-    shift = 0
-    for _ in range(k):
-        idx, rem = divmod(idx, V.dim)
-        shift += V.weights[rem]
-    return shift
-
-
-def quantum_trace(op: TensorOperator, V: WeightRep) -> LaurentPoly:
-    """tr(K^{(x)n} . op)."""
-    n = len(op.factor_dims)
-    out = LaurentPoly()
-    for (r, c), v in op.entries.items():
-        if r == c:
-            out = out + v.shift(2 * _weight_sum(r, n, V))
-    return out
-
-
-def partial_trace(op: TensorOperator, V: WeightRep):
-    """Partial quantum trace over the right n-1 factors: contracts
-    (1 x K^{(x)(n-1)}) . op, returning a dense dim x dim matrix."""
-    d = V.dim
-    n = len(op.factor_dims)
-    rest = d ** (n - 1)
-    out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
-    for (r, c), v in op.entries.items():
-        a, tr = divmod(r, rest)
-        b_, tc = divmod(c, rest)
-        if tr == tc:
-            out[a][b_] = out[a][b_] + v.shift(2 * _weight_sum(tr, n - 1, V))
-    return out
-
-
-# -- colored Jones by Kronecker-packed integers -------------------------
-#
-# Every entry of the integer braidings is packed once by qcalc.kron_pack,
-# and the exponent offsets add along the word, so the whole braid trace
-# runs on plain ints and one kron_unpack decodes it.
-
-
-def _basis_rescaled(op: dict, d: int) -> dict:
-    """A braiding after the change of basis f_i -> q^{psi_p(i)/2} f_i
-    in tensor factor p, with psi_p(i) = (i mod 2) + 2p*i when d is even
-    and psi_p(i) = (i mod 2) when d is odd.
-
-    The rescaling is diagonal, so it commutes with K and leaves every
-    trace alone.  A gate at factors p, p+1 keeps k + l = i + j, so it
-    shifts entry ((k, l), (i, j)) by the same amount for every p.
-    Afterwards all exponents of the braiding lie in one class mod 4
-    instead of mod 2, which halves the packed width; the step itself is
-    read off the data."""
-    even = 2 if d % 2 == 0 else 0
-    out = {}
-    for (r, c), v in op.items():
-        k, l = divmod(r, d)
-        i, j = divmod(c, d)
-        out[(r, c)] = v.shift((k & 1) + (l & 1) - (i & 1) - (j & 1) + even * (l - j))
-    return out
-
-
-def _integral_braidings(b: BraidWord, V: WeightRep) -> dict:
-    """{sign: rescaled braiding entries}; raises ArithmeticError unless
-    every entry has int coefficients over denominator 1, as on W_m."""
-    out = {}
-    for sign, (op, den) in _word_braidings(b, V).items():
-        if den != LaurentPoly.const(1) or any(
-                type(c) is not int for v in op.values() for c in v.terms.values()):
-            raise ArithmeticError(f"the braiding of sign {sign} on W_{V.dim} is not an "
-                                  f"integer polynomial operator; it cannot be packed")
-        out[sign] = _basis_rescaled(op, V.dim)
-    return out
-
-
-def _packing_layout(local: dict):
-    """(lo, step): the lowest doubled exponent of each sign's entries and
-    the common exponent step.  The step divides 4 because the trace
-    weights 2*(weight sum) + 2n(m-1) are multiples of 4."""
-    lo = {sign: min(e for v in ents.values() for e in v.terms) for sign, ents in local.items()}
-    step = 4
-    for sign, ents in local.items():
-        for v in ents.values():
-            for e in v.terms:
-                step = math.gcd(step, e - lo[sign])
-    return lo, step
-
-
-def _digit_width(b: BraidWord, d: int, local: dict) -> int:
+def _digit_width(b: BraidWord, V: WeightRep, local: dict) -> int:
     """Digit width W from a proved coefficient bound.
 
     The L1 norm is subadditive and submultiplicative, so running the word
     on the L1 norms of the local entries bounds the L1 norm of every entry
-    of the braid operator, and their sum over the diagonal bounds the
-    trace.  The norms never fall along the word (each gate is invertible,
-    so every column of it has an entry of norm >= 1), so the final entries
-    also bound every intermediate one: with W one bit above the largest
-    bound, each intermediate int decodes to its polynomial too, and an
-    entry cancels to 0 exactly when its polynomial does."""
+    of the braid operator, and their sums over each block of the partial
+    trace and over the diagonal bound both traces.  The norms never fall
+    along the word (each gate is invertible, so every column of it has an
+    entry of norm >= 1), so the final entries also bound every
+    intermediate one: with W one bit above the largest bound, each
+    intermediate int decodes to its polynomial too, and an entry cancels
+    to 0 exactly when its polynomial does."""
     norms = {sign: _by_col({k: sum(abs(c) for c in v.terms.values()) for k, v in ents.items()})
              for sign, ents in local.items()}
-    op = _word_product(b, d, norms, 1)
-    diag = sum(v for (r, c), v in op.entries.items() if r == c)
-    return max(diag, max(op.entries.values())).bit_length() + 1
+    op = _word_product(b, V, norms, (0, 1, 0))
+    blocks, _ = _traced_blocks(op, b.strands - 1)
+    diag = sum(v for (a, b_), v in blocks.items() if a == b_)  # bounds the trace
+    return max(diag, *blocks.values(), *op.entries.values()).bit_length() + 1
 
 
-def _packed_trace(b: BraidWord, V: WeightRep) -> LaurentPoly:
-    """tr(K^{(x)n} . braid operator) on packed ints: one int per entry."""
-    d, n = V.dim, b.strands
-    local = _integral_braidings(b, V)
+def braid_operator(b: BraidWord, V: WeightRep):
+    """Representation of the braid word on V^{(x) strands}, returned as
+    (TensorOperator, den) with packed int entries.  den is the product of
+    the braidings' {n}! denominators, kept outside the ints: 1 on W_m,
+    {2}! or {3}! per crossing on some modified representations.
+    ArithmeticError when a braiding has a non-integer coefficient."""
+    _check_dim(V.dim ** b.strands)
+    signs = [1 if g > 0 else -1 for g in b.word]
+    local, dens = {}, {}
+    for sign in sorted(set(signs)):
+        op, dens[sign] = braiding(V, sign)
+        if any(type(c) is not int for v in op.values() for c in v.terms.values()):
+            raise ArithmeticError(f"the braiding of sign {sign} on a {V.dim}-dim representation "
+                                  f"has non-integer coefficients; it cannot be packed")
+        local[sign] = _basis_rescaled(op, V)
+    one = LaurentPoly.const(1)
+    den = math.prod((dens[sign] for sign in signs if dens[sign] != one), start=one)
     lo, step = _packing_layout(local)
-    width = _digit_width(b, d, local)
+    width = _digit_width(b, V, local)
     packed = {sign: _by_col({k: kron_pack(v.terms, lo[sign], step, width) for k, v in ents.items()})
               for sign, ents in local.items()}
-    op = _word_product(b, d, packed, 1)
-    base = 2 * n * (d - 1)  # -2 * (lowest weight sum): every trace exponent >= 0
-    total = 0
-    for (r, c), v in op.entries.items():
-        if r == c:
-            total += v << (width * ((2 * _weight_sum(r, n, V) + base) // step))
-    return LaurentPoly(kron_unpack(total, sum(lo[1 if g > 0 else -1] for g in b.word) - base,
-                                   step, width))
+    return _word_product(b, V, packed, (sum(lo[sign] for sign in signs), step, width)), den
+
+
+def _weight_sums(k: int, V: WeightRep) -> list:
+    """The weight of every basis vector of V^{(x) k} by flat index: basis
+    vector idx has K-eigenvalue q^{_weight_sums(k, V)[idx]}."""
+    sums = [0]
+    for _ in range(k):
+        sums = [s + w for s in sums for w in V.weights]
+    return sums
+
+
+def _traced_blocks(op: TensorOperator, k: int):
+    """The partial quantum trace over the k lowest factors, packed:
+    {(a, b): int} over the indices a, b of the other factors, each entry
+    shifted by its K weight above the lowest weight sum, and the doubled
+    exponent of digit 0 of the result.  The operator keeps weight, so only
+    the pairs a, b of equal weight are read."""
+    V = op.rep
+    lo, step, width = op.layout
+    rest = V.dim ** k
+    low = k * min(V.weights)
+    outer = _weight_sums(op.strands - k, V)
+    pairs = [(a, b_) for a, wa in enumerate(outer) for b_, wb in enumerate(outer) if wa == wb]
+    get = op.entries.get
+    blocks = {}
+    for tr, weight in enumerate(_weight_sums(k, V)):
+        shift = width * (2 * (weight - low) // step)
+        for a, b_ in pairs:
+            v = get((a * rest + tr, b_ * rest + tr))
+            if v:
+                blocks[(a, b_)] = blocks.get((a, b_), 0) + (v << shift)
+    return blocks, lo + 2 * low
+
+
+def quantum_trace(op: TensorOperator, den) -> LaurentPoly:
+    """tr(K^{(x)n} . op): the K-shifted diagonal summed packed and unpacked
+    once.  The trace is only taken over den = 1, as on W_m; ArithmeticError
+    otherwise."""
+    if den != LaurentPoly.const(1):
+        raise ArithmeticError(f"braid operator over the denominator {den}: no packed trace")
+    blocks, lo = _traced_blocks(op, op.strands)
+    return LaurentPoly(kron_unpack(blocks.get((0, 0), 0), lo, *op.layout[1:]))
+
+
+def partial_trace(op: TensorOperator):
+    """Partial quantum trace over the right n-1 factors: contracts
+    (1 x K^{(x)(n-1)}) . op into a dense dim x dim matrix of LaurentPoly,
+    the numerator over the operator's den, each entry unpacked once.
+
+    The rescaling of _basis_rescaled would move entry (a, b) by
+    (t_b mod 2) - (t_a mod 2) doubled exponents on the open factor, but
+    the operator keeps weight and the closed factors match, so every
+    entry kept has t_a = t_b and the shift is 0."""
+    d = op.rep.dim
+    blocks, lo = _traced_blocks(op, op.strands - 1)
+    out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
+    for (a, b_), v in blocks.items():
+        out[a][b_] = LaurentPoly(kron_unpack(v, lo, *op.layout[1:]))
+    return out
 
 
 def check_knot(b: BraidWord):
@@ -492,15 +494,14 @@ def check_trace(b: BraidWord, m: int):
 
 
 def colored_jones(b: BraidWord, m: int) -> LaurentPoly:
-    """V_m of the braid closure, carrying framing = writhe.
+    """V_m of the braid closure, carrying framing = writhe: the quantum
+    trace of the packed braid operator on W_m, whose denominator is 1.
 
     Use framing_adjust to pass to the 0-framed invariant.  Raises
-    LinkNotKnotError when the closure has more than one component.  The
-    trace runs on Kronecker-packed ints (see ``_packed_trace``); it equals
-    quantum_trace(*braid_operator(b, build_Wm(m))) term for term.
+    LinkNotKnotError when the closure has more than one component.
     """
     check_trace(b, m)
-    return _packed_trace(b, build_Wm(m))
+    return quantum_trace(*braid_operator(b, build_Wm(m)))
 
 
 def framing_adjust(p: LaurentPoly, w: int, m: int) -> LaurentPoly:

@@ -56,10 +56,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def const(c) -> "LaurentPoly":
         return LaurentPoly({0: c})
 

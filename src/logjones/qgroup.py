@@ -401,7 +401,7 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootCo
     jones.check_knot(b)
     rep, labels = build_modified(sign, m, N)
     op, den = jones.braid_operator(b, rep)
-    traced = jones.partial_trace(op, rep)
+    traced = jones.partial_trace(op)
     with ctx.workprec():
         if den == LaurentPoly.const(1):
             at_xi = [[ctx.eval(p) for p in row] for row in traced]
@@ -571,7 +571,7 @@ def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool =
             reps[f"Y{m}+"] = build_modified(1, m, N)[0]
             reps[f"Y{m}-"] = build_modified(-1, m, N)[0]
         names = sorted(reps)
-        for i, n1 in enumerate(names):
+        for n1 in names:
             for n2 in names:
                 rep = rmatrix_specialization_check(reps[n1], reps[n2], N, ctx)
                 add("rmatrix_specialization", f"{n1} (x) {n2}", rep["residual"])

@@ -1,8 +1,9 @@
 import mpmath as mp
 import pytest
+from hypothesis import assume, strategies as st
 
 from logjones import jones, loginv
-from logjones.qcalc import RootContext, int_or_frac_to_mp
+from logjones.qcalc import LaurentPoly, RootContext, int_or_frac_to_mp
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -38,23 +39,98 @@ def horner(p, q_half):
     return acc * q_half ** exps[-1]
 
 
+@st.composite
+def knotted_words(draw):
+    """Braid words on 2 or 3 strands, 1 to 5 generators, whose closure is a knot."""
+    strands = draw(st.integers(2, 3))
+    gens = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
+    word = tuple(draw(st.lists(gens, min_size=1, max_size=5)))
+    b = jones.BraidWord(strands, word)
+    assume(b.is_knot())
+    return b
+
+
+def gate_loop(b, d, gates, one):
+    """The product of the braid word's gates on V^{(x) n}, V of dimension d,
+    as a sparse map: each gate is the full map 1 x B x 1 with B = gates[sign]
+    at the generator's pair of factors, applied to the identity whose
+    diagonal entries are ``one``.  Entries only meet ``*``, ``+`` and
+    truthiness, so LaurentPoly and mpc gates both work: the oracle for the
+    packed gate loop of jones.braid_operator."""
+    n = b.strands
+    op = {(i, i): one for i in range(d ** n)}
+    for g in b.word:
+        pos = abs(g) - 1
+        tail = d ** (n - pos - 2)
+        left = {(i, i): one for i in range(d ** pos)}
+        right = {(i, i): one for i in range(tail)}
+        gate = jones.tensor_of(jones.tensor_of(left, gates[1 if g > 0 else -1], d * d), right, tail)
+        op = jones.mat_mul(gate, op)
+    return op
+
+
+def dict_braid_operator(b, V):
+    """(entries, den): the braid operator on V^{(x) n} over LaurentPoly
+    entries and the product of its braidings' denominators."""
+    local = {sign: jones.braiding(V, sign) for sign in {1 if g > 0 else -1 for g in b.word}}
+    den = LaurentPoly.const(1)
+    for g in b.word:
+        den = den * local[1 if g > 0 else -1][1]
+    gates = {sign: op for sign, (op, _) in local.items()}
+    return gate_loop(b, V.dim, gates, LaurentPoly.const(1)), den
+
+
+def weight_sum(idx, k, V):
+    """The K weight of basis vector idx of V^{(x) k}: the sum of the weights
+    of its k lowest base-dim digits."""
+    total = 0
+    for _ in range(k):
+        idx, rem = divmod(idx, V.dim)
+        total += V.weights[rem]
+    return total
+
+
+def dict_quantum_trace(entries, V, n):
+    """tr(K^{(x)n} . op) of a LaurentPoly operator."""
+    out = LaurentPoly()
+    for (r, c), v in entries.items():
+        if r == c:
+            out = out + v.shift(2 * weight_sum(r, n, V))
+    return out
+
+
+def dict_partial_trace(entries, V, n):
+    """The partial quantum trace over the right n-1 factors of a
+    LaurentPoly operator, as a dense dim x dim matrix."""
+    d = V.dim
+    rest = d ** (n - 1)
+    out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
+    for (r, c), v in entries.items():
+        a, tr = divmod(r, rest)
+        b_, tc = divmod(c, rest)
+        if tr == tc:
+            out[a][b_] = out[a][b_] + v.shift(2 * weight_sum(tr, n - 1, V))
+    return out
+
+
 def colored_jones_numeric(b, m, q_half):
     """The quantum trace of b on W_m at a numeric q given by its square root:
     the gate loop of the braid trace run on mpc entries, an oracle for the
     exact colored Jones polynomial evaluated by horner."""
     jones.check_knot(b)
     V = jones.build_Wm(m)
-    by_sign = {}
-    for sign, (loc, den) in jones._word_braidings(b, V).items():
+    gates = {}
+    for sign in {1 if g > 0 else -1 for g in b.word}:
+        loc, den = jones.braiding(V, sign)
         den_val = horner(den, q_half)
-        by_sign[sign] = jones._by_col({k: horner(v, q_half) / den_val for k, v in loc.items()})
-    op = jones._word_product(b, V.dim, by_sign, mp.mpc(1))
+        gates[sign] = {k: horner(v, q_half) / den_val for k, v in loc.items()}
+    op = gate_loop(b, V.dim, gates, mp.mpc(1))
     q = q_half * q_half
     n = b.strands
     tot = mp.mpc(0)
-    for (r, c), v in op.entries.items():
+    for (r, c), v in op.items():
         if r == c:
-            tot += v * q ** jones._weight_sum(r, n, V)
+            tot += v * q ** weight_sum(r, n, V)
     return tot
 
 

@@ -1,5 +1,6 @@
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logjones import habiro, jones
 from logjones.jones import (
@@ -20,9 +21,14 @@ from logjones.jones import (
     rmatrix,
     rmatrix_inverse,
 )
-from logjones.qcalc import LaurentPoly, RootContext, brace, qint
+from logjones.qcalc import LaurentPoly, RootContext, brace, kron_unpack, qint
 from logjones.qgroup import build_modified
-from conftest import colored_jones_numeric, horner
+from conftest import colored_jones_numeric, horner, knotted_words
+
+
+def decoded(op):
+    """The packed operator's entries as term maps, in its rescaled basis."""
+    return {k: kron_unpack(v, *op.layout) for k, v in op.entries.items()}
 
 
 def dense_of(entries, d):
@@ -245,18 +251,19 @@ class TestRMatrix:
         o1, d1 = braid_operator(BraidWord(3, (1, 2, 1)), w)
         o2, d2 = braid_operator(BraidWord(3, (2, 1, 2)), w)
         assert d1 == d2
-        assert o1.entries == o2.entries
+        assert decoded(o1) == decoded(o2)
 
     def test_far_commutation(self):
         w = build_Wm(2)
         o1, _ = braid_operator(BraidWord(4, (1, 3)), w)
         o2, _ = braid_operator(BraidWord(4, (3, 1)), w)
-        assert o1.entries == o2.entries
+        assert decoded(o1) == decoded(o2)
 
     def test_braiding_inverse_pair(self):
         w = build_Wm(3)
         op, den = braid_operator(BraidWord(2, (1, -1)), w)
-        assert op.entries == {(i, i): den for i in range(9)}
+        # the rescaling leaves diagonal entries alone
+        assert decoded(op) == {(i, i): den.terms for i in range(9)}
 
 
 class TestColoredJones:
@@ -328,7 +335,7 @@ class TestPartialTrace:
         n = 2
         ident, den = braid_operator(BraidWord(n, ()), w)
         assert den == LaurentPoly.const(1)
-        traced = partial_trace(ident, w)
+        traced = partial_trace(ident)
         for i in range(3):
             for j in range(3):
                 assert traced[i][j] == (qint(3) if i == j else LaurentPoly())
@@ -341,12 +348,12 @@ class TestPartialTrace:
         w = build_Wm(m)
         op, den = braid_operator(b, w)
         assert den == LaurentPoly.const(1)
-        traced = partial_trace(op, w)
+        traced = partial_trace(op)
         scalar = traced[0][0]
         for i in range(m):
             for j in range(m):
                 assert traced[i][j] == (scalar if i == j else LaurentPoly())
-        assert scalar * qint(m) == quantum_trace(op, w)
+        assert scalar * qint(m) == quantum_trace(op, den)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_intertwiner_property(self, m, n):
@@ -354,10 +361,35 @@ class TestPartialTrace:
         word = tuple(1 + (i % (n - 1)) for i in range(3)) if n > 1 else ()
         b = BraidWord(n, word)
         w = build_Wm(m)
-        traced = partial_trace(braid_operator(b, w)[0], w)
+        traced = partial_trace(braid_operator(b, w)[0])
         for mat in (dense_of(w.E, m), dense_of(w.F, m), dense_K(w)):
             lhs = poly_mat_mul(traced, mat, m)
             rhs = poly_mat_mul(mat, traced, m)
             for i in range(m):
                 for j in range(m):
                     assert lhs[i][j] == rhs[i][j]
+
+
+class TestBraidInvariance:
+    """The 0-framed colored Jones polynomial of a closure depends only on
+    the knot: Markov's theorem, and the mirror reverses q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(knotted_words(), st.integers(1, 3), st.data())
+    def test_conjugation(self, b, m, data):
+        k = data.draw(st.integers(1, b.strands - 1)) * data.draw(st.sampled_from((1, -1)))
+        conj = BraidWord(b.strands, (k,) + b.word + (-k,))
+        assert colored_jones_zero_framed(conj, m) == colored_jones_zero_framed(b, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(knotted_words(), st.integers(1, 3), st.sampled_from((1, -1)))
+    def test_markov_stabilization(self, b, m, sign):
+        n = b.strands
+        stab = BraidWord(n + 1, b.word + (sign * n,))
+        assert colored_jones_zero_framed(stab, m) == colored_jones_zero_framed(b, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(knotted_words(), st.integers(1, 3))
+    def test_mirror(self, b, m):
+        mirror = BraidWord(b.strands, tuple(-g for g in b.word))
+        assert colored_jones_zero_framed(mirror, m) == colored_jones_zero_framed(b, m).mirror()

@@ -1,17 +1,20 @@
-"""The packed-int colored Jones path against the dict-polynomial path."""
+"""The packed-int braid engine against the dict-polynomial gate loop."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logjones import jones
-from logjones.jones import BraidWord, braid_operator, build_Wm, colored_jones, parse_braid, quantum_trace
+from logjones.jones import (BraidWord, braid_operator, build_Wm, colored_jones, parse_braid,
+                            partial_trace, quantum_trace)
 from logjones.qcalc import LaurentPoly, kron_pack, kron_unpack, qint
+from logjones.qgroup import build_modified
+from conftest import dict_braid_operator, dict_partial_trace, dict_quantum_trace, knotted_words
 
 
 def dict_trace(b, m):
     V = build_Wm(m)
-    op, den = braid_operator(b, V)
-    return quantum_trace(op, V) / den
+    entries, den = dict_braid_operator(b, V)
+    return dict_quantum_trace(entries, V, b.strands) / den
 
 
 def assert_same(packed, reference):
@@ -47,16 +50,6 @@ def test_unknot(m):
     assert_same(colored_jones(BraidWord(1, ()), m), qint(m))
 
 
-@st.composite
-def knotted_words(draw):
-    strands = draw(st.integers(2, 3))
-    gens = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
-    word = tuple(draw(st.lists(gens, min_size=1, max_size=5)))
-    b = BraidWord(strands, word)
-    assume(b.is_knot())
-    return b
-
-
 @settings(max_examples=30, deadline=None)
 @given(knotted_words(), st.integers(1, 4))
 def test_packed_matches_dict_path_random(b, m):
@@ -74,19 +67,61 @@ def test_pack_unpack_round_trip(coeffs, lo):
 
 
 def test_digit_width_bounds_every_intermediate_entry():
+    # on W_4 and on Y_1^- at N = 2; the bound covers the partial trace too
     b = parse_braid("3: 1 -2 1 -2")
-    m = 4
-    V = build_Wm(m)
-    width = jones._digit_width(b, V.dim, jones._integral_braidings(b, V))
-    seen = 0
-    for k in range(len(b.word) + 1):
-        op, _ = braid_operator(BraidWord(b.strands, b.word[:k]), V)
-        for v in op.entries.values():
-            seen = max(seen, max(abs(c) for c in v.terms.values()))
-    trace = dict_trace(b, m)
-    seen = max(seen, max(abs(c) for c in trace.terms.values()))
-    assert seen > 1
-    assert seen.bit_length() < width
+    for V in (build_Wm(4), build_modified(-1, 1, 2)[0]):
+        width = braid_operator(b, V)[0].layout[2]
+        seen = 0
+        for k in range(len(b.word) + 1):
+            entries, _ = dict_braid_operator(BraidWord(b.strands, b.word[:k]), V)
+            for v in entries.values():
+                seen = max(seen, max(abs(c) for c in v.terms.values()))
+        entries, _ = dict_braid_operator(b, V)
+        trace = dict_quantum_trace(entries, V, b.strands)
+        seen = max(seen, max(abs(c) for c in trace.terms.values()))
+        for row in dict_partial_trace(entries, V, b.strands):
+            for v in row:
+                seen = max(seen, max((abs(c) for c in v.terms.values()), default=0))
+        assert seen > 1
+        assert seen.bit_length() < width
+
+
+def oracle_rep(label):
+    """W3, W4 or Y<m><sign>_N<N> as a WeightRep."""
+    if label[0] == "W":
+        return build_Wm(int(label[1:]))
+    return build_modified(1 if label[2] == "+" else -1, int(label[1]), int(label[-1]))[0]
+
+
+# 3-strand words only where the tensor cube stays small enough for the dict loop
+ORACLE_CASES = [
+    (rep, word)
+    for rep in ("Y1+_N2", "Y1-_N2", "Y1+_N3", "Y2+_N3", "Y1-_N3", "Y2-_N3", "W3", "W4")
+    for word in ("2: 1 1 1", "2: -1 -1 -1", "3: 1 -2 1 -2", "3: -1 2")
+    if "-" not in rep or rep.endswith("N2") or word.startswith("2")
+]
+
+
+@pytest.mark.parametrize("rep, word", ORACLE_CASES)
+def test_packed_traces_equal_dict_oracle(rep, word):
+    # the partial trace, the trace and the denominator, term for term; on
+    # Y_m^+- the rescale must follow the weight index, since the braidings
+    # there do not keep the basis index sum (Y2-_N3 has a {n}! denominator)
+    V = oracle_rep(rep)
+    b = parse_braid(word)
+    op, den = braid_operator(b, V)
+    entries, dict_den = dict_braid_operator(b, V)
+    assert den == dict_den
+    reference = dict_partial_trace(entries, V, b.strands)
+    traced = partial_trace(op)
+    for i in range(V.dim):
+        for j in range(V.dim):
+            assert traced[i][j].terms == reference[i][j].terms
+    if den == LaurentPoly.const(1):
+        assert_same(quantum_trace(op, den), dict_quantum_trace(entries, V, b.strands))
+    else:
+        with pytest.raises(ArithmeticError):
+            quantum_trace(op, den)
 
 
 def test_non_integral_braiding_is_refused(monkeypatch):

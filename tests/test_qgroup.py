@@ -378,6 +378,17 @@ class TestEtaPartialTrace:
         want = loginv.b_pm_via_derivative("4_1", m, N, sign, ctx, framing=b41.writhe)
         assert_close(got, want, mp.mpf(10) ** -25)
 
+    @pytest.mark.parametrize("sign, m", [(-1, 1), (1, 1), (1, 2)])
+    def test_figure_eight_three_strand_N3(self, sign, m):
+        # the definitional route on the cubes of Y_1^- (1728-dim) and
+        # Y_m^+ (216-dim) at N=3
+        N = 3
+        ctx = RootContext(N)
+        b41 = KNOT_CATALOG["4_1"]
+        got = x0_to_b(x0_from_eta(b41, m, sign, N, ctx), m, N, sign, ctx)
+        want = loginv.b_pm_via_derivative("4_1", m, N, sign, ctx, framing=b41.writhe)
+        assert_close(got, want, mp.mpf(10) ** -25)
+
     def test_trefoil_larger_root(self):
         # 2-strand trace on Y_2^+ at N=5 (dimension 10^2)
         N, m = 5, 2
