@@ -5,6 +5,8 @@ R-matrix action over exact Laurent polynomials, and the braid group
 representation on tensor powers with its quantum and partial traces on
 Kronecker-packed ints.  The braiding at a positive crossing is P (factor
 swap) composed after R; a negative crossing uses the inverse braiding.
+A braid word w = w1 w2 is kept as the operators of its two halves, and
+the traces contract them without forming the operator of w.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ class LinkNotKnotError(ValueError):
 
 
 # Tensor dimension cap for the packed braid operators, on W_m and on the
-# modified representations alike.  The 1728-dim cube of Y_1^- at N = 3
-# (4_1) takes 1.2 s on a fast core and 2.1-2.9 s on a shared 2-vCPU Xeon,
-# a tenth of the former dict-polynomial loop; a word above the cap is
-# refused with FeasibilityError before any trace.
+# modified representations alike.  On a shared 2-vCPU Xeon, with the two
+# half-word operators contracted, the partial trace of 4_1 on the
+# 1728-dim cube of Y_1^- at N = 3 takes 0.3 s (1.9 s with the whole word's
+# operator), and colored_jones of 4_1 at m = 12 (1728 dims) 1.4 s and
+# 93 MB (18.6 s and 317 MB); a word above the cap is refused with
+# FeasibilityError before any trace.
 EXACT_DIM_CAP = 1800
 
 
@@ -151,12 +155,14 @@ def mat_mul(a: dict, b: dict) -> dict:
 
 @dataclasses.dataclass
 class TensorOperator:
-    """The operator of a braid word on rep^{(x) strands}: a sparse map
-    {(row, col): int} keyed by flat indices, factor 0 the most significant
-    base-dim digit.  Each entry is its integer Laurent polynomial in the
-    basis of _basis_rescaled, packed under layout = (lo, step, width):
-    digit k in base 2^width is the coefficient at doubled exponent
-    lo + step*k.  The L1-norm run of _digit_width has width 0."""
+    """The operator of a braid word (in braid_operator, one half of it) on
+    rep^{(x) strands}: a sparse map {(row, col): int} keyed by flat
+    indices, factor 0 the most significant base-dim digit.  Each entry is
+    its integer Laurent polynomial in the basis of _basis_rescaled, packed
+    under layout = (lo, step, width) as the sum of c_k 2^(width*k) over
+    its coefficients c_k at doubled exponents lo + step*k.  Only the
+    traces are decoded, so width bounds their digits, not the entries'.
+    The L1-norm halves of _digit_width have width 0."""
 
     rep: WeightRep
     strands: int
@@ -350,15 +356,26 @@ def _packing_layout(local: dict):
                              for v in ents.values() for e in v.terms))
 
 
-def _word_product(b: BraidWord, V: WeightRep, local_by_sign: dict, layout) -> TensorOperator:
+def _word_product(n: int, word: tuple, V: WeightRep, local_by_sign: dict, layout) -> TensorOperator:
     """The one gate loop: the product of the local gates local_by_sign[sign]
-    (grouped by column) over the braid word, applied to the identity.  Its
-    entries are packed ints, or the L1 norms of _digit_width."""
-    d, n = V.dim, b.strands
+    (grouped by column) over word on V^{(x) n}, applied to the identity.
+    Its entries are packed ints, or the L1 norms of _digit_width."""
+    d = V.dim
     op = TensorOperator(V, n, {(i, i): 1 for i in range(d ** n)}, layout)
-    for g in b.word:
+    for g in word:
         op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n)
     return op
+
+
+def _halves(b: BraidWord, V: WeightRep, local_by_sign: dict, lo: dict, step: int, width: int):
+    """(F, S): the products of w1 = w[:h] and w2 = w[h:], h = len(w) // 2,
+    so that the word's operator is S F, which is never formed.  Each half
+    starts from the identity; its layout's lo is the sum of lo[sign] over
+    its own gates."""
+    h = len(b.word) // 2
+    return tuple(_word_product(b.strands, word, V, local_by_sign,
+                               (sum(lo[1 if g > 0 else -1] for g in word), step, width))
+                 for word in (b.word[:h], b.word[h:]))
 
 
 def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
@@ -379,29 +396,31 @@ def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
 def _digit_width(b: BraidWord, V: WeightRep, local: dict) -> int:
     """Digit width W from a proved coefficient bound.
 
-    The L1 norm is subadditive and submultiplicative, so running the word
-    on the L1 norms of the local entries bounds the L1 norm of every entry
-    of the braid operator, and their sums over each block of the partial
-    trace and over the diagonal bound both traces.  The norms never fall
-    along the word (each gate is invertible, so every column of it has an
-    entry of norm >= 1), so the final entries also bound every
-    intermediate one: with W one bit above the largest bound, each
-    intermediate int decodes to its polynomial too, and an entry cancels
-    to 0 exactly when its polynomial does."""
+    Kronecker substitution (x -> 2^W) is a ring homomorphism, so every
+    packed int of the halves and of their contraction is the exact image
+    of its polynomial, whatever its digits; an int that cancels to 0 is
+    dropped without changing any later product.  Only the decoded ints,
+    the blocks of the partial trace and the trace, need their coefficients
+    below 2^{W-1}.  The L1 norm is subadditive and submultiplicative, so
+    the halves and the contraction run on the L1 norms of the local
+    entries bound the L1 norm of every block, and the sum of the diagonal
+    blocks bounds the trace; W is one bit above the largest bound."""
     norms = {sign: _by_col({k: sum(abs(c) for c in v.terms.values()) for k, v in ents.items()})
              for sign, ents in local.items()}
-    op = _word_product(b, V, norms, (0, 1, 0))
-    blocks, _ = _traced_blocks(op, b.strands - 1)
+    blocks, _ = _traced_blocks(_halves(b, V, norms, dict.fromkeys(norms, 0), 1, 0), b.strands - 1)
     diag = sum(v for (a, b_), v in blocks.items() if a == b_)  # bounds the trace
-    return max(diag, *blocks.values(), *op.entries.values()).bit_length() + 1
+    return max(diag, *blocks.values()).bit_length() + 1
 
 
 def braid_operator(b: BraidWord, V: WeightRep):
-    """Representation of the braid word on V^{(x) strands}, returned as
-    (TensorOperator, den) with packed int entries.  den is the product of
-    the braidings' {n}! denominators, kept outside the ints: 1 on W_m,
-    {2}! or {3}! per crossing on some modified representations.
-    ArithmeticError when a braiding has a non-integer coefficient."""
+    """Representation of the braid word w = w1 w2 on V^{(x) strands},
+    returned as ((F, S), den): the TensorOperators of the halves
+    w1 = w[:h] and w2 = w[h:], h = len(w) // 2, with packed int entries.
+    The operator of w is S F; the traces contract the halves instead of
+    forming it.  den is the product of the braidings' {n}! denominators,
+    kept outside the ints: 1 on W_m, {2}! or {3}! per crossing on some
+    modified representations.  ArithmeticError when a braiding has a
+    non-integer coefficient."""
     _check_dim(V.dim ** b.strands)
     signs = [1 if g > 0 else -1 for g in b.word]
     local, dens = {}, {}
@@ -417,7 +436,7 @@ def braid_operator(b: BraidWord, V: WeightRep):
     width = _digit_width(b, V, local)
     packed = {sign: _by_col({k: kron_pack(v.terms, lo[sign], step, width) for k, v in ents.items()})
               for sign, ents in local.items()}
-    return _word_product(b, V, packed, (sum(lo[sign] for sign in signs), step, width)), den
+    return _halves(b, V, packed, lo, step, width), den
 
 
 def _weight_sums(k: int, V: WeightRep) -> list:
@@ -429,53 +448,66 @@ def _weight_sums(k: int, V: WeightRep) -> list:
     return sums
 
 
-def _traced_blocks(op: TensorOperator, k: int):
-    """The partial quantum trace over the k lowest factors, packed:
-    {(a, b): int} over the indices a, b of the other factors, each entry
-    shifted by its K weight above the lowest weight sum, and the doubled
-    exponent of digit 0 of the result.  The operator keeps weight, so only
-    the pairs a, b of equal weight are read."""
-    V = op.rep
-    lo, step, width = op.layout
+def _traced_blocks(halves, k: int):
+    """The partial quantum trace of S F over its k lowest factors,
+    contracted from the halves (F, S) without forming S F:
+
+        block (a, b) = sum_t K_t sum_j S[(a, t), j] F[j, (b, t)]
+
+    over the indices a, b of the other factors and t of the closed ones,
+    K_t the packed shift by t's weight above the lowest weight sum.  F's
+    entries are grouped by (j, t), one pass over S's entries accumulates
+    per (a, b, t), and each key is shifted once.  Returns {(a, b): int}
+    and the layout (lo, step, width) of the blocks.  S F keeps weight, so
+    a block of unequal weights a, b sums to 0."""
+    F, S = halves
+    V = F.rep
+    lo, step, width = F.layout
     rest = V.dim ** k
     low = k * min(V.weights)
-    outer = _weight_sums(op.strands - k, V)
-    pairs = [(a, b_) for a, wa in enumerate(outer) for b_, wb in enumerate(outer) if wa == wb]
-    get = op.entries.get
+    f_by_jt = {}
+    for (j, c), v in F.entries.items():
+        b_, t = divmod(c, rest)
+        f_by_jt.setdefault((j, t), []).append((b_, v))
+    acc = {}
+    for (r, j), sv in S.entries.items():
+        a, t = divmod(r, rest)
+        for b_, fv in f_by_jt.get((j, t), ()):
+            key = (a, b_, t)
+            s = acc.get(key)
+            acc[key] = sv * fv if s is None else s + sv * fv
+    shifts = [width * (2 * (w - low) // step) for w in _weight_sums(k, V)]
     blocks = {}
-    for tr, weight in enumerate(_weight_sums(k, V)):
-        shift = width * (2 * (weight - low) // step)
-        for a, b_ in pairs:
-            v = get((a * rest + tr, b_ * rest + tr))
-            if v:
-                blocks[(a, b_)] = blocks.get((a, b_), 0) + (v << shift)
-    return blocks, lo + 2 * low
+    for (a, b_, t), v in acc.items():
+        blocks[(a, b_)] = blocks.get((a, b_), 0) + (v << shifts[t])
+    return blocks, (lo + S.layout[0] + 2 * low, step, width)
 
 
-def quantum_trace(op: TensorOperator, den) -> LaurentPoly:
-    """tr(K^{(x)n} . op): the K-shifted diagonal summed packed and unpacked
-    once.  The trace is only taken over den = 1, as on W_m; ArithmeticError
-    otherwise."""
+def quantum_trace(halves, den) -> LaurentPoly:
+    """tr(K^{(x)n} . S F) of the halves (F, S) of braid_operator: every
+    factor closed by _traced_blocks, unpacked once.  The trace is only
+    taken over den = 1, as on W_m; ArithmeticError otherwise."""
     if den != LaurentPoly.const(1):
         raise ArithmeticError(f"braid operator over the denominator {den}: no packed trace")
-    blocks, lo = _traced_blocks(op, op.strands)
-    return LaurentPoly(kron_unpack(blocks.get((0, 0), 0), lo, *op.layout[1:]))
+    blocks, layout = _traced_blocks(halves, halves[0].strands)
+    return LaurentPoly(kron_unpack(blocks.get((0, 0), 0), *layout))
 
 
-def partial_trace(op: TensorOperator):
-    """Partial quantum trace over the right n-1 factors: contracts
-    (1 x K^{(x)(n-1)}) . op into a dense dim x dim matrix of LaurentPoly,
-    the numerator over the operator's den, each entry unpacked once.
+def partial_trace(halves):
+    """Partial quantum trace over the right n-1 factors of the halves
+    (F, S) of braid_operator: (1 x K^{(x)(n-1)}) . S F contracted by
+    _traced_blocks into a dense dim x dim matrix of LaurentPoly, the
+    numerator over the operator's den, each entry unpacked once.
 
     The rescaling of _basis_rescaled would move entry (a, b) by
     (t_b mod 2) - (t_a mod 2) doubled exponents on the open factor, but
     the operator keeps weight and the closed factors match, so every
     entry kept has t_a = t_b and the shift is 0."""
-    d = op.rep.dim
-    blocks, lo = _traced_blocks(op, op.strands - 1)
+    d = halves[0].rep.dim
+    blocks, layout = _traced_blocks(halves, halves[0].strands - 1)
     out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
     for (a, b_), v in blocks.items():
-        out[a][b_] = LaurentPoly(kron_unpack(v, lo, *op.layout[1:]))
+        out[a][b_] = LaurentPoly(kron_unpack(v, *layout))
     return out
 
 

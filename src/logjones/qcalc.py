@@ -201,9 +201,6 @@ class LaurentPoly:
         """Top doubled exponent, or None for the zero polynomial."""
         return max(self.terms) if self.terms else None
 
-    def valuation2(self):
-        return min(self.terms) if self.terms else None
-
     def shift(self, half_steps: int) -> "LaurentPoly":
         """Multiply by q^(half_steps/2)."""
         out = LaurentPoly.__new__(LaurentPoly)
@@ -215,9 +212,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {-e: c for e, c in self.terms.items()}
         return out
-
-    def is_palindromic(self) -> bool:
-        return self.terms == {-e: c for e, c in self.terms.items()}
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -556,11 +550,6 @@ class RootContext:
     @property
     def xi(self):
         return self.half_powers[2]
-
-    @property
-    def xi_half(self):
-        """xi^{1/2} = exp(pi*i/2N), the point where q^{1/2} is evaluated."""
-        return self.half_powers[1]
 
     def xi_pow(self, num: int, den: int = 1):
         """xi^(num/den) for den in {1, 2}."""

@@ -26,6 +26,22 @@ def assert_close(a, b, tol):
     assert d < tol, f"|{a} - {b}| = {mp.nstr(d, 5)} >= {mp.nstr(mp.mpf(tol), 5)}"
 
 
+def valuation2(p):
+    """Lowest doubled exponent of p, or None for the zero polynomial."""
+    return min(p.terms) if p.terms else None
+
+
+def is_palindromic(p):
+    """Whether p is invariant under q -> 1/q."""
+    return p.terms == {-e: c for e, c in p.terms.items()}
+
+
+def xi_half(ctx):
+    """xi^{1/2} = exp(pi*i/2N) of a RootContext, the point where q^{1/2} is
+    evaluated."""
+    return ctx.half_powers[1]
+
+
 def horner(p, q_half):
     """p at q^{1/2} = q_half by Horner's rule, at the ambient precision: the
     oracle for RootContext.eval_at and for evaluation away from xi."""

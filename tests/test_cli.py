@@ -206,6 +206,13 @@ def test_trefoil_past_the_old_table_limit():
     assert json.loads(out)["routes_agree"] is True
 
 
+def test_figure_eight_braid_at_the_top_feasible_color():
+    # N = 4 traces V_m up to m = 11, a 1331-dim tensor cube under EXACT_DIM_CAP
+    rc, out = run_cli(["loginv", "--braid", "3: 1 -2 1 -2", "--N", "4"])
+    assert rc == cli.EXIT_OK
+    assert json.loads(out)["routes_agree"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["habiro", "--braid", "3: 1 -2 1 -2", "--imax", "12"],
     ["loginv", "--braid", "3: 1 -2 1 -2", "--N", "5"],

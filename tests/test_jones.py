@@ -23,12 +23,17 @@ from logjones.jones import (
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, kron_unpack, qint
 from logjones.qgroup import build_modified
-from conftest import colored_jones_numeric, horner, knotted_words
+from conftest import colored_jones_numeric, horner, is_palindromic, knotted_words
 
 
-def decoded(op):
-    """The packed operator's entries as term maps, in its rescaled basis."""
-    return {k: kron_unpack(v, *op.layout) for k, v in op.entries.items()}
+def decoded(halves):
+    """The entries of the packed operator S F of the halves (F, S) as term
+    maps, in its rescaled basis; the lowest doubled exponents of the halves
+    add up in the product."""
+    F, S = halves
+    lo, step, width = F.layout
+    return {k: kron_unpack(v, lo + S.layout[0], step, width)
+            for k, v in mat_mul(S.entries, F.entries).items()}
 
 
 def dense_of(entries, d):
@@ -295,7 +300,7 @@ class TestColoredJones:
         # the 0-framed invariant of 4_1 is palindromic (q <-> 1/q)
         for m in (2, 3, 4):
             v = colored_jones_zero_framed(KNOT_CATALOG["4_1"], m)
-            assert v.is_palindromic()
+            assert is_palindromic(v)
 
     def test_figure_eight_m2_value(self):
         # [2] + {3}{2}{1}/{1} telescopes to q^5 + q^-5

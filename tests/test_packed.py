@@ -70,7 +70,7 @@ def test_digit_width_bounds_every_intermediate_entry():
     # on W_4 and on Y_1^- at N = 2; the bound covers the partial trace too
     b = parse_braid("3: 1 -2 1 -2")
     for V in (build_Wm(4), build_modified(-1, 1, 2)[0]):
-        width = braid_operator(b, V)[0].layout[2]
+        width = braid_operator(b, V)[0][0].layout[2]
         seen = 0
         for k in range(len(b.word) + 1):
             entries, _ = dict_braid_operator(BraidWord(b.strands, b.word[:k]), V)
@@ -93,11 +93,14 @@ def oracle_rep(label):
     return build_modified(1 if label[2] == "+" else -1, int(label[1]), int(label[-1]))[0]
 
 
-# 3-strand words only where the tensor cube stays small enough for the dict loop
+# 3-strand words only where the tensor cube stays small enough for the dict
+# loop; words of length 1, 3 and 5 put the split h = len(w) // 2 of the
+# halves on both sides of each gate type
 ORACLE_CASES = [
     (rep, word)
     for rep in ("Y1+_N2", "Y1-_N2", "Y1+_N3", "Y2+_N3", "Y1-_N3", "Y2-_N3", "W3", "W4")
-    for word in ("2: 1 1 1", "2: -1 -1 -1", "3: 1 -2 1 -2", "3: -1 2")
+    for word in ("2: 1 1 1", "2: -1 -1 -1", "3: 1 -2 1 -2", "3: -1 2",
+                 "3: 1", "3: 1 -2 1", "2: 1 1 1 1 1")
     if "-" not in rep or rep.endswith("N2") or word.startswith("2")
 ]
 
@@ -122,6 +125,18 @@ def test_packed_traces_equal_dict_oracle(rep, word):
     else:
         with pytest.raises(ArithmeticError):
             quantum_trace(op, den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(knotted_words(), st.integers(2, 3))
+def test_partial_trace_matches_dict_oracle_random(b, m):
+    V = build_Wm(m)
+    entries, _ = dict_braid_operator(b, V)
+    reference = dict_partial_trace(entries, V, b.strands)
+    traced = partial_trace(braid_operator(b, V)[0])
+    for i in range(m):
+        for j in range(m):
+            assert traced[i][j].terms == reference[i][j].terms
 
 
 def test_non_integral_braiding_is_refused(monkeypatch):
