@@ -130,14 +130,14 @@ def cmd_loginv(args) -> int:
     braid = _resolve_knot(args)
     label = braid.name or args.braid
     h = loginv._coeffs_for(args.knot or braid, N)
-    rec = loginv.center_coeffs(h, N, ctx, framing=args.framing, knot_label=label)
+    rec = loginv.center_coeffs(h, ctx, framing=args.framing, knot_label=label)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}
     worst = mp.mpf(0)
     svals = [args.s] if args.s is not None else list(range(1, N))
     with ctx.workprec():
         for s in svals:
-            routes = loginv.gamma_all_routes(h, s, N, ctx, framing=args.framing)
+            routes = loginv.gamma_all_routes(h, s, ctx, framing=args.framing)
             vals = list(routes.values())
             delta = max(abs(a - b) for a in vals for b in vals)
             worst = max(worst, delta)
@@ -158,7 +158,7 @@ def cmd_loginv(args) -> int:
 def cmd_qgroup_verify(args) -> int:
     N = _require_N(args)
     ctx = RootContext(N, precision_digits=args.precision)
-    rows = qgroup.verification_report(N, ctx, include_rmatrix=not args.skip_rmatrix)
+    rows = qgroup.verification_report(ctx, include_rmatrix=not args.skip_rmatrix)
     _emit(qgroup.report_to_json(rows) + "\n", args.out)
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_DISAGREEMENT
 

@@ -66,7 +66,7 @@ class HabiroCoeffs:
         The returned list is the memoized one and may be longer than count."""
         values = self._memo.setdefault(("xi", ctx.N, ctx.dps), [])
         while len(values) < count:
-            v = ctx.eval(self.coeff(len(values)))
+            v = ctx.eval_at(self.coeff(len(values)))
             # a real value stays an mpf, so that sums over real a_i stay real
             values.append(v.real if not v.imag else v)
         return values

@@ -11,6 +11,9 @@ The radical coefficients b_s^+- come either from exact q-derivatives of
 normalized invariants or from the closed Habiro-sum form, and the two
 coordinate systems (idempotent/radical vs the good basis) are linked by an
 exact linear change of basis.
+
+Every function that evaluates at xi takes a required RootContext ctx,
+which fixes N and the precision together, and reads N from ctx.N.
 """
 
 from __future__ import annotations
@@ -66,14 +69,13 @@ def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet
 # -- radical coefficients ------------------------------------------------
 
 
-def b_pm_via_derivative(knot, s: int, N: int, sign: int, ctx: RootContext = None,
-                        framing: int = 0):
+def b_pm_via_derivative(knot, s: int, sign: int, ctx: RootContext, framing: int = 0):
     """b_s^+ = xi/(2N[s]) d/dq {1}_q (V_s/[s]_q - V_{2N-s}/[2N-s]_q) at xi,
     b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q),
 
     each V_m/[m]_q read exactly off the jet of the cyclotomic ladder.
     """
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     h = _coeffs_for(knot, N)
@@ -91,7 +93,7 @@ def b_pm_via_derivative(knot, s: int, N: int, sign: int, ctx: RootContext = None
         return ctx.xi / (pref_den * ctx.qint_at(s)) * jet.times(brace(1)).ddq_value(ctx)
 
 
-def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
+def b_pm_via_habiro(knot, s: int, ctx: RootContext):
     """The closed form of Prop-style Habiro sums (framing 0):
 
     b_s^+ = b_s^- = {1}^2/{s} ( sum_{i<su} a_i {s+i}!/({s}{s-i-1}!)
@@ -108,7 +110,7 @@ def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
     habiro.tilde_sum.  That sum is {1} V_s = {s} V_s/[s] at xi (see
     habiro.tilde_sum), so b_s^+- = ({1}/{s})^2 (G - {s}_+ V_s/[s]).
     """
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     h = _coeffs_for(knot, N)
@@ -121,10 +123,9 @@ def b_pm_via_habiro(knot, s: int, N: int, ctx: RootContext = None):
 # -- gamma ---------------------------------------------------------------
 
 
-def gamma_s(knot, s: int, N: int, route: Route = Route.QDERIV,
-            ctx: RootContext = None, framing: int = 0):
+def gamma_s(knot, s: int, ctx: RootContext, route: Route = Route.QDERIV, framing: int = 0):
     """gamma_s^{(N)} for 1 <= s <= N-1 by the selected route."""
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s outside 1..N-1; use gamma_boundary for s in {0, N}")
     route = Route(route)
@@ -142,13 +143,12 @@ def gamma_s(knot, s: int, N: int, route: Route = Route.QDERIV,
         return phase * N * ctx.brace_at(1) / (mp.pi * mp.mpc(0, 1)) * dm
 
 
-def gamma_all_routes(knot, s: int, N: int, ctx: RootContext = None, framing: int = 0):
-    ctx = ctx or RootContext(N)
-    h = _coeffs_for(knot, N)
-    return {route: gamma_s(h, s, N, route, ctx, framing) for route in Route}
+def gamma_all_routes(knot, s: int, ctx: RootContext, framing: int = 0):
+    h = _coeffs_for(knot, ctx.N)
+    return {route: gamma_s(h, s, ctx, route, framing) for route in Route}
 
 
-def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: int = 0):
+def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     """gamma_0 = V_{2N}/[2N] at xi and gamma_N = -V_N/[N] at xi.
 
     Both are 0/0 limits of V_m over [m]_q, whose quotient is an exact
@@ -156,18 +156,18 @@ def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: i
     cross-checked against the q-derivative expression in the exact
     polynomial V_m, which checks the jets against exact polynomial
     arithmetic on every call."""
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
     h = _coeffs_for(knot, N)
     with ctx.workprec():
         if which == 0:
             val = habiro.normalized_Vm_jet(h, 2 * N, N).value(ctx)
-            alt = ctx.xi / (4 * N) * ctx.eval(ddq(brace(1) * exact_Vm(h, 2 * N)))
+            alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(brace(1) * exact_Vm(h, 2 * N)))
             phase = ctx.xi_pow(-framing, 2) if framing else mp.mpf(1)
         else:
             val = -habiro.normalized_Vm_jet(h, N, N).value(ctx)
-            alt = ctx.xi / (2 * N) * ctx.eval(ddq(brace(1) * exact_Vm(h, N)))
+            alt = ctx.xi / (2 * N) * ctx.eval_at(ddq(brace(1) * exact_Vm(h, N)))
             phase = ctx.xi_pow((N * N - 1) * framing, 2) if framing else mp.mpf(1)
         if abs(val - alt) > ctx.tol:
             raise RouteDisagreement(
@@ -178,10 +178,10 @@ def gamma_boundary(knot, which: int, N: int, ctx: RootContext = None, framing: i
 # -- alpha, beta ----------------------------------------------------------
 
 
-def alpha_beta(knot, N: int, ctx: RootContext = None, framing: int = 0):
+def alpha_beta(knot, ctx: RootContext, framing: int = 0):
     """alpha_s = (-1)^{N+s} N {1} V_s(L^f) at xi;
     beta_s = -N f {1} V_s(L^f) at xi (so beta = 0 at framing 0)."""
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     h = _coeffs_for(knot, N)
     alpha = [None] * (N - 1)
     beta = [None] * (N - 1)
@@ -197,7 +197,7 @@ def alpha_beta(knot, N: int, ctx: RootContext = None, framing: int = 0):
 # -- basis change ----------------------------------------------------------
 
 
-def basis_change(idem, rad_plus, rad_minus, N: int, ctx: RootContext = None):
+def basis_change(idem, rad_plus, rad_minus, ctx: RootContext):
     """(a_s, b_s^+, b_s^-) -> (alpha_s, beta_s, gamma_s):
 
     alpha_s = (-1)^{N+s} (xi^s - xi^{-s}) N a_s
@@ -205,7 +205,7 @@ def basis_change(idem, rad_plus, rad_minus, N: int, ctx: RootContext = None):
     gamma_s = [s]^2 (s/N b_s^+ + (N-s)/N b_s^-) + (xi^s + xi^{-s}) a_s
     gamma_0 = a_0,  gamma_N = -a_N.
     """
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     if len(idem) != N + 1 or len(rad_plus) != N - 1 or len(rad_minus) != N - 1:
         raise ValueError("expected idem of length N+1 and radicals of length N-1")
     with ctx.workprec():
@@ -222,26 +222,6 @@ def basis_change(idem, rad_plus, rad_minus, N: int, ctx: RootContext = None):
                          + ctx.brace_plus(s) * a_s)
         gamma.append(-mp.mpc(idem[N]))
         return alpha, beta, gamma
-
-
-def basis_change_inverse(alpha, beta, gamma, N: int, ctx: RootContext = None):
-    """Invert basis_change exactly (no singularity for 1 <= s <= N-1)."""
-    ctx = ctx or RootContext(N)
-    if len(alpha) != N - 1 or len(beta) != N - 1 or len(gamma) != N + 1:
-        raise ValueError("expected alpha/beta of length N-1 and gamma of length N+1")
-    with ctx.workprec():
-        idem = [mp.mpc(gamma[0])]
-        rad_plus = []
-        rad_minus = []
-        for s in range(1, N):
-            a_s = (-1) ** (N + s) * mp.mpc(alpha[s - 1]) / (N * ctx.brace_at(s))
-            idem.append(a_s)
-            qs2 = ctx.qint_at(s) ** 2
-            g = mp.mpc(gamma[s]) - ctx.brace_plus(s) * a_s
-            rad_plus.append((g + mp.mpf(N - s) / N * mp.mpc(beta[s - 1])) / qs2)
-            rad_minus.append((g - mp.mpf(s) / N * mp.mpc(beta[s - 1])) / qs2)
-        idem.append(-mp.mpc(gamma[N]))
-        return idem, rad_plus, rad_minus
 
 
 # -- assembled coefficient vectors ----------------------------------------
@@ -288,22 +268,22 @@ class CenterCoeffs:
         return json.dumps(payload, sort_keys=True)
 
 
-def center_coeffs(knot, N: int, ctx: RootContext = None, framing: int = 0,
+def center_coeffs(knot, ctx: RootContext, framing: int = 0,
                   knot_label: str = "") -> CenterCoeffs:
     """Assemble the full CenterCoeffs of a knot from the derivative routes."""
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     h = _coeffs_for(knot, N)
     label = knot_label or h.knot
     with ctx.workprec():
-        idem = [gamma_boundary(h, 0, N, ctx, framing)]
+        idem = [gamma_boundary(h, 0, ctx, framing)]
         for s in range(1, N):
             vts = _normalized_jet(h, s, N, framing).value(ctx)
             idem.append(vts)
-        idem.append(-gamma_boundary(h, N, N, ctx, framing))
-        rad_plus = [b_pm_via_derivative(h, s, N, +1, ctx, framing) for s in range(1, N)]
-        rad_minus = [b_pm_via_derivative(h, s, N, -1, ctx, framing) for s in range(1, N)]
-        alpha, beta, gamma_mid = basis_change(idem, rad_plus, rad_minus, N, ctx)
-        alpha_d, beta_d = alpha_beta(h, N, ctx, framing)
+        idem.append(-gamma_boundary(h, N, ctx, framing))
+        rad_plus = [b_pm_via_derivative(h, s, +1, ctx, framing) for s in range(1, N)]
+        rad_minus = [b_pm_via_derivative(h, s, -1, ctx, framing) for s in range(1, N)]
+        alpha, beta, gamma_mid = basis_change(idem, rad_plus, rad_minus, ctx)
+        alpha_d, beta_d = alpha_beta(h, ctx, framing)
         for s in range(1, N):
             if abs(alpha[s - 1] - alpha_d[s - 1]) > ctx.tol or abs(beta[s - 1] - beta_d[s - 1]) > ctx.tol:
                 raise RouteDisagreement(
@@ -311,7 +291,7 @@ def center_coeffs(knot, N: int, ctx: RootContext = None, framing: int = 0,
     return CenterCoeffs(N, label, framing, idem, rad_plus, rad_minus, alpha, beta, gamma_mid)
 
 
-def framed_corrections(base: CenterCoeffs, f: int, ctx: RootContext = None) -> CenterCoeffs:
+def framed_corrections(base: CenterCoeffs, f: int, ctx: RootContext) -> CenterCoeffs:
     """Framed coefficients from framing-0 ones.
 
     b_s^+(L^f) = xi^{(s^2-1)f/2} b_s^+(L) + (s-N) f {1} V_s(L^f)/[s]^2 at xi
@@ -322,9 +302,11 @@ def framed_corrections(base: CenterCoeffs, f: int, ctx: RootContext = None) -> C
     direct framed-derivative cross-check (see tests), so the framed form
     is used.  a_s, alpha_s, gamma_s pick up the phase xi^{(s^2-1)f/2};
     a_0 and a_N use the boundary phases xi^{-f/2} and xi^{(N^2-1)f/2}.
+    ctx must be at the record's N.
     """
-    ctx = ctx or RootContext(base.N)
     N = base.N
+    if ctx.N != N:
+        raise ValueError(f"the record is at N={N} but the context at N={ctx.N}")
     if base.framing != 0:
         raise ValueError("framed_corrections starts from a framing-0 record")
     if f == 0:
@@ -345,5 +327,5 @@ def framed_corrections(base: CenterCoeffs, f: int, ctx: RootContext = None) -> C
             rad_plus.append(phase * base.rad_plus[s - 1] + (s - N) * f * one * vs_framed / qs2)
             rad_minus.append(phase * base.rad_minus[s - 1] + s * f * one * vs_framed / qs2)
         idem.append(base.idem[N] * ctx.xi_pow((N * N - 1) * f, 2))
-        alpha, beta, gamma = basis_change(idem, rad_plus, rad_minus, N, ctx)
+        alpha, beta, gamma = basis_change(idem, rad_plus, rad_minus, ctx)
     return CenterCoeffs(N, base.knot, f, idem, rad_plus, rad_minus, alpha, beta, gamma)

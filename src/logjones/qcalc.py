@@ -441,7 +441,7 @@ class Jet:
     def ddq_value(self, ctx: "RootContext"):
         """dp/dq at q = xi: the bins of ddq(p) are w[k]/2 at k - 2.  The
         halving comes after the dot product, where it is exact in binary,
-        so the value is that of ctx.eval(ddq(p)) to the last bit."""
+        so the value is that of ctx.eval_at(ddq(p)) to the last bit."""
         n = len(self.w)
         with ctx.workprec():
             return ctx.eval_bins(((k - 2) % n, c) for k, c in enumerate(self.w)) / 2
@@ -563,8 +563,6 @@ class RootContext:
         ``half_powers``."""
         return self.eval_bins(residue_bins(p.terms, 4 * self.N).items())
 
-    eval = eval_at
-
     def eval_bins(self, bins):
         """sum_k c_k xi^{k/2} over the pairs (k, c_k), 0 <= k < 4N, with
         exact c_k: one dot product with ``half_powers``, rounded once.
@@ -606,10 +604,10 @@ class RootContext:
         with self.workprec():
             tol = self.tol
             for _ in range(2 * self.N + 1):
-                dv = self.eval(den)
+                dv = self.eval_at(den)
                 if abs(dv) > tol:
-                    return self.eval(num) / dv
-                nv = self.eval(num)
+                    return self.eval_at(num) / dv
+                nv = self.eval_at(num)
                 if abs(nv) > tol:
                     raise ZeroDivisionError("pole: numerator does not vanish with denominator")
                 num, den = ddq(num), ddq(den)

@@ -10,6 +10,10 @@ coefficients from partial traces on Y_m^+-.
 Every matrix is a sparse map {(row, col): value}.  All checks multiply
 with jones.mat_mul, and every residual is the max-abs entry of a defect
 (_max_diff), compared against the context tolerance.
+
+Every function that works at xi takes a required RootContext ctx, which
+fixes N and the precision together, and reads N from ctx.N (a module
+carries its own N); build_modified, at generic q, takes N alone.
 """
 
 from __future__ import annotations
@@ -54,17 +58,17 @@ def _reduce_h(w: int, N: int) -> int:
 _ZERO = mp.mpc(0)
 
 
-def build_restricted(kind: str, idx: int, N: int, ctx: RootContext = None) -> RestrictedModule:
+def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
     """Construct a module by its displayed actions.
 
     kind is one of 'U+', 'U-', 'V+', 'V-' (1 <= idx <= N),
     'P+', 'P-' (1 <= idx <= N-1), 'Y+', 'Y-' (1 <= idx <= N-1).
     """
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     with ctx.workprec():
         if kind in ("Y+", "Y-"):
             rep, labels = build_modified(1 if kind[1] == "+" else -1, idx, N)
-            E, F = ({key: ctx.eval(p) for key, p in mat.items()} for mat in (rep.E, rep.F))
+            E, F = ({key: ctx.eval_at(p) for key, p in mat.items()} for mat in (rep.E, rep.F))
             K = {(i, i): ctx.xi_pow(w) for i, w in enumerate(rep.weights)}
             return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels,
                                     [_reduce_h(w, N) for w in rep.weights])
@@ -89,21 +93,21 @@ def build_restricted(kind: str, idx: int, N: int, ctx: RootContext = None) -> Re
                 raise ValueError("index must be in 1..N-1 for P kinds")
             # the displayed minus-family actions are parametrized so that
             # parameter s builds P_{N-s}^-
-            return _build_p(kind, idx if kind == "P+" else N - idx, N, ctx)
+            return _build_p(kind, idx if kind == "P+" else N - idx, ctx)
     raise ValueError(f"unknown module kind {kind!r}")
 
 
-def _module(kind: str, idx: int, N: int, ctx: RootContext, modules: dict | None) -> RestrictedModule:
+def _module(kind: str, idx: int, ctx: RootContext, modules: dict | None) -> RestrictedModule:
     """build_restricted, kept in modules under (kind, idx) when a dict is
     given, so that one verification report builds each module once."""
     if modules is None:
-        return build_restricted(kind, idx, N, ctx)
+        return build_restricted(kind, idx, ctx)
     if (kind, idx) not in modules:
-        modules[(kind, idx)] = build_restricted(kind, idx, N, ctx)
+        modules[(kind, idx)] = build_restricted(kind, idx, ctx)
     return modules[(kind, idx)]
 
 
-def _build_p(kind: str, s: int, N: int, ctx: RootContext) -> RestrictedModule:
+def _build_p(kind: str, s: int, ctx: RootContext) -> RestrictedModule:
     """P_s^+ (kind 'P+') or P_{N-s}^- (kind 'P-') on basis x_0..x_{N-s-1},
     y_0..y_{N-s-1}, a_0..a_{s-1}, b_0..b_{s-1}.
 
@@ -112,6 +116,7 @@ def _build_p(kind: str, s: int, N: int, ctx: RootContext) -> RestrictedModule:
     the ladder pair that E links diagonally (a-b for P+, x-y for P-), and
     in the two F links from the bottom of one ladder to the top of another
     (x -> a and b -> y for P+, y -> b and a -> x for P-)."""
+    N = ctx.N
     plus = kind == "P+"
     k = N - s
     size = {"x": k, "y": k, "a": s, "b": s}
@@ -218,13 +223,6 @@ def relations_residual(mod: RestrictedModule, ctx: RootContext):
             _max_diff(comm, {key: (v - 1 / v) / one for key, v in K.items()}))
 
 
-def weight_multiset(mod: RestrictedModule, ctx: RootContext):
-    """Sorted K-eigenvalues (as complex numbers rounded at tolerance scale)."""
-    with ctx.workprec():
-        vals = [mod.matK[(i, i)] for i in range(mod.dim)]
-        return sorted(vals, key=lambda z: (mp.nstr(z.real, 25), mp.nstr(z.imag, 25)))
-
-
 # -- intertwiners --------------------------------------------------------
 
 
@@ -247,34 +245,35 @@ def _iso(p: RestrictedModule, y: RestrictedModule, images):
     return {(row[ylab], col[plab]): v for plab, ylab, v in images}, p, y
 
 
-def iso_f_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False, modules=None):
+def iso_f_matrix(m: int, ctx: RootContext, modules=None):
     """The map f: P_m^+ -> Y_m^+|_{q=xi} by its displayed basis images.
 
     The source display carries a factor (-1)^k on f(y_k); that sign breaks
     the intertwining with E and F because [N+k] = -[k] at xi flips the
     alpha-ladder beyond index N, and the relation checker rejects it (see
-    tests).  The default drops it; as_printed=True keeps the display.
+    tests).  The map here drops it.
     """
-    p = _module("P+", m, N, ctx, modules)
-    y = _module("Y+", m, N, ctx, modules)
+    N = ctx.N
+    p = _module("P+", m, ctx, modules)
+    y = _module("Y+", m, ctx, modules)
     images = []
     with ctx.workprec():
         for k in range(N - m):
             images.append((f"x{k}", f"alpha{k}",
                            (-1) ** (N - m - 1 - k) * ctx.qint_at(m) / ctx.qfact_at(N - m - 1 - k)))
-            ysign = (-1) ** k if as_printed else 1
             images.append((f"y{k}", f"alpha{N + k}",
-                           ysign * ctx.qfact_at(N - 1) / ctx.qfact_at(N - m - 1 - k)))
+                           ctx.qfact_at(N - 1) / ctx.qfact_at(N - m - 1 - k)))
         for k in range(m):
             images.append((f"a{k}", f"beta{k}", ctx.qfact_at(m) / ctx.qfact_at(m - 1 - k)))
             images.append((f"b{k}", f"alpha{k + N - m}", ctx.qfact_at(k)))
     return _iso(p, y, images)
 
 
-def iso_g_matrix(m: int, N: int, ctx: RootContext, modules=None):
+def iso_g_matrix(m: int, ctx: RootContext, modules=None):
     """The map g: P_{N-m}^- -> Y_1 inside Y_m^-|_{q=xi}."""
-    p = _module("P-", N - m, N, ctx, modules)
-    y = _module("Y-", m, N, ctx, modules)
+    N = ctx.N
+    p = _module("P-", N - m, ctx, modules)
+    y = _module("Y-", m, ctx, modules)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -288,14 +287,15 @@ def iso_g_matrix(m: int, N: int, ctx: RootContext, modules=None):
     return _iso(p, y, images)
 
 
-def iso_h_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False, modules=None):
+def iso_h_matrix(m: int, ctx: RootContext, modules=None):
     """The map h: P_{N-m}^- -> Y_2, an intertwiner onto Y_m^-/Y_1.
 
     As with f, the displayed (-1)^k on h(b_k) contradicts the ladder signs
-    [2N+k] = [k] at xi together with E b_k = [k][m-k] b_{k-1}; the default
-    drops it and as_printed=True reproduces the display for the tests."""
-    p = _module("P-", N - m, N, ctx, modules)
-    y = _module("Y-", m, N, ctx, modules)
+    [2N+k] = [k] at xi together with E b_k = [k][m-k] b_{k-1}; the map
+    here drops it."""
+    N = ctx.N
+    p = _module("P-", N - m, ctx, modules)
+    y = _module("Y-", m, ctx, modules)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -304,9 +304,8 @@ def iso_h_matrix(m: int, N: int, ctx: RootContext, as_printed: bool = False, mod
             images.append((f"y{k}", f"alpha{N + m + k}", ctx.qfact_at(k)))
         for k in range(m):
             images.append((f"a{k}", f"beta{N - m + k}", ctx.qfact_at(k) / ctx.qfact_at(m - 1)))
-            bsign = (-1) ** k if as_printed else 1
             images.append((f"b{k}", f"alpha{2 * N + k}",
-                           bsign * ctx.qfact_at(N - 1) / ctx.qfact_at(m - 1 - k)))
+                           ctx.qfact_at(N - 1) / ctx.qfact_at(m - 1 - k)))
     return _iso(p, y, images)
 
 
@@ -316,30 +315,26 @@ def y1_basis_indices(m: int, N: int):
     return list(range(N + m)) + [na + i for i in range(N - m)]
 
 
-def verify_iso_f(m: int, N: int, ctx: RootContext = None, modules=None):
-    ctx = ctx or RootContext(N)
-    return _intertwiner_residual(*iso_f_matrix(m, N, ctx, modules=modules), ctx)
+def verify_iso_f(m: int, ctx: RootContext, modules=None):
+    return _intertwiner_residual(*iso_f_matrix(m, ctx, modules), ctx)
 
 
-def verify_iso_g(m: int, N: int, ctx: RootContext = None, modules=None):
-    ctx = ctx or RootContext(N)
-    return _intertwiner_residual(*iso_g_matrix(m, N, ctx, modules=modules), ctx)
+def verify_iso_g(m: int, ctx: RootContext, modules=None):
+    return _intertwiner_residual(*iso_g_matrix(m, ctx, modules), ctx)
 
 
-def verify_iso_h(m: int, N: int, ctx: RootContext = None, modules=None):
+def verify_iso_h(m: int, ctx: RootContext, modules=None):
     """h intertwines into the quotient Y_m^-/Y_1: compare after projecting
     the Y_1 coordinates away."""
-    ctx = ctx or RootContext(N)
-    return _intertwiner_residual(*iso_h_matrix(m, N, ctx, modules=modules), ctx,
-                                 frozenset(y1_basis_indices(m, N)))
+    return _intertwiner_residual(*iso_h_matrix(m, ctx, modules), ctx,
+                                 frozenset(y1_basis_indices(m, ctx.N)))
 
 
-def verify_y1_invariance(m: int, N: int, ctx: RootContext = None, modules=None):
+def verify_y1_invariance(m: int, ctx: RootContext, modules=None):
     """Y_1 = span(alpha_0..alpha_{N+m-1}, beta_0..beta_{N-m-1}) is
     invariant at xi: entries from Y_1 columns into Y_2 rows vanish."""
-    ctx = ctx or RootContext(N)
-    y = _module("Y-", m, N, ctx, modules)
-    inside = set(y1_basis_indices(m, N))
+    y = _module("Y-", m, ctx, modules)
+    inside = set(y1_basis_indices(m, ctx.N))
     with ctx.workprec():
         return max((abs(v) for mat in (y.matE, y.matF, y.matK) for (i, j), v in mat.items()
                     if j in inside and i not in inside), default=mp.mpf(0))
@@ -348,7 +343,7 @@ def verify_y1_invariance(m: int, N: int, ctx: RootContext = None, modules=None):
 # -- R-matrix specialization ---------------------------------------------
 
 
-def rmatrix_specialization_check(rep1, rep2, N: int, ctx: RootContext = None):
+def rmatrix_specialization_check(rep1, rep2, ctx: RootContext):
     """Check that the R-matrix terms with n >= N all specialize to 0 at xi
     on rep1 (x) rep2 and that lower terms stay finite.
 
@@ -359,7 +354,7 @@ def rmatrix_specialization_check(rep1, rep2, N: int, ctx: RootContext = None):
     n >= N entry magnitude and 'offender' names the first failing
     (n, row, col).
     """
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     one = LaurentPoly.const(1)
     report = {"n_terms": 0, "residual": mp.mpf(0), "offender": None, "pass": True}
     with ctx.workprec():
@@ -370,7 +365,7 @@ def rmatrix_specialization_check(rep1, rep2, N: int, ctx: RootContext = None):
                 continue
             for (r, c), v in term.items():
                 try:
-                    mag = abs(ctx.eval(v)) if plain else abs(ctx.lhopital_ratio(v, den))
+                    mag = abs(ctx.eval_at(v)) if plain else abs(ctx.lhopital_ratio(v, den))
                 except ZeroDivisionError:
                     # a pole would contradict the specialization property
                     report["offender"] = (n, r, c)
@@ -389,7 +384,7 @@ def rmatrix_specialization_check(rep1, rep2, N: int, ctx: RootContext = None):
 # -- partial traces on the modified representations ------------------------
 
 
-def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootContext = None):
+def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
     """Partial trace of the braid representation on (Y_m^sign)^{(x) strands},
     evaluated at xi; returns (matrix, rep, labels).
 
@@ -397,14 +392,13 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootCo
     carrying framing = writhe, specialized entrywise at xi.  Tensor powers
     above jones.EXACT_DIM_CAP raise FeasibilityError.
     """
-    ctx = ctx or RootContext(N)
     jones.check_knot(b)
-    rep, labels = build_modified(sign, m, N)
+    rep, labels = build_modified(sign, m, ctx.N)
     op, den = jones.braid_operator(b, rep)
     traced = jones.partial_trace(op)
     with ctx.workprec():
         if den == LaurentPoly.const(1):
-            at_xi = [[ctx.eval(p) for p in row] for row in traced]
+            at_xi = [[ctx.eval_at(p) for p in row] for row in traced]
         else:
             # entrywise q -> xi limit of the rational operator
             at_xi = [[ctx.lhopital_ratio(p, den) if p else mp.mpc(0) for p in row]
@@ -412,55 +406,19 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootCo
     return at_xi, rep, labels
 
 
-def eta_block_data(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootContext = None):
-    """Decompose eta into (alpha scalar, beta scalar, couplings, off-block
-    residual); couplings maps (beta_row, alpha_col) label pairs to values."""
-    ctx = ctx or RootContext(N)
-    at_xi, rep, labels = eta_partial_trace(b, m, sign, N, ctx)
-    na = (2 * N - m) if sign > 0 else (2 * N + m)
-    nb = rep.dim - na
-    with ctx.workprec():
-        alpha_diag = [at_xi[i][i] for i in range(na)]
-        beta_diag = [at_xi[na + i][na + i] for i in range(nb)]
-        couplings = {}
-        residual = mp.mpf(0)
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                v = at_xi[i][j]
-                if i == j:
-                    continue
-                if i >= na and j < na:
-                    if abs(v) > ctx.tol:
-                        couplings[(labels[i], labels[j])] = v
-                    continue
-                residual = max(residual, abs(v))
-        scatter_a = max(abs(x - alpha_diag[0]) for x in alpha_diag)
-        scatter_b = max(abs(x - beta_diag[0]) for x in beta_diag)
-    return {
-        "alpha_scalar": alpha_diag[0],
-        "beta_scalar": beta_diag[0],
-        "alpha_scatter": scatter_a,
-        "beta_scatter": scatter_b,
-        "couplings": couplings,
-        "off_block_residual": residual,
-        "labels": labels,
-    }
-
-
-def x0_from_eta(b: jones.BraidWord, m: int, sign: int, N: int, ctx: RootContext = None):
+def x0_from_eta(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
     """The off-block entry x_0^sign: row beta_0, column alpha_{N-m} for the
     plus sign and alpha_m for the minus sign."""
-    ctx = ctx or RootContext(N)
-    at_xi, rep, labels = eta_partial_trace(b, m, sign, N, ctx)
+    N = ctx.N
+    at_xi, rep, labels = eta_partial_trace(b, m, sign, ctx)
     na = (2 * N - m) if sign > 0 else (2 * N + m)
     col = (N - m) if sign > 0 else m
     return at_xi[na + 0][col]
 
 
-def x0_to_b(x0, m: int, N: int, sign: int, ctx: RootContext = None):
+def x0_to_b(x0, m: int, sign: int, ctx: RootContext):
     """Convert the partial-trace off-block entry to b_m^sign via the basis
     correspondences f(a_0^+) = [m] beta_0^+ and g(x_0^-) = (-1)^m [m] beta_0^-."""
-    ctx = ctx or RootContext(N)
     with ctx.workprec():
         if sign > 0:
             return x0 / ctx.qint_at(m)
@@ -470,11 +428,12 @@ def x0_to_b(x0, m: int, N: int, sign: int, ctx: RootContext = None):
 # -- center actions --------------------------------------------------------
 
 
-def center_action_matrices(mod: RestrictedModule, N: int):
+def center_action_matrices(mod: RestrictedModule):
     """Sparse maps of e_0..e_N and w_1^+-..w_{N-1}^+- acting on mod, from
     the stated actions: e_s is the identity on P_s^+ and P_{N-s}^-, e_N on
     U_N^+, e_0 on U_N^-; w_s^+ sends b_n -> a_n on P_s^+; w_s^- sends
     y_k -> x_k on P_{N-s}^-; everything else acts by zero ({})."""
+    N = mod.N
     ident = {(i, i): mp.mpc(1) for i in range(mod.dim)}
     pos = {lab: i for i, lab in enumerate(mod.basis_labels)}
     out = {}
@@ -498,21 +457,21 @@ def center_action_matrices(mod: RestrictedModule, N: int):
     return out
 
 
-def center_action_check(N: int, ctx: RootContext = None, modules=None):
+def center_action_check(ctx: RootContext, modules=None):
     """Verify on every built module that the stated center actions are
     endomorphisms and satisfy the commutation relations
     e_s e_t = delta e_s, e_s w_t^+- = delta w_t^+-, w w = 0."""
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     checks = []
     mods = []
     for s in range(1, N + 1):
-        mods.append(_module("U+", s, N, ctx, modules))
-        mods.append(_module("U-", s, N, ctx, modules))
+        mods.append(_module("U+", s, ctx, modules))
+        mods.append(_module("U-", s, ctx, modules))
     for s in range(1, N):
-        mods.append(_module("P+", s, N, ctx, modules))
-        mods.append(_module("P-", s, N, ctx, modules))
+        mods.append(_module("P+", s, ctx, modules))
+        mods.append(_module("P-", s, ctx, modules))
     for mod in mods:
-        acts = center_action_matrices(mod, N)
+        acts = center_action_matrices(mod)
         for name, mat in acts.items():
             res = _intertwiner_residual(mat, mod, mod, ctx)
             checks.append({"check": "endomorphism", "module": f"{mod.kind}{mod.index}",
@@ -536,12 +495,12 @@ def center_action_check(N: int, ctx: RootContext = None, modules=None):
     return checks
 
 
-def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool = True):
+def verification_report(ctx: RootContext, include_rmatrix: bool = True):
     """The full qgroup verification suite as a JSON-ready list of checks.
 
     Each (kind, idx) module is built once and shared by the relation,
     intertwiner, invariance and center checks."""
-    ctx = ctx or RootContext(N)
+    N = ctx.N
     rows = []
     modules = {}
 
@@ -551,7 +510,7 @@ def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool =
                      "pass": bool(residual < ctx.tol)})
 
     def relations(kind, s, label):
-        add("relations", f"{kind} {label}={s}", relations_residual(_module(kind, s, N, ctx, modules), ctx))
+        add("relations", f"{kind} {label}={s}", relations_residual(_module(kind, s, ctx, modules), ctx))
 
     for s in range(1, N + 1):
         for kind in ("U+", "U-", "V+", "V-"):
@@ -561,10 +520,10 @@ def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool =
             relations(kind, s, "s")
         for kind in ("Y+", "Y-"):
             relations(kind, s, "m")
-        add("iso_f", f"m={s}", verify_iso_f(s, N, ctx, modules))
-        add("iso_g", f"m={s}", verify_iso_g(s, N, ctx, modules))
-        add("iso_h", f"m={s}", verify_iso_h(s, N, ctx, modules))
-        add("y1_invariance", f"m={s}", verify_y1_invariance(s, N, ctx, modules))
+        add("iso_f", f"m={s}", verify_iso_f(s, ctx, modules))
+        add("iso_g", f"m={s}", verify_iso_g(s, ctx, modules))
+        add("iso_h", f"m={s}", verify_iso_h(s, ctx, modules))
+        add("y1_invariance", f"m={s}", verify_y1_invariance(s, ctx, modules))
     if include_rmatrix:
         reps = {f"W{m}": jones.build_Wm(m) for m in range(1, 2 * N + 1)}
         for m in range(1, N):
@@ -573,9 +532,9 @@ def verification_report(N: int, ctx: RootContext = None, include_rmatrix: bool =
         names = sorted(reps)
         for n1 in names:
             for n2 in names:
-                rep = rmatrix_specialization_check(reps[n1], reps[n2], N, ctx)
+                rep = rmatrix_specialization_check(reps[n1], reps[n2], ctx)
                 add("rmatrix_specialization", f"{n1} (x) {n2}", rep["residual"])
-    for row in center_action_check(N, ctx, modules):
+    for row in center_action_check(ctx, modules):
         add(f"center:{row['check']}", f"{row['module']} {row['center']}", row["residual"])
     return rows
 

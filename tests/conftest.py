@@ -2,7 +2,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, strategies as st
 
-from logjones import jones, loginv
+from logjones import jones, loginv, qgroup
 from logjones.qcalc import LaurentPoly, RootContext, int_or_frac_to_mp
 
 # library code manages its own working precision; test-side arithmetic on
@@ -160,12 +160,12 @@ def kashaev_invariant(knot, N, ctx=None):
     normalization conventions are deliberately kept separate.
     """
     ctx = ctx or RootContext(N)
-    return ctx.eval(loginv.exact_normalized_Vm(knot, N))
+    return ctx.eval_at(loginv.exact_normalized_Vm(knot, N))
 
 
 def unnormalized_VN_at_xi(knot, N, ctx=None):
     ctx = ctx or RootContext(N)
-    return ctx.eval(loginv.exact_Vm(knot, N))
+    return ctx.eval_at(loginv.exact_Vm(knot, N))
 
 
 def window_ddm_Vm(h, s, ctx):
@@ -200,3 +200,67 @@ def window_ddm_Vm(h, s, ctx):
                 cot_sum = mp.fsum(ctx.brace_plus(k) / ctx.brace_at(k) for k in ks)
                 total += a[i] * prod * cot_sum
         return mp.mpc(0, mp.pi) / N * total / ctx.brace_at(1)
+
+
+def basis_change_inverse(alpha, beta, gamma, N, ctx):
+    """(alpha_s, beta_s, gamma_s) -> (a_s, b_s^+, b_s^-), the exact inverse
+    of loginv.basis_change (no singularity for 1 <= s <= N-1): its
+    round-trip oracle."""
+    if len(alpha) != N - 1 or len(beta) != N - 1 or len(gamma) != N + 1:
+        raise ValueError("expected alpha/beta of length N-1 and gamma of length N+1")
+    with ctx.workprec():
+        idem = [mp.mpc(gamma[0])]
+        rad_plus = []
+        rad_minus = []
+        for s in range(1, N):
+            a_s = (-1) ** (N + s) * mp.mpc(alpha[s - 1]) / (N * ctx.brace_at(s))
+            idem.append(a_s)
+            qs2 = ctx.qint_at(s) ** 2
+            g = mp.mpc(gamma[s]) - ctx.brace_plus(s) * a_s
+            rad_plus.append((g + mp.mpf(N - s) / N * mp.mpc(beta[s - 1])) / qs2)
+            rad_minus.append((g - mp.mpf(s) / N * mp.mpc(beta[s - 1])) / qs2)
+        idem.append(-mp.mpc(gamma[N]))
+        return idem, rad_plus, rad_minus
+
+
+def weight_multiset(mod, ctx):
+    """Sorted K-eigenvalues of a qgroup.RestrictedModule (as complex numbers
+    rounded at tolerance scale)."""
+    with ctx.workprec():
+        vals = [mod.matK[(i, i)] for i in range(mod.dim)]
+        return sorted(vals, key=lambda z: (mp.nstr(z.real, 25), mp.nstr(z.imag, 25)))
+
+
+def eta_block_data(b, m, sign, N, ctx):
+    """Decompose the partial trace qgroup.eta_partial_trace on Y_m^sign
+    into (alpha scalar, beta scalar, couplings, off-block residual);
+    couplings maps (beta_row, alpha_col) label pairs to values."""
+    at_xi, rep, labels = qgroup.eta_partial_trace(b, m, sign, ctx)
+    na = (2 * N - m) if sign > 0 else (2 * N + m)
+    nb = rep.dim - na
+    with ctx.workprec():
+        alpha_diag = [at_xi[i][i] for i in range(na)]
+        beta_diag = [at_xi[na + i][na + i] for i in range(nb)]
+        couplings = {}
+        residual = mp.mpf(0)
+        for i in range(rep.dim):
+            for j in range(rep.dim):
+                v = at_xi[i][j]
+                if i == j:
+                    continue
+                if i >= na and j < na:
+                    if abs(v) > ctx.tol:
+                        couplings[(labels[i], labels[j])] = v
+                    continue
+                residual = max(residual, abs(v))
+        scatter_a = max(abs(x - alpha_diag[0]) for x in alpha_diag)
+        scatter_b = max(abs(x - beta_diag[0]) for x in beta_diag)
+    return {
+        "alpha_scalar": alpha_diag[0],
+        "beta_scalar": beta_diag[0],
+        "alpha_scatter": scatter_a,
+        "beta_scatter": scatter_b,
+        "couplings": couplings,
+        "off_block_residual": residual,
+        "labels": labels,
+    }

@@ -14,6 +14,7 @@ import mpmath as mp
 
 from logjones import habiro, jones, loginv, qgroup, volume
 from logjones.qcalc import RootContext, qbinom, qint
+from conftest import eta_block_data
 
 KNOTS = ("unknot", "3_1", "4_1")
 GRID_N = (2, 3, 4, 5)
@@ -36,7 +37,7 @@ def test_criterion_01_three_route_gamma():
             h = habiro.catalog_coeffs(knot)
             with ctx.workprec():
                 for s in range(1, N):
-                    routes = loginv.gamma_all_routes(h, s, N, ctx)
+                    routes = loginv.gamma_all_routes(h, s, ctx)
                     vals = list(routes.values())
                     worst = max(worst, max(abs(a - b) for a in vals for b in vals))
     elapsed = time.time() - t0
@@ -53,8 +54,8 @@ def test_criterion_02_b_plus_equals_b_minus():
             h = habiro.catalog_coeffs(knot)
             with ctx.workprec():
                 for s in range(1, N):
-                    bp = loginv.b_pm_via_derivative(h, s, N, +1, ctx)
-                    bm = loginv.b_pm_via_derivative(h, s, N, -1, ctx)
+                    bp = loginv.b_pm_via_derivative(h, s, +1, ctx)
+                    bm = loginv.b_pm_via_derivative(h, s, -1, ctx)
                     worst = max(worst, abs(bp - bm))
     ok = worst < TOL30
     report(2, ok, f"b+ = b- at framing 0, max delta {mp.nstr(worst, 3)}")
@@ -66,12 +67,12 @@ def test_criterion_03_beta_and_framed_corrections():
     for knot in ("3_1", "4_1"):
         for N in (2, 3, 4):
             ctx = RootContext(N)
-            base = loginv.center_coeffs(knot, N, ctx)
+            base = loginv.center_coeffs(knot, ctx)
             with ctx.workprec():
                 worst_beta = max(worst_beta, max(abs(b) for b in base.beta))
                 for f in (-1, 1, 2):
                     via = loginv.framed_corrections(base, f, ctx)
-                    direct = loginv.center_coeffs(knot, N, ctx, framing=f)
+                    direct = loginv.center_coeffs(knot, ctx, framing=f)
                     for name in ("idem", "rad_plus", "rad_minus", "alpha", "beta", "gamma"):
                         for a, b in zip(getattr(via, name), getattr(direct, name)):
                             worst_framed = max(worst_framed, abs(a - b))
@@ -96,14 +97,14 @@ def test_criterion_04_habiro_extraction():
 
 def test_criterion_05_kashaev_endpoints():
     ctx3 = RootContext(3)
-    g33 = loginv.gamma_boundary("4_1", 3, 3, ctx3)
+    g33 = loginv.gamma_boundary("4_1", 3, ctx3)
     d33 = abs(g33 + 13)
     ctx4 = RootContext(4)
     with ctx4.workprec():
         oracle = mp.fsum(
             mp.fprod((2 * mp.sinpi(mp.mpf(k) / 4)) ** 2 for k in range(1, j + 1))
             for j in range(4))
-        g44 = loginv.gamma_boundary("4_1", 4, 4, ctx4)
+        g44 = loginv.gamma_boundary("4_1", 4, ctx4)
         d44 = abs(g44 + oracle)
     ok = d33 < TOL25 and d44 < TOL25
     report(5, ok, f"gamma_3^(3)(4_1) = -13 (delta {mp.nstr(d33, 3)}); gamma_4^(4) = "
@@ -118,27 +119,27 @@ def test_criterion_06_representation_verification():
         for s in range(1, N + 1):
             for kind in ("U+", "U-", "V+", "V-"):
                 worst = max(worst, qgroup.relations_residual(
-                    qgroup.build_restricted(kind, s, N, ctx), ctx))
+                    qgroup.build_restricted(kind, s, ctx), ctx))
         for s in range(1, N):
             for kind in ("P+", "P-", "Y+", "Y-"):
                 worst = max(worst, qgroup.relations_residual(
-                    qgroup.build_restricted(kind, s, N, ctx), ctx))
-            worst = max(worst, qgroup.verify_y1_invariance(s, N, ctx))
+                    qgroup.build_restricted(kind, s, ctx), ctx))
+            worst = max(worst, qgroup.verify_y1_invariance(s, ctx))
         reps = {f"W{m}": jones.build_Wm(m) for m in range(1, 2 * N + 1)}
         for m in range(1, N):
             reps[f"Y{m}+"] = qgroup.build_modified(1, m, N)[0]
             reps[f"Y{m}-"] = qgroup.build_modified(-1, m, N)[0]
         for n1 in sorted(reps):
             for n2 in sorted(reps):
-                rep = qgroup.rmatrix_specialization_check(reps[n1], reps[n2], N, ctx)
+                rep = qgroup.rmatrix_specialization_check(reps[n1], reps[n2], ctx)
                 assert rep["pass"], (N, n1, n2, rep["offender"])
                 worst = max(worst, rep["residual"])
     for N in (2, 3, 4, 5, 6):
         ctx = RootContext(N)
         for m in range(1, N):
-            worst = max(worst, qgroup.verify_iso_f(m, N, ctx))
-            worst = max(worst, qgroup.verify_iso_g(m, N, ctx))
-            worst = max(worst, qgroup.verify_iso_h(m, N, ctx))
+            worst = max(worst, qgroup.verify_iso_f(m, ctx))
+            worst = max(worst, qgroup.verify_iso_g(m, ctx))
+            worst = max(worst, qgroup.verify_iso_h(m, ctx))
     elapsed = time.time() - t0
     ok = worst < TOL40 and elapsed < 600
     report(6, ok, f"relations, f/g/h (N <= 6), Y1 invariance, R specialization over "
@@ -156,10 +157,10 @@ def test_criterion_07_partial_trace_blocks():
     worst_x0 = mp.mpf(0)
     worst_b = mp.mpf(0)
     for sign in (1, -1):
-        data = qgroup.eta_block_data(b31, m, sign, N, ctx)
+        data = eta_block_data(b31, m, sign, N, ctx)
         worst_shape = max(worst_shape, data["alpha_scatter"], data["beta_scatter"],
                           data["off_block_residual"])
-        x0 = qgroup.x0_from_eta(b31, m, sign, N, ctx)
+        x0 = qgroup.x0_from_eta(b31, m, sign, ctx)
         if sign > 0:
             num = qbinom(N - 1, m - 1) * (
                 loginv.exact_normalized_Vm(h, 2 * N - m, framing=w)
@@ -172,8 +173,8 @@ def test_criterion_07_partial_trace_blocks():
             den = qint(2 * N)
         with ctx.workprec():
             worst_x0 = max(worst_x0, abs(x0 - ctx.lhopital_ratio(num, den)))
-            got_b = qgroup.x0_to_b(x0, m, N, sign, ctx)
-            want_b = loginv.b_pm_via_derivative(h, m, N, sign, ctx, framing=w)
+            got_b = qgroup.x0_to_b(x0, m, sign, ctx)
+            want_b = loginv.b_pm_via_derivative(h, m, sign, ctx, framing=w)
             worst_b = max(worst_b, abs(got_b - want_b))
     ok = worst_shape < ctx.tol and worst_x0 < TOL25 and worst_b < TOL25
     report(7, ok, f"eta block form for 3_1 at N=3, m=1; x0 vs displayed formulas "

@@ -159,7 +159,7 @@ class TestTildeSum:
             for s in range(1, N):
                 _, windows = half_powers_tilde_sum(a, s, ctx)
                 with ctx.workprec():
-                    want = -1j * ctx.brace_at(1) * ctx.eval(reconstruct_Vm(h, s))
+                    want = -1j * ctx.brace_at(1) * ctx.eval_at(reconstruct_Vm(h, s))
                 assert_close(windows, want, ctx.tol)
 
     @pytest.mark.parametrize("N", [100, 150])
@@ -339,7 +339,7 @@ class TestColorDerivative:
             with ctx.workprec():
                 for s in range(1, N):
                     lhs = N * ctx.brace_at(1) / (mp.pi * mp.mpc(0, 1)) * ddm_Vm(h, s, ctx)
-                    rhs = loginv.gamma_s(h, s, N, loginv.Route.QDERIV, ctx)
+                    rhs = loginv.gamma_s(h, s, ctx, loginv.Route.QDERIV)
                     assert_close(lhs, rhs, ctx.tol)
 
     def test_boundary_colors_match_theorem(self):
@@ -350,9 +350,9 @@ class TestColorDerivative:
             with ctx.workprec():
                 pref = N * ctx.brace_at(1) / (2 * mp.pi * mp.mpc(0, 1))
                 assert_close(pref * ddm_Vm(h, N, ctx),
-                             loginv.gamma_boundary(h, N, N, ctx), ctx.tol)
+                             loginv.gamma_boundary(h, N, ctx), ctx.tol)
                 assert_close(pref * ddm_Vm(h, 2 * N, ctx),
-                             loginv.gamma_boundary(h, 0, N, ctx), ctx.tol)
+                             loginv.gamma_boundary(h, 0, ctx), ctx.tol)
 
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_matches_window_oracle(self, name):

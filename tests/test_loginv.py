@@ -12,7 +12,6 @@ from logjones.loginv import (
     b_pm_via_derivative,
     b_pm_via_habiro,
     basis_change,
-    basis_change_inverse,
     center_coeffs,
     exact_Vm,
     framed_corrections,
@@ -21,7 +20,7 @@ from logjones.loginv import (
     gamma_s,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
-from conftest import assert_close, kashaev_invariant, unnormalized_VN_at_xi
+from conftest import assert_close, basis_change_inverse, kashaev_invariant, unnormalized_VN_at_xi
 
 
 # -- oracles: the tilde brackets and falling braces at xi, one factor at a time
@@ -69,8 +68,8 @@ class TestTildeBrace:
 
     def test_plain_window_matches_falling(self, ctx4):
         with ctx4.workprec():
-            assert_close(tilde_brace(3, 3, ctx4), ctx4.eval(brace_falling(3, 3)), ctx4.tol)
-            assert_close(falling_brace_at(3, 3, ctx4), ctx4.eval(brace_falling(3, 3)), ctx4.tol)
+            assert_close(tilde_brace(3, 3, ctx4), ctx4.eval_at(brace_falling(3, 3)), ctx4.tol)
+            assert_close(falling_brace_at(3, 3, ctx4), ctx4.eval_at(brace_falling(3, 3)), ctx4.tol)
 
 
 class TestRadicalCoefficients:
@@ -79,31 +78,31 @@ class TestRadicalCoefficients:
             ctx = RootContext(N)
             for s in range(1, N):
                 for sign in (1, -1):
-                    assert abs(b_pm_via_derivative("unknot", s, N, sign, ctx)) < ctx.tol
-                assert abs(b_pm_via_habiro("unknot", s, N, ctx)) < ctx.tol
+                    assert abs(b_pm_via_derivative("unknot", s, sign, ctx)) < ctx.tol
+                assert abs(b_pm_via_habiro("unknot", s, ctx)) < ctx.tol
 
     def test_figure_eight_plus_equals_minus(self, ctx3):
         for s in (1, 2):
-            bp = b_pm_via_derivative("4_1", s, 3, +1, ctx3)
-            bm = b_pm_via_derivative("4_1", s, 3, -1, ctx3)
+            bp = b_pm_via_derivative("4_1", s, +1, ctx3)
+            bm = b_pm_via_derivative("4_1", s, -1, ctx3)
             assert_close(bp, bm, ctx3.tol)
 
     def test_trefoil_habiro_route_agrees(self, ctx3):
-        bd = b_pm_via_derivative("3_1", 1, 3, +1, ctx3)
-        bh = b_pm_via_habiro("3_1", 1, 3, ctx3)
+        bd = b_pm_via_derivative("3_1", 1, +1, ctx3)
+        bh = b_pm_via_habiro("3_1", 1, ctx3)
         assert_close(bd, bh, ctx3.tol)
 
     def test_figure_eight_N4_all_s(self, ctx4):
         for s in (1, 2, 3):
-            bd = b_pm_via_derivative("4_1", s, 4, +1, ctx4)
-            assert_close(bd, b_pm_via_habiro("4_1", s, 4, ctx4), ctx4.tol)
+            bd = b_pm_via_derivative("4_1", s, +1, ctx4)
+            assert_close(bd, b_pm_via_habiro("4_1", s, ctx4), ctx4.tol)
 
     def test_N2_collapsed_sums(self):
         # at N=2 both Habiro sums are empty, so b vanishes; the derivative
         # route is the independent oracle confirming the collapse
         ctx = RootContext(2)
-        bh = b_pm_via_habiro("4_1", 1, 2, ctx)
-        bd = b_pm_via_derivative("4_1", 1, 2, +1, ctx)
+        bh = b_pm_via_habiro("4_1", 1, ctx)
+        bd = b_pm_via_derivative("4_1", 1, +1, ctx)
         assert abs(bh) < ctx.tol
         assert abs(bd) < ctx.tol
 
@@ -127,12 +126,12 @@ class TestRadicalCoefficients:
                     else:
                         poly, pref_den = brace(1) * (vt(2 * N + s) - vt(2 * N - s)), 4 * N
                     with ctx3.workprec():
-                        want = ctx3.xi / (pref_den * ctx3.qint_at(s)) * ctx3.eval(ddq(poly))
-                    assert_close(b_pm_via_derivative(name, s, N, sign, ctx3), want, ctx3.tol)
+                        want = ctx3.xi / (pref_den * ctx3.qint_at(s)) * ctx3.eval_at(ddq(poly))
+                    assert_close(b_pm_via_derivative(name, s, sign, ctx3), want, ctx3.tol)
 
     def test_s_range_checked(self, ctx3):
         with pytest.raises(ValueError):
-            b_pm_via_derivative("4_1", 3, 3, +1, ctx3)
+            b_pm_via_derivative("4_1", 3, +1, ctx3)
 
     def test_statement_prefactor_variant_disagrees(self, ctx3):
         # the proposition statement prints [s] where its proof's final
@@ -150,9 +149,9 @@ class TestRadicalCoefficients:
                               for k in range(s - i, s + i + 1) if k != s)
                 variant += h.at_xi(su, ctx3)[i] * pref * cot
             variant *= ctx3.brace_at(1) ** 2
-        true_b = b_pm_via_derivative(h, s, N, +1, ctx3)
+        true_b = b_pm_via_derivative(h, s, +1, ctx3)
         assert abs(variant - true_b) > mp.mpf("0.5")
-        assert_close(b_pm_via_habiro(h, s, N, ctx3), true_b, ctx3.tol)
+        assert_close(b_pm_via_habiro(h, s, ctx3), true_b, ctx3.tol)
 
 
 class TestGammaRoutes:
@@ -161,14 +160,14 @@ class TestGammaRoutes:
         for N in (2, 3, 4):
             ctx = RootContext(N)
             for s in range(1, N):
-                routes = gamma_all_routes("unknot", s, N, ctx)
+                routes = gamma_all_routes("unknot", s, ctx)
                 for route, val in routes.items():
                     assert_close(val, ctx.brace_plus(s), ctx.tol)
 
     def test_three_routes_smoke(self, ctx3):
         for name in ("3_1", "4_1"):
             for s in (1, 2):
-                vals = list(gamma_all_routes(name, s, 3, ctx3).values())
+                vals = list(gamma_all_routes(name, s, ctx3).values())
                 for v in vals[1:]:
                     assert_close(vals[0], v, ctx3.tol)
 
@@ -176,21 +175,21 @@ class TestGammaRoutes:
         for f in (1, 2):
             for s in (1, 2):
                 with ctx3.workprec():
-                    want = ctx3.xi_pow((s * s - 1) * f, 2) * gamma_s("4_1", s, 3, Route.QDERIV, ctx3)
-                got = gamma_s("4_1", s, 3, Route.QDERIV, ctx3, framing=f)
+                    want = ctx3.xi_pow((s * s - 1) * f, 2) * gamma_s("4_1", s, ctx3, Route.QDERIV)
+                got = gamma_s("4_1", s, ctx3, Route.QDERIV, framing=f)
                 assert_close(got, want, ctx3.tol)
 
     def test_s_range(self, ctx3):
         with pytest.raises(ValueError):
-            gamma_s("4_1", 0, 3, Route.QDERIV, ctx3)
+            gamma_s("4_1", 0, ctx3, Route.QDERIV)
 
 
 class TestBoundaryGamma:
     def test_unknot(self):
         for N in (2, 3, 5):
             ctx = RootContext(N)
-            assert_close(gamma_boundary("unknot", N, N, ctx), -1, ctx.tol)
-            assert_close(gamma_boundary("unknot", 0, N, ctx), 1, ctx.tol)
+            assert_close(gamma_boundary("unknot", N, ctx), -1, ctx.tol)
+            assert_close(gamma_boundary("unknot", 0, ctx), 1, ctx.tol)
 
     def test_figure_eight_kashaev_values(self):
         # independent oracle: sum_j prod_k (2 sin k pi/N)^2
@@ -200,17 +199,17 @@ class TestBoundaryGamma:
                 oracle = mp.fsum(
                     mp.fprod((2 * mp.sinpi(mp.mpf(k) / N)) ** 2 for k in range(1, j + 1))
                     for j in range(N))
-            assert_close(gamma_boundary("4_1", N, N, ctx), -oracle, ctx.tol)
+            assert_close(gamma_boundary("4_1", N, ctx), -oracle, ctx.tol)
 
     def test_kashaev_normalization_conventions(self, ctx3):
         # <L>_N is the normalized limit; the raw evaluation V_N(xi) is 0
         assert_close(kashaev_invariant("4_1", 3, ctx3), 13, ctx3.tol)
-        assert_close(gamma_boundary("4_1", 3, 3, ctx3), -kashaev_invariant("4_1", 3, ctx3), ctx3.tol)
+        assert_close(gamma_boundary("4_1", 3, ctx3), -kashaev_invariant("4_1", 3, ctx3), ctx3.tol)
         assert abs(unnormalized_VN_at_xi("4_1", 3, ctx3)) < ctx3.tol
 
     def test_which_guard(self, ctx3):
         with pytest.raises(ValueError):
-            gamma_boundary("4_1", 2, 3, ctx3)
+            gamma_boundary("4_1", 2, ctx3)
 
     @pytest.mark.parametrize("name", ["3_1", "4_1"])
     def test_matches_lhopital_of_Vm(self, name):
@@ -220,8 +219,8 @@ class TestBoundaryGamma:
             ctx = RootContext(N)
             g0 = ctx.lhopital_ratio(habiro.reconstruct_Vm(h, 2 * N), qint(2 * N))
             gN = -ctx.lhopital_ratio(habiro.reconstruct_Vm(h, N), qint(N))
-            assert_close(gamma_boundary(h, 0, N, ctx), g0, ctx.tol)
-            assert_close(gamma_boundary(h, N, N, ctx), gN, ctx.tol)
+            assert_close(gamma_boundary(h, 0, ctx), g0, ctx.tol)
+            assert_close(gamma_boundary(h, N, ctx), gN, ctx.tol)
             assert_close(kashaev_invariant(h, N, ctx), -gN, ctx.tol)
 
 
@@ -230,26 +229,26 @@ class TestAlphaBeta:
         for name in ("3_1", "4_1"):
             for N in (2, 3, 4):
                 ctx = RootContext(N)
-                _, beta = alpha_beta(name, N, ctx)
+                _, beta = alpha_beta(name, ctx)
                 assert all(abs(b) < ctx.tol for b in beta)
 
     def test_unknot_alpha(self, ctx3):
-        alpha, _ = alpha_beta("unknot", 3, ctx3)
+        alpha, _ = alpha_beta("unknot", ctx3)
         with ctx3.workprec():
             want = 3 * ctx3.brace_at(1)  # (-1)^{3+1} 3 {1} [1]
         assert_close(alpha[0], want, ctx3.tol)
 
     def test_alpha_unwinds_to_Vs(self, ctx3):
-        alpha, _ = alpha_beta("4_1", 3, ctx3)
+        alpha, _ = alpha_beta("4_1", ctx3)
         with ctx3.workprec():
             for s in (1, 2):
                 lhs = alpha[s - 1] / ((-1) ** (3 + s) * 3 * ctx3.brace_at(1))
-                assert_close(lhs, ctx3.eval(exact_Vm("4_1", s)), ctx3.tol)
+                assert_close(lhs, ctx3.eval_at(exact_Vm("4_1", s)), ctx3.tol)
 
 
 class TestBasisChange:
     def test_zero_maps_to_zero(self, ctx3):
-        alpha, beta, gamma = basis_change([0] * 4, [0] * 2, [0] * 2, 3, ctx3)
+        alpha, beta, gamma = basis_change([0] * 4, [0] * 2, [0] * 2, ctx3)
         assert all(abs(x) < ctx3.tol for x in alpha + beta + gamma)
 
     def test_collapsed_weights(self, ctx4):
@@ -257,7 +256,7 @@ class TestBasisChange:
         rng = random.Random(1)
         idem = [mp.mpc(rng.random(), rng.random()) for _ in range(5)]
         rad = [mp.mpc(rng.random(), rng.random()) for _ in range(3)]
-        alpha, beta, gamma = basis_change(idem, rad, list(rad), 4, ctx4)
+        alpha, beta, gamma = basis_change(idem, rad, list(rad), ctx4)
         with ctx4.workprec():
             for s in (1, 2, 3):
                 want = ctx4.qint_at(s) ** 2 * rad[s - 1] + ctx4.brace_plus(s) * idem[s]
@@ -271,7 +270,7 @@ class TestBasisChange:
             idem = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(N + 1)]
             rp = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(N - 1)]
             rm = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(N - 1)]
-            alpha, beta, gamma = basis_change(idem, rp, rm, N, ctx)
+            alpha, beta, gamma = basis_change(idem, rp, rm, ctx)
             idem2, rp2, rm2 = basis_change_inverse(alpha, beta, gamma, N, ctx)
             tol = mp.mpf(10) ** -45
             for a, b in zip(idem + rp + rm, idem2 + rp2 + rm2):
@@ -279,18 +278,18 @@ class TestBasisChange:
 
     def test_length_validation(self, ctx3):
         with pytest.raises(ValueError):
-            basis_change([0] * 3, [0] * 2, [0] * 2, 3, ctx3)
+            basis_change([0] * 3, [0] * 2, [0] * 2, ctx3)
 
 
 class TestFramedCorrections:
     def test_identity_at_zero(self, ctx3):
-        base = center_coeffs("4_1", 3, ctx3)
+        base = center_coeffs("4_1", ctx3)
         same = framed_corrections(base, 0, ctx3)
         for a, b in zip(base.gamma, same.gamma):
             assert_close(a, b, ctx3.tol)
 
     def test_group_property(self, ctx3):
-        base = center_coeffs("4_1", 3, ctx3)
+        base = center_coeffs("4_1", ctx3)
         up = framed_corrections(base, 1, ctx3)
         up0 = CenterCoeffs(3, up.knot, 0, up.idem, up.rad_plus, up.rad_minus,
                            up.alpha, up.beta, up.gamma)
@@ -303,9 +302,9 @@ class TestFramedCorrections:
     def test_matches_direct_framed_evaluation(self, f, ctx3):
         # acceptance-grade consistency at N=3; the framed correction term
         # carries V_s(L^f) at xi, not the unframed value the source prints
-        base = center_coeffs("4_1", 3, ctx3)
+        base = center_coeffs("4_1", ctx3)
         via = framed_corrections(base, f, ctx3)
-        direct = center_coeffs("4_1", 3, ctx3, framing=f)
+        direct = center_coeffs("4_1", ctx3, framing=f)
         for name in ("idem", "rad_plus", "rad_minus", "alpha", "beta", "gamma"):
             for a, b in zip(getattr(via, name), getattr(direct, name)):
                 assert_close(a, b, ctx3.tol)
@@ -314,19 +313,27 @@ class TestFramedCorrections:
         # [s]^2 (b+ - b-) of the framed knot equals beta_s(L^f); at s=1 the
         # phase is trivial and the display's -f N {1} V_s(L)/[s]^2 holds too
         f = 1
-        rec = center_coeffs("4_1", 3, ctx3, framing=f)
+        rec = center_coeffs("4_1", ctx3, framing=f)
         with ctx3.workprec():
             for s in (1, 2):
                 lhs = ctx3.qint_at(s) ** 2 * (rec.rad_plus[s - 1] - rec.rad_minus[s - 1])
                 assert_close(lhs, rec.beta[s - 1], ctx3.tol)
-            v1 = ctx3.eval(exact_Vm("4_1", 1))
+            v1 = ctx3.eval_at(exact_Vm("4_1", 1))
             want = -f * 3 * ctx3.brace_at(1) * v1
             assert_close(rec.beta[0], want, ctx3.tol)
 
     def test_requires_zero_framed_base(self, ctx3):
-        rec = center_coeffs("4_1", 3, ctx3, framing=1)
+        rec = center_coeffs("4_1", ctx3, framing=1)
         with pytest.raises(ValueError):
             framed_corrections(rec, 1, ctx3)
+
+    def test_context_at_another_root_refused(self, ctx3, ctx4):
+        # the record's N fixes xi; a context at another N is refused, not
+        # used to phase and correct the record at the wrong root
+        base = center_coeffs("4_1", ctx3)
+        for f in (0, 1):
+            with pytest.raises(ValueError):
+                framed_corrections(base, f, ctx4)
 
 
 def lhopital_of_products(num_factors, N, ctx):
@@ -411,16 +418,16 @@ class TestRelationIdentities:
 
 class TestCenterCoeffs:
     def test_assembled_consistency(self, ctx3):
-        rec = center_coeffs("4_1", 3, ctx3)
+        rec = center_coeffs("4_1", ctx3)
         assert rec.N == 3 and rec.knot == "4_1" and rec.framing == 0
         # gamma through basis change equals the route values
         for s in (1, 2):
-            assert_close(rec.gamma[s], gamma_s("4_1", s, 3, Route.QDERIV, ctx3), ctx3.tol)
-        assert_close(rec.gamma[0], gamma_boundary("4_1", 0, 3, ctx3), ctx3.tol)
-        assert_close(rec.gamma[3], gamma_boundary("4_1", 3, 3, ctx3), ctx3.tol)
+            assert_close(rec.gamma[s], gamma_s("4_1", s, ctx3, Route.QDERIV), ctx3.tol)
+        assert_close(rec.gamma[0], gamma_boundary("4_1", 0, ctx3), ctx3.tol)
+        assert_close(rec.gamma[3], gamma_boundary("4_1", 3, ctx3), ctx3.tol)
 
     def test_json_decimal_strings(self, ctx3):
-        rec = center_coeffs("4_1", 3, ctx3)
+        rec = center_coeffs("4_1", ctx3)
         data = json.loads(rec.to_json(60))
         assert data["N"] == 3 and data["framing"] == 0
         g3 = data["gamma"][3]
@@ -431,7 +438,7 @@ class TestCenterCoeffs:
     def test_braid_input(self):
         # a non-catalog presentation of the trefoil gives the same record
         ctx = RootContext(2)
-        rec_braid = center_coeffs(jones.parse_braid("2: 1 1 1"), 2, ctx)
-        rec_cat = center_coeffs("3_1", 2, ctx)
+        rec_braid = center_coeffs(jones.parse_braid("2: 1 1 1"), ctx)
+        rec_cat = center_coeffs("3_1", ctx)
         for a, b in zip(rec_braid.gamma, rec_cat.gamma):
             assert_close(a, b, ctx.tol)

@@ -152,7 +152,7 @@ class TestFastKernel:
             ctx = RootContext(N)
             for s in range(1, N):
                 gf = gamma_fig8_fast(N, s, ctx)
-                gh = loginv.gamma_s("4_1", s, N, loginv.Route.HABIRO, ctx)
+                gh = loginv.gamma_s("4_1", s, ctx, loginv.Route.HABIRO)
                 assert_close(gf, gh, mp.mpf(10) ** -30)
 
     @pytest.mark.parametrize("N", [20, 50])
@@ -166,7 +166,7 @@ class TestFastKernel:
             if not 1 <= s <= N - 1:
                 continue
             gf = gamma_fig8_fast(N, s, ctx)
-            gh = loginv.gamma_s(h, s, N, loginv.Route.MDERIV, ctx)
+            gh = loginv.gamma_s(h, s, ctx, loginv.Route.MDERIV)
             assert_close(gf, gh, mp.mpf(10) ** -20)
 
     def test_even_N_midpoint_vanishes(self):
