@@ -128,9 +128,8 @@ def cmd_loginv(args) -> int:
         raise ConfigError(f"--s must be in 1..{N - 1} for N={N}, got {args.s}")
     ctx = RootContext(N, precision_digits=args.precision)
     braid = _resolve_knot(args)
-    label = braid.name or args.braid
     h = loginv._coeffs_for(args.knot or braid, N)
-    rec = loginv.center_coeffs(h, ctx, framing=args.framing, knot_label=label)
+    rec = loginv.center_coeffs(h, ctx, framing=args.framing)
     # all-route gamma agreement deltas on the interior s range
     deltas = {}
     worst = mp.mpf(0)

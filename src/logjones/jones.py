@@ -92,7 +92,7 @@ KNOT_CATALOG = {
 }
 
 
-def parse_braid(text: str, name: str = "") -> BraidWord:
+def parse_braid(text: str) -> BraidWord:
     """Parse 'n: i1 i2 ...' braid notation, e.g. '3: 1 -2 1 -2' for 4_1."""
     if text in KNOT_CATALOG:
         return KNOT_CATALOG[text]
@@ -102,7 +102,7 @@ def parse_braid(text: str, name: str = "") -> BraidWord:
         word = tuple(int(t) for t in tail.split())
     except ValueError as exc:
         raise ValueError(f"cannot parse braid {text!r}; expected 'n: i1 i2 ...'") from exc
-    return BraidWord(strands, word, name=name or text)
+    return BraidWord(strands, word, name=text)
 
 
 @dataclasses.dataclass(frozen=True)

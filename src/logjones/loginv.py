@@ -24,7 +24,7 @@ import json
 
 import mpmath as mp
 
-from .qcalc import Jet, LaurentPoly, RootContext, brace, ddq, qint
+from .qcalc import Jet, RootContext, brace, ddq, qint
 from . import habiro
 
 
@@ -46,22 +46,10 @@ def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
     return habiro.coeffs_for(knot, 3 * N - 1)
 
 
-def exact_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
-    """Exact V_m with the given framing, from the knot's cyclotomic
-    coefficients (a braid word is traced through colors 1..m)."""
-    v = habiro.reconstruct_Vm(habiro.coeffs_for(knot, m), m)
-    return v.shift((m * m - 1) * framing) if framing else v
-
-
-def exact_normalized_Vm(knot, m: int, framing: int = 0) -> LaurentPoly:
-    """Exact V_m/[m]_q (a Laurent polynomial for knots), framed."""
-    v = habiro.reconstruct_normalized_Vm(habiro.coeffs_for(knot, m), m)
-    return v.shift((m * m - 1) * framing) if framing else v
-
-
 def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet:
-    """The jet of exact_normalized_Vm(h, m, framing) mod x^{4N} - 1: all
-    that an evaluation at xi, or of d/dq there, reads of it."""
+    """The jet of the framed V_m/[m], q^{(m^2-1) f/2} V_m/[m], mod
+    x^{4N} - 1: all that an evaluation at xi, or of d/dq there, reads of
+    it."""
     jet = habiro.normalized_Vm_jet(h, m, N)
     return jet.shift((m * m - 1) * framing) if framing else jet
 
@@ -163,11 +151,11 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     with ctx.workprec():
         if which == 0:
             val = habiro.normalized_Vm_jet(h, 2 * N, N).value(ctx)
-            alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(brace(1) * exact_Vm(h, 2 * N)))
+            alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(brace(1) * habiro.reconstruct_Vm(h, 2 * N)))
             phase = ctx.xi_pow(-framing, 2) if framing else mp.mpf(1)
         else:
             val = -habiro.normalized_Vm_jet(h, N, N).value(ctx)
-            alt = ctx.xi / (2 * N) * ctx.eval_at(ddq(brace(1) * exact_Vm(h, N)))
+            alt = ctx.xi / (2 * N) * ctx.eval_at(ddq(brace(1) * habiro.reconstruct_Vm(h, N)))
             phase = ctx.xi_pow((N * N - 1) * framing, 2) if framing else mp.mpf(1)
         if abs(val - alt) > ctx.tol:
             raise RouteDisagreement(
@@ -268,12 +256,10 @@ class CenterCoeffs:
         return json.dumps(payload, sort_keys=True)
 
 
-def center_coeffs(knot, ctx: RootContext, framing: int = 0,
-                  knot_label: str = "") -> CenterCoeffs:
+def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
     """Assemble the full CenterCoeffs of a knot from the derivative routes."""
     N = ctx.N
     h = _coeffs_for(knot, N)
-    label = knot_label or h.knot
     with ctx.workprec():
         idem = [gamma_boundary(h, 0, ctx, framing)]
         for s in range(1, N):
@@ -288,44 +274,5 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0,
             if abs(alpha[s - 1] - alpha_d[s - 1]) > ctx.tol or abs(beta[s - 1] - beta_d[s - 1]) > ctx.tol:
                 raise RouteDisagreement(
                     f"alpha/beta via basis change vs direct formulas differ at s={s}")
-    return CenterCoeffs(N, label, framing, idem, rad_plus, rad_minus, alpha, beta, gamma_mid)
+    return CenterCoeffs(N, h.knot, framing, idem, rad_plus, rad_minus, alpha, beta, gamma_mid)
 
-
-def framed_corrections(base: CenterCoeffs, f: int, ctx: RootContext) -> CenterCoeffs:
-    """Framed coefficients from framing-0 ones.
-
-    b_s^+(L^f) = xi^{(s^2-1)f/2} b_s^+(L) + (s-N) f {1} V_s(L^f)/[s]^2 at xi
-    b_s^-(L^f) = xi^{(s^2-1)f/2} b_s^-(L) +     s f {1} V_s(L^f)/[s]^2 at xi
-
-    The correction terms carry the framed evaluation V_s(L^f) at xi; the
-    source corollary prints the unframed V_s(L) there, which fails the
-    direct framed-derivative cross-check (see tests), so the framed form
-    is used.  a_s, alpha_s, gamma_s pick up the phase xi^{(s^2-1)f/2};
-    a_0 and a_N use the boundary phases xi^{-f/2} and xi^{(N^2-1)f/2}.
-    ctx must be at the record's N.
-    """
-    N = base.N
-    if ctx.N != N:
-        raise ValueError(f"the record is at N={N} but the context at N={ctx.N}")
-    if base.framing != 0:
-        raise ValueError("framed_corrections starts from a framing-0 record")
-    if f == 0:
-        return CenterCoeffs(N, base.knot, 0, list(base.idem), list(base.rad_plus),
-                            list(base.rad_minus), list(base.alpha), list(base.beta),
-                            list(base.gamma))
-    with ctx.workprec():
-        one = ctx.brace_at(1)
-        idem = [base.idem[0] * ctx.xi_pow(-f, 2)]
-        rad_plus = []
-        rad_minus = []
-        for s in range(1, N):
-            phase = ctx.xi_pow((s * s - 1) * f, 2)
-            a_framed = base.idem[s] * phase
-            idem.append(a_framed)
-            vs_framed = a_framed * ctx.qint_at(s)  # V_s(L^f) at xi
-            qs2 = ctx.qint_at(s) ** 2
-            rad_plus.append(phase * base.rad_plus[s - 1] + (s - N) * f * one * vs_framed / qs2)
-            rad_minus.append(phase * base.rad_minus[s - 1] + s * f * one * vs_framed / qs2)
-        idem.append(base.idem[N] * ctx.xi_pow((N * N - 1) * f, 2))
-        alpha, beta, gamma = basis_change(idem, rad_plus, rad_minus, ctx)
-    return CenterCoeffs(N, base.knot, f, idem, rad_plus, rad_minus, alpha, beta, gamma)

@@ -59,15 +59,6 @@ class LaurentPoly:
     def const(c) -> "LaurentPoly":
         return LaurentPoly({0: c})
 
-    @staticmethod
-    def q_power(num: int, den: int = 1) -> "LaurentPoly":
-        """q^(num/den); den must be 1 or 2 (the lattice only holds halves)."""
-        if den == 1:
-            return LaurentPoly({2 * num: 1})
-        if den == 2:
-            return LaurentPoly({num: 1})
-        raise ValueError("exponent must be an integer or half-integer")
-
     # -- ring structure -----------------------------------------------
 
     def __bool__(self):
@@ -79,9 +70,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -205,12 +193,6 @@ class LaurentPoly:
         """Multiply by q^(half_steps/2)."""
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {e + half_steps: c for e, c in self.terms.items()}
-        return out
-
-    def mirror(self) -> "LaurentPoly":
-        """Substitute q -> q^{-1}."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {-e: c for e, c in self.terms.items()}
         return out
 
     def __repr__(self):

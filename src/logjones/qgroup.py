@@ -25,7 +25,6 @@ import mpmath as mp
 
 from .qcalc import LaurentPoly, RootContext, qbinom, qint
 from . import jones
-from .jones import FeasibilityError  # noqa: F401  raised through jones.braid_operator
 
 
 @dataclasses.dataclass
@@ -390,7 +389,7 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
 
     The result is the generic-q (1,1)-tangle operator of the braid closure
     carrying framing = writhe, specialized entrywise at xi.  Tensor powers
-    above jones.EXACT_DIM_CAP raise FeasibilityError.
+    above jones.EXACT_DIM_CAP raise jones.FeasibilityError.
     """
     jones.check_knot(b)
     rep, labels = build_modified(sign, m, ctx.N)

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import json
 import math
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -39,8 +38,8 @@ def lobachevsky(x, dps: int = 30):
     their scale 2^q.  With u <= 1 no step amplifies the truncation of the
     steps before it, so the K steps add at most K units 2^-q; in t^2 they
     would grow by up to pi^{2K}.  The dropped tail is below
-    (4/3) 2^{-prec-10}.  The quadrature form -int_0^x log|2 sin t| dt is
-    kept as the independent test oracle.
+    (4/3) 2^{-prec-10}.  The tests check it against the quadrature form
+    -int_0^x log|2 sin t| dt.
     """
     with mp.workdps(dps):
         x = mp.mpf(x)
@@ -102,15 +101,6 @@ def _clausen_coeffs(prec: int) -> tuple:
     return q, tuple(reversed(coeffs))
 
 
-def lobachevsky_quadrature(x, dps: int = 30):
-    """-int_0^x log|2 sin t| dt by adaptive quadrature (test oracle)."""
-    with mp.workdps(dps):
-        x = mp.mpf(x)
-        if x == 0:
-            return mp.mpf(0)
-        return -mp.quad(lambda t: mp.log(abs(2 * mp.sin(t))), [0, x])
-
-
 @dataclasses.dataclass(frozen=True)
 class ConeVolumeParams:
     """Derived quantities of the cone angle: the (pi, 2pi) branch angle
@@ -148,35 +138,17 @@ def cone_volume(alpha, dps: int = 30):
                      - lobachevsky((p.alpha - p.theta) / 2, dps))
 
 
-def cone_volume_derivative_reference(alpha, dps: int = 30):
-    """-arccosh(1 + cos a - cos 2a), the known dVol/da."""
-    with mp.workdps(dps):
-        p = cone_params(alpha, dps)
-        return -mp.acosh(p.t) if p.t >= 1 else mp.nan
-
-
-def alpha_turns(alpha) -> Fraction:
-    """alpha / 2 pi as a Fraction, read at the 15 significant digits that a
-    double carries.  An alpha meant as a rational multiple of 2 pi (pi/5,
-    2 pi 0.05) arrives rounded, often just below that multiple; read this
-    way it is the multiple itself."""
-    with mp.workdps(30):
-        return Fraction(mp.nstr(mp.mpf(alpha) / (2 * mp.pi), 15))
-
-
-def s_N_alpha(N: int, alpha) -> int:
-    """floor(N a / 2 pi) clamped into [0, N], with a / 2 pi from alpha_turns."""
-    return min(max(math.floor(N * alpha_turns(alpha)), 0), N)
-
-
 def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
     """gamma_s^{(N)} of the figure-eight knot by the O(N) kernel:
 
     sum_{i<su} {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
       + 2 sum_{i=su..sb-1} ~{s+i,2i+1},
 
-    habiro.tilde_sum on the all-ones coefficients of 4_1.
+    habiro.tilde_sum on the all-ones coefficients of 4_1.  A given ctx
+    must be at this N.
     """
+    if ctx is not None and ctx.N != N:
+        raise ValueError(f"N={N} but the context is at N={ctx.N}")
     ctx = ctx or RootContext(N, precision_digits=33)
     return habiro.tilde_sum(habiro.catalog_coeffs("4_1"), s, ctx)
 
@@ -249,7 +221,8 @@ def scan_precision(N: int) -> int:
 
 def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     """Rows (s, alpha=2 pi s/N, (2 pi/N) log|gamma_s|, reference) for
-    s = 1..N-1.  gamma_s = 0 rows carry the -inf sentinel and a flag."""
+    s = 1..N-1.  gamma_s = 0 rows carry the -inf sentinel and a flag.  A
+    given ctx must be at this N (gamma_fig8_fast checks it)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     ctx = ctx or RootContext(N, precision_digits=scan_precision(N))
@@ -268,18 +241,3 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
                 rows.append(ScanRow(s, float(alpha), float(val), float(ref), region, False))
     return ScanResult(N, rows)
 
-
-def convergence_gaps(alpha, Ns=(100, 200, 400)):
-    """|(2 pi/N) log|gamma_{s_N^a}| - Vol(M_a)| for each N, with a / 2 pi
-    read by alpha_turns; the volume conjecture predicts these shrink."""
-    turns = alpha_turns(alpha)
-    gaps = []
-    for N in Ns:
-        ctx = RootContext(N, precision_digits=scan_precision(N))
-        s = s_N_alpha(N, alpha)
-        with ctx.workprec():
-            g = gamma_fig8_fast(N, s, ctx)
-            val = 2 * mp.pi / N * mp.log(abs(g))
-            vol = cone_volume(2 * mp.pi * turns.numerator / turns.denominator, ctx.dps)
-            gaps.append(float(abs(val - vol)))
-    return gaps

@@ -1,8 +1,11 @@
+import math
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 from hypothesis import assume, strategies as st
 
-from logjones import jones, loginv, qgroup
+from logjones import habiro, jones, loginv, qgroup, volume
 from logjones.qcalc import LaurentPoly, RootContext, int_or_frac_to_mp
 
 # library code manages its own working precision; test-side arithmetic on
@@ -24,6 +27,22 @@ def assert_close(a, b, tol):
     with mp.workdps(120):
         d = abs(mp.mpc(a) - mp.mpc(b))
     assert d < tol, f"|{a} - {b}| = {mp.nstr(d, 5)} >= {mp.nstr(mp.mpf(tol), 5)}"
+
+
+def q_power(num, den=1):
+    """q^(num/den); den must be 1 or 2 (the lattice only holds halves)."""
+    if den == 1:
+        return LaurentPoly({2 * num: 1})
+    if den == 2:
+        return LaurentPoly({num: 1})
+    raise ValueError("exponent must be an integer or half-integer")
+
+
+def mirror(p):
+    """Substitute q -> q^{-1}."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = {-e: c for e, c in p.terms.items()}
+    return out
 
 
 def valuation2(p):
@@ -150,6 +169,19 @@ def colored_jones_numeric(b, m, q_half):
     return tot
 
 
+def exact_Vm(knot, m, framing=0):
+    """Exact V_m with the given framing, from the knot's cyclotomic
+    coefficients (a braid word is traced through colors 1..m)."""
+    v = habiro.reconstruct_Vm(habiro.coeffs_for(knot, m), m)
+    return v.shift((m * m - 1) * framing) if framing else v
+
+
+def exact_normalized_Vm(knot, m, framing=0):
+    """Exact V_m/[m]_q (a Laurent polynomial for knots), framed."""
+    v = habiro.reconstruct_normalized_Vm(habiro.coeffs_for(knot, m), m)
+    return v.shift((m * m - 1) * framing) if framing else v
+
+
 def kashaev_invariant(knot, N, ctx=None):
     """<L>_N as the normalized limit lim_{q->xi} V_N/[N] (= -gamma_N), the
     exact polynomial V_N/[N] evaluated at xi: the oracle for
@@ -160,12 +192,12 @@ def kashaev_invariant(knot, N, ctx=None):
     normalization conventions are deliberately kept separate.
     """
     ctx = ctx or RootContext(N)
-    return ctx.eval_at(loginv.exact_normalized_Vm(knot, N))
+    return ctx.eval_at(exact_normalized_Vm(knot, N))
 
 
 def unnormalized_VN_at_xi(knot, N, ctx=None):
     ctx = ctx or RootContext(N)
-    return ctx.eval_at(loginv.exact_Vm(knot, N))
+    return ctx.eval_at(exact_Vm(knot, N))
 
 
 def window_ddm_Vm(h, s, ctx):
@@ -223,6 +255,46 @@ def basis_change_inverse(alpha, beta, gamma, N, ctx):
         return idem, rad_plus, rad_minus
 
 
+def framed_corrections(base, f, ctx):
+    """Framed coefficients from framing-0 ones.
+
+    b_s^+(L^f) = xi^{(s^2-1)f/2} b_s^+(L) + (s-N) f {1} V_s(L^f)/[s]^2 at xi
+    b_s^-(L^f) = xi^{(s^2-1)f/2} b_s^-(L) +     s f {1} V_s(L^f)/[s]^2 at xi
+
+    The correction terms carry the framed evaluation V_s(L^f) at xi; the
+    source corollary prints the unframed V_s(L) there, which fails the
+    direct framed-derivative cross-check (see tests), so the framed form
+    is used.  a_s, alpha_s, gamma_s pick up the phase xi^{(s^2-1)f/2};
+    a_0 and a_N use the boundary phases xi^{-f/2} and xi^{(N^2-1)f/2}.
+    ctx must be at the record's N.
+    """
+    N = base.N
+    if ctx.N != N:
+        raise ValueError(f"the record is at N={N} but the context at N={ctx.N}")
+    if base.framing != 0:
+        raise ValueError("framed_corrections starts from a framing-0 record")
+    if f == 0:
+        return loginv.CenterCoeffs(N, base.knot, 0, list(base.idem), list(base.rad_plus),
+                                   list(base.rad_minus), list(base.alpha), list(base.beta),
+                                   list(base.gamma))
+    with ctx.workprec():
+        one = ctx.brace_at(1)
+        idem = [base.idem[0] * ctx.xi_pow(-f, 2)]
+        rad_plus = []
+        rad_minus = []
+        for s in range(1, N):
+            phase = ctx.xi_pow((s * s - 1) * f, 2)
+            a_framed = base.idem[s] * phase
+            idem.append(a_framed)
+            vs_framed = a_framed * ctx.qint_at(s)  # V_s(L^f) at xi
+            qs2 = ctx.qint_at(s) ** 2
+            rad_plus.append(phase * base.rad_plus[s - 1] + (s - N) * f * one * vs_framed / qs2)
+            rad_minus.append(phase * base.rad_minus[s - 1] + s * f * one * vs_framed / qs2)
+        idem.append(base.idem[N] * ctx.xi_pow((N * N - 1) * f, 2))
+        alpha, beta, gamma = loginv.basis_change(idem, rad_plus, rad_minus, ctx)
+    return loginv.CenterCoeffs(N, base.knot, f, idem, rad_plus, rad_minus, alpha, beta, gamma)
+
+
 def weight_multiset(mod, ctx):
     """Sorted K-eigenvalues of a qgroup.RestrictedModule (as complex numbers
     rounded at tolerance scale)."""
@@ -264,3 +336,49 @@ def eta_block_data(b, m, sign, N, ctx):
         "off_block_residual": residual,
         "labels": labels,
     }
+
+
+def lobachevsky_quadrature(x, dps=30):
+    """-int_0^x log|2 sin t| dt by adaptive quadrature (test oracle)."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        if x == 0:
+            return mp.mpf(0)
+        return -mp.quad(lambda t: mp.log(abs(2 * mp.sin(t))), [0, x])
+
+
+def cone_volume_derivative_reference(alpha, dps=30):
+    """-arccosh(1 + cos a - cos 2a), the known dVol/da."""
+    with mp.workdps(dps):
+        p = volume.cone_params(alpha, dps)
+        return -mp.acosh(p.t) if p.t >= 1 else mp.nan
+
+
+def alpha_turns(alpha):
+    """alpha / 2 pi as a Fraction, read at the 15 significant digits that a
+    double carries.  An alpha meant as a rational multiple of 2 pi (pi/5,
+    2 pi 0.05) arrives rounded, often just below that multiple; read this
+    way it is the multiple itself."""
+    with mp.workdps(30):
+        return Fraction(mp.nstr(mp.mpf(alpha) / (2 * mp.pi), 15))
+
+
+def s_N_alpha(N, alpha):
+    """floor(N a / 2 pi) clamped into [0, N], with a / 2 pi from alpha_turns."""
+    return min(max(math.floor(N * alpha_turns(alpha)), 0), N)
+
+
+def convergence_gaps(alpha, Ns=(100, 200, 400)):
+    """|(2 pi/N) log|gamma_{s_N^a}| - Vol(M_a)| for each N, with a / 2 pi
+    read by alpha_turns; the volume conjecture predicts these shrink."""
+    turns = alpha_turns(alpha)
+    gaps = []
+    for N in Ns:
+        ctx = RootContext(N, precision_digits=volume.scan_precision(N))
+        s = s_N_alpha(N, alpha)
+        with ctx.workprec():
+            g = volume.gamma_fig8_fast(N, s, ctx)
+            val = 2 * mp.pi / N * mp.log(abs(g))
+            vol = volume.cone_volume(2 * mp.pi * turns.numerator / turns.denominator, ctx.dps)
+            gaps.append(float(abs(val - vol)))
+    return gaps

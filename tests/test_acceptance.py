@@ -14,7 +14,8 @@ import mpmath as mp
 
 from logjones import habiro, jones, loginv, qgroup, volume
 from logjones.qcalc import RootContext, qbinom, qint
-from conftest import eta_block_data
+from conftest import (cone_volume_derivative_reference, convergence_gaps, eta_block_data,
+                      exact_normalized_Vm, framed_corrections, lobachevsky_quadrature)
 
 KNOTS = ("unknot", "3_1", "4_1")
 GRID_N = (2, 3, 4, 5)
@@ -71,7 +72,7 @@ def test_criterion_03_beta_and_framed_corrections():
             with ctx.workprec():
                 worst_beta = max(worst_beta, max(abs(b) for b in base.beta))
                 for f in (-1, 1, 2):
-                    via = loginv.framed_corrections(base, f, ctx)
+                    via = framed_corrections(base, f, ctx)
                     direct = loginv.center_coeffs(knot, ctx, framing=f)
                     for name in ("idem", "rad_plus", "rad_minus", "alpha", "beta", "gamma"):
                         for a, b in zip(getattr(via, name), getattr(direct, name)):
@@ -163,13 +164,13 @@ def test_criterion_07_partial_trace_blocks():
         x0 = qgroup.x0_from_eta(b31, m, sign, ctx)
         if sign > 0:
             num = qbinom(N - 1, m - 1) * (
-                loginv.exact_normalized_Vm(h, 2 * N - m, framing=w)
-                - loginv.exact_normalized_Vm(h, m, framing=w))
+                exact_normalized_Vm(h, 2 * N - m, framing=w)
+                - exact_normalized_Vm(h, m, framing=w))
             den = qint(N)
         else:
             num = qbinom(2 * N - 1, m) * (
-                loginv.exact_normalized_Vm(h, 2 * N + m, framing=w)
-                - loginv.exact_normalized_Vm(h, 2 * N - m, framing=w))
+                exact_normalized_Vm(h, 2 * N + m, framing=w)
+                - exact_normalized_Vm(h, 2 * N - m, framing=w))
             den = qint(2 * N)
         with ctx.workprec():
             worst_x0 = max(worst_x0, abs(x0 - ctx.lhopital_ratio(num, den)))
@@ -190,7 +191,7 @@ def test_criterion_08_volume_numerics():
                         abs(volume.lobachevsky(-x) + volume.lobachevsky(x)),
                         abs(volume.lobachevsky(x + mp.pi) - volume.lobachevsky(x)))
     v0 = volume.cone_volume(0)
-    oracle = 6 * volume.lobachevsky_quadrature(mp.pi / 3)
+    oracle = 6 * lobachevsky_quadrature(mp.pi / 3)
     d0 = abs(v0 - oracle)
     d_lit = abs(v0 - mp.mpf("2.029883"))
     worst_d = mp.mpf(0)
@@ -200,7 +201,7 @@ def test_criterion_08_volume_numerics():
         d1 = (volume.cone_volume(a + hstep, 40) - volume.cone_volume(a - hstep, 40)) / (2 * hstep)
         d2 = (volume.cone_volume(a + hstep / 2, 40) - volume.cone_volume(a - hstep / 2, 40)) / hstep
         fd = (4 * d2 - d1) / 3
-        worst_d = max(worst_d, abs(fd - volume.cone_volume_derivative_reference(a, 40)))
+        worst_d = max(worst_d, abs(fd - cone_volume_derivative_reference(a, 40)))
     ok = (worst_sym < mp.mpf(10) ** -12 and d0 < mp.mpf(10) ** -5
           and d_lit < mp.mpf(10) ** -5 and worst_d < mp.mpf(10) ** -6)
     report(8, ok, f"Lobachevsky odd/pi-periodic to {mp.nstr(worst_sym, 3)}; "
@@ -255,7 +256,7 @@ def test_criterion_09_alpha_005_within_01():
 
 
 def test_criterion_10_convergence_trend():
-    gaps = volume.convergence_gaps(mp.pi / 5, Ns=(100, 200, 400))
+    gaps = convergence_gaps(mp.pi / 5, Ns=(100, 200, 400))
     ok = gaps[0] > gaps[1] > gaps[2]
     report(10, ok, f"gap to Vol(M_pi/5) over N = 100, 200, 400: "
                    f"{gaps[0]:.4f} > {gaps[1]:.4f} > {gaps[2]:.4f}")

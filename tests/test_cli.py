@@ -48,6 +48,16 @@ class TestLoginvCommand:
         rc, out = run_cli(["loginv", "--braid", "2: 1 1 1", "--N", "2"])
         assert rc == 0
 
+    @pytest.mark.parametrize("argv, label", [
+        (["--knot", "4_1"], "4_1"),
+        (["--braid", "4_1"], "4_1"),
+        (["--braid", "3: 1 -2 1 -2"], "3: 1 -2 1 -2"),
+    ], ids=["knot-4_1", "braid-4_1", "braid-word"])
+    def test_knot_label(self, argv, label):
+        rc, out = run_cli(["loginv", *argv, "--N", "2"])
+        assert rc == 0
+        assert json.loads(out)["knot"] == label
+
     def test_framing_flag(self):
         rc, out = run_cli(["loginv", "--knot", "4_1", "--N", "3", "--framing", "1"])
         assert rc == 0

@@ -16,7 +16,8 @@ from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
 from logjones.qcalc import (InexactDivisionError, Jet, LaurentPoly, RootContext, brace,
                             brace_falling, qint)
 from logjones.volume import scan_precision
-from conftest import assert_close, colored_jones_numeric, horner, window_ddm_Vm
+from conftest import (assert_close, colored_jones_numeric, exact_normalized_Vm, horner,
+                      window_ddm_Vm)
 
 
 # -- oracles: the expansion one falling brace per term, as first coded
@@ -310,8 +311,28 @@ class TestHornerJet:
                     break
                 assert normalized_Vm_jet(h, m, N) == Jet.of(reconstruct_normalized_Vm(h, m), N)
                 for f in (-2, 3):
-                    want = Jet.of(loginv.exact_normalized_Vm(h, m, framing=f), N)
+                    want = Jet.of(exact_normalized_Vm(h, m, framing=f), N)
                     assert loginv._normalized_jet(h, m, N, f) == want, (N, m, f)
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
+    def test_jet_reads_only_coefficients_below_N(self, name):
+        # for i >= N the rung L_i(m) holds two factors {kN}, each 0 mod
+        # x^{4N} - 1, so its jet (v, Dv) is (0, 0) and only a_0..a_{N-1}
+        # reach the jet of V_m/[m]
+        if name == "T(2,5)":
+            h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 9)], name)
+            Ns = (2, 3)
+        else:
+            h = HabiroCoeffs(name, catalog_coeffs(name).rule)
+            Ns = range(2, 8)
+        for N in Ns:
+            for m in range(1, 3 * N):
+                rung = LaurentPoly.const(1)
+                want = Jet.of(h.coeff(0), N)
+                for i in range(1, min(m, N)):
+                    rung = rung * brace(m + i) * brace(m - i)
+                    want = want + Jet.of(h.coeff(i) * rung, N)
+                assert normalized_Vm_jet(h, m, N) == want, (N, m)
 
     def test_beyond_table_refused(self):
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)])

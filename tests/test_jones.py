@@ -23,7 +23,7 @@ from logjones.jones import (
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, kron_unpack, qint
 from logjones.qgroup import build_modified
-from conftest import colored_jones_numeric, horner, is_palindromic, knotted_words
+from conftest import colored_jones_numeric, horner, is_palindromic, knotted_words, mirror, q_power
 
 
 def decoded(halves):
@@ -41,7 +41,7 @@ def dense_of(entries, d):
 
 
 def dense_K(w):
-    return [[LaurentPoly.q_power(w.weights[i]) if i == j else LaurentPoly() for j in range(w.dim)]
+    return [[q_power(w.weights[i]) if i == j else LaurentPoly() for j in range(w.dim)]
             for i in range(w.dim)]
 
 
@@ -162,7 +162,7 @@ class TestWeightRep:
         for (i, j), v in w.E.items():
             assert w.weights[i] - w.weights[j] == 2
             lhs = v.shift(2 * (w.weights[i] - w.weights[j]))
-            assert lhs == v * LaurentPoly.q_power(2)
+            assert lhs == v * q_power(2)
         for (i, j), v in w.F.items():
             assert w.weights[i] - w.weights[j] == -2
 
@@ -192,8 +192,8 @@ class TestRMatrix:
         w2 = build_Wm(2)
         r, den = rmatrix(w2, w2)
         assert den == LaurentPoly.const(1)
-        half = LaurentPoly.q_power(1, 2)
-        mhalf = LaurentPoly.q_power(-1, 2)
+        half = q_power(1, 2)
+        mhalf = q_power(-1, 2)
         assert r == {
             (0, 0): half,
             (1, 1): mhalf,
@@ -396,5 +396,5 @@ class TestBraidInvariance:
     @settings(max_examples=40, deadline=None)
     @given(knotted_words(), st.integers(1, 3))
     def test_mirror(self, b, m):
-        mirror = BraidWord(b.strands, tuple(-g for g in b.word))
-        assert colored_jones_zero_framed(mirror, m) == colored_jones_zero_framed(b, m).mirror()
+        mirrored = BraidWord(b.strands, tuple(-g for g in b.word))
+        assert colored_jones_zero_framed(mirrored, m) == mirror(colored_jones_zero_framed(b, m))

@@ -13,14 +13,13 @@ from logjones.loginv import (
     b_pm_via_habiro,
     basis_change,
     center_coeffs,
-    exact_Vm,
-    framed_corrections,
     gamma_all_routes,
     gamma_boundary,
     gamma_s,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
-from conftest import assert_close, basis_change_inverse, kashaev_invariant, unnormalized_VN_at_xi
+from conftest import (assert_close, basis_change_inverse, exact_Vm, framed_corrections,
+                      kashaev_invariant, unnormalized_VN_at_xi)
 
 
 # -- oracles: the tilde brackets and falling braces at xi, one factor at a time

@@ -2,10 +2,9 @@ import mpmath as mp
 import pytest
 
 from logjones import jones, loginv, qgroup
-from logjones.jones import KNOT_CATALOG
+from logjones.jones import KNOT_CATALOG, FeasibilityError
 from logjones.qcalc import LaurentPoly, RootContext, qbinom, qint
 from logjones.qgroup import (
-    FeasibilityError,
     build_modified,
     build_restricted,
     center_action_check,
@@ -23,7 +22,8 @@ from logjones.qgroup import (
     x0_to_b,
     y1_basis_indices,
 )
-from conftest import assert_close, eta_block_data, weight_multiset
+from conftest import (assert_close, eta_block_data, exact_normalized_Vm, exact_Vm, q_power,
+                      weight_multiset)
 
 
 # -- dense oracles: the residuals as computed on dense matrices, which the
@@ -137,7 +137,7 @@ class TestModuleZoo:
             for sign, kind in ((1, "Y+"), (-1, "Y-")):
                 rep, _ = build_modified(sign, m, N)
                 mod = build_restricted(kind, m, ctx)
-                assert mod.matK == {(i, i): ctx.eval_at(LaurentPoly.q_power(w))
+                assert mod.matK == {(i, i): ctx.eval_at(q_power(w))
                                     for i, w in enumerate(rep.weights)}
                 assert mod.matE == {k: ctx.eval_at(v) for k, v in rep.E.items()}
                 assert mod.matF == {k: ctx.eval_at(v) for k, v in rep.F.items()}
@@ -212,7 +212,7 @@ class TestModuleZoo:
                     want = LaurentPoly()
                     if i == j:
                         w = rep.weights[i]
-                        want = LaurentPoly.q_power(w) - LaurentPoly.q_power(-w)
+                        want = q_power(w) - q_power(-w)
                     assert ef * one == want
 
 
@@ -332,8 +332,8 @@ class TestEtaPartialTrace:
         h = loginv._coeffs_for("3_1", N)
         ma = (2 * N - m) if sign > 0 else (2 * N + m)
         mb = m if sign > 0 else (2 * N - m)
-        va = ctx3.lhopital_ratio(loginv.exact_Vm(h, ma, framing=w), qint(ma))
-        vb = ctx3.lhopital_ratio(loginv.exact_Vm(h, mb, framing=w), qint(mb))
+        va = ctx3.lhopital_ratio(exact_Vm(h, ma, framing=w), qint(ma))
+        vb = ctx3.lhopital_ratio(exact_Vm(h, mb, framing=w), qint(mb))
         assert_close(data["alpha_scalar"], va, ctx3.tol)
         assert_close(data["beta_scalar"], vb, ctx3.tol)
         assert data["alpha_scatter"] < ctx3.tol and data["beta_scatter"] < ctx3.tol
@@ -352,12 +352,12 @@ class TestEtaPartialTrace:
         h = loginv._coeffs_for("3_1", N)
         x0 = x0_from_eta(b31, m, sign, ctx3)
         if sign > 0:
-            num = qbinom(N - 1, m - 1) * (loginv.exact_normalized_Vm(h, 2 * N - m, framing=w)
-                                          - loginv.exact_normalized_Vm(h, m, framing=w))
+            num = qbinom(N - 1, m - 1) * (exact_normalized_Vm(h, 2 * N - m, framing=w)
+                                          - exact_normalized_Vm(h, m, framing=w))
             den = qint(N)
         else:
-            num = qbinom(2 * N - 1, m) * (loginv.exact_normalized_Vm(h, 2 * N + m, framing=w)
-                                          - loginv.exact_normalized_Vm(h, 2 * N - m, framing=w))
+            num = qbinom(2 * N - 1, m) * (exact_normalized_Vm(h, 2 * N + m, framing=w)
+                                          - exact_normalized_Vm(h, 2 * N - m, framing=w))
             den = qint(2 * N)
         assert_close(x0, ctx3.lhopital_ratio(num, den), mp.mpf(10) ** -25)
 

@@ -9,16 +9,13 @@ from logjones.volume import (
     asymptotic_scan,
     cone_params,
     cone_volume,
-    cone_volume_derivative_reference,
-    convergence_gaps,
     gamma_fig8_fast,
     lobachevsky,
-    lobachevsky_quadrature,
-    s_N_alpha,
     scan_precision,
     vol_reference,
 )
-from conftest import assert_close
+from conftest import (assert_close, cone_volume_derivative_reference, convergence_gaps,
+                      lobachevsky_quadrature, s_N_alpha)
 
 VOL_4_1 = mp.mpf("2.029883212819307250042405108549")
 
@@ -176,6 +173,12 @@ class TestFastKernel:
             ctx = RootContext(N)
             assert abs(gamma_fig8_fast(N, N // 2, ctx)) < ctx.tol
 
+    def test_context_at_another_root_refused(self):
+        # the value would be the context's: gamma_1 is -5 at N = 3 and
+        # -15.556349 at N = 4
+        with pytest.raises(ValueError):
+            gamma_fig8_fast(4, 1, RootContext(3))
+
     def test_real_valued(self):
         ctx = RootContext(7)
         for s in range(1, 7):
@@ -306,6 +309,11 @@ class TestScan:
         res = asymptotic_scan(N)
         volume._row_volume.cache_clear()
         assert len(calls) == sum(1 for r in res.rows if r.region == "volume") == 13
+
+    def test_context_at_another_root_refused(self):
+        # rows s = 1, 2 of N = 3 would be read at the N = 4 root
+        with pytest.raises(ValueError):
+            asymptotic_scan(3, RootContext(4))
 
     def test_zero_rows_flagged(self):
         res = asymptotic_scan(4)
