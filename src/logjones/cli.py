@@ -115,7 +115,7 @@ def cmd_habiro(args) -> int:
     h = habiro.coeffs_for(args.knot or braid, i_top + 1)
     coeffs = [h.coeff(i) for i in range(i_top + 1)]
     payload = {"knot": braid.name or args.braid,
-               "all_ones": h is habiro.catalog_coeffs("4_1"),
+               "all_ones": all(c == 1 for c in coeffs),
                "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}
                           for i, c in enumerate(coeffs)}}
     _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)

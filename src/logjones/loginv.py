@@ -257,7 +257,9 @@ class CenterCoeffs:
 
 
 def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
-    """Assemble the full CenterCoeffs of a knot from the derivative routes."""
+    """Assemble the full CenterCoeffs of a knot from the derivative routes,
+    and raise RouteDisagreement when the basis-change alpha_s, beta_s or
+    gamma_s differs from its direct formula beyond ctx.tol."""
     N = ctx.N
     h = _coeffs_for(knot, N)
     with ctx.workprec():
@@ -274,5 +276,9 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
             if abs(alpha[s - 1] - alpha_d[s - 1]) > ctx.tol or abs(beta[s - 1] - beta_d[s - 1]) > ctx.tol:
                 raise RouteDisagreement(
                     f"alpha/beta via basis change vs direct formulas differ at s={s}")
+            # beta cancels an error shared by b_s^+ and b_s^-; gamma does not
+            if abs(gamma_mid[s] - gamma_s(h, s, ctx, Route.QDERIV, framing)) > ctx.tol:
+                raise RouteDisagreement(
+                    f"gamma_{s} via basis change vs the q-derivative route differ")
     return CenterCoeffs(N, h.knot, framing, idem, rad_plus, rad_minus, alpha, beta, gamma_mid)
 

@@ -8,8 +8,9 @@ R-matrix terms at xi, and the center actions; and extracts the radical
 coefficients from partial traces on Y_m^+-.
 
 Every matrix is a sparse map {(row, col): value}.  All checks multiply
-with jones.mat_mul, and every residual is the max-abs entry of a defect
-(_max_diff), compared against the context tolerance.
+with jones.mat_mul, and every check returns one residual, mostly the
+max-abs entry of a defect (_max_diff); verification_report alone compares
+the residuals with the context tolerance.
 
 Every function that works at xi takes a required RootContext ctx, which
 fixes N and the precision together, and reads N from ctx.N (a module
@@ -19,6 +20,7 @@ carries its own N); build_modified, at generic q, takes N alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import mpmath as mp
@@ -27,15 +29,14 @@ from .qcalc import LaurentPoly, RootContext, qbinom, qint
 from . import jones
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RestrictedModule:
     """One module of the restricted quantum group.
 
     matE, matF and matK are sparse maps {(row, col): mpc} of the actions
     at xi; the Y kinds evaluate E and F of build_modified entrywise and
-    take K = xi^{weight}.  h_weights lists the Cartan
-    exponents: the representative of the K-eigenvalue exponent in
-    (-N, N], with h = 0 whenever K fixes the vector.
+    take K = xi^{weight}.  build_restricted shares one module among all
+    its callers, so nothing may change its maps.
     """
 
     kind: str
@@ -46,19 +47,15 @@ class RestrictedModule:
     matF: dict
     matK: dict
     basis_labels: list
-    h_weights: list
-
-
-def _reduce_h(w: int, N: int) -> int:
-    return (w + N - 1) % (2 * N) - N + 1
 
 
 # mpmath numbers are immutable, so every zero entry can be this one object
 _ZERO = mp.mpc(0)
 
 
+@functools.lru_cache(maxsize=None)
 def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
-    """Construct a module by its displayed actions.
+    """Construct a module by its displayed actions, once per (kind, idx, ctx).
 
     kind is one of 'U+', 'U-', 'V+', 'V-' (1 <= idx <= N),
     'P+', 'P-' (1 <= idx <= N-1), 'Y+', 'Y-' (1 <= idx <= N-1).
@@ -69,24 +66,21 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
             rep, labels = build_modified(1 if kind[1] == "+" else -1, idx, N)
             E, F = ({key: ctx.eval_at(p) for key, p in mat.items()} for mat in (rep.E, rep.F))
             K = {(i, i): ctx.xi_pow(w) for i, w in enumerate(rep.weights)}
-            return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels,
-                                    [_reduce_h(w, N) for w in rep.weights])
+            return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels)
         if kind in ("U+", "U-", "V+", "V-"):
             if not 1 <= idx <= N:
                 raise ValueError("index must be in 1..N for U/V kinds")
             sgn = 1 if kind[1] == "+" else -1
             d = idx if kind[0] == "U" else N
             E, F, K = {}, {}, {}
-            weights = []
             for n in range(d):
                 K[(n, n)] = sgn * ctx.xi_pow(idx - 1 - 2 * n)
-                weights.append(_reduce_h((idx - 1 - 2 * n) + (0 if sgn > 0 else N), N))
                 if n >= 1:
                     E[(n - 1, n)] = sgn * ctx.qint_at(n) * ctx.qint_at(idx - n)
                 if n <= d - 2:
                     F[(n + 1, n)] = mp.mpc(1)
             labels = [f"{'u' if kind[0] == 'U' else 'v'}{n}" for n in range(d)]
-            return RestrictedModule(kind, idx, N, d, E, F, K, labels, weights)
+            return RestrictedModule(kind, idx, N, d, E, F, K, labels)
         if kind in ("P+", "P-"):
             if not 1 <= idx <= N - 1:
                 raise ValueError("index must be in 1..N-1 for P kinds")
@@ -94,16 +88,6 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
             # parameter s builds P_{N-s}^-
             return _build_p(kind, idx if kind == "P+" else N - idx, ctx)
     raise ValueError(f"unknown module kind {kind!r}")
-
-
-def _module(kind: str, idx: int, ctx: RootContext, modules: dict | None) -> RestrictedModule:
-    """build_restricted, kept in modules under (kind, idx) when a dict is
-    given, so that one verification report builds each module once."""
-    if modules is None:
-        return build_restricted(kind, idx, ctx)
-    if (kind, idx) not in modules:
-        modules[(kind, idx)] = build_restricted(kind, idx, ctx)
-    return modules[(kind, idx)]
 
 
 def _build_p(kind: str, s: int, ctx: RootContext) -> RestrictedModule:
@@ -138,8 +122,7 @@ def _build_p(kind: str, s: int, ctx: RootContext) -> RestrictedModule:
         E[(pos[f"{upper}{n-1}"], pos[f"{lower}{n}"])] = one
     for src, dst in ((("x", "a"), ("b", "y")) if plus else (("y", "b"), ("a", "x"))):
         F[(pos[f"{dst}0"], pos[f"{src}{size[src] - 1}"])] = one
-    h = [_reduce_h(w, N) for w in wexp]
-    return RestrictedModule(kind, s if plus else N - s, N, 2 * N, E, F, K, labels, h)
+    return RestrictedModule(kind, s if plus else N - s, N, 2 * N, E, F, K, labels)
 
 
 def build_modified(sign: int, m: int, N: int):
@@ -244,7 +227,7 @@ def _iso(p: RestrictedModule, y: RestrictedModule, images):
     return {(row[ylab], col[plab]): v for plab, ylab, v in images}, p, y
 
 
-def iso_f_matrix(m: int, ctx: RootContext, modules=None):
+def iso_f_matrix(m: int, ctx: RootContext):
     """The map f: P_m^+ -> Y_m^+|_{q=xi} by its displayed basis images.
 
     The source display carries a factor (-1)^k on f(y_k); that sign breaks
@@ -253,8 +236,8 @@ def iso_f_matrix(m: int, ctx: RootContext, modules=None):
     tests).  The map here drops it.
     """
     N = ctx.N
-    p = _module("P+", m, ctx, modules)
-    y = _module("Y+", m, ctx, modules)
+    p = build_restricted("P+", m, ctx)
+    y = build_restricted("Y+", m, ctx)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -268,11 +251,11 @@ def iso_f_matrix(m: int, ctx: RootContext, modules=None):
     return _iso(p, y, images)
 
 
-def iso_g_matrix(m: int, ctx: RootContext, modules=None):
+def iso_g_matrix(m: int, ctx: RootContext):
     """The map g: P_{N-m}^- -> Y_1 inside Y_m^-|_{q=xi}."""
     N = ctx.N
-    p = _module("P-", N - m, ctx, modules)
-    y = _module("Y-", m, ctx, modules)
+    p = build_restricted("P-", N - m, ctx)
+    y = build_restricted("Y-", m, ctx)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -286,15 +269,15 @@ def iso_g_matrix(m: int, ctx: RootContext, modules=None):
     return _iso(p, y, images)
 
 
-def iso_h_matrix(m: int, ctx: RootContext, modules=None):
+def iso_h_matrix(m: int, ctx: RootContext):
     """The map h: P_{N-m}^- -> Y_2, an intertwiner onto Y_m^-/Y_1.
 
     As with f, the displayed (-1)^k on h(b_k) contradicts the ladder signs
     [2N+k] = [k] at xi together with E b_k = [k][m-k] b_{k-1}; the map
     here drops it."""
     N = ctx.N
-    p = _module("P-", N - m, ctx, modules)
-    y = _module("Y-", m, ctx, modules)
+    p = build_restricted("P-", N - m, ctx)
+    y = build_restricted("Y-", m, ctx)
     images = []
     with ctx.workprec():
         for k in range(N - m):
@@ -314,25 +297,25 @@ def y1_basis_indices(m: int, N: int):
     return list(range(N + m)) + [na + i for i in range(N - m)]
 
 
-def verify_iso_f(m: int, ctx: RootContext, modules=None):
-    return _intertwiner_residual(*iso_f_matrix(m, ctx, modules), ctx)
+def verify_iso_f(m: int, ctx: RootContext):
+    return _intertwiner_residual(*iso_f_matrix(m, ctx), ctx)
 
 
-def verify_iso_g(m: int, ctx: RootContext, modules=None):
-    return _intertwiner_residual(*iso_g_matrix(m, ctx, modules), ctx)
+def verify_iso_g(m: int, ctx: RootContext):
+    return _intertwiner_residual(*iso_g_matrix(m, ctx), ctx)
 
 
-def verify_iso_h(m: int, ctx: RootContext, modules=None):
+def verify_iso_h(m: int, ctx: RootContext):
     """h intertwines into the quotient Y_m^-/Y_1: compare after projecting
     the Y_1 coordinates away."""
-    return _intertwiner_residual(*iso_h_matrix(m, ctx, modules), ctx,
+    return _intertwiner_residual(*iso_h_matrix(m, ctx), ctx,
                                  frozenset(y1_basis_indices(m, ctx.N)))
 
 
-def verify_y1_invariance(m: int, ctx: RootContext, modules=None):
+def verify_y1_invariance(m: int, ctx: RootContext):
     """Y_1 = span(alpha_0..alpha_{N+m-1}, beta_0..beta_{N-m-1}) is
     invariant at xi: entries from Y_1 columns into Y_2 rows vanish."""
-    y = _module("Y-", m, ctx, modules)
+    y = build_restricted("Y-", m, ctx)
     inside = set(y1_basis_indices(m, ctx.N))
     with ctx.workprec():
         return max((abs(v) for mat in (y.matE, y.matF, y.matK) for (i, j), v in mat.items()
@@ -343,41 +326,31 @@ def verify_y1_invariance(m: int, ctx: RootContext, modules=None):
 
 
 def rmatrix_specialization_check(rep1, rep2, ctx: RootContext):
-    """Check that the R-matrix terms with n >= N all specialize to 0 at xi
-    on rep1 (x) rep2 and that lower terms stay finite.
+    """The worst magnitude at xi of an entry of the R-matrix terms with
+    n >= N on rep1 (x) rep2, which must all specialize to 0, or mp.inf
+    when any term, lower ones included, has a pole at xi.
 
     Where the division by {n}! is exact, the entries of a term are Laurent
     polynomials, so the q -> xi limit is plain evaluation and always
     finite: such terms with n < N are not evaluated.  The other terms are
-    limits of num/{n}!.  Returns a report dict; 'residual' is the worst
-    n >= N entry magnitude and 'offender' names the first failing
-    (n, row, col).
+    limits of num/{n}!.
     """
     N = ctx.N
     one = LaurentPoly.const(1)
-    report = {"n_terms": 0, "residual": mp.mpf(0), "offender": None, "pass": True}
+    worst = mp.mpf(0)
     with ctx.workprec():
         for n, term, den in jones.rmatrix_terms(rep1, rep2):
-            report["n_terms"] = n + 1
             plain = den == one
             if plain and n < N:
                 continue
-            for (r, c), v in term.items():
+            for v in term.values():
                 try:
                     mag = abs(ctx.eval_at(v)) if plain else abs(ctx.lhopital_ratio(v, den))
                 except ZeroDivisionError:
-                    # a pole would contradict the specialization property
-                    report["offender"] = (n, r, c)
-                    report["pass"] = False
-                    continue
-                if n < N:
-                    continue  # low terms only need finite limits
-                if mag > report["residual"]:
-                    report["residual"] = mag
-                if mag > ctx.tol and report["offender"] is None:
-                    report["offender"] = (n, r, c)
-                    report["pass"] = False
-    return report
+                    return mp.inf  # a pole contradicts the specialization property
+                if n >= N and mag > worst:  # low terms only need finite limits
+                    worst = mag
+    return worst
 
 
 # -- partial traces on the modified representations ------------------------
@@ -456,25 +429,26 @@ def center_action_matrices(mod: RestrictedModule):
     return out
 
 
-def center_action_check(ctx: RootContext, modules=None):
-    """Verify on every built module that the stated center actions are
-    endomorphisms and satisfy the commutation relations
-    e_s e_t = delta e_s, e_s w_t^+- = delta w_t^+-, w w = 0."""
+def center_action_check(ctx: RootContext):
+    """(check, parameters, residual) rows on every U and P module: that the
+    stated center actions are endomorphisms ('endomorphism', parameters
+    'P+1 e1') and satisfy the commutation relations e_s e_t = delta e_s,
+    e_s w_t^+- = delta w_t^+-, w w = 0 ('e1*w1+', parameters 'P+1 ')."""
     N = ctx.N
     checks = []
     mods = []
     for s in range(1, N + 1):
-        mods.append(_module("U+", s, ctx, modules))
-        mods.append(_module("U-", s, ctx, modules))
+        mods.append(build_restricted("U+", s, ctx))
+        mods.append(build_restricted("U-", s, ctx))
     for s in range(1, N):
-        mods.append(_module("P+", s, ctx, modules))
-        mods.append(_module("P-", s, ctx, modules))
+        mods.append(build_restricted("P+", s, ctx))
+        mods.append(build_restricted("P-", s, ctx))
     for mod in mods:
+        label = f"{mod.kind}{mod.index}"
         acts = center_action_matrices(mod)
         for name, mat in acts.items():
-            res = _intertwiner_residual(mat, mod, mod, ctx)
-            checks.append({"check": "endomorphism", "module": f"{mod.kind}{mod.index}",
-                           "center": name, "residual": res, "pass": bool(res < ctx.tol)})
+            checks.append(("endomorphism", f"{label} {name}",
+                           _intertwiner_residual(mat, mod, mod, ctx)))
         names = list(acts)
         with ctx.workprec():
             for i, na_ in enumerate(names):
@@ -488,20 +462,20 @@ def center_action_check(ctx: RootContext, modules=None):
                         expect = a if nb_[1:] == na_[1:-1] else {}
                     else:
                         expect = {}  # w w = 0 in every combination
-                    res = _max_diff(jones.mat_mul(a, b), expect)
-                    checks.append({"check": f"{na_}*{nb_}", "module": f"{mod.kind}{mod.index}",
-                                   "center": "", "residual": res, "pass": bool(res < ctx.tol)})
+                    checks.append((f"{na_}*{nb_}", f"{label} ",
+                                   _max_diff(jones.mat_mul(a, b), expect)))
     return checks
 
 
 def verification_report(ctx: RootContext, include_rmatrix: bool = True):
     """The full qgroup verification suite as a JSON-ready list of checks.
 
-    Each (kind, idx) module is built once and shared by the relation,
-    intertwiner, invariance and center checks."""
+    The memoized build_restricted shares each (kind, idx) module among the
+    relation, intertwiner, invariance and center checks.  add is the one
+    place that judges a residual: a row passes when it is below ctx.tol,
+    so a pole (mp.inf) or a NaN fails."""
     N = ctx.N
     rows = []
-    modules = {}
 
     def add(check, params, residual):
         rows.append({"check": check, "parameters": params,
@@ -509,7 +483,7 @@ def verification_report(ctx: RootContext, include_rmatrix: bool = True):
                      "pass": bool(residual < ctx.tol)})
 
     def relations(kind, s, label):
-        add("relations", f"{kind} {label}={s}", relations_residual(_module(kind, s, ctx, modules), ctx))
+        add("relations", f"{kind} {label}={s}", relations_residual(build_restricted(kind, s, ctx), ctx))
 
     for s in range(1, N + 1):
         for kind in ("U+", "U-", "V+", "V-"):
@@ -519,10 +493,10 @@ def verification_report(ctx: RootContext, include_rmatrix: bool = True):
             relations(kind, s, "s")
         for kind in ("Y+", "Y-"):
             relations(kind, s, "m")
-        add("iso_f", f"m={s}", verify_iso_f(s, ctx, modules))
-        add("iso_g", f"m={s}", verify_iso_g(s, ctx, modules))
-        add("iso_h", f"m={s}", verify_iso_h(s, ctx, modules))
-        add("y1_invariance", f"m={s}", verify_y1_invariance(s, ctx, modules))
+        add("iso_f", f"m={s}", verify_iso_f(s, ctx))
+        add("iso_g", f"m={s}", verify_iso_g(s, ctx))
+        add("iso_h", f"m={s}", verify_iso_h(s, ctx))
+        add("y1_invariance", f"m={s}", verify_y1_invariance(s, ctx))
     if include_rmatrix:
         reps = {f"W{m}": jones.build_Wm(m) for m in range(1, 2 * N + 1)}
         for m in range(1, N):
@@ -531,10 +505,10 @@ def verification_report(ctx: RootContext, include_rmatrix: bool = True):
         names = sorted(reps)
         for n1 in names:
             for n2 in names:
-                rep = rmatrix_specialization_check(reps[n1], reps[n2], ctx)
-                add("rmatrix_specialization", f"{n1} (x) {n2}", rep["residual"])
-    for row in center_action_check(ctx, modules):
-        add(f"center:{row['check']}", f"{row['module']} {row['center']}", row["residual"])
+                add("rmatrix_specialization", f"{n1} (x) {n2}",
+                    rmatrix_specialization_check(reps[n1], reps[n2], ctx))
+    for check, params, residual in center_action_check(ctx):
+        add(f"center:{check}", params, residual)
     return rows
 
 

@@ -104,12 +104,10 @@ def _clausen_coeffs(prec: int) -> tuple:
 @dataclasses.dataclass(frozen=True)
 class ConeVolumeParams:
     """Derived quantities of the cone angle: the (pi, 2pi) branch angle
-    theta with cos(theta) = cos(alpha) - 1/2, and t = 1 + cos a - cos 2a
-    whose arccosh is -dVol/da."""
+    theta with cos(theta) = cos(alpha) - 1/2."""
 
     alpha: float
     theta: float
-    t: float
 
 
 def cone_params(alpha, dps: int = 30) -> ConeVolumeParams:
@@ -119,8 +117,7 @@ def cone_params(alpha, dps: int = 30) -> ConeVolumeParams:
         if abs(c) > 1:
             raise ValueError(f"cos(alpha) - 1/2 = {c} outside [-1, 1]")
         theta = 2 * mp.pi - mp.acos(c)
-        t = 1 + mp.cos(a) - mp.cos(2 * a)
-        return ConeVolumeParams(a, theta, t)
+        return ConeVolumeParams(a, theta)
 
 
 def cone_volume(alpha, dps: int = 30):

@@ -347,11 +347,18 @@ def lobachevsky_quadrature(x, dps=30):
         return -mp.quad(lambda t: mp.log(abs(2 * mp.sin(t))), [0, x])
 
 
+def cone_t(alpha, dps=30):
+    """t = 1 + cos a - cos 2a, whose arccosh is -dVol/da."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        return 1 + mp.cos(a) - mp.cos(2 * a)
+
+
 def cone_volume_derivative_reference(alpha, dps=30):
     """-arccosh(1 + cos a - cos 2a), the known dVol/da."""
     with mp.workdps(dps):
-        p = volume.cone_params(alpha, dps)
-        return -mp.acosh(p.t) if p.t >= 1 else mp.nan
+        t = cone_t(alpha, dps)
+        return -mp.acosh(t) if t >= 1 else mp.nan
 
 
 def alpha_turns(alpha):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logjones import cli
+from logjones.qcalc import RootContext
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -69,6 +70,16 @@ class TestLoginvCommand:
         # enough digits to round-trip at the configured precision
         assert len(data["alpha"][0]["im"].split(".")[1]) >= 38
 
+    def test_interior_gamma_checked(self, monkeypatch, capsys):
+        # an error shared by b_s^+ and b_s^- cancels in beta_s but not in
+        # the basis-change gamma_s, which the q-derivative route catches
+        exact = cli.loginv.b_pm_via_derivative
+        monkeypatch.setattr(cli.loginv, "b_pm_via_derivative",
+                            lambda *args, **kwargs: exact(*args, **kwargs) + 1)
+        rc, out = run_cli(["loginv", "--knot", "4_1", "--N", "5"])
+        assert rc == 4 and out == ""
+        assert "gamma_1" in capsys.readouterr().err
+
 
 class TestJonesCommand:
     def test_palindromic_figure_eight(self):
@@ -96,6 +107,15 @@ class TestHabiroCommand:
         data = json.loads(out)
         assert data["coeffs"]["0"]["poly"] == "1"
         assert data["coeffs"]["1"]["poly"] == "-q^-4"
+        assert data["all_ones"] is False
+
+    def test_braid_all_ones(self):
+        # all_ones describes the printed coefficients, also when they come
+        # from the traces of a braid word
+        rc, out = run_cli(["habiro", "--braid", "3: 1 -2 1 -2"])
+        data = json.loads(out)
+        assert [c["poly"] for c in data["coeffs"].values()] == ["1"] * 6
+        assert data["all_ones"] is True
 
 
 class TestVolumeScanCommand:
@@ -127,6 +147,17 @@ class TestQGroupVerifyCommand:
         checks = {r["check"] for r in rows}
         assert {"relations", "iso_f", "iso_g", "iso_h", "y1_invariance",
                 "rmatrix_specialization"} <= checks
+
+    def test_pole_fails(self, monkeypatch):
+        # an R-matrix term with a pole at xi is a failing row, not a 0
+        def pole(self, num, den):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(RootContext, "lhopital_ratio", pole)
+        rc, out = run_cli(["qgroup-verify", "--N", "3"])
+        assert rc == 4
+        row = next(r for r in json.loads(out) if r["parameters"] == "Y2- (x) Y2-")
+        assert row["residual"] == "+inf" and row["pass"] is False
 
     def test_skip_rmatrix(self):
         rc, out = run_cli(["qgroup-verify", "--N", "3", "--skip-rmatrix"])

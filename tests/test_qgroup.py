@@ -115,7 +115,6 @@ class TestModuleZoo:
         assert u1.dim == 1
         assert abs(u1.matK[(0, 0)] - 1) < ctx3.tol
         assert abs(u1.matE.get((0, 0), 0)) < ctx3.tol and abs(u1.matF.get((0, 0), 0)) < ctx3.tol
-        assert u1.h_weights == [0]
 
     def test_dimensions(self, ctx4):
         N = 4
@@ -181,17 +180,6 @@ class TestModuleZoo:
                               key=lambda z: (mp.nstr(z.real, 20), mp.nstr(z.imag, 20)))
                 for a, b in zip(want, weight_multiset(mod, ctx)):
                     assert_close(a, b, ctx.tol)
-
-    def test_h_weight_convention(self, ctx3):
-        # exponents are reduced into (-N, N], with h = 0 exactly when K
-        # fixes the vector
-        p = build_restricted("P+", 1, ctx3)
-        assert all(-3 < h <= 3 for h in p.h_weights)
-        with ctx3.workprec():
-            for i, h in enumerate(p.h_weights):
-                assert_close(p.matK[(i, i)], ctx3.xi_pow(h), ctx3.tol)
-                if abs(p.matK[(i, i)] - 1) < ctx3.tol:
-                    assert h == 0
 
     def test_modified_generic_relations_exact(self):
         # {1}(EF - FE) = K - K^{-1} holds exactly at generic q on Y_m^{+-}
@@ -283,25 +271,24 @@ class TestIntertwiners:
 class TestRMatrixSpecialization:
     def test_W2_at_N2(self):
         ctx = RootContext(2)
-        rep = rmatrix_specialization_check(jones.build_Wm(2), jones.build_Wm(2), ctx)
-        assert rep["pass"]
+        W2 = jones.build_Wm(2)
+        assert rmatrix_specialization_check(W2, W2, ctx) < ctx.tol
         # terms beyond the joint nilpotency order vanish identically:
         # E^2 = 0 on W_2, so the sum stops after n = 0, 1
-        assert rep["n_terms"] == 2
-        W2 = jones.build_Wm(2)
+        assert sum(1 for _ in jones.rmatrix_terms(W2, W2)) == 2
         assert len(jones._mat_powers(W2.E, 2)) == 2
 
     def test_Y1_pairs_at_N3(self, ctx3):
         y1p = build_modified(1, 1, 3)[0]
         y1m = build_modified(-1, 1, 3)[0]
         for a, b in ((y1p, y1p), (y1p, y1m), (y1m, y1m)):
-            rep = rmatrix_specialization_check(a, b, ctx3)
-            assert rep["pass"] and rep["residual"] < mp.mpf(10) ** -40
-            assert rep["n_terms"] > 3  # nontrivial n >= N terms were checked
+            assert rmatrix_specialization_check(a, b, ctx3) < mp.mpf(10) ** -40
+            # nontrivial n >= N terms were checked
+            assert sum(1 for _ in jones.rmatrix_terms(a, b)) > 3
 
     def test_mixed_W_Y_pair(self, ctx3):
-        rep = rmatrix_specialization_check(jones.build_Wm(4), build_modified(1, 2, 3)[0], ctx3)
-        assert rep["pass"]
+        res = rmatrix_specialization_check(jones.build_Wm(4), build_modified(1, 2, 3)[0], ctx3)
+        assert res < ctx3.tol
 
     def test_n0_term_is_diagonal_nonzero(self):
         for n, term, _den in jones.rmatrix_terms(jones.build_Wm(3), jones.build_Wm(2)):
@@ -417,8 +404,8 @@ class TestEtaPartialTrace:
 class TestCenterActions:
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_all_relations(self, N):
-        checks = center_action_check(RootContext(N))
-        bad = [c for c in checks if not c["pass"]]
+        ctx = RootContext(N)
+        bad = [row for row in center_action_check(ctx) if not row[2] < ctx.tol]
         assert not bad, bad[:3]
 
     def test_specific_actions(self, ctx3):
@@ -449,25 +436,20 @@ class TestCenterActions:
 
 class TestReportModules:
     @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_each_module_built_once(self, N, monkeypatch):
-        # the report builds each (kind, idx) module once, and its JSON is the
-        # one of a report that rebuilds every module it checks
+    def test_each_module_built_once(self, N):
+        # a report builds each (kind, idx) module once, a second report
+        # builds none, and a report on freshly built modules is the same
         def report():
             return qgroup.report_to_json(
                 qgroup.verification_report(RootContext(N), include_rmatrix=False))
 
-        built = []
-        original = qgroup.build_restricted
-
-        def counting(kind, idx, ctx):
-            built.append((kind, idx))
-            return original(kind, idx, ctx)
-
-        monkeypatch.setattr(qgroup, "build_restricted", counting)
+        cache = qgroup.build_restricted
+        cache.cache_clear()
         shared = report()
-        assert len(built) == len(set(built)) == 8 * N - 4
-        monkeypatch.setattr(qgroup, "_module",
-                            lambda kind, idx, ctx, modules: original(kind, idx, ctx))
+        assert cache.cache_info().misses == 8 * N - 4
+        assert report() == shared
+        assert cache.cache_info().misses == 8 * N - 4
+        cache.cache_clear()
         assert report() == shared
 
 
@@ -492,13 +474,13 @@ class TestDenseOracles:
                                         (iso_h_matrix, verify_iso_h, kill)):
                 mat, p, y = build(s, ctx)
                 assert verify(s, ctx) == dense_intertwiner_residual(mat, p, y, ctx, skip)
-        endo = {(row["module"], row["center"]): row["residual"]
-                for row in center_action_check(ctx) if row["check"] == "endomorphism"}
+        endo = {params: residual for check, params, residual in center_action_check(ctx)
+                if check == "endomorphism"}
         mods = [build_restricted(kind, s, ctx) for s in range(1, N + 1) for kind in ("U+", "U-")]
         mods += [build_restricted(kind, s, ctx) for s in range(1, N) for kind in ("P+", "P-")]
         seen = 0
         for mod in mods:
             for name, mat in center_action_matrices(mod).items():
-                assert endo[(f"{mod.kind}{mod.index}", name)] == dense_endo_residual(mat, mod, ctx)
+                assert endo[f"{mod.kind}{mod.index} {name}"] == dense_endo_residual(mat, mod, ctx)
                 seen += 1
         assert seen == len(endo)

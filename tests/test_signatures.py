@@ -1,7 +1,7 @@
 """The shape of the package: the calling convention of loginv and qgroup
 (a RootContext fixes N and the precision, so every function that
 evaluates at xi takes one required ctx and reads N from it), and no public
-name in src/ that only the tests reach."""
+name or class field in src/ that only the tests reach."""
 
 import ast
 import inspect
@@ -12,6 +12,7 @@ import pytest
 from logjones import loginv, qgroup
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "logjones"
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 # the second and third routes to b_s^+-, which loginv is to cross-check its
 # b_s^+- against (ROADMAP direction 3); until then only tests call them
@@ -19,7 +20,9 @@ NOT_YET_REACHED = {"loginv.b_pm_via_habiro", "qgroup.x0_from_eta", "qgroup.x0_to
 
 
 def own_functions(module):
-    return [(name, fn) for name, fn in vars(module).items()
+    # unwrap, or a memoized function (functools.lru_cache) is no function
+    unwrapped = ((name, inspect.unwrap(obj)) for name, obj in vars(module).items())
+    return [(name, fn) for name, fn in unwrapped
             if inspect.isfunction(fn) and fn.__module__ == module.__name__]
 
 
@@ -38,21 +41,23 @@ def test_ctx_carries_N(module):
     assert not defaulted, f"give ctx a default: {defaulted}"
 
 
+def test_memoized_functions_are_checked():
+    assert "build_restricted" in dict(own_functions(qgroup))
+
 
 def test_public_names_reached_from_src():
     # a public function, class or method of src/ must be named somewhere in
     # src/ (as a name or an attribute, not in a docstring); test oracles
     # live in tests/conftest.py
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     named = set()
-    for tree in trees.values():
+    for tree in TREES.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     defs = []
-    for mod, tree in trees.items():
+    for mod, tree in TREES.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{mod}.{node.name}", node.name))
@@ -63,3 +68,18 @@ def test_public_names_reached_from_src():
                        if not name.startswith("_") and name not in named
                        and qual not in NOT_YET_REACHED)
     assert not unreached, f"public names that no src/ code reaches: {unreached}"
+
+
+def test_class_fields_read_in_src():
+    # every annotated field of a src/ class is read by src/ code as an
+    # attribute (obj.field); a field that only tests read is computed for
+    # nothing on every instance
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{mod}.{node.name}.{field.target.id}"
+                    for mod, tree in TREES.items() for node in tree.body
+                    if isinstance(node, ast.ClassDef)
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                    and field.target.id not in read)
+    assert not unread, f"class fields that no src/ code reads: {unread}"

@@ -14,7 +14,7 @@ from logjones.volume import (
     scan_precision,
     vol_reference,
 )
-from conftest import (assert_close, cone_volume_derivative_reference, convergence_gaps,
+from conftest import (assert_close, cone_t, cone_volume_derivative_reference, convergence_gaps,
                       lobachevsky_quadrature, s_N_alpha)
 
 VOL_4_1 = mp.mpf("2.029883212819307250042405108549")
@@ -105,7 +105,7 @@ class TestConeVolume:
         p = cone_params(0)
         assert abs(p.theta - 5 * mp.pi / 3) < 1e-20  # 2 pi - pi/3
         assert mp.pi < p.theta < 2 * mp.pi
-        assert abs(p.t - 1) < 1e-20
+        assert abs(cone_t(0) - 1) < 1e-20
         p2 = cone_params(mp.mpf("0.8"))
         assert abs(mp.cos(p2.theta) - (mp.cos(mp.mpf("0.8")) - mp.mpf(1) / 2)) < 1e-20
 
@@ -132,8 +132,7 @@ class TestConeVolume:
 
     def test_flat_derivative_at_boundary(self):
         # t -> 1 as alpha -> 2pi/3, so the derivative flattens
-        p = cone_params(2 * mp.pi / 3 - mp.mpf(10) ** -8)
-        assert abs(p.t - 1) < 1e-7
+        assert abs(cone_t(2 * mp.pi / 3 - mp.mpf(10) ** -8) - 1) < 1e-7
         assert abs(cone_volume_derivative_reference(2 * mp.pi / 3 - mp.mpf(10) ** -8)) < 1e-3
 
     def test_domain_error(self):
