@@ -154,18 +154,23 @@ def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
     """The jet of V_m/[m] mod x^{4N} - 1 (see qcalc.Jet), equal to
     Jet.of(reconstruct_normalized_Vm(h, m), N) without building V_m/[m].
 
-    Horner's rule on the ladder: J = a_{m-1}, then
-    J = a_{j-1} + {m+j}{m-j} J for j = m-1, ..., 1, four rotations of a
-    4N vector per step; the a_i are reduced once per N.  Memoized on h,
-    keyed by (N, m)."""
+    For i >= N the rung L_i(m) = prod_{j=1..i} {m+j}{m-j} holds two
+    factors {kN}, one among {m+1}..{m+i} and one among {m-i}..{m-1}, and
+    {kN} = x^{2kN} - x^{-2kN} is 0 mod x^{4N} - 1, so the jet of the rung,
+    value and derivative, is 0.  Only a_0..a_{n-1}, n = min(m, N), reach
+    the jet, and Horner's rule runs over them:
+    J = a_{n-1}, then J = a_{j-1} + {m+j}{m-j} J for j = n-1, ..., 1,
+    four rotations of a 4N vector per step; the a_i are reduced once per
+    N.  Memoized on h, keyed by (N, m)."""
     key = ("jet", N, m)
     if key not in h._memo:
-        _check_color(h, m)
+        n = min(m, N)
+        _check_color(h, n)
         a = h._memo.setdefault(("jets", N), [])
-        while len(a) < m:
+        while len(a) < n:
             a.append(Jet.of(h.coeff(len(a)), N))
-        J = a[m - 1]
-        for j in range(m - 1, 0, -1):
+        J = a[n - 1]
+        for j in range(n - 1, 0, -1):
             J = a[j - 1] + J.times(brace(m + j) * brace(m - j))
         h._memo[key] = J
     return h._memo[key]

@@ -42,8 +42,11 @@ class Route(enum.Enum):
 
 
 def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
-    # colors 1..3N-1 cover V_{2N+s}, s <= N-1, of the minus-sign radical route
-    return habiro.coeffs_for(knot, 3 * N - 1)
+    # the jets of V_m/[m] read a_0..a_{N-1} alone, at every color m (see
+    # habiro.normalized_Vm_jet), V_{2N+s} of the minus-sign radical route
+    # too; colors 1..2N give a_0..a_{2N-1}, which the exact V_{2N} of
+    # gamma_boundary's cross-check and the guard of habiro.ddm_Vm still read
+    return habiro.coeffs_for(knot, 2 * N)
 
 
 def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet:

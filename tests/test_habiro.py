@@ -31,6 +31,17 @@ def direct_Vm(h, m):
     return out
 
 
+def truncated_ladder_jet(h, m, N):
+    """sum_{i<min(m,N)} Jet.of(a_i L_i(m)), each rung a product of braces:
+    the jet of V_m/[m] if every rung from i = N on has jet 0."""
+    rung = LaurentPoly.const(1)
+    want = Jet.of(h.coeff(0), N)
+    for i in range(1, min(m, N)):
+        rung = rung * brace(m + i) * brace(m - i)
+        want = want + Jet.of(h.coeff(i) * rung, N)
+    return want
+
+
 def direct_extract(values):
     """a_0..a_{M-1} by forward substitution on the falling braces."""
     one = brace(1)
@@ -327,17 +338,15 @@ class TestHornerJet:
             Ns = range(2, 8)
         for N in Ns:
             for m in range(1, 3 * N):
-                rung = LaurentPoly.const(1)
-                want = Jet.of(h.coeff(0), N)
-                for i in range(1, min(m, N)):
-                    rung = rung * brace(m + i) * brace(m - i)
-                    want = want + Jet.of(h.coeff(i) * rung, N)
-                assert normalized_Vm_jet(h, m, N) == want, (N, m)
+                assert normalized_Vm_jet(h, m, N) == truncated_ladder_jet(h, m, N), (N, m)
 
     def test_beyond_table_refused(self):
+        # a table a_0..a_2 answers every jet at N = 3, V_5/[5] among them,
+        # and refuses V_5/[5] at N = 4, which reads a_3
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)])
         with pytest.raises(ValueError):
-            normalized_Vm_jet(h, 5, 3)
+            normalized_Vm_jet(h, 5, 4)
+        assert normalized_Vm_jet(h, 5, 3) == truncated_ladder_jet(h, 5, 3)
 
 
 class TestColorDerivative:

@@ -3,6 +3,7 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logjones import habiro, jones, loginv
 from logjones.loginv import (
@@ -17,9 +18,9 @@ from logjones.loginv import (
     gamma_boundary,
     gamma_s,
 )
-from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
+from logjones.qcalc import Jet, LaurentPoly, RootContext, brace, brace_falling, ddq, qint
 from conftest import (assert_close, basis_change_inverse, exact_Vm, framed_corrections,
-                      kashaev_invariant, unnormalized_VN_at_xi)
+                      kashaev_invariant, knotted_words, unnormalized_VN_at_xi)
 
 
 # -- oracles: the tilde brackets and falling braces at xi, one factor at a time
@@ -441,3 +442,32 @@ class TestCenterCoeffs:
         rec_cat = center_coeffs("3_1", ctx)
         for a, b in zip(rec_braid.gamma, rec_cat.gamma):
             assert_close(a, b, ctx.tol)
+
+
+class TestColorReach:
+    # loginv reads a_0..a_{2N-1} and no higher coefficient, so a braid is
+    # traced at colors 1..2N
+
+    @pytest.mark.parametrize("knot", ["4_1", "3_1"])
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_reads_no_coefficient_above_2N_minus_1(self, knot, N):
+        closed = habiro.catalog_coeffs(knot)
+        table = habiro.HabiroCoeffs.from_table(knot, [closed.rule(i) for i in range(2 * N)])
+        ctx = RootContext(N)
+        assert center_coeffs(table, ctx) == center_coeffs(closed, ctx)
+        for s in range(1, N):
+            assert gamma_all_routes(table, s, ctx) == gamma_all_routes(closed, s, ctx)
+            assert b_pm_via_habiro(table, s, ctx) == b_pm_via_habiro(closed, s, ctx)
+
+    @settings(max_examples=10, deadline=None)
+    @given(knotted_words(), st.sampled_from((2, 3)))
+    def test_jets_from_2N_colors_match_the_full_ladder(self, b, N):
+        # the jets of V_m/[m] that loginv reads off a 2N-color extraction
+        # equal those of the exact V_m/[m] from 3N-1 colors, at every color
+        # m <= 3N-1, V_{2N+s} of the minus-sign radical route among them
+        h = loginv._coeffs_for(b, N)
+        assert h.i_max == 2 * N - 1
+        h_full = habiro.coeffs_for(b, 3 * N - 1)
+        for m in range(1, 3 * N):
+            want = Jet.of(habiro.reconstruct_normalized_Vm(h_full, m), N)
+            assert habiro.normalized_Vm_jet(h, m, N) == want, (b, N, m)
