@@ -111,11 +111,12 @@ def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
     return HabiroCoeffs.from_table(knot, coeffs)
 
 
-def _check_color(h: HabiroCoeffs, m: int):
+def _check_color(h: HabiroCoeffs, m: int, n: int):
+    """V_m, read through its first n rungs, needs a_0..a_{n-1}."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not h.has_coeff(m - 1):
-        raise ValueError(f"{h.knot}: V_{m} needs a_{m-1}, only a_0..a_{h.i_max} available")
+    if not h.has_coeff(n - 1):
+        raise ValueError(f"{h.knot}: V_{m} needs a_{n-1}, only a_0..a_{h.i_max} available")
 
 
 def _ladder(m: int):
@@ -142,12 +143,17 @@ def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
     """V_m/[m] = sum_{i=0}^{m-1} a_i L_i(m), exact.  Memoized on h."""
     key = ("normalized", m)
     if key not in h._memo:
-        _check_color(h, m)
-        out = LaurentPoly()
-        for i, rung in enumerate(_ladder(m)):
-            out = out + h.coeff(i) * rung
-        h._memo[key] = out
+        h._memo[key] = ladder_head(h, m, m)
     return h._memo[key]
+
+
+def ladder_head(h: HabiroCoeffs, m: int, n: int) -> LaurentPoly:
+    """sum_{i<n} a_i L_i(m), exact: the first n <= m rungs of V_m/[m]."""
+    _check_color(h, m, n)
+    out = LaurentPoly()
+    for i, rung in zip(range(n), _ladder(m)):
+        out = out + h.coeff(i) * rung
+    return out
 
 
 def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
@@ -165,7 +171,7 @@ def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
     key = ("jet", N, m)
     if key not in h._memo:
         n = min(m, N)
-        _check_color(h, n)
+        _check_color(h, m, n)
         a = h._memo.setdefault(("jets", N), [])
         while len(a) < n:
             a.append(Jet.of(h.coeff(len(a)), N))
@@ -282,15 +288,14 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
 
     {kN} is exactly 0 at xi, so once the window [s-i, s+i] holds two
     multiples of N the pair is exactly (0, 0) and stays there.  Every
-    window of width 2i+1 > 2N does, so the sum stops at i = N-1.  The
-    guard asks for a_0..a_{2N-1}, every coefficient of V_{2N}, the top
-    color accepted, though only a_0..a_{N-1} enter.
+    window of width 2i+1 > 2N does, so the sum stops at i = N-1, and the
+    guard asks for a_0..a_{N-1}, the coefficients that enter.
     """
     N = ctx.N
     if not 1 <= s <= 2 * N:
         raise ValueError("s must be in 1..2N")
-    if not h.has_coeff(2 * N - 1):
-        raise ValueError(f"{h.knot}: d/dm needs coefficients through i = {2 * N - 1}")
+    if not h.has_coeff(N - 1):
+        raise ValueError(f"{h.knot}: d/dm needs coefficients through i = {N - 1}")
     a = h.at_xi(N, ctx)
     with ctx.workprec():
         P, D = ctx.brace_at(s), ctx.brace_plus(s)

@@ -32,11 +32,13 @@ class LinkNotKnotError(ValueError):
 # half-word operators contracted, the partial trace of 4_1 on the
 # 1728-dim cube of Y_1^- at N = 3 takes 0.3 s (1.9 s with the whole word's
 # operator), and colored_jones of 4_1 at m = 12 (1728 dims) 1.4 s and
-# 93 MB (18.6 s and 317 MB).  loginv traces colors 1..2N, so the cap
-# reaches N = 6 on 3-strand words: a whole loginv --braid "3: 1 -2 1 -2"
-# process takes 0.9 s and 43 MB at N = 5 (1000 dims) and 3.6 s and 93 MB
-# at N = 6 (1728 dims), and "3: 1 1 1 2" 2.0 s and 58 MB at N = 6.  A
-# word above the cap is refused with FeasibilityError before any trace.
+# 93 MB (18.6 s and 317 MB).  loginv traces colors 1..N, so the cap
+# reaches N = 12 on 3-strand words: a whole loginv --braid "3: 1 -2 1 -2"
+# process takes 0.21 s and 22 MB at N = 6, 0.30 s and 27 MB at N = 8,
+# 0.74 s and 42 MB at N = 10 and 2.9 s and 93 MB at N = 12 (1728 dims),
+# and refuses N = 13 (2197 dims); "3: 1 1 1 2 -1 2" takes 17 s and 220 MB
+# at N = 12.  A word above the cap is refused with FeasibilityError
+# before any trace.
 EXACT_DIM_CAP = 1800
 
 

@@ -42,11 +42,12 @@ class Route(enum.Enum):
 
 
 def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
-    # the jets of V_m/[m] read a_0..a_{N-1} alone, at every color m (see
-    # habiro.normalized_Vm_jet), V_{2N+s} of the minus-sign radical route
-    # too; colors 1..2N give a_0..a_{2N-1}, which the exact V_{2N} of
-    # gamma_boundary's cross-check and the guard of habiro.ddm_Vm still read
-    return habiro.coeffs_for(knot, 2 * N)
+    # everything loginv reads at xi is fixed by a_0..a_{N-1}: the jets of
+    # V_m/[m] at every color m (see habiro.normalized_Vm_jet), V_{2N+s} of
+    # the minus-sign radical route too, the first N rungs of the exact V_{2N}
+    # in gamma_boundary's cross-check and the sum of habiro.ddm_Vm; colors
+    # 1..N give them
+    return habiro.coeffs_for(knot, N)
 
 
 def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet:
@@ -146,7 +147,12 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     polynomial, so each is read off the jet of V_m/[m] at xi and
     cross-checked against the q-derivative expression in the exact
     polynomial V_m, which checks the jets against exact polynomial
-    arithmetic on every call."""
+    arithmetic on every call.
+
+    V_N has N rungs.  Of V_{2N} the check builds the first N,
+    [2N] sum_{i<N} a_i L_i(2N): every later rung L_i(2N) holds {N} and
+    {3N}, each divisible by x^{4N} - 1 (x = q^{1/2}), so {1} [2N] L_i(2N)
+    and its d/dq vanish at xi."""
     N = ctx.N
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
@@ -154,7 +160,9 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     with ctx.workprec():
         if which == 0:
             val = habiro.normalized_Vm_jet(h, 2 * N, N).value(ctx)
-            alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(brace(1) * habiro.reconstruct_Vm(h, 2 * N)))
+            # {1} [2N] = {2N}
+            head = brace(2 * N) * habiro.ladder_head(h, 2 * N, N)
+            alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(head))
             phase = ctx.xi_pow(-framing, 2) if framing else mp.mpf(1)
         else:
             val = -habiro.normalized_Vm_jet(h, N, N).value(ctx)

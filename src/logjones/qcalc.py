@@ -227,30 +227,69 @@ class LaurentPoly:
 # of the polynomials evaluated at 2^W, with offsets lo that add, so they
 # decode exactly when every coefficient lies strictly between -2^{W-1} and
 # 2^{W-1}.
+#
+# Both directions split their digit range in halves, digits 0..h-1 and
+# h..n-1 with h = n // 2, so that each level of the recursion copies the
+# int once: O(n log n) digit copies for n digits, where a loop over the
+# digits copies the whole int once per digit.  A range of at most
+# _KRON_LEAF digits is a leaf and runs that loop, which is cheaper than the
+# splits there.
+
+_KRON_LEAF = 64
 
 
 def kron_pack(terms: dict, lo: int, step: int, width: int) -> int:
     """The int sum_k c_e 2^{W k} of a term map with e = lo + step*k."""
-    return sum(c << (width * ((e - lo) // step)) for e, c in terms.items())
+    digits = [terms.get(e, 0) for e in range(lo, max(terms, default=lo - 1) + 1, step)]
+    return _pack_digits(digits, 0, len(digits), width)
+
+
+def _pack_digits(digits: list, i: int, j: int, width: int) -> int:
+    """sum_{k=i..j-1} digits[k] 2^{W (k-i)}: the low half's int plus the
+    high half's, shifted up by W h."""
+    if j - i <= _KRON_LEAF:
+        return sum(map(operator.lshift, digits[i:j], range(0, width * (j - i), width)))
+    h = (j - i) // 2
+    return (_pack_digits(digits, i, i + h, width)
+            + (_pack_digits(digits, i + h, j, width) << (width * h)))
 
 
 def kron_unpack(total: int, lo: int, step: int, width: int) -> dict:
     """Signed digits of total in base 2^W, with borrow, as a term map
-    whose k-th digit sits at doubled exponent lo + step*k.  A negative
-    total is fine: each digit is taken in (-2^{W-1}, 2^{W-1}] and
-    subtracted before the shift, so total reaches 0."""
+    whose k-th digit sits at doubled exponent lo + step*k, in increasing
+    order.  A negative total is fine: each digit is taken in
+    (-2^{W-1}, 2^{W-1}] and subtracted before the shift, so total reaches
+    0.
+
+    A split takes the low h digits as total mod 2^{W h}, read as signed:
+    h digits in (-2^{W-1}, 2^{W-1}] reach every residue mod 2^{W h} once,
+    and the largest, every digit 2^{W-1}, is
+    2^{W-1} (2^{W h} - 1)/(2^W - 1), so a residue above it stands for the
+    residue less 2^{W h}.  The high digits are those of the rest, shifted
+    down by W h.  At h = 1 this is the leaf loop's own rule."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    terms = {}
-    e = lo
-    while total:
-        digit = total & mask
-        if digit > half:
-            digit -= mask + 1
-        if digit:
-            terms[e] = digit
-        total = (total - digit) >> width
-        e += step
+    # digits of total, a last borrowed one included
+    n = abs(total).bit_length() // width + 1
+    if n <= _KRON_LEAF:
+        terms = {}
+        e = lo
+        while total:
+            digit = total & mask
+            if digit > half:
+                digit -= mask + 1
+            if digit:
+                terms[e] = digit
+            total = (total - digit) >> width
+            e += step
+        return terms
+    h = n // 2
+    bits = width * h
+    low = total & ((1 << bits) - 1)
+    if low > half * (((1 << bits) - 1) // mask):
+        low -= 1 << bits
+    terms = kron_unpack(low, lo, step, width)
+    terms.update(kron_unpack((total - low) >> bits, lo + step * h, step, width))
     return terms
 
 

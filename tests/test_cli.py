@@ -214,7 +214,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["volume-scan", "--N", "1"], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--s", "7"], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--s", "0"], cli.EXIT_CONFIG),
-    (["loginv", "--braid", "3: 1 -2 1 -2", "--N", "7"], cli.EXIT_FEASIBILITY),
+    (["loginv", "--braid", "3: 1 -2 1 -2", "--N", "13"], cli.EXIT_FEASIBILITY),
     (["jones", "--knot", "3_1", "--m", "0"], cli.EXIT_CONFIG),
     (["jones", "--knot", "3_1", "--max-m", "0"], cli.EXIT_CONFIG),
     (["habiro", "--braid", "2: 1 1 1", "--imax", "-1"], cli.EXIT_CONFIG),
@@ -248,26 +248,26 @@ def test_trefoil_past_the_old_table_limit():
 
 
 def test_figure_eight_braid_at_the_top_feasible_color():
-    # N = 6 traces V_m up to m = 2N = 12, a 1728-dim tensor cube under
+    # N = 12 traces V_m up to m = N = 12, a 1728-dim tensor cube under
     # EXACT_DIM_CAP, and the traced a_i give the closed form's vectors
-    rc, out = run_cli(["loginv", "--braid", "3: 1 -2 1 -2", "--N", "6"])
+    rc, out = run_cli(["loginv", "--braid", "3: 1 -2 1 -2", "--N", "12"])
     assert rc == cli.EXIT_OK
     braid = json.loads(out)
     assert braid["routes_agree"] is True
-    rc, out = run_cli(["loginv", "--knot", "4_1", "--N", "6"])
+    rc, out = run_cli(["loginv", "--knot", "4_1", "--N", "12"])
     assert rc == cli.EXIT_OK
     assert braid | {"knot": "4_1"} == json.loads(out)
 
 
 @pytest.mark.parametrize("argv", [
     ["habiro", "--braid", "3: 1 -2 1 -2", "--imax", "12"],
-    ["loginv", "--braid", "3: 1 -2 1 -2", "--N", "7"],
+    ["loginv", "--braid", "3: 1 -2 1 -2", "--N", "13"],
     ["jones", "--braid", "3: 1 -2 1 -2", "--max-m", "13"],
 ])
 def test_dimension_refused_before_tracing(argv, monkeypatch, capsys):
-    # the top color's tensor dimension (13^3 = 2197, and 14^3 = 2744 for
-    # loginv at N = 7, both > EXACT_DIM_CAP) is checked before the first
-    # braid trace
+    # the top color's tensor dimension (13^3 = 2197 > EXACT_DIM_CAP, the
+    # color 13 of loginv at N = 13 too) is checked before the first braid
+    # trace
     def no_trace(b, m):
         raise AssertionError(f"colored_jones traced color {m} before the refusal")
 
@@ -279,9 +279,9 @@ def test_dimension_refused_before_tracing(argv, monkeypatch, capsys):
 
 
 def test_loginv_traces_only_the_colors_it_reads(monkeypatch):
-    # loginv reads a_0..a_{2N-1}, so V_m up to m = 2N: the jets of V_m/[m],
-    # V_{2N+s} among them, read a_0..a_{N-1} alone, and the exact V_{2N} of
-    # gamma_boundary's cross-check reads the rest
+    # loginv reads a_0..a_{N-1}, so V_m up to m = N: the jets of V_m/[m],
+    # V_{2N+s} among them, the first N rungs of the exact V_{2N} of
+    # gamma_boundary's cross-check and the sum of ddm_Vm read nothing more
     traced = []
     real = cli.jones.colored_jones
 
@@ -292,7 +292,7 @@ def test_loginv_traces_only_the_colors_it_reads(monkeypatch):
     monkeypatch.setattr(cli.jones, "colored_jones", recording)
     rc, _ = run_cli(["loginv", "--braid", "2: 1 1 1", "--N", "3"])
     assert rc == cli.EXIT_OK
-    assert traced == list(range(1, 7))
+    assert traced == list(range(1, 4))
 
 
 def test_loginv_braid_flag_traces_a_catalog_name(monkeypatch):
@@ -308,10 +308,10 @@ def test_loginv_braid_flag_traces_a_catalog_name(monkeypatch):
     monkeypatch.setattr(cli.jones, "colored_jones", recording)
     rc, braid_out = run_cli(["loginv", "--braid", "3_1", "--N", "2"])
     assert rc == cli.EXIT_OK
-    assert traced == list(range(1, 5))
+    assert traced == list(range(1, 3))
     rc, knot_out = run_cli(["loginv", "--knot", "3_1", "--N", "2"])
     assert rc == cli.EXIT_OK
-    assert traced == list(range(1, 5))
+    assert traced == list(range(1, 3))
     assert json.loads(braid_out) == json.loads(knot_out)
 
 

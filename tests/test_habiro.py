@@ -348,6 +348,13 @@ class TestHornerJet:
             normalized_Vm_jet(h, 5, 4)
         assert normalized_Vm_jet(h, 5, 3) == truncated_ladder_jet(h, 5, 3)
 
+    def test_refusal_names_the_color_asked_for(self):
+        # V_5/[5] at N = 4 reads a_0..a_3; the message names V_5, not the
+        # truncated color 4, and the coefficient that is missing
+        h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)], "T(2,5)")
+        with pytest.raises(ValueError, match=r"^T\(2,5\): V_5 needs a_3, only a_0\.\.a_2 available$"):
+            normalized_Vm_jet(h, 5, 4)
+
 
 class TestColorDerivative:
     def test_unknot_closed_form(self):

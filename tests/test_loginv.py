@@ -445,8 +445,8 @@ class TestCenterCoeffs:
 
 
 class TestColorReach:
-    # loginv reads a_0..a_{2N-1} and no higher coefficient, so a braid is
-    # traced at colors 1..2N
+    # loginv reads a_0..a_{N-1} and no higher coefficient, so a braid is
+    # traced at colors 1..N
 
     @pytest.mark.parametrize("knot", ["4_1", "3_1"])
     @pytest.mark.parametrize("N", range(2, 7))
@@ -459,15 +459,41 @@ class TestColorReach:
             assert gamma_all_routes(table, s, ctx) == gamma_all_routes(closed, s, ctx)
             assert b_pm_via_habiro(table, s, ctx) == b_pm_via_habiro(closed, s, ctx)
 
+    @pytest.mark.parametrize("knot", ["4_1", "3_1"])
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_reads_no_coefficient_above_N_minus_1(self, knot, N):
+        # the table a_0..a_{N-1} that colors 1..N give: the exact V_{2N} of
+        # gamma_boundary's cross-check reads its first N rungs, and the sum
+        # of ddm_Vm stops at a_{N-1}
+        closed = habiro.catalog_coeffs(knot)
+        table = habiro.HabiroCoeffs.from_table(knot, [closed.rule(i) for i in range(N)])
+        ctx = RootContext(N)
+        assert center_coeffs(table, ctx) == center_coeffs(closed, ctx)
+        for s in range(1, N):
+            assert gamma_all_routes(table, s, ctx) == gamma_all_routes(closed, s, ctx)
+            assert b_pm_via_habiro(table, s, ctx) == b_pm_via_habiro(closed, s, ctx)
+
     @settings(max_examples=10, deadline=None)
     @given(knotted_words(), st.sampled_from((2, 3)))
-    def test_jets_from_2N_colors_match_the_full_ladder(self, b, N):
-        # the jets of V_m/[m] that loginv reads off a 2N-color extraction
+    def test_jets_from_N_colors_match_the_full_ladder(self, b, N):
+        # the jets of V_m/[m] that loginv reads off an N-color extraction
         # equal those of the exact V_m/[m] from 3N-1 colors, at every color
         # m <= 3N-1, V_{2N+s} of the minus-sign radical route among them
         h = loginv._coeffs_for(b, N)
-        assert h.i_max == 2 * N - 1
+        assert h.i_max == N - 1
         h_full = habiro.coeffs_for(b, 3 * N - 1)
         for m in range(1, 3 * N):
             want = Jet.of(habiro.reconstruct_normalized_Vm(h_full, m), N)
             assert habiro.normalized_Vm_jet(h, m, N) == want, (b, N, m)
+
+    @settings(max_examples=10, deadline=None)
+    @given(knotted_words(), st.sampled_from((2, 3)))
+    def test_three_routes_agree_on_random_braids(self, b, N):
+        # on braids outside the catalog, traced at colors 1..N: the checks of
+        # center_coeffs pass, and QDERIV, HABIRO and MDERIV agree at every s
+        h = loginv._coeffs_for(b, N)
+        ctx = RootContext(N)
+        center_coeffs(h, ctx)
+        for s in range(1, N):
+            vals = list(gamma_all_routes(h, s, ctx).values())
+            assert max(abs(x - y) for x in vals for y in vals) < ctx.tol, (b, N, s)

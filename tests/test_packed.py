@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from logjones import jones
 from logjones.jones import (BraidWord, braid_operator, build_Wm, colored_jones, parse_braid,
                             partial_trace, quantum_trace)
-from logjones.qcalc import LaurentPoly, kron_pack, kron_unpack, qint
+from logjones.qcalc import _KRON_LEAF, LaurentPoly, kron_pack, kron_unpack, qint
 from logjones.qgroup import build_modified
 from conftest import dict_braid_operator, dict_partial_trace, dict_quantum_trace, knotted_words
 
@@ -64,6 +64,16 @@ def test_pack_unpack_round_trip(coeffs, lo):
     p = LaurentPoly({lo + 4 * (e + 40): c for e, c in coeffs.items()})
     width = 21
     assert kron_unpack(kron_pack(p.terms, lo, 4, width), lo, 4, width) == p.terms
+
+
+def test_trace_unpack_splits_its_digits():
+    # the trace of T(2,7) at m = 8 holds more digits than one leaf of the
+    # unpack, which splits it and must still give the dict path's poly
+    b = parse_braid("2: 1 1 1 1 1 1 1")
+    halves, _ = braid_operator(b, build_Wm(8))
+    blocks, (_, _, width) = jones._traced_blocks(halves, b.strands)
+    assert blocks[(0, 0)].bit_length() > 2 * _KRON_LEAF * width
+    assert_same(colored_jones(b, 8), dict_trace(b, 8))
 
 
 def test_digit_width_bounds_every_intermediate_entry():

@@ -78,6 +78,11 @@ def dict_convolution(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def plain_pack(terms, lo, step, width):
+    """sum_k c_e 2^{W k} added term by term: the oracle for kron_pack."""
+    return sum(c << (width * ((e - lo) // step)) for e, c in terms.items())
+
+
 @st.composite
 def kron_operands(draw):
     """Two int term maps on one exponent step 1, 2 or 4.  Half the draws
@@ -144,6 +149,57 @@ class TestKronecker:
         assert hits == [True]
         assert prod.terms == dict_convolution(a.terms, b.terms)
         assert all(type(c) is int for c in prod.terms.values())
+
+    # beyond the recursion leaf: the pack and the unpack split their digit
+    # range in halves, and each split of the unpack reads the low digits as
+    # signed by comparing them with the int whose digits all equal 2^{W-1}
+
+    @pytest.mark.parametrize("n", [qcalc._KRON_LEAF + 1, 100, 129, 1000, 3000])
+    def test_round_trip_with_every_digit_at_an_end_of_its_range(self, n):
+        # all digits 2^{W-1} put every split's low part exactly on the
+        # borrow bound, and all digits 1 - 2^{W-1} (a negative total) one
+        # above it; either side of the bound decodes a wrong digit
+        for width in range(2, 65):
+            half = 1 << (width - 1)
+            for digit in (half, 1 - half):
+                terms = {6 + 4 * k: digit for k in range(n)}
+                total = qcalc.kron_pack(terms, 6, 4, width)
+                assert total == plain_pack(terms, 6, 4, width)
+                assert qcalc.kron_unpack(total, 6, 4, width) == terms, (width, digit)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_round_trip_of_random_digits(self, seed):
+        # 100 to 3000 digits anywhere in their range, its two ends often,
+        # with gaps, widths 2..64 and totals of both signs; the map comes back
+        # in increasing order of exponent
+        rng = random.Random(seed)
+        n, width = rng.randint(100, 3000), rng.randint(2, 64)
+        half = 1 << (width - 1)
+        lo, step = rng.randint(-99, 99), rng.choice((1, 2, 4))
+        terms = {}
+        for k in range(n):
+            if rng.random() < 0.8:
+                terms[lo + step * k] = rng.choice((half, 1 - half, rng.randint(1 - half, half)))
+        terms = {e: c for e, c in terms.items() if c}
+        terms[lo + step * n] = -1 if seed % 2 else 1  # the sign of the total
+        total = qcalc.kron_pack(terms, lo, step, width)
+        assert total == plain_pack(terms, lo, step, width)
+        assert (total < 0) == bool(seed % 2)
+        out = qcalc.kron_unpack(total, lo, step, width)
+        assert out == terms
+        assert list(out) == sorted(out)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_product_large_enough_to_split(self, seed):
+        # products of 150..400 by 20..400 terms: the packed ints and their
+        # product hold several times _KRON_LEAF digits
+        rng = random.Random(seed)
+        big = rng.choice((9, 2**20, 2**60))
+        a = {3 + 2 * k: rng.randint(-big, big) for k in range(rng.randint(150, 400))}
+        b = {-7 + 2 * k: rng.randint(-big, big) for k in range(rng.randint(20, 400))}
+        a, b = ({e: c for e, c in m.items() if c} for m in (a, b))
+        assert len(a) + len(b) > 2 * qcalc._KRON_LEAF
+        assert qcalc._try_kronecker_mul(a, b) == dict_convolution(a, b)
 
 
 @st.composite
