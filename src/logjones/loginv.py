@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 
 import mpmath as mp
 
 from .qcalc import Jet, RootContext, brace, ddq, qint
 from . import habiro
-
-
-class RouteDisagreement(RuntimeError):
-    """Two supposedly equal routes differ beyond tolerance."""
 
 
 class Route(enum.Enum):
@@ -45,7 +40,7 @@ def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
     # everything loginv reads at xi is fixed by a_0..a_{N-1}: the jets of
     # V_m/[m] at every color m (see habiro.normalized_Vm_jet), V_{2N+s} of
     # the minus-sign radical route too, the first N rungs of the exact V_{2N}
-    # in gamma_boundary's cross-check and the sum of habiro.ddm_Vm; colors
+    # in the boundary d/dq form and the sum of habiro.ddm_Vm; colors
     # 1..N give them
     return habiro.coeffs_for(knot, N)
 
@@ -56,6 +51,11 @@ def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet
     it."""
     jet = habiro.normalized_Vm_jet(h, m, N)
     return jet.shift((m * m - 1) * framing) if framing else jet
+
+
+def _framing_phase(m: int, ctx: RootContext, framing: int):
+    """q^{(m^2-1) f/2} at xi, the factor framing f puts on V_m."""
+    return ctx.xi_pow((m * m - 1) * framing, 2) if framing else mp.mpf(1)
 
 
 # -- radical coefficients ------------------------------------------------
@@ -122,7 +122,7 @@ def gamma_s(knot, s: int, ctx: RootContext, route: Route = Route.QDERIV, framing
         raise ValueError("s outside 1..N-1; use gamma_boundary for s in {0, N}")
     route = Route(route)
     with ctx.workprec():
-        phase = ctx.xi_pow((s * s - 1) * framing, 2) if framing else mp.mpf(1)
+        phase = _framing_phase(s, ctx, framing)
         h = _coeffs_for(knot, N)
         if route is Route.QDERIV:
             # {1} V_m = {m} (V_m/[m])
@@ -144,34 +144,32 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     """gamma_0 = V_{2N}/[2N] at xi and gamma_N = -V_N/[N] at xi.
 
     Both are 0/0 limits of V_m over [m]_q, whose quotient is an exact
-    polynomial, so each is read off the jet of V_m/[m] at xi and
-    cross-checked against the q-derivative expression in the exact
-    polynomial V_m, which checks the jets against exact polynomial
-    arithmetic on every call.
-
-    V_N has N rungs.  Of V_{2N} the check builds the first N,
-    [2N] sum_{i<N} a_i L_i(2N): every later rung L_i(2N) holds {N} and
-    {3N}, each divisible by x^{4N} - 1 (x = q^{1/2}), so {1} [2N] L_i(2N)
-    and its d/dq vanish at xi."""
+    polynomial, so each is read off the jet of V_m/[m] at xi;
+    center_coeffs checks it against _boundary_ddq_form."""
     N = ctx.N
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
     h = _coeffs_for(knot, N)
+    m = 2 * N if which == 0 else N
     with ctx.workprec():
-        if which == 0:
-            val = habiro.normalized_Vm_jet(h, 2 * N, N).value(ctx)
-            # {1} [2N] = {2N}
-            head = brace(2 * N) * habiro.ladder_head(h, 2 * N, N)
-            alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(head))
-            phase = ctx.xi_pow(-framing, 2) if framing else mp.mpf(1)
-        else:
-            val = -habiro.normalized_Vm_jet(h, N, N).value(ctx)
-            alt = ctx.xi / (2 * N) * ctx.eval_at(ddq(brace(1) * habiro.reconstruct_Vm(h, N)))
-            phase = ctx.xi_pow((N * N - 1) * framing, 2) if framing else mp.mpf(1)
-        if abs(val - alt) > ctx.tol:
-            raise RouteDisagreement(
-                f"gamma_{which} = {val} from V_m/[m] vs d/dq form {alt} differ beyond tolerance")
-        return phase * val
+        val = habiro.normalized_Vm_jet(h, m, N).value(ctx)
+        return _framing_phase(m, ctx, framing) * (val if which == 0 else -val)
+
+
+def _boundary_ddq_form(h: habiro.HabiroCoeffs, which: int, ctx: RootContext, framing: int):
+    """gamma_boundary by d/dq of an exact polynomial, a check of the jets at
+    colors N and 2N.  V_N has N rungs.  Of V_{2N} the form builds the first N,
+    [2N] sum_{i<N} a_i L_i(2N): every later rung L_i(2N) holds {N} and
+    {3N}, each divisible by x^{4N} - 1 (x = q^{1/2}), so {1} [2N] L_i(2N)
+    and its d/dq vanish at xi."""
+    N = ctx.N
+    if which == 0:
+        # {1} [2N] = {2N}
+        head = brace(2 * N) * habiro.ladder_head(h, 2 * N, N)
+        alt = ctx.xi / (4 * N) * ctx.eval_at(ddq(head))
+    else:
+        alt = ctx.xi / (2 * N) * ctx.eval_at(ddq(brace(1) * habiro.reconstruct_Vm(h, N)))
+    return _framing_phase(2 * N if which == 0 else N, ctx, framing) * alt
 
 
 # -- alpha, beta ----------------------------------------------------------
@@ -231,7 +229,8 @@ class CenterCoeffs:
     """All center-basis coefficient vectors of one framed knot at one N.
 
     idem holds a_0..a_N; the radical vectors and alpha/beta/gamma follow
-    the good-basis change of coordinates exactly.
+    the good-basis change of coordinates exactly.  residuals maps the name
+    of each check center_coeffs made to its residual.
     """
 
     N: int
@@ -243,8 +242,14 @@ class CenterCoeffs:
     alpha: list
     beta: list
     gamma: list
+    residuals: dict = dataclasses.field(default_factory=dict)
 
-    def to_json(self, precision_digits: int = 60) -> str:
+    def failed(self, tol) -> list:
+        """The checks whose residual is not below tol: loginv's one judge."""
+        return [name for name, r in self.residuals.items() if not r < tol]
+
+    def to_dict(self, precision_digits: int = 60) -> dict:
+        """The record as a JSON-ready dict, each number a decimal string."""
         def cstr(z):
             # no mp.mpc() conversion here: that would re-round at the
             # ambient precision and truncate the stored digits
@@ -253,7 +258,7 @@ class CenterCoeffs:
             return {"re": mp.nstr(re, precision_digits),
                     "im": mp.nstr(im, precision_digits)}
 
-        payload = {
+        return {
             "N": self.N,
             "knot": self.knot,
             "framing": self.framing,
@@ -264,13 +269,16 @@ class CenterCoeffs:
             "beta": [cstr(z) for z in self.beta],
             "gamma": [cstr(z) for z in self.gamma],
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
     """Assemble the full CenterCoeffs of a knot from the derivative routes,
-    and raise RouteDisagreement when the basis-change alpha_s, beta_s or
-    gamma_s differs from its direct formula beyond ctx.tol."""
+    with the residuals of its checks, named after what they check:
+    "gamma_{s} routes" the spread of the three routes to gamma_s, run once
+    per s; "alpha_{s}" and "beta_{s}" the basis change against alpha_beta;
+    "gamma_{s}" against the q-derivative route at 0 < s < N, where an
+    error shared by b_s^+ and b_s^- cancels in beta_s but not in gamma_s,
+    and against _boundary_ddq_form at s = 0 and N."""
     N = ctx.N
     h = _coeffs_for(knot, N)
     with ctx.workprec():
@@ -281,15 +289,16 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
         idem.append(-gamma_boundary(h, N, ctx, framing))
         rad_plus = [b_pm_via_derivative(h, s, +1, ctx, framing) for s in range(1, N)]
         rad_minus = [b_pm_via_derivative(h, s, -1, ctx, framing) for s in range(1, N)]
-        alpha, beta, gamma_mid = basis_change(idem, rad_plus, rad_minus, ctx)
+        alpha, beta, gamma = basis_change(idem, rad_plus, rad_minus, ctx)
         alpha_d, beta_d = alpha_beta(h, ctx, framing)
+        residuals = {"gamma_0": abs(gamma[0] - _boundary_ddq_form(h, 0, ctx, framing)),
+                     f"gamma_{N}": abs(gamma[N] - _boundary_ddq_form(h, N, ctx, framing))}
         for s in range(1, N):
-            if abs(alpha[s - 1] - alpha_d[s - 1]) > ctx.tol or abs(beta[s - 1] - beta_d[s - 1]) > ctx.tol:
-                raise RouteDisagreement(
-                    f"alpha/beta via basis change vs direct formulas differ at s={s}")
-            # beta cancels an error shared by b_s^+ and b_s^-; gamma does not
-            if abs(gamma_mid[s] - gamma_s(h, s, ctx, Route.QDERIV, framing)) > ctx.tol:
-                raise RouteDisagreement(
-                    f"gamma_{s} via basis change vs the q-derivative route differ")
-    return CenterCoeffs(N, h.knot, framing, idem, rad_plus, rad_minus, alpha, beta, gamma_mid)
-
+            routes = gamma_all_routes(h, s, ctx, framing)
+            vals = list(routes.values())
+            residuals[f"gamma_{s} routes"] = max(abs(a - b) for a in vals for b in vals)
+            residuals[f"alpha_{s}"] = abs(alpha[s - 1] - alpha_d[s - 1])
+            residuals[f"beta_{s}"] = abs(beta[s - 1] - beta_d[s - 1])
+            residuals[f"gamma_{s}"] = abs(gamma[s] - routes[Route.QDERIV])
+    return CenterCoeffs(N, h.knot, framing, idem, rad_plus, rad_minus, alpha, beta, gamma,
+                        residuals)

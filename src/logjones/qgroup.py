@@ -328,27 +328,28 @@ def verify_y1_invariance(m: int, ctx: RootContext):
 def rmatrix_specialization_check(rep1, rep2, ctx: RootContext):
     """The worst magnitude at xi of an entry of the R-matrix terms with
     n >= N on rep1 (x) rep2, which must all specialize to 0, or mp.inf
-    when any term, lower ones included, has a pole at xi.
+    when one of them has a pole at xi.
 
-    Where the division by {n}! is exact, the entries of a term are Laurent
-    polynomials, so the q -> xi limit is plain evaluation and always
-    finite: such terms with n < N are not evaluated.  The other terms are
-    limits of num/{n}!.
+    Terms with n < N are not evaluated: their denominator {n}! =
+    prod_{k<=n} {k} has no zero at xi, as {k}(xi) = 2i sin(pi k/N) != 0
+    for 0 < k < N, so they have no pole there.  Where the division by
+    {n}! is exact, the entries of a term are Laurent polynomials, read by
+    plain evaluation; the other terms are limits of num/{n}!.
     """
     N = ctx.N
     one = LaurentPoly.const(1)
     worst = mp.mpf(0)
     with ctx.workprec():
         for n, term, den in jones.rmatrix_terms(rep1, rep2):
-            plain = den == one
-            if plain and n < N:
+            if n < N:
                 continue
+            plain = den == one
             for v in term.values():
                 try:
                     mag = abs(ctx.eval_at(v)) if plain else abs(ctx.lhopital_ratio(v, den))
                 except ZeroDivisionError:
                     return mp.inf  # a pole contradicts the specialization property
-                if n >= N and mag > worst:  # low terms only need finite limits
+                if mag > worst:
                     worst = mag
     return worst
 

@@ -77,8 +77,32 @@ class TestLoginvCommand:
         monkeypatch.setattr(cli.loginv, "b_pm_via_derivative",
                             lambda *args, **kwargs: exact(*args, **kwargs) + 1)
         rc, out = run_cli(["loginv", "--knot", "4_1", "--N", "5"])
-        assert rc == 4 and out == ""
-        assert "gamma_1" in capsys.readouterr().err
+        assert rc == 4 and json.loads(out)["routes_agree"] is False
+        err = capsys.readouterr().err
+        assert "gamma_1" in err and "beta_1" not in err
+
+    @pytest.mark.parametrize("module, name, fault, check", [
+        # MDERIV off by 1: the three routes to gamma_s spread
+        ("habiro", "ddm_Vm", lambda real: lambda h, s, ctx: real(h, s, ctx) + 1,
+         "gamma_1 routes"),
+        # the first N rungs of V_{2N} off by 1: gamma_0 against its d/dq form
+        ("habiro", "ladder_head",
+         lambda real: lambda h, m, n: real(h, m, n) + (1 if m == 2 * n else 0), "gamma_0"),
+        # the direct alpha_s shifted: the basis-change alpha_s against it
+        ("loginv", "alpha_beta",
+         lambda real: lambda *a, **k: ([x + 1 for x in real(*a, **k)[0]], real(*a, **k)[1]),
+         "alpha_1"),
+    ], ids=["route-spread", "gamma_0", "alpha"])
+    def test_failing_check_prints_json_and_exits_4(self, module, name, fault, check,
+                                                    monkeypatch, capsys):
+        owner = getattr(cli, module)
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+        rc, out = run_cli(["loginv", "--knot", "4_1", "--N", "3"])
+        assert rc == cli.EXIT_DISAGREEMENT
+        data = json.loads(out)
+        assert data["routes_agree"] is False and len(data["gamma"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and check in err[0]
 
 
 class TestJonesCommand:

@@ -1,4 +1,3 @@
-import json
 import random
 
 import mpmath as mp
@@ -426,9 +425,21 @@ class TestCenterCoeffs:
         assert_close(rec.gamma[0], gamma_boundary("4_1", 0, ctx3), ctx3.tol)
         assert_close(rec.gamma[3], gamma_boundary("4_1", 3, ctx3), ctx3.tol)
 
+    @pytest.mark.parametrize("knot", ["3_1", "4_1"])
+    @pytest.mark.parametrize("framing", [0, 2])
+    def test_every_check_has_a_residual(self, knot, framing, ctx3):
+        # the boundary d/dq forms, and at each interior s the route spread
+        # and the basis-change alpha_s, beta_s and gamma_s; all pass
+        rec = center_coeffs(knot, ctx3, framing=framing)
+        want = {"gamma_0", "gamma_3"} | {f"{name}_{s}" for s in (1, 2)
+                                         for name in ("gamma", "alpha", "beta")}
+        assert set(rec.residuals) == want | {"gamma_1 routes", "gamma_2 routes"}
+        assert rec.failed(ctx3.tol) == []
+        assert rec.failed(mp.mpf(0)) == list(rec.residuals)
+
     def test_json_decimal_strings(self, ctx3):
         rec = center_coeffs("4_1", ctx3)
-        data = json.loads(rec.to_json(60))
+        data = rec.to_dict(60)
         assert data["N"] == 3 and data["framing"] == 0
         g3 = data["gamma"][3]
         assert isinstance(g3["re"], str) and isinstance(g3["im"], str)
@@ -493,7 +504,7 @@ class TestColorReach:
         # center_coeffs pass, and QDERIV, HABIRO and MDERIV agree at every s
         h = loginv._coeffs_for(b, N)
         ctx = RootContext(N)
-        center_coeffs(h, ctx)
+        assert center_coeffs(h, ctx).failed(ctx.tol) == [], (b, N)
         for s in range(1, N):
             vals = list(gamma_all_routes(h, s, ctx).values())
             assert max(abs(x - y) for x in vals for y in vals) < ctx.tol, (b, N, s)

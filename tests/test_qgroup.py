@@ -290,6 +290,22 @@ class TestRMatrixSpecialization:
         res = rmatrix_specialization_check(jones.build_Wm(4), build_modified(1, 2, 3)[0], ctx3)
         assert res < ctx3.tol
 
+    def test_low_terms_not_evaluated(self, ctx4, monkeypatch):
+        # {n}! has no zero at xi for n < N, so those terms cannot have a
+        # pole there and are skipped; at N = 4 every divided term of
+        # Y_2^- (x) Y_2^- has n < 4, so no q -> xi limit is taken
+        calls = []
+        real = RootContext.lhopital_ratio
+
+        def recording(self, num, den):
+            calls.append(den)
+            return real(self, num, den)
+
+        monkeypatch.setattr(RootContext, "lhopital_ratio", recording)
+        y2m = build_modified(-1, 2, 4)[0]
+        assert rmatrix_specialization_check(y2m, y2m, ctx4) < ctx4.tol
+        assert calls == []
+
     def test_n0_term_is_diagonal_nonzero(self):
         for n, term, _den in jones.rmatrix_terms(jones.build_Wm(3), jones.build_Wm(2)):
             if n == 0:

@@ -83,3 +83,28 @@ def test_class_fields_read_in_src():
                     if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
                     and field.target.id not in read)
     assert not unread, f"class fields that no src/ code reads: {unread}"
+
+
+def comparisons_with_tol(tree, where=""):
+    # the function (dotted through its classes) around each comparison
+    # that reads a tolerance, tol or ctx.tol
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found += comparisons_with_tol(node, f"{where}.{node.name}")
+            continue
+        if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Name) and sub.id == "tol"
+                or isinstance(sub, ast.Attribute) and sub.attr == "tol"
+                for sub in ast.walk(node)):
+            found.append(where)
+        found += comparisons_with_tol(node, where)
+    return found
+
+
+def test_loginv_judges_its_checks_in_one_place():
+    # loginv's checks hand their residuals to CenterCoeffs, and
+    # CenterCoeffs.failed is the one comparison with the tolerance; the
+    # CLI reads its verdict and compares nothing itself
+    found = [mod + where for mod in ("loginv", "cli") for where in comparisons_with_tol(TREES[mod])]
+    assert found == ["loginv.CenterCoeffs.failed"], found
