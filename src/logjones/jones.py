@@ -424,16 +424,13 @@ def braid_operator(b: BraidWord, V: WeightRep):
     The operator of w is S F; the traces contract the halves instead of
     forming it.  den is the product of the braidings' {n}! denominators,
     kept outside the ints: 1 on W_m, {2}! or {3}! per crossing on some
-    modified representations.  ArithmeticError when a braiding has a
-    non-integer coefficient."""
+    modified representations.  Every division that builds a braiding has
+    a divisor with top coefficient +-1, so its entries are ints."""
     _check_dim(V.dim ** b.strands)
     signs = [1 if g > 0 else -1 for g in b.word]
     local, dens = {}, {}
     for sign in sorted(set(signs)):
         op, dens[sign] = braiding(V, sign)
-        if any(type(c) is not int for v in op.values() for c in v.terms.values()):
-            raise ArithmeticError(f"the braiding of sign {sign} on a {V.dim}-dim representation "
-                                  f"has non-integer coefficients; it cannot be packed")
         local[sign] = _basis_rescaled(op, V)
     one = LaurentPoly.const(1)
     den = math.prod((dens[sign] for sign in signs if dens[sign] != one), start=one)

@@ -1,13 +1,12 @@
 """Exact Laurent polynomial arithmetic in q^{1/2} and numeric evaluation at
 the 2N-th root of unity.
 
-A Laurent polynomial is stored as a map from doubled exponents to exact
-rational coefficients, so q^{3/2} lives at key 3 and q^{-2} at key -4.
-Coefficients stay plain ints whenever they are integral and only fall back
-to Fraction after divisions or d/dq on odd keys.  All ring operations are
-exact; nothing numeric happens until a RootContext evaluates at
-xi = exp(pi*i/N).  A Jet keeps only the exact residues that evaluation,
-and d/dq, at xi read of a polynomial.
+A Laurent polynomial is stored as a map from doubled exponents to int
+coefficients, so q^{3/2} lives at key 3 and q^{-2} at key -4; only d/dq on
+odd keys makes a Fraction.  All ring operations are exact, and so are
+limits at xi = exp(pi*i/N), which cancel Phi_4N(q^{1/2}) before a
+RootContext evaluates.  A Jet keeps only the exact residues that
+evaluation, and d/dq, at xi read of a polynomial.
 """
 
 from __future__ import annotations
@@ -26,22 +25,11 @@ class InexactDivisionError(ArithmeticError):
     """Polynomial division left a remainder where an exact quotient was required."""
 
 
-class LHopitalError(ArithmeticError):
-    """Denominator and all its derivatives vanish at xi up to the allowed order."""
-
-
-def _norm_coeff(c):
-    # type() is not isinstance(): the ABC instance check is a hot cost here
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class LaurentPoly:
-    """Laurent polynomial in q^{1/2} with exact rational coefficients.
+    """Laurent polynomial in q^{1/2} with exact coefficients.
 
-    ``terms`` maps doubled exponents (int) to nonzero int/Fraction
-    coefficients; the zero polynomial has an empty map.
+    ``terms`` maps doubled exponents (int) to nonzero int coefficients
+    (Fraction after ddq); the zero polynomial has an empty map.
     """
 
     __slots__ = ("terms",)
@@ -51,7 +39,7 @@ class LaurentPoly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    self.terms[e] = _norm_coeff(c)
+                    self.terms[e] = c
 
     # -- constructors -------------------------------------------------
 
@@ -78,7 +66,7 @@ class LaurentPoly:
         for e, c in other.terms.items():
             s = r.get(e, 0) + c
             if s:
-                r[e] = _norm_coeff(s)
+                r[e] = s
             else:
                 r.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -101,11 +89,11 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return LaurentPoly()
             out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {e: _norm_coeff(c * other) for e, c in self.terms.items()}
+            out.terms = {e: c * other for e, c in self.terms.items()}
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -128,7 +116,7 @@ class LaurentPoly:
                 else:
                     del r[e]
         out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: _norm_coeff(c) for e, c in r.items()}
+        out.terms = r
         return out
 
     __rmul__ = __mul__
@@ -146,15 +134,14 @@ class LaurentPoly:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: Fraction(c) / other for e, c in self.terms.items()})
         q, r = self.divmod(other)
         if r:
             raise InexactDivisionError(f"division of {self} by {other} leaves remainder {r}")
         return q
 
     def divmod(self, other: "LaurentPoly"):
-        """Long division in the Laurent ring: self = q*other + r."""
+        """Long division in the Laurent ring: self = q*other + r, by other
+        with top coefficient +-1 (ValueError otherwise)."""
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -164,17 +151,17 @@ class LaurentPoly:
         num = [self.terms.get(e, 0) for e in range(amin, amax + 1)]
         den = [other.terms.get(e, 0) for e in range(bmin, bmax + 1)]
         lead = den[-1]
+        if lead not in (1, -1):
+            raise ValueError(f"divisor {other} has top coefficient {lead}, not +-1")
         qlen = len(num) - len(den) + 1
         if qlen <= 0:
             return LaurentPoly(), self
         quot = [0] * qlen
-        # monic (up to sign) integer divisors keep everything in int arithmetic
-        int_path = lead in (1, -1) and all(type(c) is int for c in num) and all(type(c) is int for c in den)
         for i in range(qlen - 1, -1, -1):
             top = num[i + len(den) - 1]
             if not top:
                 continue
-            c = top * lead if int_path else Fraction(top) / lead
+            c = top * lead
             quot[i] = c
             for j, d in enumerate(den):
                 if d:
@@ -371,13 +358,23 @@ def qbinom(n: int, k: int) -> LaurentPoly:
 
 
 def ddq(p: LaurentPoly) -> LaurentPoly:
-    """Formal d/dq; a term q^{e/2} maps to (e/2) q^{e/2 - 1}."""
+    """Formal d/dq; a term q^{e/2} maps to (e/2) q^{e/2 - 1}, a Fraction
+    only where (e/2) c is not an integer."""
     r = {}
     for e, c in p.terms.items():
-        if e == 0:
-            continue
-        r[e - 2] = c * (e // 2) if e % 2 == 0 else c * Fraction(e, 2)
+        r[e - 2] = Fraction(c * e, 2) if c * e % 2 else c * e // 2
     return LaurentPoly(r)
+
+
+@functools.cache
+def cyclotomic(n: int) -> LaurentPoly:
+    """Phi_n(x), x = q^{1/2}: x^n - 1 divided exactly by Phi_d for each
+    proper divisor d of n.  Memoized, so callers share the result."""
+    out = LaurentPoly({n: 1, 0: -1})
+    for d in range(1, n):
+        if n % d == 0:
+            out = out / cyclotomic(d)
+    return out
 
 
 # -- evaluation at roots of unity --------------------------------------
@@ -615,26 +612,25 @@ class RootContext:
         return self._qfact_prefix[n] if n < self.N else mp.mpf(0)
 
     def lhopital_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        """lim_{q->xi} num/den, differentiating while both sides vanish.
-
-        Raises LHopitalError when den and its first 2N derivatives all
-        vanish at xi, and ZeroDivisionError when the limit is a pole.
-        """
+        """lim_{q->xi} num/den, exactly: Phi_4N(q^{1/2}), the minimal
+        polynomial of xi^{1/2}, is cancelled while it divides den; then the
+        limit is exactly 0 if it divides num, else num/den evaluated once.
+        ZeroDivisionError when den is 0 or the limit is a pole."""
         if not den:
             raise ZeroDivisionError("denominator is identically zero")
+        phi = cyclotomic(4 * self.N)
+        while True:
+            num_q, num_r = num.divmod(phi)
+            den_q, den_r = den.divmod(phi)
+            if den_r:
+                break
+            if num_r:
+                raise ZeroDivisionError("pole: numerator does not vanish with denominator")
+            num, den = num_q, den_q
+        if not num_r:
+            return mp.mpc(0)
         with self.workprec():
-            tol = self.tol
-            for _ in range(2 * self.N + 1):
-                dv = self.eval_at(den)
-                if abs(dv) > tol:
-                    return self.eval_at(num) / dv
-                nv = self.eval_at(num)
-                if abs(nv) > tol:
-                    raise ZeroDivisionError("pole: numerator does not vanish with denominator")
-                num, den = ddq(num), ddq(den)
-                if not den:
-                    raise LHopitalError("denominator derivatives vanish identically")
-            raise LHopitalError(f"denominator vanishes to order > {2 * self.N} at xi")
+            return self.eval_at(num) / self.eval_at(den)
 
 
 def int_or_frac_to_mp(c):

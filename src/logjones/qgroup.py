@@ -369,13 +369,8 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
     rep, labels = build_modified(sign, m, ctx.N)
     op, den = jones.braid_operator(b, rep)
     traced = jones.partial_trace(op)
-    with ctx.workprec():
-        if den == LaurentPoly.const(1):
-            at_xi = [[ctx.eval_at(p) for p in row] for row in traced]
-        else:
-            # entrywise q -> xi limit of the rational operator
-            at_xi = [[ctx.lhopital_ratio(p, den) if p else mp.mpc(0) for p in row]
-                     for row in traced]
+    # entrywise q -> xi limit of the rational operator
+    at_xi = [[ctx.lhopital_ratio(p, den) for p in row] for row in traced]
     return at_xi, rep, labels
 
 

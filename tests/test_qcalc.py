@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +11,11 @@ from logjones.qcalc import (
     InexactDivisionError,
     Jet,
     LaurentPoly,
-    LHopitalError,
     RootContext,
     brace,
     brace_fact,
     brace_falling,
+    cyclotomic,
     ddq,
     qbinom,
     qfact,
@@ -56,17 +57,49 @@ class TestRingAxioms:
         assert (brace(3) - brace(3)) == LaurentPoly()
 
     def test_divmod_roundtrip(self):
+        # divisors with top coefficient +-1, the only ones divmod takes
         rng = random.Random(11)
         for _ in range(100):
             a, b = rand_poly(rng), rand_poly(rng)
             if not b:
                 continue
+            b = b + LaurentPoly({b.degree2() + rng.randint(1, 4): rng.choice((1, -1))})
             q, r = a.divmod(b)
             assert q * b + r == a
+
+    def test_divmod_refuses_non_unit_top_coefficient(self):
+        with pytest.raises(ValueError):
+            qint(5).divmod(LaurentPoly({2: 2, 0: 1}))
 
     def test_exact_division_error(self):
         with pytest.raises(InexactDivisionError):
             (qint(2) + 1) / qint(2)
+
+
+@st.composite
+def int_polys(draw):
+    return LaurentPoly(draw(st.dictionaries(st.integers(-20, 20), st.integers(-50, 50),
+                                            max_size=8)))
+
+
+def int_coefficients_only(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+class TestIntegerRing:
+    """Int polynomials stay int polynomials under every ring operation,
+    exact division included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys(), int_polys(), st.integers(0, 3), st.sampled_from((1, -1)))
+    def test_coefficients_stay_ints(self, a, b, n, top):
+        assert all(map(int_coefficients_only, (a + b, a - b, a * b, a ** n, -a, a * 7)))
+        # a divisor with top coefficient +-1, above every exponent of b
+        d = b + LaurentPoly({(b.degree2() or 0) + 1: top})
+        q, r = a.divmod(d)
+        assert int_coefficients_only(q) and int_coefficients_only(r)
+        exact = (a * d) / d
+        assert exact == a and int_coefficients_only(exact)
 
 
 def dict_convolution(a, b):
@@ -459,14 +492,32 @@ class TestLHopital:
         with pytest.raises(ZeroDivisionError):
             ctx3.lhopital_ratio(LaurentPoly.const(1), brace(3))
 
-    def test_deep_vanishing_is_error(self, ctx3):
-        deep = brace(3) ** (2 * 3 + 2)
-        with pytest.raises(LHopitalError):
-            ctx3.lhopital_ratio(deep, deep * LaurentPoly.const(1))
+    def test_deep_cancellation(self, ctx3):
+        # {3} vanishes at xi, so Phi_12 is cancelled from both sides 8 times
+        deep = brace(3) ** 8
+        assert_close(ctx3.lhopital_ratio(brace(1) * deep, deep), ctx3.eval_at(brace(1)), ctx3.tol)
+
+    def test_exact_zero(self):
+        for N in (2, 3, 5):
+            phi = cyclotomic(4 * N)
+            assert RootContext(N).lhopital_ratio(phi ** 2, phi) == 0
 
     def test_zero_denominator_poly(self, ctx3):
         with pytest.raises(ZeroDivisionError):
             ctx3.lhopital_ratio(brace(1), LaurentPoly())
+
+
+class TestCyclotomic:
+    def test_product_over_divisors(self):
+        # x^n - 1 = prod_{d | n} Phi_d, and Phi_n has degree phi(n)
+        for n in range(1, 49):
+            prod = LaurentPoly.const(1)
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = prod * cyclotomic(d)
+            assert prod == LaurentPoly({n: 1, 0: -1}), n
+            totient = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+            assert cyclotomic(n).degree2() == totient, n
 
 
 class TestMirrorAndFormat:

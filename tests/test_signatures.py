@@ -108,3 +108,10 @@ def test_loginv_judges_its_checks_in_one_place():
     # CLI reads its verdict and compares nothing itself
     found = [mod + where for mod in ("loginv", "cli") for where in comparisons_with_tol(TREES[mod])]
     assert found == ["loginv.CenterCoeffs.failed"], found
+
+
+def test_qcalc_and_qgroup_judge_no_tolerance_but_the_report():
+    # qcalc takes its limits at xi exactly, so it compares nothing with a
+    # tolerance; qgroup's checks return residuals that its report judges
+    found = [mod + where for mod in ("qcalc", "qgroup") for where in comparisons_with_tol(TREES[mod])]
+    assert found == ["qgroup.verification_report.add"], found
