@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loginv", help="center coefficients with route agreement")
     common(p)
     p.add_argument("--N", type=int)
-    p.add_argument("--s", type=int, help="restrict the route check to one s")
+    p.add_argument("--s", type=int, help="the s whose route delta is printed; every s is checked")
     p.add_argument("--framing", type=int, default=0)
     p.set_defaults(func=cmd_loginv)
 

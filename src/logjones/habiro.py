@@ -34,8 +34,7 @@ class HabiroCoeffs:
     knot: str
     rule: Callable[[int], LaurentPoly]
     i_max: int | None = None
-    # reconstructed V_m and V_m/[m], keyed by (formula, m), the jets of
-    # V_m/[m], keyed by ("jet", N, m), and of the a_i, keyed by
+    # the jets of V_m/[m], keyed by ("jet", N, m), and of the a_i, keyed by
     # ("jets", N), the list of a_i at xi, keyed by ("xi", N, dps), and its
     # fixed-point parts, keyed by ("fixed", N, P); the lists are only ever
     # appended to and shared between callers, which never mutate them
@@ -132,19 +131,13 @@ def _ladder(m: int):
 
 
 def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m = [m] (V_m/[m]); exact whenever a_{m-1} is known.  Memoized on h."""
-    key = ("Vm", m)
-    if key not in h._memo:
-        h._memo[key] = qint(m) * reconstruct_normalized_Vm(h, m)
-    return h._memo[key]
+    """V_m = [m] (V_m/[m]); exact whenever a_{m-1} is known."""
+    return qint(m) * reconstruct_normalized_Vm(h, m)
 
 
 def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
-    """V_m/[m] = sum_{i=0}^{m-1} a_i L_i(m), exact.  Memoized on h."""
-    key = ("normalized", m)
-    if key not in h._memo:
-        h._memo[key] = ladder_head(h, m, m)
-    return h._memo[key]
+    """V_m/[m] = sum_{i=0}^{m-1} a_i L_i(m), exact."""
+    return ladder_head(h, m, m)
 
 
 def ladder_head(h: HabiroCoeffs, m: int, n: int) -> LaurentPoly:

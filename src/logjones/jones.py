@@ -270,9 +270,11 @@ def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
         yield n, entries, den
 
 
-def _sum_terms_common_den(terms):
-    """Sum (n, term, den) summands over the least common {K}! denominator,
-    as (entries, denominator)."""
+def rmatrix(V1: WeightRep, V2: WeightRep, inverse: bool = False):
+    """The action of R, or of R^{-1} when inverse=True, as (sparse map,
+    scalar denominator): the summands of rmatrix_terms over their least
+    common {K}! denominator."""
+    terms = list(rmatrix_terms(V1, V2, inverse))
     one = LaurentPoly.const(1)
     common = max((den for _, _, den in terms), key=lambda p: len(p.terms) + (p.degree2() or 0))
     out = {}
@@ -286,28 +288,16 @@ def _sum_terms_common_den(terms):
     return {k: v for k, v in out.items() if v}, common
 
 
-def rmatrix(V1: WeightRep, V2: WeightRep):
-    """The R-matrix action as (sparse map, scalar denominator)."""
-    return _sum_terms_common_den(list(rmatrix_terms(V1, V2)))
-
-
-def rmatrix_inverse(V1: WeightRep, V2: WeightRep):
-    """R^{-1} = Theta^{-1} q^{-H(x)H/2} as (sparse map, scalar denominator),
-    with Theta^{-1} in the closed form of rmatrix_terms."""
-    return _sum_terms_common_den(list(rmatrix_terms(V1, V2, inverse=True)))
-
-
 def braiding(V: WeightRep, sign: int):
     """P o R (sign=+1) or its inverse (sign=-1) on V (x) V as (sparse map,
     denominator)."""
     d = V.dim
+    r, den = rmatrix(V, V, inverse=sign < 0)
     if sign > 0:
-        r, den = rmatrix(V, V)
         # P o R: swap the factors of each row
         return {((row % d) * d + row // d, c): v for (row, c), v in r.items()}, den
-    rinv, den = rmatrix_inverse(V, V)
     # (P o R)^{-1} = R^{-1} o P: swap the factors of each column
-    return {(row, (c % d) * d + c // d): v for (row, c), v in rinv.items()}, den
+    return {(row, (c % d) * d + c // d): v for (row, c), v in r.items()}, den
 
 
 def _check_dim(total: int):

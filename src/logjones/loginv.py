@@ -1,11 +1,18 @@
 """Logarithmic invariant coefficients b_s^+-, alpha_s, beta_s, gamma_s.
 
-gamma_s is computed by three independent routes that must agree:
+gamma_s is computed by three routes that must agree:
 
   QDERIV  - xi/(2N) d/dq (q - q^{-1})(V_s + V_{2N-s}) at q = xi,
   HABIRO  - the closed cotangent/tilde-bracket double sum in the
             cyclotomic coefficients a_i evaluated at xi,
   MDERIV  - N {1}/(pi i) d/dm V_m at m = s via the color derivative.
+
+QDERIV is the one independent formula.  HABIRO and MDERIV are the same
+sum term by term.  With su = min(s, N-s) and sb = max(s, N-s), the
+Leibniz term D_i of habiro.ddm_Vm is P_i sum_k {k}_+/{k} (P_i the window
+product) for i < su, 2 ~{s+i,2i+1} for su <= i < sb and 0 beyond, and
+N {1}/(pi i) cancels the pi i/(N {1}) of ddm_Vm.  Their agreement checks
+the fixed-point arithmetic of habiro.tilde_sum against mpmath.
 
 The radical coefficients b_s^+- come either from exact q-derivatives of
 normalized invariants or from the closed Habiro-sum form, and the two
@@ -36,15 +43,6 @@ class Route(enum.Enum):
 # -- exact colored Jones access -----------------------------------------
 
 
-def _coeffs_for(knot, N: int) -> habiro.HabiroCoeffs:
-    # everything loginv reads at xi is fixed by a_0..a_{N-1}: the jets of
-    # V_m/[m] at every color m (see habiro.normalized_Vm_jet), V_{2N+s} of
-    # the minus-sign radical route too, the first N rungs of the exact V_{2N}
-    # in the boundary d/dq form and the sum of habiro.ddm_Vm; colors
-    # 1..N give them
-    return habiro.coeffs_for(knot, N)
-
-
 def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet:
     """The jet of the framed V_m/[m], q^{(m^2-1) f/2} V_m/[m], mod
     x^{4N} - 1: all that an evaluation at xi, or of d/dq there, reads of
@@ -70,7 +68,7 @@ def b_pm_via_derivative(knot, s: int, sign: int, ctx: RootContext, framing: int 
     N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
-    h = _coeffs_for(knot, N)
+    h = habiro.coeffs_for(knot, N)
 
     def vt(m):
         return _normalized_jet(h, m, N, framing)
@@ -105,7 +103,7 @@ def b_pm_via_habiro(knot, s: int, ctx: RootContext):
     N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
-    h = _coeffs_for(knot, N)
+    h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
         a_s = habiro.normalized_Vm_jet(h, s, N).value(ctx)
         g = habiro.tilde_sum(h, s, ctx)
@@ -123,7 +121,7 @@ def gamma_s(knot, s: int, ctx: RootContext, route: Route = Route.QDERIV, framing
     route = Route(route)
     with ctx.workprec():
         phase = _framing_phase(s, ctx, framing)
-        h = _coeffs_for(knot, N)
+        h = habiro.coeffs_for(knot, N)
         if route is Route.QDERIV:
             # {1} V_m = {m} (V_m/[m])
             jet = (habiro.normalized_Vm_jet(h, s, N).times(brace(s))
@@ -136,7 +134,7 @@ def gamma_s(knot, s: int, ctx: RootContext, route: Route = Route.QDERIV, framing
 
 
 def gamma_all_routes(knot, s: int, ctx: RootContext, framing: int = 0):
-    h = _coeffs_for(knot, ctx.N)
+    h = habiro.coeffs_for(knot, ctx.N)
     return {route: gamma_s(h, s, ctx, route, framing) for route in Route}
 
 
@@ -149,7 +147,7 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     N = ctx.N
     if which not in (0, N):
         raise ValueError("which must be 0 or N")
-    h = _coeffs_for(knot, N)
+    h = habiro.coeffs_for(knot, N)
     m = 2 * N if which == 0 else N
     with ctx.workprec():
         val = habiro.normalized_Vm_jet(h, m, N).value(ctx)
@@ -179,7 +177,7 @@ def alpha_beta(knot, ctx: RootContext, framing: int = 0):
     """alpha_s = (-1)^{N+s} N {1} V_s(L^f) at xi;
     beta_s = -N f {1} V_s(L^f) at xi (so beta = 0 at framing 0)."""
     N = ctx.N
-    h = _coeffs_for(knot, N)
+    h = habiro.coeffs_for(knot, N)
     alpha = [None] * (N - 1)
     beta = [None] * (N - 1)
     with ctx.workprec():
@@ -278,9 +276,15 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
     per s; "alpha_{s}" and "beta_{s}" the basis change against alpha_beta;
     "gamma_{s}" against the q-derivative route at 0 < s < N, where an
     error shared by b_s^+ and b_s^- cancels in beta_s but not in gamma_s,
-    and against _boundary_ddq_form at s = 0 and N."""
+    and against _boundary_ddq_form at s = 0 and N.
+
+    Every loginv function resolves the knot at colors 1..N only, as
+    everything loginv reads at xi is fixed by a_0..a_{N-1}: the jets of
+    V_m/[m] at every color m (see habiro.normalized_Vm_jet), V_{2N+s} of
+    the minus-sign radical route too, the first N rungs of the exact
+    V_{2N} in the boundary d/dq form and the sum of habiro.ddm_Vm."""
     N = ctx.N
-    h = _coeffs_for(knot, N)
+    h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
         idem = [gamma_boundary(h, 0, ctx, framing)]
         for s in range(1, N):

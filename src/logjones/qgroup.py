@@ -125,47 +125,38 @@ def _build_p(kind: str, s: int, ctx: RootContext) -> RestrictedModule:
     return RestrictedModule(kind, s if plus else N - s, N, 2 * N, E, F, K, labels)
 
 
+def _modified_ladders(sign: int, m: int, N: int):
+    """(na, nb, t) of Y_m^sign: its alpha ladder has na vectors, its beta
+    ladder nb, and E links alpha_i to beta_{i-(na-t+1)} for na-t < i <= t.
+    That is (2N-m, m, N) for Y_m^+ and (2N+m, 2N-m, 2N) for Y_m^-."""
+    if not 1 <= m <= N - 1:
+        raise ValueError("m must be in 1..N-1")
+    return (2 * N - m, m, N) if sign > 0 else (2 * N + m, 2 * N - m, 2 * N)
+
+
 def build_modified(sign: int, m: int, N: int):
     """The generic-q representation Y_m^+ (2N-dim) or Y_m^- (4N-dim) as a
     WeightRep plus basis labels."""
-    if not 1 <= m <= N - 1:
-        raise ValueError("m must be in 1..N-1")
-    if sign > 0:
-        na, nb = 2 * N - m, m
-        alpha_w = [2 * N - m - 1 - 2 * i for i in range(na)]
-        beta_w = [m - 1 - 2 * i for i in range(nb)]
-    else:
-        na, nb = 2 * N + m, 2 * N - m
-        alpha_w = [2 * N + m - 1 - 2 * i for i in range(na)]
-        beta_w = [2 * N - m - 1 - 2 * i for i in range(nb)]
-    d = na + nb
+    na, nb, t = _modified_ladders(sign, m, N)
     labels = [f"alpha{i}" for i in range(na)] + [f"beta{i}" for i in range(nb)]
     E, F = {}, {}
     for i in range(na):
         if i >= 1:
             E[(i - 1, i)] = qint(i)
-        if sign > 0:
-            if N - m + 1 <= i <= N:
-                E[(na + (m - N + i - 1), i)] = qbinom(2 * N - m - i - 1, N - i)
-            if i != N - m - 1 and i + 1 < na:
-                F[(i + 1, i)] = qint(2 * N - m - i - 1)
-            elif i == N - m - 1:
-                F[(i + 1, i)] = qint(N)
-                F[(na + 0, i)] = qbinom(N - 1, m - 1)
-        else:
-            if m + 1 <= i <= 2 * N:
-                E[(na + (i - m - 1), i)] = qbinom(2 * N + m - 1 - i, 2 * N - i)
-            if i != m - 1 and i + 1 < na:
-                F[(i + 1, i)] = qint(2 * N + m - 1 - i)
-            elif i == m - 1:
-                F[(i + 1, i)] = qint(2 * N)
-                F[(na + 0, i)] = qbinom(2 * N - 1, 2 * N - m - 1)
+        if na - t < i <= t:
+            E[(na + i - (na - t + 1), i)] = qbinom(na - 1 - i, t - i)
+        if i == na - t - 1:
+            F[(i + 1, i)] = qint(t)
+            F[(na, i)] = qbinom(t - 1, nb - 1)
+        elif i + 1 < na:
+            F[(i + 1, i)] = qint(na - 1 - i)
     for i in range(nb):
         if i >= 1:
             E[(na + i - 1, na + i)] = qint(i)
         if i + 1 < nb:
-            F[(na + i + 1, na + i)] = qint((m if sign > 0 else 2 * N - m) - i - 1)
-    return jones.WeightRep(d, E, F, tuple(alpha_w + beta_w)), labels
+            F[(na + i + 1, na + i)] = qint(nb - 1 - i)
+    weights = [na - 1 - 2 * i for i in range(na)] + [nb - 1 - 2 * i for i in range(nb)]
+    return jones.WeightRep(na + nb, E, F, tuple(weights)), labels
 
 
 # -- relation checks -----------------------------------------------------
@@ -292,9 +283,10 @@ def iso_h_matrix(m: int, ctx: RootContext):
 
 
 def y1_basis_indices(m: int, N: int):
-    """Row indices spanning the invariant subspace Y_1 of Y_m^-."""
-    na = 2 * N + m
-    return list(range(N + m)) + [na + i for i in range(N - m)]
+    """Row indices spanning the invariant subspace Y_1 of Y_m^-: its first
+    na - N alpha and first nb - N beta vectors."""
+    na, nb, _ = _modified_ladders(-1, m, N)
+    return list(range(na - N)) + [na + i for i in range(nb - N)]
 
 
 def verify_iso_f(m: int, ctx: RootContext):
@@ -375,13 +367,11 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
 
 
 def x0_from_eta(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
-    """The off-block entry x_0^sign: row beta_0, column alpha_{N-m} for the
-    plus sign and alpha_m for the minus sign."""
-    N = ctx.N
+    """The off-block entry x_0^sign: row beta_0, column alpha_{na-t}, which
+    is alpha_{N-m} for the plus sign and alpha_m for the minus sign."""
     at_xi, rep, labels = eta_partial_trace(b, m, sign, ctx)
-    na = (2 * N - m) if sign > 0 else (2 * N + m)
-    col = (N - m) if sign > 0 else m
-    return at_xi[na + 0][col]
+    na, _, t = _modified_ladders(sign, m, ctx.N)
+    return at_xi[na][na - t]
 
 
 def x0_to_b(x0, m: int, sign: int, ctx: RootContext):
@@ -402,21 +392,13 @@ def center_action_matrices(mod: RestrictedModule):
     U_N^+, e_0 on U_N^-; w_s^+ sends b_n -> a_n on P_s^+; w_s^- sends
     y_k -> x_k on P_{N-s}^-; everything else acts by zero ({})."""
     N = mod.N
+    # the one s whose e_s is the identity on mod; None for any other module
+    top = mod.index == N
+    owner = {"P+": mod.index, "P-": N - mod.index,
+             "U+": N if top else None, "U-": 0 if top else None}.get(mod.kind)
     ident = {(i, i): mp.mpc(1) for i in range(mod.dim)}
     pos = {lab: i for i, lab in enumerate(mod.basis_labels)}
-    out = {}
-    for s in range(N + 1):
-        key = f"e{s}"
-        if mod.kind == "P+" and mod.index == s and 1 <= s <= N - 1:
-            out[key] = ident
-        elif mod.kind == "P-" and mod.index == N - s and 1 <= s <= N - 1:
-            out[key] = ident
-        elif mod.kind == "U+" and mod.index == N and s == N:
-            out[key] = ident
-        elif mod.kind == "U-" and mod.index == N and s == 0:
-            out[key] = ident
-        else:
-            out[key] = {}
+    out = {f"e{s}": ident if s == owner else {} for s in range(N + 1)}
     for s in range(1, N):
         out[f"w{s}+"] = ({(pos[f"a{n}"], pos[f"b{n}"]): mp.mpc(1) for n in range(s)}
                          if mod.kind == "P+" and mod.index == s else {})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
-from logjones.qcalc import LaurentPoly, RootContext, int_or_frac_to_mp
+from logjones.qcalc import LaurentPoly, RootContext, int_or_frac_to_mp, qbinom, qint
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -293,6 +293,47 @@ def framed_corrections(base, f, ctx):
         idem.append(base.idem[N] * ctx.xi_pow((N * N - 1) * f, 2))
         alpha, beta, gamma = loginv.basis_change(idem, rad_plus, rad_minus, ctx)
     return loginv.CenterCoeffs(N, base.knot, f, idem, rad_plus, rad_minus, alpha, beta, gamma)
+
+
+def displayed_modified(sign, m, N):
+    """Y_m^+ (2N-dim) or Y_m^- (4N-dim) spelled out as the two displays,
+    one branch per sign, in the order qgroup.build_modified inserts its
+    entries: the oracle for its one sign-free loop."""
+    if sign > 0:
+        na, nb = 2 * N - m, m
+        alpha_w = [2 * N - m - 1 - 2 * i for i in range(na)]
+        beta_w = [m - 1 - 2 * i for i in range(nb)]
+    else:
+        na, nb = 2 * N + m, 2 * N - m
+        alpha_w = [2 * N + m - 1 - 2 * i for i in range(na)]
+        beta_w = [2 * N - m - 1 - 2 * i for i in range(nb)]
+    labels = [f"alpha{i}" for i in range(na)] + [f"beta{i}" for i in range(nb)]
+    E, F = {}, {}
+    for i in range(na):
+        if i >= 1:
+            E[(i - 1, i)] = qint(i)
+        if sign > 0:
+            if N - m + 1 <= i <= N:
+                E[(na + (m - N + i - 1), i)] = qbinom(2 * N - m - i - 1, N - i)
+            if i != N - m - 1 and i + 1 < na:
+                F[(i + 1, i)] = qint(2 * N - m - i - 1)
+            elif i == N - m - 1:
+                F[(i + 1, i)] = qint(N)
+                F[(na + 0, i)] = qbinom(N - 1, m - 1)
+        else:
+            if m + 1 <= i <= 2 * N:
+                E[(na + (i - m - 1), i)] = qbinom(2 * N + m - 1 - i, 2 * N - i)
+            if i != m - 1 and i + 1 < na:
+                F[(i + 1, i)] = qint(2 * N + m - 1 - i)
+            elif i == m - 1:
+                F[(i + 1, i)] = qint(2 * N)
+                F[(na + 0, i)] = qbinom(2 * N - 1, 2 * N - m - 1)
+    for i in range(nb):
+        if i >= 1:
+            E[(na + i - 1, na + i)] = qint(i)
+        if i + 1 < nb:
+            F[(na + i + 1, na + i)] = qint((m if sign > 0 else 2 * N - m) - i - 1)
+    return jones.WeightRep(na + nb, E, F, tuple(alpha_w + beta_w)), labels
 
 
 def weight_multiset(mod, ctx):

@@ -19,7 +19,6 @@ from logjones.jones import (
     partial_trace,
     quantum_trace,
     rmatrix,
-    rmatrix_inverse,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, kron_unpack, qint
 from logjones.qgroup import build_modified
@@ -206,14 +205,14 @@ class TestRMatrix:
     def test_inverse(self, m):
         w = build_Wm(m)
         r, dr = rmatrix(w, w)
-        ri, dri = rmatrix_inverse(w, w)
+        ri, dri = rmatrix(w, w, inverse=True)
         scale = dr * dri
         assert mat_mul(r, ri) == {(i, i): scale for i in range(m * m)}
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_closed_form_inverse_matches_series(self, m):
         w = build_Wm(m)
-        op, den = rmatrix_inverse(w, w)
+        op, den = rmatrix(w, w, inverse=True)
         ref, ref_den = series_rmatrix_inverse(w, w)
         assert den == ref_den == LaurentPoly.const(1)
         assert op == ref
@@ -222,7 +221,7 @@ class TestRMatrix:
     def test_closed_form_inverse_matches_series_modified(self, rep):
         # the two inverses may carry different denominators, so compare
         # op/den against ref/ref_den crosswise
-        op, den = rmatrix_inverse(rep, rep)
+        op, den = rmatrix(rep, rep, inverse=True)
         ref, ref_den = series_rmatrix_inverse(rep, rep)
         assert scale_map(op, ref_den) == scale_map(ref, den)
 
@@ -247,7 +246,7 @@ class TestRMatrix:
         for v1 in reps:
             for v2 in reps:
                 list(jones.rmatrix_terms(v1, v2))
-                rmatrix_inverse(v1, v2)
+                rmatrix(v1, v2, inverse=True)
         assert sorted(calls) == [2, 2, 3, 3, 8, 8]
 
     @pytest.mark.parametrize("m", [2, 3, 4])

@@ -490,7 +490,7 @@ class TestColorReach:
         # the jets of V_m/[m] that loginv reads off an N-color extraction
         # equal those of the exact V_m/[m] from 3N-1 colors, at every color
         # m <= 3N-1, V_{2N+s} of the minus-sign radical route among them
-        h = loginv._coeffs_for(b, N)
+        h = habiro.coeffs_for(b, N)
         assert h.i_max == N - 1
         h_full = habiro.coeffs_for(b, 3 * N - 1)
         for m in range(1, 3 * N):
@@ -502,7 +502,7 @@ class TestColorReach:
     def test_three_routes_agree_on_random_braids(self, b, N):
         # on braids outside the catalog, traced at colors 1..N: the checks of
         # center_coeffs pass, and QDERIV, HABIRO and MDERIV agree at every s
-        h = loginv._coeffs_for(b, N)
+        h = habiro.coeffs_for(b, N)
         ctx = RootContext(N)
         assert center_coeffs(h, ctx).failed(ctx.tol) == [], (b, N)
         for s in range(1, N):

@@ -1,7 +1,7 @@
 import mpmath as mp
 import pytest
 
-from logjones import jones, loginv, qgroup
+from logjones import habiro, jones, loginv, qgroup
 from logjones.jones import KNOT_CATALOG, FeasibilityError
 from logjones.qcalc import LaurentPoly, RootContext, qbinom, qint
 from logjones.qgroup import (
@@ -22,8 +22,8 @@ from logjones.qgroup import (
     x0_to_b,
     y1_basis_indices,
 )
-from conftest import (assert_close, eta_block_data, exact_normalized_Vm, exact_Vm, q_power,
-                      weight_multiset)
+from conftest import (assert_close, displayed_modified, eta_block_data, exact_normalized_Vm,
+                      exact_Vm, q_power, weight_multiset)
 
 
 # -- dense oracles: the residuals as computed on dense matrices, which the
@@ -140,6 +140,19 @@ class TestModuleZoo:
                                     for i, w in enumerate(rep.weights)}
                 assert mod.matE == {k: ctx.eval_at(v) for k, v in rep.E.items()}
                 assert mod.matF == {k: ctx.eval_at(v) for k, v in rep.F.items()}
+
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_one_builder_matches_the_displays(self, N):
+        # the sign-free loop reproduces both displays entry for entry, in
+        # insertion order: the residuals sum over dicts in that order
+        for sign in (1, -1):
+            for m in range(1, N):
+                rep, labels = build_modified(sign, m, N)
+                want, want_labels = displayed_modified(sign, m, N)
+                assert labels == want_labels
+                assert (rep.dim, rep.weights) == (want.dim, want.weights)
+                assert list(rep.E.items()) == list(want.E.items())
+                assert list(rep.F.items()) == list(want.F.items())
 
     def test_index_ranges(self, ctx3):
         for kind, bad in (("U+", 4), ("P+", 3), ("Y-", 0), ("P-", 0)):
@@ -332,7 +345,7 @@ class TestEtaPartialTrace:
         b31 = KNOT_CATALOG["3_1"]
         w = b31.writhe
         data = eta_block_data(b31, m, sign, N, ctx3)
-        h = loginv._coeffs_for("3_1", N)
+        h = habiro.coeffs_for("3_1", N)
         ma = (2 * N - m) if sign > 0 else (2 * N + m)
         mb = m if sign > 0 else (2 * N - m)
         va = ctx3.lhopital_ratio(exact_Vm(h, ma, framing=w), qint(ma))
@@ -352,7 +365,7 @@ class TestEtaPartialTrace:
         N, m = 3, 1
         b31 = KNOT_CATALOG["3_1"]
         w = b31.writhe
-        h = loginv._coeffs_for("3_1", N)
+        h = habiro.coeffs_for("3_1", N)
         x0 = x0_from_eta(b31, m, sign, ctx3)
         if sign > 0:
             num = qbinom(N - 1, m - 1) * (exact_normalized_Vm(h, 2 * N - m, framing=w)
