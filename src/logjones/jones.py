@@ -20,7 +20,8 @@ from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, kron_p
 
 class FeasibilityError(RuntimeError):
     """Requested exact computation exceeds the documented size bound: a
-    tensor dimension above EXACT_DIM_CAP."""
+    tensor dimension above EXACT_DIM_CAP, or a qgroup verification at N
+    above qgroup.MAX_VERIFY_N."""
 
 
 class LinkNotKnotError(ValueError):

@@ -611,23 +611,36 @@ class RootContext:
             raise ValueError("n must be >= 0")
         return self._qfact_prefix[n] if n < self.N else mp.mpf(0)
 
+    def order_at(self, p: LaurentPoly):
+        """(k, p / Phi_4N^k) for a nonzero p: k is the order of the zero of
+        p at q^{1/2} = xi^{1/2}, the number of times Phi_4N(q^{1/2}), its
+        minimal polynomial, divides p exactly, so the quotient does not
+        vanish at xi.  This is the one loop that cancels Phi_4N.
+        ZeroDivisionError for the zero polynomial, which every power
+        divides."""
+        if not p:
+            raise ZeroDivisionError("the zero polynomial has no order at xi")
+        phi = cyclotomic(4 * self.N)
+        k = 0
+        while True:
+            quot, rem = p.divmod(phi)
+            if rem:
+                return k, p
+            p, k = quot, k + 1
+
     def lhopital_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        """lim_{q->xi} num/den, exactly: Phi_4N(q^{1/2}), the minimal
-        polynomial of xi^{1/2}, is cancelled while it divides den; then the
-        limit is exactly 0 if it divides num, else num/den evaluated once.
+        """lim_{q->xi} num/den, exactly: order_at reduces both; the limit
+        is exactly 0 when num vanishes to the higher order, a pole when den
+        does, and otherwise the reduced num/den evaluated once.
         ZeroDivisionError when den is 0 or the limit is a pole."""
         if not den:
             raise ZeroDivisionError("denominator is identically zero")
-        phi = cyclotomic(4 * self.N)
-        while True:
-            num_q, num_r = num.divmod(phi)
-            den_q, den_r = den.divmod(phi)
-            if den_r:
-                break
-            if num_r:
-                raise ZeroDivisionError("pole: numerator does not vanish with denominator")
-            num, den = num_q, den_q
-        if not num_r:
+        if not num:
+            return mp.mpc(0)
+        (k_num, num), (k_den, den) = self.order_at(num), self.order_at(den)
+        if k_num < k_den:
+            raise ZeroDivisionError("pole: numerator does not vanish with denominator")
+        if k_num > k_den:
             return mp.mpc(0)
         with self.workprec():
             return self.eval_at(num) / self.eval_at(den)

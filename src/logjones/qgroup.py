@@ -25,8 +25,19 @@ import json
 
 import mpmath as mp
 
-from .qcalc import LaurentPoly, RootContext, qbinom, qint
+from .qcalc import RootContext, qbinom, qint
 from . import jones
+
+
+# Largest N that verification_report takes on.  On a shared 2-vCPU Xeon
+# the whole report, R-matrix sweep included, takes 0.07 s at N = 3,
+# 0.16 s at N = 4, 0.33 s at N = 5, 0.8 s at N = 6, 2.7 s at N = 7,
+# 4.5 s and 56 MB at N = 8, 7.1 s and 85 MB at N = 9 and 12.7 s and
+# 132 MB at N = 10.  Without the sweep it takes 0.41 s at N = 8 and
+# 0.66 s at N = 10, but it grows too, so the one bound holds for both.
+# A larger N is refused with jones.FeasibilityError before any module is
+# built.
+MAX_VERIFY_N = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -317,32 +328,77 @@ def verify_y1_invariance(m: int, ctx: RootContext):
 # -- R-matrix specialization ---------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _qfact_unit(n: int, ctx: RootContext):
+    """(n // N, |([n]! / Phi_4N^{n // N})(xi)|): the order of [n]! at xi and
+    the modulus there of what is left.  [k] = {k}/{1} vanishes at xi just
+    when N | k, and then once, as x^{4k} - 1 has simple roots, and
+    {1}(xi) != 0 for N >= 2; order_at counts it all the same."""
+    if n == 0:
+        return 0, mp.mpf(1)
+    order, mag = _qfact_unit(n - 1, ctx)
+    k, unit = ctx.order_at(qint(n))
+    with ctx.workprec():
+        return order + k, mag * abs(ctx.eval_at(unit))
+
+
+def _orders(mat: dict, ctx: RootContext, base: int = 0, scale=1):
+    """{k - base: max |(p / Phi_4N^k)(xi)| / scale} over the entries p of
+    mat, grouped by their order k at xi."""
+    out = {}
+    with ctx.workprec():
+        for p in mat.values():
+            k, unit = ctx.order_at(p)
+            mag = abs(ctx.eval_at(unit))
+            if mag > out.get(k - base, -1):
+                out[k - base] = mag
+        return {k: mag / scale for k, mag in out.items()}
+
+
+def _vanishing_profile(V: jones.WeightRep, ctx: RootContext):
+    """(E side, F side) of V for rmatrix_specialization_check, built once
+    per (V, ctx) and kept in V._memo.
+
+    Each side is a tuple over n = N, N+1, ... below the nilpotency order
+    of E (of F) of the maps _orders reads off the entries of E^n / [n]!
+    and of {1}^n F^n (jones._rep_powers).  On the E side the order of
+    [n]! is taken off, so an order below 0 is a pole there, and the
+    moduli are divided by that of [n]! / Phi_4N^{n // N}."""
+    key = ("vanishing", ctx)
+    sides = V._memo.get(key)
+    if sides is None:
+        e_pow, _, f_scaled = jones._rep_powers(V)
+        N = ctx.N
+        sides = V._memo[key] = (
+            tuple(_orders(e_pow[n], ctx, *_qfact_unit(n, ctx)) for n in range(N, len(e_pow))),
+            tuple(_orders(f_scaled[n], ctx) for n in range(N, len(f_scaled))))
+    return sides
+
+
 def rmatrix_specialization_check(rep1, rep2, ctx: RootContext):
     """The worst magnitude at xi of an entry of the R-matrix terms with
     n >= N on rep1 (x) rep2, which must all specialize to 0, or mp.inf
     when one of them has a pole at xi.
 
-    Terms with n < N are not evaluated: their denominator {n}! =
-    prod_{k<=n} {k} has no zero at xi, as {k}(xi) = 2i sin(pi k/N) != 0
-    for 0 < k < N, so they have no pole there.  Where the division by
-    {n}! is exact, the entries of a term are Laurent polynomials, read by
-    plain evaluation; the other terms are limits of num/{n}!.
+    An entry of term n is a monomial of modulus 1 at xi times e f / [n]!,
+    e an entry of E^n on rep1 and f one of {1}^n F^n on rep2, as
+    {n}! = {1}^n [n]!.  Orders of vanishing at xi add, so by the sides of
+    _vanishing_profile the entry is a pole where the orders of e / [n]!
+    and f sum below 0, exactly 0 where they sum above, and otherwise of
+    the modulus of the product of their reductions; no term is formed.
+    Terms with n < N have no pole, as [n]! has no zero at xi there, and
+    are not read.
     """
-    N = ctx.N
-    one = LaurentPoly.const(1)
     worst = mp.mpf(0)
+    e_side = _vanishing_profile(rep1, ctx)[0]
+    f_side = _vanishing_profile(rep2, ctx)[1]
     with ctx.workprec():
-        for n, term, den in jones.rmatrix_terms(rep1, rep2):
-            if n < N:
-                continue
-            plain = den == one
-            for v in term.values():
-                try:
-                    mag = abs(ctx.eval_at(v)) if plain else abs(ctx.lhopital_ratio(v, den))
-                except ZeroDivisionError:
-                    return mp.inf  # a pole contradicts the specialization property
-                if mag > worst:
-                    worst = mag
+        for e, f in zip(e_side, f_side):
+            if min(e) + min(f) < 0:
+                return mp.inf  # a pole contradicts the specialization property
+            for k, mag in e.items():
+                if -k in f:
+                    worst = max(worst, mag * f[-k])
     return worst
 
 
@@ -451,8 +507,12 @@ def verification_report(ctx: RootContext, include_rmatrix: bool = True):
     The memoized build_restricted shares each (kind, idx) module among the
     relation, intertwiner, invariance and center checks.  add is the one
     place that judges a residual: a row passes when it is below ctx.tol,
-    so a pole (mp.inf) or a NaN fails."""
+    so a pole (mp.inf) or a NaN fails.  N above MAX_VERIFY_N raises
+    jones.FeasibilityError before any module is built."""
     N = ctx.N
+    if N > MAX_VERIFY_N:
+        raise jones.FeasibilityError(f"qgroup verification at N = {N} exceeds the bound "
+                                     f"N <= {MAX_VERIFY_N}")
     rows = []
 
     def add(check, params, residual):

@@ -336,6 +336,40 @@ def displayed_modified(sign, m, N):
     return jones.WeightRep(na + nb, E, F, tuple(alpha_w + beta_w)), labels
 
 
+def with_entry(V, side, key, value):
+    """V with the entry key of its E action (side "E") or of its F action
+    (side "F") set to value: a negative control, which breaks the
+    relations of V."""
+    E, F = dict(V.E), dict(V.F)
+    (E if side == "E" else F)[key] = value
+    return jones.WeightRep(V.dim, E, F, V.weights)
+
+
+def rmatrix_specialization_by_limits(rep1, rep2, ctx):
+    """The R-matrix specialization check by limits: every term with
+    n >= N is formed by jones.rmatrix_terms, and each of its entries is
+    evaluated at xi, or taken as the exact limit num/den there when the
+    term keeps the denominator {n}!.  The worst magnitude, or mp.inf at a
+    pole: the oracle for qgroup.rmatrix_specialization_check, which forms
+    no term."""
+    N = ctx.N
+    one = LaurentPoly.const(1)
+    worst = mp.mpf(0)
+    with ctx.workprec():
+        for n, term, den in jones.rmatrix_terms(rep1, rep2):
+            if n < N:
+                continue
+            plain = den == one
+            for v in term.values():
+                try:
+                    mag = abs(ctx.eval_at(v)) if plain else abs(ctx.lhopital_ratio(v, den))
+                except ZeroDivisionError:
+                    return mp.inf
+                if mag > worst:
+                    worst = mag
+    return worst
+
+
 def weight_multiset(mod, ctx):
     """Sorted K-eigenvalues of a qgroup.RestrictedModule (as complex numbers
     rounded at tolerance scale)."""

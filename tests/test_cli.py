@@ -10,8 +10,9 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logjones import cli
-from logjones.qcalc import RootContext
+from logjones import cli, jones, qgroup
+from logjones.qcalc import LaurentPoly
+from conftest import with_entry
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -173,14 +174,20 @@ class TestQGroupVerifyCommand:
                 "rmatrix_specialization"} <= checks
 
     def test_pole_fails(self, monkeypatch):
-        # an R-matrix term with a pole at xi is a failing row, not a 0
-        def pole(self, num, den):
-            raise ZeroDivisionError
+        # an R-matrix term with a pole at xi is a failing row, not a 0: with
+        # the [3] of W_5's E at (2, 3) and of its F at (2, 1) set to 1, the
+        # term n = 3 of W5 (x) W5 is e f / [3]! with e f of no zero at xi
+        real = jones.build_Wm
+        one = LaurentPoly.const(1)
 
-        monkeypatch.setattr(RootContext, "lhopital_ratio", pole)
+        def broken_W5(m):
+            V = real(m)
+            return with_entry(with_entry(V, "E", (2, 3), one), "F", (2, 1), one) if m == 5 else V
+
+        monkeypatch.setattr(jones, "build_Wm", broken_W5)
         rc, out = run_cli(["qgroup-verify", "--N", "3"])
         assert rc == 4
-        row = next(r for r in json.loads(out) if r["parameters"] == "Y2- (x) Y2-")
+        row = next(r for r in json.loads(out) if r["parameters"] == "W5 (x) W5")
         assert row["residual"] == "+inf" and row["pass"] is False
 
     def test_skip_rmatrix(self):
@@ -252,6 +259,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
       "--out", os.path.join(SRC_DIR, "no-such-dir", "x.json")], cli.EXIT_CONFIG),
     (["loginv", "--knot", "4_1", "--N", "3", "--out", SRC_DIR], cli.EXIT_CONFIG),
     (["loginv", "--knot", "3_1", "--braid", "2: 1 1 1", "--N", "2"], cli.EXIT_CONFIG),
+    (["qgroup-verify", "--N", "9999999"], cli.EXIT_FEASIBILITY),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -300,6 +308,23 @@ def test_dimension_refused_before_tracing(argv, monkeypatch, capsys):
     assert rc == cli.EXIT_FEASIBILITY
     assert out == ""
     assert "exceeds the exact-path bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_qgroup_N_refused_before_any_module(skip, monkeypatch, capsys):
+    # an N above qgroup.MAX_VERIFY_N is refused before a module is built,
+    # with or without the R-matrix sweep
+    def no_build(*args):
+        raise AssertionError("a module was built before the refusal")
+
+    monkeypatch.setattr(qgroup, "build_restricted", no_build)
+    monkeypatch.setattr(qgroup, "build_modified", no_build)
+    monkeypatch.setattr(jones, "build_Wm", no_build)
+    argv = ["qgroup-verify", "--N", str(qgroup.MAX_VERIFY_N + 1)] + ["--skip-rmatrix"] * skip
+    rc, out = run_cli(argv)
+    assert rc == cli.EXIT_FEASIBILITY
+    assert out == ""
+    assert f"exceeds the bound N <= {qgroup.MAX_VERIFY_N}" in capsys.readouterr().err
 
 
 def test_loginv_traces_only_the_colors_it_reads(monkeypatch):
@@ -362,8 +387,7 @@ def test_volume_scan_precision_is_a_floor(argv, digits, monkeypatch):
 
 # argv fuzzing: each subcommand's own flags, with good and bad values, plus
 # a flag of another subcommand now and then; sizes stay small (N <= 4,
-# colors <= 4; qgroup-verify N <= 3, whose R-matrix sweep at N = 4 alone
-# takes 2 s) and braid words have two strands, so every run is quick
+# colors <= 4) and braid words have two strands, so every run is quick
 SMALL = st.sampled_from(["1", "2", "3", "4", "0", "-1"])
 NINE_IN_TEN = st.sampled_from([True] * 9 + [False])
 FLAG_VALUES = {
@@ -405,8 +429,6 @@ def cli_argv(draw):
     argv = [command]
     for flag in flags:
         value = draw(FLAG_VALUES[flag])
-        if flag == "--N" and command == "qgroup-verify" and value == "4":
-            value = "3"
         argv += [flag] if value is None else [flag, value]
     return argv
 

@@ -23,7 +23,8 @@ from logjones.qgroup import (
     y1_basis_indices,
 )
 from conftest import (assert_close, displayed_modified, eta_block_data, exact_normalized_Vm,
-                      exact_Vm, q_power, weight_multiset)
+                      exact_Vm, q_power, rmatrix_specialization_by_limits, weight_multiset,
+                      with_entry)
 
 
 # -- dense oracles: the residuals as computed on dense matrices, which the
@@ -304,20 +305,70 @@ class TestRMatrixSpecialization:
         assert res < ctx3.tol
 
     def test_low_terms_not_evaluated(self, ctx4, monkeypatch):
-        # {n}! has no zero at xi for n < N, so those terms cannot have a
-        # pole there and are skipped; at N = 4 every divided term of
-        # Y_2^- (x) Y_2^- has n < 4, so no q -> xi limit is taken
-        calls = []
-        real = RootContext.lhopital_ratio
+        # the check forms no R-matrix term, and it reduces the entries of
+        # E^n and {1}^n F^n with n >= N only: {n}! has no zero at xi for
+        # n < N, so those terms cannot have a pole there
+        def forbidden(*args):
+            raise AssertionError("the check formed an R-matrix term")
 
-        def recording(self, num, den):
-            calls.append(den)
-            return real(self, num, den)
+        monkeypatch.setattr(jones, "tensor_of", forbidden)
+        monkeypatch.setattr(jones, "rmatrix_terms", forbidden)
+        reduced = []
+        real = RootContext.order_at
 
-        monkeypatch.setattr(RootContext, "lhopital_ratio", recording)
+        def recording(self, p):
+            reduced.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(RootContext, "order_at", recording)
         y2m = build_modified(-1, 2, 4)[0]
         assert rmatrix_specialization_check(y2m, y2m, ctx4) < ctx4.tol
-        assert calls == []
+        e_pow, _, f_scaled = jones._rep_powers(y2m)
+        low = {id(p) for powers in (e_pow, f_scaled) for mat in powers[:4] for p in mat.values()}
+        high = {id(p) for powers in (e_pow, f_scaled) for mat in powers[4:] for p in mat.values()}
+        assert high and high <= {id(p) for p in reduced}
+        assert not low & {id(p) for p in reduced}
+
+    def test_genuine_pole(self, ctx3):
+        # at N = 3 the [3] in E^3 and in F^3 of W_5 is their one zero at
+        # xi; taken out of E on the first factor and out of F on the
+        # second, it leaves e f / [3]! with a pole
+        W5 = jones.build_Wm(5)
+        one = LaurentPoly.const(1)
+        a, b = with_entry(W5, "E", (2, 3), one), with_entry(W5, "F", (2, 1), one)
+        assert rmatrix_specialization_check(a, b, ctx3) == mp.inf
+        assert rmatrix_specialization_by_limits(a, b, ctx3) == mp.inf
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_equals_the_limit_sweep(self, N):
+        # every ordered pair of the report's sweep, against the check that
+        # forms each term and takes the limits of its entries
+        ctx = RootContext(N)
+        reps = [jones.build_Wm(m) for m in range(1, 2 * N + 1)]
+        reps += [build_modified(sign, m, N)[0] for m in range(1, N) for sign in (1, -1)]
+        for a in reps:
+            for b in reps:
+                assert (mp.nstr(rmatrix_specialization_check(a, b, ctx), 8)
+                        == mp.nstr(rmatrix_specialization_by_limits(a, b, ctx), 8))
+
+    def test_perturbed_controls_equal_the_limit_sweep(self, ctx3):
+        # negative controls: each of the first four E and F entries of
+        # Y_1^-, W_5 and Y_2^+ set to 1, [2] or q, paired with itself and
+        # with W_5 both ways; 36 of the 216 pairs fail, with the same
+        # nonzero residual in both checks
+        W5 = jones.build_Wm(5)
+        failing = 0
+        for V in (build_modified(-1, 1, 3)[0], W5, build_modified(1, 2, 3)[0]):
+            for side in ("E", "F"):
+                for key in list(getattr(V, side))[:4]:
+                    for value in (LaurentPoly.const(1), qint(2), q_power(1)):
+                        P = with_entry(V, side, key, value)
+                        for a, b in ((P, P), (P, W5), (W5, P)):
+                            res = rmatrix_specialization_check(a, b, ctx3)
+                            assert mp.nstr(res, 8) == mp.nstr(
+                                rmatrix_specialization_by_limits(a, b, ctx3), 8)
+                            failing += not res < ctx3.tol
+        assert failing == 36
 
     def test_n0_term_is_diagonal_nonzero(self):
         for n, term, _den in jones.rmatrix_terms(jones.build_Wm(3), jones.build_Wm(2)):
