@@ -125,7 +125,8 @@ class WeightRep:
     F: dict
     weights: tuple
     # the powers of E and F that rmatrix_terms reads, built once by
-    # _rep_powers; shared between callers, which never mutate them
+    # _rep_powers and _divided_powers; shared between callers, which never
+    # mutate them
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
@@ -194,31 +195,40 @@ def _mat_powers(mat: dict, dim) -> list:
 
 
 def _rep_powers(V: WeightRep):
-    """(E^n, E^(n), {1}^n F^n) of V, built on first use and kept in V._memo.
+    """(E^n, {1}^n F^n) of V, built on first use and kept in V._memo.
 
     Each is a tuple over n below the nilpotency order of E (of F for the
-    last) of sparse maps.
-    The divided power E^(n) = E^n/[n]! is None where some entry of E^n
-    does not divide exactly by [n]!, as at some n on Y_m^+-."""
+    second) of sparse maps."""
     powers = V._memo.get("rmatrix")
     if powers is None:
         e_pow = tuple(_mat_powers(V.E, V.dim))
-        e_div = []
-        fact = LaurentPoly.const(1)
-        for n, en in enumerate(e_pow):
-            fact = fact * qint(n) if n else fact
-            try:
-                e_div.append({k: v / fact for k, v in en.items()})
-            except InexactDivisionError:
-                e_div.append(None)
         brace1 = brace(1)
         scale = LaurentPoly.const(1)
         f_scaled = []
         for n, fn in enumerate(_mat_powers(V.F, V.dim)):
             scale = scale * brace1 if n else scale
             f_scaled.append({k: v * scale for k, v in fn.items()})
-        powers = V._memo["rmatrix"] = (e_pow, tuple(e_div), tuple(f_scaled))
+        powers = V._memo["rmatrix"] = (e_pow, tuple(f_scaled))
     return powers
+
+
+def _divided_powers(V: WeightRep):
+    """The divided powers E^(n) = E^n/[n]! of V over the E^n of
+    _rep_powers, built on the first rmatrix_terms call and kept in V._memo;
+    None where some entry of E^n does not divide exactly by [n]!, as at
+    some n on Y_m^+-."""
+    e_div = V._memo.get("divided")
+    if e_div is None:
+        e_div = []
+        fact = LaurentPoly.const(1)
+        for n, en in enumerate(_rep_powers(V)[0]):
+            fact = fact * qint(n) if n else fact
+            try:
+                e_div.append({k: v / fact for k, v in en.items()})
+            except InexactDivisionError:
+                e_div.append(None)
+        e_div = V._memo["divided"] = tuple(e_div)
+    return e_div
 
 
 def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
@@ -243,8 +253,8 @@ def rmatrix_terms(V1: WeightRep, V2: WeightRep, inverse: bool = False):
     {1}^{2n} E^n (x) F^n times the monomial and den = {n}!, whose q -> xi
     limits exist by the specialization property.
     """
-    e_pow, e_div, _ = _rep_powers(V1)
-    f_scaled = _rep_powers(V2)[2]
+    e_pow, e_div = _rep_powers(V1)[0], _divided_powers(V1)
+    f_scaled = _rep_powers(V2)[1]
     d2 = V2.dim
     w1, w2 = V1.weights, V2.weights
     one = LaurentPoly.const(1)

@@ -31,7 +31,18 @@ import enum
 import mpmath as mp
 
 from .qcalc import Jet, RootContext, brace, ddq, qint
-from . import habiro
+from . import habiro, jones
+
+
+# Largest N that center_coeffs takes on.  On a shared 2-vCPU Xeon a whole
+# loginv --knot 4_1 process takes 3.1 s and 29 MB at N = 60, 8.5 s and
+# 37 MB at N = 80, 17.7 s and 43 MB at N = 100 and 36 s and 60 MB at
+# N = 120 (3_1 at N = 100: 16.6 s, 19.6 s with --framing 1): the Horner
+# passes of habiro.normalized_Vm_jet grow like N^3.  Precision adds less:
+# at 4000 digits N = 60 takes 8.5 s and N = 100 30.5 s and 46 MB.  A
+# larger N is refused with jones.FeasibilityError before the knot is
+# resolved; a braid word is bounded by jones.EXACT_DIM_CAP as well.
+MAX_N = 100
 
 
 class Route(enum.Enum):
@@ -282,8 +293,12 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
     everything loginv reads at xi is fixed by a_0..a_{N-1}: the jets of
     V_m/[m] at every color m (see habiro.normalized_Vm_jet), V_{2N+s} of
     the minus-sign radical route too, the first N rungs of the exact
-    V_{2N} in the boundary d/dq form and the sum of habiro.ddm_Vm."""
+    V_{2N} in the boundary d/dq form and the sum of habiro.ddm_Vm.  N
+    above MAX_N raises jones.FeasibilityError before the knot is
+    resolved."""
     N = ctx.N
+    if N > MAX_N:
+        raise jones.FeasibilityError(f"loginv at N = {N} exceeds the bound N <= {MAX_N}")
     h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
         idem = [gamma_boundary(h, 0, ctx, framing)]

@@ -504,15 +504,9 @@ class RootContext:
 
     @functools.cached_property
     def half_powers(self):
-        """xi^{k/2} = exp(pi*i*k/2N) for k = 0..4N-1, built once at ``dps``.
-
-        q^{1/2} = xi^{1/2} is a 4N-th root of unity, so every evaluation at
-        xi reads this table.  Entries up to k = 2N come from mpmath; the
-        rest are their exact conjugates.
-        """
-        with self.workprec():
-            top = [mp.expjpi(mp.mpf(k) / (2 * self.N)) for k in range(2 * self.N + 1)]
-            return tuple(top + [z.conjugate() for z in reversed(top[1:-1])])
+        """The table xi^{k/2}, indexed by k = 0..4N-1 (see _HalfPowers):
+        each entry is computed the first time it is read."""
+        return _HalfPowers(self.N, self.dps)
 
     @functools.cached_property
     def sin_cot(self):
@@ -644,6 +638,29 @@ class RootContext:
             return mp.mpc(0)
         with self.workprec():
             return self.eval_at(num) / self.eval_at(den)
+
+
+class _HalfPowers(dict):
+    """RootContext.half_powers: xi^{k/2} = exp(pi*i*k/2N) keyed by
+    k = 0..4N-1, each entry computed on its first read at the context's
+    dps.  q^{1/2} = xi^{1/2} is a 4N-th root of unity, so every
+    evaluation at xi reads it.  Entries up to k = 2N come from mpmath; the
+    rest are the exact conjugates of entry 4N - k.  A read that hits is a
+    plain dict lookup, and only a miss calls __missing__; iterating gives
+    the k read so far."""
+
+    def __init__(self, N: int, dps: int):
+        super().__init__()
+        self.N, self.dps = N, dps
+
+    def __missing__(self, k: int):
+        # conjugate() rounds to the ambient precision, so it runs at dps too
+        with mp.workdps(self.dps):
+            if k <= 2 * self.N:
+                z = self[k] = mp.expjpi(mp.mpf(k) / (2 * self.N))
+            else:
+                z = self[k] = self[4 * self.N - k].conjugate()
+        return z
 
 
 def int_or_frac_to_mp(c):

@@ -367,7 +367,7 @@ def _vanishing_profile(V: jones.WeightRep, ctx: RootContext):
     key = ("vanishing", ctx)
     sides = V._memo.get(key)
     if sides is None:
-        e_pow, _, f_scaled = jones._rep_powers(V)
+        e_pow, f_scaled = jones._rep_powers(V)
         N = ctx.N
         sides = V._memo[key] = (
             tuple(_orders(e_pow[n], ctx, *_qfact_unit(n, ctx)) for n in range(N, len(e_pow))),

@@ -21,7 +21,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .qcalc import RootContext
-from . import habiro
+from . import habiro, jones
 
 
 def lobachevsky(x, dps: int = 30):
@@ -216,20 +216,47 @@ def scan_precision(N: int) -> int:
     return max(33, int(0.15 * N) + 35)
 
 
+# Largest N of a scan at its own scan_precision(N) digits, the bound of
+# check_scan.  On a shared 2-vCPU Xeon such a whole volume-scan process
+# takes 1.8 s at N = 800, 3.7 s at N = 1000, 5.6 s at N = 1200, 14.5 s at
+# N = 1600 and 33 s at N = 2000, with a peak RSS of 23-26 MB throughout.  The time
+# grows like N^2 digits, the N^2/2 fixed-point products of tilde_sum, so
+# a --precision floor above the scan's own digits costs as much as a
+# larger N: at 4000 digits N = 100 takes 4.7 s, N = 400 29 s and N = 800
+# 117 s, and at 1000 digits N = 1600 takes 57 s.  check_scan refuses N^2
+# digits above its value at N = MAX_SCAN_N with scan_precision(MAX_SCAN_N)
+# = 275 digits: N <= 1600 at the scan's own digits, N <= 419 at 4000.
+MAX_SCAN_N = 1600
+
+
+def check_scan(N: int, digits: int):
+    """jones.FeasibilityError when a scan at N with ``digits`` working
+    digits is above the bound of MAX_SCAN_N, before any table is built."""
+    top = scan_precision(MAX_SCAN_N)
+    if N * N * digits > MAX_SCAN_N ** 2 * top:
+        raise jones.FeasibilityError(
+            f"volume scan at N = {N} with {digits} digits exceeds the bound N^2 digits <= "
+            f"{MAX_SCAN_N}^2 * {top}, N <= {MAX_SCAN_N} at the scan's own precision")
+
+
 def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     """Rows (s, alpha=2 pi s/N, (2 pi/N) log|gamma_s|, reference) for
     s = 1..N-1.  gamma_s = 0 rows carry the -inf sentinel and a flag.  A
-    given ctx must be at this N (gamma_fig8_fast checks it)."""
+    given ctx must be at this N (gamma_fig8_fast checks it), and N with
+    its digits within the bound of check_scan.  A row keeps the reference
+    as a double, so it is computed at the 30 digits of vol_reference, not
+    at ctx.dps."""
     if N < 2:
         raise ValueError("N must be >= 2")
     ctx = ctx or RootContext(N, precision_digits=scan_precision(N))
+    check_scan(N, ctx.precision_digits)
     rows = []
     with ctx.workprec():
         two_pi = 2 * mp.pi
         for s in range(1, N):
             g = gamma_fig8_fast(N, s, ctx)
             alpha = two_pi * s / N
-            ref, region = vol_reference(s, N, ctx.dps)
+            ref, region = vol_reference(s, N)
             mag = abs(g)
             if mag < ctx.tol:
                 rows.append(ScanRow(s, float(alpha), float("-inf"), float(ref), region, True))

@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logjones import cli, jones, qgroup
+from logjones import cli, jones, loginv, qgroup, volume
 from logjones.qcalc import LaurentPoly
 from conftest import with_entry
 
@@ -260,6 +260,9 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["loginv", "--knot", "4_1", "--N", "3", "--out", SRC_DIR], cli.EXIT_CONFIG),
     (["loginv", "--knot", "3_1", "--braid", "2: 1 1 1", "--N", "2"], cli.EXIT_CONFIG),
     (["qgroup-verify", "--N", "9999999"], cli.EXIT_FEASIBILITY),
+    (["volume-scan", "--N", "9999999"], cli.EXIT_FEASIBILITY),
+    (["loginv", "--knot", "4_1", "--N", "9999999"], cli.EXIT_FEASIBILITY),
+    (["habiro", "--knot", "4_1", "--imax", "9999999"], cli.EXIT_FEASIBILITY),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
@@ -325,6 +328,42 @@ def test_qgroup_N_refused_before_any_module(skip, monkeypatch, capsys):
     assert rc == cli.EXIT_FEASIBILITY
     assert out == ""
     assert f"exceeds the bound N <= {qgroup.MAX_VERIFY_N}" in capsys.readouterr().err
+
+
+class Reached(Exception):
+    """Raised by a stand-in worker: the input got past its size bound."""
+
+
+@pytest.mark.parametrize("argv, top, worker", [
+    (["volume-scan", "--N", str(volume.MAX_SCAN_N + 1)], ["volume-scan", "--N", "1600"],
+     (volume, "asymptotic_scan")),
+    # the precision floor counts: N^2 digits, 1600^2 * 275, allows
+    # N = 419 at 4000 digits
+    (["volume-scan", "--N", "420", "--precision", "4000"],
+     ["volume-scan", "--N", "419", "--precision", "4000"], (volume, "asymptotic_scan")),
+    (["loginv", "--knot", "4_1", "--N", str(loginv.MAX_N + 1)],
+     ["loginv", "--knot", "4_1", "--N", str(loginv.MAX_N)], (loginv.habiro, "coeffs_for")),
+    (["habiro", "--knot", "4_1", "--imax", str(cli.MAX_IMAX + 1)],
+     ["habiro", "--knot", "4_1", "--imax", str(cli.MAX_IMAX)], (cli.habiro, "coeffs_for")),
+])
+def test_size_refused_before_any_work(argv, top, worker, monkeypatch, capsys):
+    # above its bound an input is refused before the worker runs; at the
+    # bound it reaches the worker
+    def no_work(*args):
+        raise AssertionError(f"{worker[1]} ran before the refusal")
+
+    monkeypatch.setattr(*worker, no_work)
+    rc, out = run_cli(argv)
+    assert rc == cli.EXIT_FEASIBILITY
+    assert out == ""
+    assert "exceeds the bound" in capsys.readouterr().err
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(*worker, reached)
+    with pytest.raises(Reached):
+        run_cli(top)
 
 
 def test_loginv_traces_only_the_colors_it_reads(monkeypatch):

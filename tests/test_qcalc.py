@@ -417,6 +417,37 @@ class TestRootTable:
                 direct = mp.fprod(mp.sinpi(mp.mpf(k) / N) / one for k in range(1, n + 1))
                 assert_close(ctx.qfact_at(n), direct, ctx.tol)
 
+    @pytest.mark.parametrize("digits", [30, 200])
+    def test_entries_on_first_read_equal_the_eager_table(self, digits):
+        # the table as it was once built, all at once: entries 0..2N from
+        # mpmath at dps, the rest their conjugates; the entries filled on
+        # first read, in any order and at any ambient precision, are the
+        # same mpc values bit for bit
+        for N in range(2, 13):
+            ctx = RootContext(N, precision_digits=digits)
+            with ctx.workprec():
+                top = [mp.expjpi(mp.mpf(k) / (2 * N)) for k in range(2 * N + 1)]
+                eager = [z._mpc_ for z in top + [z.conjugate() for z in reversed(top[1:-1])]]
+            backwards = RootContext(N, precision_digits=digits)
+            with mp.workdps(15):
+                for k in reversed(range(4 * N)):
+                    backwards.xi_pow(k, 2)
+            forwards = RootContext(N, precision_digits=digits)
+            with mp.workdps(500):
+                for k in range(4 * N):
+                    forwards.half_powers[k]
+            for ctx in (backwards, forwards):
+                assert [ctx.half_powers[k]._mpc_ for k in range(4 * N)] == eager
+
+    def test_evaluation_fills_only_the_entries_it_reads(self):
+        # q^{3/2} and q^{-3/2} read entries 3 and 4N - 3, the conjugate of
+        # entry 3; no other entry is computed
+        ctx = RootContext(5)
+        ctx.eval_at(LaurentPoly({3: 1, -3: 2}))
+        assert set(ctx.half_powers) == {3, 17}
+        ctx.brace_at(2)
+        assert set(ctx.half_powers) == {3, 4, 17}
+
     def test_bad_arguments(self, ctx3):
         with pytest.raises(ValueError):
             ctx3.xi_pow(1, 3)

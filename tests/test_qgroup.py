@@ -323,11 +323,25 @@ class TestRMatrixSpecialization:
         monkeypatch.setattr(RootContext, "order_at", recording)
         y2m = build_modified(-1, 2, 4)[0]
         assert rmatrix_specialization_check(y2m, y2m, ctx4) < ctx4.tol
-        e_pow, _, f_scaled = jones._rep_powers(y2m)
+        e_pow, f_scaled = jones._rep_powers(y2m)
         low = {id(p) for powers in (e_pow, f_scaled) for mat in powers[:4] for p in mat.values()}
         high = {id(p) for powers in (e_pow, f_scaled) for mat in powers[4:] for p in mat.values()}
         assert high and high <= {id(p) for p in reduced}
         assert not low & {id(p) for p in reduced}
+
+    def test_divided_powers_left_to_rmatrix_terms(self, ctx3, monkeypatch):
+        # the check reads E^n and {1}^n F^n alone; the divided powers
+        # E^n/[n]! are built on the first rmatrix_terms call, on the same
+        # memoized E^n, and give the terms of a fresh representation
+        def forbidden(V):
+            raise AssertionError("the check built the divided powers")
+
+        y = build_modified(-1, 2, 3)[0]
+        with monkeypatch.context() as m:
+            m.setattr(jones, "_divided_powers", forbidden)
+            assert rmatrix_specialization_check(y, y, ctx3) < ctx3.tol
+        fresh = build_modified(-1, 2, 3)[0]
+        assert list(jones.rmatrix_terms(y, y)) == list(jones.rmatrix_terms(fresh, fresh))
 
     def test_genuine_pole(self, ctx3):
         # at N = 3 the [3] in E^3 and in F^3 of W_5 is their one zero at

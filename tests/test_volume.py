@@ -3,7 +3,7 @@ import json
 import mpmath as mp
 import pytest
 
-from logjones import habiro, loginv, volume
+from logjones import habiro, jones, loginv, volume
 from logjones.qcalc import RootContext
 from logjones.volume import (
     asymptotic_scan,
@@ -300,7 +300,7 @@ class TestScan:
         calls = []
 
         def counting(alpha, dps=30):
-            calls.append(alpha)
+            calls.append(dps)
             return cone_volume(alpha, dps)
 
         volume._row_volume.cache_clear()
@@ -308,6 +308,31 @@ class TestScan:
         res = asymptotic_scan(N)
         volume._row_volume.cache_clear()
         assert len(calls) == sum(1 for r in res.rows if r.region == "volume") == 13
+        # at the 30 digits of vol_reference, as a row keeps a double
+        assert set(calls) == {30}
+
+    def test_scan_reads_only_the_root_table_entry_it_needs(self, monkeypatch):
+        # the scan evaluates a_i = 1 of 4_1, bin 0, and nothing else at
+        # xi; a fresh catalog entry keeps a memoized a_i(xi) from hiding it
+        monkeypatch.setattr(habiro, "_CATALOG_CACHE", {})
+        ctx = RootContext(150, precision_digits=scan_precision(150))
+        asymptotic_scan(150, ctx)
+        assert set(ctx.half_powers) == {0}
+
+    @pytest.mark.parametrize("N, digits", [(12, None), (97, None), (150, None), (400, None),
+                                           (30, 1000)])
+    def test_reference_at_30_digits_is_the_same_double(self, N, digits):
+        # the rows keep vol_reference as a double, computed at the 30
+        # digits of vol_reference; it is the double of the value at ctx.dps
+        ctx = RootContext(N, precision_digits=digits or scan_precision(N))
+        for r in asymptotic_scan(N, ctx).rows:
+            assert r.vol_reference == float(vol_reference(r.s, N, ctx.dps)[0]), r.s
+
+    def test_library_scan_bounded(self):
+        # asymptotic_scan applies check_scan to its own context too
+        for N, digits in ((volume.MAX_SCAN_N + 1, 275), (420, 4000)):
+            with pytest.raises(jones.FeasibilityError):
+                asymptotic_scan(N, RootContext(N, precision_digits=digits))
 
     def test_context_at_another_root_refused(self):
         # rows s = 1, 2 of N = 3 would be read at the N = 4 root
