@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 feasibility refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,7 +175,10 @@ def cmd_volume_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and reused by
+    each main call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="logjones",
         description="Logarithmic knot invariants from colored Jones invariants")
@@ -225,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         asked = _asked_precision(args)
         args.precision_asked = asked is not None

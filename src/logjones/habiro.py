@@ -19,7 +19,7 @@ from collections.abc import Callable
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, to_fixed
 
-from .qcalc import Jet, LaurentPoly, RootContext, brace, qint
+from .qcalc import Jet, LaurentPoly, RootContext, kron_pack, kron_unpack, qint
 from . import jones
 
 
@@ -34,8 +34,10 @@ class HabiroCoeffs:
     knot: str
     rule: Callable[[int], LaurentPoly]
     i_max: int | None = None
-    # the jets of V_m/[m], keyed by ("jet", N, m), and of the a_i, keyed by
-    # ("jets", N), the list of a_i at xi, keyed by ("xi", N, dps), and its
+    # the jets of V_m/[m], keyed by ("jet", N, m), the Horner pass of each
+    # residue r of the color mod N they are read off, keyed by
+    # ("pass", N, r), the jets of the a_i, keyed by ("jets", N), the list
+    # of a_i at xi, keyed by ("xi", N, dps), and its
     # fixed-point parts, keyed by ("fixed", N, P); the lists are only ever
     # appended to and shared between callers, which never mutate them
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
@@ -97,16 +99,14 @@ def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
 
     V_m/[m] = sum_{i<m} a_i L_i(m) (see _ladder) is lower triangular in
     the a_i: forward substitution divides V_m exactly by [m], subtracts the
-    known terms and divides once by L_{m-1}(m).  A nonzero remainder means
-    the inputs were not the 0-framed invariants of a knot.
+    known terms, read off one packed ladder with its top rung L_{m-1}(m),
+    and divides once by that rung.  A nonzero remainder means the inputs
+    were not the 0-framed invariants of a knot.
     """
     coeffs = []
     for m, vm in enumerate(jones_values, start=1):
-        acc = vm / qint(m)
-        *lower, top = _ladder(m)
-        for a, rung in zip(coeffs, lower):
-            acc = acc - a * rung
-        coeffs.append(acc / top)
+        lower, top = _ladder(coeffs, m, top=True)
+        coeffs.append((vm / qint(m) - lower) / top)
     return HabiroCoeffs.from_table(knot, coeffs)
 
 
@@ -118,16 +118,39 @@ def _check_color(h: HabiroCoeffs, m: int, n: int):
         raise ValueError(f"{h.knot}: V_{m} needs a_{n-1}, only a_0..a_{h.i_max} available")
 
 
-def _ladder(m: int):
-    """L_0(m), ..., L_{m-1}(m) with L_i(m) = prod_{j=1}^{i} {m+j}{m-j}.
-
+def _ladder(coeffs: list, m: int, top: bool = False):
+    """sum_{i<n} a_i L_i(m) for the n given a_i, L_i(m) =
+    prod_{j=1}^{i} {m+j}{m-j}, and with top the pair of it and L_n(m).
     {m+i, 2i+1}/{1} = [m] L_i(m), so this one ladder serves V_m, V_m/[m]
-    and the extraction of the a_i."""
-    rung = LaurentPoly.const(1)
-    for i in range(m):
+    and the extraction of the a_i.
+
+    The rung is one int (qcalc.kron_pack), digit k at doubled exponent
+    lo + step k with step = gcd(4, exponents of the a_i).  As
+    {m+i}{m-i} = q^{-2m} (q^{2(m+i)} - 1)(q^{2(m-i)} - 1), a rung step is
+    two shifts and two subtractions.  Each a_i is packed once and
+    multiplied in, and each result is unpacked once.  ||{m+j}{m-j}||_1 = 4
+    and the L1 norm is submultiplicative, so a width one bit above
+    sum_i ||a_i||_1 4^i (plus 4^n with top) decodes every digit."""
+    n = len(coeffs)
+    step = math.gcd(4, *(e for a in coeffs for e in a.terms))
+    bound = sum(sum(map(abs, a.terms.values())) << 2 * i for i, a in enumerate(coeffs))
+    width = (bound + (top << 2 * n)).bit_length() + 1
+    per_q2 = 4 // step * width
+    rungs = [i for i, a in enumerate(coeffs) if a]
+    # the lowest doubled exponent of the sum: L_i(m) starts at -4mi
+    lo = min((min(coeffs[i].terms) - 4 * m * i for i in rungs), default=0)
+    rung, total = 1, 0
+    for i in range(n + 1 if top else max(rungs, default=-1) + 1):
         if i:
-            rung = rung * (brace(m + i) * brace(m - i))
-        yield rung
+            rung = (rung << (m + i) * per_q2) - rung
+            rung = (rung << (m - i) * per_q2) - rung
+        if i < n and coeffs[i]:
+            a = coeffs[i].terms
+            a_lo = min(a)
+            total += (kron_pack(a, a_lo, step, width) * rung
+                      << (a_lo - 4 * m * i - lo) // step * width)
+    head = LaurentPoly(kron_unpack(total, lo, step, width))
+    return (head, LaurentPoly(kron_unpack(rung, -4 * m * n, step, width))) if top else head
 
 
 def reconstruct_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
@@ -143,35 +166,73 @@ def reconstruct_normalized_Vm(h: HabiroCoeffs, m: int) -> LaurentPoly:
 def ladder_head(h: HabiroCoeffs, m: int, n: int) -> LaurentPoly:
     """sum_{i<n} a_i L_i(m), exact: the first n <= m rungs of V_m/[m]."""
     _check_color(h, m, n)
-    out = LaurentPoly()
-    for i, rung in zip(range(n), _ladder(m)):
-        out = out + h.coeff(i) * rung
-    return out
+    return _ladder([h.coeff(i) for i in range(min(m, n))], m)
 
 
 def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
     """The jet of V_m/[m] mod x^{4N} - 1 (see qcalc.Jet), equal to
     Jet.of(reconstruct_normalized_Vm(h, m), N) without building V_m/[m].
 
-    For i >= N the rung L_i(m) = prod_{j=1..i} {m+j}{m-j} holds two
-    factors {kN}, one among {m+1}..{m+i} and one among {m-i}..{m-1}, and
-    {kN} = x^{2kN} - x^{-2kN} is 0 mod x^{4N} - 1, so the jet of the rung,
-    value and derivative, is 0.  Only a_0..a_{n-1}, n = min(m, N), reach
-    the jet, and Horner's rule runs over them:
-    J = a_{n-1}, then J = a_{j-1} + {m+j}{m-j} J for j = n-1, ..., 1,
-    four rotations of a 4N vector per step; the a_i are reduced once per
-    N.  Memoized on h, keyed by (N, m)."""
+    For i >= N the rung L_i(m) holds two factors {kN}, each 0 mod
+    x^{4N} - 1, so only a_0..a_{N-1} reach the jet.  With
+    u_k = x^{4k} + x^{-4k} the rung factor is {m+j}{m-j} = u_m - u_j, so
+    V_m/[m] = P(u_m), P(u) = sum_i a_i prod_{j=1..i} (u - u_j), and the
+    jet of u_m is (U_r, +-m delta_r) with r = +-m mod N in 0..N/2.  As
+    (0, delta)^2 = 0 in the jet ring,
+
+      jet(V_m/[m]) = P(U_r) +- m (0, delta_r value(P'(U_r))),
+
+    read off the one Horner pass of residue r (_residue_pass).  Memoized
+    on h, keyed by (N, m)."""
     key = ("jet", N, m)
     if key not in h._memo:
-        n = min(m, N)
-        _check_color(h, m, n)
+        _check_color(h, m, min(m, N))
+        rho = m % N
+        r, sign = (rho, m) if 2 * rho <= N else (N - rho, -m)
+        v, w, slope = _residue_pass(h, N, r)
+        h._memo[key] = Jet(v, [x + sign * y for x, y in zip(w, slope)])
+    return h._memo[key]
+
+
+def _rotate(v: list, k: int) -> list:
+    """The bins of x^k times the bins v, mod x^{len(v)} - 1."""
+    k %= len(v)
+    return v[-k:] + v[:-k] if k else v
+
+
+def _residue_pass(h: HabiroCoeffs, N: int, r: int):
+    """(v, w, slope): the jet (v, w) of P(U_r) and slope = delta_r
+    value(P'(U_r)), with U_r = (bins of x^{4r} + x^{-4r}, 0) and delta_r
+    the bins of 4x^{4r} - 4x^{-4r} (see normalized_Vm_jet).
+
+    Horner over a_0..a_{n-1}, n = min(N, coefficients held), carries the
+    jet J of P and only the value D of P': D <- J.v + (U_r - u_j) D, then
+    J <- a_{j-1} + (U_r - u_j) J, where u_j has the D-part
+    4j x^{4j} - 4j x^{-4j}.  A color m < n reads the same pass, as every
+    rung i >= m holds u_m - u_m = 0.  The a_i are reduced once per N.
+    Memoized on h, keyed by (N, r)."""
+    key = ("pass", N, r)
+    if key not in h._memo:
+        n = N if h.i_max is None else min(N, h.i_max + 1)
         a = h._memo.setdefault(("jets", N), [])
         while len(a) < n:
             a.append(Jet.of(h.coeff(len(a)), N))
-        J = a[n - 1]
+        up, down = 4 * r, -4 * r
+        v, w = a[n - 1].v, a[n - 1].w
+        d = [0] * (4 * N)
         for j in range(n - 1, 0, -1):
-            J = a[j - 1] + J.times(brace(m + j) * brace(m - j))
-        h._memo[key] = J
+            uj = 4 * j
+            # (U_r - u_j) times d, w and v, and the D-part of -u_j times v
+            d = [x + p + q - s - t for x, p, q, s, t in
+                 zip(v, _rotate(d, up), _rotate(d, down), _rotate(d, uj), _rotate(d, -uj))]
+            vs, vt = _rotate(v, uj), _rotate(v, -uj)
+            w = [x + p + q - s - t - uj * (y - z) for x, p, q, s, t, y, z in
+                 zip(a[j - 1].w, _rotate(w, up), _rotate(w, down), _rotate(w, uj),
+                     _rotate(w, -uj), vs, vt)]
+            v = [x + p + q - s - t for x, p, q, s, t in
+                 zip(a[j - 1].v, _rotate(v, up), _rotate(v, down), vs, vt)]
+        slope = [4 * (p - q) for p, q in zip(_rotate(d, up), _rotate(d, down))]
+        h._memo[key] = (v, w, slope)
     return h._memo[key]
 
 

@@ -35,11 +35,11 @@ from . import habiro, jones
 
 
 # Largest N that center_coeffs takes on.  On a shared 2-vCPU Xeon a whole
-# loginv --knot 4_1 process takes 3.1 s and 29 MB at N = 60, 8.5 s and
-# 37 MB at N = 80, 17.7 s and 43 MB at N = 100 and 36 s and 60 MB at
-# N = 120 (3_1 at N = 100: 16.6 s, 19.6 s with --framing 1): the Horner
-# passes of habiro.normalized_Vm_jet grow like N^3.  Precision adds less:
-# at 4000 digits N = 60 takes 8.5 s and N = 100 30.5 s and 46 MB.  A
+# loginv --knot 4_1 process takes 1.2 s and 27 MB at N = 60, 2.5 s and
+# 32 MB at N = 80 and 4.2 s and 36 MB at N = 100 (3_1 at N = 100: 3.8 s,
+# 3.3 s with --framing 1): one Horner pass per residue of the color mod N
+# in habiro.normalized_Vm_jet, still O(N^3) in all.  Precision adds more
+# now: at 4000 digits N = 60 takes 6.5 s and N = 100 16.6 s and 41 MB.  A
 # larger N is refused with jones.FeasibilityError before the knot is
 # resolved; a braid word is bounded by jones.EXACT_DIM_CAP as well.
 MAX_N = 100

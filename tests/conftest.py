@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
-from logjones.qcalc import LaurentPoly, RootContext, int_or_frac_to_mp, qbinom, qint
+from logjones.qcalc import LaurentPoly, RootContext, brace, int_or_frac_to_mp, qbinom, qint
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -180,6 +180,39 @@ def exact_normalized_Vm(knot, m, framing=0):
     """Exact V_m/[m]_q (a Laurent polynomial for knots), framed."""
     v = habiro.reconstruct_normalized_Vm(habiro.coeffs_for(knot, m), m)
     return v.shift((m * m - 1) * framing) if framing else v
+
+
+def dict_ladder(m):
+    """L_0(m), ..., L_{m-1}(m), L_i(m) = prod_{j=1}^{i} {m+j}{m-j}, as
+    products of dict polynomials: the oracle for the packed ladder of
+    habiro._ladder."""
+    rung = LaurentPoly.const(1)
+    for i in range(m):
+        if i:
+            rung = rung * (brace(m + i) * brace(m - i))
+        yield rung
+
+
+def dict_ladder_head(h, m, n):
+    """sum_{i<n} a_i L_i(m) on the dict ladder (oracle for
+    habiro.ladder_head)."""
+    out = LaurentPoly()
+    for i, rung in zip(range(n), dict_ladder(m)):
+        out = out + h.coeff(i) * rung
+    return out
+
+
+def dict_extract_coeffs(values):
+    """a_0..a_{M-1} from exact 0-framed V_1..V_M by forward substitution
+    on the dict ladder (oracle for habiro.extract_coeffs)."""
+    coeffs = []
+    for m, vm in enumerate(values, start=1):
+        acc = vm / qint(m)
+        *lower, top = dict_ladder(m)
+        for a, rung in zip(coeffs, lower):
+            acc = acc - a * rung
+        coeffs.append(acc / top)
+    return coeffs
 
 
 def kashaev_invariant(knot, N, ctx=None):

@@ -275,6 +275,24 @@ def test_bad_input_exit_code_without_traceback(argv, code):
     assert proc.stdout == ""
 
 
+def test_parser_built_once_per_process(monkeypatch):
+    # main reuses one parser: calls in a row print and exit as calls that
+    # each build their own parser do, and the parser is built once
+    monkeypatch.delenv("LOGJONES_PRECISION", raising=False)
+    argvs = [["loginv", "--knot", "4_1", "--N", "3"],
+             ["habiro", "--knot", "3_1", "--imax", "4"],
+             ["loginv", "--knot", "4_1"]]
+    separate = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        separate.append(run_cli(argv))
+    cli.build_parser.cache_clear()
+    together = [run_cli(argv) for argv in argvs]
+    assert together == separate
+    assert [rc for rc, _ in together] == [cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_CONFIG]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_trefoil_past_the_old_table_limit():
     # V_17 needs a_16, one past the a_0..a_15 the trefoil once stored
     rc, out = run_cli(["loginv", "--knot", "3_1", "--N", "6"])

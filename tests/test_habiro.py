@@ -1,5 +1,6 @@
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logjones import habiro, jones, loginv
 from logjones.habiro import (
@@ -16,7 +17,8 @@ from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
 from logjones.qcalc import (InexactDivisionError, Jet, LaurentPoly, RootContext, brace,
                             brace_falling, qint)
 from logjones.volume import scan_precision
-from conftest import (assert_close, colored_jones_numeric, exact_normalized_Vm, horner,
+from conftest import (assert_close, colored_jones_numeric, dict_extract_coeffs, dict_ladder,
+                      dict_ladder_head, exact_normalized_Vm, horner, knotted_words,
                       window_ddm_Vm)
 
 
@@ -307,17 +309,24 @@ class TestHornerJet:
     # extracted from braid traces
     T25 = jones.parse_braid("2: 1 1 1 1 1")
 
+    def coeffs(self, name):
+        """A fresh coefficient object, so that no memo is shared between
+        tests: the closed form of a catalog knot, or the table a_0..a_7 of
+        T(2,5) extracted from its braid traces."""
+        if name == "T(2,5)":
+            return extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 9)],
+                                  name)
+        return HabiroCoeffs(name, catalog_coeffs(name).rule)
+
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_matches_the_exact_ladder(self, name):
-        # the Horner jet of V_m/[m] is the jet of the exact polynomial, at
-        # every color loginv reads (m <= 3N-1) and at framings that shift
-        # it by unreduced exponents of both signs
-        if name == "T(2,5)":
-            h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 9)], name)
-        else:
-            h = HabiroCoeffs(name, catalog_coeffs(name).rule)
-        for N in range(2, 7):
-            for m in range(1, 3 * N):
+        # the residue-pass jet of V_m/[m] is the jet of the exact polynomial,
+        # at every color m <= 3N that the coefficients reach (loginv reads
+        # m <= 3N-1), and at framings that shift it by unreduced exponents
+        # of both signs
+        h = self.coeffs(name)
+        for N in range(2, 9):
+            for m in range(1, 3 * N + 1):
                 if not h.has_coeff(m - 1):
                     break
                 assert normalized_Vm_jet(h, m, N) == Jet.of(reconstruct_normalized_Vm(h, m), N)
@@ -329,16 +338,20 @@ class TestHornerJet:
     def test_jet_reads_only_coefficients_below_N(self, name):
         # for i >= N the rung L_i(m) holds two factors {kN}, each 0 mod
         # x^{4N} - 1, so its jet (v, Dv) is (0, 0) and only a_0..a_{N-1}
-        # reach the jet of V_m/[m]
-        if name == "T(2,5)":
-            h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 9)], name)
-            Ns = (2, 3)
-        else:
-            h = HabiroCoeffs(name, catalog_coeffs(name).rule)
-            Ns = range(2, 8)
-        for N in Ns:
-            for m in range(1, 3 * N):
+        # reach the jet of V_m/[m]; the T(2,5) table a_0..a_7 reaches N = 8
+        h = self.coeffs(name)
+        for N in range(2, 9):
+            for m in range(1, 3 * N + 1):
                 assert normalized_Vm_jet(h, m, N) == truncated_ladder_jet(h, m, N), (N, m)
+
+    @pytest.mark.parametrize("N", [6, 12, 24])
+    def test_one_pass_per_residue_class(self, N):
+        # every jet loginv reads comes from one Horner pass per residue
+        # r = +-m mod N in 0..N/2
+        h = self.coeffs("3_1")
+        loginv.center_coeffs(h, RootContext(N))
+        passes = [key for key in h._memo if key[:2] == ("pass", N)]
+        assert 0 < len(passes) <= N // 2 + 1
 
     def test_beyond_table_refused(self):
         # a table a_0..a_2 answers every jet at N = 3, V_5/[5] among them,
@@ -354,6 +367,55 @@ class TestHornerJet:
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)], "T(2,5)")
         with pytest.raises(ValueError, match=r"^T\(2,5\): V_5 needs a_3, only a_0\.\.a_2 available$"):
             normalized_Vm_jet(h, 5, 4)
+
+
+class TestPackedLadder:
+    # the packed ladder of habiro._ladder against the dict ladder it
+    # replaced (conftest.dict_ladder)
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1"])
+    def test_heads_match_the_dict_ladder(self, name):
+        h = catalog_coeffs(name)
+        for N in range(2, 14):
+            for m in (N, 2 * N):
+                head = LaurentPoly()
+                for n, rung in enumerate(dict_ladder(m)):
+                    assert habiro.ladder_head(h, m, n) == head, (N, m, n)
+                    head = head + h.coeff(n) * rung
+                assert habiro.ladder_head(h, m, m) == head == reconstruct_normalized_Vm(h, m)
+
+    @pytest.mark.parametrize("exponents", [(0, 4, -8), (2, -6, 10), (1, -4, 3)],
+                             ids=["step4", "step2", "step1"])
+    def test_width_bound_on_large_coefficients(self, exponents):
+        # coefficients near +-10^6 on exponents that leave a digit step of
+        # 4, 2 and 1: every digit of the sum decodes within the width
+        table = [LaurentPoly.const(1)]
+        for i in range(1, 7):
+            table.append(LaurentPoly({e * i: (-1) ** (i + k) * (10 ** 6 - 7 * i - k)
+                                      for k, e in enumerate(exponents)}))
+        h = HabiroCoeffs.from_table("wide", table)
+        for m in range(1, 10):
+            for n in range(min(m, 7) + 1):
+                assert habiro.ladder_head(h, m, n) == dict_ladder_head(h, m, n), (m, n)
+
+    @pytest.mark.parametrize("word, M", [("1:", 40), ("2: 1 1 1", 10), ("3: 1 -2 1 -2", 7),
+                                         ("2: 1 1 1 1 1", 8)])
+    def test_extraction_matches_the_dict_ladder(self, word, M):
+        braid = jones.parse_braid(word)
+        values = [colored_jones_zero_framed(braid, m) for m in range(1, M + 1)]
+        h = extract_coeffs(values)
+        assert [h.coeff(i) for i in range(M)] == dict_extract_coeffs(values)
+
+    @settings(max_examples=10, deadline=None)
+    @given(knotted_words(), st.sampled_from((2, 3)))
+    def test_random_braids(self, b, N):
+        # an N-color extraction, the boundary head and V_m/[m] for m <= N
+        values = [colored_jones_zero_framed(b, m) for m in range(1, N + 1)]
+        h = extract_coeffs(values)
+        assert [h.coeff(i) for i in range(N)] == dict_extract_coeffs(values)
+        assert habiro.ladder_head(h, 2 * N, N) == dict_ladder_head(h, 2 * N, N)
+        for m in range(1, N + 1):
+            assert reconstruct_normalized_Vm(h, m) == dict_ladder_head(h, m, m)
 
 
 class TestColorDerivative:
