@@ -80,15 +80,16 @@ class HabiroCoeffs:
         that their products with the terms stay cheap, and otherwise the
         P of ``ctx.sin_cot``.
 
-        The returned lists are the memoized ones and may be longer."""
+        The returned lists are the memoized ones and may be longer; a
+        change of scale binds new lists, so a triple returned before keeps
+        its own."""
         P = ctx.sin_cot[-1]
-        memo = self._memo.setdefault(("fixed", ctx.N, P), [[], [], 0])
-        re, im, scale = memo
+        key = ("fixed", ctx.N, P)
+        re, im, scale = self._memo.setdefault(key, ([], [], 0))
         for v in self.at_xi(count, ctx)[len(re):count]:
             if not scale and not (mp.isint(v.real) and mp.isint(v.imag)):
-                memo[2] = scale = P
-                re[:] = [x << P for x in re]
-                im[:] = [x << P for x in im]
+                re, im, scale = [x << P for x in re], [x << P for x in im], P
+                self._memo[key] = re, im, scale
             re.append(to_fixed(v.real._mpf_, scale))
             im.append(to_fixed(v.imag._mpf_, scale))
         return re, im, scale

@@ -19,9 +19,11 @@ from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, kron_p
 
 
 class FeasibilityError(RuntimeError):
-    """Requested exact computation exceeds the documented size bound: a
-    tensor dimension above EXACT_DIM_CAP, or a qgroup verification at N
-    above qgroup.MAX_VERIFY_N."""
+    """Requested computation exceeds one of the documented size bounds: a
+    tensor dimension above EXACT_DIM_CAP, a qgroup verification at N above
+    qgroup.MAX_VERIFY_N, loginv at N above loginv.MAX_N, a volume scan
+    above the bound of volume.check_scan, or habiro --imax above
+    cli.MAX_IMAX."""
 
 
 class LinkNotKnotError(ValueError):

@@ -14,10 +14,12 @@ product) for i < su, 2 ~{s+i,2i+1} for su <= i < sb and 0 beyond, and
 N {1}/(pi i) cancels the pi i/(N {1}) of ddm_Vm.  Their agreement checks
 the fixed-point arithmetic of habiro.tilde_sum against mpmath.
 
-The radical coefficients b_s^+- come either from exact q-derivatives of
-normalized invariants or from the closed Habiro-sum form, and the two
-coordinate systems (idempotent/radical vs the good basis) are linked by an
-exact linear change of basis.
+center_coeffs takes the radical coefficients b_s^+- from the q-derivative
+route alone, exact q-derivatives of normalized invariants
+(b_pm_via_derivative).  The closed Habiro-sum form (b_pm_via_habiro) is
+the second route, which nothing in the package calls yet (ROADMAP
+direction 5).  The two coordinate systems (idempotent/radical vs the good
+basis) are linked by an exact linear change of basis.
 
 Every function that evaluates at xi takes a required RootContext ctx,
 which fixes N and the precision together, and reads N from ctx.N.

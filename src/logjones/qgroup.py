@@ -1,8 +1,8 @@
 """Restricted quantum group modules at xi and their verification.
 
 Builds the irreducibles U_s^+-, the length-two modules V_s^+-, the
-projectives P_s^+- and the specializations of the generic-q modified
-representations Y_m^+- as sparse matrices at xi; checks the defining
+projectives P_s^+- and the modified representations Y_m^+- at generic q
+and specializes them at xi as sparse matrices; checks the defining
 relations, the intertwiners f/g/h onto Y_m^+-, the vanishing of the high
 R-matrix terms at xi, and the center actions; and extracts the radical
 coefficients from partial traces on Y_m^+-.
@@ -25,18 +25,16 @@ import json
 
 import mpmath as mp
 
-from .qcalc import RootContext, qbinom, qint
+from .qcalc import LaurentPoly, RootContext, qbinom, qint
 from . import jones
 
 
 # Largest N that verification_report takes on.  On a shared 2-vCPU Xeon
-# the whole report, R-matrix sweep included, takes 0.07 s at N = 3,
-# 0.16 s at N = 4, 0.33 s at N = 5, 0.8 s at N = 6, 2.7 s at N = 7,
-# 4.5 s and 56 MB at N = 8, 7.1 s and 85 MB at N = 9 and 12.7 s and
-# 132 MB at N = 10.  Without the sweep it takes 0.41 s at N = 8 and
-# 0.66 s at N = 10, but it grows too, so the one bound holds for both.
-# A larger N is refused with jones.FeasibilityError before any module is
-# built.
+# qgroup-verify (cli.main in a fresh process) takes 0.4 s at N = 5, 2.4 s
+# and 55 MB at N = 8 and 8.8 s and 127 MB at N = 10, R-matrix sweep
+# included.  Without the sweep it takes 0.1 s, 0.4 s and 33 MB, and 1.2 s
+# and 44 MB, but it grows too, so the one bound holds for both.  A larger
+# N is refused with jones.FeasibilityError before any module is built.
 MAX_VERIFY_N = 10
 
 
@@ -45,9 +43,8 @@ class RestrictedModule:
     """One module of the restricted quantum group.
 
     matE, matF and matK are sparse maps {(row, col): mpc} of the actions
-    at xi; the Y kinds evaluate E and F of build_modified entrywise and
-    take K = xi^{weight}.  build_restricted shares one module among all
-    its callers, so nothing may change its maps.
+    at xi.  build_restricted shares one module among all its callers, so
+    nothing may change its maps.
     """
 
     kind: str
@@ -69,71 +66,70 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
     """Construct a module by its displayed actions, once per (kind, idx, ctx).
 
     kind is one of 'U+', 'U-', 'V+', 'V-' (1 <= idx <= N),
-    'P+', 'P-' (1 <= idx <= N-1), 'Y+', 'Y-' (1 <= idx <= N-1).
+    'P+', 'P-' (1 <= idx <= N-1), 'Y+', 'Y-' (1 <= idx <= N-1).  Each is
+    a WeightRep at generic q (build_modified for Y, _ladder_rep for the
+    rest), specialized here alone: E and F entrywise by ctx.eval_at, and
+    K = sign xi^weight, with sign = -1 on E and K of U- and V- only.
     """
     N = ctx.N
+    if kind in ("Y+", "Y-"):
+        rep, labels = build_modified(1 if kind[1] == "+" else -1, idx, N)
+    elif kind in ("U+", "U-", "V+", "V-"):
+        if not 1 <= idx <= N:
+            raise ValueError("index must be in 1..N for U/V kinds")
+        rep, labels = _ladder_rep([(kind[0].lower(), idx - 1, idx if kind[0] == "U" else N)])
+    elif kind in ("P+", "P-"):
+        if not 1 <= idx <= N - 1:
+            raise ValueError("index must be in 1..N-1 for P kinds")
+        # P_s^+, or P_{N-s}^- as its display is parametrized: ladders x, y
+        # of N-s vectors and a, b of s, with E links y_0 -> a_{s-1}, b_0 ->
+        # x_{N-s-1} and one diagonal pair, and F links from bottoms to tops
+        plus = kind == "P+"
+        s = idx if plus else N - idx
+        k = N - s
+        lower, upper, d = ("b", "a", s) if plus else ("y", "x", k)
+        rep, labels = _ladder_rep(
+            [("x", (2 * N if plus else 0) - s - 1, k), ("y", -s - 1, k),
+             ("a", s - 1, s), ("b", s - 1 - (0 if plus else 2 * N), s)],
+            [("y0", f"a{s - 1}"), ("b0", f"x{k - 1}")]
+            + [(f"{lower}{n}", f"{upper}{n - 1}") for n in range(1, d)],
+            [(f"x{k - 1}", "a0"), (f"b{s - 1}", "y0")] if plus
+            else [(f"y{k - 1}", "b0"), (f"a{s - 1}", "x0")])
+    else:
+        raise ValueError(f"unknown module kind {kind!r}")
+    sign = -1 if kind in ("U-", "V-") else 1
     with ctx.workprec():
-        if kind in ("Y+", "Y-"):
-            rep, labels = build_modified(1 if kind[1] == "+" else -1, idx, N)
-            E, F = ({key: ctx.eval_at(p) for key, p in mat.items()} for mat in (rep.E, rep.F))
-            K = {(i, i): ctx.xi_pow(w) for i, w in enumerate(rep.weights)}
-            return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels)
-        if kind in ("U+", "U-", "V+", "V-"):
-            if not 1 <= idx <= N:
-                raise ValueError("index must be in 1..N for U/V kinds")
-            sgn = 1 if kind[1] == "+" else -1
-            d = idx if kind[0] == "U" else N
-            E, F, K = {}, {}, {}
-            for n in range(d):
-                K[(n, n)] = sgn * ctx.xi_pow(idx - 1 - 2 * n)
-                if n >= 1:
-                    E[(n - 1, n)] = sgn * ctx.qint_at(n) * ctx.qint_at(idx - n)
-                if n <= d - 2:
-                    F[(n + 1, n)] = mp.mpc(1)
-            labels = [f"{'u' if kind[0] == 'U' else 'v'}{n}" for n in range(d)]
-            return RestrictedModule(kind, idx, N, d, E, F, K, labels)
-        if kind in ("P+", "P-"):
-            if not 1 <= idx <= N - 1:
-                raise ValueError("index must be in 1..N-1 for P kinds")
-            # the displayed minus-family actions are parametrized so that
-            # parameter s builds P_{N-s}^-
-            return _build_p(kind, idx if kind == "P+" else N - idx, ctx)
-    raise ValueError(f"unknown module kind {kind!r}")
+        E = {key: sign * ctx.eval_at(p) for key, p in rep.E.items()}
+        F = {key: ctx.eval_at(p) for key, p in rep.F.items()}
+        K = {(i, i): sign * ctx.xi_pow(w) for i, w in enumerate(rep.weights)}
+    return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels)
 
 
-def _build_p(kind: str, s: int, ctx: RootContext) -> RestrictedModule:
-    """P_s^+ (kind 'P+') or P_{N-s}^- (kind 'P-') on basis x_0..x_{N-s-1},
-    y_0..y_{N-s-1}, a_0..a_{s-1}, b_0..b_{s-1}.
+def _ladder_rep(ladders, e_links=(), f_links=()):
+    """The ladders (c, t, d) laid end to end as a WeightRep, and its labels.
 
-    Both displays run E and F along the four ladders and link a_{s-1} <- y_0
-    and x_{N-s-1} <- b_0 by E.  They differ in the weights of x and b, in
-    the ladder pair that E links diagonally (a-b for P+, x-y for P-), and
-    in the two F links from the bottom of one ladder to the top of another
-    (x -> a and b -> y for P+, y -> b and a -> x for P-)."""
-    N = ctx.N
-    plus = kind == "P+"
-    k = N - s
-    size = {"x": k, "y": k, "a": s, "b": s}
-    labels = [f"{c}{j}" for c in "xyab" for j in range(size[c])]
+    Ladder c of top weight t and length d has the basis c0..c{d-1} = f_n,
+    with K f_n = q^{t-2n} f_n, E f_n = [n][t+1-n] f_{n-1} (left out where
+    0) and F f_n = f_{n+1}.  A link (src, dst) of e_links (f_links) adds
+    dst to the image of src under E (F).  No sign is kept by hand: at xi,
+    [2N-k] = -[k] and [N-k] = [k], so the rule itself gives the displayed
+    -[n][N-s-n] on the x and y ladders of P.
+    """
+    one = LaurentPoly.const(1)
+    labels, weights, E, F = [], [], {}, {}
+    for c, t, d in ladders:
+        i = len(labels)
+        labels += [f"{c}{n}" for n in range(d)]
+        weights += [t - 2 * n for n in range(d)]
+        for n in range(1, d):
+            e = qint(n) * qint(t + 1 - n)
+            if e:
+                E[(i + n - 1, i + n)] = e
+            F[(i + n, i + n - 1)] = one
     pos = {lab: i for i, lab in enumerate(labels)}
-    top = {"x": (2 * N if plus else 0) - s - 1, "y": -s - 1,
-           "a": s - 1, "b": s - 1 - (0 if plus else 2 * N)}
-    wexp = [top[lab[0]] - 2 * int(lab[1:]) for lab in labels]
-    K = {(i, i): ctx.xi_pow(w) for i, w in enumerate(wexp)}
-    one = mp.mpc(1)
-    E = {(pos[f"a{s-1}"], pos["y0"]): one, (pos[f"x{k-1}"], pos["b0"]): one}
-    F = {}
-    for c in "xyab":
-        for n in range(1, size[c]):
-            v = ctx.qint_at(n) * ctx.qint_at(size[c] - n)
-            E[(pos[f"{c}{n-1}"], pos[f"{c}{n}"])] = -v if c in "xy" else v
-            F[(pos[f"{c}{n}"], pos[f"{c}{n-1}"])] = one
-    upper, lower = ("a", "b") if plus else ("x", "y")
-    for n in range(1, size[upper]):
-        E[(pos[f"{upper}{n-1}"], pos[f"{lower}{n}"])] = one
-    for src, dst in ((("x", "a"), ("b", "y")) if plus else (("y", "b"), ("a", "x"))):
-        F[(pos[f"{dst}0"], pos[f"{src}{size[src] - 1}"])] = one
-    return RestrictedModule(kind, s if plus else N - s, N, 2 * N, E, F, K, labels)
+    for mat, links in ((E, e_links), (F, f_links)):
+        mat.update({(pos[dst], pos[src]): one for src, dst in links})
+    return jones.WeightRep(len(labels), E, F, tuple(weights)), labels
 
 
 def _modified_ladders(sign: int, m: int, N: int):

@@ -101,23 +101,15 @@ def _clausen_coeffs(prec: int) -> tuple:
     return q, tuple(reversed(coeffs))
 
 
-@dataclasses.dataclass(frozen=True)
-class ConeVolumeParams:
-    """Derived quantities of the cone angle: the (pi, 2pi) branch angle
-    theta with cos(theta) = cos(alpha) - 1/2."""
-
-    alpha: float
-    theta: float
-
-
-def cone_params(alpha, dps: int = 30) -> ConeVolumeParams:
+def cone_params(alpha, dps: int = 30):
+    """The branch angle theta in (pi, 2pi) of the cone angle alpha, with
+    cos(theta) = cos(alpha) - 1/2."""
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         c = mp.cos(a) - mp.mpf(1) / 2
         if abs(c) > 1:
             raise ValueError(f"cos(alpha) - 1/2 = {c} outside [-1, 1]")
-        theta = 2 * mp.pi - mp.acos(c)
-        return ConeVolumeParams(a, theta)
+        return 2 * mp.pi - mp.acos(c)
 
 
 def cone_volume(alpha, dps: int = 30):
@@ -130,23 +122,21 @@ def cone_volume(alpha, dps: int = 30):
         a = mp.mpf(alpha)
         if a < 0 or a >= 2 * mp.pi / 3:
             raise ValueError("alpha must lie in [0, 2pi/3) for the hyperbolic cone volume")
-        p = cone_params(a, dps)
-        return -2 * (lobachevsky((p.alpha + p.theta) / 2, dps)
-                     - lobachevsky((p.alpha - p.theta) / 2, dps))
+        theta = cone_params(a, dps)
+        return -2 * (lobachevsky((a + theta) / 2, dps) - lobachevsky((a - theta) / 2, dps))
 
 
-def gamma_fig8_fast(N: int, s: int, ctx: RootContext = None):
+def gamma_fig8_fast(N: int, s: int, ctx: RootContext):
     """gamma_s^{(N)} of the figure-eight knot by the O(N) kernel:
 
     sum_{i<su} {s+i,2i+1} sum_{k=s-i..s+i} {k}_+/{k}
       + 2 sum_{i=su..sb-1} ~{s+i,2i+1},
 
-    habiro.tilde_sum on the all-ones coefficients of 4_1.  A given ctx
-    must be at this N.
+    habiro.tilde_sum on the all-ones coefficients of 4_1.  ctx must be at
+    this N.
     """
-    if ctx is not None and ctx.N != N:
+    if ctx.N != N:
         raise ValueError(f"N={N} but the context is at N={ctx.N}")
-    ctx = ctx or RootContext(N, precision_digits=33)
     return habiro.tilde_sum(habiro.catalog_coeffs("4_1"), s, ctx)
 
 

@@ -369,6 +369,50 @@ def displayed_modified(sign, m, N):
     return jones.WeightRep(na + nb, E, F, tuple(alpha_w + beta_w)), labels
 
 
+def displayed_restricted(kind, idx, ctx):
+    """(dim, matE, matF, matK, labels) of U_s^+-, V_s^+- (kind 'U+', ..,
+    'V-', s = idx) or P_s^+, P_{N-s}^- (kind 'P+' with s = idx, 'P-' with
+    s = N - idx), written at xi from the displayed actions, with the sign
+    of each x and y ladder entry kept by hand: the oracle for the one
+    ladder rule of qgroup.build_restricted."""
+    N = ctx.N
+    one = mp.mpc(1)
+    with ctx.workprec():
+        if kind[0] in "UV":
+            sgn = 1 if kind[1] == "+" else -1
+            d = idx if kind[0] == "U" else N
+            E, F, K = {}, {}, {}
+            for n in range(d):
+                K[(n, n)] = sgn * ctx.xi_pow(idx - 1 - 2 * n)
+                if n >= 1:
+                    E[(n - 1, n)] = sgn * ctx.qint_at(n) * ctx.qint_at(idx - n)
+                if n <= d - 2:
+                    F[(n + 1, n)] = one
+            return d, E, F, K, [f"{kind[0].lower()}{n}" for n in range(d)]
+        plus = kind == "P+"
+        s = idx if plus else N - idx
+        k = N - s
+        size = {"x": k, "y": k, "a": s, "b": s}
+        labels = [f"{c}{j}" for c in "xyab" for j in range(size[c])]
+        pos = {lab: i for i, lab in enumerate(labels)}
+        top = {"x": (2 * N if plus else 0) - s - 1, "y": -s - 1,
+               "a": s - 1, "b": s - 1 - (0 if plus else 2 * N)}
+        K = {(i, i): ctx.xi_pow(top[lab[0]] - 2 * int(lab[1:])) for i, lab in enumerate(labels)}
+        E = {(pos[f"a{s-1}"], pos["y0"]): one, (pos[f"x{k-1}"], pos["b0"]): one}
+        F = {}
+        for c in "xyab":
+            for n in range(1, size[c]):
+                v = ctx.qint_at(n) * ctx.qint_at(size[c] - n)
+                E[(pos[f"{c}{n-1}"], pos[f"{c}{n}"])] = -v if c in "xy" else v
+                F[(pos[f"{c}{n}"], pos[f"{c}{n-1}"])] = one
+        upper, lower = ("a", "b") if plus else ("x", "y")
+        for n in range(1, size[upper]):
+            E[(pos[f"{upper}{n-1}"], pos[f"{lower}{n}"])] = one
+        for src, dst in ((("x", "a"), ("b", "y")) if plus else (("y", "b"), ("a", "x"))):
+            F[(pos[f"{dst}0"], pos[f"{src}{size[src] - 1}"])] = one
+        return 2 * N, E, F, K, labels
+
+
 def with_entry(V, side, key, value):
     """V with the entry key of its E action (side "E") or of its F action
     (side "F") set to value: a negative control, which breaks the

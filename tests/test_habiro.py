@@ -147,7 +147,7 @@ class TestTildeSum:
 
     def test_fixed_coefficients(self):
         # Gaussian-integer a_i(xi) stay at the scale 1; the first other one
-        # moves the whole memoized list to the scale 2^P of the table
+        # puts the whole memoized list at the scale 2^P of the table
         ctx = RootContext(7)
         P = ctx.sin_cot[-1]
         h = HabiroCoeffs("4_1", catalog_coeffs("4_1").rule)
@@ -160,6 +160,19 @@ class TestTildeSum:
         with ctx.workprec():
             for v, x, y in zip(h.at_xi(6, ctx), re, im):
                 assert abs(mp.mpc(v) - mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P))) <= mp.ldexp(2, -P)
+
+    def test_fixed_coefficients_keep_a_returned_triple(self):
+        # the change of scale binds new lists in the memo: a triple handed
+        # out at the scale 1 keeps its values, and the later call equals
+        # the one on a fresh coefficient object
+        ctx = RootContext(5)
+        h = HabiroCoeffs("3_1", catalog_coeffs("3_1").rule)
+        first = h.fixed_at_xi(1, ctx)
+        assert first == ([1], [0], 0)
+        second = h.fixed_at_xi(3, ctx)
+        assert first == ([1], [0], 0)
+        fresh = HabiroCoeffs("3_1", catalog_coeffs("3_1").rule).fixed_at_xi(3, ctx)
+        assert second == fresh and second[2] == ctx.sin_cot[-1]
 
     @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
     def test_window_products_are_V_s(self, knot):

@@ -22,9 +22,9 @@ from logjones.qgroup import (
     x0_to_b,
     y1_basis_indices,
 )
-from conftest import (assert_close, displayed_modified, eta_block_data, exact_normalized_Vm,
-                      exact_Vm, q_power, rmatrix_specialization_by_limits, weight_multiset,
-                      with_entry)
+from conftest import (assert_close, displayed_modified, displayed_restricted, eta_block_data,
+                      exact_normalized_Vm, exact_Vm, q_power, rmatrix_specialization_by_limits,
+                      weight_multiset, with_entry)
 
 
 # -- dense oracles: the residuals as computed on dense matrices, which the
@@ -154,6 +154,21 @@ class TestModuleZoo:
                 assert (rep.dim, rep.weights) == (want.dim, want.weights)
                 assert list(rep.E.items()) == list(want.E.items())
                 assert list(rep.F.items()) == list(want.F.items())
+
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_ladder_rule_matches_the_displays(self, N):
+        # U, V and P from the one ladder rule, specialized at xi, against
+        # the displayed actions with their hand-kept signs: labels,
+        # dimension and K exactly, E and F within the tolerance
+        ctx = RootContext(N)
+        for kind in ("U+", "U-", "V+", "V-", "P+", "P-"):
+            for idx in range(1, N + 1 if kind[0] in "UV" else N):
+                mod = build_restricted(kind, idx, ctx)
+                dim, E, F, K, labels = displayed_restricted(kind, idx, ctx)
+                assert (mod.dim, mod.basis_labels) == (dim, labels)
+                assert mod.matK == K
+                assert qgroup._max_diff(mod.matE, E) < ctx.tol
+                assert qgroup._max_diff(mod.matF, F) < ctx.tol
 
     def test_index_ranges(self, ctx3):
         for kind, bad in (("U+", 4), ("P+", 3), ("Y-", 0), ("P-", 0)):

@@ -15,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "logjones"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 # the second and third routes to b_s^+-, which loginv is to cross-check its
-# b_s^+- against (ROADMAP direction 3); until then only tests call them
+# b_s^+- against (ROADMAP direction 5); until then only tests call them
 NOT_YET_REACHED = {"loginv.b_pm_via_habiro", "qgroup.x0_from_eta", "qgroup.x0_to_b"}
 
 
@@ -104,6 +104,19 @@ def test_class_fields_read_in_src():
                     if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
                     and field.target.id not in read)
     assert not unread, f"class fields that no src/ code reads: {unread}"
+
+
+def test_one_place_constructs_restricted_modules():
+    # every module kind is built at generic q and specialized at xi in
+    # build_restricted alone: it is the one RestrictedModule(...) call in
+    # src/, by name or as an attribute, at any depth
+    def constructs(node):
+        return isinstance(node, ast.Call) and "RestrictedModule" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    where = [(mod, getattr(top, "name", None)) for mod, tree in TREES.items()
+             for top in tree.body for node in ast.walk(top) if constructs(node)]
+    assert where == [("qgroup", "build_restricted")], where
 
 
 def comparisons_with_tol(tree, where=""):

@@ -33,10 +33,11 @@ class TestLobachevsky:
     @pytest.mark.parametrize("dps", [30, 57, 110, 300])
     def test_series_matches_polylog_oracle(self, dps):
         with mp.workdps(dps):
-            p = cone_params(2 * mp.pi / 150, dps)
+            a = 2 * mp.pi / 150
+            theta = cone_params(a, dps)
             xs = [mp.mpf(0), +mp.pi / 2, -mp.pi / 2, mp.pi - mp.mpf(10) ** -20,
                   mp.mpf("-0.4"), mp.mpf(-2), mp.mpf("-7.1"), mp.mpf(4), mp.mpf("10.5"),
-                  (p.alpha + p.theta) / 2, (p.alpha - p.theta) / 2]
+                  (a + theta) / 2, (a - theta) / 2]
         for x in xs:
             assert abs(lobachevsky(x, dps) - polylog_lobachevsky(x, dps)) < mp.mpf(10) ** -dps, x
 
@@ -102,12 +103,12 @@ class TestLobachevsky:
 
 class TestConeVolume:
     def test_params_branch(self):
-        p = cone_params(0)
-        assert abs(p.theta - 5 * mp.pi / 3) < 1e-20  # 2 pi - pi/3
-        assert mp.pi < p.theta < 2 * mp.pi
+        theta = cone_params(0)
+        assert abs(theta - 5 * mp.pi / 3) < 1e-20  # 2 pi - pi/3
+        assert mp.pi < theta < 2 * mp.pi
         assert abs(cone_t(0) - 1) < 1e-20
-        p2 = cone_params(mp.mpf("0.8"))
-        assert abs(mp.cos(p2.theta) - (mp.cos(mp.mpf("0.8")) - mp.mpf(1) / 2)) < 1e-20
+        theta2 = cone_params(mp.mpf("0.8"))
+        assert abs(mp.cos(theta2) - (mp.cos(mp.mpf("0.8")) - mp.mpf(1) / 2)) < 1e-20
 
     def test_volume_at_zero(self):
         v = cone_volume(0)
