@@ -107,7 +107,7 @@ def cmd_jones(args) -> int:
     braid = _resolve_knot(args)
     colors = [args.m] if args.m is not None else list(range(1, args.max_m + 1))
     jones.check_trace(braid, colors[-1])
-    payload = {"knot": braid.name or args.braid, "strands": braid.strands,
+    payload = {"knot": braid.name, "strands": braid.strands,
                "writhe": braid.writhe, "framing": 0, "values": {}}
     for m in colors:
         v = jones.colored_jones_zero_framed(braid, m)
@@ -125,7 +125,7 @@ def cmd_habiro(args) -> int:
     i_top = args.imax if args.imax is not None else (9 if args.knot else 5)
     h = habiro.coeffs_for(args.knot or braid, i_top + 1)
     coeffs = [h.coeff(i) for i in range(i_top + 1)]
-    payload = {"knot": braid.name or args.braid,
+    payload = {"knot": braid.name,
                "all_ones": all(c == 1 for c in coeffs),
                "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}
                           for i, c in enumerate(coeffs)}}

@@ -1,9 +1,12 @@
 """Colored Jones invariants of braid-closure knots.
 
-Builds the m-dimensional highest weight representation and the universal
-R-matrix action over exact Laurent polynomials, and the braid group
-representation on tensor powers with its quantum and partial traces on
-Kronecker-packed ints.  The braiding at a positive crossing is P (factor
+Builds every weight representation, W_m and the modules of qgroup, by
+one rule (ladder_rep): ladders with K f_n = q^{t-2n} f_n and
+EF = [n][t+1-n] on their rungs, the factor [t+1-n] on F for W_m and
+Y_m^+- and on E for U, V and P, plus links between ladders.  Over exact
+Laurent polynomials it builds the universal R-matrix action on them and
+the braid group representation on tensor powers, with its quantum and
+partial traces on Kronecker-packed ints.  The braiding at a positive crossing is P (factor
 swap) composed after R; a negative crossing uses the inverse braiding.
 A braid word w = w1 w2 is kept as the operators of its two halves, and
 the traces contract them without forming the operator of w.
@@ -132,14 +135,52 @@ class WeightRep:
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
+def ladder_rep(ladders, e_links=(), f_links=(), split=True):
+    """The ladders (c, t, d) laid end to end as a WeightRep, and its labels.
+
+    Ladder c of top weight t and length d has the basis c0..c{d-1} = f_n
+    with K f_n = q^{t-2n} f_n, and E F f_n = [n][t+1-n] f_n on its own
+    rungs.  With split, as on W_m and Y_m^+-, E f_n = [n] f_{n-1} and
+    F f_n = [t-n] f_{n+1}; without, as on the displays of U, V and P,
+    E f_n = [n][t+1-n] f_{n-1} and F f_n = f_{n+1}.  An entry that is 0
+    is left out.  A link (src, dst, p) of e_links (f_links) adds p dst
+    to the image of src under E (F); it is entered right after src's own
+    rung, so E and F hold each column's entries together, in basis order.
+    """
+    one = LaurentPoly.const(1)
+    labels, weights, rungs = [], [], []
+    for c, t, d in ladders:
+        labels += [f"{c}{n}" for n in range(d)]
+        weights += [t - 2 * n for n in range(d)]
+        rungs += [(t, n, d) for n in range(d)]
+    pos = {lab: i for i, lab in enumerate(labels)}
+
+    def by_src(links):
+        out = {}
+        for src, dst, p in links:
+            out.setdefault(pos[src], []).append(((pos[dst], pos[src]), p))
+        return out
+
+    e_by_src, f_by_src = by_src(e_links), by_src(f_links)
+    E, F = {}, {}
+    for j, (t, n, d) in enumerate(rungs):
+        e = (qint(n) if split else qint(n) * qint(t + 1 - n)) if n else None
+        f = (qint(t - n) if split else one) if n + 1 < d else None
+        if e:
+            E[(j - 1, j)] = e
+        E.update(e_by_src.get(j, ()))
+        if f:
+            F[(j + 1, j)] = f
+        F.update(f_by_src.get(j, ()))
+    return WeightRep(len(labels), E, F, tuple(weights)), labels
+
+
 def build_Wm(m: int) -> WeightRep:
-    """The irreducible W_m: E f_i = [i] f_{i-1}, F f_i = [m-1-i] f_{i+1},
-    K f_i = q^{m-1-2i} f_i."""
+    """The irreducible W_m, one ladder: E f_i = [i] f_{i-1},
+    F f_i = [m-1-i] f_{i+1}, K f_i = q^{m-1-2i} f_i."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    E = {(i - 1, i): qint(i) for i in range(1, m)}
-    F = {(i + 1, i): qint(m - 1 - i) for i in range(m - 1)}
-    return WeightRep(m, E, F, tuple(m - 1 - 2 * i for i in range(m)))
+    return ladder_rep([("f", m - 1, m)])[0]
 
 
 # -- sparse operators on tensor powers ---------------------------------

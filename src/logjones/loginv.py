@@ -16,10 +16,13 @@ the fixed-point arithmetic of habiro.tilde_sum against mpmath.
 
 center_coeffs takes the radical coefficients b_s^+- from the q-derivative
 route alone, exact q-derivatives of normalized invariants
-(b_pm_via_derivative).  The closed Habiro-sum form (b_pm_via_habiro) is
-the second route, which nothing in the package calls yet (ROADMAP
-direction 5).  The two coordinate systems (idempotent/radical vs the good
-basis) are linked by an exact linear change of basis.
+(b_pm_via_derivative).  The closed Habiro-sum form of b_s^+- is no second
+check: at framing 0 it is (G - {s}_+ a_s)/[s]^2, G the HABIRO gamma, so
+it differs from b_s^+- by at most (the route spread of gamma_s + the
+gamma_s residual + the beta_s residual)/[s]^2, all three judged by
+center_coeffs, and [s] >= 1 at xi.  It lives in the tests as an oracle.
+The two coordinate systems (idempotent/radical vs the good basis) are
+linked by an exact linear change of basis.
 
 Every function that evaluates at xi takes a required RootContext ctx,
 which fixes N and the precision together, and reads N from ctx.N.
@@ -94,33 +97,6 @@ def b_pm_via_derivative(knot, s: int, sign: int, ctx: RootContext, framing: int 
         pref_den = 4 * N
     with ctx.workprec():
         return ctx.xi / (pref_den * ctx.qint_at(s)) * jet.times(brace(1)).ddq_value(ctx)
-
-
-def b_pm_via_habiro(knot, s: int, ctx: RootContext):
-    """The closed form of Prop-style Habiro sums (framing 0):
-
-    b_s^+ = b_s^- = {1}^2/{s} ( sum_{i<su} a_i {s+i}!/({s}{s-i-1}!)
-                                  sum_{k=s-i..s+i, k != s} {k}_+/{k}
-                    + 2 sum_{i=su..sb-1} a_i ~{s+i,i} ~{s-1,i} ),
-
-    with su = min(s, N-s), sb = max(s, N-s).  The statement display of the
-    source proposition carries [s] in place of the inner {s}; the proof's
-    final display (used here) is the one consistent with the q-derivative
-    route, and the discrepancy is exercised in the tests.
-
-    With ~{s+i,2i+1} = ~{s+i,i} {s} ~{s-1,i} and {s} != 0 the bracket is
-    (G - ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1})/{s} in the G of
-    habiro.tilde_sum.  That sum is {1} V_s = {s} V_s/[s] at xi (see
-    habiro.tilde_sum), so b_s^+- = ({1}/{s})^2 (G - {s}_+ V_s/[s]).
-    """
-    N = ctx.N
-    if not 1 <= s <= N - 1:
-        raise ValueError("s must be in 1..N-1")
-    h = habiro.coeffs_for(knot, N)
-    with ctx.workprec():
-        a_s = habiro.normalized_Vm_jet(h, s, N).value(ctx)
-        g = habiro.tilde_sum(h, s, ctx)
-        return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - ctx.brace_plus(s) * a_s)
 
 
 # -- gamma ---------------------------------------------------------------

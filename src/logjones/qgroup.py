@@ -1,11 +1,13 @@
 """Restricted quantum group modules at xi and their verification.
 
 Builds the irreducibles U_s^+-, the length-two modules V_s^+-, the
-projectives P_s^+- and the modified representations Y_m^+- at generic q
-and specializes them at xi as sparse matrices; checks the defining
-relations, the intertwiners f/g/h onto Y_m^+-, the vanishing of the high
-R-matrix terms at xi, and the center actions; and extracts the radical
-coefficients from partial traces on Y_m^+-.
+projectives P_s^+- and the modified representations Y_m^+- at generic q,
+all by the one ladder rule of jones.ladder_rep (Y_m^+- is W_na + W_nb
+plus two families of links, see build_modified), and specializes them
+at xi as sparse matrices; checks the defining relations, the
+intertwiners f/g/h onto Y_m^+-, the vanishing of the high R-matrix terms
+at xi, and the center actions; and extracts the radical coefficients
+from partial traces on Y_m^+-.
 
 Every matrix is a sparse map {(row, col): value}.  All checks multiply
 with jones.mat_mul, and every check returns one residual, mostly the
@@ -67,9 +69,13 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
 
     kind is one of 'U+', 'U-', 'V+', 'V-' (1 <= idx <= N),
     'P+', 'P-' (1 <= idx <= N-1), 'Y+', 'Y-' (1 <= idx <= N-1).  Each is
-    a WeightRep at generic q (build_modified for Y, _ladder_rep for the
-    rest), specialized here alone: E and F entrywise by ctx.eval_at, and
-    K = sign xi^weight, with sign = -1 on E and K of U- and V- only.
+    a WeightRep at generic q from jones.ladder_rep (through build_modified
+    for Y; unsplit for the rest, with the factor [n][t+1-n] on E as the
+    displays of U, V and P put it), specialized here alone: E and F
+    entrywise by ctx.eval_at, and K = sign xi^weight, with sign = -1 on E
+    and K of U- and V- only.  No sign is kept by hand: at xi,
+    [2N-k] = -[k] and [N-k] = [k], so the rule itself gives the displayed
+    -[n][N-s-n] on the x and y ladders of P.
     """
     N = ctx.N
     if kind in ("Y+", "Y-"):
@@ -77,7 +83,8 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
     elif kind in ("U+", "U-", "V+", "V-"):
         if not 1 <= idx <= N:
             raise ValueError("index must be in 1..N for U/V kinds")
-        rep, labels = _ladder_rep([(kind[0].lower(), idx - 1, idx if kind[0] == "U" else N)])
+        rep, labels = jones.ladder_rep([(kind[0].lower(), idx - 1, idx if kind[0] == "U" else N)],
+                                       split=False)
     elif kind in ("P+", "P-"):
         if not 1 <= idx <= N - 1:
             raise ValueError("index must be in 1..N-1 for P kinds")
@@ -88,13 +95,15 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
         s = idx if plus else N - idx
         k = N - s
         lower, upper, d = ("b", "a", s) if plus else ("y", "x", k)
-        rep, labels = _ladder_rep(
+        one = LaurentPoly.const(1)
+        rep, labels = jones.ladder_rep(
             [("x", (2 * N if plus else 0) - s - 1, k), ("y", -s - 1, k),
              ("a", s - 1, s), ("b", s - 1 - (0 if plus else 2 * N), s)],
-            [("y0", f"a{s - 1}"), ("b0", f"x{k - 1}")]
-            + [(f"{lower}{n}", f"{upper}{n - 1}") for n in range(1, d)],
-            [(f"x{k - 1}", "a0"), (f"b{s - 1}", "y0")] if plus
-            else [(f"y{k - 1}", "b0"), (f"a{s - 1}", "x0")])
+            [("y0", f"a{s - 1}", one), ("b0", f"x{k - 1}", one)]
+            + [(f"{lower}{n}", f"{upper}{n - 1}", one) for n in range(1, d)],
+            [(f"x{k - 1}", "a0", one), (f"b{s - 1}", "y0", one)] if plus
+            else [(f"y{k - 1}", "b0", one), (f"a{s - 1}", "x0", one)],
+            split=False)
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     sign = -1 if kind in ("U-", "V-") else 1
@@ -103,33 +112,6 @@ def build_restricted(kind: str, idx: int, ctx: RootContext) -> RestrictedModule:
         F = {key: ctx.eval_at(p) for key, p in rep.F.items()}
         K = {(i, i): sign * ctx.xi_pow(w) for i, w in enumerate(rep.weights)}
     return RestrictedModule(kind, idx, N, rep.dim, E, F, K, labels)
-
-
-def _ladder_rep(ladders, e_links=(), f_links=()):
-    """The ladders (c, t, d) laid end to end as a WeightRep, and its labels.
-
-    Ladder c of top weight t and length d has the basis c0..c{d-1} = f_n,
-    with K f_n = q^{t-2n} f_n, E f_n = [n][t+1-n] f_{n-1} (left out where
-    0) and F f_n = f_{n+1}.  A link (src, dst) of e_links (f_links) adds
-    dst to the image of src under E (F).  No sign is kept by hand: at xi,
-    [2N-k] = -[k] and [N-k] = [k], so the rule itself gives the displayed
-    -[n][N-s-n] on the x and y ladders of P.
-    """
-    one = LaurentPoly.const(1)
-    labels, weights, E, F = [], [], {}, {}
-    for c, t, d in ladders:
-        i = len(labels)
-        labels += [f"{c}{n}" for n in range(d)]
-        weights += [t - 2 * n for n in range(d)]
-        for n in range(1, d):
-            e = qint(n) * qint(t + 1 - n)
-            if e:
-                E[(i + n - 1, i + n)] = e
-            F[(i + n, i + n - 1)] = one
-    pos = {lab: i for i, lab in enumerate(labels)}
-    for mat, links in ((E, e_links), (F, f_links)):
-        mat.update({(pos[dst], pos[src]): one for src, dst in links})
-    return jones.WeightRep(len(labels), E, F, tuple(weights)), labels
 
 
 def _modified_ladders(sign: int, m: int, N: int):
@@ -143,27 +125,17 @@ def _modified_ladders(sign: int, m: int, N: int):
 
 def build_modified(sign: int, m: int, N: int):
     """The generic-q representation Y_m^+ (2N-dim) or Y_m^- (4N-dim) as a
-    WeightRep plus basis labels."""
+    WeightRep plus basis labels: W_na + W_nb as the ladders alpha and beta
+    of jones.ladder_rep, with E links alpha_i -> qbinom(na-1-i, t-i)
+    beta_{i-(na-t+1)} for na-t < i <= t and one F link alpha_{na-t-1} ->
+    qbinom(t-1, nb-1) beta_0.  The display's F alpha_{na-t-1} =
+    [t] alpha_{na-t} is the ladder's own [na-1-i] at i = na-t-1."""
     na, nb, t = _modified_ladders(sign, m, N)
-    labels = [f"alpha{i}" for i in range(na)] + [f"beta{i}" for i in range(nb)]
-    E, F = {}, {}
-    for i in range(na):
-        if i >= 1:
-            E[(i - 1, i)] = qint(i)
-        if na - t < i <= t:
-            E[(na + i - (na - t + 1), i)] = qbinom(na - 1 - i, t - i)
-        if i == na - t - 1:
-            F[(i + 1, i)] = qint(t)
-            F[(na, i)] = qbinom(t - 1, nb - 1)
-        elif i + 1 < na:
-            F[(i + 1, i)] = qint(na - 1 - i)
-    for i in range(nb):
-        if i >= 1:
-            E[(na + i - 1, na + i)] = qint(i)
-        if i + 1 < nb:
-            F[(na + i + 1, na + i)] = qint(nb - 1 - i)
-    weights = [na - 1 - 2 * i for i in range(na)] + [nb - 1 - 2 * i for i in range(nb)]
-    return jones.WeightRep(na + nb, E, F, tuple(weights)), labels
+    return jones.ladder_rep(
+        [("alpha", na - 1, na), ("beta", nb - 1, nb)],
+        [(f"alpha{i}", f"beta{i - (na - t + 1)}", qbinom(na - 1 - i, t - i))
+         for i in range(na - t + 1, t + 1)],
+        [(f"alpha{na - t - 1}", "beta0", qbinom(t - 1, nb - 1))])
 
 
 # -- relation checks -----------------------------------------------------
@@ -479,6 +451,8 @@ def center_action_check(ctx: RootContext):
         for name, mat in acts.items():
             checks.append(("endomorphism", f"{label} {name}",
                            _intertwiner_residual(mat, mod, mod, ctx)))
+        # every e_s comes before every w, so a pair (na_, nb_) with
+        # nb_ in names[i:] never puts a w first and an e second
         names = list(acts)
         with ctx.workprec():
             for i, na_ in enumerate(names):
@@ -488,8 +462,6 @@ def center_action_check(ctx: RootContext):
                         expect = a if na_ == nb_ else {}
                     elif na_.startswith("e"):
                         expect = b if na_[1:] == nb_[1:-1] else {}
-                    elif nb_.startswith("e"):
-                        expect = a if nb_[1:] == na_[1:-1] else {}
                     else:
                         expect = {}  # w w = 0 in every combination
                     checks.append((f"{na_}*{nb_}", f"{label} ",

@@ -233,6 +233,34 @@ def unnormalized_VN_at_xi(knot, N, ctx=None):
     return ctx.eval_at(exact_Vm(knot, N))
 
 
+def b_pm_via_habiro(knot, s: int, ctx: RootContext):
+    """The closed form of Prop-style Habiro sums (framing 0), the oracle of
+    the proposition's display for loginv.b_pm_via_derivative:
+
+    b_s^+ = b_s^- = {1}^2/{s} ( sum_{i<su} a_i {s+i}!/({s}{s-i-1}!)
+                                  sum_{k=s-i..s+i, k != s} {k}_+/{k}
+                    + 2 sum_{i=su..sb-1} a_i ~{s+i,i} ~{s-1,i} ),
+
+    with su = min(s, N-s), sb = max(s, N-s).  The statement display of the
+    source proposition carries [s] in place of the inner {s}; the proof's
+    final display (used here) is the one consistent with the q-derivative
+    route, and the discrepancy is exercised in the tests.
+
+    With ~{s+i,2i+1} = ~{s+i,i} {s} ~{s-1,i} and {s} != 0 the bracket is
+    (G - ({s}_+/{s}) sum_{i<su} a_i {s+i,2i+1})/{s} in the G of
+    habiro.tilde_sum.  That sum is {1} V_s = {s} V_s/[s] at xi (see
+    habiro.tilde_sum), so b_s^+- = ({1}/{s})^2 (G - {s}_+ V_s/[s]).
+    """
+    N = ctx.N
+    if not 1 <= s <= N - 1:
+        raise ValueError("s must be in 1..N-1")
+    h = habiro.coeffs_for(knot, N)
+    with ctx.workprec():
+        a_s = habiro.normalized_Vm_jet(h, s, N).value(ctx)
+        g = habiro.tilde_sum(h, s, ctx)
+        return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - ctx.brace_plus(s) * a_s)
+
+
 def window_ddm_Vm(h, s, ctx):
     """d/dm V_m at m = s, q = xi, each Leibniz window rebuilt from its own
     factors: the oracle for habiro.ddm_Vm.

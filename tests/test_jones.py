@@ -141,6 +141,13 @@ class TestWeightRep:
         assert w.E == {(0, 1): qint(1)}
         assert w.F == {(1, 0): qint(1)}
         assert w.weights == (1, -1)
+        # and the displayed E f_i = [i] f_{i-1}, F f_i = [m-1-i] f_{i+1} of
+        # every W_m up to m = 12, in insertion order
+        for m in range(1, 13):
+            w = build_Wm(m)
+            assert list(w.E.items()) == [((i - 1, i), qint(i)) for i in range(1, m)]
+            assert list(w.F.items()) == [((i + 1, i), qint(m - 1 - i)) for i in range(m - 1)]
+            assert w.weights == tuple(m - 1 - 2 * i for i in range(m))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_commutator_is_cartan(self, m):

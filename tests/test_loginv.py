@@ -10,7 +10,6 @@ from logjones.loginv import (
     Route,
     alpha_beta,
     b_pm_via_derivative,
-    b_pm_via_habiro,
     basis_change,
     center_coeffs,
     gamma_all_routes,
@@ -18,8 +17,9 @@ from logjones.loginv import (
     gamma_s,
 )
 from logjones.qcalc import Jet, LaurentPoly, RootContext, brace, brace_falling, ddq, qint
-from conftest import (assert_close, basis_change_inverse, exact_Vm, framed_corrections,
-                      kashaev_invariant, knotted_words, unnormalized_VN_at_xi)
+from conftest import (assert_close, b_pm_via_habiro, basis_change_inverse, exact_Vm,
+                      framed_corrections, kashaev_invariant, knotted_words,
+                      unnormalized_VN_at_xi)
 
 
 # -- oracles: the tilde brackets and falling braces at xi, one factor at a time

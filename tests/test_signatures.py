@@ -14,9 +14,9 @@ from logjones import loginv, qgroup
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "logjones"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
-# the second and third routes to b_s^+-, which loginv is to cross-check its
-# b_s^+- against (ROADMAP direction 5); until then only tests call them
-NOT_YET_REACHED = {"loginv.b_pm_via_habiro", "qgroup.x0_from_eta", "qgroup.x0_to_b"}
+# the definitional route to b_s^+-, which loginv is to cross-check its
+# b_s^+- against (ROADMAP direction 5); until then only tests call it
+NOT_YET_REACHED = {"qgroup.x0_from_eta", "qgroup.x0_to_b"}
 
 
 def own_functions(module):
@@ -117,6 +117,19 @@ def test_one_place_constructs_restricted_modules():
     where = [(mod, getattr(top, "name", None)) for mod, tree in TREES.items()
              for top in tree.body for node in ast.walk(top) if constructs(node)]
     assert where == [("qgroup", "build_restricted")], where
+
+
+def test_one_place_constructs_weight_reps():
+    # W_m, Y_m^+- and the U, V and P modules are all weight ladders, built
+    # by the one ladder rule: jones.ladder_rep is the one WeightRep(...)
+    # call in src/, by name or as an attribute, at any depth
+    def constructs(node):
+        return isinstance(node, ast.Call) and "WeightRep" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    where = [(mod, getattr(top, "name", None)) for mod, tree in TREES.items()
+             for top in tree.body for node in ast.walk(top) if constructs(node)]
+    assert where == [("jones", "ladder_rep")], where
 
 
 def comparisons_with_tol(tree, where=""):
