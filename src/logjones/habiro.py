@@ -19,7 +19,7 @@ from collections.abc import Callable
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, to_fixed
 
-from .qcalc import Jet, LaurentPoly, RootContext, kron_pack, kron_unpack, qint
+from .qcalc import Jet, LaurentPoly, RootContext, kron_pack, kron_unpack, qint, rotate
 from . import jones
 
 
@@ -195,12 +195,6 @@ def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
     return h._memo[key]
 
 
-def _rotate(v: list, k: int) -> list:
-    """The bins of x^k times the bins v, mod x^{len(v)} - 1."""
-    k %= len(v)
-    return v[-k:] + v[:-k] if k else v
-
-
 def _residue_pass(h: HabiroCoeffs, N: int, r: int):
     """(v, w, slope): the jet (v, w) of P(U_r) and slope = delta_r
     value(P'(U_r)), with U_r = (bins of x^{4r} + x^{-4r}, 0) and delta_r
@@ -225,14 +219,14 @@ def _residue_pass(h: HabiroCoeffs, N: int, r: int):
             uj = 4 * j
             # (U_r - u_j) times d, w and v, and the D-part of -u_j times v
             d = [x + p + q - s - t for x, p, q, s, t in
-                 zip(v, _rotate(d, up), _rotate(d, down), _rotate(d, uj), _rotate(d, -uj))]
-            vs, vt = _rotate(v, uj), _rotate(v, -uj)
+                 zip(v, rotate(d, up), rotate(d, down), rotate(d, uj), rotate(d, -uj))]
+            vs, vt = rotate(v, uj), rotate(v, -uj)
             w = [x + p + q - s - t - uj * (y - z) for x, p, q, s, t, y, z in
-                 zip(a[j - 1].w, _rotate(w, up), _rotate(w, down), _rotate(w, uj),
-                     _rotate(w, -uj), vs, vt)]
+                 zip(a[j - 1].w, rotate(w, up), rotate(w, down), rotate(w, uj),
+                     rotate(w, -uj), vs, vt)]
             v = [x + p + q - s - t for x, p, q, s, t in
-                 zip(a[j - 1].v, _rotate(v, up), _rotate(v, down), vs, vt)]
-        slope = [4 * (p - q) for p, q in zip(_rotate(d, up), _rotate(d, down))]
+                 zip(a[j - 1].v, rotate(v, up), rotate(v, down), vs, vt)]
+        slope = [4 * (p - q) for p, q in zip(rotate(d, up), rotate(d, down))]
         h._memo[key] = (v, w, slope)
     return h._memo[key]
 

@@ -240,10 +240,8 @@ class CenterCoeffs:
         def cstr(z):
             # no mp.mpc() conversion here: that would re-round at the
             # ambient precision and truncate the stored digits
-            re = z.real if hasattr(z, "real") else z
-            im = z.imag if hasattr(z, "imag") else mp.mpf(0)
-            return {"re": mp.nstr(re, precision_digits),
-                    "im": mp.nstr(im, precision_digits)}
+            return {"re": mp.nstr(z.real, precision_digits),
+                    "im": mp.nstr(z.imag, precision_digits)}
 
         return {
             "N": self.N,

@@ -215,12 +215,14 @@ class LaurentPoly:
 # decode exactly when every coefficient lies strictly between -2^{W-1} and
 # 2^{W-1}.
 #
-# Both directions split their digit range in halves, digits 0..h-1 and
-# h..n-1 with h = n // 2, so that each level of the recursion copies the
-# int once: O(n log n) digit copies for n digits, where a loop over the
-# digits copies the whole int once per digit.  A range of at most
-# _KRON_LEAF digits is a leaf and runs that loop, which is cheaper than the
-# splits there.
+# Unpacking first adds b = 2^{W-1} - 1 to every digit, which moves each
+# signed digit to a plain one in [0, 2^W) with no carry.  Then both
+# directions split their plain digits in halves, digits 0..h-1 and h..n-1
+# with h = n // 2, so that each level of the recursion copies the int
+# once: O(n log n) digit copies for n digits, where a loop over the digits
+# copies the whole int once per digit.  A range of at most _KRON_LEAF
+# digits is a leaf and runs that loop, which is cheaper than the splits
+# there.
 
 _KRON_LEAF = 64
 
@@ -242,42 +244,30 @@ def _pack_digits(digits: list, i: int, j: int, width: int) -> int:
 
 
 def kron_unpack(total: int, lo: int, step: int, width: int) -> dict:
-    """Signed digits of total in base 2^W, with borrow, as a term map
-    whose k-th digit sits at doubled exponent lo + step*k, in increasing
-    order.  A negative total is fine: each digit is taken in
-    (-2^{W-1}, 2^{W-1}] and subtracted before the shift, so total reaches
-    0.
+    """Signed digits of total in base 2^W, each in (-2^{W-1}, 2^{W-1}], as a
+    term map whose k-th digit sits at doubled exponent lo + step*k, in
+    increasing order.  Add the bias b = 2^{W-1} - 1 to every digit, read
+    the plain digits in [0, 2^W), subtract b.
 
-    A split takes the low h digits as total mod 2^{W h}, read as signed:
-    h digits in (-2^{W-1}, 2^{W-1}] reach every residue mod 2^{W h} once,
-    and the largest, every digit 2^{W-1}, is
-    2^{W-1} (2^{W h} - 1)/(2^W - 1), so a residue above it stands for the
-    residue less 2^{W h}.  The high digits are those of the rest, shifted
-    down by W h.  At h = 1 this is the leaf loop's own rule."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    # digits of total, a last borrowed one included
-    n = abs(total).bit_length() // width + 1
+    Needs W >= 2, or W = 1 and total = 0, which decodes to {}."""
+    bias = (1 << (width - 1)) - 1
+    # one digit more than the bits need, as the top digit may borrow
+    n = abs(total).bit_length() // width + 2
+    biased = total + bias * (((1 << (width * n)) - 1) // ((1 << width) - 1))
+    return {lo + step * k: d - bias
+            for k, d in enumerate(_unpack_digits(biased, n, width)) if d != bias}
+
+
+def _unpack_digits(t: int, n: int, width: int) -> list:
+    """The n plain digits of t in base 2^W, lowest first: the low half's
+    digits, read off t mod 2^{W h}, then the high half's, read off t
+    shifted down by W h."""
     if n <= _KRON_LEAF:
-        terms = {}
-        e = lo
-        while total:
-            digit = total & mask
-            if digit > half:
-                digit -= mask + 1
-            if digit:
-                terms[e] = digit
-            total = (total - digit) >> width
-            e += step
-        return terms
+        mask = (1 << width) - 1
+        return [t >> (width * k) & mask for k in range(n)]
     h = n // 2
-    bits = width * h
-    low = total & ((1 << bits) - 1)
-    if low > half * (((1 << bits) - 1) // mask):
-        low -= 1 << bits
-    terms = kron_unpack(low, lo, step, width)
-    terms.update(kron_unpack((total - low) >> bits, lo + step * h, step, width))
-    return terms
+    return (_unpack_digits(t & ((1 << (width * h)) - 1), h, width)
+            + _unpack_digits(t >> (width * h), n - h, width))
 
 
 def _try_kronecker_mul(a, b):
@@ -391,6 +381,12 @@ def residue_bins(terms: dict, period: int) -> dict:
     return bins
 
 
+def rotate(v: list, k: int) -> list:
+    """The bins of x^k times the bins v, mod x^{len(v)} - 1."""
+    k %= len(v)
+    return v[-k:] + v[:-k] if k else v
+
+
 class Jet:
     """A polynomial p and D p, D = x d/dx with x = q^{1/2}, both reduced
     mod x^{4N} - 1: ``v[k]`` is the sum of the coefficients c_e with
@@ -438,12 +434,9 @@ class Jet:
         """The jet of (this polynomial) * p, for a sparse p: each term
         c x^a rotates both vectors by a and adds a c v to w, with a the
         unreduced exponent (D x^a = a x^a)."""
-        n = len(self.v)
-        v_out, w_out = [0] * n, [0] * n
+        v_out = w_out = [0] * len(self.v)
         for a, c in p.terms.items():
-            r = a % n
-            v = self.v[-r:] + self.v[:-r]
-            w = self.w[-r:] + self.w[:-r]
+            v, w = rotate(self.v, a), rotate(self.w, a)
             v_out = [x + c * y for x, y in zip(v_out, v)]
             w_out = [x + c * (y + a * z) for x, y, z in zip(w_out, w, v)]
         return Jet(v_out, w_out)

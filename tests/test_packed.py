@@ -38,7 +38,7 @@ def test_packed_matches_dict_path(word, m_max):
 
 def test_negative_packed_total():
     # the mirror trefoil's trace has a negative top coefficient, so the
-    # packed total is negative and the unpack has to borrow
+    # packed total is negative and its top digit is below zero
     b = parse_braid("2: -1 -1 -1")
     v = colored_jones(b, 2)
     assert v.terms[v.degree2()] < 0

@@ -156,7 +156,7 @@ class TestKronecker:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_coefficient_at_the_width_bound(self, sign):
         # the middle coefficient is exactly the bound and the total is
-        # negative for sign = -1, so the unpack borrows through every digit
+        # negative for sign = -1, so every digit of the total is negative
         big = 2**64 - 1
         a = {4 * k - 6: big for k in range(9)}
         b = {4 * k + 2: sign * big for k in range(9)}
@@ -184,14 +184,14 @@ class TestKronecker:
         assert all(type(c) is int for c in prod.terms.values())
 
     # beyond the recursion leaf: the pack and the unpack split their digit
-    # range in halves, and each split of the unpack reads the low digits as
-    # signed by comparing them with the int whose digits all equal 2^{W-1}
+    # range in halves, and the unpack first adds 2^{W-1} - 1 to every digit,
+    # so that it splits plain digits in [0, 2^W)
 
     @pytest.mark.parametrize("n", [qcalc._KRON_LEAF + 1, 100, 129, 1000, 3000])
     def test_round_trip_with_every_digit_at_an_end_of_its_range(self, n):
-        # all digits 2^{W-1} put every split's low part exactly on the
-        # borrow bound, and all digits 1 - 2^{W-1} (a negative total) one
-        # above it; either side of the bound decodes a wrong digit
+        # all digits 2^{W-1} bias to 2^W - 1 and all digits 1 - 2^{W-1}
+        # (a negative total) to 0, the two ends of the plain range; one
+        # past either end would carry into the next digit
         for width in range(2, 65):
             half = 1 << (width - 1)
             for digit in (half, 1 - half):
@@ -199,6 +199,17 @@ class TestKronecker:
                 total = qcalc.kron_pack(terms, 6, 4, width)
                 assert total == plain_pack(terms, 6, 4, width)
                 assert qcalc.kron_unpack(total, 6, 4, width) == terms, (width, digit)
+
+    @pytest.mark.parametrize("width", range(2, 12))
+    def test_every_small_total_decodes(self, width):
+        # the top digit of a total may borrow: -7 at W = 2 is 1, 2, -1 and
+        # needs a digit more than its bits
+        half = 1 << (width - 1)
+        for total in range(-6000, 6000):
+            terms = qcalc.kron_unpack(total, 3, 4, width)
+            assert plain_pack(terms, 3, 4, width) == total, (width, total)
+            assert all(-half < c <= half for c in terms.values()), (width, total)
+            assert list(terms) == sorted(terms), (width, total)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_round_trip_of_random_digits(self, seed):
