@@ -333,7 +333,12 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
     D_i = sum_{k=s-i..s+i} {k}_+ prod_{j != k} {j}.  One running pair
     (P_i, D_i), P_i = prod_{k=s-i..s+i} {k}, starts at ({s}, {s}_+), and
     each i multiplies in f = {s+i} and g = {s-i}:
-    (P, D) -> (P f g, D f g + P (f_+ g + f g_+)).
+    (P, D) -> (P f g, D f g + P (f_+ g + f g_+)).  At xi, {k} = i S_k and
+    {k}_+ = C_k with S_k, C_k real (``ctx.qsymbols``), so P_i = i (-1)^i p_i
+    and D_i = (-1)^i d_i with (p, d) real: from (S_s, C_s) each step is
+    (p, d) -> (p S_f S_g, d S_f S_g + p (C_f S_g + S_f C_g)), rounded as
+    the complex pair rounds its nonzero part, and the sum is
+    sum_i (-1)^i a_i d_i.
 
     {kN} is exactly 0 at xi, so once the window [s-i, s+i] holds two
     multiples of N the pair is exactly (0, 0) and stays there.  Every
@@ -346,15 +351,15 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
     if not h.has_coeff(N - 1):
         raise ValueError(f"{h.knot}: d/dm needs coefficients through i = {N - 1}")
     a = h.at_xi(N, ctx)
+    sym, n2 = ctx.qsymbols, 2 * N
     with ctx.workprec():
-        P, D = ctx.brace_at(s), ctx.brace_plus(s)
-        total = a[0] * D
+        p, d, _ = sym[s % n2]
+        total = a[0] * d
         for i in range(1, N):
-            f, g = ctx.brace_at(s + i), ctx.brace_at(s - i)
-            f_plus, g_plus = ctx.brace_plus(s + i), ctx.brace_plus(s - i)
-            fg = f * g
-            P, D = P * fg, D * fg + P * (f_plus * g + f * g_plus)
-            total += a[i] * D
+            (S_f, C_f, _), (S_g, C_g, _) = sym[(s + i) % n2], sym[(s - i) % n2]
+            fg = S_f * S_g
+            p, d = p * fg, d * fg + p * (C_f * S_g + S_f * C_g)
+            total = total - a[i] * d if i % 2 else total + a[i] * d
         return mp.mpc(0, mp.pi) / N * total / ctx.brace_at(1)
 
 

@@ -40,11 +40,11 @@ from . import habiro, jones
 
 
 # Largest N that center_coeffs takes on.  On a shared 2-vCPU Xeon a whole
-# loginv --knot 4_1 process takes 1.2 s and 27 MB at N = 60, 2.5 s and
-# 32 MB at N = 80 and 4.2 s and 36 MB at N = 100 (3_1 at N = 100: 3.8 s,
-# 3.3 s with --framing 1): one Horner pass per residue of the color mod N
-# in habiro.normalized_Vm_jet, still O(N^3) in all.  Precision adds more
-# now: at 4000 digits N = 60 takes 6.5 s and N = 100 16.6 s and 41 MB.  A
+# loginv --knot 4_1 process takes 0.8-1.1 s and 27 MB at N = 60, 1.6-1.9 s
+# and 32 MB at N = 80 and 2.7-3.7 s and 36 MB at N = 100 (3_1 at N = 100:
+# 2.5-3.2 s, 2.7-3.4 s with --framing 1): one Horner pass per residue of
+# the color mod N in habiro.normalized_Vm_jet, still O(N^3) in all.  At
+# 4000 digits N = 60 takes 5.9-8.5 s and N = 100 15-19 s and 41 MB.  A
 # larger N is refused with jones.FeasibilityError before the knot is
 # resolved; a braid word is bounded by jones.EXACT_DIM_CAP as well.
 MAX_N = 100

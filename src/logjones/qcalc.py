@@ -497,9 +497,33 @@ class RootContext:
 
     @functools.cached_property
     def half_powers(self):
-        """The table xi^{k/2}, indexed by k = 0..4N-1 (see _HalfPowers):
-        each entry is computed the first time it is read."""
-        return _HalfPowers(self.N, self.dps)
+        """The table xi^{k/2} = exp(pi*i*k/2N) keyed by k = 0..4N-1 (see
+        _LazyTable).  q^{1/2} = xi^{1/2} is a 4N-th root of unity, so every
+        evaluation at xi reads it.  Entries up to k = 2N come from mpmath;
+        the rest are the exact conjugates of entry 4N - k.  Iterating gives
+        the k read so far."""
+        N = self.N
+        return _LazyTable(lambda k: mp.expjpi(mp.mpf(k) / (2 * N)) if k <= 2 * N
+                          else self.half_powers[4 * N - k].conjugate(), self.dps)
+
+    @functools.cached_property
+    def qsymbols(self):
+        """(S_k, C_k, {k}) keyed by k = 0..2N-1 (see _LazyTable), with
+        S_k = 2 sin(pi k/N) and C_k = 2 cos(pi k/N) the real scalars of
+        {k} = i S_k and {k}_+ = C_k at xi.  Entry k reads half_powers[2k]
+        alone, so it holds that entry's values bit for bit.  It stays apart
+        from the fixed-point ``sin_cot``, so that MDERIV, which reads it in
+        habiro.ddm_Vm, checks that kernel of HABIRO against mpmath."""
+        def entry(k):
+            z = self.half_powers[2 * k]
+            return 2 * z.imag, 2 * z.real, mp.mpc(0, 2 * z.imag)
+        return _LazyTable(entry, self.dps)
+
+    @functools.cached_property
+    def _qints(self):
+        """[k] = S_k/S_1 keyed by k = 0..2N-1, apart from ``qsymbols``, as
+        it reads entry 1 as well."""
+        return _LazyTable(lambda k: self.qsymbols[k][0] / self.qsymbols[1][0], self.dps)
 
     @functools.cached_property
     def sin_cot(self):
@@ -579,18 +603,15 @@ class RootContext:
 
     def brace_plus(self, n: int):
         """{n}_+ = xi^n + xi^{-n} = 2 cos(n*pi/N)."""
-        with self.workprec():
-            return 2 * self.xi_pow(n).real
+        return self.qsymbols[n % (2 * self.N)][1]
 
     def brace_at(self, n: int):
         """{n} at xi, i.e. 2i sin(n*pi/N)."""
-        with self.workprec():
-            return mp.mpc(0, 2 * self.xi_pow(n).imag)
+        return self.qsymbols[n % (2 * self.N)][2]
 
     def qint_at(self, n: int):
         """[n] at xi = sin(n*pi/N)/sin(pi/N)."""
-        with self.workprec():
-            return self.xi_pow(n).imag / self.xi.imag
+        return self._qints[n % (2 * self.N)]
 
     def qfact_at(self, n: int):
         """[n]! at xi."""
@@ -633,27 +654,20 @@ class RootContext:
             return self.eval_at(num) / self.eval_at(den)
 
 
-class _HalfPowers(dict):
-    """RootContext.half_powers: xi^{k/2} = exp(pi*i*k/2N) keyed by
-    k = 0..4N-1, each entry computed on its first read at the context's
-    dps.  q^{1/2} = xi^{1/2} is a 4N-th root of unity, so every
-    evaluation at xi reads it.  Entries up to k = 2N come from mpmath; the
-    rest are the exact conjugates of entry 4N - k.  A read that hits is a
-    plain dict lookup, and only a miss calls __missing__; iterating gives
-    the k read so far."""
+class _LazyTable(dict):
+    """A table of RootContext at xi whose entry k is fill(k), computed on
+    its first read at the context's dps: conjugate(), mpc() and every
+    product round to the ambient precision, so a read at any ambient
+    precision rounds nothing.  A read that hits is a plain dict lookup."""
 
-    def __init__(self, N: int, dps: int):
+    def __init__(self, fill, dps: int):
         super().__init__()
-        self.N, self.dps = N, dps
+        self.fill, self.dps = fill, dps
 
     def __missing__(self, k: int):
-        # conjugate() rounds to the ambient precision, so it runs at dps too
         with mp.workdps(self.dps):
-            if k <= 2 * self.N:
-                z = self[k] = mp.expjpi(mp.mpf(k) / (2 * self.N))
-            else:
-                z = self[k] = self[4 * self.N - k].conjugate()
-        return z
+            value = self[k] = self.fill(k)
+        return value
 
 
 def int_or_frac_to_mp(c):

@@ -295,6 +295,43 @@ def window_ddm_Vm(h, s, ctx):
         return mp.mpc(0, mp.pi) / N * total / ctx.brace_at(1)
 
 
+def ddm_Vm_mpc(h, s, ctx):
+    """d/dm V_m at m = s, q = xi, by the Leibniz pair (P, D) on complex
+    values, each q-symbol read through the context's helpers: the oracle
+    for the real pair of habiro.ddm_Vm, which must equal it bit for bit.
+
+    (P, D) starts at ({s}, {s}_+), and each i multiplies in f = {s+i} and
+    g = {s-i}: (P, D) -> (P f g, D f g + P (f_+ g + f g_+)).
+    """
+    N = ctx.N
+    a = h.at_xi(N, ctx)
+    with ctx.workprec():
+        P, D = ctx.brace_at(s), ctx.brace_plus(s)
+        total = a[0] * D
+        for i in range(1, N):
+            f, g = ctx.brace_at(s + i), ctx.brace_at(s - i)
+            f_plus, g_plus = ctx.brace_plus(s + i), ctx.brace_plus(s - i)
+            fg = f * g
+            P, D = P * fg, D * fg + P * (f_plus * g + f * g_plus)
+            total += a[i] * D
+        return mp.mpc(0, mp.pi) / N * total / ctx.brace_at(1)
+
+
+def qsymbols_from_half_powers(ctx, n):
+    """({n}, {n}_+, [n], [n]! or None for n < 0) at xi, each computed from
+    ``half_powers`` at the context's precision on every call, as the
+    q-symbol helpers once did: the oracle of the values that
+    RootContext.qsymbols holds, at any ambient precision."""
+    def qint(k):
+        return ctx.xi_pow(k).imag / ctx.xi.imag
+
+    with ctx.workprec():
+        qfact = None if n < 0 else mp.mpf(1)
+        for k in range(1, n + 1):
+            qfact *= qint(k)
+        return mp.mpc(0, 2 * ctx.xi_pow(n).imag), 2 * ctx.xi_pow(n).real, qint(n), qfact
+
+
 def basis_change_inverse(alpha, beta, gamma, N, ctx):
     """(alpha_s, beta_s, gamma_s) -> (a_s, b_s^+, b_s^-), the exact inverse
     of loginv.basis_change (no singularity for 1 <= s <= N-1): its

@@ -2,7 +2,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logjones import habiro, jones, loginv
+from logjones import habiro, jones, loginv, qcalc
 from logjones.habiro import (
     HabiroCoeffs,
     catalog_coeffs,
@@ -17,8 +17,8 @@ from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
 from logjones.qcalc import (InexactDivisionError, Jet, LaurentPoly, RootContext, brace,
                             brace_falling, qint)
 from logjones.volume import scan_precision
-from conftest import (assert_close, colored_jones_numeric, dict_extract_coeffs, dict_ladder,
-                      dict_ladder_head, exact_normalized_Vm, horner, knotted_words,
+from conftest import (assert_close, colored_jones_numeric, ddm_Vm_mpc, dict_extract_coeffs,
+                      dict_ladder, dict_ladder_head, exact_normalized_Vm, horner, knotted_words,
                       window_ddm_Vm)
 
 
@@ -483,20 +483,35 @@ class TestColorDerivative:
                 assert_close(ddm_Vm(h, s, ctx), window_ddm_Vm(h, s, ctx), ctx.tol)
 
     def test_linear_in_N(self, monkeypatch):
-        # one running pair: four brace values per window step, not a
-        # window's worth, and N - 1 steps
-        calls = []
-        for name in ("brace_at", "brace_plus"):
-            method = getattr(RootContext, name)
-            monkeypatch.setattr(RootContext, name,
-                                lambda ctx, n, method=method: calls.append(n) or method(ctx, n))
+        # one running pair: two table reads per window step, not a
+        # window's worth, N - 1 steps, and one working-precision context
+        # for the whole sum, not one per q-symbol
+        reads, contexts = [], []
+        read, workdps = qcalc._LazyTable.__getitem__, mp.workdps
+        monkeypatch.setattr(qcalc._LazyTable, "__getitem__",
+                            lambda table, k: reads.append(k) or read(table, k))
+        monkeypatch.setattr(mp, "workdps", lambda dps: contexts.append(dps) or workdps(dps))
         h = catalog_coeffs("4_1")
         for N in (6, 12, 24):
             ctx = RootContext(N)
             for s in (1, N, 2 * N):
-                calls.clear()
+                ddm_Vm(h, s, ctx)  # fills the tables and the a_i it reads
+                reads.clear()
+                contexts.clear()
                 ddm_Vm(h, s, ctx)
-                assert len(calls) <= 4 * N, (N, s, len(calls))
+                assert len(reads) <= 2 * N and len(contexts) <= 1, (N, s, len(reads), len(contexts))
+
+    @pytest.mark.parametrize("digits", [60, 200])
+    def test_real_pair_equals_the_complex_pair(self, digits):
+        # the real recurrence rounds every product and sum as the complex
+        # pair it replaced rounded its nonzero part, so the two agree bit
+        # for bit at every color
+        for name in ("unknot", "3_1", "4_1"):
+            h = catalog_coeffs(name)
+            for N in list(range(2, 25)) + [40]:
+                ctx = RootContext(N, precision_digits=digits)
+                for s in range(1, 2 * N + 1):
+                    assert ddm_Vm(h, s, ctx)._mpc_ == ddm_Vm_mpc(h, s, ctx)._mpc_, (name, N, s)
 
     def test_truncation_soundness(self):
         # every dropped term i in [N, 3N] has >= 2 vanishing factors, at

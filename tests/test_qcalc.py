@@ -21,7 +21,8 @@ from logjones.qcalc import (
     qfact,
     qint,
 )
-from conftest import assert_close, horner, is_palindromic, mirror, q_power, valuation2, xi_half
+from conftest import (assert_close, horner, is_palindromic, mirror, q_power,
+                      qsymbols_from_half_powers, valuation2, xi_half)
 
 
 def rand_poly(rng, max_terms=6, max_exp=8, max_coeff=9):
@@ -449,6 +450,24 @@ class TestRootTable:
                     forwards.half_powers[k]
             for ctx in (backwards, forwards):
                 assert [ctx.half_powers[k]._mpc_ for k in range(4 * N)] == eager
+
+    @pytest.mark.parametrize("ambient", [15, 500])
+    def test_helpers_round_nothing_at_the_ambient_precision(self, ambient):
+        # the q-symbol helpers return the values made from half_powers at
+        # the context's precision, bit for bit, whatever the precision
+        # they are called at
+        def bits(x):
+            return getattr(x, "_mpc_", None) or getattr(x, "_mpf_", None)
+
+        for digits in (30, 200):
+            for N in (2, 3, 5, 8, 13):
+                ctx, oracle = RootContext(N, digits), RootContext(N, digits)
+                for n in range(-N, 3 * N):
+                    with mp.workdps(ambient):
+                        got = (ctx.brace_at(n), ctx.brace_plus(n), ctx.qint_at(n),
+                               ctx.qfact_at(n) if n >= 0 else None)
+                    want = qsymbols_from_half_powers(oracle, n)
+                    assert list(map(bits, got)) == list(map(bits, want)), (digits, N, n)
 
     def test_evaluation_fills_only_the_entries_it_reads(self):
         # q^{3/2} and q^{-3/2} read entries 3 and 4N - 3, the conjugate of

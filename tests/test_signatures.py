@@ -132,6 +132,26 @@ def test_one_place_constructs_weight_reps():
     assert where == [("jones", "ladder_rep")], where
 
 
+def test_q_symbol_helpers_are_table_reads():
+    # brace_at, brace_plus, qint_at and qfact_at read the tables of
+    # RootContext and enter no working precision of their own, and
+    # habiro.ddm_Vm reads RootContext.qsymbols itself: its loop calls none
+    # of them
+    helpers = {"brace_at", "brace_plus", "qint_at", "qfact_at"}
+
+    def calls(node, names):
+        return [name for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                for name in [getattr(sub.func, "attr", getattr(sub.func, "id", None))]
+                if name in names]
+
+    defs = {node.name: node for tree in (TREES["qcalc"], TREES["habiro"])
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    entering = {name: calls(defs[name], {"workdps", "workprec"}) for name in helpers}
+    assert not any(entering.values()), entering
+    loops = [node for node in ast.walk(defs["ddm_Vm"]) if isinstance(node, (ast.For, ast.While))]
+    assert loops and not [name for loop in loops for name in calls(loop, helpers)]
+
+
 def comparisons_with_tol(tree, where=""):
     # the function (dotted through its classes) around each comparison
     # that reads a tolerance, tol or ctx.tol
