@@ -245,6 +245,14 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     {s+i,2i+1}, are {1} V_s(xi), since every later window holds {N}; a
     caller that needs them reads V_s instead.
 
+    G is odd in s -> N - s, for any a_i: at xi, {N-k} = {k} and {N-k}_+ =
+    -{k}_+, so N - s has the window products of s and the negated cotangent
+    sums and tilde terms.  The table keeps this (cots[N-k] = -cots[k]), but
+    each row truncates its own products, so the two rows differ in their
+    last units 2^-P and round alike on every row the tests check.
+    volume.asymptotic_scan reads row N - s off row s; this function, like
+    loginv's HABIRO route, computes each s on its own.
+
     The terms run in fixed point: ints at the scale 2^P of the context's
     table ``sin_cot``, one truncation (x * y) >> P per product, and the
     a_i(xi) converted once per (N, P) by ``HabiroCoeffs.fixed_at_xi``.

@@ -2,7 +2,8 @@
 logarithmic invariant.
 
 The scan computes (2 pi / N) log |gamma_s| for s = 1..N-1 with the O(N)
-cotangent/tilde-product kernel (the all-ones coefficient specialization)
+cotangent/tilde-product kernel (the all-ones coefficient specialization),
+run on s <= N/2 only, as gamma_{N-s} = -gamma_s (see habiro.tilde_sum),
 and pairs each row with the hyperbolic volume reference curve: Vol(M_a)
 for cone angles a < 2pi/3, the conjectural flat 0 on [2pi/3, 4pi/3], and
 the mirror Vol(M_{2pi-a}) beyond, which reuses the value of row N - s.
@@ -208,14 +209,17 @@ def scan_precision(N: int) -> int:
 
 # Largest N of a scan at its own scan_precision(N) digits, the bound of
 # check_scan.  On a shared 2-vCPU Xeon such a whole volume-scan process
-# takes 1.8 s at N = 800, 3.7 s at N = 1000, 5.6 s at N = 1200, 14.5 s at
-# N = 1600 and 33 s at N = 2000, with a peak RSS of 23-26 MB throughout.  The time
-# grows like N^2 digits, the N^2/2 fixed-point products of tilde_sum, so
+# takes 1.2-1.8 s at N = 800, 1.6-2.6 s at N = 1000, 2.7-3.9 s at
+# N = 1200, 7.0-7.7 s at N = 1600 and 14 s at N = 2000, with a peak RSS of
+# 23-25 MB throughout.  The time grows like N^2 digits, the O(N)
+# fixed-point products of tilde_sum on each of the N/2 rows it runs, so
 # a --precision floor above the scan's own digits costs as much as a
-# larger N: at 4000 digits N = 100 takes 4.7 s, N = 400 29 s and N = 800
-# 117 s, and at 1000 digits N = 1600 takes 57 s.  check_scan refuses N^2
+# larger N: at 4000 digits N = 100 takes 2.4 s, N = 400 15 s and N = 800
+# 56 s, and at 1000 digits N = 1600 takes 33 s.  check_scan refuses N^2
 # digits above its value at N = MAX_SCAN_N with scan_precision(MAX_SCAN_N)
-# = 275 digits: N <= 1600 at the scan's own digits, N <= 419 at 4000.
+# = 275 digits: N <= 1600 at the scan's own digits, N <= 419 at 4000.  The
+# bound was set when every row ran the kernel, at about twice these
+# times, and is kept so that the same inputs exit 3.
 MAX_SCAN_N = 1600
 
 
@@ -231,7 +235,9 @@ def check_scan(N: int, digits: int):
 
 def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     """Rows (s, alpha=2 pi s/N, (2 pi/N) log|gamma_s|, reference) for
-    s = 1..N-1.  gamma_s = 0 rows carry the -inf sentinel and a flag.  A
+    s = 1..N-1.  gamma_s = 0 rows carry the -inf sentinel and a flag.  The
+    kernel runs on s <= N/2, and row N - s reads the value and the flag of
+    row s, as gamma_{N-s} = -gamma_s (see habiro.tilde_sum).  A
     given ctx must be at this N (gamma_fig8_fast checks it), and N with
     its digits within the bound of check_scan.  A row keeps the reference
     as a double, so it is computed at the 30 digits of vol_reference, not
@@ -243,15 +249,15 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     rows = []
     with ctx.workprec():
         two_pi = 2 * mp.pi
+        # -inf where gamma_s = 0; row N - s reads the value of row s
+        lg = [-math.inf] * N
+        for s in range(1, N // 2 + 1):
+            mag = abs(gamma_fig8_fast(N, s, ctx))
+            if mag >= ctx.tol:
+                lg[s] = lg[N - s] = float(two_pi / N * mp.log(mag))
         for s in range(1, N):
-            g = gamma_fig8_fast(N, s, ctx)
-            alpha = two_pi * s / N
             ref, region = vol_reference(s, N)
-            mag = abs(g)
-            if mag < ctx.tol:
-                rows.append(ScanRow(s, float(alpha), float("-inf"), float(ref), region, True))
-            else:
-                val = two_pi / N * mp.log(mag)
-                rows.append(ScanRow(s, float(alpha), float(val), float(ref), region, False))
+            zero = lg[s] == -math.inf
+            rows.append(ScanRow(s, float(two_pi * s / N), lg[s], float(ref), region, zero))
     return ScanResult(N, rows)
 

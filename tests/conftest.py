@@ -606,3 +606,26 @@ def convergence_gaps(alpha, Ns=(100, 200, 400)):
             vol = volume.cone_volume(2 * mp.pi * turns.numerator / turns.denominator, ctx.dps)
             gaps.append(float(abs(val - vol)))
     return gaps
+
+
+def asymptotic_scan_every_row(N, ctx=None):
+    """volume.asymptotic_scan as it was before it read gamma_{N-s} off
+    gamma_s: every row s = 1..N-1 runs the kernel (oracle)."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    ctx = ctx or RootContext(N, precision_digits=volume.scan_precision(N))
+    volume.check_scan(N, ctx.precision_digits)
+    rows = []
+    with ctx.workprec():
+        two_pi = 2 * mp.pi
+        for s in range(1, N):
+            g = volume.gamma_fig8_fast(N, s, ctx)
+            alpha = two_pi * s / N
+            ref, region = volume.vol_reference(s, N)
+            mag = abs(g)
+            if mag < ctx.tol:
+                rows.append(volume.ScanRow(s, float(alpha), float("-inf"), float(ref), region, True))
+            else:
+                val = two_pi / N * mp.log(mag)
+                rows.append(volume.ScanRow(s, float(alpha), float(val), float(ref), region, False))
+    return volume.ScanResult(N, rows)

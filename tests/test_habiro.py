@@ -145,6 +145,21 @@ class TestTildeSum:
     def test_envelope_scan_precision(self, knot, N):
         assert envelope_ratio(knot, N, scan_precision(N)) <= 10
 
+    @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
+    @pytest.mark.parametrize("N, digits", [(N, None) for N in list(range(2, 41)) + [97, 150, 400]]
+                             + [(300, 30)])
+    def test_mirror_rows_negate(self, knot, N, digits):
+        # G(N-s) = -G(s): each row truncates its own products, yet the two
+        # round alike.  Negated inside workprec, as the suite's 90 ambient
+        # digits would round the 105 of N = 400; at 30 digits and N = 300
+        # some rows are computed again, finer
+        h = catalog_coeffs(knot)
+        ctx = RootContext(N, precision_digits=digits or scan_precision(N))
+        for s in range(1, N // 2 + 1):
+            g, mirror = habiro.tilde_sum(h, s, ctx), habiro.tilde_sum(h, N - s, ctx)
+            with ctx.workprec():
+                assert mirror == -g, s
+
     def test_fixed_coefficients(self):
         # Gaussian-integer a_i(xi) stay at the scale 1; the first other one
         # puts the whole memoized list at the scale 2^P of the table

@@ -14,8 +14,9 @@ from logjones.volume import (
     scan_precision,
     vol_reference,
 )
-from conftest import (assert_close, cone_t, cone_volume_derivative_reference, convergence_gaps,
-                      lobachevsky_quadrature, s_N_alpha)
+from conftest import (assert_close, asymptotic_scan_every_row, cone_t,
+                      cone_volume_derivative_reference, convergence_gaps, lobachevsky_quadrature,
+                      s_N_alpha)
 
 VOL_4_1 = mp.mpf("2.029883212819307250042405108549")
 
@@ -414,6 +415,63 @@ class TestRowMargin:
             if abs(want) >= ctx.tol:
                 with ref.workprec():
                     assert abs(g - want) < mp.mpf(10) ** -RootContext._GUARD * abs(want), s
+
+
+class TestMirrorRows:
+    # gamma_{N-s} = -gamma_s, so the scan runs the kernel on s <= N/2 and
+    # row N - s reads the value of row s; it must print what the scan that
+    # ran every row printed
+
+    @pytest.mark.parametrize("N", list(range(2, 61)) + [97, 150])
+    def test_json_equals_every_row_scan(self, N):
+        assert asymptotic_scan(N).to_json() == asymptotic_scan_every_row(N).to_json()
+
+    def test_csv_equals_every_row_scan(self):
+        assert asymptotic_scan(97).to_csv() == asymptotic_scan_every_row(97).to_csv()
+
+    def test_recomputed_rows_equal_every_row_scan(self, monkeypatch):
+        # at 30 digits some N = 300 rows are computed again, finer
+        monkeypatch.setattr(volume, "scan_precision", lambda N: 30)
+        assert asymptotic_scan(300).to_json() == asymptotic_scan_every_row(300).to_json()
+
+    @pytest.mark.parametrize("N", [150, 151])
+    def test_kernel_runs_on_half_the_rows(self, N, monkeypatch):
+        calls = []
+
+        def counting(N, s, ctx):
+            calls.append(s)
+            return gamma_fig8_fast(N, s, ctx)
+
+        monkeypatch.setattr(volume, "gamma_fig8_fast", counting)
+        asymptotic_scan(N)
+        assert calls == list(range(1, N // 2 + 1))
+
+
+class TestQderivBacking:
+    # QDERIV is the route that shares no kernel with tilde_sum; at the
+    # criterion-09 row of N = 400 and its mirror it must agree with the
+    # scan's value to the scan's own digits
+
+    def test_criterion_09_row_and_its_mirror(self):
+        N, s = 400, 20
+        ctx = RootContext(N, precision_digits=scan_precision(N))
+        g = habiro.tilde_sum(habiro.catalog_coeffs("4_1"), s, ctx)
+        for row, sign in ((s, 1), (N - s, -1)):
+            q = loginv.gamma_s("4_1", row, ctx, loginv.Route.QDERIV)
+            with ctx.workprec():
+                # measured: 8.1e-109 relative, against |gamma_20| = 7.5e57;
+                # sign * g rounds, so it is taken here and not at 90 digits
+                want = sign * g
+                assert abs(q - want) < mp.mpf(10) ** -ctx.precision_digits * abs(want), row
+
+    @pytest.mark.parametrize("knot", ["3_1", "4_1"])
+    def test_mirror_identity_by_qderiv(self, knot):
+        # gamma_{N-s} = -gamma_s holds for the invariant, not only the kernel
+        for N in range(3, 13):
+            ctx = RootContext(N)
+            g = [None] + [loginv.gamma_s(knot, s, ctx, loginv.Route.QDERIV) for s in range(1, N)]
+            for s in range(1, N):
+                assert_close(g[N - s], -g[s], ctx.tol)
 
 
 class TestAmbientPrecision:
