@@ -105,7 +105,8 @@ def cmd_jones(args) -> int:
     if args.max_m < 1:
         raise ConfigError(f"--max-m must be at least 1, got {args.max_m}")
     braid = _resolve_knot(args)
-    colors = [args.m] if args.m is not None else list(range(1, args.max_m + 1))
+    # a range, so that the top color is refused before any color is built
+    colors = [args.m] if args.m is not None else range(1, args.max_m + 1)
     jones.check_trace(braid, colors[-1])
     payload = {"knot": braid.name, "strands": braid.strands,
                "writhe": braid.writhe, "framing": 0, "values": {}}

@@ -36,10 +36,10 @@ class HabiroCoeffs:
     i_max: int | None = None
     # the jets of V_m/[m], keyed by ("jet", N, m), the Horner pass of each
     # residue r of the color mod N they are read off, keyed by
-    # ("pass", N, r), the jets of the a_i, keyed by ("jets", N), the list
-    # of a_i at xi, keyed by ("xi", N, dps), and its
-    # fixed-point parts, keyed by ("fixed", N, P); the lists are only ever
-    # appended to and shared between callers, which never mutate them
+    # ("pass", N, r), the tuple of the a_i jets, keyed by ("jets", N), the
+    # tuple a_0(xi)..a_{N-1}(xi), keyed by ("xi", N, dps), and its
+    # fixed-point parts, keyed by ("fixed", N, P); each entry is built
+    # whole on first use and never changed
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -61,38 +61,32 @@ class HabiroCoeffs:
                              f"(have a_0..a_{self.i_max})")
         return self.rule(i)
 
-    def at_xi(self, count: int, ctx: RootContext) -> list:
-        """a_0(xi), ..., a_{count-1}(xi), each evaluated once per (N, dps).
-
-        The returned list is the memoized one and may be longer than count."""
-        values = self._memo.setdefault(("xi", ctx.N, ctx.dps), [])
-        while len(values) < count:
-            v = ctx.eval_at(self.coeff(len(values)))
+    def at_xi(self, ctx: RootContext) -> tuple:
+        """a_0(xi), ..., a_{N-1}(xi), built once per (N, dps): the values
+        every sum at xi reads (tilde_sum reads a_i for i < max(s, N-s),
+        ddm_Vm for i < N).  A table without a_{N-1} raises ``coeff``'s
+        ValueError."""
+        key = ("xi", ctx.N, ctx.dps)
+        if key not in self._memo:
+            values = (ctx.eval_at(self.coeff(i)) for i in range(ctx.N))
             # a real value stays an mpf, so that sums over real a_i stay real
-            values.append(v.real if not v.imag else v)
-        return values
+            self._memo[key] = tuple(v.real if not v.imag else v for v in values)
+        return self._memo[key]
 
-    def fixed_at_xi(self, count: int, ctx: RootContext) -> tuple:
-        """(re, im, scale): the parts of a_0(xi), ..., a_{count-1}(xi) as
-        ints at the scale 2^scale, converted once per (N, P) from the raw
-        values of ``at_xi``.  The scale is 0 while every a_i(xi) is a
-        Gaussian integer, as the unknot's and the figure-eight's are, so
-        that their products with the terms stay cheap, and otherwise the
-        P of ``ctx.sin_cot``.
-
-        The returned lists are the memoized ones and may be longer; a
-        change of scale binds new lists, so a triple returned before keeps
-        its own."""
+    def fixed_at_xi(self, ctx: RootContext) -> tuple:
+        """(re, im, scale): the parts of ``at_xi`` as ints at the scale
+        2^scale, built once per (N, P).  The scale is 0 when every a_i(xi)
+        is a Gaussian integer, as the unknot's and the figure-eight's are,
+        so that their products with the terms stay cheap, and otherwise the
+        P of ``ctx.sin_cot``."""
         P = ctx.sin_cot[-1]
         key = ("fixed", ctx.N, P)
-        re, im, scale = self._memo.setdefault(key, ([], [], 0))
-        for v in self.at_xi(count, ctx)[len(re):count]:
-            if not scale and not (mp.isint(v.real) and mp.isint(v.imag)):
-                re, im, scale = [x << P for x in re], [x << P for x in im], P
-                self._memo[key] = re, im, scale
-            re.append(to_fixed(v.real._mpf_, scale))
-            im.append(to_fixed(v.imag._mpf_, scale))
-        return re, im, scale
+        if key not in self._memo:
+            values = self.at_xi(ctx)
+            scale = 0 if all(mp.isint(v.real) and mp.isint(v.imag) for v in values) else P
+            self._memo[key] = (tuple(to_fixed(v.real._mpf_, scale) for v in values),
+                               tuple(to_fixed(v.imag._mpf_, scale) for v in values), scale)
+        return self._memo[key]
 
 
 def extract_coeffs(jones_values, knot: str = "") -> HabiroCoeffs:
@@ -204,14 +198,14 @@ def _residue_pass(h: HabiroCoeffs, N: int, r: int):
     jet J of P and only the value D of P': D <- J.v + (U_r - u_j) D, then
     J <- a_{j-1} + (U_r - u_j) J, where u_j has the D-part
     4j x^{4j} - 4j x^{-4j}.  A color m < n reads the same pass, as every
-    rung i >= m holds u_m - u_m = 0.  The a_i are reduced once per N.
-    Memoized on h, keyed by (N, r)."""
+    rung i >= m holds u_m - u_m = 0.  The a_i are reduced once per N, as
+    one tuple.  Memoized on h, keyed by (N, r)."""
     key = ("pass", N, r)
     if key not in h._memo:
         n = N if h.i_max is None else min(N, h.i_max + 1)
-        a = h._memo.setdefault(("jets", N), [])
-        while len(a) < n:
-            a.append(Jet.of(h.coeff(len(a)), N))
+        if ("jets", N) not in h._memo:
+            h._memo["jets", N] = tuple(Jet.of(h.coeff(i), N) for i in range(n))
+        a = h._memo["jets", N]
         up, down = 4 * r, -4 * r
         v, w = a[n - 1].v, a[n - 1].w
         d = [0] * (4 * N)
@@ -255,7 +249,8 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
 
     The terms run in fixed point: ints at the scale 2^P of the context's
     table ``sin_cot``, one truncation (x * y) >> P per product, and the
-    a_i(xi) converted once per (N, P) by ``HabiroCoeffs.fixed_at_xi``.
+    a_0(xi)..a_{N-1}(xi) converted once per (N, P) by
+    ``HabiroCoeffs.fixed_at_xi``; the row reads the first sb of them.
     The sums are exact and are rounded once, to the working precision.
 
     Each product adds at most one unit 2^-P; a unit added where a window
@@ -271,7 +266,7 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     su, sb = min(s, N - s), max(s, N - s)
-    a_re, a_im, scale = h.fixed_at_xi(sb, ctx)
+    a_re, a_im, scale = h.fixed_at_xi(ctx)
     sines, cots_of, cos2, P = ctx.sin_cot
     # prod = (-1)^i prod_{k=s-i..s+i} 2 sin(pi k/N); each i adds the
     # factors 2 sin(pi (s+i)/N) 2 sin(pi (s-i)/N) = cos2[i] - cos2[s], and
@@ -350,15 +345,13 @@ def ddm_Vm(h: HabiroCoeffs, s: int, ctx: RootContext):
 
     {kN} is exactly 0 at xi, so once the window [s-i, s+i] holds two
     multiples of N the pair is exactly (0, 0) and stays there.  Every
-    window of width 2i+1 > 2N does, so the sum stops at i = N-1, and the
-    guard asks for a_0..a_{N-1}, the coefficients that enter.
+    window of width 2i+1 > 2N does, so the sum stops at i = N-1 and reads
+    a_0..a_{N-1}, the values of ``HabiroCoeffs.at_xi``.
     """
     N = ctx.N
     if not 1 <= s <= 2 * N:
         raise ValueError("s must be in 1..2N")
-    if not h.has_coeff(N - 1):
-        raise ValueError(f"{h.knot}: d/dm needs coefficients through i = {N - 1}")
-    a = h.at_xi(N, ctx)
+    a = h.at_xi(ctx)
     sym, n2 = ctx.qsymbols, 2 * N
     with ctx.workprec():
         p, d, _ = sym[s % n2]

@@ -268,10 +268,11 @@ def window_ddm_Vm(h, s, ctx):
     A term survives only when every undifferentiated factor is nonzero at
     xi, so windows [s-i, s+i] that meet two multiples of N are skipped,
     one with a single multiple keeps only the derivative of that factor,
-    and the rest sum {k}_+/{k} over the window.
+    and the rest sum {k}_+/{k} over the window.  Every window i >= N holds
+    two multiples, so a_0..a_{N-1} are the a_i that enter.
     """
     N = ctx.N
-    a = h.at_xi(2 * N, ctx)
+    a = h.at_xi(ctx)
     with ctx.workprec():
         total = mp.mpc(0)
         for i in range(2 * N):
@@ -304,7 +305,7 @@ def ddm_Vm_mpc(h, s, ctx):
     g = {s-i}: (P, D) -> (P f g, D f g + P (f_+ g + f g_+)).
     """
     N = ctx.N
-    a = h.at_xi(N, ctx)
+    a = h.at_xi(ctx)
     with ctx.workprec():
         P, D = ctx.brace_at(s), ctx.brace_plus(s)
         total = a[0] * D

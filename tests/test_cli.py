@@ -263,6 +263,7 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     (["volume-scan", "--N", "9999999"], cli.EXIT_FEASIBILITY),
     (["loginv", "--knot", "4_1", "--N", "9999999"], cli.EXIT_FEASIBILITY),
     (["habiro", "--knot", "4_1", "--imax", "9999999"], cli.EXIT_FEASIBILITY),
+    (["jones", "--knot", "4_1", "--max-m", "1000000000"], cli.EXIT_FEASIBILITY),
 ])
 def test_bad_input_exit_code_without_traceback(argv, code):
     env = dict(os.environ, PYTHONPATH=SRC_DIR)

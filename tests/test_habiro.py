@@ -113,7 +113,7 @@ def envelope_ratio(knot, N, precision_digits):
     ctx = RootContext(N, precision_digits=precision_digits)
     fine = RootContext(N, precision_digits=precision_digits + 40)
     h = catalog_coeffs(knot)
-    a, a_fine = h.at_xi(N - 1, ctx), h.at_xi(N - 1, fine)
+    a, a_fine = h.at_xi(ctx), h.at_xi(fine)
     worst = mp.mpf(0)
     for s in range(1, N):
         got = habiro.tilde_sum(h, s, ctx)
@@ -160,34 +160,31 @@ class TestTildeSum:
             with ctx.workprec():
                 assert mirror == -g, s
 
-    def test_fixed_coefficients(self):
-        # Gaussian-integer a_i(xi) stay at the scale 1; the first other one
-        # puts the whole memoized list at the scale 2^P of the table
+    @pytest.mark.parametrize("knot", ["4_1", "3_1"])
+    def test_coefficients_at_xi_built_whole_once(self, knot):
+        # at_xi and fixed_at_xi hold exactly a_0..a_{N-1}, built once per
+        # context: a second call returns the same tuples, and the finer
+        # context that tilde_sum computes a row again in gets its own.  The
+        # figure-eight's a_i(xi) = 1 stay at the scale 0; the trefoil's are
+        # not all Gaussian integers, so its whole tuple is at the scale 2^P
+        h = HabiroCoeffs(knot, catalog_coeffs(knot).rule)
         ctx = RootContext(7)
-        P = ctx.sin_cot[-1]
-        h = HabiroCoeffs("4_1", catalog_coeffs("4_1").rule)
-        assert h.fixed_at_xi(6, ctx) == ([1] * 6, [0] * 6, 0)
-        h = HabiroCoeffs("3_1", catalog_coeffs("3_1").rule)
-        assert h.fixed_at_xi(1, ctx) == ([1], [0], 0)
-        re, im, scale = h.fixed_at_xi(6, ctx)
-        assert scale == P and re[0] == 1 << P and im[0] == 0
-        assert h.fixed_at_xi(3, ctx)[0] is re and len(re) == 6
-        with ctx.workprec():
-            for v, x, y in zip(h.at_xi(6, ctx), re, im):
-                assert abs(mp.mpc(v) - mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P))) <= mp.ldexp(2, -P)
-
-    def test_fixed_coefficients_keep_a_returned_triple(self):
-        # the change of scale binds new lists in the memo: a triple handed
-        # out at the scale 1 keeps its values, and the later call equals
-        # the one on a fresh coefficient object
-        ctx = RootContext(5)
-        h = HabiroCoeffs("3_1", catalog_coeffs("3_1").rule)
-        first = h.fixed_at_xi(1, ctx)
-        assert first == ([1], [0], 0)
-        second = h.fixed_at_xi(3, ctx)
-        assert first == ([1], [0], 0)
-        fresh = HabiroCoeffs("3_1", catalog_coeffs("3_1").rule).fixed_at_xi(3, ctx)
-        assert second == fresh and second[2] == ctx.sin_cot[-1]
+        fine = ctx.finer(RootContext._GUARD)
+        for c in (ctx, fine):
+            P = c.sin_cot[-1]
+            values, fixed = h.at_xi(c), h.fixed_at_xi(c)
+            re, im, scale = fixed
+            assert type(values) is type(re) is type(im) is tuple
+            assert len(values) == len(re) == len(im) == 7
+            assert h.at_xi(c) is values and h.fixed_at_xi(c) is fixed
+            if knot == "4_1":
+                assert (re, im, scale) == ((1,) * 7, (0,) * 7, 0)
+                continue
+            assert scale == P and re[0] == 1 << P and im[0] == 0
+            with c.workprec():
+                for v, x, y in zip(values, re, im):
+                    assert abs(mp.mpc(v) - mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P))) <= mp.ldexp(2, -P)
+        assert h.at_xi(fine) is not h.at_xi(ctx) and h.fixed_at_xi(fine) is not h.fixed_at_xi(ctx)
 
     @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
     def test_window_products_are_V_s(self, knot):
@@ -197,7 +194,7 @@ class TestTildeSum:
         h = catalog_coeffs(knot)
         for N in range(2, 25):
             ctx = RootContext(N)
-            a = h.at_xi(N - 1, ctx)
+            a = h.at_xi(ctx)
             for s in range(1, N):
                 _, windows = half_powers_tilde_sum(a, s, ctx)
                 with ctx.workprec():
@@ -211,7 +208,7 @@ class TestTildeSum:
         # every row the scan does not flag as zero (worst rows: s = 47 loses
         # 13.3 of 60 digits at N = 100, s = 79 loses 20.8 of 67 at N = 150)
         ctx = RootContext(N, precision_digits=scan_precision(N))
-        a = catalog_coeffs("4_1").at_xi(N - 1, ctx)
+        a = catalog_coeffs("4_1").at_xi(ctx)
         with ctx.workprec():
             for s in range(1, N):
                 terms, _ = half_powers_tilde_terms(s, ctx)
@@ -538,9 +535,14 @@ class TestColorDerivative:
                     assert vanish >= 2
 
     def test_needs_enough_coefficients(self):
+        # a sum at xi reads a_0..a_{N-1}, so a table a_0, a_1 is refused at
+        # N = 3 by both, although tilde_sum's row s = 1 reads only a_0, a_1
         short = HabiroCoeffs.from_table("stub", [LaurentPoly.const(1), LaurentPoly.const(1)])
-        with pytest.raises(ValueError):
-            ddm_Vm(short, 1, RootContext(3))
+        for kernel in (ddm_Vm, habiro.tilde_sum):
+            with pytest.raises(ValueError, match=r"^stub: coefficient a_2 is not available"):
+                kernel(short, 1, RootContext(3))
+        ctx = RootContext(2)
+        assert_close(ddm_Vm(short, 1, ctx), window_ddm_Vm(short, 1, ctx), ctx.tol)
 
     def test_s_range(self):
         h = catalog_coeffs("4_1")

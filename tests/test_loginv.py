@@ -146,7 +146,7 @@ class TestRadicalCoefficients:
                 pref = falling_brace_at(s + i, 2 * i + 1, ctx3) / ctx3.qint_at(s) / brs
                 cot = mp.fsum(ctx3.brace_plus(k) / ctx3.brace_at(k)
                               for k in range(s - i, s + i + 1) if k != s)
-                variant += h.at_xi(su, ctx3)[i] * pref * cot
+                variant += h.at_xi(ctx3)[i] * pref * cot
             variant *= ctx3.brace_at(1) ** 2
         true_b = b_pm_via_derivative(h, s, +1, ctx3)
         assert abs(variant - true_b) > mp.mpf("0.5")
