@@ -6,10 +6,15 @@ EF = [n][t+1-n] on their rungs, the factor [t+1-n] on F for W_m and
 Y_m^+- and on E for U, V and P, plus links between ladders.  Over exact
 Laurent polynomials it builds the universal R-matrix action on them and
 the braid group representation on tensor powers, with its quantum and
-partial traces on Kronecker-packed ints.  The braiding at a positive crossing is P (factor
-swap) composed after R; a negative crossing uses the inverse braiding.
-A braid word w = w1 w2 is kept as the operators of its two halves, and
-the traces contract them without forming the operator of w.
+partial traces on Kronecker-packed ints.  The braiding at a positive
+crossing is P (factor swap) composed after R; a negative crossing uses
+the inverse braiding.  One gate loop applies the whole word to a set of
+columns.  W_m is irreducible, so by Schur's lemma the partial trace over
+the closed factors is a scalar, and colored_jones applies the word to
+the columns (0, t) of the open factor's highest-weight vector alone: V_m
+is [m] times that one block, the (1,1)-tangle form of the invariant.
+The indecomposable Y_m^+- break Schur's lemma, so partial_trace takes
+the operator on every column.
 """
 
 from __future__ import annotations
@@ -34,17 +39,16 @@ class LinkNotKnotError(ValueError):
 
 
 # Tensor dimension cap for the packed braid operators, on W_m and on the
-# modified representations alike.  On a shared 2-vCPU Xeon, with the two
-# half-word operators contracted, the partial trace of 4_1 on the
-# 1728-dim cube of Y_1^- at N = 3 takes 0.3 s (1.9 s with the whole word's
-# operator), and colored_jones of 4_1 at m = 12 (1728 dims) 1.4 s and
-# 93 MB (18.6 s and 317 MB).  loginv traces colors 1..N, so the cap
-# reaches N = 12 on 3-strand words: a whole loginv --braid "3: 1 -2 1 -2"
-# process takes 0.21 s and 22 MB at N = 6, 0.30 s and 27 MB at N = 8,
-# 0.74 s and 42 MB at N = 10 and 2.9 s and 93 MB at N = 12 (1728 dims),
-# and refuses N = 13 (2197 dims); "3: 1 1 1 2 -1 2" takes 17 s and 220 MB
-# at N = 12.  A word above the cap is refused with FeasibilityError
-# before any trace.
+# modified representations alike.  On a shared 2-vCPU Xeon the partial
+# trace of 4_1 on the 1728-dim cube of Y_1^- at N = 3, the whole word on
+# every column, takes 1.4 s and 125 MB, and colored_jones of 4_1 at
+# m = 12 (1728 dims), on the one open column, 0.2 s and 33 MB.  loginv
+# traces colors 1..N, so the cap reaches N = 12 on 3-strand words: a
+# whole loginv --braid "3: 1 -2 1 -2" process takes 0.14 s and 22 MB at
+# N = 6, 0.17 s and 22 MB at N = 8, 0.27 s and 24 MB at N = 10 and 0.55 s
+# and 31 MB at N = 12 (1728 dims), and refuses N = 13 (2197 dims);
+# "3: 1 1 1 2 -1 2" takes 3.3 s and 56 MB at N = 12.  A word above the
+# cap is refused with FeasibilityError before any trace.
 EXACT_DIM_CAP = 1800
 
 
@@ -205,19 +209,22 @@ def mat_mul(a: dict, b: dict) -> dict:
 
 @dataclasses.dataclass
 class TensorOperator:
-    """The operator of a braid word (in braid_operator, one half of it) on
-    rep^{(x) strands}: a sparse map {(row, col): int} keyed by flat
-    indices, factor 0 the most significant base-dim digit.  Each entry is
-    its integer Laurent polynomial in the basis of _basis_rescaled, packed
-    under layout = (lo, step, width) as the sum of c_k 2^(width*k) over
-    its coefficients c_k at doubled exponents lo + step*k.  Only the
-    traces are decoded, so width bounds their digits, not the entries'.
-    The L1-norm halves of _digit_width have width 0."""
+    """The operator of a braid word on rep^{(x) strands}: a sparse map
+    {(row, col): int} keyed by flat indices, factor 0 the most significant
+    base-dim digit.  It holds every column, or with one_column only the
+    columns (0, t) whose open factor is at its highest-weight vector.
+    Each entry is its integer Laurent polynomial in the basis of
+    _basis_rescaled, packed under layout = (lo, step, width) as the sum of
+    c_k 2^(width*k) over its coefficients c_k at doubled exponents
+    lo + step*k.  Only the traces are decoded, so width bounds their
+    digits, not the entries'.  The L1-norm operators of _digit_width have
+    width 0."""
 
     rep: WeightRep
     strands: int
     entries: dict
     layout: tuple
+    one_column: bool = False
 
 
 def tensor_of(a: dict, b: dict, d2: int) -> dict:
@@ -405,26 +412,19 @@ def _packing_layout(local: dict):
                              for v in ents.values() for e in v.terms))
 
 
-def _word_product(n: int, word: tuple, V: WeightRep, local_by_sign: dict, layout) -> TensorOperator:
-    """The one gate loop: the product of the local gates local_by_sign[sign]
-    (grouped by column) over word on V^{(x) n}, applied to the identity.
-    Its entries are packed ints, or the L1 norms of _digit_width."""
-    d = V.dim
-    op = TensorOperator(V, n, {(i, i): 1 for i in range(d ** n)}, layout)
-    for g in word:
+def _word_product(b: BraidWord, V: WeightRep, local_by_sign: dict, layout,
+                  one_column: bool) -> TensorOperator:
+    """The one gate loop: the local gates local_by_sign[sign] (grouped by
+    column) of the whole word b on V^{(x) n}, applied to the columns of
+    the identity: all d^n of them, or with one_column the d^{n-1} columns
+    (0, t), flat index t.  Its entries are packed ints, or the L1 norms of
+    _digit_width."""
+    d, n = V.dim, b.strands
+    cols = range(d ** (n - 1) if one_column else d ** n)
+    op = TensorOperator(V, n, {(i, i): 1 for i in cols}, layout, one_column)
+    for g in b.word:
         op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n)
     return op
-
-
-def _halves(b: BraidWord, V: WeightRep, local_by_sign: dict, lo: dict, step: int, width: int):
-    """(F, S): the products of w1 = w[:h] and w2 = w[h:], h = len(w) // 2,
-    so that the word's operator is S F, which is never formed.  Each half
-    starts from the identity; its layout's lo is the sum of lo[sign] over
-    its own gates."""
-    h = len(b.word) // 2
-    return tuple(_word_product(b.strands, word, V, local_by_sign,
-                               (sum(lo[1 if g > 0 else -1] for g in word), step, width))
-                 for word in (b.word[:h], b.word[h:]))
 
 
 def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
@@ -439,37 +439,38 @@ def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
             prod = lv * v
             s = out.get(key)
             out[key] = prod if s is None else s + prod
-    return TensorOperator(op.rep, n, {k: v for k, v in out.items() if v}, op.layout)
+    return dataclasses.replace(op, entries={k: v for k, v in out.items() if v})
 
 
-def _digit_width(b: BraidWord, V: WeightRep, local: dict) -> int:
+def _digit_width(b: BraidWord, V: WeightRep, local: dict, one_column: bool) -> int:
     """Digit width W from a proved coefficient bound.
 
     Kronecker substitution (x -> 2^W) is a ring homomorphism, so every
-    packed int of the halves and of their contraction is the exact image
-    of its polynomial, whatever its digits; an int that cancels to 0 is
-    dropped without changing any later product.  Only the decoded ints,
-    the blocks of the partial trace and the trace, need their coefficients
-    below 2^{W-1}.  The L1 norm is subadditive and submultiplicative, so
-    the halves and the contraction run on the L1 norms of the local
-    entries bound the L1 norm of every block, and the sum of the diagonal
-    blocks bounds the trace; W is one bit above the largest bound."""
+    packed int of the gate loop is the exact image of its polynomial,
+    whatever its digits; an int that cancels to 0 is dropped without
+    changing any later product.  Only the decoded ints need their
+    coefficients below 2^{W-1}: the blocks of the partial trace and the
+    trace, or on the one-column operator its one block.  The L1 norm is
+    subadditive and submultiplicative, so the gate loop run on the L1
+    norms of the local entries, over the same columns, bounds the L1 norm
+    of every block, and the sum of the diagonal blocks bounds the trace;
+    W is one bit above the largest bound."""
     norms = {sign: _by_col({k: sum(abs(c) for c in v.terms.values()) for k, v in ents.items()})
              for sign, ents in local.items()}
-    blocks, _ = _traced_blocks(_halves(b, V, norms, dict.fromkeys(norms, 0), 1, 0), b.strands - 1)
+    blocks, _ = _traced_blocks(_word_product(b, V, norms, (0, 1, 0), one_column), b.strands - 1)
     diag = sum(v for (a, b_), v in blocks.items() if a == b_)  # bounds the trace
     return max(diag, *blocks.values()).bit_length() + 1
 
 
-def braid_operator(b: BraidWord, V: WeightRep):
-    """Representation of the braid word w = w1 w2 on V^{(x) strands},
-    returned as ((F, S), den): the TensorOperators of the halves
-    w1 = w[:h] and w2 = w[h:], h = len(w) // 2, with packed int entries.
-    The operator of w is S F; the traces contract the halves instead of
-    forming it.  den is the product of the braidings' {n}! denominators,
-    kept outside the ints: 1 on W_m, {2}! or {3}! per crossing on some
-    modified representations.  Every division that builds a braiding has
-    a divisor with top coefficient +-1, so its entries are ints."""
+def braid_operator(b: BraidWord, V: WeightRep, one_column: bool = False):
+    """Representation of the braid word w on V^{(x) strands}, returned as
+    (op, den): the TensorOperator of the whole word with packed int
+    entries, on every column, or with one_column on the columns (0, t)
+    alone, the open factor at its highest-weight vector.  den is the
+    product of the braidings' {n}! denominators, kept outside the ints: 1
+    on W_m, {2}! or {3}! per crossing on some modified representations.
+    Every division that builds a braiding has a divisor with top
+    coefficient +-1, so its entries are ints."""
     _check_dim(V.dim ** b.strands)
     signs = [1 if g > 0 else -1 for g in b.word]
     local, dens = {}, {}
@@ -479,10 +480,10 @@ def braid_operator(b: BraidWord, V: WeightRep):
     one = LaurentPoly.const(1)
     den = math.prod((dens[sign] for sign in signs if dens[sign] != one), start=one)
     lo, step = _packing_layout(local)
-    width = _digit_width(b, V, local)
+    width = _digit_width(b, V, local, one_column)
     packed = {sign: _by_col({k: kron_pack(v.terms, lo[sign], step, width) for k, v in ents.items()})
               for sign, ents in local.items()}
-    return _halves(b, V, packed, lo, step, width), den
+    return _word_product(b, V, packed, (sum(lo[s] for s in signs), step, width), one_column), den
 
 
 def _weight_sums(k: int, V: WeightRep) -> list:
@@ -494,63 +495,57 @@ def _weight_sums(k: int, V: WeightRep) -> list:
     return sums
 
 
-def _traced_blocks(halves, k: int):
-    """The partial quantum trace of S F over its k lowest factors,
-    contracted from the halves (F, S) without forming S F:
+def _traced_blocks(op: TensorOperator, k: int):
+    """The partial quantum trace of op over its k lowest factors:
 
-        block (a, b) = sum_t K_t sum_j S[(a, t), j] F[j, (b, t)]
+        block (a, b) = sum_t K_t op[(a, t), (b, t)]
 
     over the indices a, b of the other factors and t of the closed ones,
-    K_t the packed shift by t's weight above the lowest weight sum.  F's
-    entries are grouped by (j, t), one pass over S's entries accumulates
-    per (a, b, t), and each key is shifted once.  Returns {(a, b): int}
-    and the layout (lo, step, width) of the blocks.  S F keeps weight, so
-    a block of unequal weights a, b sums to 0."""
-    F, S = halves
-    V = F.rep
-    lo, step, width = F.layout
+    K_t the packed shift by t's weight above the lowest weight sum.
+    Returns {(a, b): int} and the layout (lo, step, width) of the blocks.
+    op keeps weight, so a block of unequal weights a, b sums to 0."""
+    V = op.rep
+    lo, step, width = op.layout
     rest = V.dim ** k
     low = k * min(V.weights)
-    f_by_jt = {}
-    for (j, c), v in F.entries.items():
-        b_, t = divmod(c, rest)
-        f_by_jt.setdefault((j, t), []).append((b_, v))
-    acc = {}
-    for (r, j), sv in S.entries.items():
-        a, t = divmod(r, rest)
-        for b_, fv in f_by_jt.get((j, t), ()):
-            key = (a, b_, t)
-            s = acc.get(key)
-            acc[key] = sv * fv if s is None else s + sv * fv
     shifts = [width * (2 * (w - low) // step) for w in _weight_sums(k, V)]
     blocks = {}
-    for (a, b_, t), v in acc.items():
-        blocks[(a, b_)] = blocks.get((a, b_), 0) + (v << shifts[t])
-    return blocks, (lo + S.layout[0] + 2 * low, step, width)
+    for (r, c), v in op.entries.items():
+        a, t = divmod(r, rest)
+        b_, tc = divmod(c, rest)
+        if t == tc:
+            blocks[(a, b_)] = blocks.get((a, b_), 0) + (v << shifts[t])
+    return blocks, (lo + 2 * low, step, width)
 
 
-def quantum_trace(halves, den) -> LaurentPoly:
-    """tr(K^{(x)n} . S F) of the halves (F, S) of braid_operator: every
-    factor closed by _traced_blocks, unpacked once.  The trace is only
-    taken over den = 1, as on W_m; ArithmeticError otherwise."""
+def quantum_trace(op: TensorOperator, den) -> LaurentPoly:
+    """tr(K^{(x)n} . op) of the operator of braid_operator, unpacked once.
+    On every column it closes every factor.  The one-column operator is
+    only built on W_m (colored_jones), which is irreducible, so by Schur's
+    lemma its partial trace over the closed factors is a scalar: the trace
+    is [m] times its one block (0, 0).  The trace is only taken over
+    den = 1, as on W_m; ArithmeticError otherwise."""
     if den != LaurentPoly.const(1):
         raise ArithmeticError(f"braid operator over the denominator {den}: no packed trace")
-    blocks, layout = _traced_blocks(halves, halves[0].strands)
-    return LaurentPoly(kron_unpack(blocks.get((0, 0), 0), *layout))
+    blocks, layout = _traced_blocks(op, op.strands - 1 if op.one_column else op.strands)
+    trace = LaurentPoly(kron_unpack(blocks.get((0, 0), 0), *layout))
+    return trace * qint(op.rep.dim) if op.one_column else trace
 
 
-def partial_trace(halves):
-    """Partial quantum trace over the right n-1 factors of the halves
-    (F, S) of braid_operator: (1 x K^{(x)(n-1)}) . S F contracted by
-    _traced_blocks into a dense dim x dim matrix of LaurentPoly, the
-    numerator over the operator's den, each entry unpacked once.
+def partial_trace(op: TensorOperator):
+    """Partial quantum trace over the right n-1 factors of the operator of
+    braid_operator on every column: (1 x K^{(x)(n-1)}) . op as a dense
+    dim x dim matrix of LaurentPoly, the numerator over the operator's
+    den, each entry unpacked once.
 
     The rescaling of _basis_rescaled would move entry (a, b) by
     (t_b mod 2) - (t_a mod 2) doubled exponents on the open factor, but
     the operator keeps weight and the closed factors match, so every
     entry kept has t_a = t_b and the shift is 0."""
-    d = halves[0].rep.dim
-    blocks, layout = _traced_blocks(halves, halves[0].strands - 1)
+    if op.one_column:
+        raise ValueError("the partial trace needs the operator on every column")
+    d = op.rep.dim
+    blocks, layout = _traced_blocks(op, op.strands - 1)
     out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
     for (a, b_), v in blocks.items():
         out[a][b_] = LaurentPoly(kron_unpack(v, *layout))
@@ -573,13 +568,14 @@ def check_trace(b: BraidWord, m: int):
 
 def colored_jones(b: BraidWord, m: int) -> LaurentPoly:
     """V_m of the braid closure, carrying framing = writhe: the quantum
-    trace of the packed braid operator on W_m, whose denominator is 1.
+    trace of the packed one-column braid operator on W_m, whose
+    denominator is 1.
 
     Use framing_adjust to pass to the 0-framed invariant.  Raises
     LinkNotKnotError when the closure has more than one component.
     """
     check_trace(b, m)
-    return quantum_trace(*braid_operator(b, build_Wm(m)))
+    return quantum_trace(*braid_operator(b, build_Wm(m), one_column=True))
 
 
 def framing_adjust(p: LaurentPoly, w: int, m: int) -> LaurentPoly:

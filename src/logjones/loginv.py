@@ -46,7 +46,8 @@ from . import habiro, jones
 # the color mod N in habiro.normalized_Vm_jet, still O(N^3) in all.  At
 # 4000 digits N = 60 takes 5.9-8.5 s and N = 100 15-19 s and 41 MB.  A
 # larger N is refused with jones.FeasibilityError before the knot is
-# resolved; a braid word is bounded by jones.EXACT_DIM_CAP as well.
+# resolved; a braid word is bounded by jones.EXACT_DIM_CAP as well
+# (loginv --braid "3: 1 -2 1 -2" takes 0.55 s and 31 MB at N = 12).
 MAX_N = 100
 
 

@@ -75,9 +75,10 @@ def horner(p, q_half):
 
 
 @st.composite
-def knotted_words(draw):
-    """Braid words on 2 or 3 strands, 1 to 5 generators, whose closure is a knot."""
-    strands = draw(st.integers(2, 3))
+def knotted_words(draw, max_strands=3):
+    """Braid words on 2 to max_strands strands, 1 to 5 generators, whose
+    closure is a knot."""
+    strands = draw(st.integers(2, max_strands))
     gens = st.integers(1, strands - 1).flatmap(lambda k: st.sampled_from((k, -k)))
     word = tuple(draw(st.lists(gens, min_size=1, max_size=5)))
     b = jones.BraidWord(strands, word)

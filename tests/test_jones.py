@@ -25,14 +25,10 @@ from logjones.qgroup import build_modified
 from conftest import colored_jones_numeric, horner, is_palindromic, knotted_words, mirror, q_power
 
 
-def decoded(halves):
-    """The entries of the packed operator S F of the halves (F, S) as term
-    maps, in its rescaled basis; the lowest doubled exponents of the halves
-    add up in the product."""
-    F, S = halves
-    lo, step, width = F.layout
-    return {k: kron_unpack(v, lo + S.layout[0], step, width)
-            for k, v in mat_mul(S.entries, F.entries).items()}
+def decoded(op):
+    """The entries of the packed operator of a whole word as term maps, in
+    its rescaled basis."""
+    return {k: kron_unpack(v, *op.layout) for k, v in op.entries.items()}
 
 
 def dense_of(entries, d):

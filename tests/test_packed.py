@@ -67,11 +67,12 @@ def test_pack_unpack_round_trip(coeffs, lo):
 
 
 def test_trace_unpack_splits_its_digits():
-    # the trace of T(2,7) at m = 8 holds more digits than one leaf of the
-    # unpack, which splits it and must still give the dict path's poly
+    # the one block of T(2,7) at m = 8 that colored_jones decodes holds more
+    # digits than one leaf of the unpack, which splits it and must still
+    # give the dict path's poly
     b = parse_braid("2: 1 1 1 1 1 1 1")
-    halves, _ = braid_operator(b, build_Wm(8))
-    blocks, (_, _, width) = jones._traced_blocks(halves, b.strands)
+    op, _ = braid_operator(b, build_Wm(8), one_column=True)
+    blocks, (_, _, width) = jones._traced_blocks(op, b.strands - 1)
     assert blocks[(0, 0)].bit_length() > 2 * _KRON_LEAF * width
     assert_same(colored_jones(b, 8), dict_trace(b, 8))
 
@@ -80,7 +81,7 @@ def test_digit_width_bounds_every_intermediate_entry():
     # on W_4 and on Y_1^- at N = 2; the bound covers the partial trace too
     b = parse_braid("3: 1 -2 1 -2")
     for V in (build_Wm(4), build_modified(-1, 1, 2)[0]):
-        width = braid_operator(b, V)[0][0].layout[2]
+        width = braid_operator(b, V)[0].layout[2]
         seen = 0
         for k in range(len(b.word) + 1):
             entries, _ = dict_braid_operator(BraidWord(b.strands, b.word[:k]), V)
@@ -104,8 +105,7 @@ def oracle_rep(label):
 
 
 # 3-strand words only where the tensor cube stays small enough for the dict
-# loop; words of length 1, 3 and 5 put the split h = len(w) // 2 of the
-# halves on both sides of each gate type
+# loop; words of length 1, 3 and 5, of one sign and of both
 ORACLE_CASES = [
     (rep, word)
     for rep in ("Y1+_N2", "Y1-_N2", "Y1+_N3", "Y2+_N3", "Y1-_N3", "Y2-_N3", "W3", "W4")
@@ -147,6 +147,37 @@ def test_partial_trace_matches_dict_oracle_random(b, m):
     for i in range(m):
         for j in range(m):
             assert traced[i][j].terms == reference[i][j].terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(knotted_words(max_strands=4), st.integers(1, 4))
+def test_one_column_trace_equals_every_column_trace(b, m):
+    # W_m is irreducible, so by Schur's lemma [m] times the one block that
+    # colored_jones decodes is the trace sum_a K_a block(a, a) of the
+    # operator on every column, and the dict oracle's trace
+    V = build_Wm(m)
+    one_column = colored_jones(b, m)
+    assert_same(one_column, quantum_trace(*braid_operator(b, V)))
+    entries, _ = dict_braid_operator(b, V)
+    assert_same(one_column, dict_quantum_trace(entries, V, b.strands))
+
+
+def test_partial_trace_on_y_is_not_scalar():
+    # the negative control: Y_1^- at N = 3 is indecomposable, not
+    # irreducible, so its partial trace is no multiple of the identity and
+    # its trace is not its quantum dimension times one block, although the
+    # trefoil's den is 1 there; only colored_jones, on the W_m it builds
+    # itself, takes the one-column operator
+    V = build_modified(-1, 1, 3)[0]
+    op, den = braid_operator(parse_braid("2: 1 1 1"), V)
+    assert den == LaurentPoly.const(1)
+    traced = partial_trace(op)
+    off_diagonal = [(i, j) for i in range(V.dim) for j in range(V.dim) if i != j and traced[i][j]]
+    assert off_diagonal or len({tuple(sorted(traced[i][i].terms.items())) for i in range(V.dim)}) > 1
+    qdim = sum((LaurentPoly({2 * w: 1}) for w in V.weights), LaurentPoly())
+    assert quantum_trace(op, den) != traced[0][0] * qdim
+    with pytest.raises(ValueError):
+        partial_trace(braid_operator(parse_braid("2: 1 1 1"), build_Wm(2), one_column=True)[0])
 
 
 def test_non_integral_braiding_is_refused(monkeypatch):
