@@ -40,8 +40,8 @@ MAX_PRECISION = 4000
 # and 41 MB on a shared 2-vCPU Xeon, 100000 1.4 s and 210 MB (0.8 MB of
 # output per 10000 coefficients).  A braid word is traced at colors up to
 # --imax + 1, which jones.EXACT_DIM_CAP bounds too, though not its cost:
-# --braid "2: 1 1 1" takes 2.7 s and 68 MB at --imax 20, 23 s and 400 MB
-# at --imax 30, and over 120 s at --imax 41.
+# --braid "2: 1 1 1" takes 0.3 s and 25 MB at --imax 20, 2.1 s and 47 MB
+# at --imax 30, and 19 s and 137 MB at --imax 41.
 MAX_IMAX = 10000
 
 

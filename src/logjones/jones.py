@@ -8,7 +8,11 @@ Laurent polynomials it builds the universal R-matrix action on them and
 the braid group representation on tensor powers, with its quantum and
 partial traces on Kronecker-packed ints.  The braiding at a positive
 crossing is P (factor swap) composed after R; a negative crossing uses
-the inverse braiding.  One gate loop applies the whole word to a set of
+the inverse braiding.  On W_m each braiding entry has a closed form, a
+monomial times the q-binomial [i over n] and the falling product
+{a}{a-1}...{a-n+1}, read from two tables that every color shares and
+formed as one product of packed ints; the dict-polynomial braiding
+serves Y_m^+- alone.  One gate loop applies the whole word to a set of
 columns.  W_m is irreducible, so by Schur's lemma the partial trace over
 the closed factors is a scalar, and colored_jones applies the word to
 the columns (0, t) of the open factor's highest-weight vector alone: V_m
@@ -20,6 +24,7 @@ the operator on every column.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, kron_pack, kron_unpack,
@@ -42,12 +47,12 @@ class LinkNotKnotError(ValueError):
 # modified representations alike.  On a shared 2-vCPU Xeon the partial
 # trace of 4_1 on the 1728-dim cube of Y_1^- at N = 3, the whole word on
 # every column, takes 1.4 s and 125 MB, and colored_jones of 4_1 at
-# m = 12 (1728 dims), on the one open column, 0.2 s and 33 MB.  loginv
+# m = 12 (1728 dims), on the one open column, 0.12 s and 28 MB.  loginv
 # traces colors 1..N, so the cap reaches N = 12 on 3-strand words: a
 # whole loginv --braid "3: 1 -2 1 -2" process takes 0.14 s and 22 MB at
-# N = 6, 0.17 s and 22 MB at N = 8, 0.27 s and 24 MB at N = 10 and 0.55 s
-# and 31 MB at N = 12 (1728 dims), and refuses N = 13 (2197 dims);
-# "3: 1 1 1 2 -1 2" takes 3.3 s and 56 MB at N = 12.  A word above the
+# N = 6, 0.16 s and 22 MB at N = 8, 0.22 s and 24 MB at N = 10 and 0.40 s
+# and 30 MB at N = 12 (1728 dims), and refuses N = 13 (2197 dims);
+# "3: 1 1 1 2 -1 2" takes 2.7 s and 57 MB at N = 12.  A word above the
 # cap is refused with FeasibilityError before any trace.
 EXACT_DIM_CAP = 1800
 
@@ -134,8 +139,8 @@ class WeightRep:
     F: dict
     weights: tuple
     # the powers of E and F that rmatrix_terms reads, built once by
-    # _rep_powers and _divided_powers; shared between callers, which never
-    # mutate them
+    # _rep_powers and _divided_powers, shared between callers, which never
+    # mutate them; and the mark "Wm" that build_Wm sets
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
@@ -184,7 +189,11 @@ def build_Wm(m: int) -> WeightRep:
     F f_i = [m-1-i] f_{i+1}, K f_i = q^{m-1-2i} f_i."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return ladder_rep([("f", m - 1, m)])[0]
+    V = ladder_rep([("f", m - 1, m)])[0]
+    # the one mark of W_m: braid_operator builds its braidings from the
+    # closed form of _wm_gates, not from E and F
+    V._memo["Wm"] = m
+    return V
 
 
 # -- sparse operators on tensor powers ---------------------------------
@@ -375,8 +384,10 @@ def _by_col(entries: dict) -> dict:
 
 
 # -- braid operators on Kronecker-packed integers ---------------------------
-# Each braiding entry is packed once (qcalc.kron_pack); the exponent offsets
-# add along the word, and one kron_unpack decodes each trace entry.
+# Each gate entry is a sign, a monomial and a product of factors; each factor
+# is packed once (qcalc.kron_pack), and the entry is their int product,
+# shifted into place.  The exponent offsets add along the word, and one
+# kron_unpack decodes each trace entry.
 
 
 def _basis_rescaled(op: dict, V: WeightRep) -> dict:
@@ -403,13 +414,90 @@ def _basis_rescaled(op: dict, V: WeightRep) -> dict:
     return out
 
 
-def _packing_layout(local: dict):
-    """(lo, step): the lowest doubled exponent of each sign's entries and
-    the common exponent step.  The step divides 4 because the trace
-    weights 2*(weight sum - lowest weight sum) are multiples of 4."""
-    lo = {sign: min(e for v in ents.values() for e in v.terms) for sign, ents in local.items()}
-    return lo, math.gcd(4, *(e - lo[sign] for sign, ents in local.items()
-                             for v in ents.values() for e in v.terms))
+class _Factor:
+    """A factor of gate entries: its polynomial, its lowest doubled
+    exponent lo, the gcd step of its exponents above lo (0 for a
+    monomial) and its L1 norm.  Hashed by identity, so a factor that many
+    entries share is packed once per braid operator."""
+
+    __slots__ = ("poly", "lo", "step", "l1")
+
+    def __init__(self, p: LaurentPoly):
+        lo = min(p.terms)
+        self.poly, self.lo = p, lo
+        self.step = math.gcd(*(e - lo for e in p.terms))
+        self.l1 = sum(map(abs, p.terms.values()))
+
+
+@functools.cache
+def _qbinom_factor(i: int, n: int) -> _Factor:
+    """[i over n] for 0 <= n <= i, the entry of the divided power E^(n) of
+    W_m on f_i, by Pascal's rule [i over n] = q^{i-n} [i-1 over n-1] +
+    q^{-n} [i-1 over n] from [i over 0] = [i over i] = 1 and
+    [i over 1] = [i].  It does not depend on m, so every color shares it."""
+    if n in (0, i):
+        return _Factor(LaurentPoly.const(1))
+    if n == 1:
+        return _Factor(qint(i))
+    return _Factor(_qbinom_factor(i - 1, n - 1).poly.shift(2 * (i - n))
+                   + _qbinom_factor(i - 1, n).poly.shift(-2 * n))
+
+
+@functools.cache
+def _falling_factor(a: int, n: int) -> _Factor:
+    """{a}{a-1}...{a-n+1} = {1}^n [a][a-1]...[a-n+1] for 0 <= n <= a, the
+    entry of {1}^n F^n on f_j of W_m with a = m-1-j.  It does not depend
+    on m, so every color shares it."""
+    if n == 0:
+        return _Factor(LaurentPoly.const(1))
+    return _Factor(_falling_factor(a, n - 1).poly * brace(a - n + 1))
+
+
+def _wm_gates(m: int, sign: int) -> dict:
+    """The braiding of sign on W_m (x) W_m in the basis of _basis_rescaled,
+    from its closed form, as {(r, c): (coef, shift, factors)}: the entry
+    coef q^{shift/2} [i over n] {a}{a-1}...{a-n+1}.
+
+    Summand n of rmatrix_terms sends f_i (x) f_j to f_{i-n} (x) f_{j+n}
+    times E^(n) f_i = [i over n] f_{i-n}, {1}^n F^n f_j =
+    {a}...{a-n+1} f_{j+n} with a = m-1-j, and the monomials of
+    rmatrix_terms: q^{n(n-1)/2} and the Cartan factor of its row for R,
+    (-1)^n q^{-n(n-1)/2} and the Cartan factor of its column for R^-1.
+    Each pair (i, j), n lands in its own entry, so no entry is a sum.
+    braiding then swaps the factors of each row of R, or of each column
+    of R^-1, and _basis_rescaled adds its shift."""
+    w = [m - 1 - 2 * x for x in range(m)]
+    odd = 2 if m % 2 == 0 else 0  # the weights are odd when m is even
+    gates = {}
+    for i in range(m):
+        for j in range(m):
+            a = m - 1 - j
+            for n in range(min(i, a) + 1):
+                k, l = i - n, j + n
+                factors = (_qbinom_factor(i, n), _falling_factor(a, n))
+                parity = (k & 1) + (l & 1) - (i & 1) - (j & 1)
+                if sign > 0:
+                    gates[(l * m + k, i * m + j)] = (
+                        1, n * (n - 1) + w[k] * w[l] + parity + odd * (k - j), factors)
+                else:
+                    gates[(k * m + l, j * m + i)] = (
+                        -1 if n % 2 else 1, parity + odd * (l - i) - n * (n - 1) - w[i] * w[j], factors)
+    return gates
+
+
+def _gate_factors(V: WeightRep, sign: int):
+    """(gates, den): the braiding of sign on V (x) V in the basis of
+    _basis_rescaled over its denominator, each entry as (coef, shift,
+    factors), coef q^{shift/2} times the product of the factors'
+    polynomials.  This is the one place that tells W_m apart: on the W_m
+    of build_Wm the closed form of _wm_gates, over den 1; on any other
+    rep (Y_m^+- in the package) the dict-polynomial braiding, each entry
+    one factor."""
+    m = V._memo.get("Wm")
+    if m is not None:
+        return _wm_gates(m, sign), LaurentPoly.const(1)
+    op, den = braiding(V, sign)
+    return {k: (1, 0, (_Factor(v),)) for k, v in _basis_rescaled(op, V).items()}, den
 
 
 def _word_product(b: BraidWord, V: WeightRep, local_by_sign: dict, layout,
@@ -442,7 +530,7 @@ def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
     return dataclasses.replace(op, entries={k: v for k, v in out.items() if v})
 
 
-def _digit_width(b: BraidWord, V: WeightRep, local: dict, one_column: bool) -> int:
+def _digit_width(b: BraidWord, V: WeightRep, norms: dict, one_column: bool) -> int:
     """Digit width W from a proved coefficient bound.
 
     Kronecker substitution (x -> 2^W) is a ring homomorphism, so every
@@ -451,12 +539,11 @@ def _digit_width(b: BraidWord, V: WeightRep, local: dict, one_column: bool) -> i
     changing any later product.  Only the decoded ints need their
     coefficients below 2^{W-1}: the blocks of the partial trace and the
     trace, or on the one-column operator its one block.  The L1 norm is
-    subadditive and submultiplicative, so the gate loop run on the L1
-    norms of the local entries, over the same columns, bounds the L1 norm
-    of every block, and the sum of the diagonal blocks bounds the trace;
-    W is one bit above the largest bound."""
-    norms = {sign: _by_col({k: sum(abs(c) for c in v.terms.values()) for k, v in ents.items()})
-             for sign, ents in local.items()}
+    subadditive and submultiplicative, so the gate loop run on norms, the
+    bounds on the L1 norms of the local entries grouped by column, over
+    the same columns, bounds the L1 norm of every block, and the sum of
+    the diagonal blocks bounds the trace; W is one bit above the largest
+    bound."""
     blocks, _ = _traced_blocks(_word_product(b, V, norms, (0, 1, 0), one_column), b.strands - 1)
     diag = sum(v for (a, b_), v in blocks.items() if a == b_)  # bounds the trace
     return max(diag, *blocks.values()).bit_length() + 1
@@ -470,20 +557,51 @@ def braid_operator(b: BraidWord, V: WeightRep, one_column: bool = False):
     product of the braidings' {n}! denominators, kept outside the ints: 1
     on W_m, {2}! or {3}! per crossing on some modified representations.
     Every division that builds a braiding has a divisor with top
-    coefficient +-1, so its entries are ints."""
+    coefficient +-1, so its entries are ints.  The products of the
+    factors' L1 norms bound the entries' L1 norms for _digit_width."""
     _check_dim(V.dim ** b.strands)
     signs = [1 if g > 0 else -1 for g in b.word]
-    local, dens = {}, {}
+    gates, dens = {}, {}
     for sign in sorted(set(signs)):
-        op, dens[sign] = braiding(V, sign)
-        local[sign] = _basis_rescaled(op, V)
+        gates[sign], dens[sign] = _gate_factors(V, sign)
     one = LaurentPoly.const(1)
     den = math.prod((dens[sign] for sign in signs if dens[sign] != one), start=one)
-    lo, step = _packing_layout(local)
-    width = _digit_width(b, V, local, one_column)
-    packed = {sign: _by_col({k: kron_pack(v.terms, lo[sign], step, width) for k, v in ents.items()})
-              for sign, ents in local.items()}
-    return _word_product(b, V, packed, (sum(lo[s] for s in signs), step, width), one_column), den
+    norms = {sign: _by_col({k: math.prod((f.l1 for f in fs), start=abs(coef))
+                            for k, (coef, _, fs) in ents.items()})
+             for sign, ents in gates.items()}
+    width = _digit_width(b, V, norms, one_column)
+    packed, lo, step = _packed_gates(gates, width)
+    local = {sign: _by_col(ents) for sign, ents in packed.items()}
+    return _word_product(b, V, local, (sum(lo[s] for s in signs), step, width), one_column), den
+
+
+def _packed_gates(gates: dict, width: int):
+    """(packed, lo, step): each entry (coef, shift, factors) of gates[sign]
+    as one int, packed under the layout (lo[sign], step, width).
+
+    The ends of a product never cancel, so the entry starts at shift plus
+    its factors' lo, and lo[sign] is the least start.  Its exponents lie
+    on the step of each factor from that start, so the step is the gcd of
+    4, the factors' steps and the starts above lo.  It divides 4 because
+    the trace weights 2*(weight sum - lowest weight sum) are multiples of
+    4.  Each factor is packed once, at its own lo, and the entry is coef
+    times the factors' int product, shifted up by its start."""
+    starts = {sign: {k: shift + sum(f.lo for f in fs) for k, (_, shift, fs) in ents.items()}
+              for sign, ents in gates.items()}
+    lo = {sign: min(ends.values()) for sign, ends in starts.items()}
+    step = math.gcd(4, *{f.step for ents in gates.values() for _, _, fs in ents.values() for f in fs},
+                    *(e - lo[sign] for sign, ends in starts.items() for e in ends.values()))
+    ints = {}
+
+    def pack(f: _Factor) -> int:
+        if f not in ints:
+            ints[f] = kron_pack(f.poly.terms, f.lo, step, width)
+        return ints[f]
+
+    packed = {sign: {k: coef * math.prod(map(pack, fs)) << width * ((starts[sign][k] - lo[sign]) // step)
+                     for k, (coef, _, fs) in ents.items()}
+              for sign, ents in gates.items()}
+    return packed, lo, step
 
 
 def _weight_sums(k: int, V: WeightRep) -> list:

@@ -316,8 +316,10 @@ def brace_fact(n: int) -> LaurentPoly:
     return brace_falling(n, n)
 
 
+@functools.cache
 def qint(n: int) -> LaurentPoly:
-    """[n]_q = {n}_q/{1}_q = q^{n-1} + q^{n-3} + ... + q^{1-n}."""
+    """[n]_q = {n}_q/{1}_q = q^{n-1} + q^{n-3} + ... + q^{1-n}.  Memoized,
+    so callers share the result."""
     if n == 0:
         return LaurentPoly()
     if n < 0:

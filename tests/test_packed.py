@@ -1,9 +1,12 @@
 """The packed-int braid engine against the dict-polynomial gate loop."""
 
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logjones import jones
+from logjones import cli, jones
 from logjones.jones import (BraidWord, braid_operator, build_Wm, colored_jones, parse_braid,
                             partial_trace, quantum_trace)
 from logjones.qcalc import _KRON_LEAF, LaurentPoly, kron_pack, kron_unpack, qint
@@ -26,6 +29,9 @@ def assert_same(packed, reference):
     ("2: 1 1 1", 8),
     ("2: -1 -1 -1", 8),
     ("2: 1 1 1 1 1 1 1", 8),
+    ("2: -1 -1 -1 -1 -1", 8),
+    ("2: 1 -1 1", 8),
+    ("2: 1 1 -1 1 1", 8),
     ("3: 1 -2 1 -2", 6),
     ("3: 1 1 1 2", 6),
     ("3: 1 1 1 -2", 6),
@@ -181,12 +187,81 @@ def test_partial_trace_on_y_is_not_scalar():
 
 
 def test_non_integral_braiding_is_refused(monkeypatch):
+    # a braid operator over a den other than 1 has no packed trace; the
+    # W_m of colored_jones take their gates from the closed form, so the
+    # halved braiding is that of Y_1^- at N = 3, whose own den is 1
     real = jones.braiding
 
     def halved(V, sign):
         op, den = real(V, sign)
         return op, den * 2
 
+    V = build_modified(-1, 1, 3)[0]
+    b = parse_braid("2: 1 1 1")
+    assert braid_operator(b, V)[1] == LaurentPoly.const(1)
     monkeypatch.setattr(jones, "braiding", halved)
+    op, den = braid_operator(b, V)
+    assert den == LaurentPoly.const(8)
     with pytest.raises(ArithmeticError):
-        colored_jones(parse_braid("2: 1 1 1"), 3)
+        quantum_trace(op, den)
+
+
+def closed_form_gate_mismatches(m, sign):
+    """The keys where the packed closed-form gate of sign on W_m, decoded
+    by kron_unpack under its layout, differs from the entry of the
+    dict-polynomial braiding after _basis_rescaled, or where only one of
+    the two has an entry."""
+    V = build_Wm(m)
+    op, den = jones.braiding(V, sign)
+    reference = jones._basis_rescaled(op, V)
+    assert den == LaurentPoly.const(1)
+    assert jones._gate_factors(V, sign)[1] == den
+    gates = jones._wm_gates(m, sign)
+    # a width one bit above every entry's L1 norm decodes it, whatever the
+    # trace bound of a word would be
+    width = max(sum(map(abs, v.terms.values())) for v in reference.values()).bit_length() + 1
+    packed, lo, step = jones._packed_gates({sign: gates}, width)
+    decoded = {k: kron_unpack(v, lo[sign], step, width) for k, v in packed[sign].items()}
+    return sorted(k for k in decoded.keys() | reference.keys()
+                  if k not in decoded or k not in reference or decoded[k] != reference[k].terms)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_closed_form_gates_equal_dict_braiding(sign):
+    for m in range(1, 11):
+        assert not closed_form_gate_mismatches(m, sign), m
+
+
+def test_moved_qbinom_monomial_fails_the_gate_oracle(monkeypatch):
+    # the negative control: [4 over 2] with its top monomial moved one
+    # step up must show in some gate of W_5, and only there
+    real = jones._qbinom_factor
+    closed_form_gate_mismatches(5, 1)  # fill the tables from the real rule
+    entry = real(4, 2).poly
+    top = entry.degree2()
+    moved = LaurentPoly({**{e: c for e, c in entry.terms.items() if e != top},
+                         top + 4: entry.terms[top]})
+    monkeypatch.setattr(jones, "_qbinom_factor",
+                        lambda i, n: jones._Factor(moved) if (i, n) == (4, 2) else real(i, n))
+    for sign in (1, -1):
+        mismatches = closed_form_gate_mismatches(5, sign)
+        assert mismatches
+        assert all(divmod(c, 5)[0 if sign > 0 else 1] == 4 for _, c in mismatches)
+
+
+def test_colored_jones_builds_no_dict_braiding(monkeypatch):
+    # the guard: with the dict-polynomial braiding gone, colored_jones and
+    # the CLI runs that trace braid words still succeed, so the W_m path
+    # cannot fall back to it unseen
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a W_m braiding went through the dict-polynomial path")
+
+    b = parse_braid("3: 1 -2 1 -2")
+    expected = dict_trace(b, 3)
+    monkeypatch.setattr(jones, "braiding", forbidden)
+    monkeypatch.setattr(jones, "rmatrix_terms", forbidden)
+    assert_same(colored_jones(b, 3), expected)
+    for argv in (["loginv", "--braid", "2: 1 1 1", "--N", "3"],
+                 ["jones", "--braid", "2: 1 1 1 1 1", "--max-m", "8"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
