@@ -7,8 +7,10 @@ run on s <= N/2 only, as gamma_{N-s} = -gamma_s (see habiro.tilde_sum),
 and pairs each row with the hyperbolic volume reference curve: Vol(M_a)
 for cone angles a < 2pi/3, the conjectural flat 0 on [2pi/3, 4pi/3], and
 the mirror Vol(M_{2pi-a}) beyond, which reuses the value of row N - s.
-The volumes come from the Lobachevsky function, evaluated by the real
-Clausen series.
+A volume is -(Cl_2(a + theta) - Cl_2(a - theta)), theta the branch angle
+of the cone angle a: cone_volume computes theta and both Clausen values
+on ints at the scale 2^q of the Clausen coefficients, with one kernel
+(_clausen) for the real Clausen series, and rounds once at the end.
 """
 
 from __future__ import annotations
@@ -19,43 +21,39 @@ import json
 import math
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (fhalf, from_man_exp, mpf_acos, mpf_cos, mpf_log, mpf_sub, pi_fixed,
+                          round_nearest, to_fixed)
 
 from .qcalc import RootContext
 from . import habiro, jones
 
 
-def lobachevsky(x, dps: int = 30):
-    """Lobachevsky function L(x) = (1/2) sum_{n>=1} sin(2nx)/n^2 = Cl_2(2x)/2.
+def _clausen(t: int, q: int, pi: int, coeffs: tuple) -> int:
+    """Cl_2(t) = sum_{n>=1} sin(nt)/n^2 on ints at the scale 2^q, with pi
+    and the coefficients d_K..d_1 of _clausen_coeffs at that scale.
 
-    Odd and pi-periodic.  t = 2x is reduced to |t| <= pi with guard bits,
-    so that a t near a multiple of 2 pi keeps its digits, and the real
-    Clausen series
+    Cl_2 is odd and 2pi-periodic, so t is first reduced to [-pi, pi); a t
+    within a few multiples of pi loses a few units 2^-q to the error of
+    pi.  Then the real Clausen series
 
       Cl_2(t) = t - t log|t| + t sum_{k>=1} d_k u^k,  u = (t/pi)^2 <= 1,
       d_k = c_k pi^{2k} = zeta(2k) / (k (2k+1) 4^k) <= 4^-k,
 
-    is summed by Horner's rule in u on the ints d_k of _clausen_coeffs, at
-    their scale 2^q.  With u <= 1 no step amplifies the truncation of the
-    steps before it, so the K steps add at most K units 2^-q; in t^2 they
-    would grow by up to pi^{2K}.  The dropped tail is below
-    (4/3) 2^{-prec-10}.  The tests check it against the quadrature form
-    -int_0^x log|2 sin t| dt.
+    is summed by Horner's rule in u.  With u <= 1 no step amplifies the
+    truncation of the steps before it, so the K steps add at most K units
+    2^-q; in t^2 they would grow by up to pi^{2K}.  The dropped tail is
+    below (4/3) 2^{10-q}, and log|t| is one mpf_log at q + 10 bits.
     """
-    with mp.workdps(dps):
-        x = mp.mpf(x)
-        with mp.extraprec(64 + max(0, mp.mag(x))):
-            t = 2 * x
-            t -= 2 * mp.pi * mp.nint(t / (2 * mp.pi))
-        t = +t  # rounded to the working precision
-        if not t:
-            return mp.mpf(0)
-        q, coeffs = _clausen_coeffs(mp.mp.prec)
-        u = to_fixed(((t / mp.pi) ** 2)._mpf_, q)
-        acc = 0
-        for d in coeffs:
-            acc = (acc + d) * u >> q
-        return (t - t * mp.log(abs(t)) + t * mp.mpf((acc, -q))) / 2
+    t -= (t + pi) // (2 * pi) * (2 * pi)
+    if not t:
+        return 0
+    u = (t << q) // pi
+    u = u * u >> q
+    acc = 0
+    for d in coeffs:
+        acc = (acc + d) * u >> q
+    log_t = to_fixed(mpf_log(from_man_exp(abs(t), -q), q + 10), q)
+    return t - (t * log_t >> q) + (t * acc >> q)
 
 
 @functools.lru_cache(maxsize=8)
@@ -102,29 +100,37 @@ def _clausen_coeffs(prec: int) -> tuple:
     return q, tuple(reversed(coeffs))
 
 
-def cone_params(alpha, dps: int = 30):
-    """The branch angle theta in (pi, 2pi) of the cone angle alpha, with
-    cos(theta) = cos(alpha) - 1/2."""
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        c = mp.cos(a) - mp.mpf(1) / 2
-        if abs(c) > 1:
-            raise ValueError(f"cos(alpha) - 1/2 = {c} outside [-1, 1]")
-        return 2 * mp.pi - mp.acos(c)
+def _theta(a, q: int, pi: int) -> int:
+    """The branch angle theta in (pi, 2pi) of the cone angle a (a raw mpf,
+    0 <= a < 2pi/3), with cos(theta) = cos(a) - 1/2, as an int at the
+    scale 2^q: cos and acos at q + 10 bits, then 2 pi - acos."""
+    wp = q + 10
+    c = mpf_sub(mpf_cos(a, wp, round_nearest), fhalf, wp, round_nearest)
+    return 2 * pi - to_fixed(mpf_acos(c, wp, round_nearest), q)
 
 
 def cone_volume(alpha, dps: int = 30):
-    """Hyperbolic volume of the figure-eight cone manifold,
-    -2 (L((a+theta)/2) - L((a-theta)/2)) with theta in (pi, 2pi).
+    """Hyperbolic volume of the figure-eight cone manifold (Mednykh and
+    Rasskazov), -(Cl_2(a + theta) - Cl_2(a - theta)) = -2 (L((a+theta)/2)
+    - L((a-theta)/2)) with theta in (pi, 2pi) and L the Lobachevsky
+    function.
 
     Valid on 0 <= alpha < 2pi/3 where the cone manifold is hyperbolic.
+    alpha is rounded to dps digits (prec bits); theta and both Clausen
+    values are ints at the scale 2^q of _clausen_coeffs, q = prec + 20,
+    and the volume is rounded once, to nearest, to prec bits.
     """
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         if a < 0 or a >= 2 * mp.pi / 3:
             raise ValueError("alpha must lie in [0, 2pi/3) for the hyperbolic cone volume")
-        theta = cone_params(a, dps)
-        return -2 * (lobachevsky((a + theta) / 2, dps) - lobachevsky((a - theta) / 2, dps))
+        prec = mp.mp.prec
+    q, coeffs = _clausen_coeffs(prec)
+    pi = pi_fixed(q)
+    a_int = to_fixed(a._mpf_, q)
+    theta = _theta(a._mpf_, q, pi)
+    vol = _clausen(a_int - theta, q, pi, coeffs) - _clausen(a_int + theta, q, pi, coeffs)
+    return mp.make_mpf(from_man_exp(vol, -q, prec, round_nearest))
 
 
 def gamma_fig8_fast(N: int, s: int, ctx: RootContext):
@@ -201,9 +207,14 @@ def _row_volume(s: int, N: int, dps: int):
 
 
 def scan_precision(N: int) -> int:
-    """Digits needed for the scan: single tilde products reach e^{~0.33 N}
-    while whole-sum values in the plateau cancel down to O(N^3), so the
-    working precision must scale with N."""
+    """Starting digits of the scan, 0.15 N + 35 and at least 33: a choice
+    for speed, not a bound for correctness.  Single tilde products reach
+    e^{~0.33 N} while whole-sum values in the plateau cancel down to
+    O(N^3), so a row loses about 0.14 N digits.  tilde_sum measures what
+    each row keeps and computes a row again, finer, when too few digits
+    are left, so the scan prints the same JSON from 40 digits up (at
+    N = 400 and 1600); started that low it recomputes rows and is slower
+    (7.9-8.5 s against 5.5 s at N = 1600)."""
     return max(33, int(0.15 * N) + 35)
 
 
@@ -239,9 +250,15 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     kernel runs on s <= N/2, and row N - s reads the value and the flag of
     row s, as gamma_{N-s} = -gamma_s (see habiro.tilde_sum).  A
     given ctx must be at this N (gamma_fig8_fast checks it), and N with
-    its digits within the bound of check_scan.  A row keeps the reference
-    as a double, so it is computed at the 30 digits of vol_reference, not
-    at ctx.dps."""
+    its digits within the bound of check_scan.
+
+    A row keeps (2 pi/N) log|gamma_s| and the reference as doubles, so
+    both are taken at 30 digits, not at ctx.dps.  |gamma_s| comes in with
+    the working digits, and a log and a product at 30 digits (about 100
+    bits) can give another double than at full precision only when the
+    value lies within about 2^-100, relative, of a point where the double
+    rounds the other way.  At --N 200 --precision 4000 the 99 logs take
+    1 ms at 30 digits, against 0.9 s at the 4010 digits of the context."""
     if N < 2:
         raise ValueError("N must be >= 2")
     ctx = ctx or RootContext(N, precision_digits=scan_precision(N))
@@ -249,12 +266,15 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     rows = []
     with ctx.workprec():
         two_pi = 2 * mp.pi
+        with mp.workdps(30):
+            scale = 2 * mp.pi / N
         # -inf where gamma_s = 0; row N - s reads the value of row s
         lg = [-math.inf] * N
         for s in range(1, N // 2 + 1):
             mag = abs(gamma_fig8_fast(N, s, ctx))
             if mag >= ctx.tol:
-                lg[s] = lg[N - s] = float(two_pi / N * mp.log(mag))
+                with mp.workdps(30):
+                    lg[s] = lg[N - s] = float(scale * mp.log(mag))
         for s in range(1, N):
             ref, region = vol_reference(s, N)
             zero = lg[s] == -math.inf

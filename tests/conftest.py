@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
@@ -555,6 +556,95 @@ def eta_block_data(b, m, sign, N, ctx):
         "off_block_residual": residual,
         "labels": labels,
     }
+
+
+def lobachevsky(x, dps=30):
+    """Lobachevsky function L(x) = (1/2) sum_{n>=1} sin(2nx)/n^2 = Cl_2(2x)/2
+    at dps digits, by volume._clausen, the kernel of volume.cone_volume.
+
+    t = 2x is reduced to |t| <= pi in mpf with guard bits first: the
+    kernel's own reduction, with pi at the scale 2^q, would lose about
+    log2|x| of its 20 guard bits at a large |x|.  The result is rounded
+    once, to nearest."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        prec = mp.mp.prec
+        with mp.extraprec(64 + max(0, mp.mag(x))):
+            t = 2 * x
+            t -= 2 * mp.pi * mp.nint(t / (2 * mp.pi))
+    q, coeffs = volume._clausen_coeffs(prec)
+    cl = volume._clausen(to_fixed(t._mpf_, q), q, pi_fixed(q), coeffs)
+    return mp.make_mpf(from_man_exp(cl, -q - 1, prec, round_nearest))
+
+
+def cone_params(alpha, dps=30):
+    """The branch angle theta in (pi, 2pi) of the cone angle alpha, with
+    cos(theta) = cos(alpha) - 1/2, by volume._theta, the int theta of
+    volume.cone_volume, rounded once to dps digits.  Raises ValueError
+    when |cos(alpha) - 1/2| > 1."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        prec = mp.mp.prec
+    q, _ = volume._clausen_coeffs(prec)
+    return mp.make_mpf(from_man_exp(volume._theta(a._mpf_, q, pi_fixed(q)), -q, prec,
+                                    round_nearest))
+
+
+def lobachevsky_mp(x, dps=30):
+    """Lobachevsky function L(x) = (1/2) sum_{n>=1} sin(2nx)/n^2 = Cl_2(2x)/2.
+
+    Odd and pi-periodic.  t = 2x is reduced to |t| <= pi with guard bits,
+    so that a t near a multiple of 2 pi keeps its digits, and the real
+    Clausen series
+
+      Cl_2(t) = t - t log|t| + t sum_{k>=1} d_k u^k,  u = (t/pi)^2 <= 1,
+      d_k = c_k pi^{2k} = zeta(2k) / (k (2k+1) 4^k) <= 4^-k,
+
+    is summed by Horner's rule in u on the ints d_k of _clausen_coeffs, at
+    their scale 2^q; the rest is mpf arithmetic at the working precision,
+    rounded at each step.  The former volume.lobachevsky (oracle for the
+    int kernel volume._clausen)."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        with mp.extraprec(64 + max(0, mp.mag(x))):
+            t = 2 * x
+            t -= 2 * mp.pi * mp.nint(t / (2 * mp.pi))
+        t = +t  # rounded to the working precision
+        if not t:
+            return mp.mpf(0)
+        q, coeffs = volume._clausen_coeffs(mp.mp.prec)
+        u = to_fixed(((t / mp.pi) ** 2)._mpf_, q)
+        acc = 0
+        for d in coeffs:
+            acc = (acc + d) * u >> q
+        return (t - t * mp.log(abs(t)) + t * mp.mpf((acc, -q))) / 2
+
+
+def cone_params_mp(alpha, dps=30):
+    """The branch angle theta in (pi, 2pi) of the cone angle alpha, with
+    cos(theta) = cos(alpha) - 1/2, in mpf: the former volume.cone_params."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        c = mp.cos(a) - mp.mpf(1) / 2
+        if abs(c) > 1:
+            raise ValueError(f"cos(alpha) - 1/2 = {c} outside [-1, 1]")
+        return 2 * mp.pi - mp.acos(c)
+
+
+def cone_volume_mp(alpha, dps=30):
+    """Hyperbolic volume of the figure-eight cone manifold,
+    -2 (L((a+theta)/2) - L((a-theta)/2)) with theta in (pi, 2pi), each step
+    an mpf rounded at dps digits: the former volume.cone_volume, the
+    oracle for its int pipeline.
+
+    Valid on 0 <= alpha < 2pi/3 where the cone manifold is hyperbolic.
+    """
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        if a < 0 or a >= 2 * mp.pi / 3:
+            raise ValueError("alpha must lie in [0, 2pi/3) for the hyperbolic cone volume")
+        theta = cone_params_mp(a, dps)
+        return -2 * (lobachevsky_mp((a + theta) / 2, dps) - lobachevsky_mp((a - theta) / 2, dps))
 
 
 def lobachevsky_quadrature(x, dps=30):

@@ -15,7 +15,7 @@ import mpmath as mp
 from logjones import habiro, jones, loginv, qgroup, volume
 from logjones.qcalc import RootContext, qbinom, qint
 from conftest import (cone_volume_derivative_reference, convergence_gaps, eta_block_data,
-                      exact_normalized_Vm, framed_corrections, lobachevsky_quadrature)
+                      exact_normalized_Vm, framed_corrections, lobachevsky, lobachevsky_quadrature)
 
 KNOTS = ("unknot", "3_1", "4_1")
 GRID_N = (2, 3, 4, 5)
@@ -188,8 +188,8 @@ def test_criterion_08_volume_numerics():
     for k in range(1, 24):
         x = mp.mpf(k) / 7
         worst_sym = max(worst_sym,
-                        abs(volume.lobachevsky(-x) + volume.lobachevsky(x)),
-                        abs(volume.lobachevsky(x + mp.pi) - volume.lobachevsky(x)))
+                        abs(lobachevsky(-x) + lobachevsky(x)),
+                        abs(lobachevsky(x + mp.pi) - lobachevsky(x)))
     v0 = volume.cone_volume(0)
     oracle = 6 * lobachevsky_quadrature(mp.pi / 3)
     d0 = abs(v0 - oracle)

@@ -72,7 +72,8 @@ def test_traced_cli_runs_reach_the_wrapped_layers():
     assert report["codes"] == [0] * len(TRACED_ARGVS)
     spans = report["layers"]["spans"]
     for name in ("habiro.reconstruct_Vm", "jones._apply_local", "jones.braid_operator",
-                 "jones.quantum_trace", "qgroup.rmatrix_specialization_check"):
+                 "jones.quantum_trace", "qgroup.rmatrix_specialization_check",
+                 "volume.cone_volume", "volume.gamma_fig8_fast"):
         assert spans[name][0] > 0, f"{name} was never called"
     counts = report["layers"]["counts"]
     assert counts["jones._apply_local.entries_out"] > 0

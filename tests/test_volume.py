@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import mpmath as mp
@@ -7,16 +8,14 @@ from logjones import habiro, jones, loginv, volume
 from logjones.qcalc import RootContext
 from logjones.volume import (
     asymptotic_scan,
-    cone_params,
     cone_volume,
     gamma_fig8_fast,
-    lobachevsky,
     scan_precision,
     vol_reference,
 )
-from conftest import (assert_close, asymptotic_scan_every_row, cone_t,
-                      cone_volume_derivative_reference, convergence_gaps, lobachevsky_quadrature,
-                      s_N_alpha)
+from conftest import (assert_close, asymptotic_scan_every_row, cone_params, cone_t,
+                      cone_volume_derivative_reference, cone_volume_mp, convergence_gaps,
+                      lobachevsky, lobachevsky_mp, lobachevsky_quadrature, s_N_alpha)
 
 VOL_4_1 = mp.mpf("2.029883212819307250042405108549")
 
@@ -142,6 +141,54 @@ class TestConeVolume:
             cone_volume(2 * mp.pi / 3)
         with pytest.raises(ValueError):
             cone_volume(-0.1)
+
+
+class TestIntPipeline:
+    # cone_volume runs on ints at the scale 2^q of the Clausen coefficients
+    # and rounds once; the former mpf pipeline, which rounds at every step,
+    # is the oracle cone_volume_mp, and the double a row keeps is the same
+
+    @pytest.mark.parametrize("N, dps", [(97, 30), (150, 30), (400, 30), (800, 30), (1600, 30),
+                                        (30, 1010)])
+    def test_rows_are_the_double_of_the_mpf_oracle(self, N, dps):
+        for s in range(1, N):
+            if 3 * s >= N:
+                break
+            with mp.workdps(dps):
+                alpha = 2 * mp.pi * s / N
+            assert float(cone_volume(alpha, dps)) == float(cone_volume_mp(alpha, dps)), s
+
+    @pytest.mark.parametrize("dps", [30, 57, 110])
+    def test_lobachevsky_matches_the_mpf_oracle(self, dps):
+        with mp.workdps(dps + 20):
+            xs = [mp.mpf(k) / 7 for k in range(-10, 11)]
+            # near the multiples of pi/2, zeros of L, where t = 2x wraps
+            xs += [j * mp.pi / 2 + sign * mp.mpf(10) ** -e
+                   for j in range(-4, 5) for sign in (1, -1) for e in (10, dps - 5)]
+            # a large |x|, whose reduction needs guard bits
+            xs += [mp.mpf(10) ** 6, -mp.mpf(10) ** 6, mp.mpf("999999.5"),
+                   10 ** 6 * mp.pi + mp.mpf(10) ** -10]
+        for x in xs:
+            assert abs(lobachevsky(x, dps) - lobachevsky_mp(x, dps)) < mp.mpf(10) ** -dps, x
+
+    def test_kernel_without_the_reduction_fails_the_oracle(self, monkeypatch):
+        # negative control: a + theta and a - theta lie outside [-pi, pi],
+        # where u = (t/pi)^2 > 1 and the series no longer converges to
+        # Cl_2(t); the kernel with its reduction of t taken out misses the
+        # oracle on every row of N = 150
+        src = inspect.getsource(volume._clausen)
+        reduction = "    t -= (t + pi) // (2 * pi) * (2 * pi)\n"
+        assert src.count(reduction) == 1
+        namespace = dict(vars(volume))
+        exec(src.replace(reduction, ""), namespace)
+        monkeypatch.setattr(volume, "_clausen", namespace["_clausen"])
+        N = 150
+        for s in range(1, N):
+            if 3 * s >= N:
+                break
+            with mp.workdps(30):
+                alpha = 2 * mp.pi * s / N
+            assert float(cone_volume(alpha)) != float(cone_volume_mp(alpha)), s
 
 
 class TestFastKernel:
