@@ -241,19 +241,20 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
 
     G is odd in s -> N - s, for any a_i: at xi, {N-k} = {k} and {N-k}_+ =
     -{k}_+, so N - s has the window products of s and the negated cotangent
-    sums and tilde terms.  The table keeps this (cots[N-k] = -cots[k]), but
-    each row truncates its own products, so the two rows differ in their
-    last units 2^-P and round alike on every row the tests check.
+    sums and tilde terms.  The table keeps this exactly (cots[N-k] =
+    -cots[k], and sines and cos2 are symmetric), and every product is
+    rounded half away from zero, which commutes with negation, so
+    tilde_sum(h, N - s, ctx) == -tilde_sum(h, s, ctx) bit for bit.
     volume.asymptotic_scan reads row N - s off row s; this function, like
     loginv's HABIRO route, computes each s on its own.
 
     The terms run in fixed point: ints at the scale 2^P of the context's
-    table ``sin_cot``, one truncation (x * y) >> P per product, and the
+    table ``sin_cot``, one rounding (_round_shift) per product, and the
     a_0(xi)..a_{N-1}(xi) converted once per (N, P) by
     ``HabiroCoeffs.fixed_at_xi``; the row reads the first sb of them.
     The sums are exact and are rounded once, to the working precision.
 
-    Each product adds at most one unit 2^-P; a unit added where a window
+    Each product adds at most half a unit 2^-P; a unit added where a window
     product has dipped to 2^-dip grows by 2^dip as the window widens, and
     P reserves N/2 bits for that.  So every term keeps
     min(prec, P - _FIXED_GUARD - dip) bits, and G loses to cancellation
@@ -276,24 +277,29 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
     prod = sines[s]
     cots = cots_of[s]
     low = prod.bit_length()
-    terms = [prod * cots >> P]
+    terms = [_round_shift(prod * cots, P)]
+    # the loops inline _round_shift(x, P), which costs a call per product
+    half = 1 << (P - 1)
     for i in range(1, su):
-        prod = -(prod * (cos2[i] - c_s)) >> P
+        x = prod * (c_s - cos2[i])
+        prod = (x + half) >> P if x >= 0 else -((half - x) >> P)
         cots += cots_of[s + i] + cots_of[s - i]
         low = min(low, prod.bit_length())
-        terms.append(prod * cots >> P)
+        x = prod * cots
+        terms.append((x + half) >> P if x >= 0 else -((half - x) >> P))
     # tilde terms 2 (-1)^i ~{s+i,2i+1}: the window [s-i, s+i] holds one
     # multiple of N, 0 when 2s < N and N (~{N} = -1) when 2s > N.  At
     # i = su it is the last cotangent window and its other end; each later
     # i adds two factors, the same pair as above.
     if su < sb:
         if 2 * s < N:
-            term = -(prod * sines[2 * s]) >> (P - 1)
+            term = _round_shift(-prod * sines[2 * s], P - 1)
         else:
-            term = prod * sines[2 * s - N] >> (P - 1)
+            term = _round_shift(prod * sines[2 * s - N], P - 1)
         terms.append(term)
         for i in range(su + 1, sb):
-            term = -(term * (cos2[i] - c_s)) >> P
+            x = term * (c_s - cos2[i])
+            term = (x + half) >> P if x >= 0 else -((half - x) >> P)
             terms.append(term)
     # G is an exact int sum at the scale 2^(P + scale), complex only where
     # some a_i it reads is
@@ -318,6 +324,13 @@ def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):
 
 
 _LOG10_2 = math.log10(2)
+
+
+def _round_shift(x: int, shift: int) -> int:
+    """x / 2^shift rounded to the nearest int, half away from zero, so
+    that _round_shift(-x, shift) == -_round_shift(x, shift)."""
+    half = 1 << (shift - 1)
+    return (x + half) >> shift if x >= 0 else -((half - x) >> shift)
 
 
 def _from_fixed(sums, exp):

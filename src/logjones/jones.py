@@ -5,20 +5,19 @@ one rule (ladder_rep): ladders with K f_n = q^{t-2n} f_n and
 EF = [n][t+1-n] on their rungs, the factor [t+1-n] on F for W_m and
 Y_m^+- and on E for U, V and P, plus links between ladders.  Over exact
 Laurent polynomials it builds the universal R-matrix action on them and
-the braid group representation on tensor powers, with its quantum and
-partial traces on Kronecker-packed ints.  The braiding at a positive
-crossing is P (factor swap) composed after R; a negative crossing uses
-the inverse braiding.  On W_m each braiding entry has a closed form, a
-monomial times the q-binomial [i over n] and the falling product
-{a}{a-1}...{a-n+1}, read from two tables that every color shares and
-formed as one product of packed ints; the dict-polynomial braiding
-serves Y_m^+- alone.  One gate loop applies the whole word to a set of
-columns.  W_m is irreducible, so by Schur's lemma the partial trace over
-the closed factors is a scalar, and colored_jones applies the word to
-the columns (0, t) of the open factor's highest-weight vector alone: V_m
-is [m] times that one block, the (1,1)-tangle form of the invariant.
-The indecomposable Y_m^+- break Schur's lemma, so partial_trace takes
-the operator on every column.
+the braid group representation on tensor powers.  The braiding at a
+positive crossing is P (factor swap) composed after R; a negative
+crossing uses the inverse braiding.  On W_m each braiding entry has a
+closed form, a monomial times the q-binomial [i over n] and the falling
+product {a}{a-1}...{a-n+1}, read from two tables that every color shares
+and formed as one product of Kronecker-packed ints.  W_m is irreducible,
+so by Schur's lemma the partial trace over the closed factors is a
+scalar: braid_operator, which braids W_m alone, applies the word to the
+columns (0, t) of the open factor's highest-weight vector, and V_m is [m]
+times that one block, the (1,1)-tangle form of the invariant.  The
+indecomposable Y_m^+- break Schur's lemma: qgroup.eta_partial_trace runs
+their dict-polynomial braiding through the same gate step, _apply_local,
+on every column.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import dataclasses
 import functools
 import math
 
-from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, kron_pack, kron_unpack,
-                    qfact, qint)
+from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, brace_falling, kron_pack,
+                    kron_unpack, qfact, qint)
 
 
 class FeasibilityError(RuntimeError):
@@ -43,17 +42,18 @@ class LinkNotKnotError(ValueError):
     """Braid closure has more than one component."""
 
 
-# Tensor dimension cap for the packed braid operators, on W_m and on the
-# modified representations alike.  On a shared 2-vCPU Xeon the partial
-# trace of 4_1 on the 1728-dim cube of Y_1^- at N = 3, the whole word on
-# every column, takes 1.4 s and 125 MB, and colored_jones of 4_1 at
-# m = 12 (1728 dims), on the one open column, 0.12 s and 28 MB.  loginv
-# traces colors 1..N, so the cap reaches N = 12 on 3-strand words: a
-# whole loginv --braid "3: 1 -2 1 -2" process takes 0.14 s and 22 MB at
-# N = 6, 0.16 s and 22 MB at N = 8, 0.22 s and 24 MB at N = 10 and 0.40 s
-# and 30 MB at N = 12 (1728 dims), and refuses N = 13 (2197 dims);
-# "3: 1 1 1 2 -1 2" takes 2.7 s and 57 MB at N = 12.  A word above the
-# cap is refused with FeasibilityError before any trace.
+# Tensor dimension cap for braid_operator on W_m and for the dict route
+# of qgroup.eta_partial_trace on Y_m^+-.  On a shared 2-vCPU Xeon the
+# latter takes 10-14 s and 76 MB for 4_1 on the 1728-dim cube of Y_1^- at
+# N = 3, every column, and colored_jones of 4_1 at m = 12 (1728 dims),
+# one open column, 0.13 s and 28 MB.  loginv traces colors 1..N, so the
+# cap reaches
+# N = 12 on 3-strand words: a whole loginv --braid "3: 1 -2 1 -2"
+# process takes 0.14 s and 22 MB at N = 6, 0.16 s and 22 MB at N = 8,
+# 0.22 s and 24 MB at N = 10 and 0.40 s and 30 MB at N = 12 (1728 dims),
+# and refuses N = 13 (2197 dims); "3: 1 1 1 2 -1 2" takes 2.7 s and
+# 57 MB at N = 12.  A word above the cap is refused with
+# FeasibilityError before any trace.
 EXACT_DIM_CAP = 1800
 
 
@@ -190,8 +190,8 @@ def build_Wm(m: int) -> WeightRep:
     if m < 1:
         raise ValueError("m must be >= 1")
     V = ladder_rep([("f", m - 1, m)])[0]
-    # the one mark of W_m: braid_operator builds its braidings from the
-    # closed form of _wm_gates, not from E and F
+    # the one mark of W_m: braid_operator braids only a rep that carries
+    # it, from the closed form of _wm_gates, not from E and F
     V._memo["Wm"] = m
     return V
 
@@ -218,22 +218,20 @@ def mat_mul(a: dict, b: dict) -> dict:
 
 @dataclasses.dataclass
 class TensorOperator:
-    """The operator of a braid word on rep^{(x) strands}: a sparse map
-    {(row, col): int} keyed by flat indices, factor 0 the most significant
-    base-dim digit.  It holds every column, or with one_column only the
-    columns (0, t) whose open factor is at its highest-weight vector.
-    Each entry is its integer Laurent polynomial in the basis of
-    _basis_rescaled, packed under layout = (lo, step, width) as the sum of
-    c_k 2^(width*k) over its coefficients c_k at doubled exponents
-    lo + step*k.  Only the traces are decoded, so width bounds their
-    digits, not the entries'.  The L1-norm operators of _digit_width have
-    width 0."""
+    """The operator of a braid word on rep^{(x) strands}, on the columns
+    its gate loop started from: a sparse map {(row, col): entry} keyed by
+    flat indices, factor 0 the most significant base-dim digit.  In
+    braid_operator the columns are (0, t) and each entry, in the basis of
+    _wm_gates, is packed under layout = (lo, step, width) as the int sum
+    of c_k 2^(width*k) over its coefficients c_k at doubled exponents
+    lo + step*k; width bounds the digits of the traced block alone.  The
+    L1-norm operators of _digit_width have width 0, and the LaurentPoly
+    operators of qgroup.eta_partial_trace layout None."""
 
     rep: WeightRep
     strands: int
     entries: dict
-    layout: tuple
-    one_column: bool = False
+    layout: tuple | None
 
 
 def tensor_of(a: dict, b: dict, d2: int) -> dict:
@@ -387,31 +385,7 @@ def _by_col(entries: dict) -> dict:
 # Each gate entry is a sign, a monomial and a product of factors; each factor
 # is packed once (qcalc.kron_pack), and the entry is their int product,
 # shifted into place.  The exponent offsets add along the word, and one
-# kron_unpack decodes each trace entry.
-
-
-def _basis_rescaled(op: dict, V: WeightRep) -> dict:
-    """A braiding after the change of basis f_i -> q^{psi_p(t_i)/2} f_i
-    in tensor factor p, where t_i = (max weight - weight of f_i)/2 is the
-    weight index (i itself on W_m), psi_p(t) = (t mod 2) + 2p*t when the
-    weights are odd and psi_p(t) = (t mod 2) when they are even.
-
-    The rescaling is diagonal, so it commutes with K and leaves every
-    trace alone, the partial trace too (see partial_trace).  A gate at
-    factors p, p+1 keeps the weight, so t_k + t_l = t_i + t_j, and it
-    shifts entry ((k, l), (i, j)) by the same amount for every p (the
-    basis index sum k + l is not kept on Y_m^+-).  On W_m all exponents
-    of the braiding then lie in one class mod 4 instead of mod 2, which
-    halves the packed width; the step itself is read off the data."""
-    d = V.dim
-    t = [(max(V.weights) - w) // 2 for w in V.weights]
-    odd = 2 if max(V.weights) % 2 else 0
-    out = {}
-    for (r, c), v in op.items():
-        k, l = divmod(r, d)
-        i, j = divmod(c, d)
-        out[(r, c)] = v.shift((t[k] & 1) + (t[l] & 1) - (t[i] & 1) - (t[j] & 1) + odd * (t[l] - t[j]))
-    return out
+# kron_unpack decodes the traced block.
 
 
 class _Factor:
@@ -445,17 +419,15 @@ def _qbinom_factor(i: int, n: int) -> _Factor:
 
 @functools.cache
 def _falling_factor(a: int, n: int) -> _Factor:
-    """{a}{a-1}...{a-n+1} = {1}^n [a][a-1]...[a-n+1] for 0 <= n <= a, the
-    entry of {1}^n F^n on f_j of W_m with a = m-1-j.  It does not depend
-    on m, so every color shares it."""
-    if n == 0:
-        return _Factor(LaurentPoly.const(1))
-    return _Factor(_falling_factor(a, n - 1).poly * brace(a - n + 1))
+    """{a, n} = {a}{a-1}...{a-n+1} = {1}^n [a][a-1]...[a-n+1] for
+    0 <= n <= a, the entry of {1}^n F^n on f_j of W_m with a = m-1-j.  It
+    does not depend on m, so every color shares it."""
+    return _Factor(brace_falling(a, n))
 
 
 def _wm_gates(m: int, sign: int) -> dict:
-    """The braiding of sign on W_m (x) W_m in the basis of _basis_rescaled,
-    from its closed form, as {(r, c): (coef, shift, factors)}: the entry
+    """The braiding of sign on W_m (x) W_m, from its closed form, in a
+    rescaled basis, as {(r, c): (coef, shift, factors)}: the entry
     coef q^{shift/2} [i over n] {a}{a-1}...{a-n+1}.
 
     Summand n of rmatrix_terms sends f_i (x) f_j to f_{i-n} (x) f_{j+n}
@@ -465,7 +437,12 @@ def _wm_gates(m: int, sign: int) -> dict:
     (-1)^n q^{-n(n-1)/2} and the Cartan factor of its column for R^-1.
     Each pair (i, j), n lands in its own entry, so no entry is a sum.
     braiding then swaps the factors of each row of R, or of each column
-    of R^-1, and _basis_rescaled adds its shift."""
+    of R^-1.
+
+    The basis is f_i -> q^{psi_p(i)/2} f_i in tensor factor p, with
+    psi_p(i) = (i mod 2) + (2p*i if m is even), which commutes with K
+    and is the same at every pair of factors, as k + l = i + j.  It puts
+    all exponents in one class mod 4, which halves the packed width."""
     w = [m - 1 - 2 * x for x in range(m)]
     odd = 2 if m % 2 == 0 else 0  # the weights are odd when m is even
     gates = {}
@@ -485,31 +462,14 @@ def _wm_gates(m: int, sign: int) -> dict:
     return gates
 
 
-def _gate_factors(V: WeightRep, sign: int):
-    """(gates, den): the braiding of sign on V (x) V in the basis of
-    _basis_rescaled over its denominator, each entry as (coef, shift,
-    factors), coef q^{shift/2} times the product of the factors'
-    polynomials.  This is the one place that tells W_m apart: on the W_m
-    of build_Wm the closed form of _wm_gates, over den 1; on any other
-    rep (Y_m^+- in the package) the dict-polynomial braiding, each entry
-    one factor."""
-    m = V._memo.get("Wm")
-    if m is not None:
-        return _wm_gates(m, sign), LaurentPoly.const(1)
-    op, den = braiding(V, sign)
-    return {k: (1, 0, (_Factor(v),)) for k, v in _basis_rescaled(op, V).items()}, den
-
-
-def _word_product(b: BraidWord, V: WeightRep, local_by_sign: dict, layout,
-                  one_column: bool) -> TensorOperator:
-    """The one gate loop: the local gates local_by_sign[sign] (grouped by
-    column) of the whole word b on V^{(x) n}, applied to the columns of
-    the identity: all d^n of them, or with one_column the d^{n-1} columns
-    (0, t), flat index t.  Its entries are packed ints, or the L1 norms of
+def _word_product(b: BraidWord, V: WeightRep, local_by_sign: dict, layout) -> TensorOperator:
+    """The gate loop of the packed engine: the local gates
+    local_by_sign[sign] (grouped by column) of the whole word b on
+    V^{(x) n}, applied to the d^{n-1} columns (0, t) of the identity, flat
+    index t.  Its entries are packed ints, or the L1 norms of
     _digit_width."""
     d, n = V.dim, b.strands
-    cols = range(d ** (n - 1) if one_column else d ** n)
-    op = TensorOperator(V, n, {(i, i): 1 for i in cols}, layout, one_column)
+    op = TensorOperator(V, n, {(t, t): 1 for t in range(d ** (n - 1))}, layout)
     for g in b.word:
         op = _apply_local(op, local_by_sign[1 if g > 0 else -1], abs(g) - 1, d, n)
     return op
@@ -530,49 +490,41 @@ def _apply_local(op: TensorOperator, local_by_col, pos, d, n) -> TensorOperator:
     return dataclasses.replace(op, entries={k: v for k, v in out.items() if v})
 
 
-def _digit_width(b: BraidWord, V: WeightRep, norms: dict, one_column: bool) -> int:
+def _digit_width(b: BraidWord, V: WeightRep, norms: dict) -> int:
     """Digit width W from a proved coefficient bound.
 
     Kronecker substitution (x -> 2^W) is a ring homomorphism, so every
     packed int of the gate loop is the exact image of its polynomial,
     whatever its digits; an int that cancels to 0 is dropped without
-    changing any later product.  Only the decoded ints need their
-    coefficients below 2^{W-1}: the blocks of the partial trace and the
-    trace, or on the one-column operator its one block.  The L1 norm is
+    changing any later product.  Only the one decoded int, the traced
+    block (0, 0), needs its coefficients below 2^{W-1}.  The L1 norm is
     subadditive and submultiplicative, so the gate loop run on norms, the
     bounds on the L1 norms of the local entries grouped by column, over
-    the same columns, bounds the L1 norm of every block, and the sum of
-    the diagonal blocks bounds the trace; W is one bit above the largest
-    bound."""
-    blocks, _ = _traced_blocks(_word_product(b, V, norms, (0, 1, 0), one_column), b.strands - 1)
-    diag = sum(v for (a, b_), v in blocks.items() if a == b_)  # bounds the trace
-    return max(diag, *blocks.values()).bit_length() + 1
+    the same columns, bounds the L1 norm of that block; W is one bit
+    above the bound."""
+    return _traced_block(_word_product(b, V, norms, (0, 1, 0)))[0].bit_length() + 1
 
 
-def braid_operator(b: BraidWord, V: WeightRep, one_column: bool = False):
-    """Representation of the braid word w on V^{(x) strands}, returned as
-    (op, den): the TensorOperator of the whole word with packed int
-    entries, on every column, or with one_column on the columns (0, t)
-    alone, the open factor at its highest-weight vector.  den is the
-    product of the braidings' {n}! denominators, kept outside the ints: 1
-    on W_m, {2}! or {3}! per crossing on some modified representations.
-    Every division that builds a braiding has a divisor with top
-    coefficient +-1, so its entries are ints.  The products of the
-    factors' L1 norms bound the entries' L1 norms for _digit_width."""
+def braid_operator(b: BraidWord, V: WeightRep) -> TensorOperator:
+    """The TensorOperator of the braid word b on W_m^{(x) strands}, V the
+    W_m of build_Wm, on the columns (0, t), the open factor at its
+    highest-weight vector, its entries packed ints from the closed-form
+    gates of _wm_gates; the products of the factors' L1 norms bound the
+    entries' for _digit_width.  ValueError on any other rep: the Y_m^+-
+    have their own route, qgroup.eta_partial_trace."""
+    m = V._memo.get("Wm")
+    if m is None:
+        raise ValueError("braid_operator braids only the W_m of build_Wm")
     _check_dim(V.dim ** b.strands)
     signs = [1 if g > 0 else -1 for g in b.word]
-    gates, dens = {}, {}
-    for sign in sorted(set(signs)):
-        gates[sign], dens[sign] = _gate_factors(V, sign)
-    one = LaurentPoly.const(1)
-    den = math.prod((dens[sign] for sign in signs if dens[sign] != one), start=one)
+    gates = {sign: _wm_gates(m, sign) for sign in sorted(set(signs))}
     norms = {sign: _by_col({k: math.prod((f.l1 for f in fs), start=abs(coef))
                             for k, (coef, _, fs) in ents.items()})
              for sign, ents in gates.items()}
-    width = _digit_width(b, V, norms, one_column)
+    width = _digit_width(b, V, norms)
     packed, lo, step = _packed_gates(gates, width)
     local = {sign: _by_col(ents) for sign, ents in packed.items()}
-    return _word_product(b, V, local, (sum(lo[s] for s in signs), step, width), one_column), den
+    return _word_product(b, V, local, (sum(lo[s] for s in signs), step, width))
 
 
 def _packed_gates(gates: dict, width: int):
@@ -613,61 +565,25 @@ def _weight_sums(k: int, V: WeightRep) -> list:
     return sums
 
 
-def _traced_blocks(op: TensorOperator, k: int):
-    """The partial quantum trace of op over its k lowest factors:
-
-        block (a, b) = sum_t K_t op[(a, t), (b, t)]
-
-    over the indices a, b of the other factors and t of the closed ones,
-    K_t the packed shift by t's weight above the lowest weight sum.
-    Returns {(a, b): int} and the layout (lo, step, width) of the blocks.
-    op keeps weight, so a block of unequal weights a, b sums to 0."""
+def _traced_block(op: TensorOperator):
+    """(block, layout): block (0, 0) = sum_t K_t op[(0, t), (0, t)] of the
+    partial quantum trace of the operator of braid_operator over its
+    closed factors t, the diagonal entries of its columns (0, t), K_t the
+    packed shift by t's weight above the lowest weight sum."""
     V = op.rep
     lo, step, width = op.layout
-    rest = V.dim ** k
+    k = op.strands - 1
     low = k * min(V.weights)
     shifts = [width * (2 * (w - low) // step) for w in _weight_sums(k, V)]
-    blocks = {}
-    for (r, c), v in op.entries.items():
-        a, t = divmod(r, rest)
-        b_, tc = divmod(c, rest)
-        if t == tc:
-            blocks[(a, b_)] = blocks.get((a, b_), 0) + (v << shifts[t])
-    return blocks, (lo + 2 * low, step, width)
+    block = sum(v << shifts[r] for (r, c), v in op.entries.items() if r == c)
+    return block, (lo + 2 * low, step, width)
 
 
-def quantum_trace(op: TensorOperator, den) -> LaurentPoly:
-    """tr(K^{(x)n} . op) of the operator of braid_operator, unpacked once.
-    On every column it closes every factor.  The one-column operator is
-    only built on W_m (colored_jones), which is irreducible, so by Schur's
-    lemma its partial trace over the closed factors is a scalar: the trace
-    is [m] times its one block (0, 0).  The trace is only taken over
-    den = 1, as on W_m; ArithmeticError otherwise."""
-    if den != LaurentPoly.const(1):
-        raise ArithmeticError(f"braid operator over the denominator {den}: no packed trace")
-    blocks, layout = _traced_blocks(op, op.strands - 1 if op.one_column else op.strands)
-    trace = LaurentPoly(kron_unpack(blocks.get((0, 0), 0), *layout))
-    return trace * qint(op.rep.dim) if op.one_column else trace
-
-
-def partial_trace(op: TensorOperator):
-    """Partial quantum trace over the right n-1 factors of the operator of
-    braid_operator on every column: (1 x K^{(x)(n-1)}) . op as a dense
-    dim x dim matrix of LaurentPoly, the numerator over the operator's
-    den, each entry unpacked once.
-
-    The rescaling of _basis_rescaled would move entry (a, b) by
-    (t_b mod 2) - (t_a mod 2) doubled exponents on the open factor, but
-    the operator keeps weight and the closed factors match, so every
-    entry kept has t_a = t_b and the shift is 0."""
-    if op.one_column:
-        raise ValueError("the partial trace needs the operator on every column")
-    d = op.rep.dim
-    blocks, layout = _traced_blocks(op, op.strands - 1)
-    out = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
-    for (a, b_), v in blocks.items():
-        out[a][b_] = LaurentPoly(kron_unpack(v, *layout))
-    return out
+def quantum_trace(op: TensorOperator) -> LaurentPoly:
+    """tr(K^{(x)n} . op) of the operator of braid_operator: by Schur's
+    lemma [m] times its one block (0, 0), unpacked once."""
+    block, layout = _traced_block(op)
+    return LaurentPoly(kron_unpack(block, *layout)) * qint(op.rep.dim)
 
 
 def check_knot(b: BraidWord):
@@ -686,14 +602,13 @@ def check_trace(b: BraidWord, m: int):
 
 def colored_jones(b: BraidWord, m: int) -> LaurentPoly:
     """V_m of the braid closure, carrying framing = writhe: the quantum
-    trace of the packed one-column braid operator on W_m, whose
-    denominator is 1.
+    trace of the packed braid operator on W_m.
 
     Use framing_adjust to pass to the 0-framed invariant.  Raises
     LinkNotKnotError when the closure has more than one component.
     """
     check_trace(b, m)
-    return quantum_trace(*braid_operator(b, build_Wm(m), one_column=True))
+    return quantum_trace(braid_operator(b, build_Wm(m)))
 
 
 def framing_adjust(p: LaurentPoly, w: int, m: int) -> LaurentPoly:

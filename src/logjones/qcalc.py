@@ -301,14 +301,16 @@ def brace(n: int) -> LaurentPoly:
     return LaurentPoly({2 * n: 1, -2 * n: -1})
 
 
+@functools.cache
 def brace_falling(n: int, k: int) -> LaurentPoly:
-    """{n, k}_q = prod_{j=0}^{k-1} {n-j}_q; the empty product is 1."""
+    """{n, k}_q = prod_{j=0}^{k-1} {n-j}_q; the empty product is 1.
+    Memoized through {n, k} = {n, k-1} {n-k+1}, so {n, k} also fills
+    every {n, j} with j < k, and callers share the result."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = LaurentPoly.const(1)
-    for j in range(k):
-        out = out * brace(n - j)
-    return out
+    if k == 0:
+        return LaurentPoly.const(1)
+    return brace_falling(n, k - 1) * brace(n - k + 1)
 
 
 def brace_fact(n: int) -> LaurentPoly:

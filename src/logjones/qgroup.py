@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 
 import mpmath as mp
 
@@ -383,11 +384,40 @@ def eta_partial_trace(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):
     """
     jones.check_knot(b)
     rep, labels = build_modified(sign, m, ctx.N)
-    op, den = jones.braid_operator(b, rep)
-    traced = jones.partial_trace(op)
+    traced, den = _partial_trace_over_den(b, rep)
     # entrywise q -> xi limit of the rational operator
     at_xi = [[ctx.lhopital_ratio(p, den) for p in row] for row in traced]
     return at_xi, rep, labels
+
+
+def _partial_trace_over_den(b: jones.BraidWord, rep: jones.WeightRep):
+    """(traced, den): (1 x K^{(x)(n-1)}) . op, the partial quantum trace
+    over the right n-1 factors of the braid word b on rep^{(x) n}, as a
+    dense matrix of LaurentPoly numerators over den, the product of the
+    braidings' {n}! denominators.  The Y_m^+- are not irreducible, so
+    this takes every column: the dict-polynomial braidings run through
+    jones._apply_local on the columns (b, t) of one open index b at a
+    time, which bounds the entries held at once."""
+    d, n = rep.dim, b.strands
+    jones._check_dim(d ** n)
+    signs = [1 if g > 0 else -1 for g in b.word]
+    local = {sign: jones.braiding(rep, sign) for sign in set(signs)}
+    one = LaurentPoly.const(1)
+    den = math.prod((local[s][1] for s in signs), start=one)
+    gates = {sign: jones._by_col(op) for sign, (op, _) in local.items()}
+    rest = d ** (n - 1)
+    shifts = [2 * w for w in jones._weight_sums(n - 1, rep)]
+    traced = [[LaurentPoly() for _ in range(d)] for _ in range(d)]
+    for b_ in range(d):
+        cols = range(b_ * rest, (b_ + 1) * rest)
+        op = jones.TensorOperator(rep, n, {(c, c): one for c in cols}, None)
+        for g, s in zip(b.word, signs):
+            op = jones._apply_local(op, gates[s], abs(g) - 1, d, n)
+        for (r, c), v in op.entries.items():
+            a, t = divmod(r, rest)
+            if t == c - b_ * rest:
+                traced[a][b_] = traced[a][b_] + v.shift(shifts[t])
+    return traced, den
 
 
 def x0_from_eta(b: jones.BraidWord, m: int, sign: int, ctx: RootContext):

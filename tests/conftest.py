@@ -7,7 +7,7 @@ from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
-from logjones.qcalc import LaurentPoly, RootContext, brace, int_or_frac_to_mp, qbinom, qint
+from logjones.qcalc import LaurentPoly, RootContext, brace, int_or_frac_to_mp, kron_unpack, qbinom, qint
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -117,6 +117,43 @@ def dict_braid_operator(b, V):
     return gate_loop(b, V.dim, gates, LaurentPoly.const(1)), den
 
 
+def basis_rescaled(op, V):
+    """A braiding after the change of basis f_i -> q^{psi_p(t_i)/2} f_i
+    in tensor factor p, where t_i = (max weight - weight of f_i)/2 is the
+    weight index (i itself on W_m), psi_p(t) = (t mod 2) + 2p*t when the
+    weights are odd and psi_p(t) = (t mod 2) when they are even: the
+    oracle for the basis that jones._wm_gates builds its gates in.
+
+    The rescaling is diagonal, so it commutes with K and leaves every
+    trace alone.  A gate at factors p, p+1 keeps the weight, so
+    t_k + t_l = t_i + t_j, and it shifts entry ((k, l), (i, j)) by the
+    same amount for every p."""
+    d = V.dim
+    t = [(max(V.weights) - w) // 2 for w in V.weights]
+    odd = 2 if max(V.weights) % 2 else 0
+    out = {}
+    for (r, c), v in op.items():
+        k, l = divmod(r, d)
+        i, j = divmod(c, d)
+        out[(r, c)] = v.shift((t[k] & 1) + (t[l] & 1) - (t[i] & 1) - (t[j] & 1) + odd * (t[l] - t[j]))
+    return out
+
+
+def decoded_wm_gates(m, sign):
+    """The closed-form gates jones._wm_gates(m, sign) multiplied out, each
+    entry coef q^{shift/2} times its factors' product as a LaurentPoly, in
+    the basis of basis_rescaled."""
+    return {k: math.prod((f.poly for f in fs), start=LaurentPoly.const(coef)).shift(shift)
+            for k, (coef, shift, fs) in jones._wm_gates(m, sign).items()}
+
+
+def traced_block(op):
+    """The one block (0, 0) of the partial trace of a braid_operator
+    operator that quantum_trace decodes, as a LaurentPoly."""
+    block, layout = jones._traced_block(op)
+    return LaurentPoly(kron_unpack(block, *layout))
+
+
 def weight_sum(idx, k, V):
     """The K weight of basis vector idx of V^{(x) k}: the sum of the weights
     of its k lowest base-dim digits."""
@@ -148,6 +185,16 @@ def dict_partial_trace(entries, V, n):
         if tr == tc:
             out[a][b_] = out[a][b_] + v.shift(2 * weight_sum(tr, n - 1, V))
     return out
+
+
+def dict_eta_partial_trace(b, m, sign, ctx):
+    """qgroup.eta_partial_trace on the dict oracle: the full operator of
+    dict_braid_operator, its dict_partial_trace and the exact limit at xi
+    of each entry over the operator's denominator."""
+    rep, _ = qgroup.build_modified(sign, m, ctx.N)
+    entries, den = dict_braid_operator(b, rep)
+    traced = dict_partial_trace(entries, rep, b.strands)
+    return [[ctx.lhopital_ratio(p, den) for p in row] for row in traced]
 
 
 def colored_jones_numeric(b, m, q_half):

@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import mpf_neg
 
 from logjones import habiro, jones, loginv, qcalc
 from logjones.habiro import (
@@ -159,6 +160,44 @@ class TestTildeSum:
             g, mirror = habiro.tilde_sum(h, s, ctx), habiro.tilde_sum(h, N - s, ctx)
             with ctx.workprec():
                 assert mirror == -g, s
+
+    @pytest.mark.parametrize("knot", ["4_1", "3_1", "T(2,5)"])
+    @pytest.mark.parametrize("N", [7, 40, 150])
+    def test_mirror_rows_negate_bit_for_bit(self, knot, N, monkeypatch):
+        # every fixed-point product rounds half away from zero, which
+        # commutes with negation, and the tables are symmetric, so the
+        # exact int sums of row N - s are those of row s negated, whatever
+        # the a_i, and so is the row.  Those of T(2,5) are the eight
+        # extracted from its braid traces, complex at xi and read
+        # cyclically past a_7
+        if knot == "T(2,5)":
+            table = coeffs_for(jones.parse_braid("2: 1 1 1 1 1"), 8)
+            h = HabiroCoeffs(knot, lambda i: table.coeff(i % 8))
+        else:
+            h = HabiroCoeffs(knot, catalog_coeffs(knot).rule)
+        ctx = RootContext(N, precision_digits=scan_precision(N))
+        real = habiro._from_fixed
+        sums = []
+
+        def recorded(parts, exp):
+            sums.append((tuple(parts), exp))
+            return real(parts, exp)
+
+        monkeypatch.setattr(habiro, "_from_fixed", recorded)
+        complex_rows = 0
+        for s in range(1, N // 2 + 1):
+            sums.clear()
+            g = habiro.tilde_sum(h, s, ctx)
+            row = list(sums)
+            sums.clear()
+            mirror = habiro.tilde_sum(h, N - s, ctx)
+            assert sums == [(tuple(-x for x in parts), exp) for parts, exp in row], s
+            parts = (lambda z: (z.real._mpf_, z.imag._mpf_)) if isinstance(g, mp.mpc) else \
+                (lambda z: (z._mpf_,))
+            assert type(mirror) is type(g)
+            assert parts(mirror) == tuple(map(mpf_neg, parts(g))), s
+            complex_rows += isinstance(g, mp.mpc) and bool(g.imag)
+        assert complex_rows == (0 if knot == "4_1" else N // 2 - (N % 2 == 0))
 
     @pytest.mark.parametrize("knot", ["4_1", "3_1"])
     def test_coefficients_at_xi_built_whole_once(self, knot):

@@ -16,20 +16,32 @@ from logjones.jones import (
     framing_adjust,
     mat_mul,
     parse_braid,
-    partial_trace,
     quantum_trace,
     rmatrix,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, kron_unpack, qint
 from logjones.qgroup import build_modified
-from conftest import colored_jones_numeric, horner, is_palindromic, knotted_words, mirror, q_power
+from conftest import (colored_jones_numeric, decoded_wm_gates, dict_braid_operator, dict_partial_trace,
+                      gate_loop, horner, is_palindromic, knotted_words, mirror, q_power, traced_block)
 
 
 def decoded(op):
-    """The entries of the packed operator of a whole word as term maps, in
-    its rescaled basis."""
+    """The entries of the packed operator of a whole word, on the columns
+    (0, t), as term maps in its rescaled basis."""
     return {k: kron_unpack(v, *op.layout) for k, v in op.entries.items()}
 
+
+def closed_form_operator(b, m):
+    """The full operator of b on W_m^{(x) n}, every column, from the
+    multiplied-out closed-form gates through the conftest gate loop, in
+    the rescaled basis."""
+    gates = {sign: decoded_wm_gates(m, sign) for sign in {1 if g > 0 else -1 for g in b.word}}
+    return gate_loop(b, m, gates, LaurentPoly.const(1))
+
+
+def oracle_partial_trace(b, V):
+    """The dict oracle's partial trace of b over its right n-1 factors."""
+    return dict_partial_trace(dict_braid_operator(b, V)[0], V, b.strands)
 
 def dense_of(entries, d):
     return [[entries.get((i, j), LaurentPoly()) for j in range(d)] for i in range(d)]
@@ -252,25 +264,29 @@ class TestRMatrix:
                 rmatrix(v1, v2, inverse=True)
         assert sorted(calls) == [2, 2, 3, 3, 8, 8]
 
+    # the braid relations on the full operators of the closed-form gates,
+    # every column, and on the packed operators of braid_operator, on the
+    # columns (0, t)
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_yang_baxter(self, m):
+        b1, b2 = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
+        assert closed_form_operator(b1, m) == closed_form_operator(b2, m)
         w = build_Wm(m)
-        o1, d1 = braid_operator(BraidWord(3, (1, 2, 1)), w)
-        o2, d2 = braid_operator(BraidWord(3, (2, 1, 2)), w)
-        assert d1 == d2
-        assert decoded(o1) == decoded(o2)
+        assert decoded(braid_operator(b1, w)) == decoded(braid_operator(b2, w))
 
     def test_far_commutation(self):
+        b1, b2 = BraidWord(4, (1, 3)), BraidWord(4, (3, 1))
+        assert closed_form_operator(b1, 2) == closed_form_operator(b2, 2)
         w = build_Wm(2)
-        o1, _ = braid_operator(BraidWord(4, (1, 3)), w)
-        o2, _ = braid_operator(BraidWord(4, (3, 1)), w)
-        assert decoded(o1) == decoded(o2)
+        assert decoded(braid_operator(b1, w)) == decoded(braid_operator(b2, w))
 
     def test_braiding_inverse_pair(self):
-        w = build_Wm(3)
-        op, den = braid_operator(BraidWord(2, (1, -1)), w)
         # the rescaling leaves diagonal entries alone
-        assert decoded(op) == {(i, i): den.terms for i in range(9)}
+        b = BraidWord(2, (1, -1))
+        one = LaurentPoly.const(1)
+        assert closed_form_operator(b, 3) == {(i, i): one for i in range(9)}
+        assert decoded(braid_operator(b, build_Wm(3))) == {(t, t): one.terms for t in range(3)}
 
 
 class TestColoredJones:
@@ -339,28 +355,28 @@ class TestColoredJones:
 class TestPartialTrace:
     def test_identity_operator(self):
         w = build_Wm(3)
-        n = 2
-        ident, den = braid_operator(BraidWord(n, ()), w)
-        assert den == LaurentPoly.const(1)
-        traced = partial_trace(ident)
+        ident = BraidWord(2, ())
+        traced = oracle_partial_trace(ident, w)
         for i in range(3):
             for j in range(3):
                 assert traced[i][j] == (qint(3) if i == j else LaurentPoly())
+        assert traced_block(braid_operator(ident, w)) == qint(3)
 
     @pytest.mark.parametrize("name,m", [("3_1", 2), ("3_1", 3), ("4_1", 2)])
     def test_scalar_on_irreducible(self, name, m):
-        # the partial trace of a braid operator on W_m is scalar, and the
-        # scalar times [m] recovers the quantum trace
+        # the partial trace of a braid operator on W_m is scalar: the
+        # packed engine's one block, and the scalar times [m] recovers the
+        # quantum trace
         b = KNOT_CATALOG[name]
         w = build_Wm(m)
-        op, den = braid_operator(b, w)
-        assert den == LaurentPoly.const(1)
-        traced = partial_trace(op)
+        traced = oracle_partial_trace(b, w)
         scalar = traced[0][0]
         for i in range(m):
             for j in range(m):
                 assert traced[i][j] == (scalar if i == j else LaurentPoly())
-        assert scalar * qint(m) == quantum_trace(op, den)
+        op = braid_operator(b, w)
+        assert traced_block(op) == scalar
+        assert scalar * qint(m) == quantum_trace(op)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_intertwiner_property(self, m, n):
@@ -368,7 +384,7 @@ class TestPartialTrace:
         word = tuple(1 + (i % (n - 1)) for i in range(3)) if n > 1 else ()
         b = BraidWord(n, word)
         w = build_Wm(m)
-        traced = partial_trace(braid_operator(b, w)[0])
+        traced = oracle_partial_trace(b, w)
         for mat in (dense_of(w.E, m), dense_of(w.F, m), dense_K(w)):
             lhs = poly_mat_mul(traced, mat, m)
             rhs = poly_mat_mul(mat, traced, m)

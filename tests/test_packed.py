@@ -1,4 +1,6 @@
-"""The packed-int braid engine against the dict-polynomial gate loop."""
+"""The packed-int braid engine against the dict-polynomial gate loop, and
+the dict-polynomial route of qgroup on the Y_m^+- against the same
+oracle."""
 
 import contextlib
 import io
@@ -6,12 +8,12 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logjones import cli, jones
-from logjones.jones import (BraidWord, braid_operator, build_Wm, colored_jones, parse_braid,
-                            partial_trace, quantum_trace)
-from logjones.qcalc import _KRON_LEAF, LaurentPoly, kron_pack, kron_unpack, qint
+from logjones import cli, jones, qgroup
+from logjones.jones import BraidWord, braid_operator, build_Wm, colored_jones, parse_braid, quantum_trace
+from logjones.qcalc import _KRON_LEAF, LaurentPoly, RootContext, kron_pack, kron_unpack, qint
 from logjones.qgroup import build_modified
-from conftest import dict_braid_operator, dict_partial_trace, dict_quantum_trace, knotted_words
+from conftest import (basis_rescaled, dict_braid_operator, dict_eta_partial_trace, dict_partial_trace,
+                      dict_quantum_trace, knotted_words, traced_block)
 
 
 def dict_trace(b, m):
@@ -77,30 +79,29 @@ def test_trace_unpack_splits_its_digits():
     # digits than one leaf of the unpack, which splits it and must still
     # give the dict path's poly
     b = parse_braid("2: 1 1 1 1 1 1 1")
-    op, _ = braid_operator(b, build_Wm(8), one_column=True)
-    blocks, (_, _, width) = jones._traced_blocks(op, b.strands - 1)
-    assert blocks[(0, 0)].bit_length() > 2 * _KRON_LEAF * width
+    block, (_, _, width) = jones._traced_block(braid_operator(b, build_Wm(8)))
+    assert block.bit_length() > 2 * _KRON_LEAF * width
     assert_same(colored_jones(b, 8), dict_trace(b, 8))
 
 
-def test_digit_width_bounds_every_intermediate_entry():
-    # on W_4 and on Y_1^- at N = 2; the bound covers the partial trace too
-    b = parse_braid("3: 1 -2 1 -2")
-    for V in (build_Wm(4), build_modified(-1, 1, 2)[0]):
-        width = braid_operator(b, V)[0].layout[2]
-        seen = 0
-        for k in range(len(b.word) + 1):
-            entries, _ = dict_braid_operator(BraidWord(b.strands, b.word[:k]), V)
-            for v in entries.values():
-                seen = max(seen, max(abs(c) for c in v.terms.values()))
-        entries, _ = dict_braid_operator(b, V)
-        trace = dict_quantum_trace(entries, V, b.strands)
-        seen = max(seen, max(abs(c) for c in trace.terms.values()))
-        for row in dict_partial_trace(entries, V, b.strands):
-            for v in row:
-                seen = max(seen, max((abs(c) for c in v.terms.values()), default=0))
-        assert seen > 1
-        assert seen.bit_length() < width
+@pytest.mark.parametrize("word, m", [("3: 1 -2 1 -2", 4), ("3: 1 1 1 2", 5), ("3: -1 -1 2 -1 2", 3),
+                                     ("4: 1 -2 3 1 -2", 3)])
+def test_digit_width_bounds_the_block_of_every_prefix(word, m):
+    # the width of each prefix's operator bounds the one block it decodes,
+    # block (0, 0) of the dict oracle's partial trace, which is that block
+    b = parse_braid(word)
+    V = build_Wm(m)
+    widest = 0
+    for k in range(len(b.word) + 1):
+        prefix = BraidWord(b.strands, b.word[:k])
+        op = braid_operator(prefix, V)
+        entries, _ = dict_braid_operator(prefix, V)
+        block = dict_partial_trace(entries, V, b.strands)[0][0]
+        assert traced_block(op) == block
+        seen = max(abs(c) for c in block.terms.values())
+        assert seen.bit_length() < op.layout[2], k
+        widest = max(widest, seen)
+    assert widest > 1
 
 
 def oracle_rep(label):
@@ -123,47 +124,51 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("rep, word", ORACLE_CASES)
 def test_packed_traces_equal_dict_oracle(rep, word):
-    # the partial trace, the trace and the denominator, term for term; on
-    # Y_m^+- the rescale must follow the weight index, since the braidings
-    # there do not keep the basis index sum (Y2-_N3 has a {n}! denominator)
+    # the partial trace of qgroup's dict route, on every column, and its
+    # denominator, term for term (Y2-_N3 has a {n}! denominator); on W_m
+    # also the packed block (0, 0) and trace, while the packed engine
+    # refuses every Y_m^+-
     V = oracle_rep(rep)
     b = parse_braid(word)
-    op, den = braid_operator(b, V)
     entries, dict_den = dict_braid_operator(b, V)
-    assert den == dict_den
     reference = dict_partial_trace(entries, V, b.strands)
-    traced = partial_trace(op)
+    traced, den = qgroup._partial_trace_over_den(b, V)
+    assert den == dict_den
     for i in range(V.dim):
         for j in range(V.dim):
             assert traced[i][j].terms == reference[i][j].terms
-    if den == LaurentPoly.const(1):
-        assert_same(quantum_trace(op, den), dict_quantum_trace(entries, V, b.strands))
+    if rep[0] == "W":
+        op = braid_operator(b, V)
+        assert traced_block(op) == reference[0][0]
+        assert_same(quantum_trace(op), dict_quantum_trace(entries, V, b.strands))
     else:
-        with pytest.raises(ArithmeticError):
-            quantum_trace(op, den)
+        with pytest.raises(ValueError):
+            braid_operator(b, V)
 
 
 @settings(max_examples=30, deadline=None)
 @given(knotted_words(), st.integers(2, 3))
 def test_partial_trace_matches_dict_oracle_random(b, m):
+    # on W_m the oracle's partial trace is the scalar block (0, 0) that
+    # the packed engine decodes
     V = build_Wm(m)
     entries, _ = dict_braid_operator(b, V)
     reference = dict_partial_trace(entries, V, b.strands)
-    traced = partial_trace(braid_operator(b, V)[0])
+    block = traced_block(braid_operator(b, V))
     for i in range(m):
         for j in range(m):
-            assert traced[i][j].terms == reference[i][j].terms
+            assert reference[i][j].terms == (block.terms if i == j else {})
 
 
 @settings(max_examples=30, deadline=None)
 @given(knotted_words(max_strands=4), st.integers(1, 4))
 def test_one_column_trace_equals_every_column_trace(b, m):
     # W_m is irreducible, so by Schur's lemma [m] times the one block that
-    # colored_jones decodes is the trace sum_a K_a block(a, a) of the
-    # operator on every column, and the dict oracle's trace
+    # colored_jones decodes is the trace sum_a K_a block(a, a) of the dict
+    # oracle's operator on every column
     V = build_Wm(m)
     one_column = colored_jones(b, m)
-    assert_same(one_column, quantum_trace(*braid_operator(b, V)))
+    assert_same(one_column, quantum_trace(braid_operator(b, V)))
     entries, _ = dict_braid_operator(b, V)
     assert_same(one_column, dict_quantum_trace(entries, V, b.strands))
 
@@ -172,24 +177,35 @@ def test_partial_trace_on_y_is_not_scalar():
     # the negative control: Y_1^- at N = 3 is indecomposable, not
     # irreducible, so its partial trace is no multiple of the identity and
     # its trace is not its quantum dimension times one block, although the
-    # trefoil's den is 1 there; only colored_jones, on the W_m it builds
-    # itself, takes the one-column operator
+    # trefoil's den is 1 there; so the packed engine, which decodes block
+    # (0, 0) alone, braids only the W_m that build_Wm marks
     V = build_modified(-1, 1, 3)[0]
-    op, den = braid_operator(parse_braid("2: 1 1 1"), V)
+    b = parse_braid("2: 1 1 1")
+    traced, den = qgroup._partial_trace_over_den(b, V)
     assert den == LaurentPoly.const(1)
-    traced = partial_trace(op)
     off_diagonal = [(i, j) for i in range(V.dim) for j in range(V.dim) if i != j and traced[i][j]]
     assert off_diagonal or len({tuple(sorted(traced[i][i].terms.items())) for i in range(V.dim)}) > 1
     qdim = sum((LaurentPoly({2 * w: 1}) for w in V.weights), LaurentPoly())
-    assert quantum_trace(op, den) != traced[0][0] * qdim
+    entries, _ = dict_braid_operator(b, V)
+    assert dict_quantum_trace(entries, V, b.strands) != traced[0][0] * qdim
     with pytest.raises(ValueError):
-        partial_trace(braid_operator(parse_braid("2: 1 1 1"), build_Wm(2), one_column=True)[0])
+        braid_operator(b, V)
+
+
+def test_braid_operator_refuses_unmarked_reps():
+    # Y_1^- at N = 3, and a W_2 built by ladder_rep without the mark of
+    # build_Wm: equal as a WeightRep, still refused
+    for V in (build_modified(-1, 1, 3)[0], jones.ladder_rep([("f", 1, 2)])[0]):
+        with pytest.raises(ValueError):
+            braid_operator(parse_braid("3: 1 -2 1 -2"), V)
+    assert jones.ladder_rep([("f", 1, 2)])[0] == build_Wm(2)
 
 
 def test_non_integral_braiding_is_refused(monkeypatch):
-    # a braid operator over a den other than 1 has no packed trace; the
-    # W_m of colored_jones take their gates from the closed form, so the
-    # halved braiding is that of Y_1^- at N = 3, whose own den is 1
+    # a braiding over a den other than 1 never reaches the packed ints:
+    # braid_operator refuses the Y_m^+-, and the dict route of qgroup
+    # carries the product of the braidings' dens beside its numerators.
+    # The halved braiding is that of Y_1^- at N = 3, whose own den is 1
     real = jones.braiding
 
     def halved(V, sign):
@@ -198,24 +214,35 @@ def test_non_integral_braiding_is_refused(monkeypatch):
 
     V = build_modified(-1, 1, 3)[0]
     b = parse_braid("2: 1 1 1")
-    assert braid_operator(b, V)[1] == LaurentPoly.const(1)
+    traced, den = qgroup._partial_trace_over_den(b, V)
+    assert den == LaurentPoly.const(1)
     monkeypatch.setattr(jones, "braiding", halved)
-    op, den = braid_operator(b, V)
-    assert den == LaurentPoly.const(8)
-    with pytest.raises(ArithmeticError):
-        quantum_trace(op, den)
+    assert qgroup._partial_trace_over_den(b, V) == (traced, LaurentPoly.const(8))
+    with pytest.raises(ValueError):
+        braid_operator(b, V)
+
+
+@pytest.mark.parametrize("knot, m, sign, N", [("3_1", 1, 1, 3), ("3_1", 1, -1, 3), ("3_1", 2, 1, 5)])
+def test_eta_partial_trace_equals_dict_oracle(knot, m, sign, N):
+    # bit for bit: the dict route on one open index at a time, through
+    # _apply_local, against the full operator of the conftest gate loop
+    ctx = RootContext(N)
+    b = jones.KNOT_CATALOG[knot]
+    at_xi = qgroup.eta_partial_trace(b, m, sign, ctx)[0]
+    reference = dict_eta_partial_trace(b, m, sign, ctx)
+    assert [[(v.real._mpf_, v.imag._mpf_) for v in row] for row in at_xi] == \
+        [[(v.real._mpf_, v.imag._mpf_) for v in row] for row in reference]
 
 
 def closed_form_gate_mismatches(m, sign):
     """The keys where the packed closed-form gate of sign on W_m, decoded
     by kron_unpack under its layout, differs from the entry of the
-    dict-polynomial braiding after _basis_rescaled, or where only one of
+    dict-polynomial braiding after basis_rescaled, or where only one of
     the two has an entry."""
     V = build_Wm(m)
     op, den = jones.braiding(V, sign)
-    reference = jones._basis_rescaled(op, V)
+    reference = basis_rescaled(op, V)
     assert den == LaurentPoly.const(1)
-    assert jones._gate_factors(V, sign)[1] == den
     gates = jones._wm_gates(m, sign)
     # a width one bit above every entry's L1 norm decodes it, whatever the
     # trace bound of a word would be

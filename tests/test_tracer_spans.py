@@ -55,6 +55,9 @@ TRACED_ARGVS = [
     ["loginv", "--braid", "2: 1 1 1", "--N", "2"],
     ["qgroup-verify", "--N", "2"],
     ["volume-scan", "--N", "20"],
+    # the benchmark's jones operation kind: braid_operator and
+    # quantum_trace without loginv
+    ["jones", "--braid", "2: 1 1 1 1 1", "--max-m", "3"],
 ]
 
 
