@@ -64,11 +64,13 @@ class HabiroCoeffs:
     def at_xi(self, ctx: RootContext) -> tuple:
         """a_0(xi), ..., a_{N-1}(xi), built once per (N, dps): the values
         every sum at xi reads (tilde_sum reads a_i for i < max(s, N-s),
-        ddm_Vm for i < N).  A table without a_{N-1} raises ``coeff``'s
-        ValueError."""
+        ddm_Vm for i < N).  An int constant is mp.mpf(c), as eval_at makes
+        it.  A table without a_{N-1} raises ``coeff``'s ValueError."""
         key = ("xi", ctx.N, ctx.dps)
         if key not in self._memo:
-            values = (ctx.eval_at(self.coeff(i)) for i in range(ctx.N))
+            with ctx.workprec():
+                values = [mp.mpf(c) if a.terms.keys() <= {0} and type(c := a.terms.get(0, 0)) is int
+                          else ctx.eval_at(a) for a in map(self.coeff, range(ctx.N))]
             # a real value stays an mpf, so that sums over real a_i stay real
             self._memo[key] = tuple(v.real if not v.imag else v for v in values)
         return self._memo[key]

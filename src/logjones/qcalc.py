@@ -535,9 +535,11 @@ class RootContext:
         2 cos(2 pi k/N) for k = 0..N-1 as ints at the scale 2^P, the
         fixed-point table of ``habiro.tilde_sum``; cot is 0 at k = 0.
 
-        xi^k is taken at P bits for k <= N/2, where a small sine keeps its
-        relative accuracy, and continued by sin(pi (N-k)/N) = sin(pi k/N);
-        the values are rounded down to ints by ``to_fixed``.  P is the
+        xi is taken at W = P + 1 + g bits, g = 2 len(N) + 8, and rotated
+        on ints, z_k = (c_k, s_k) = round(z_{k-1} xi / 2^W) within 3k units
+        2^-W for 0 < k < N/2.  Rounded from s_k, c_k^2 - s_k^2 and c_k/s_k
+        (sin(pi k/N) >= 2k/N), every entry is within 1/2 + 2^-8 units 2^-P;
+        k = 0 and 2k = N are exact, and sin(pi (N-k)/N) = sin(pi k/N).  P is the
         working precision plus N/2 bits for the dip and _FIXED_GUARD bits
         for the rest.  A window product of sines falls to about
         e^{-0.33 N} = 2^{-0.47 N} before it grows again, and a truncation
@@ -548,11 +550,20 @@ class RootContext:
         N = 10^4."""
         N = self.N
         P = dps_to_prec(self.dps) + self._FIXED_GUARD + N // 2
-        with mp.workprec(P):
-            roots = [mp.expjpi(mp.mpf(k) / N) for k in range(N // 2 + 1)]
-            sin_q = [to_fixed(z.imag._mpf_, P + 1) for z in roots]
-            cot_q = [to_fixed((z.real / z.imag)._mpf_, P) if z.imag else 0 for z in roots]
-            cos_q = [to_fixed((z * z).real._mpf_, P + 1) for z in roots]
+        g = 2 * N.bit_length() + 8
+        W = P + 1 + g
+        with mp.workprec(W):
+            c1, s1 = (to_fixed(v, W) for v in mp.expjpi(mp.mpf(1) / N)._mpc_)
+        half_w, half_g, one = 1 << (W - 1), 1 << (g - 1), 1 << (P + 1)
+        sin_q, cot_q, cos_q = [0], [0], [one]
+        c, s = 1 << W, 0
+        for _ in range(1, (N + 1) // 2):
+            c, s = (c * c1 - s * s1 + half_w) >> W, (c * s1 + s * c1 + half_w) >> W
+            sin_q.append((s + half_g) >> g)
+            cot_q.append((((c << (P + 1)) // s) + 1) >> 1)
+            cos_q.append(((c - s) * (c + s) + (half_w << g)) >> (W + g))
+        if N % 2 == 0:
+            sin_q, cot_q, cos_q = sin_q + [one], cot_q + [0], cos_q + [-one]
         ks = range(N)
         return (tuple(sin_q[min(k, N - k)] for k in ks),
                 tuple(cot_q[k] if 2 * k <= N else -cot_q[N - k] for k in ks),

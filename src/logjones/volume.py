@@ -10,7 +10,8 @@ the mirror Vol(M_{2pi-a}) beyond, which reuses the value of row N - s.
 A volume is -(Cl_2(a + theta) - Cl_2(a - theta)), theta the branch angle
 of the cone angle a: cone_volume computes theta and both Clausen values
 on ints at the scale 2^q of the Clausen coefficients, with one kernel
-(_clausen) for the real Clausen series, and rounds once at the end.
+(_clausen) for the real Clausen series and int series for cos, acos and
+log (_cos, _acos, _log; the scan's rows use _log too), and rounds once.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import json
 import math
 
 import mpmath as mp
-from mpmath.libmp import (fhalf, from_man_exp, mpf_acos, mpf_cos, mpf_log, mpf_sub, pi_fixed,
-                          round_nearest, to_fixed)
+from mpmath.libmp import from_man_exp, ln2_fixed, pi_fixed, round_nearest, to_fixed
 
 from .qcalc import RootContext
 from . import habiro, jones
@@ -42,7 +42,7 @@ def _clausen(t: int, q: int, pi: int, coeffs: tuple) -> int:
     is summed by Horner's rule in u.  With u <= 1 no step amplifies the
     truncation of the steps before it, so the K steps add at most K units
     2^-q; in t^2 they would grow by up to pi^{2K}.  The dropped tail is
-    below (4/3) 2^{10-q}, and log|t| is one mpf_log at q + 10 bits.
+    below (4/3) 2^{10-q}, and log|t| is one _log at q + 10 bits.
     """
     t -= (t + pi) // (2 * pi) * (2 * pi)
     if not t:
@@ -52,7 +52,7 @@ def _clausen(t: int, q: int, pi: int, coeffs: tuple) -> int:
     acc = 0
     for d in coeffs:
         acc = (acc + d) * u >> q
-    log_t = to_fixed(mpf_log(from_man_exp(abs(t), -q), q + 10), q)
+    log_t = _log(abs(t), -q, q + 10) >> 10
     return t - (t * log_t >> q) + (t * acc >> q)
 
 
@@ -100,13 +100,69 @@ def _clausen_coeffs(prec: int) -> tuple:
     return q, tuple(reversed(coeffs))
 
 
+def _series(x: int, W: int, r: int, alternate: bool) -> int:
+    """2^{r+1} atan(x), or without the signs 2^{r+1} atanh(x), on ints at
+    the scale 2^W for |x| <= 2^-r: W/2r + 1 terms, each within 2 units."""
+    x2, total, p = x * x >> W, x, x
+    for n in range(1, W // r // 2 + 1):
+        p = p * x2 >> W
+        total += -(p // (2 * n + 1)) if alternate and n % 2 else p // (2 * n + 1)
+    return total << (r + 1)
+
+
+def _cos(x: int, w: int) -> int:
+    """cos(x 2^-w) at the scale 2^w for |x| <= 2.1 * 2^w, within 1 unit:
+    the Taylor series at len(w) + 4 guard bits until a term is 0; each of
+    its fewer than w terms is within 5 units, as none amplifies by > 2.2."""
+    g = w.bit_length() + 4
+    W = w + g
+    x2, total, term, n = (x << g) ** 2 >> W, 1 << W, 1 << W, 0
+    while term:
+        n += 2
+        term = (term * x2 >> W) // (n * (n - 1))
+        total += -term if n % 4 == 2 else term
+    return (total + (1 << (g - 1))) >> g
+
+
+def _acos(c: int, w: int) -> int:
+    """acos(c 2^-w) at the scale 2^w for |c| <= 2^w, within 1 unit: pi -
+    acos(-c) for c < 0, else t = tan(theta/2) = sin/(1 + cos) <= 1, the
+    sine by math.isqrt, halved r times by t -> t/(1 + sqrt(1 + t^2)) (of
+    slope <= 1/2) and summed by _series, whose 2^r the guard g covers."""
+    r = math.isqrt(w // 6) + 1
+    g = r + w.bit_length() + 5
+    W = w + g
+    one, a = 1 << W, abs(c) << g
+    t = (math.isqrt(one * one - a * a) << W) // (one + a)
+    for _ in range(r):
+        t = (t << W) // (one + math.isqrt(one * one + t * t))
+    theta = _series(t, W, r, alternate=True)
+    return ((pi_fixed(W) - theta if c < 0 else theta) + (1 << (g - 1))) >> g
+
+
+def _log(x: int, e: int, w: int) -> int:
+    """log(x 2^e) at the scale 2^w for an int x > 0, within 1 unit: m =
+    x 2^-b in [1/2, 1), b = len(x), at W = w + g bits, r square roots
+    (math.isqrt), 2^r 2 atanh((m - 1)/(m + 1)) by _series, and
+    (b + e) ln2_fixed; g covers the 2^r and the |b + e| units."""
+    b = x.bit_length()
+    r = math.isqrt(w // 6) + 1
+    g = r + w.bit_length() + abs(b + e).bit_length() + 6
+    W = w + g
+    m, one = x << (W - b) if W >= b else x >> (b - W), 1 << W
+    for _ in range(r):
+        m = math.isqrt(m << W)
+    total = _series(((m - one) << W) // (m + one), W, r, alternate=False) + (b + e) * ln2_fixed(W)
+    return (total + (1 << (g - 1))) >> g
+
+
 def _theta(a, q: int, pi: int) -> int:
     """The branch angle theta in (pi, 2pi) of the cone angle a (a raw mpf,
     0 <= a < 2pi/3), with cos(theta) = cos(a) - 1/2, as an int at the
-    scale 2^q: cos and acos at q + 10 bits, then 2 pi - acos."""
+    scale 2^q: _cos and _acos at the scale 2^{q+10}, then 2 pi - acos."""
     wp = q + 10
-    c = mpf_sub(mpf_cos(a, wp, round_nearest), fhalf, wp, round_nearest)
-    return 2 * pi - to_fixed(mpf_acos(c, wp, round_nearest), q)
+    c = _cos(to_fixed(a, wp), wp) - (1 << (wp - 1))
+    return 2 * pi - (_acos(c, wp) >> 10)
 
 
 def cone_volume(alpha, dps: int = 30):
@@ -156,31 +212,28 @@ class ScanRow:
     region: str
     zero_flag: bool
 
-    def strings(self):
-        """(alpha, log_gamma_scaled, vol_reference) at 17 digits, as CSV and
-        JSON print them."""
-        lg = "-inf" if self.zero_flag else mp.nstr(mp.mpf(self.log_gamma_scaled), 17)
-        return mp.nstr(mp.mpf(self.alpha), 17), lg, mp.nstr(mp.mpf(self.vol_reference), 17)
-
 
 @dataclasses.dataclass
 class ScanResult:
     N: int
     rows: list
 
+    def strings(self):
+        """(row, alpha, log_gamma_scaled, vol_reference) at 17 digits, each
+        distinct double formatted once: mirror rows share log and reference."""
+        fmt = functools.lru_cache(maxsize=None)(lambda x: mp.nstr(mp.mpf(x), 17))
+        for r in self.rows:
+            lg = "-inf" if r.zero_flag else fmt(r.log_gamma_scaled)
+            yield r, fmt(r.alpha), lg, fmt(r.vol_reference)
+
     def to_csv(self) -> str:
         lines = ["N,s,alpha,log_gamma_scaled,vol_reference,region_label"]
-        for r in self.rows:
-            alpha, lg, ref = r.strings()
-            lines.append(f"{self.N},{r.s},{alpha},{lg},{ref},{r.region}")
+        lines += [f"{self.N},{r.s},{a},{lg},{ref},{r.region}" for r, a, lg, ref in self.strings()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        rows = []
-        for r in self.rows:
-            alpha, lg, ref = r.strings()
-            rows.append({"s": r.s, "alpha": alpha, "log_gamma_scaled": lg,
-                         "vol_reference": ref, "region_label": r.region})
+        rows = [{"s": r.s, "alpha": a, "log_gamma_scaled": lg, "vol_reference": ref,
+                 "region_label": r.region} for r, a, lg, ref in self.strings()]
         return json.dumps({"N": self.N, "rows": rows}, sort_keys=True)
 
 
@@ -220,17 +273,14 @@ def scan_precision(N: int) -> int:
 
 # Largest N of a scan at its own scan_precision(N) digits, the bound of
 # check_scan.  On a shared 2-vCPU Xeon such a whole volume-scan process
-# takes 1.2-1.8 s at N = 800, 1.6-2.6 s at N = 1000, 2.7-3.9 s at
-# N = 1200, 7.0-7.7 s at N = 1600 and 14 s at N = 2000, with a peak RSS of
-# 23-25 MB throughout.  The time grows like N^2 digits, the O(N)
-# fixed-point products of tilde_sum on each of the N/2 rows it runs, so
-# a --precision floor above the scan's own digits costs as much as a
-# larger N: at 4000 digits N = 100 takes 2.4 s, N = 400 15 s and N = 800
-# 56 s, and at 1000 digits N = 1600 takes 33 s.  check_scan refuses N^2
-# digits above its value at N = MAX_SCAN_N with scan_precision(MAX_SCAN_N)
-# = 275 digits: N <= 1600 at the scan's own digits, N <= 419 at 4000.  The
-# bound was set when every row ran the kernel, at about twice these
-# times, and is kept so that the same inputs exit 3.
+# takes 0.8 s at N = 800, 1.3-1.5 s at N = 1000, 2.2-2.4 s at N = 1200 and
+# 5.7-6.0 s at N = 1600, with a peak RSS of 22-24 MB.  The time grows like
+# N^2 digits, the O(N) fixed-point products of tilde_sum on each of the
+# N/2 rows it runs, so a --precision floor above the scan's own digits
+# costs as much as a larger N (at 4000 digits N = 400 takes 8 s).
+# check_scan refuses N^2 digits above its value at N = MAX_SCAN_N with
+# scan_precision(MAX_SCAN_N) = 275 digits: N <= 1600 at the scan's own
+# digits, N <= 419 at 4000, so that the same inputs still exit 3.
 MAX_SCAN_N = 1600
 
 
@@ -253,28 +303,25 @@ def asymptotic_scan(N: int, ctx: RootContext = None) -> ScanResult:
     its digits within the bound of check_scan.
 
     A row keeps (2 pi/N) log|gamma_s| and the reference as doubles, so
-    both are taken at 30 digits, not at ctx.dps.  |gamma_s| comes in with
-    the working digits, and a log and a product at 30 digits (about 100
-    bits) can give another double than at full precision only when the
-    value lies within about 2^-100, relative, of a point where the double
-    rounds the other way.  At --N 200 --precision 4000 the 99 logs take
-    1 ms at 30 digits, against 0.9 s at the 4010 digits of the context."""
+    the reference is taken at 30 digits and the log by _log at the scale
+    2^128 from the mantissa and exponent of |gamma_s|, not at ctx.dps:
+    the row's double can differ from the one at full precision only
+    within about 2^-120, relative, of a point where a double rounds."""
     if N < 2:
         raise ValueError("N must be >= 2")
     ctx = ctx or RootContext(N, precision_digits=scan_precision(N))
     check_scan(N, ctx.precision_digits)
     rows = []
+    two_pi_128 = pi_fixed(128) << 1
     with ctx.workprec():
         two_pi = 2 * mp.pi
-        with mp.workdps(30):
-            scale = 2 * mp.pi / N
         # -inf where gamma_s = 0; row N - s reads the value of row s
         lg = [-math.inf] * N
         for s in range(1, N // 2 + 1):
             mag = abs(gamma_fig8_fast(N, s, ctx))
             if mag >= ctx.tol:
-                with mp.workdps(30):
-                    lg[s] = lg[N - s] = float(scale * mp.log(mag))
+                _, man, exp, _ = mag._mpf_
+                lg[s] = lg[N - s] = two_pi_128 * _log(man, exp, 128) // N / (1 << 256)
         for s in range(1, N):
             ref, region = vol_reference(s, N)
             zero = lg[s] == -math.inf

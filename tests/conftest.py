@@ -1,9 +1,12 @@
+import functools
+import json
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
+from mpmath.libmp import (dps_to_prec, fhalf, from_man_exp, mpf_acos, mpf_cos, mpf_log, mpf_sub,
+                          pi_fixed, round_nearest, to_fixed)
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
@@ -692,6 +695,89 @@ def cone_volume_mp(alpha, dps=30):
             raise ValueError("alpha must lie in [0, 2pi/3) for the hyperbolic cone volume")
         theta = cone_params_mp(a, dps)
         return -2 * (lobachevsky_mp((a + theta) / 2, dps) - lobachevsky_mp((a - theta) / 2, dps))
+
+
+def clausen_libmp(t, q, pi, coeffs):
+    """volume._clausen with log|t| from mpf_log at q + 10 bits, truncated
+    to the scale 2^q: its former body (oracle for the int _log)."""
+    t -= (t + pi) // (2 * pi) * (2 * pi)
+    if not t:
+        return 0
+    u = (t << q) // pi
+    u = u * u >> q
+    acc = 0
+    for d in coeffs:
+        acc = (acc + d) * u >> q
+    log_t = to_fixed(mpf_log(from_man_exp(abs(t), -q), q + 10), q)
+    return t - (t * log_t >> q) + (t * acc >> q)
+
+
+def theta_libmp(a, q, pi):
+    """volume._theta with mpf_cos and mpf_acos at q + 10 bits: its former
+    body (oracle for the int _cos and _acos)."""
+    wp = q + 10
+    c = mpf_sub(mpf_cos(a, wp, round_nearest), fhalf, wp, round_nearest)
+    return 2 * pi - to_fixed(mpf_acos(c, wp, round_nearest), q)
+
+
+def sin_cot_mp(ctx):
+    """RootContext.sin_cot as it was built before the rotation: xi^k from
+    mp.expjpi at P bits for every k <= N/2, each value truncated to the
+    scale by to_fixed (oracle)."""
+    N = ctx.N
+    P = dps_to_prec(ctx.dps) + ctx._FIXED_GUARD + N // 2
+    with mp.workprec(P):
+        roots = [mp.expjpi(mp.mpf(k) / N) for k in range(N // 2 + 1)]
+        sin_q = [to_fixed(z.imag._mpf_, P + 1) for z in roots]
+        cot_q = [to_fixed((z.real / z.imag)._mpf_, P) if z.imag else 0 for z in roots]
+        cos_q = [to_fixed((z * z).real._mpf_, P + 1) for z in roots]
+    ks = range(N)
+    return (tuple(sin_q[min(k, N - k)] for k in ks),
+            tuple(cot_q[k] if 2 * k <= N else -cot_q[N - k] for k in ks),
+            tuple(cos_q[min(k, N - k)] for k in ks), P)
+
+
+class MpTableContext(RootContext):
+    """A RootContext whose sin_cot table, and that of every finer context
+    it makes, is sin_cot_mp's."""
+
+    @functools.cached_property
+    def sin_cot(self):
+        return sin_cot_mp(self)
+
+    def finer(self, extra_digits):
+        if extra_digits not in self._finer:
+            self._finer[extra_digits] = MpTableContext(
+                self.N, precision_digits=self.precision_digits + extra_digits)
+        return self._finer[extra_digits]
+
+
+def asymptotic_scan_mp(N):
+    """The JSON of volume.asymptotic_scan(N) from mpmath alone (oracle):
+    every row's gamma_s by habiro.tilde_sum on the sin_cot_mp table, its
+    log by mp.log at 30 digits, the reference by cone_volume_mp at 30
+    digits, and each double printed by mp.nstr."""
+    ctx = MpTableContext(N, precision_digits=volume.scan_precision(N))
+    h = habiro.catalog_coeffs("4_1")
+    rows = []
+    with ctx.workprec():
+        two_pi = 2 * mp.pi
+        with mp.workdps(30):
+            scale = 2 * mp.pi / N
+        for s in range(1, N):
+            mag = abs(habiro.tilde_sum(h, s, ctx))
+            with mp.workdps(30):
+                lg = "-inf" if mag < ctx.tol else mp.nstr(mp.mpf(float(scale * mp.log(mag))), 17)
+                if 3 * s < N:
+                    ref, region = cone_volume_mp(2 * mp.pi * s / N, 30), "volume"
+                elif 3 * s <= 2 * N:
+                    ref, region = mp.mpf(0), "conjectural-flat"
+                else:
+                    ref, region = cone_volume_mp(2 * mp.pi * (N - s) / N, 30), "volume-mirror"
+            rows.append({"s": s, "alpha": mp.nstr(mp.mpf(float(two_pi * s / N)), 17),
+                         "log_gamma_scaled": lg, "vol_reference": mp.nstr(mp.mpf(float(ref)), 17),
+                         "region_label": region})
+    return json.dumps({"N": N, "rows": rows}, sort_keys=True)
 
 
 def lobachevsky_quadrature(x, dps=30):

@@ -225,6 +225,23 @@ class TestTildeSum:
                     assert abs(mp.mpc(v) - mp.mpc(mp.ldexp(x, -P), mp.ldexp(y, -P))) <= mp.ldexp(2, -P)
         assert h.at_xi(fine) is not h.at_xi(ctx) and h.fixed_at_xi(fine) is not h.fixed_at_xi(ctx)
 
+    def test_int_constants_at_xi_are_what_eval_at_makes(self):
+        # at_xi takes an int constant a_i without evaluating it; the raw
+        # mpf is eval_at's, also for a constant wider than the context's
+        # digits under a low ambient precision
+        big = 3 ** 400 + 1
+        rule = lambda i: LaurentPoly.const(1 if i == 0 else (-1) ** i * big // i)
+        for N in range(2, 41):
+            ctx = RootContext(N)
+            hs = [HabiroCoeffs(knot, catalog_coeffs(knot).rule) for knot in ("unknot", "4_1")]
+            hs.append(HabiroCoeffs("big", rule))
+            with mp.workdps(15):
+                got = [h.at_xi(ctx) for h in hs]
+            assert set(ctx.half_powers) == set()
+            for h, values in zip(hs, got):
+                want = [ctx.eval_at(h.coeff(i)).real for i in range(N)]
+                assert [v._mpf_ for v in values] == [v._mpf_ for v in want], (h.knot, N)
+
     @pytest.mark.parametrize("knot", ["unknot", "3_1", "4_1"])
     def test_window_products_are_V_s(self, knot):
         # the window products without cotangents, sum_{i<su} a_i

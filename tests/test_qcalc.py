@@ -21,8 +21,9 @@ from logjones.qcalc import (
     qfact,
     qint,
 )
+from logjones.volume import scan_precision
 from conftest import (assert_close, horner, is_palindromic, mirror, q_power,
-                      qsymbols_from_half_powers, valuation2, xi_half)
+                      qsymbols_from_half_powers, sin_cot_mp, valuation2, xi_half)
 
 
 def rand_poly(rng, max_terms=6, max_exp=8, max_coeff=9):
@@ -483,6 +484,42 @@ class TestRootTable:
             ctx3.xi_pow(1, 3)
         with pytest.raises(ValueError):
             ctx3.qfact_at(-1)
+
+
+def sin_cot_errors(tables, N):
+    """The largest error of each family (sines, cots, cos2) of each
+    sin_cot table, k <= N/2, in units 2^-P, against mpmath at P + 64 bits."""
+    P = tables[0][-1]
+    with mp.workprec(P + 64):
+        roots = [mp.expjpi(mp.mpf(k) / N) for k in range(N // 2 + 1)]
+        exact = [[mp.ldexp(2 * z.imag, P) for z in roots],
+                 [mp.ldexp(z.real / z.imag, P) if k else 0 for k, z in enumerate(roots)],
+                 [mp.ldexp(2 * (z * z).real, P) for z in roots]]
+        return [[max(abs(v - x) for v, x in zip(fam, want)) for fam, want in zip(t, exact)]
+                for t in tables]
+
+
+class TestSinCotTable:
+    # the table rotated from one root against the former one, which took
+    # every root from mpmath and truncated it (conftest.sin_cot_mp)
+
+    @pytest.mark.parametrize("N", list(range(2, 41)) + [97, 150, 400, 1600])
+    def test_no_less_accurate_than_the_mpmath_table(self, N):
+        ctx = RootContext(N, precision_digits=scan_precision(N))
+        table, old = ctx.sin_cot, sin_cot_mp(ctx)
+        P = table[-1]
+        assert old[-1] == P
+        new_err, old_err = sin_cot_errors((table, old), N)
+        for family, e_new, e_old in zip(("sine", "cot", "cos2"), new_err, old_err):
+            # the bound of the docstring: 1/2 + 2^-8 units
+            assert e_new <= mp.mpf(1) / 2 + mp.mpf(2) ** -8, (family, e_new)
+            assert e_new <= e_old, (family, e_new, e_old)
+        sines, cots, cos2 = table[:3]
+        assert (sines[0], cots[0], cos2[0]) == (0, 0, 2 << P)
+        if N % 2 == 0:
+            assert (sines[N // 2], cots[N // 2], cos2[N // 2]) == (2 << P, 0, -2 << P)
+        for k in range(1, N):
+            assert cots[N - k] == -cots[k] and sines[N - k] == sines[k] and cos2[N - k] == cos2[k]
 
 
 class TestEval:

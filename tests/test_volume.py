@@ -1,8 +1,11 @@
 import inspect
 import json
+import random
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_acos, mpf_cos, mpf_log, pi_fixed,
+                          round_nearest, to_fixed)
 
 from logjones import habiro, jones, loginv, volume
 from logjones.qcalc import RootContext
@@ -13,9 +16,10 @@ from logjones.volume import (
     scan_precision,
     vol_reference,
 )
-from conftest import (assert_close, asymptotic_scan_every_row, cone_params, cone_t,
-                      cone_volume_derivative_reference, cone_volume_mp, convergence_gaps,
-                      lobachevsky, lobachevsky_mp, lobachevsky_quadrature, s_N_alpha)
+from conftest import (assert_close, asymptotic_scan_every_row, asymptotic_scan_mp, clausen_libmp,
+                      cone_params, cone_t, cone_volume_derivative_reference, cone_volume_mp,
+                      convergence_gaps, lobachevsky, lobachevsky_mp, lobachevsky_quadrature,
+                      s_N_alpha, theta_libmp)
 
 VOL_4_1 = mp.mpf("2.029883212819307250042405108549")
 
@@ -191,6 +195,115 @@ class TestIntPipeline:
             assert float(cone_volume(alpha)) != float(cone_volume_mp(alpha)), s
 
 
+def _units(got, want, w):
+    """|got - want| in units 2^-w, for an int got and a raw mpf want."""
+    with mp.workprec(w + 100):
+        return abs(mp.mpf(got) - mp.ldexp(mp.make_mpf(want), w))
+
+
+def _cos_points(w):
+    one = 1 << w
+    rng = random.Random(w)
+    return ([0, 1, -1, one, -one, one >> 1, one >> 7, (209 * one) // 100, -(209 * one) // 100,
+             (21 * one) // 10, one // 3 + 1]
+            + [rng.randrange(-(21 * one) // 10, (21 * one) // 10) for _ in range(24)])
+
+
+def _acos_points(w):
+    one = 1 << w
+    rng = random.Random(w + 1)
+    # near 1 and -1 (angles near 0 and pi), 0, powers of two, near +-1/2
+    return ([one, -one, one - 1, -one + 1, one - (one >> 40), -one + (one >> 40), 0, 1, -1,
+             one >> 3, -(one >> 3), one >> 1, -(one >> 1), (one >> 1) + 1, (one >> 1) - 1,
+             -(one >> 1) + 1, -(one >> 1) - 1]
+            + [rng.randrange(-one, one + 1) for _ in range(24)])
+
+
+def _log_points(w):
+    one = 1 << w
+    rng = random.Random(w + 2)
+    # powers of two, near 1, 1 unit, up to pi, and a long mantissa with
+    # large exponents either way
+    return ([(one, -w), (1, -w), (one >> 5, -w), (one << 1, -w), (one + 1, -w), (one - 1, -w),
+             (3, 0), (pi_fixed(w), -w), (pi_fixed(w) - 1, -w), (12345, 900),
+             ((1 << 3000) - 1, -5000), (7, -3 * w)]
+            + [(rng.randrange(1, 4 * one), -w) for _ in range(24)])
+
+
+def _worst_acos(w):
+    return max(_units(volume._acos(c, w), mpf_acos(from_man_exp(c, -w), w + 80, round_nearest), w)
+               for c in _acos_points(w))
+
+
+class TestIntElementary:
+    # _cos, _acos and _log on ints at the scale 2^w, w = q + 10 of the
+    # Clausen coefficients at 30, 300 and 1010 digits, are each within
+    # the 1 unit 2^-w their docstrings state of mpmath's mpf_cos,
+    # mpf_acos and mpf_log, taken 80 bits finer
+
+    WIDTHS = [dps_to_prec(dps) + 30 for dps in (30, 300, 1010)]
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_cos(self, w):
+        for x in _cos_points(w):
+            want = mpf_cos(from_man_exp(x, -w), w + 80, round_nearest)
+            assert _units(volume._cos(x, w), want, w) <= 1, x
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_acos(self, w):
+        assert _worst_acos(w) <= 1
+        assert volume._acos(1 << w, w) == 0
+        assert abs(volume._acos(0, w) - pi_fixed(w - 1)) <= 1
+        assert abs(volume._acos(-1 << w, w) - pi_fixed(w)) <= 1
+
+    @pytest.mark.parametrize("w", WIDTHS)
+    def test_log(self, w):
+        for x, e in _log_points(w):
+            want = mpf_log(from_man_exp(x, e), w + 80 + x.bit_length(), round_nearest)
+            assert _units(volume._log(x, e, w), want, w) <= 1, (x, e)
+        assert volume._log(1 << w, -w, w) == 0
+
+    def test_acos_without_the_halving_fails(self, monkeypatch):
+        # negative control: without the halving steps t = tan(theta/2) is
+        # up to 1, where the series' terms do not fall fast enough and the
+        # factor 2^{r+1} is wrong; the check above must fail
+        src = inspect.getsource(volume._acos)
+        halving = ("    for _ in range(r):\n"
+                   "        t = (t << W) // (one + math.isqrt(one * one + t * t))\n")
+        assert src.count(halving) == 1
+        namespace = dict(vars(volume))
+        exec(src.replace(halving, ""), namespace)
+        monkeypatch.setattr(volume, "_acos", namespace["_acos"])
+        for w in self.WIDTHS:
+            assert _worst_acos(w) > 1, w
+
+    @pytest.mark.parametrize("dps", [30, 300, 1010])
+    def test_theta_and_clausen_against_the_libmp_bodies(self, dps):
+        # the former bodies, with mpmath's cos, acos and log at q + 10 bits
+        # and a truncation to q, give theta and Cl_2 within 2 units 2^-q
+        q, coeffs = volume._clausen_coeffs(dps_to_prec(dps))
+        pi = pi_fixed(q)
+        for N in (7, 150, 1600):
+            for s in (1, N // 6, (N - 1) // 3):
+                with mp.workdps(dps):
+                    a = (2 * mp.pi * s / N)._mpf_
+                theta = volume._theta(a, q, pi)
+                assert abs(theta - theta_libmp(a, q, pi)) <= 2, (N, s)
+                a_int = to_fixed(a, q)
+                for t in (a_int - theta, a_int + theta, 1, -(1 << (q - 3))):
+                    got = volume._clausen(t, q, pi, coeffs)
+                    assert abs(got - clausen_libmp(t, q, pi, coeffs)) <= 2, (N, s, t)
+
+
+class TestMpOracle:
+    # the scan against one taken from mpmath alone: the former sin_cot
+    # table, mp.log for the rows and the mpf cone volumes
+
+    @pytest.mark.parametrize("N", list(range(2, 41)) + [97, 150, 400])
+    def test_json_equals_the_mpmath_scan(self, N):
+        assert asymptotic_scan(N).to_json() == asymptotic_scan_mp(N)
+
+
 class TestFastKernel:
     def test_matches_habiro_route_small_N(self):
         for N in range(2, 7):
@@ -361,12 +474,32 @@ class TestScan:
         assert set(calls) == {30}
 
     def test_scan_reads_only_the_root_table_entry_it_needs(self, monkeypatch):
-        # the scan evaluates a_i = 1 of 4_1, bin 0, and nothing else at
-        # xi; a fresh catalog entry keeps a memoized a_i(xi) from hiding it
+        # the a_i = 1 of 4_1 are int constants, which at_xi takes without
+        # evaluating, and sin_cot rotates its own root, so the scan reads
+        # no entry of half_powers; a fresh catalog entry keeps a memoized
+        # a_i(xi) from hiding a read
         monkeypatch.setattr(habiro, "_CATALOG_CACHE", {})
         ctx = RootContext(150, precision_digits=scan_precision(150))
         asymptotic_scan(150, ctx)
-        assert set(ctx.half_powers) == {0}
+        assert set(ctx.half_powers) == set()
+
+    def test_each_distinct_double_is_formatted_once(self, monkeypatch):
+        res = asymptotic_scan(40)
+        want_json, want_csv = res.to_json(), res.to_csv()
+        calls = []
+        nstr = mp.nstr
+
+        def counting(x, n):
+            calls.append(x)
+            return nstr(x, n)
+
+        monkeypatch.setattr(mp, "nstr", counting)
+        assert res.to_json() == want_json and res.to_csv() == want_csv
+        doubles = {x for r in res.rows for x in (r.alpha, r.log_gamma_scaled, r.vol_reference)
+                   if x != float("-inf")}
+        # mirror rows share their log and their reference
+        assert len(doubles) < 3 * len(res.rows)
+        assert len(calls) == 2 * len(doubles)
 
     @pytest.mark.parametrize("N, digits", [(12, None), (97, None), (150, None), (400, None),
                                            (30, 1000)])
