@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -86,19 +87,22 @@ def _require_N(args) -> int:
     return args.N
 
 
-def _emit(text: str, out_path):
+def _emit(text, out_path):
+    """Write a str, or str chunks in batches (a write per chunk is slow), to --out or stdout."""
+    chunks = iter((text,) if isinstance(text, str) else text)
+    batches = iter(lambda: "".join(itertools.islice(chunks, 4096)), "")
     if out_path and out_path != "-":
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(batches)
         except OSError as exc:
             raise ConfigError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
 
 
 def _poly_json(p: LaurentPoly):
-    return sorted((str(e), str(c)) for e, c in p.terms.items())
+    return {"poly": str(p), "terms": sorted((str(e), str(c)) for e, c in p.terms.items())}
 
 
 def cmd_jones(args) -> int:
@@ -110,12 +114,13 @@ def cmd_jones(args) -> int:
     # a range, so that the top color is refused before any color is built
     colors = [args.m] if args.m is not None else range(1, args.max_m + 1)
     jones.check_trace(braid, colors[-1])
-    payload = {"knot": braid.name, "strands": braid.strands,
-               "writhe": braid.writhe, "framing": 0, "values": {}}
-    for m in colors:
-        v = jones.colored_jones_zero_framed(braid, m)
-        payload["values"][str(m)] = {"poly": str(v), "terms": _poly_json(v)}
-    _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
+    # the encoder traces each color as it reaches its key, and _emit writes
+    # the text in batches as it comes, so one color's strings are held at a time
+    values = {str(m): functools.partial(jones.colored_jones_zero_framed, braid, m) for m in colors}
+    payload = {"knot": braid.name, "strands": braid.strands, "writhe": braid.writhe,
+               "framing": 0, "values": values}
+    encoder = json.JSONEncoder(sort_keys=True, indent=1, default=lambda trace: _poly_json(trace()))
+    _emit(itertools.chain(encoder.iterencode(payload), "\n"), args.out)
     return EXIT_OK
 
 
@@ -130,8 +135,7 @@ def cmd_habiro(args) -> int:
     coeffs = [h.coeff(i) for i in range(i_top + 1)]
     payload = {"knot": braid.name,
                "all_ones": all(c == 1 for c in coeffs),
-               "coeffs": {str(i): {"poly": str(c), "terms": _poly_json(c)}
-                          for i, c in enumerate(coeffs)}}
+               "coeffs": {str(i): _poly_json(c) for i, c in enumerate(coeffs)}}
     _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK
 
@@ -171,7 +175,6 @@ def cmd_volume_scan(args) -> int:
     digits = volume.scan_precision(N)
     if args.precision_asked:
         digits = max(digits, args.precision)
-    volume.check_scan(N, digits)
     res = volume.asymptotic_scan(N, RootContext(N, precision_digits=digits))
     text = res.to_csv() if args.format == "csv" else res.to_json() + "\n"
     _emit(text, args.out)

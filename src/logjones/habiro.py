@@ -5,8 +5,9 @@ that do not depend on the color m (Habiro, Invent. Math. 171 (2008)).
 This module owns the whole Habiro layer: how a knot's a_i are stored (a
 rule i -> a_i, closed-form for the catalog, a table when extracted from
 exact 0-framed invariants), the one resolver from a knot to them, the
-reconstruction of V_m, the cotangent/tilde-bracket sum over a_i(xi) and
-the color derivative of the expansion at q = xi.
+reconstruction of V_m, the jets of V_m/[m] at xi by one scalar Horner
+pass per residue of m mod N, the cotangent/tilde-bracket sum over
+a_i(xi) and the color derivative of the expansion at q = xi.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Callable
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, to_fixed
 
-from .qcalc import Jet, LaurentPoly, RootContext, kron_pack, kron_unpack, qint, rotate
+from .qcalc import Jet, LaurentPoly, RootContext, kron_pack, kron_unpack, qint
 from . import jones
 
 
@@ -34,12 +35,10 @@ class HabiroCoeffs:
     knot: str
     rule: Callable[[int], LaurentPoly]
     i_max: int | None = None
-    # the jets of V_m/[m], keyed by ("jet", N, m), the Horner pass of each
-    # residue r of the color mod N they are read off, keyed by
-    # ("pass", N, r), the tuple of the a_i jets, keyed by ("jets", N), the
-    # tuple a_0(xi)..a_{N-1}(xi), keyed by ("xi", N, dps), and its
-    # fixed-point parts, keyed by ("fixed", N, P); each entry is built
-    # whole on first use and never changed
+    # the Horner pass at xi of each residue r of the color mod N, keyed by
+    # ("pass", N, dps, r), the a_i jets, keyed by ("jets", N, dps), the
+    # a_0(xi)..a_{N-1}(xi), keyed by ("xi", N, dps), and their fixed-point
+    # parts, keyed by ("fixed", N, P); each built whole once, never changed
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -166,65 +165,57 @@ def ladder_head(h: HabiroCoeffs, m: int, n: int) -> LaurentPoly:
     return _ladder([h.coeff(i) for i in range(min(m, n))], m)
 
 
-def normalized_Vm_jet(h: HabiroCoeffs, m: int, N: int) -> Jet:
-    """The jet of V_m/[m] mod x^{4N} - 1 (see qcalc.Jet), equal to
-    Jet.of(reconstruct_normalized_Vm(h, m), N) without building V_m/[m].
+def normalized_Vm_jet(h: HabiroCoeffs, m: int, ctx: RootContext) -> Jet:
+    """The jet of V_m/[m] at xi (see qcalc.Jet), equal to
+    Jet.of(reconstruct_normalized_Vm(h, m), ctx) without building V_m/[m].
 
-    For i >= N the rung L_i(m) holds two factors {kN}, each 0 mod
-    x^{4N} - 1, so only a_0..a_{N-1} reach the jet.  With
-    u_k = x^{4k} + x^{-4k} the rung factor is {m+j}{m-j} = u_m - u_j, so
-    V_m/[m] = P(u_m), P(u) = sum_i a_i prod_{j=1..i} (u - u_j), and the
-    jet of u_m is (U_r, +-m delta_r) with r = +-m mod N in 0..N/2.  As
-    (0, delta)^2 = 0 in the jet ring,
+    With u_k = x^{4k} + x^{-4k} the rung factor is {m+j}{m-j} = u_m - u_j,
+    so V_m/[m] = P(u_m), P(u) = sum_i a_i prod_{j=1..i} (u - u_j).  The
+    jet of u_m is (U_r, +-m delta_r), r = +-m mod N in 0..N/2, U_r = C_2r,
+    delta_r = 4i S_2r, and (0, delta)^2 = 0, so
 
-      jet(V_m/[m]) = P(U_r) +- m (0, delta_r value(P'(U_r))),
+      jet(V_m/[m]) = P(U_r) +- m (0, delta_r P'(U_r)),
 
-    read off the one Horner pass of residue r (_residue_pass).  Memoized
-    on h, keyed by (N, m)."""
-    key = ("jet", N, m)
-    if key not in h._memo:
-        _check_color(h, m, min(m, N))
-        rho = m % N
-        r, sign = (rho, m) if 2 * rho <= N else (N - rho, -m)
-        v, w, slope = _residue_pass(h, N, r)
-        h._memo[key] = Jet(v, [x + sign * y for x, y in zip(w, slope)])
-    return h._memo[key]
+    read off the one Horner pass of residue r (_residue_pass).  For
+    i >= N the rung L_i(m) holds two factors {kN}, each of value 0 at xi,
+    so only a_0..a_{N-1} reach the jet."""
+    N = ctx.N
+    _check_color(h, m, min(m, N))
+    rho = m % N
+    r, sign = (rho, m) if 2 * rho <= N else (N - rho, -m)
+    jet, slope = _residue_pass(h, ctx, r)
+    with ctx.workprec():
+        return Jet(jet.v, jet.w + sign * slope)
 
 
-def _residue_pass(h: HabiroCoeffs, N: int, r: int):
-    """(v, w, slope): the jet (v, w) of P(U_r) and slope = delta_r
-    value(P'(U_r)), with U_r = (bins of x^{4r} + x^{-4r}, 0) and delta_r
-    the bins of 4x^{4r} - 4x^{-4r} (see normalized_Vm_jet).
+def _residue_pass(h: HabiroCoeffs, ctx: RootContext, r: int):
+    """(J, slope): the jet J of P(U_r) and slope = delta_r P'(U_r).
 
-    Horner over a_0..a_{n-1}, n = min(N, coefficients held), carries the
-    jet J of P and only the value D of P': D <- J.v + (U_r - u_j) D, then
-    J <- a_{j-1} + (U_r - u_j) J, where u_j has the D-part
-    4j x^{4j} - 4j x^{-4j}.  A color m < n reads the same pass, as every
-    rung i >= m holds u_m - u_m = 0.  The a_i are reduced once per N, as
-    one tuple.  Memoized on h, keyed by (N, r)."""
-    key = ("pass", N, r)
-    if key not in h._memo:
-        n = N if h.i_max is None else min(N, h.i_max + 1)
-        if ("jets", N) not in h._memo:
-            h._memo["jets", N] = tuple(Jet.of(h.coeff(i), N) for i in range(n))
-        a = h._memo["jets", N]
-        up, down = 4 * r, -4 * r
-        v, w = a[n - 1].v, a[n - 1].w
-        d = [0] * (4 * N)
-        for j in range(n - 1, 0, -1):
-            uj = 4 * j
-            # (U_r - u_j) times d, w and v, and the D-part of -u_j times v
-            d = [x + p + q - s - t for x, p, q, s, t in
-                 zip(v, rotate(d, up), rotate(d, down), rotate(d, uj), rotate(d, -uj))]
-            vs, vt = rotate(v, uj), rotate(v, -uj)
-            w = [x + p + q - s - t - uj * (y - z) for x, p, q, s, t, y, z in
-                 zip(a[j - 1].w, rotate(w, up), rotate(w, down), rotate(w, uj),
-                     rotate(w, -uj), vs, vt)]
-            v = [x + p + q - s - t for x, p, q, s, t in
-                 zip(a[j - 1].v, rotate(v, up), rotate(v, down), vs, vt)]
-        slope = [4 * (p - q) for p, q in zip(rotate(d, up), rotate(d, down))]
-        h._memo[key] = (v, w, slope)
-    return h._memo[key]
+    Horner over a_0..a_{n-1}, n = min(N, coefficients held), carries J
+    and the value d of P': d <- J.v + (U_r - u_j) d, then
+    J <- a_{j-1} + (U_r - u_j) J, where U_r - u_j = C_2r - C_2j is real
+    and D u_j = 4j i S_2j.  A color m < n reads the same pass, as every
+    rung i >= m holds u_m - u_m = 0.  For r >= 1 every rung i >= N - r
+    holds the factors j = r and j = N - r, both of value 0 (one, of jet
+    (0, 0), when 2r = N), so the pass reads a_0..a_{N-r-1} alone.
+    Memoized on h, keyed by (N, dps, r), and the a_i jets by (N, dps)."""
+    N, dps, memo = ctx.N, ctx.dps, h._memo
+    key = ("pass", N, dps, r)
+    if key not in memo:
+        if (jets := ("jets", N, dps)) not in memo:
+            memo[jets] = tuple(Jet.of(h.coeff(i), ctx) for i in range(N) if h.has_coeff(i))
+        a = memo[jets][:N - r]
+        sym = ctx.qsymbols
+        with ctx.workprec():
+            u_r = sym[2 * r][1]
+            jet, d = a[-1], 0
+            for j in range(len(a) - 1, 0, -1):
+                s_j, c_j, _ = sym[2 * j]
+                factor = Jet(u_r - c_j, mp.mpc(0, -4 * j * s_j))
+                d = jet.v + factor.v * d
+                jet = a[j - 1] + factor * jet
+            memo[key] = (jet, mp.mpc(0, 4 * sym[2 * r][0]) * d)
+    return memo[key]
 
 
 def tilde_sum(h: HabiroCoeffs, s: int, ctx: RootContext):

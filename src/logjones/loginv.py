@@ -15,7 +15,7 @@ N {1}/(pi i) cancels the pi i/(N {1}) of ddm_Vm.  Their agreement checks
 the fixed-point arithmetic of habiro.tilde_sum against mpmath.
 
 center_coeffs takes the radical coefficients b_s^+- from the q-derivative
-route alone, exact q-derivatives of normalized invariants
+route alone, q-derivatives at xi of normalized invariants
 (b_pm_via_derivative).  The closed Habiro-sum form of b_s^+- is no second
 check: at framing 0 it is (G - {s}_+ a_s)/[s]^2, G the HABIRO gamma, so
 it differs from b_s^+- by at most (the route spread of gamma_s + the
@@ -35,19 +35,20 @@ import enum
 
 import mpmath as mp
 
-from .qcalc import Jet, RootContext, brace, ddq, qint
+from .qcalc import Jet, RootContext, brace, ddq
 from . import habiro, jones
 
 
 # Largest N that center_coeffs takes on.  On a shared 2-vCPU Xeon a whole
-# loginv --knot 4_1 process takes 0.8-1.1 s and 27 MB at N = 60, 1.6-1.9 s
-# and 32 MB at N = 80 and 2.7-3.7 s and 36 MB at N = 100 (3_1 at N = 100:
-# 2.5-3.2 s, 2.7-3.4 s with --framing 1): one Horner pass per residue of
-# the color mod N in habiro.normalized_Vm_jet, still O(N^3) in all.  At
-# 4000 digits N = 60 takes 5.9-8.5 s and N = 100 15-19 s and 41 MB.  A
-# larger N is refused with jones.FeasibilityError before the knot is
-# resolved; a braid word is bounded by jones.EXACT_DIM_CAP as well
-# (loginv --braid "3: 1 -2 1 -2" takes 0.55 s and 31 MB at N = 12).
+# loginv --knot 4_1 process takes 0.4-0.6 s and 26 MB at N = 60, 0.5-1.0 s
+# and 30 MB at N = 80 and 0.9-1.4 s and 33 MB at N = 100 (3_1 at N = 100:
+# 1.0-1.5 s, 1.5 s with --framing 1): the scalar Horner passes of
+# habiro.normalized_Vm_jet are O(N^2) in all.  At 4000 digits, where
+# habiro.ddm_Vm takes most of the time, cli.main takes 3.7-3.8 s at N = 60
+# and 8.8-8.9 s and 41 MB at N = 100 (3_1: 12.8-14.9 s).  A larger N is
+# refused with jones.FeasibilityError before the knot is resolved; a braid
+# word is bounded by jones.EXACT_DIM_CAP as well (loginv --braid
+# "3: 1 -2 1 -2" takes 0.5-0.8 s and 30 MB at N = 12).
 MAX_N = 100
 
 
@@ -57,15 +58,14 @@ class Route(enum.Enum):
     MDERIV = "mderiv"
 
 
-# -- exact colored Jones access -----------------------------------------
+# -- jets at xi ----------------------------------------------------------
 
 
-def _normalized_jet(h: habiro.HabiroCoeffs, m: int, N: int, framing: int) -> Jet:
-    """The jet of the framed V_m/[m], q^{(m^2-1) f/2} V_m/[m], mod
-    x^{4N} - 1: all that an evaluation at xi, or of d/dq there, reads of
-    it."""
-    jet = habiro.normalized_Vm_jet(h, m, N)
-    return jet.shift((m * m - 1) * framing) if framing else jet
+def _normalized_jet(h: habiro.HabiroCoeffs, m: int, ctx: RootContext, framing: int) -> Jet:
+    """The jet at xi of the framed V_m/[m], q^{(m^2-1) f/2} V_m/[m]; run it
+    inside ctx.workprec()."""
+    jet = habiro.normalized_Vm_jet(h, m, ctx)
+    return jet * Jet.monomial((m * m - 1) * framing, ctx) if framing else jet
 
 
 def _framing_phase(m: int, ctx: RootContext, framing: int):
@@ -80,24 +80,16 @@ def b_pm_via_derivative(knot, s: int, sign: int, ctx: RootContext, framing: int 
     """b_s^+ = xi/(2N[s]) d/dq {1}_q (V_s/[s]_q - V_{2N-s}/[2N-s]_q) at xi,
     b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q),
 
-    each V_m/[m]_q read exactly off the jet of the cyclotomic ladder.
+    each V_m/[m]_q read off its jet at xi, the cyclotomic ladder's.
     """
     N = ctx.N
     if not 1 <= s <= N - 1:
         raise ValueError("s must be in 1..N-1")
     h = habiro.coeffs_for(knot, N)
-
-    def vt(m):
-        return _normalized_jet(h, m, N, framing)
-
-    if sign > 0:
-        jet = vt(s) - vt(2 * N - s)
-        pref_den = 2 * N
-    else:
-        jet = vt(2 * N + s) - vt(2 * N - s)
-        pref_den = 4 * N
+    m, pref_den = (s, 2 * N) if sign > 0 else (2 * N + s, 4 * N)
     with ctx.workprec():
-        return ctx.xi / (pref_den * ctx.qint_at(s)) * jet.times(brace(1)).ddq_value(ctx)
+        jet = _normalized_jet(h, m, ctx, framing) - _normalized_jet(h, 2 * N - s, ctx, framing)
+        return ctx.xi / (pref_den * ctx.qint_at(s)) * (jet * Jet.brace(1, ctx)).ddq(ctx)
 
 
 # -- gamma ---------------------------------------------------------------
@@ -114,9 +106,9 @@ def gamma_s(knot, s: int, ctx: RootContext, route: Route = Route.QDERIV, framing
         h = habiro.coeffs_for(knot, N)
         if route is Route.QDERIV:
             # {1} V_m = {m} (V_m/[m])
-            jet = (habiro.normalized_Vm_jet(h, s, N).times(brace(s))
-                   + habiro.normalized_Vm_jet(h, 2 * N - s, N).times(brace(2 * N - s)))
-            return phase * ctx.xi / (2 * N) * jet.ddq_value(ctx)
+            jet = (habiro.normalized_Vm_jet(h, s, ctx) * Jet.brace(s, ctx)
+                   + habiro.normalized_Vm_jet(h, 2 * N - s, ctx) * Jet.brace(2 * N - s, ctx))
+            return phase * ctx.xi / (2 * N) * jet.ddq(ctx)
         if route is Route.HABIRO:
             return phase * habiro.tilde_sum(h, s, ctx)
         dm = habiro.ddm_Vm(h, s, ctx)  # MDERIV
@@ -140,7 +132,7 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     h = habiro.coeffs_for(knot, N)
     m = 2 * N if which == 0 else N
     with ctx.workprec():
-        val = habiro.normalized_Vm_jet(h, m, N).value(ctx)
+        val = habiro.normalized_Vm_jet(h, m, ctx).v
         return _framing_phase(m, ctx, framing) * (val if which == 0 else -val)
 
 
@@ -173,7 +165,7 @@ def alpha_beta(knot, ctx: RootContext, framing: int = 0):
     with ctx.workprec():
         one = ctx.brace_at(1)
         for s in range(1, N):
-            vs = _normalized_jet(h, s, N, framing).times(qint(s)).value(ctx)
+            vs = _normalized_jet(h, s, ctx, framing).v * ctx.qint_at(s)
             alpha[s - 1] = (-1) ** (N + s) * N * one * vs
             beta[s - 1] = -N * framing * one * vs
     return alpha, beta
@@ -278,11 +270,9 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
         raise jones.FeasibilityError(f"loginv at N = {N} exceeds the bound N <= {MAX_N}")
     h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
-        idem = [gamma_boundary(h, 0, ctx, framing)]
-        for s in range(1, N):
-            vts = _normalized_jet(h, s, N, framing).value(ctx)
-            idem.append(vts)
-        idem.append(-gamma_boundary(h, N, ctx, framing))
+        idem = [gamma_boundary(h, 0, ctx, framing),
+                *(_normalized_jet(h, s, ctx, framing).v for s in range(1, N)),
+                -gamma_boundary(h, N, ctx, framing)]
         rad_plus = [b_pm_via_derivative(h, s, +1, ctx, framing) for s in range(1, N)]
         rad_minus = [b_pm_via_derivative(h, s, -1, ctx, framing) for s in range(1, N)]
         alpha, beta, gamma = basis_change(idem, rad_plus, rad_minus, ctx)

@@ -5,8 +5,9 @@ A Laurent polynomial is stored as a map from doubled exponents to int
 coefficients, so q^{3/2} lives at key 3 and q^{-2} at key -4; only d/dq on
 odd keys makes a Fraction.  All ring operations are exact, and so are
 limits at xi = exp(pi*i/N), which cancel Phi_4N(q^{1/2}) before a
-RootContext evaluates.  A Jet keeps only the exact residues that
-evaluation, and d/dq, at xi read of a polynomial.
+RootContext evaluates.  A Jet is the dual number (p, D p) at
+x0 = xi^{1/2}, D = x d/dx: all that evaluation, and d/dq, at xi read of
+a polynomial.
 """
 
 from __future__ import annotations
@@ -385,81 +386,56 @@ def residue_bins(terms: dict, period: int) -> dict:
     return bins
 
 
-def rotate(v: list, k: int) -> list:
-    """The bins of x^k times the bins v, mod x^{len(v)} - 1."""
-    k %= len(v)
-    return v[-k:] + v[:-k] if k else v
-
-
+@dataclasses.dataclass(slots=True)
 class Jet:
-    """A polynomial p and D p, D = x d/dx with x = q^{1/2}, both reduced
-    mod x^{4N} - 1: ``v[k]`` is the sum of the coefficients c_e with
-    doubled exponent e = k mod 4N and ``w[k]`` the sum of e c_e.
+    """The dual number (v, w) = (p(x0), (Dp)(x0)) of a polynomial p at
+    x0 = xi^{1/2}, D = x d/dx with x = q^{1/2}, as mpmath numbers.
 
-    D is a derivation, so p -> (v, w) is a ring homomorphism into pairs
-    with the product (v, w)(v', w') = (v v', w v' + v w'), cyclic
-    convolutions of length 4N.  It keeps what evaluation at xi reads:
-    p(xi) is v dotted with ``half_powers`` and, since d/dq = D/(2q),
-    (dp/dq)(xi) is w/2 one step q^{-1} down, both exact up to that dot
-    product.  So a polynomial that is only ever evaluated at xi, or
-    differentiated there once, never has to be built.
+    Evaluation at x0 is a ring homomorphism and D a derivation, so
+    p -> (v, w) is one too, with the product (v v', w v' + v w').  It
+    keeps what evaluation at xi reads: p(xi) = v and, as d/dq = D/(2q),
+    (dp/dq)(xi) = w/(2 xi).  So a polynomial that is only ever evaluated
+    at xi, or differentiated there once, never has to be built.  Sums and
+    products round at the ambient precision: run them in ctx.workprec().
     """
 
-    __slots__ = ("v", "w")
-
-    def __init__(self, v: list, w: list):
-        self.v = v
-        self.w = w
+    v: mp.mpc
+    w: mp.mpc
 
     @classmethod
-    def of(cls, p: LaurentPoly, N: int) -> "Jet":
-        n = 4 * N
-        v, w = [0] * n, [0] * n
-        for k, c in residue_bins(p.terms, n).items():
-            v[k] = c
-        for k, c in residue_bins({e: e * c for e, c in p.terms.items()}, n).items():
-            w[k] = c
-        return cls(v, w)
+    def of(cls, p: LaurentPoly, ctx: "RootContext") -> "Jet":
+        """The bins of p and of D p (e c_e at exponent e), each dotted with
+        ``half_powers``; a real value stays an mpf, so real jets multiply as reals."""
+        dp = residue_bins({e: e * c for e, c in p.terms.items()}, 4 * ctx.N)
+        parts = (ctx.eval_at(p), ctx.eval_bins(dp.items()))
+        return cls(*(z.real if not z.imag else z for z in parts))
 
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.v == other.v and self.w == other.w
+    @classmethod
+    def brace(cls, n: int, ctx: "RootContext") -> "Jet":
+        """{n} = x^{2n} - x^{-2n}: ({n}, 2n {n}_+) off ``qsymbols``."""
+        with ctx.workprec():
+            return cls(ctx.brace_at(n), 2 * n * ctx.brace_plus(n))
+
+    @classmethod
+    def monomial(cls, k: int, ctx: "RootContext") -> "Jet":
+        """x^k = q^{k/2}: (xi^{k/2}, k xi^{k/2}) off ``half_powers``."""
+        z = ctx.xi_pow(k, 2)
+        with ctx.workprec():
+            return cls(z, k * z)
 
     def __add__(self, other: "Jet") -> "Jet":
-        return Jet(list(map(operator.add, self.v, other.v)),
-                   list(map(operator.add, self.w, other.w)))
+        return Jet(self.v + other.v, self.w + other.w)
 
     def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(list(map(operator.sub, self.v, other.v)),
-                   list(map(operator.sub, self.w, other.w)))
+        return Jet(self.v - other.v, self.w - other.w)
 
-    def times(self, p: LaurentPoly) -> "Jet":
-        """The jet of (this polynomial) * p, for a sparse p: each term
-        c x^a rotates both vectors by a and adds a c v to w, with a the
-        unreduced exponent (D x^a = a x^a)."""
-        v_out = w_out = [0] * len(self.v)
-        for a, c in p.terms.items():
-            v, w = rotate(self.v, a), rotate(self.w, a)
-            v_out = [x + c * y for x, y in zip(v_out, v)]
-            w_out = [x + c * (y + a * z) for x, y, z in zip(w_out, w, v)]
-        return Jet(v_out, w_out)
+    def __mul__(self, other: "Jet") -> "Jet":
+        return Jet(self.v * other.v, self.w * other.v + self.v * other.w)
 
-    def shift(self, half_steps: int) -> "Jet":
-        """The jet of (this polynomial) * q^(half_steps/2)."""
-        return self.times(LaurentPoly({half_steps: 1}))
-
-    def value(self, ctx: "RootContext"):
-        """p at q = xi."""
-        return ctx.eval_bins(enumerate(self.v))
-
-    def ddq_value(self, ctx: "RootContext"):
-        """dp/dq at q = xi: the bins of ddq(p) are w[k]/2 at k - 2.  The
-        halving comes after the dot product, where it is exact in binary,
-        so the value is that of ctx.eval_at(ddq(p)) to the last bit."""
-        n = len(self.w)
+    def ddq(self, ctx: "RootContext"):
+        """dp/dq at q = xi, w xi^{-1}/2 (a division by xi costs 7x as much)."""
         with ctx.workprec():
-            return ctx.eval_bins(((k - 2) % n, c) for k, c in enumerate(self.w)) / 2
+            return self.w * ctx.xi_pow(-1) / 2
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +11,8 @@ from mpmath.libmp import (dps_to_prec, fhalf, from_man_exp, mpf_acos, mpf_cos, m
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
-from logjones.qcalc import LaurentPoly, RootContext, brace, int_or_frac_to_mp, kron_unpack, qbinom, qint
+from logjones.qcalc import (Jet, LaurentPoly, RootContext, brace, int_or_frac_to_mp, kron_unpack,
+                            qbinom, qint, residue_bins)
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -267,6 +269,139 @@ def dict_extract_coeffs(values):
     return coeffs
 
 
+# -- exact jets: the residues mod x^{4N} - 1 that the dual jets at xi replaced
+
+
+def rotate(v: list, k: int) -> list:
+    """The bins of x^k times the bins v, mod x^{len(v)} - 1."""
+    k %= len(v)
+    return v[-k:] + v[:-k] if k else v
+
+
+class ExactJet:
+    """A polynomial p and D p, D = x d/dx with x = q^{1/2}, both reduced
+    mod x^{4N} - 1: ``v[k]`` is the sum of the coefficients c_e with
+    doubled exponent e = k mod 4N and ``w[k]`` the sum of e c_e.
+
+    D is a derivation, so p -> (v, w) is a ring homomorphism into pairs
+    with the product (v, w)(v', w') = (v v', w v' + v w'), cyclic
+    convolutions of length 4N.  It keeps what evaluation at xi reads:
+    p(xi) is v dotted with ``half_powers`` and, since d/dq = D/(2q),
+    (dp/dq)(xi) is w/2 one step q^{-1} down, both exact up to that dot
+    product.  So a polynomial that is only ever evaluated at xi, or
+    differentiated there once, never has to be built.
+    """
+
+    __slots__ = ("v", "w")
+
+    def __init__(self, v: list, w: list):
+        self.v = v
+        self.w = w
+
+    @classmethod
+    def of(cls, p: LaurentPoly, N: int) -> "ExactJet":
+        n = 4 * N
+        v, w = [0] * n, [0] * n
+        for k, c in residue_bins(p.terms, n).items():
+            v[k] = c
+        for k, c in residue_bins({e: e * c for e, c in p.terms.items()}, n).items():
+            w[k] = c
+        return cls(v, w)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactJet):
+            return NotImplemented
+        return self.v == other.v and self.w == other.w
+
+    def __add__(self, other: "ExactJet") -> "ExactJet":
+        return ExactJet(list(map(operator.add, self.v, other.v)),
+                        list(map(operator.add, self.w, other.w)))
+
+    def __sub__(self, other: "ExactJet") -> "ExactJet":
+        return ExactJet(list(map(operator.sub, self.v, other.v)),
+                        list(map(operator.sub, self.w, other.w)))
+
+    def times(self, p: LaurentPoly) -> "ExactJet":
+        """The jet of (this polynomial) * p, for a sparse p: each term
+        c x^a rotates both vectors by a and adds a c v to w, with a the
+        unreduced exponent (D x^a = a x^a)."""
+        v_out = w_out = [0] * len(self.v)
+        for a, c in p.terms.items():
+            v, w = rotate(self.v, a), rotate(self.w, a)
+            v_out = [x + c * y for x, y in zip(v_out, v)]
+            w_out = [x + c * (y + a * z) for x, y, z in zip(w_out, w, v)]
+        return ExactJet(v_out, w_out)
+
+    def shift(self, half_steps: int) -> "ExactJet":
+        """The jet of (this polynomial) * q^(half_steps/2)."""
+        return self.times(LaurentPoly({half_steps: 1}))
+
+    def value(self, ctx: "RootContext"):
+        """p at q = xi."""
+        return ctx.eval_bins(enumerate(self.v))
+
+    def ddq_value(self, ctx: "RootContext"):
+        """dp/dq at q = xi: the bins of ddq(p) are w[k]/2 at k - 2.  The
+        halving comes after the dot product, where it is exact in binary,
+        so the value is that of ctx.eval_at(ddq(p)) to the last bit."""
+        n = len(self.w)
+        with ctx.workprec():
+            return ctx.eval_bins(((k - 2) % n, c) for k, c in enumerate(self.w)) / 2
+
+
+def exact_Vm_jets(h, N, colors):
+    """{m: the ExactJet of V_m/[m]} for the given colors, by the exact
+    Horner pass per residue r = +-m mod N that habiro.normalized_Vm_jet
+    runs on dual numbers: u_k = x^{4k} + x^{-4k} has the jet
+    (U_r, +-m delta_r) at color m, U_r the bins of x^{4r} + x^{-4r} and
+    delta_r those of 4x^{4r} - 4x^{-4r}, and the pass carries the jet
+    (v, w) of P(U_r) and the bins d of P'(U_r) over a_0..a_{n-1},
+    n = min(N, coefficients held).  O(N) list operations of length 4N
+    per rung: the oracle for the dual jets at N up to 100."""
+    n = N if h.i_max is None else min(N, h.i_max + 1)
+    a = [ExactJet.of(h.coeff(i), N) for i in range(n)]
+    passes = {}
+    out = {}
+    for m in colors:
+        habiro._check_color(h, m, min(m, N))
+        rho = m % N
+        r, sign = (rho, m) if 2 * rho <= N else (N - rho, -m)
+        if r not in passes:
+            up, down = 4 * r, -4 * r
+            v, w = a[n - 1].v, a[n - 1].w
+            d = [0] * (4 * N)
+            for j in range(n - 1, 0, -1):
+                uj = 4 * j
+                d = [x + p + q - s - t for x, p, q, s, t in
+                     zip(v, rotate(d, up), rotate(d, down), rotate(d, uj), rotate(d, -uj))]
+                vs, vt = rotate(v, uj), rotate(v, -uj)
+                w = [x + p + q - s - t - uj * (y - z) for x, p, q, s, t, y, z in
+                     zip(a[j - 1].w, rotate(w, up), rotate(w, down), rotate(w, uj),
+                         rotate(w, -uj), vs, vt)]
+                v = [x + p + q - s - t for x, p, q, s, t in
+                     zip(a[j - 1].v, rotate(v, up), rotate(v, down), vs, vt)]
+            slope = [4 * (p - q) for p, q in zip(rotate(d, up), rotate(d, down))]
+            passes[r] = (v, w, slope)
+        v, w, slope = passes[r]
+        out[m] = ExactJet(v, [x + sign * y for x, y in zip(w, slope)])
+    return out
+
+
+def assert_dual_close(got, want, ctx, what=""):
+    """Both parts of two dual jets (qcalc.Jet) within ctx.tol max(1, |want|)."""
+    for x, y in ((got.v, want.v), (got.w, want.w)):
+        with mp.workdps(ctx.dps + 20):
+            err, bound = abs(x - y), ctx.tol * max(1, abs(y))
+        assert err < bound, (what, mp.nstr(err, 5), mp.nstr(bound, 5))
+
+
+def assert_jet_at_xi(jet, exact, ctx, what=""):
+    """The dual jet (p(x0), (Dp)(x0)), x0 = xi^{1/2}, against the ExactJet's
+    bins dotted with ``half_powers``, within ctx.tol max(1, |exact|)."""
+    want = Jet(ctx.eval_bins(enumerate(exact.v)), ctx.eval_bins(enumerate(exact.w)))
+    assert_dual_close(jet, want, ctx, what)
+
+
 def kashaev_invariant(knot, N, ctx=None):
     """<L>_N as the normalized limit lim_{q->xi} V_N/[N] (= -gamma_N), the
     exact polynomial V_N/[N] evaluated at xi: the oracle for
@@ -308,7 +443,7 @@ def b_pm_via_habiro(knot, s: int, ctx: RootContext):
         raise ValueError("s must be in 1..N-1")
     h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
-        a_s = habiro.normalized_Vm_jet(h, s, N).value(ctx)
+        a_s = habiro.normalized_Vm_jet(h, s, ctx).v
         g = habiro.tilde_sum(h, s, ctx)
         return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - ctx.brace_plus(s) * a_s)
 

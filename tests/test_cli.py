@@ -119,6 +119,45 @@ class TestJonesCommand:
         data = json.loads(out)
         assert set(data["values"]) == {"1", "2", "3"}
 
+    @pytest.mark.parametrize("argv", [["--knot", "4_1", "--max-m", "12"],
+                                      ["--braid", "2: 1 1 1 1 1", "--max-m", "8"],
+                                      ["--knot", "3_1", "--m", "5"]])
+    def test_streamed_text_is_one_dump(self, argv, tmp_path):
+        # the entries written color by color make the text of one
+        # json.dumps of the whole record (colors 10..12 sort between 1 and
+        # 2), on stdout and in --out alike
+        braid = cli._resolve_knot(cli.build_parser().parse_args(["jones", *argv]))
+        colors = [5] if "--m" in argv else range(1, int(argv[-1]) + 1)
+        values = {}
+        for m in colors:
+            v = jones.colored_jones_zero_framed(braid, m)
+            values[str(m)] = {"poly": str(v), "terms": sorted((str(e), str(c))
+                                                            for e, c in v.terms.items())}
+        want = json.dumps({"knot": braid.name, "strands": braid.strands, "writhe": braid.writhe,
+                           "framing": 0, "values": values}, sort_keys=True, indent=1) + "\n"
+        rc, out = run_cli(["jones", *argv])
+        assert rc == cli.EXIT_OK and out == want
+        path = tmp_path / "v.json"
+        rc, out = run_cli(["jones", *argv, "--out", str(path)])
+        assert rc == cli.EXIT_OK and out == "" and path.read_text() == want
+
+    def test_colors_are_written_as_they_are_traced(self, monkeypatch):
+        # the text is written in batches while the colors are traced, so
+        # that one color's entry and one batch are held at a time: by the
+        # last trace (key "99" of "1".."120" in sorted order) most of it is
+        # out
+        real = jones.colored_jones_zero_framed
+        written = []
+
+        def recording(b, m):
+            written.append(sys.stdout.tell())
+            return real(b, m)
+
+        monkeypatch.setattr(cli.jones, "colored_jones_zero_framed", recording)
+        rc, out = run_cli(["jones", "--knot", "unknot", "--max-m", "120"])
+        assert rc == cli.EXIT_OK and len(written) == 120
+        assert written == sorted(written) and written[-1] > len(out) // 2
+
 
 class TestHabiroCommand:
     def test_catalog(self):
@@ -301,6 +340,16 @@ def test_trefoil_past_the_old_table_limit():
     assert json.loads(out)["routes_agree"] is True
 
 
+@pytest.mark.parametrize("knot", ["4_1", "3_1"])
+def test_loginv_at_the_precision_floor(knot):
+    # at the lowest precision, 30 digits, and the largest N, the dual jets
+    # lose about 0.14 N digits to cancellation and the judge ctx.tol =
+    # 1e-15 still holds
+    rc, out = run_cli(["loginv", "--knot", knot, "--N", str(loginv.MAX_N), "--precision", "30"])
+    assert rc == cli.EXIT_OK
+    assert json.loads(out)["routes_agree"] is True
+
+
 def test_figure_eight_braid_at_the_top_feasible_color():
     # N = 12 traces V_m up to m = N = 12, a 1728-dim tensor cube under
     # EXACT_DIM_CAP, and the traced a_i give the closed form's vectors
@@ -332,6 +381,16 @@ def test_dimension_refused_before_tracing(argv, monkeypatch, capsys):
     assert "exceeds the exact-path bound" in capsys.readouterr().err
 
 
+def test_jones_refused_before_out_is_opened(tmp_path, capsys):
+    # check_trace refuses the top color before --out is opened, so a
+    # refused run leaves no file behind
+    path = tmp_path / "v.json"
+    rc, out = run_cli(["jones", "--braid", "3: 1 -2 1 -2", "--max-m", "13", "--out", str(path)])
+    assert rc == cli.EXIT_FEASIBILITY and out == ""
+    assert "exceeds the exact-path bound" in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("skip", [False, True])
 def test_qgroup_N_refused_before_any_module(skip, monkeypatch, capsys):
     # an N above qgroup.MAX_VERIFY_N is refused before a module is built,
@@ -354,12 +413,13 @@ class Reached(Exception):
 
 
 @pytest.mark.parametrize("argv, top, worker", [
+    # asymptotic_scan checks the bound before its first row
     (["volume-scan", "--N", str(volume.MAX_SCAN_N + 1)], ["volume-scan", "--N", "1600"],
-     (volume, "asymptotic_scan")),
+     (volume, "gamma_fig8_fast")),
     # the precision floor counts: N^2 digits, 1600^2 * 275, allows
     # N = 419 at 4000 digits
     (["volume-scan", "--N", "420", "--precision", "4000"],
-     ["volume-scan", "--N", "419", "--precision", "4000"], (volume, "asymptotic_scan")),
+     ["volume-scan", "--N", "419", "--precision", "4000"], (volume, "gamma_fig8_fast")),
     (["loginv", "--knot", "4_1", "--N", str(loginv.MAX_N + 1)],
      ["loginv", "--knot", "4_1", "--N", str(loginv.MAX_N)], (loginv.habiro, "coeffs_for")),
     (["habiro", "--knot", "4_1", "--imax", str(cli.MAX_IMAX + 1)],

@@ -1,3 +1,5 @@
+import inspect
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,11 @@ from logjones.habiro import (
     reconstruct_Vm,
 )
 from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
-from logjones.qcalc import (InexactDivisionError, Jet, LaurentPoly, RootContext, brace,
-                            brace_falling, qint)
+from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, brace_falling, qint
 from logjones.volume import scan_precision
-from conftest import (assert_close, colored_jones_numeric, ddm_Vm_mpc, dict_extract_coeffs,
-                      dict_ladder, dict_ladder_head, exact_normalized_Vm, horner, knotted_words,
-                      window_ddm_Vm)
+from conftest import (ExactJet, assert_close, assert_jet_at_xi, colored_jones_numeric, ddm_Vm_mpc,
+                      dict_extract_coeffs, dict_ladder, dict_ladder_head, exact_normalized_Vm,
+                      exact_Vm_jets, horner, knotted_words, window_ddm_Vm)
 
 
 # -- oracles: the expansion one falling brace per term, as first coded
@@ -35,13 +36,13 @@ def direct_Vm(h, m):
 
 
 def truncated_ladder_jet(h, m, N):
-    """sum_{i<min(m,N)} Jet.of(a_i L_i(m)), each rung a product of braces:
-    the jet of V_m/[m] if every rung from i = N on has jet 0."""
+    """sum_{i<min(m,N)} ExactJet.of(a_i L_i(m)), each rung a product of
+    braces: the jet of V_m/[m] if every rung from i = N on has jet 0."""
     rung = LaurentPoly.const(1)
-    want = Jet.of(h.coeff(0), N)
+    want = ExactJet.of(h.coeff(0), N)
     for i in range(1, min(m, N)):
         rung = rung * brace(m + i) * brace(m - i)
-        want = want + Jet.of(h.coeff(i) * rung, N)
+        want = want + ExactJet.of(h.coeff(i) * rung, N)
     return want
 
 
@@ -386,44 +387,99 @@ class TestReconstruction:
 
 
 class TestHornerJet:
-    # colors 1..8 of T(2,5), a knot outside the catalog whose a_i are
+    # colors 1..12 of T(2,5), a knot outside the catalog whose a_i are
     # extracted from braid traces
     T25 = jones.parse_braid("2: 1 1 1 1 1")
 
     def coeffs(self, name):
         """A fresh coefficient object, so that no memo is shared between
-        tests: the closed form of a catalog knot, or the table a_0..a_7 of
+        tests: the closed form of a catalog knot, or the table a_0..a_11 of
         T(2,5) extracted from its braid traces."""
         if name == "T(2,5)":
-            return extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 9)],
+            return extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 13)],
                                   name)
         return HabiroCoeffs(name, catalog_coeffs(name).rule)
 
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_matches_the_exact_ladder(self, name):
-        # the residue-pass jet of V_m/[m] is the jet of the exact polynomial,
-        # at every color m <= 3N that the coefficients reach (loginv reads
-        # m <= 3N-1), and at framings that shift it by unreduced exponents
-        # of both signs
+        # the dual jet of V_m/[m] is the exact polynomial's value and
+        # D-value at xi, at every color m <= 3N that the coefficients reach
+        # (loginv reads m <= 3N-1), and at framings that shift it by
+        # unreduced exponents of both signs
         h = self.coeffs(name)
-        for N in range(2, 9):
+        exact = {}
+        for N in range(2, 13):
+            ctx = RootContext(N)
             for m in range(1, 3 * N + 1):
                 if not h.has_coeff(m - 1):
                     break
-                assert normalized_Vm_jet(h, m, N) == Jet.of(reconstruct_normalized_Vm(h, m), N)
+                if m not in exact:
+                    exact[m] = {f: exact_normalized_Vm(h, m, framing=f) for f in (0, -2, 3)}
+                assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), ExactJet.of(exact[m][0], N), ctx,
+                                 (N, m))
                 for f in (-2, 3):
-                    want = Jet.of(exact_normalized_Vm(h, m, framing=f), N)
-                    assert loginv._normalized_jet(h, m, N, f) == want, (N, m, f)
+                    with ctx.workprec():
+                        jet = loginv._normalized_jet(h, m, ctx, f)
+                    assert_jet_at_xi(jet, ExactJet.of(exact[m][f], N), ctx, (N, m, f))
 
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_jet_reads_only_coefficients_below_N(self, name):
         # for i >= N the rung L_i(m) holds two factors {kN}, each 0 mod
         # x^{4N} - 1, so its jet (v, Dv) is (0, 0) and only a_0..a_{N-1}
-        # reach the jet of V_m/[m]; the T(2,5) table a_0..a_7 reaches N = 8
+        # reach the jet of V_m/[m]; the T(2,5) table a_0..a_11 reaches N = 12
+        h = self.coeffs(name)
+        for N in range(2, 13):
+            ctx = RootContext(N)
+            for m in range(1, 3 * N + 1):
+                assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), truncated_ladder_jet(h, m, N), ctx,
+                                 (N, m))
+
+    @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
+    def test_exact_pass_is_the_exact_ladder(self, name):
+        # the exact Horner pass of the oracle exact_Vm_jets, which checks
+        # the dual pass at large N below, is the jet of the exact polynomial
         h = self.coeffs(name)
         for N in range(2, 9):
-            for m in range(1, 3 * N + 1):
-                assert normalized_Vm_jet(h, m, N) == truncated_ladder_jet(h, m, N), (N, m)
+            colors = [m for m in range(1, 3 * N + 1) if h.has_coeff(m - 1)]
+            for m, jet in exact_Vm_jets(h, N, colors).items():
+                assert jet == ExactJet.of(reconstruct_normalized_Vm(h, m), N), (N, m)
+
+    @pytest.mark.parametrize("N", [40, 100])
+    @pytest.mark.parametrize("name", ["3_1", "4_1"])
+    def test_large_N_matches_the_exact_pass(self, name, N):
+        # every color loginv reads, unframed and at framings -2 and 3
+        h = self.coeffs(name)
+        ctx = RootContext(N)
+        for m, exact in exact_Vm_jets(h, N, range(1, 3 * N)).items():
+            assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), exact, ctx, m)
+            for f in (-2, 3):
+                with ctx.workprec():
+                    jet = loginv._normalized_jet(h, m, ctx, f)
+                assert_jet_at_xi(jet, exact.shift((m * m - 1) * f), ctx, (m, f))
+
+    def test_pass_without_the_D_part_of_u_j_fails(self, monkeypatch):
+        # negative control: with the D-part 4j i S_2j of u_j dropped from
+        # the rung factor, the D-values miss the exact jets.  loginv's
+        # checks do not see it: it reads D-parts only in sums and
+        # differences of colors of one residue (s and 2N - s, 2N + s and
+        # 2N - s), where the D-part of P(U_r) cancels
+        src = inspect.getsource(habiro._residue_pass)
+        factor = "factor = Jet(u_r - c_j, mp.mpc(0, -4 * j * s_j))"
+        assert src.count(factor) == 1
+        namespace = dict(vars(habiro))
+        exec(src.replace(factor, "factor = Jet(u_r - c_j, mp.mpc(0))"), namespace)
+        monkeypatch.setattr(habiro, "_residue_pass", namespace["_residue_pass"])
+        N = 5
+        h = self.coeffs("4_1")
+        ctx = RootContext(N)
+        exact = exact_Vm_jets(h, N, range(1, 3 * N))
+        missed = []
+        for m in range(1, 3 * N):
+            try:
+                assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), exact[m], ctx, m)
+            except AssertionError:
+                missed.append(m)
+        assert missed
 
     @pytest.mark.parametrize("N", [6, 12, 24])
     def test_one_pass_per_residue_class(self, N):
@@ -439,15 +495,16 @@ class TestHornerJet:
         # and refuses V_5/[5] at N = 4, which reads a_3
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)])
         with pytest.raises(ValueError):
-            normalized_Vm_jet(h, 5, 4)
-        assert normalized_Vm_jet(h, 5, 3) == truncated_ladder_jet(h, 5, 3)
+            normalized_Vm_jet(h, 5, RootContext(4))
+        ctx = RootContext(3)
+        assert_jet_at_xi(normalized_Vm_jet(h, 5, ctx), truncated_ladder_jet(h, 5, 3), ctx)
 
     def test_refusal_names_the_color_asked_for(self):
         # V_5/[5] at N = 4 reads a_0..a_3; the message names V_5, not the
         # truncated color 4, and the coefficient that is missing
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)], "T(2,5)")
         with pytest.raises(ValueError, match=r"^T\(2,5\): V_5 needs a_3, only a_0\.\.a_2 available$"):
-            normalized_Vm_jet(h, 5, 4)
+            normalized_Vm_jet(h, 5, RootContext(4))
 
 
 class TestPackedLadder:

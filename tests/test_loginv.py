@@ -16,10 +16,10 @@ from logjones.loginv import (
     gamma_boundary,
     gamma_s,
 )
-from logjones.qcalc import Jet, LaurentPoly, RootContext, brace, brace_falling, ddq, qint
-from conftest import (assert_close, b_pm_via_habiro, basis_change_inverse, exact_Vm,
-                      framed_corrections, kashaev_invariant, knotted_words,
-                      unnormalized_VN_at_xi)
+from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
+from conftest import (ExactJet, assert_close, assert_jet_at_xi, b_pm_via_habiro,
+                      basis_change_inverse, exact_Vm, framed_corrections, kashaev_invariant,
+                      knotted_words, unnormalized_VN_at_xi)
 
 
 # -- oracles: the tilde brackets and falling braces at xi, one factor at a time
@@ -488,14 +488,20 @@ class TestColorReach:
     @given(knotted_words(), st.sampled_from((2, 3)))
     def test_jets_from_N_colors_match_the_full_ladder(self, b, N):
         # the jets of V_m/[m] that loginv reads off an N-color extraction
-        # equal those of the exact V_m/[m] from 3N-1 colors, at every color
-        # m <= 3N-1, V_{2N+s} of the minus-sign radical route among them
+        # are the value and D-value at xi of the exact V_m/[m] from 3N-1
+        # colors, at every color m <= 3N-1, V_{2N+s} of the minus-sign
+        # radical route among them, and at framings -2 and 3
         h = habiro.coeffs_for(b, N)
         assert h.i_max == N - 1
         h_full = habiro.coeffs_for(b, 3 * N - 1)
+        ctx = RootContext(N)
         for m in range(1, 3 * N):
-            want = Jet.of(habiro.reconstruct_normalized_Vm(h_full, m), N)
-            assert habiro.normalized_Vm_jet(h, m, N) == want, (b, N, m)
+            want = ExactJet.of(habiro.reconstruct_normalized_Vm(h_full, m), N)
+            assert_jet_at_xi(habiro.normalized_Vm_jet(h, m, ctx), want, ctx, (b, N, m))
+            for f in (-2, 3):
+                with ctx.workprec():
+                    jet = loginv._normalized_jet(h, m, ctx, f)
+                assert_jet_at_xi(jet, want.shift((m * m - 1) * f), ctx, (b, N, m, f))
 
     @settings(max_examples=10, deadline=None)
     @given(knotted_words(), st.sampled_from((2, 3)))

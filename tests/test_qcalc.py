@@ -22,8 +22,8 @@ from logjones.qcalc import (
     qint,
 )
 from logjones.volume import scan_precision
-from conftest import (assert_close, horner, is_palindromic, mirror, q_power,
-                      qsymbols_from_half_powers, sin_cot_mp, valuation2, xi_half)
+from conftest import (ExactJet, assert_close, assert_dual_close, horner, is_palindromic, mirror,
+                      q_power, qsymbols_from_half_powers, sin_cot_mp, valuation2, xi_half)
 
 
 def rand_poly(rng, max_terms=6, max_exp=8, max_coeff=9):
@@ -262,27 +262,68 @@ JET_CONTEXTS = {N: RootContext(N) for N in range(2, 10)}
 
 class TestJet:
     """p -> (p, x dp/dx) mod x^{4N} - 1 is a ring homomorphism, and its
-    values at xi are the ones eval_at gives, to the last bit."""
+    values at xi are the ones eval_at gives, to the last bit.  So is
+    p -> (p(x0), (Dp)(x0)) at x0 = xi^{1/2} into the dual numbers, the
+    qcalc.Jet, within ctx.tol relative, as it rounds each sum and
+    product at the working precision."""
 
     @settings(max_examples=100, deadline=None)
     @given(jet_polys(), jet_polys(), st.integers(2, 9))
     def test_products_and_sums(self, p, r, N):
-        assert Jet.of(p * r, N) == Jet.of(p, N).times(r)
-        assert Jet.of(p + r, N) == Jet.of(p, N) + Jet.of(r, N)
-        assert Jet.of(p - r, N) == Jet.of(p, N) - Jet.of(r, N)
+        assert ExactJet.of(p * r, N) == ExactJet.of(p, N).times(r)
+        assert ExactJet.of(p + r, N) == ExactJet.of(p, N) + ExactJet.of(r, N)
+        assert ExactJet.of(p - r, N) == ExactJet.of(p, N) - ExactJet.of(r, N)
 
     @settings(max_examples=100, deadline=None)
     @given(jet_polys(), st.integers(-200, 200), st.integers(2, 9))
     def test_shift_by_unreduced_exponent(self, p, a, N):
-        assert Jet.of(p.shift(a), N) == Jet.of(p, N).shift(a)
+        assert ExactJet.of(p.shift(a), N) == ExactJet.of(p, N).shift(a)
 
     @settings(max_examples=100, deadline=None)
     @given(jet_polys(), st.integers(2, 9))
     def test_values_bit_for_bit(self, p, N):
         ctx = JET_CONTEXTS[N]
-        jet = Jet.of(p, N)
+        jet = ExactJet.of(p, N)
         assert jet.value(ctx) == ctx.eval_at(p)
         assert jet.ddq_value(ctx) == ctx.eval_at(ddq(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), jet_polys(), st.integers(2, 9))
+    def test_dual_products_and_sums(self, p, r, N):
+        ctx = JET_CONTEXTS[N]
+        jp, jr = Jet.of(p, ctx), Jet.of(r, ctx)
+        with ctx.workprec():
+            assert_dual_close(jp * jr, Jet.of(p * r, ctx), ctx)
+            assert_dual_close(jp + jr, Jet.of(p + r, ctx), ctx)
+            assert_dual_close(jp - jr, Jet.of(p - r, ctx), ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), st.integers(-200, 200), st.integers(2, 9))
+    def test_dual_shift_by_unreduced_exponent(self, p, a, N):
+        ctx = JET_CONTEXTS[N]
+        with ctx.workprec():
+            assert_dual_close(Jet.of(p, ctx) * Jet.monomial(a, ctx), Jet.of(p.shift(a), ctx), ctx)
+
+    @pytest.mark.parametrize("N", range(2, 10))
+    def test_dual_jets_of_braces_and_monomials(self, N):
+        # the jets read off qsymbols and half_powers, n and k unreduced
+        ctx = JET_CONTEXTS[N]
+        for n in range(-5 * N, 5 * N + 1):
+            assert_dual_close(Jet.brace(n, ctx), Jet.of(brace(n), ctx), ctx)
+            assert_dual_close(Jet.monomial(n, ctx), Jet.of(LaurentPoly({n: 1}), ctx), ctx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(jet_polys(), st.integers(2, 9))
+    def test_dual_values_at_xi(self, p, N):
+        # the value is eval_at's dot product and the D-value the exact
+        # jet's, to the last bit; d/dq = D/(2q) within the tolerance
+        ctx = JET_CONTEXTS[N]
+        jet, exact = Jet.of(p, ctx), ExactJet.of(p, N)
+        assert jet.v == ctx.eval_at(p) == exact.value(ctx)
+        assert jet.w == ctx.eval_bins(enumerate(exact.w))
+        want = ctx.eval_at(ddq(p))
+        with mp.workdps(ctx.dps + 20):
+            assert abs(jet.ddq(ctx) - want) < ctx.tol * max(1, abs(want))
 
 
 class TestQSymbols:
