@@ -5,8 +5,8 @@ that do not depend on the color m (Habiro, Invent. Math. 171 (2008)).
 This module owns the whole Habiro layer: how a knot's a_i are stored (a
 rule i -> a_i, closed-form for the catalog, a table when extracted from
 exact 0-framed invariants), the one resolver from a knot to them, the
-reconstruction of V_m, the jets of V_m/[m] at xi by one scalar Horner
-pass per residue of m mod N, the cotangent/tilde-bracket sum over
+reconstruction of V_m, the value and color slope of V_m/[m] at xi by one
+Horner pass per residue of m mod N, the cotangent/tilde-bracket sum over
 a_i(xi) and the color derivative of the expansion at q = xi.
 """
 
@@ -20,7 +20,7 @@ from collections.abc import Callable
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, to_fixed
 
-from .qcalc import Jet, LaurentPoly, RootContext, kron_pack, kron_unpack, qint
+from .qcalc import LaurentPoly, RootContext, kron_pack, kron_unpack, qint
 from . import jones
 
 
@@ -36,9 +36,9 @@ class HabiroCoeffs:
     rule: Callable[[int], LaurentPoly]
     i_max: int | None = None
     # the Horner pass at xi of each residue r of the color mod N, keyed by
-    # ("pass", N, dps, r), the a_i jets, keyed by ("jets", N, dps), the
-    # a_0(xi)..a_{N-1}(xi), keyed by ("xi", N, dps), and their fixed-point
-    # parts, keyed by ("fixed", N, P); each built whole once, never changed
+    # ("pass", N, dps, r), the a_0(xi)..a_{N-1}(xi), keyed by
+    # ("xi", N, dps), and their fixed-point parts, keyed by ("fixed", N, P);
+    # each built whole once, never changed
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -63,8 +63,9 @@ class HabiroCoeffs:
     def at_xi(self, ctx: RootContext) -> tuple:
         """a_0(xi), ..., a_{N-1}(xi), built once per (N, dps): the values
         every sum at xi reads (tilde_sum reads a_i for i < max(s, N-s),
-        ddm_Vm for i < N).  An int constant is mp.mpf(c), as eval_at makes
-        it.  A table without a_{N-1} raises ``coeff``'s ValueError."""
+        ddm_Vm for i < N and _residue_pass for i < N - r).  An int
+        constant is mp.mpf(c), as eval_at makes it.  A table without
+        a_{N-1} raises ``coeff``'s ValueError."""
         key = ("xi", ctx.N, ctx.dps)
         if key not in self._memo:
             with ctx.workprec():
@@ -165,56 +166,52 @@ def ladder_head(h: HabiroCoeffs, m: int, n: int) -> LaurentPoly:
     return _ladder([h.coeff(i) for i in range(min(m, n))], m)
 
 
-def normalized_Vm_jet(h: HabiroCoeffs, m: int, ctx: RootContext) -> Jet:
-    """The jet of V_m/[m] at xi (see qcalc.Jet), equal to
-    Jet.of(reconstruct_normalized_Vm(h, m), ctx) without building V_m/[m].
+def normalized_Vm_at_xi(h: HabiroCoeffs, m: int, ctx: RootContext):
+    """(p, c_m): the value p of V_m/[m] at xi and its color slope c_m,
+    without building V_m/[m].
 
-    With u_k = x^{4k} + x^{-4k} the rung factor is {m+j}{m-j} = u_m - u_j,
-    so V_m/[m] = P(u_m), P(u) = sum_i a_i prod_{j=1..i} (u - u_j).  The
-    jet of u_m is (U_r, +-m delta_r), r = +-m mod N in 0..N/2, U_r = C_2r,
-    delta_r = 4i S_2r, and (0, delta)^2 = 0, so
-
-      jet(V_m/[m]) = P(U_r) +- m (0, delta_r P'(U_r)),
-
-    read off the one Horner pass of residue r (_residue_pass).  For
-    i >= N the rung L_i(m) holds two factors {kN}, each of value 0 at xi,
-    so only a_0..a_{N-1} reach the jet."""
+    With u_k = x^{4k} + x^{-4k}, x = q^{1/2}, the rung factor is
+    {m+j}{m-j} = u_m - u_j, so V_m/[m] = P(u_m), P(u) = sum_i a_i
+    prod_{j=1..i} (u - u_j).  At x0 = xi^{1/2}, u_m is U_r = C_2r and
+    D u_m = +-m delta_r, D = x d/dx, r = +-m mod N in 0..N/2,
+    delta_r = 4i S_2r.  So p = P(U_r) and the D-value of V_m/[m] at x0 is
+    the D-value of P(U_r) plus c_m = +-m delta_r P'(U_r).  The first part
+    is the same for every color of residue r, and loginv reads D-values
+    only as differences of two such colors, so only p and c_m are kept;
+    both are read off the one Horner pass of residue r (_residue_pass).
+    For i >= N the rung L_i(m) holds two factors {kN}, each of value 0 at
+    xi, so only a_0..a_{N-1} reach them, and a table must hold all N."""
     N = ctx.N
     _check_color(h, m, min(m, N))
     rho = m % N
     r, sign = (rho, m) if 2 * rho <= N else (N - rho, -m)
-    jet, slope = _residue_pass(h, ctx, r)
+    p, slope = _residue_pass(h, ctx, r)
     with ctx.workprec():
-        return Jet(jet.v, jet.w + sign * slope)
+        return p, sign * slope
 
 
 def _residue_pass(h: HabiroCoeffs, ctx: RootContext, r: int):
-    """(J, slope): the jet J of P(U_r) and slope = delta_r P'(U_r).
-
-    Horner over a_0..a_{n-1}, n = min(N, coefficients held), carries J
-    and the value d of P': d <- J.v + (U_r - u_j) d, then
-    J <- a_{j-1} + (U_r - u_j) J, where U_r - u_j = C_2r - C_2j is real
-    and D u_j = 4j i S_2j.  A color m < n reads the same pass, as every
-    rung i >= m holds u_m - u_m = 0.  For r >= 1 every rung i >= N - r
-    holds the factors j = r and j = N - r, both of value 0 (one, of jet
-    (0, 0), when 2r = N), so the pass reads a_0..a_{N-r-1} alone.
-    Memoized on h, keyed by (N, dps, r), and the a_i jets by (N, dps)."""
-    N, dps, memo = ctx.N, ctx.dps, h._memo
-    key = ("pass", N, dps, r)
+    """(P(U_r), delta_r P'(U_r)) by Horner over the a_0(xi)..a_{N-1}(xi)
+    of ``HabiroCoeffs.at_xi``: with the value d of P', each rung is
+    d <- p + (U_r - u_j) d, then p <- a_{j-1} + (U_r - u_j) p, where
+    U_r - u_j = C_2r - C_2j is real.  A color m < N reads the same pass,
+    as every rung i >= m holds u_m - u_m = 0.  For r >= 1 every rung
+    i >= N - r holds the factors j = r and j = N - r, both of value 0
+    (one, of P' value 0, when 2r = N), so the pass reads a_0..a_{N-r-1}
+    alone.  Memoized on h, keyed by (N, dps, r)."""
+    N, memo = ctx.N, h._memo
+    key = ("pass", N, ctx.dps, r)
     if key not in memo:
-        if (jets := ("jets", N, dps)) not in memo:
-            memo[jets] = tuple(Jet.of(h.coeff(i), ctx) for i in range(N) if h.has_coeff(i))
-        a = memo[jets][:N - r]
+        a = h.at_xi(ctx)[:N - r]
         sym = ctx.qsymbols
         with ctx.workprec():
             u_r = sym[2 * r][1]
-            jet, d = a[-1], 0
+            p, d = a[-1], 0
             for j in range(len(a) - 1, 0, -1):
-                s_j, c_j, _ = sym[2 * j]
-                factor = Jet(u_r - c_j, mp.mpc(0, -4 * j * s_j))
-                d = jet.v + factor.v * d
-                jet = a[j - 1] + factor * jet
-            memo[key] = (jet, mp.mpc(0, 4 * sym[2 * r][0]) * d)
+                factor = u_r - sym[2 * j][1]
+                d = p + factor * d
+                p = a[j - 1] + factor * p
+            memo[key] = (p, mp.mpc(0, 4 * sym[2 * r][0]) * d)
     return memo[key]
 
 

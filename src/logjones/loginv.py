@@ -7,6 +7,11 @@ gamma_s is computed by three routes that must agree:
             cyclotomic coefficients a_i evaluated at xi,
   MDERIV  - N {1}/(pi i) d/dm V_m at m = s via the color derivative.
 
+QDERIV and b_s^+- are q-derivatives at xi, where xi d/dq = D/2 with
+D = x d/dx, x = q^{1/2}.  Each is written in closed form from the value
+p and the color slopes c_m of V_m/[m] (habiro.normalized_Vm_at_xi) at
+the colors s, 2N-s and 2N+s, which share p and the framing factor z_s.
+
 QDERIV is the one independent formula.  HABIRO and MDERIV are the same
 sum term by term.  With su = min(s, N-s) and sb = max(s, N-s), the
 Leibniz term D_i of habiro.ddm_Vm is P_i sum_k {k}_+/{k} (P_i the window
@@ -35,20 +40,20 @@ import enum
 
 import mpmath as mp
 
-from .qcalc import Jet, RootContext, brace, ddq
+from .qcalc import RootContext, brace, ddq
 from . import habiro, jones
 
 
 # Largest N that center_coeffs takes on.  On a shared 2-vCPU Xeon a whole
-# loginv --knot 4_1 process takes 0.4-0.6 s and 26 MB at N = 60, 0.5-1.0 s
-# and 30 MB at N = 80 and 0.9-1.4 s and 33 MB at N = 100 (3_1 at N = 100:
-# 1.0-1.5 s, 1.5 s with --framing 1): the scalar Horner passes of
-# habiro.normalized_Vm_jet are O(N^2) in all.  At 4000 digits, where
-# habiro.ddm_Vm takes most of the time, cli.main takes 3.7-3.8 s at N = 60
-# and 8.8-8.9 s and 41 MB at N = 100 (3_1: 12.8-14.9 s).  A larger N is
-# refused with jones.FeasibilityError before the knot is resolved; a braid
-# word is bounded by jones.EXACT_DIM_CAP as well (loginv --braid
-# "3: 1 -2 1 -2" takes 0.5-0.8 s and 30 MB at N = 12).
+# loginv --knot 4_1 process takes 0.23-0.27 s and 25 MB at N = 60,
+# 0.36-0.46 s and 30 MB at N = 80 and 0.56-0.63 s and 33 MB at N = 100
+# (3_1 at N = 100: 0.60-0.70 s, 0.60-0.68 s with --framing 1): the Horner
+# passes of habiro.normalized_Vm_at_xi are O(N^2) in all.  At 4000 digits,
+# where habiro.ddm_Vm takes most of the time, cli.main takes 3.1-3.5 s at
+# N = 60 and 7.4-8.0 s and 35 MB at N = 100 (3_1: 10.7-10.9 s).  A larger
+# N is refused with jones.FeasibilityError before the knot is resolved; a
+# braid word is bounded by jones.EXACT_DIM_CAP as well (loginv --braid
+# "3: 1 -2 1 -2" takes 0.37-0.43 s and 30 MB at N = 12).
 MAX_N = 100
 
 
@@ -58,19 +63,19 @@ class Route(enum.Enum):
     MDERIV = "mderiv"
 
 
-# -- jets at xi ----------------------------------------------------------
-
-
-def _normalized_jet(h: habiro.HabiroCoeffs, m: int, ctx: RootContext, framing: int) -> Jet:
-    """The jet at xi of the framed V_m/[m], q^{(m^2-1) f/2} V_m/[m]; run it
-    inside ctx.workprec()."""
-    jet = habiro.normalized_Vm_jet(h, m, ctx)
-    return jet * Jet.monomial((m * m - 1) * framing, ctx) if framing else jet
+# -- values at xi --------------------------------------------------------
 
 
 def _framing_phase(m: int, ctx: RootContext, framing: int):
-    """q^{(m^2-1) f/2} at xi, the factor framing f puts on V_m."""
+    """z_m = q^{k_m/2} at xi, k_m = (m^2-1) f, the factor framing f puts on
+    V_m.  z_m is the same for every m of one class +-m mod 2N."""
     return ctx.xi_pow((m * m - 1) * framing, 2) if framing else mp.mpf(1)
+
+
+def _framed_value(h: habiro.HabiroCoeffs, m: int, ctx: RootContext, framing: int):
+    """z_m p, the framed V_m/[m] at xi; run it inside ctx.workprec()."""
+    p = habiro.normalized_Vm_at_xi(h, m, ctx)[0]
+    return p * _framing_phase(m, ctx, framing) if framing else p
 
 
 # -- radical coefficients ------------------------------------------------
@@ -78,9 +83,12 @@ def _framing_phase(m: int, ctx: RootContext, framing: int):
 
 def b_pm_via_derivative(knot, s: int, sign: int, ctx: RootContext, framing: int = 0):
     """b_s^+ = xi/(2N[s]) d/dq {1}_q (V_s/[s]_q - V_{2N-s}/[2N-s]_q) at xi,
-    b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q),
+    b_s^- = xi/(4N[s]) d/dq {1}_q (V_{2N+s}/[2N+s]_q - V_{2N-s}/[2N-s]_q)
+    of the framed V_m.  The difference has value 0, so with k_m = (m^2-1) f
 
-    each V_m/[m]_q read off its jet at xi, the cyclotomic ladder's.
+      b_s^+- = {1} z_s (c_m - c_{2N-s} + (k_m - k_{2N-s}) p) / (2 D [s]),
+
+    (m, D) = (s, 2N) for b_s^+ and (2N+s, 4N) for b_s^-.
     """
     N = ctx.N
     if not 1 <= s <= N - 1:
@@ -88,8 +96,11 @@ def b_pm_via_derivative(knot, s: int, sign: int, ctx: RootContext, framing: int 
     h = habiro.coeffs_for(knot, N)
     m, pref_den = (s, 2 * N) if sign > 0 else (2 * N + s, 4 * N)
     with ctx.workprec():
-        jet = _normalized_jet(h, m, ctx, framing) - _normalized_jet(h, 2 * N - s, ctx, framing)
-        return ctx.xi / (pref_den * ctx.qint_at(s)) * (jet * Jet.brace(1, ctx)).ddq(ctx)
+        p, c_m = habiro.normalized_Vm_at_xi(h, m, ctx)
+        c_bar = habiro.normalized_Vm_at_xi(h, 2 * N - s, ctx)[1]
+        dk = (m * m - (2 * N - s) ** 2) * framing
+        return (ctx.brace_at(1) * _framing_phase(s, ctx, framing) * (c_m - c_bar + dk * p)
+                / (2 * pref_den * ctx.qint_at(s)))
 
 
 # -- gamma ---------------------------------------------------------------
@@ -105,10 +116,11 @@ def gamma_s(knot, s: int, ctx: RootContext, route: Route = Route.QDERIV, framing
         phase = _framing_phase(s, ctx, framing)
         h = habiro.coeffs_for(knot, N)
         if route is Route.QDERIV:
-            # {1} V_m = {m} (V_m/[m])
-            jet = (habiro.normalized_Vm_jet(h, s, ctx) * Jet.brace(s, ctx)
-                   + habiro.normalized_Vm_jet(h, 2 * N - s, ctx) * Jet.brace(2 * N - s, ctx))
-            return phase * ctx.xi / (2 * N) * jet.ddq(ctx)
+            # {1} V_m = {m} (V_m/[m]), D{m} = 2m {m}_+, and at xi
+            # {2N-s} = -{s} and {2N-s}_+ = {s}_+
+            p, c_s = habiro.normalized_Vm_at_xi(h, s, ctx)
+            c_bar = habiro.normalized_Vm_at_xi(h, 2 * N - s, ctx)[1]
+            return phase * (ctx.brace_at(s) * (c_s - c_bar) / (4 * N) + ctx.brace_plus(s) * p)
         if route is Route.HABIRO:
             return phase * habiro.tilde_sum(h, s, ctx)
         dm = habiro.ddm_Vm(h, s, ctx)  # MDERIV
@@ -124,7 +136,7 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     """gamma_0 = V_{2N}/[2N] at xi and gamma_N = -V_N/[N] at xi.
 
     Both are 0/0 limits of V_m over [m]_q, whose quotient is an exact
-    polynomial, so each is read off the jet of V_m/[m] at xi;
+    polynomial, so each is read off the value of V_m/[m] at xi;
     center_coeffs checks it against _boundary_ddq_form."""
     N = ctx.N
     if which not in (0, N):
@@ -132,16 +144,16 @@ def gamma_boundary(knot, which: int, ctx: RootContext, framing: int = 0):
     h = habiro.coeffs_for(knot, N)
     m = 2 * N if which == 0 else N
     with ctx.workprec():
-        val = habiro.normalized_Vm_jet(h, m, ctx).v
-        return _framing_phase(m, ctx, framing) * (val if which == 0 else -val)
+        val = _framed_value(h, m, ctx, framing)
+        return val if which == 0 else -val
 
 
 def _boundary_ddq_form(h: habiro.HabiroCoeffs, which: int, ctx: RootContext, framing: int):
-    """gamma_boundary by d/dq of an exact polynomial, a check of the jets at
-    colors N and 2N.  V_N has N rungs.  Of V_{2N} the form builds the first N,
-    [2N] sum_{i<N} a_i L_i(2N): every later rung L_i(2N) holds {N} and
-    {3N}, each divisible by x^{4N} - 1 (x = q^{1/2}), so {1} [2N] L_i(2N)
-    and its d/dq vanish at xi."""
+    """gamma_boundary by d/dq of an exact polynomial, a check of the Horner
+    pass values at colors N and 2N.  V_N has N rungs.  Of V_{2N} the form
+    builds the first N, [2N] sum_{i<N} a_i L_i(2N): every later rung
+    L_i(2N) holds {N} and {3N}, each divisible by x^{4N} - 1
+    (x = q^{1/2}), so {1} [2N] L_i(2N) and its d/dq vanish at xi."""
     N = ctx.N
     if which == 0:
         # {1} [2N] = {2N}
@@ -165,7 +177,7 @@ def alpha_beta(knot, ctx: RootContext, framing: int = 0):
     with ctx.workprec():
         one = ctx.brace_at(1)
         for s in range(1, N):
-            vs = _normalized_jet(h, s, ctx, framing).v * ctx.qint_at(s)
+            vs = _framed_value(h, s, ctx, framing) * ctx.qint_at(s)
             alpha[s - 1] = (-1) ** (N + s) * N * one * vs
             beta[s - 1] = -N * framing * one * vs
     return alpha, beta
@@ -259,8 +271,9 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
     and against _boundary_ddq_form at s = 0 and N.
 
     Every loginv function resolves the knot at colors 1..N only, as
-    everything loginv reads at xi is fixed by a_0..a_{N-1}: the jets of
-    V_m/[m] at every color m (see habiro.normalized_Vm_jet), V_{2N+s} of
+    everything loginv reads at xi is fixed by a_0..a_{N-1}: the values
+    and color slopes of V_m/[m] at every color m (see
+    habiro.normalized_Vm_at_xi), V_{2N+s} of
     the minus-sign radical route too, the first N rungs of the exact
     V_{2N} in the boundary d/dq form and the sum of habiro.ddm_Vm.  N
     above MAX_N raises jones.FeasibilityError before the knot is
@@ -271,7 +284,7 @@ def center_coeffs(knot, ctx: RootContext, framing: int = 0) -> CenterCoeffs:
     h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
         idem = [gamma_boundary(h, 0, ctx, framing),
-                *(_normalized_jet(h, s, ctx, framing).v for s in range(1, N)),
+                *(_framed_value(h, s, ctx, framing) for s in range(1, N)),
                 -gamma_boundary(h, N, ctx, framing)]
         rad_plus = [b_pm_via_derivative(h, s, +1, ctx, framing) for s in range(1, N)]
         rad_minus = [b_pm_via_derivative(h, s, -1, ctx, framing) for s in range(1, N)]

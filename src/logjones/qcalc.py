@@ -5,9 +5,7 @@ A Laurent polynomial is stored as a map from doubled exponents to int
 coefficients, so q^{3/2} lives at key 3 and q^{-2} at key -4; only d/dq on
 odd keys makes a Fraction.  All ring operations are exact, and so are
 limits at xi = exp(pi*i/N), which cancel Phi_4N(q^{1/2}) before a
-RootContext evaluates.  A Jet is the dual number (p, D p) at
-x0 = xi^{1/2}, D = x d/dx: all that evaluation, and d/dq, at xi read of
-a polynomial.
+RootContext evaluates.
 """
 
 from __future__ import annotations
@@ -384,58 +382,6 @@ def residue_bins(terms: dict, period: int) -> dict:
         k = e % period
         bins[k] = bins.get(k, 0) + c
     return bins
-
-
-@dataclasses.dataclass(slots=True)
-class Jet:
-    """The dual number (v, w) = (p(x0), (Dp)(x0)) of a polynomial p at
-    x0 = xi^{1/2}, D = x d/dx with x = q^{1/2}, as mpmath numbers.
-
-    Evaluation at x0 is a ring homomorphism and D a derivation, so
-    p -> (v, w) is one too, with the product (v v', w v' + v w').  It
-    keeps what evaluation at xi reads: p(xi) = v and, as d/dq = D/(2q),
-    (dp/dq)(xi) = w/(2 xi).  So a polynomial that is only ever evaluated
-    at xi, or differentiated there once, never has to be built.  Sums and
-    products round at the ambient precision: run them in ctx.workprec().
-    """
-
-    v: mp.mpc
-    w: mp.mpc
-
-    @classmethod
-    def of(cls, p: LaurentPoly, ctx: "RootContext") -> "Jet":
-        """The bins of p and of D p (e c_e at exponent e), each dotted with
-        ``half_powers``; a real value stays an mpf, so real jets multiply as reals."""
-        dp = residue_bins({e: e * c for e, c in p.terms.items()}, 4 * ctx.N)
-        parts = (ctx.eval_at(p), ctx.eval_bins(dp.items()))
-        return cls(*(z.real if not z.imag else z for z in parts))
-
-    @classmethod
-    def brace(cls, n: int, ctx: "RootContext") -> "Jet":
-        """{n} = x^{2n} - x^{-2n}: ({n}, 2n {n}_+) off ``qsymbols``."""
-        with ctx.workprec():
-            return cls(ctx.brace_at(n), 2 * n * ctx.brace_plus(n))
-
-    @classmethod
-    def monomial(cls, k: int, ctx: "RootContext") -> "Jet":
-        """x^k = q^{k/2}: (xi^{k/2}, k xi^{k/2}) off ``half_powers``."""
-        z = ctx.xi_pow(k, 2)
-        with ctx.workprec():
-            return cls(z, k * z)
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.v + other.v, self.w + other.w)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.v - other.v, self.w - other.w)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return Jet(self.v * other.v, self.w * other.v + self.v * other.w)
-
-    def ddq(self, ctx: "RootContext"):
-        """dp/dq at q = xi, w xi^{-1}/2 (a division by xi costs 7x as much)."""
-        with ctx.workprec():
-            return self.w * ctx.xi_pow(-1) / 2
 
 
 @dataclasses.dataclass(frozen=True)

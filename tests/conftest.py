@@ -11,8 +11,8 @@ from mpmath.libmp import (dps_to_prec, fhalf, from_man_exp, mpf_acos, mpf_cos, m
 from hypothesis import assume, strategies as st
 
 from logjones import habiro, jones, loginv, qgroup, volume
-from logjones.qcalc import (Jet, LaurentPoly, RootContext, brace, int_or_frac_to_mp, kron_unpack,
-                            qbinom, qint, residue_bins)
+from logjones.qcalc import (LaurentPoly, RootContext, brace, int_or_frac_to_mp, kron_unpack, qbinom,
+                            qint, residue_bins)
 
 # library code manages its own working precision; test-side arithmetic on
 # returned values must not round through the mpmath default of 15 digits
@@ -269,7 +269,7 @@ def dict_extract_coeffs(values):
     return coeffs
 
 
-# -- exact jets: the residues mod x^{4N} - 1 that the dual jets at xi replaced
+# -- exact jets: the residues mod x^{4N} - 1, the oracle of the values at xi
 
 
 def rotate(v: list, k: int) -> list:
@@ -351,13 +351,13 @@ class ExactJet:
 
 def exact_Vm_jets(h, N, colors):
     """{m: the ExactJet of V_m/[m]} for the given colors, by the exact
-    Horner pass per residue r = +-m mod N that habiro.normalized_Vm_jet
-    runs on dual numbers: u_k = x^{4k} + x^{-4k} has the jet
+    Horner pass per residue r = +-m mod N that habiro._residue_pass runs
+    on values at xi: u_k = x^{4k} + x^{-4k} has the jet
     (U_r, +-m delta_r) at color m, U_r the bins of x^{4r} + x^{-4r} and
     delta_r those of 4x^{4r} - 4x^{-4r}, and the pass carries the jet
     (v, w) of P(U_r) and the bins d of P'(U_r) over a_0..a_{n-1},
     n = min(N, coefficients held).  O(N) list operations of length 4N
-    per rung: the oracle for the dual jets at N up to 100."""
+    per rung: the oracle for the values and color slopes at N up to 100."""
     n = N if h.i_max is None else min(N, h.i_max + 1)
     a = [ExactJet.of(h.coeff(i), N) for i in range(n)]
     passes = {}
@@ -387,19 +387,38 @@ def exact_Vm_jets(h, N, colors):
     return out
 
 
-def assert_dual_close(got, want, ctx, what=""):
-    """Both parts of two dual jets (qcalc.Jet) within ctx.tol max(1, |want|)."""
-    for x, y in ((got.v, want.v), (got.w, want.w)):
+def assert_within(got, want, ctx, what=""):
+    """got within ctx.tol max(1, |want|) of want."""
+    with mp.workdps(ctx.dps + 20):
+        err, bound = abs(got - want), ctx.tol * max(1, abs(want))
+    assert err < bound, (what, mp.nstr(err, 5), mp.nstr(bound, 5))
+
+
+def assert_colors_at_xi(h, jets, ctx, framing=0, what=""):
+    """habiro.normalized_Vm_at_xi against jets = {m: the ExactJet of the
+    framed V_m/[m]}, framing f: at every color m the value z_m p
+    (loginv._framed_value) against the jet's value at xi, and for two
+    colors m, m' of one class +-m mod 2N, which share z_m and the D-value
+    of P(U_r), z_m (c_m - c_m' + (k_m - k_m') p), k_m = (m^2-1) f, against
+    the difference of the jets' D-values at x0 = xi^{1/2}; each within
+    ctx.tol max(1, |want|)."""
+    N = ctx.N
+    first = {}
+    for m, jet in jets.items():
+        k = (m * m - 1) * framing
+        p, c = habiro.normalized_Vm_at_xi(h, m, ctx)
+        with ctx.workprec():
+            value = loginv._framed_value(h, m, ctx, framing)
+            slope = loginv._framing_phase(m, ctx, framing) * (c + k * p)
+        assert_within(value, jet.value(ctx), ctx, (what, m))
+        d_value = ctx.eval_bins(enumerate(jet.w))
+        cls = min(m % (2 * N), -m % (2 * N))
+        if cls not in first:
+            first[cls] = (m, slope, d_value)
+            continue
+        m0, slope0, d_value0 = first[cls]
         with mp.workdps(ctx.dps + 20):
-            err, bound = abs(x - y), ctx.tol * max(1, abs(y))
-        assert err < bound, (what, mp.nstr(err, 5), mp.nstr(bound, 5))
-
-
-def assert_jet_at_xi(jet, exact, ctx, what=""):
-    """The dual jet (p(x0), (Dp)(x0)), x0 = xi^{1/2}, against the ExactJet's
-    bins dotted with ``half_powers``, within ctx.tol max(1, |exact|)."""
-    want = Jet(ctx.eval_bins(enumerate(exact.v)), ctx.eval_bins(enumerate(exact.w)))
-    assert_dual_close(jet, want, ctx, what)
+            assert_within(slope - slope0, d_value - d_value0, ctx, (what, m0, m))
 
 
 def kashaev_invariant(knot, N, ctx=None):
@@ -443,7 +462,7 @@ def b_pm_via_habiro(knot, s: int, ctx: RootContext):
         raise ValueError("s must be in 1..N-1")
     h = habiro.coeffs_for(knot, N)
     with ctx.workprec():
-        a_s = habiro.normalized_Vm_jet(h, s, ctx).v
+        a_s = habiro.normalized_Vm_at_xi(h, s, ctx)[0]
         g = habiro.tilde_sum(h, s, ctx)
         return (ctx.brace_at(1) / ctx.brace_at(s)) ** 2 * (g - ctx.brace_plus(s) * a_s)
 

@@ -12,14 +12,14 @@ from logjones.habiro import (
     coeffs_for,
     ddm_Vm,
     extract_coeffs,
-    normalized_Vm_jet,
+    normalized_Vm_at_xi,
     reconstruct_normalized_Vm,
     reconstruct_Vm,
 )
 from logjones.jones import KNOT_CATALOG, colored_jones_zero_framed
 from logjones.qcalc import InexactDivisionError, LaurentPoly, RootContext, brace, brace_falling, qint
 from logjones.volume import scan_precision
-from conftest import (ExactJet, assert_close, assert_jet_at_xi, colored_jones_numeric, ddm_Vm_mpc,
+from conftest import (ExactJet, assert_close, assert_colors_at_xi, colored_jones_numeric, ddm_Vm_mpc,
                       dict_extract_coeffs, dict_ladder, dict_ladder_head, exact_normalized_Vm,
                       exact_Vm_jets, horner, knotted_words, window_ddm_Vm)
 
@@ -402,42 +402,37 @@ class TestHornerJet:
 
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_matches_the_exact_ladder(self, name):
-        # the dual jet of V_m/[m] is the exact polynomial's value and
-        # D-value at xi, at every color m <= 3N that the coefficients reach
-        # (loginv reads m <= 3N-1), and at framings that shift it by
-        # unreduced exponents of both signs
+        # the value and color slopes of V_m/[m] are the exact polynomial's
+        # value and D-value differences at xi, at every color m <= 3N that
+        # the coefficients reach (loginv reads m <= 3N-1), and at framings
+        # that shift it by unreduced exponents of both signs
         h = self.coeffs(name)
         exact = {}
         for N in range(2, 13):
             ctx = RootContext(N)
-            for m in range(1, 3 * N + 1):
-                if not h.has_coeff(m - 1):
-                    break
+            colors = [m for m in range(1, 3 * N + 1) if h.has_coeff(m - 1)]
+            for m in colors:
                 if m not in exact:
                     exact[m] = {f: exact_normalized_Vm(h, m, framing=f) for f in (0, -2, 3)}
-                assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), ExactJet.of(exact[m][0], N), ctx,
-                                 (N, m))
-                for f in (-2, 3):
-                    with ctx.workprec():
-                        jet = loginv._normalized_jet(h, m, ctx, f)
-                    assert_jet_at_xi(jet, ExactJet.of(exact[m][f], N), ctx, (N, m, f))
+            for f in (0, -2, 3):
+                assert_colors_at_xi(h, {m: ExactJet.of(exact[m][f], N) for m in colors}, ctx, f,
+                                    (N, f))
 
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_jet_reads_only_coefficients_below_N(self, name):
         # for i >= N the rung L_i(m) holds two factors {kN}, each 0 mod
         # x^{4N} - 1, so its jet (v, Dv) is (0, 0) and only a_0..a_{N-1}
-        # reach the jet of V_m/[m]; the T(2,5) table a_0..a_11 reaches N = 12
+        # reach V_m/[m] at xi; the T(2,5) table a_0..a_11 reaches N = 12
         h = self.coeffs(name)
         for N in range(2, 13):
             ctx = RootContext(N)
-            for m in range(1, 3 * N + 1):
-                assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), truncated_ladder_jet(h, m, N), ctx,
-                                 (N, m))
+            jets = {m: truncated_ladder_jet(h, m, N) for m in range(1, 3 * N + 1)}
+            assert_colors_at_xi(h, jets, ctx, 0, N)
 
     @pytest.mark.parametrize("name", ["unknot", "3_1", "4_1", "T(2,5)"])
     def test_exact_pass_is_the_exact_ladder(self, name):
         # the exact Horner pass of the oracle exact_Vm_jets, which checks
-        # the dual pass at large N below, is the jet of the exact polynomial
+        # the pass at xi at large N below, is the jet of the exact polynomial
         h = self.coeffs(name)
         for N in range(2, 9):
             colors = [m for m in range(1, 3 * N + 1) if h.has_coeff(m - 1)]
@@ -450,40 +445,31 @@ class TestHornerJet:
         # every color loginv reads, unframed and at framings -2 and 3
         h = self.coeffs(name)
         ctx = RootContext(N)
-        for m, exact in exact_Vm_jets(h, N, range(1, 3 * N)).items():
-            assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), exact, ctx, m)
-            for f in (-2, 3):
-                with ctx.workprec():
-                    jet = loginv._normalized_jet(h, m, ctx, f)
-                assert_jet_at_xi(jet, exact.shift((m * m - 1) * f), ctx, (m, f))
+        exact = exact_Vm_jets(h, N, range(1, 3 * N))
+        for f in (0, -2, 3):
+            jets = {m: jet.shift((m * m - 1) * f) for m, jet in exact.items()}
+            assert_colors_at_xi(h, jets, ctx, f, f)
 
-    def test_pass_without_the_D_part_of_u_j_fails(self, monkeypatch):
-        # negative control: with the D-part 4j i S_2j of u_j dropped from
-        # the rung factor, the D-values miss the exact jets.  loginv's
-        # checks do not see it: it reads D-parts only in sums and
-        # differences of colors of one residue (s and 2N - s, 2N + s and
-        # 2N - s), where the D-part of P(U_r) cancels
+    def test_pass_without_P_prime_fails(self, monkeypatch):
+        # negative control: with P' dropped from the pass, every color
+        # slope is 0; the slopes miss the exact D-value differences, and
+        # center_coeffs, whose QDERIV and radical routes read them, fails
         src = inspect.getsource(habiro._residue_pass)
-        factor = "factor = Jet(u_r - c_j, mp.mpc(0, -4 * j * s_j))"
-        assert src.count(factor) == 1
+        step = "d = p + factor * d"
+        assert src.count(step) == 1
         namespace = dict(vars(habiro))
-        exec(src.replace(factor, "factor = Jet(u_r - c_j, mp.mpc(0))"), namespace)
+        exec(src.replace(step, "d = 0"), namespace)
         monkeypatch.setattr(habiro, "_residue_pass", namespace["_residue_pass"])
         N = 5
         h = self.coeffs("4_1")
         ctx = RootContext(N)
-        exact = exact_Vm_jets(h, N, range(1, 3 * N))
-        missed = []
-        for m in range(1, 3 * N):
-            try:
-                assert_jet_at_xi(normalized_Vm_jet(h, m, ctx), exact[m], ctx, m)
-            except AssertionError:
-                missed.append(m)
-        assert missed
+        with pytest.raises(AssertionError):
+            assert_colors_at_xi(h, exact_Vm_jets(h, N, range(1, 3 * N)), ctx)
+        assert loginv.center_coeffs(h, ctx).failed(ctx.tol)
 
     @pytest.mark.parametrize("N", [6, 12, 24])
     def test_one_pass_per_residue_class(self, N):
-        # every jet loginv reads comes from one Horner pass per residue
+        # every value loginv reads comes from one Horner pass per residue
         # r = +-m mod N in 0..N/2
         h = self.coeffs("3_1")
         loginv.center_coeffs(h, RootContext(N))
@@ -491,20 +477,20 @@ class TestHornerJet:
         assert 0 < len(passes) <= N // 2 + 1
 
     def test_beyond_table_refused(self):
-        # a table a_0..a_2 answers every jet at N = 3, V_5/[5] among them,
+        # a table a_0..a_2 answers every color at N = 3, V_5/[5] among them,
         # and refuses V_5/[5] at N = 4, which reads a_3
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)])
         with pytest.raises(ValueError):
-            normalized_Vm_jet(h, 5, RootContext(4))
+            normalized_Vm_at_xi(h, 5, RootContext(4))
         ctx = RootContext(3)
-        assert_jet_at_xi(normalized_Vm_jet(h, 5, ctx), truncated_ladder_jet(h, 5, 3), ctx)
+        assert_colors_at_xi(h, {m: truncated_ladder_jet(h, m, 3) for m in (1, 5)}, ctx)
 
     def test_refusal_names_the_color_asked_for(self):
         # V_5/[5] at N = 4 reads a_0..a_3; the message names V_5, not the
         # truncated color 4, and the coefficient that is missing
         h = extract_coeffs([colored_jones_zero_framed(self.T25, m) for m in range(1, 4)], "T(2,5)")
         with pytest.raises(ValueError, match=r"^T\(2,5\): V_5 needs a_3, only a_0\.\.a_2 available$"):
-            normalized_Vm_jet(h, 5, RootContext(4))
+            normalized_Vm_at_xi(h, 5, RootContext(4))
 
 
 class TestPackedLadder:

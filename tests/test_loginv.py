@@ -17,7 +17,7 @@ from logjones.loginv import (
     gamma_s,
 )
 from logjones.qcalc import LaurentPoly, RootContext, brace, brace_falling, ddq, qint
-from conftest import (ExactJet, assert_close, assert_jet_at_xi, b_pm_via_habiro,
+from conftest import (ExactJet, assert_close, assert_colors_at_xi, b_pm_via_habiro,
                       basis_change_inverse, exact_Vm, framed_corrections, kashaev_invariant,
                       knotted_words, unnormalized_VN_at_xi)
 
@@ -487,21 +487,20 @@ class TestColorReach:
     @settings(max_examples=10, deadline=None)
     @given(knotted_words(), st.sampled_from((2, 3)))
     def test_jets_from_N_colors_match_the_full_ladder(self, b, N):
-        # the jets of V_m/[m] that loginv reads off an N-color extraction
-        # are the value and D-value at xi of the exact V_m/[m] from 3N-1
-        # colors, at every color m <= 3N-1, V_{2N+s} of the minus-sign
-        # radical route among them, and at framings -2 and 3
+        # the values and color slopes of V_m/[m] that loginv reads off an
+        # N-color extraction match the value and D-value differences at xi
+        # of the exact V_m/[m] from 3N-1 colors, at every color m <= 3N-1,
+        # V_{2N+s} of the minus-sign radical route among them, and at
+        # framings -2 and 3
         h = habiro.coeffs_for(b, N)
         assert h.i_max == N - 1
         h_full = habiro.coeffs_for(b, 3 * N - 1)
         ctx = RootContext(N)
-        for m in range(1, 3 * N):
-            want = ExactJet.of(habiro.reconstruct_normalized_Vm(h_full, m), N)
-            assert_jet_at_xi(habiro.normalized_Vm_jet(h, m, ctx), want, ctx, (b, N, m))
-            for f in (-2, 3):
-                with ctx.workprec():
-                    jet = loginv._normalized_jet(h, m, ctx, f)
-                assert_jet_at_xi(jet, want.shift((m * m - 1) * f), ctx, (b, N, m, f))
+        want = {m: ExactJet.of(habiro.reconstruct_normalized_Vm(h_full, m), N)
+                for m in range(1, 3 * N)}
+        for f in (0, -2, 3):
+            jets = {m: jet.shift((m * m - 1) * f) for m, jet in want.items()}
+            assert_colors_at_xi(h, jets, ctx, f, (b, N, f))
 
     @settings(max_examples=10, deadline=None)
     @given(knotted_words(), st.sampled_from((2, 3)))

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from logjones import qcalc
 from logjones.qcalc import (
     InexactDivisionError,
-    Jet,
     LaurentPoly,
     RootContext,
     brace,
@@ -22,7 +21,7 @@ from logjones.qcalc import (
     qint,
 )
 from logjones.volume import scan_precision
-from conftest import (ExactJet, assert_close, assert_dual_close, horner, is_palindromic, mirror,
+from conftest import (ExactJet, assert_close, assert_within, horner, is_palindromic, mirror,
                       q_power, qsymbols_from_half_powers, sin_cot_mp, valuation2, xi_half)
 
 
@@ -262,10 +261,9 @@ JET_CONTEXTS = {N: RootContext(N) for N in range(2, 10)}
 
 class TestJet:
     """p -> (p, x dp/dx) mod x^{4N} - 1 is a ring homomorphism, and its
-    values at xi are the ones eval_at gives, to the last bit.  So is
-    p -> (p(x0), (Dp)(x0)) at x0 = xi^{1/2} into the dual numbers, the
-    qcalc.Jet, within ctx.tol relative, as it rounds each sum and
-    product at the working precision."""
+    values at xi are the ones eval_at gives, to the last bit.  Its value
+    and D-value at x0 = xi^{1/2} are what loginv's closed forms take from
+    the tables, within ctx.tol relative."""
 
     @settings(max_examples=100, deadline=None)
     @given(jet_polys(), jet_polys(), st.integers(2, 9))
@@ -288,42 +286,43 @@ class TestJet:
         assert jet.ddq_value(ctx) == ctx.eval_at(ddq(p))
 
     @settings(max_examples=100, deadline=None)
-    @given(jet_polys(), jet_polys(), st.integers(2, 9))
-    def test_dual_products_and_sums(self, p, r, N):
-        ctx = JET_CONTEXTS[N]
-        jp, jr = Jet.of(p, ctx), Jet.of(r, ctx)
-        with ctx.workprec():
-            assert_dual_close(jp * jr, Jet.of(p * r, ctx), ctx)
-            assert_dual_close(jp + jr, Jet.of(p + r, ctx), ctx)
-            assert_dual_close(jp - jr, Jet.of(p - r, ctx), ctx)
-
-    @settings(max_examples=100, deadline=None)
     @given(jet_polys(), st.integers(-200, 200), st.integers(2, 9))
     def test_dual_shift_by_unreduced_exponent(self, p, a, N):
+        # the framing rule of loginv: q^{a/2} p has the value z v and the
+        # D-value z (w + a v) at x0, z = xi^{a/2}, a unreduced
         ctx = JET_CONTEXTS[N]
+        jet, shifted = ExactJet.of(p, N), ExactJet.of(p.shift(a), N)
+        v, w = jet.value(ctx), ctx.eval_bins(enumerate(jet.w))
+        z = ctx.xi_pow(a, 2)
         with ctx.workprec():
-            assert_dual_close(Jet.of(p, ctx) * Jet.monomial(a, ctx), Jet.of(p.shift(a), ctx), ctx)
+            got = z * v, z * (w + a * v)
+        assert_within(got[0], shifted.value(ctx), ctx, a)
+        assert_within(got[1], ctx.eval_bins(enumerate(shifted.w)), ctx, a)
 
     @pytest.mark.parametrize("N", range(2, 10))
     def test_dual_jets_of_braces_and_monomials(self, N):
-        # the jets read off qsymbols and half_powers, n and k unreduced
+        # the value and D-value at x0 that loginv reads off qsymbols and
+        # half_powers, n unreduced: ({n}, 2n {n}_+) and (xi^{n/2}, n xi^{n/2})
         ctx = JET_CONTEXTS[N]
         for n in range(-5 * N, 5 * N + 1):
-            assert_dual_close(Jet.brace(n, ctx), Jet.of(brace(n), ctx), ctx)
-            assert_dual_close(Jet.monomial(n, ctx), Jet.of(LaurentPoly({n: 1}), ctx), ctx)
+            with ctx.workprec():
+                pairs = (((ctx.brace_at(n), 2 * n * ctx.brace_plus(n)), brace(n)),
+                         ((ctx.xi_pow(n, 2), n * ctx.xi_pow(n, 2)), LaurentPoly({n: 1})))
+            for (v, w), p in pairs:
+                jet = ExactJet.of(p, N)
+                assert_within(v, jet.value(ctx), ctx, (n, p))
+                assert_within(w, ctx.eval_bins(enumerate(jet.w)), ctx, (n, p))
 
     @settings(max_examples=100, deadline=None)
     @given(jet_polys(), st.integers(2, 9))
     def test_dual_values_at_xi(self, p, N):
-        # the value is eval_at's dot product and the D-value the exact
-        # jet's, to the last bit; d/dq = D/(2q) within the tolerance
+        # xi d/dq = D/2 at xi, the step from loginv's q-derivatives to its
+        # closed forms: half the D-value at x0 is xi (dp/dq)(xi)
         ctx = JET_CONTEXTS[N]
-        jet, exact = Jet.of(p, ctx), ExactJet.of(p, N)
-        assert jet.v == ctx.eval_at(p) == exact.value(ctx)
-        assert jet.w == ctx.eval_bins(enumerate(exact.w))
-        want = ctx.eval_at(ddq(p))
-        with mp.workdps(ctx.dps + 20):
-            assert abs(jet.ddq(ctx) - want) < ctx.tol * max(1, abs(want))
+        with ctx.workprec():
+            got = ctx.eval_bins(enumerate(ExactJet.of(p, N).w)) / 2
+            want = ctx.xi * ctx.eval_at(ddq(p))
+        assert_within(got, want, ctx)
 
 
 class TestQSymbols:

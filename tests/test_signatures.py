@@ -182,3 +182,25 @@ def test_qcalc_and_qgroup_judge_no_tolerance_but_the_report():
     # tolerance; qgroup's checks return residuals that its report judges
     found = [mod + where for mod in ("qcalc", "qgroup") for where in comparisons_with_tol(TREES[mod])]
     assert found == ["qgroup.verification_report.add"], found
+
+
+def test_src_imports_are_used():
+    # every name a src/ module imports, at any depth, is used in that
+    # module, but for the re-exports that __init__ lists in __all__ and
+    # the __future__ features
+    exported = {name for node in TREES["__init__"].body if isinstance(node, ast.Assign)
+                for target in node.targets if getattr(target, "id", None) == "__all__"
+                for name in ast.literal_eval(node.value)}
+    unused = []
+    for mod, tree in TREES.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{mod}:{node.lineno} {name}" for name in bound
+                       if name not in used and not (mod == "__init__" and name in exported)]
+    assert not unused, f"imported names that their module never uses: {unused}"
