@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format; csv only for volume-scan")
         p.add_argument("--out", default="-", help="output path (default stdout)")
         if knotty:
-            p.add_argument("--knot", help="catalog name: unknot, 3_1, 4_1")
+            p.add_argument("--knot", help="catalog name: " + ", ".join(jones.KNOT_CATALOG))
             p.add_argument("--braid", help="braid word 'n: i1 i2 ...'")
 
     p = sub.add_parser("jones", help="exact 0-framed colored Jones polynomials")

@@ -27,7 +27,7 @@ import functools
 import math
 
 from .qcalc import (InexactDivisionError, LaurentPoly, brace, brace_fact, brace_falling, kron_pack,
-                    kron_unpack, qfact, qint)
+                    kron_unpack, qbinom, qfact, qint)
 
 
 class FeasibilityError(RuntimeError):
@@ -138,9 +138,9 @@ class WeightRep:
     E: dict
     F: dict
     weights: tuple
-    # the powers of E and F that rmatrix_terms reads, built once by
-    # _rep_powers and _divided_powers, shared between callers, which never
-    # mutate them; and the mark "Wm" that build_Wm sets
+    # built once and shared, never mutated: E^n and {1}^n F^n (_rep_powers),
+    # E^n / qcalc.qfact(n) (_divided_powers), the least orders at xi per
+    # context (qgroup._vanishing_profile); and build_Wm's mark "Wm"
     _memo: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
@@ -277,9 +277,8 @@ def _divided_powers(V: WeightRep):
     e_div = V._memo.get("divided")
     if e_div is None:
         e_div = []
-        fact = LaurentPoly.const(1)
         for n, en in enumerate(_rep_powers(V)[0]):
-            fact = fact * qint(n) if n else fact
+            fact = qfact(n)
             try:
                 e_div.append({k: v / fact for k, v in en.items()})
             except InexactDivisionError:
@@ -405,16 +404,10 @@ class _Factor:
 
 @functools.cache
 def _qbinom_factor(i: int, n: int) -> _Factor:
-    """[i over n] for 0 <= n <= i, the entry of the divided power E^(n) of
-    W_m on f_i, by Pascal's rule [i over n] = q^{i-n} [i-1 over n-1] +
-    q^{-n} [i-1 over n] from [i over 0] = [i over i] = 1 and
-    [i over 1] = [i].  It does not depend on m, so every color shares it."""
-    if n in (0, i):
-        return _Factor(LaurentPoly.const(1))
-    if n == 1:
-        return _Factor(qint(i))
-    return _Factor(_qbinom_factor(i - 1, n - 1).poly.shift(2 * (i - n))
-                   + _qbinom_factor(i - 1, n).poly.shift(-2 * n))
+    """[i over n] (qcalc.qbinom) for 0 <= n <= i, the entry of the divided
+    power E^(n) of W_m on f_i.  It does not depend on m, so every color
+    shares it."""
+    return _Factor(qbinom(i, n))
 
 
 @functools.cache

@@ -328,26 +328,29 @@ def qint(n: int) -> LaurentPoly:
     return LaurentPoly({2 * e: 1 for e in range(-(n - 1), n, 2)})
 
 
+@functools.cache
 def qfact(n: int) -> LaurentPoly:
-    """[n]_q! = prod_{k=1}^{n} [k]_q."""
+    """[n]_q! = [n-1]_q! [n]_q from [0]_q! = 1.  Memoized, so callers share
+    the result; a cold call recurses n deep."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = LaurentPoly.const(1)
-    for k in range(1, n + 1):
-        out = out * qint(k)
-    return out
+    return qfact(n - 1) * qint(n) if n else LaurentPoly.const(1)
 
 
+@functools.cache
 def qbinom(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial [n over k]_q by exact polynomial division."""
+    """Gaussian binomial [n over k]_q (0 for k > n) by Pascal's rule
+    [n over k] = q^{n-k} [n-1 over k-1] + q^{-k} [n-1 over k].  Memoized,
+    so callers share the result; a cold call recurses n deep."""
     if k < 0 or n < 0:
         raise ValueError("n, k must be >= 0")
     if k > n:
         return LaurentPoly()
-    out = LaurentPoly.const(1)
-    for j in range(k):
-        out = (out * qint(n - j)) / qint(j + 1)
-    return out
+    if k in (0, n):
+        return LaurentPoly.const(1)
+    if k == 1:
+        return qint(n)
+    return qbinom(n - 1, k - 1).shift(2 * (n - k)) + qbinom(n - 1, k).shift(-2 * k)
 
 
 def ddq(p: LaurentPoly) -> LaurentPoly:

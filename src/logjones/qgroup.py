@@ -312,16 +312,17 @@ def _qfact_unit(n: int, ctx: RootContext):
 
 
 def _orders(mat: dict, ctx: RootContext, base: int = 0, scale=1):
-    """{k - base: max |(p / Phi_4N^k)(xi)| / scale} over the entries p of
-    mat, grouped by their order k at xi."""
-    out = {}
+    """(k - base, m / scale): k the least order at xi of an entry p of mat,
+    m the largest |(p / Phi_4N^k)(xi)| over the entries of order k alone."""
+    least, mag = math.inf, None
     with ctx.workprec():
         for p in mat.values():
             k, unit = ctx.order_at(p)
-            mag = abs(ctx.eval_at(unit))
-            if mag > out.get(k - base, -1):
-                out[k - base] = mag
-        return {k: mag / scale for k, mag in out.items()}
+            if k < least:
+                least, mag = k, abs(ctx.eval_at(unit))
+            elif k == least:
+                mag = max(mag, abs(ctx.eval_at(unit)))
+        return least - base, mag / scale
 
 
 def _vanishing_profile(V: jones.WeightRep, ctx: RootContext):
@@ -329,10 +330,10 @@ def _vanishing_profile(V: jones.WeightRep, ctx: RootContext):
     per (V, ctx) and kept in V._memo.
 
     Each side is a tuple over n = N, N+1, ... below the nilpotency order
-    of E (of F) of the maps _orders reads off the entries of E^n / [n]!
-    and of {1}^n F^n (jones._rep_powers).  On the E side the order of
-    [n]! is taken off, so an order below 0 is a pole there, and the
-    moduli are divided by that of [n]! / Phi_4N^{n // N}."""
+    of E (of F) of the pair (order, modulus) that _orders reads off the
+    entries of E^n / [n]! and of {1}^n F^n (jones._rep_powers).  On the
+    E side the order of [n]! is taken off, so an order below 0 is a pole
+    there, and the modulus is divided by that of [n]! / Phi_4N^{n // N}."""
     key = ("vanishing", ctx)
     sides = V._memo.get(key)
     if sides is None:
@@ -351,23 +352,25 @@ def rmatrix_specialization_check(rep1, rep2, ctx: RootContext):
 
     An entry of term n is a monomial of modulus 1 at xi times e f / [n]!,
     e an entry of E^n on rep1 and f one of {1}^n F^n on rep2, as
-    {n}! = {1}^n [n]!.  Orders of vanishing at xi add, so by the sides of
-    _vanishing_profile the entry is a pole where the orders of e / [n]!
-    and f sum below 0, exactly 0 where they sum above, and otherwise of
-    the modulus of the product of their reductions; no term is formed.
-    Terms with n < N have no pole, as [n]! has no zero at xi there, and
-    are not read.
+    {n}! = {1}^n [n]!.  Orders of vanishing at xi add, so the entry is a
+    pole where the orders of e / [n]! and f sum below 0, exactly 0 where
+    they sum above, and otherwise of the modulus of the product of their
+    reductions; no term is formed.  By the least orders ke, kf of the
+    sides of _vanishing_profile, term n has a pole if ke + kf < 0; else
+    the only orders that can sum to 0 are ke and kf themselves, so its
+    worst entry is the product of their moduli if ke + kf == 0 and every
+    entry is exactly 0 if ke + kf > 0.  Terms with n < N have no pole, as
+    [n]! has no zero at xi there, and are not read.
     """
     worst = mp.mpf(0)
     e_side = _vanishing_profile(rep1, ctx)[0]
     f_side = _vanishing_profile(rep2, ctx)[1]
     with ctx.workprec():
-        for e, f in zip(e_side, f_side):
-            if min(e) + min(f) < 0:
+        for (ke, me), (kf, mf) in zip(e_side, f_side):
+            if ke + kf < 0:
                 return mp.inf  # a pole contradicts the specialization property
-            for k, mag in e.items():
-                if -k in f:
-                    worst = max(worst, mag * f[-k])
+            if ke + kf == 0:
+                worst = max(worst, me * mf)
     return worst
 
 

@@ -333,6 +333,19 @@ def test_parser_built_once_per_process(monkeypatch):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def test_knot_help_reads_the_catalog(monkeypatch):
+    # a knot added to jones.KNOT_CATALOG shows in the --knot help at once
+    monkeypatch.setitem(jones.KNOT_CATALOG, "5_1", jones.BraidWord(2, (1,) * 5, name="5_1"))
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exit_, contextlib.redirect_stdout(io.StringIO()) as buf:
+            cli.main(["loginv", "--help"])
+    finally:
+        cli.build_parser.cache_clear()
+    assert exit_.value.code == 0
+    assert "catalog name: unknot, 3_1, 4_1, 5_1" in " ".join(buf.getvalue().split())
+
+
 def test_trefoil_past_the_old_table_limit():
     # V_17 needs a_16, one past the a_0..a_15 the trefoil once stored
     rc, out = run_cli(["loginv", "--knot", "3_1", "--N", "6"])

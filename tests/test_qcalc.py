@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logjones import qcalc
+from logjones import jones, qcalc, qgroup
 from logjones.qcalc import (
     InexactDivisionError,
     LaurentPoly,
@@ -361,13 +361,33 @@ class TestQSymbols:
         assert_close(ctx.eval_at(qint(5)), 0, ctx.tol)
 
     def test_qbinom_literal(self):
-        # [4]!/([2]![2]!) expanded by exact division
+        # [4]!/([2]![2]!) expanded
         assert qbinom(4, 2) == LaurentPoly({8: 1, 4: 1, 0: 2, -4: 1, -8: 1})
 
     def test_qbinom_equals_factorial_ratio(self):
-        for n in range(13):
+        # exact division of q-factorials, independent of Pascal's rule
+        for n in range(21):
             for k in range(n + 1):
                 assert qbinom(n, k) == (qfact(n) / qfact(k)) / qfact(n - k)
+
+    def test_qbinom_factor_wraps_qbinom(self):
+        for i in range(12):
+            for n in range(i + 1):
+                assert jones._qbinom_factor(i, n).poly is qbinom(i, n)
+
+    def test_shared_values_not_mutated(self):
+        # qint, qfact and qbinom hand out memoized objects; after the
+        # qgroup sweep and a braid trace they still equal fresh ones
+        qgroup.verification_report(RootContext(3))
+        jones.colored_jones(jones.KNOT_CATALOG["4_1"], 8)
+        ints = [LaurentPoly({2 * e: 1 for e in range(1 - n, n, 2)}) for n in range(13)]
+        facts = [LaurentPoly.const(1)]
+        for n in range(1, 13):
+            facts.append(facts[-1] * ints[n])
+        for n in range(13):
+            assert qint(n) == ints[n] and qfact(n) == facts[n]
+            for k in range(n + 1):
+                assert qbinom(n, k) == (facts[n] / facts[k]) / facts[n - k]
 
     def test_brace_fact(self):
         assert brace_fact(3) == brace(3) * brace(2) * brace(1)

@@ -322,20 +322,31 @@ class TestRMatrixSpecialization:
     def test_low_terms_not_evaluated(self, ctx4, monkeypatch):
         # the check forms no R-matrix term, and it reduces the entries of
         # E^n and {1}^n F^n with n >= N only: {n}! has no zero at xi for
-        # n < N, so those terms cannot have a pole there
+        # n < N, so those terms cannot have a pole there.  Only the
+        # reductions made inside qgroup._orders count: qgroup._qfact_unit
+        # reduces the memoized [k], the very objects that sit as rung
+        # entries of E, and its cache may be cold or warm
         def forbidden(*args):
             raise AssertionError("the check formed an R-matrix term")
 
         monkeypatch.setattr(jones, "tensor_of", forbidden)
         monkeypatch.setattr(jones, "rmatrix_terms", forbidden)
-        reduced = []
-        real = RootContext.order_at
+        reduced, inside = [], []
+        real_order_at, real_orders = RootContext.order_at, qgroup._orders
 
         def recording(self, p):
-            reduced.append(p)
-            return real(self, p)
+            if inside:
+                reduced.append(p)
+            return real_order_at(self, p)
+
+        def orders(*args):
+            inside.append(True)
+            out = real_orders(*args)
+            inside.pop()
+            return out
 
         monkeypatch.setattr(RootContext, "order_at", recording)
+        monkeypatch.setattr(qgroup, "_orders", orders)
         y2m = build_modified(-1, 2, 4)[0]
         assert rmatrix_specialization_check(y2m, y2m, ctx4) < ctx4.tol
         e_pow, f_scaled = jones._rep_powers(y2m)

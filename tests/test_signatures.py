@@ -15,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "logjones"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 # the definitional route to b_s^+-, which only tests call (ROADMAP
-# direction 1 moves it to tests/conftest.py)
+# direction 2 moves it to tests/conftest.py)
 NOT_YET_REACHED = {"qgroup.x0_from_eta", "qgroup.x0_to_b"}
 
 
